@@ -155,19 +155,6 @@ def cmd_classify(args) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-def _build_everything(cfg):
-    w = _build_warp(cfg)
-    n, M = cfg["n"], cfg["modes"]
-    report = _criterion.march_criterion(w, n, tol=cfg["tol"],
-                                        r_max=cfg.get("rmax"))
-    if report.verdict != _criterion.CONVERGENT:
-        return w, report, None, None
-    f = _boundary_data(cfg)
-    ext = _extension.build_extension(w, n, f, M, tol=cfg["tol"],
-                                     r_max=cfg.get("rmax"), criterion=report)
-    return w, report, f, ext
-
-
 def _solve_artifacts(cfg, ext, out):
     os.makedirs(out, exist_ok=True)
     r_line = np.linspace(0.1, min(ext.r_max, 20.0), 40)
@@ -186,20 +173,33 @@ def _solve_artifacts(cfg, ext, out):
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    w, report, f, ext = _build_everything(cfg)
-    if ext is None:
+    w = _build_warp(cfg)
+    n, M = cfg["n"], cfg["modes"]
+    report = _criterion.march_criterion(w, n, tol=cfg["tol"],
+                                        r_max=cfg.get("rmax"))
+    if report.verdict != _criterion.CONVERGENT:
         print(f"not solvable: criterion verdict {report.verdict}",
               file=sys.stderr)
         return 2
+    ext = _extension.build_extension(w, n, _boundary_data(cfg), M,
+                                     tol=cfg["tol"], r_max=cfg.get("rmax"),
+                                     criterion=report)
     _solve_artifacts(cfg, ext, cfg["out"])
     print(f"solved: M={ext.M}, r_max={ext.r_max:g}, "
           f"truncation bound {ext.truncation_error_bound:.3g}")
+    if args.at_infinity:
+        omega = 0.0 if n == 2 else (0.0, 0.0)
+        print(f"u(infinity, 0) = "
+              f"{float(_extension.boundary_value(ext, omega)):.12g}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+_VERIFY_RMAX = 25.0     # smallest range of verify's own profile solves
+
 
 def _check(name, passed, detail):
     return {"name": name, "passed": bool(passed), "detail": detail}
@@ -219,13 +219,14 @@ def cmd_verify(args) -> int:
     checks = []
 
     # profiles: in-process solves for FD-grade accuracy
-    r_solve = cfg.get("rmax") or (25.0 if convergent else 25.0)
+    r_solve = max(cfg.get("rmax") or 0.0, _VERIFY_RMAX)
+    certs = {}
     profiles = {}
     for m in range(0, M + 1):
         mode = eigen_round_sphere(n, m)
         profiles[m] = _radial.solve_radial(
-            w, n, mode, r_max=max(r_solve, 25.0),
-            criterion=report, normalize=convergent)
+            w, n, mode, r_max=r_solve, criterion=report,
+            normalize=convergent, certs=certs)
 
     loaded = None
     if getattr(args, "artifacts", None):
@@ -238,9 +239,9 @@ def cmd_verify(args) -> int:
                 path, eigen_round_sphere(n, m), n, w, metadata=metas.get(m))
 
     # Riccati residual + inequality (m >= 1)
+    traces = {m: _radial.riccati_trace(profiles[m]) for m in range(1, M + 1)}
     worst_res, ineq_ok, res_ok = 0.0, True, True
-    for m in range(1, M + 1):
-        tr = _radial.riccati_trace(profiles[m])
+    for tr in traces.values():
         worst_res = max(worst_res, float(np.max(np.abs(tr.residual))))
         res_ok &= tr.residual_ok
         ineq_ok &= tr.inequality_ok
@@ -251,8 +252,7 @@ def cmd_verify(args) -> int:
 
     # growth bound on trace grids, using loaded values when provided
     bound_ok = True
-    for m in range(1, M + 1):
-        tr = _radial.riccati_trace(profiles[m])
+    for m, tr in traces.items():
         subject = loaded[m] if loaded else profiles[m]
         if loaded:
             vals = np.interp(tr.grid, subject.grid, subject.values)
@@ -421,14 +421,7 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return cmd_classify(args)
         if args.command == "solve":
-            code = cmd_solve(args)
-            if code == 0 and getattr(args, "at_infinity", False):
-                cfg = _load_config(args)
-                _, _, _, ext = _build_everything(cfg)
-                omega = 0.0 if cfg["n"] == 2 else (0.0, 0.0)
-                print(f"u(infinity, 0) = "
-                      f"{float(_extension.boundary_value(ext, omega)):.12g}")
-            return code
+            return cmd_solve(args)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "sweep":

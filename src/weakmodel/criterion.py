@@ -104,6 +104,10 @@ class _TailModel:
             return float(min(max(30.0, 60.0 / self.growth.rate), 2e7))
         return 100.0
 
+    def r0(self, R):
+        """Start of the sandwich used with truncation radius R."""
+        return max(self.min_r0(), R / 3.0)
+
     def log_sandwich(self, r0):
         """(log klo, log khi) such that phi in [klo, khi]*psi on [r0, inf)."""
         g = self.growth
@@ -142,10 +146,23 @@ class _TailModel:
             return c <= 1.0
         return c <= 0.5
 
-    def divergence_evidence(self, r0):
-        """Names the elementary lower-bound integrand whose integral diverges."""
+    def divergence_evidence(self, r0, double=True):
+        """Names the elementary lower-bound integrand whose integral diverges.
+
+        `double` selects the criterion integral; otherwise the evidence is
+        for the transience integral int phi^{1-n}.
+        """
         n = self.n
         log_klo, log_khi = self.log_sandwich(r0)
+        if not double:
+            k = math.exp((1 - n) * log_khi)
+            if self.kind == "power":
+                return (f"integrand >= {k:.6g}"
+                        f"*t^({-self.growth.exponent * (n - 1):.6g}) for t >= "
+                        f"{r0:.4g}; exponent >= -1, elementary integral diverges")
+            return (f"integrand >= {k:.6g}"
+                    f"/(t*(log t)^{self.growth.log_exponent:.6g}) for t >= "
+                    f"{r0:.4g}; c <= 1, elementary integral diverges")
         if self.kind == "power":
             p = self.growth.exponent
             if p * (n - 1) <= 1.0:
@@ -172,9 +189,12 @@ class _TailModel:
                 f"for s >= {r0:.4g}; 2c <= 1 so the elementary integral "
                 f"diverges{note}")
 
-    def convergence_evidence(self, r0):
+    def convergence_evidence(self, r0, double=True):
         n = self.n
         g = self.growth
+        if not double:
+            return (f"{g.describe()}: integrand <= elementary convergent tail "
+                    f"beyond {r0:.4g}")
         if self.kind == "exp":
             return (f"{g.describe()}: double-tail integrand <= "
                     f"K*exp({-2 * g.rate:.6g}*s) beyond s = {r0:.4g}, geometric tail")
@@ -417,104 +437,94 @@ def _check_args(w, n, tol):
         raise InvalidTolerance(f"tolerance must be positive and finite, got {tol!r}")
 
 
-def _clip_to_hull(w, R):
-    """Tabulated data with a trusted growth class: stay inside the samples."""
+def _start_radius(w, model, R):
+    """R raised above the sandwich start; tabulated data stay inside the samples."""
     hull = getattr(w, "grid", None)
     if hull is not None:
-        return min(R, float(hull[-1]) * 0.995)
-    return R
+        R = min(R, float(hull[-1]) * 0.995)
+    return max(R, model.min_r0() * 1.3)
 
 
-def march_criterion(w: WarpingFunction, n: int, tol: float = 1e-8,
-                    r_max: float | None = None) -> CriterionReport:
-    """Classify the double criterion integral for (w, n)."""
+def _tail_brackets(w, n, model, R, r0, double=True):
+    """Log brackets (inner, double) for the tails beyond R.
+
+    Refined with the exact phi when it has a closed form, elementary from
+    the sandwich otherwise.  The double bracket is None unless `double`.
+    """
+    if w.closed_form:
+        inner = _refined_log_inner(w, n, model, R, r0)
+        dbl = _refined_log_double(w, n, model, R, r0) if double else None
+    else:
+        inner = model.log_inner_bracket(R, r0)
+        dbl = model.log_double_bracket(R, r0) if double else None
+    return inner, dbl
+
+
+def _certify(w, n, tol, r_max, double):
+    """Classify the criterion integral (`double`) or the transience integral.
+
+    The value is the finite part over [1, R] plus the certified tails beyond
+    R: for the criterion integral the cross term C(1,R)*T_in(R) and the
+    double tail T_out(R), for the transience integral T_in(R) alone.  R
+    doubles until the error bound is below tol.
+    """
     _check_args(w, n, tol)
     growth = w.growth_class
     if isinstance(growth, UnknownGrowth):
-        return _classify_unknown(w, n, tol, double=True)
+        return _classify_unknown(w, n, tol, double=double)
     model = _TailModel(growth, n)
-    R = float(r_max) if r_max is not None else model.default_r_max()
-    R = max(_clip_to_hull(w, R), model.min_r0() * 1.3)
+    R = _start_radius(w, model, float(r_max) if r_max is not None
+                      else model.default_r_max())
 
-    if model.inner_diverges() or model.double_diverges():
-        r0 = max(model.min_r0(), R / 3.0)
-        F, F_err, _ = _finite_double(w, n, R)
+    if model.inner_diverges() or (double and model.double_diverges()):
+        finite = _finite_double if double else _finite_single
+        F, F_err = finite(w, n, R)[:2]
         return CriterionReport(
             verdict=DIVERGENT, value=F, error_bound=F_err,
-            tail_evidence=model.divergence_evidence(r0), r_max=R)
+            tail_evidence=model.divergence_evidence(model.r0(R), double),
+            r_max=R)
 
-    for attempt in range(_MAX_R_DOUBLINGS + 1):
-        r0 = max(model.min_r0(), R / 3.0)
-        F, F_err, cum = _finite_double(w, n, R)
-        if w.closed_form:
-            in_lo, in_hi = _refined_log_inner(w, n, model, R, r0)
-            d_lo, d_hi = _refined_log_double(w, n, model, R, r0)
+    budget = []
+    for _ in range(_MAX_R_DOUBLINGS + 1):
+        r0 = model.r0(R)
+        (in_lo, in_hi), dbl = _tail_brackets(w, n, model, R, r0, double)
+        if double:
+            F, F_err, cum = _finite_double(w, n, R)
+            log_cum = cum.log_total
+            cross_lo, cross_hi = math.exp(log_cum + in_lo), math.exp(log_cum + in_hi)
+            tout_lo, tout_hi = math.exp(dbl[0]), math.exp(dbl[1])
         else:
-            in_lo, in_hi = model.log_inner_bracket(R, r0)
-            d_lo, d_hi = model.log_double_bracket(R, r0)
-        log_cum = cum.log_total
-        cross_lo, cross_hi = math.exp(log_cum + in_lo), math.exp(log_cum + in_hi)
-        tout_lo, tout_hi = math.exp(d_lo), math.exp(d_hi)
+            F, F_err = _finite_single(w, n, R)
+            cross_lo = cross_hi = 0.0
+            tout_lo, tout_hi = math.exp(in_lo), math.exp(in_hi)
         value = F + 0.5 * (cross_lo + cross_hi) + 0.5 * (tout_lo + tout_hi)
         err = (F_err + 0.5 * (cross_hi - cross_lo) + 0.5 * (tout_hi - tout_lo)
                + 1e-14 * value)
         if err < tol:
             return CriterionReport(
                 verdict=CONVERGENT, value=value, error_bound=err,
-                tail_evidence=model.convergence_evidence(r0), r_max=R)
+                tail_evidence=model.convergence_evidence(r0, double), r_max=R)
+        budget.append(
+            f"r_max={R:g}: bound {err:.3g} (finite part {F_err:.3g}, cross "
+            f"term {0.5 * (cross_hi - cross_lo):.3g}, outer tail "
+            f"{0.5 * (tout_hi - tout_lo):.3g})")
         R *= 2.0
+    what = "value" if double else "transience value"
     raise QuadratureFailure(
-        f"could not certify the value within tol={tol:g} "
-        f"(last error bound {err:g} at r_max={R / 2:g})")
+        f"could not certify the {what} within tol={tol:g}; error budget per "
+        f"attempt: " + "; ".join(budget))
+
+
+def march_criterion(w: WarpingFunction, n: int, tol: float = 1e-8,
+                    r_max: float | None = None) -> CriterionReport:
+    """Classify the double criterion integral for (w, n)."""
+    return _certify(w, n, tol, r_max, double=True)
 
 
 def transience_integral(w: WarpingFunction, n: int, tol: float = 1e-8,
                         r_max: float | None = None) -> CriterionReport:
     """Classify int_1^inf phi^{1-n}."""
-    _check_args(w, n, tol)
-    growth = w.growth_class
-    if isinstance(growth, UnknownGrowth):
-        return _classify_unknown(w, n, tol, double=False)
-    model = _TailModel(growth, n)
-    R = float(r_max) if r_max is not None else model.default_r_max()
-    R = max(_clip_to_hull(w, R), model.min_r0() * 1.3)
-
-    if model.inner_diverges():
-        r0 = max(model.min_r0(), R / 3.0)
-        F, F_err = _finite_single(w, n, R)
-        log_klo, log_khi = model.log_sandwich(r0)
-        if model.kind == "power":
-            p = model.growth.exponent
-            witness = (f"integrand >= {math.exp((1 - n) * log_khi):.6g}"
-                       f"*t^({-p * (n - 1):.6g}) for t >= {r0:.4g}; "
-                       "exponent >= -1, elementary integral diverges")
-        else:
-            c = model.growth.log_exponent
-            witness = (f"integrand >= {math.exp((1 - n) * log_khi):.6g}"
-                       f"/(t*(log t)^{c:.6g}) for t >= {r0:.4g}; c <= 1, "
-                       "elementary integral diverges")
-        return CriterionReport(verdict=DIVERGENT, value=F, error_bound=F_err,
-                               tail_evidence=witness, r_max=R)
-
-    for attempt in range(_MAX_R_DOUBLINGS + 1):
-        r0 = max(model.min_r0(), R / 3.0)
-        F, F_err = _finite_single(w, n, R)
-        if w.closed_form:
-            in_lo, in_hi = _refined_log_inner(w, n, model, R, r0)
-        else:
-            in_lo, in_hi = model.log_inner_bracket(R, r0)
-        t_lo, t_hi = math.exp(in_lo), math.exp(in_hi)
-        value = F + 0.5 * (t_lo + t_hi)
-        err = F_err + 0.5 * (t_hi - t_lo) + 1e-14 * value
-        if err < tol:
-            return CriterionReport(
-                verdict=CONVERGENT, value=value, error_bound=err,
-                tail_evidence=f"{growth.describe()}: integrand <= elementary "
-                              f"convergent tail beyond {r0:.4g}",
-                r_max=R)
-        R *= 2.0
-    raise QuadratureFailure(
-        f"could not certify the transience value within tol={tol:g}")
+    return _certify(w, n, tol, r_max, double=False)
 
 
 def fubini_check(w: WarpingFunction, n: int, R: float):
@@ -550,15 +560,9 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
     model = _TailModel(growth, n)
     if model.inner_diverges() or model.double_diverges():
         raise NotConvergent("criterion integral diverges for this metric")
-    R = max(_clip_to_hull(w, float(R)), model.min_r0() * 1.3)
-    r0 = max(model.min_r0(), R / 3.0)
+    R = _start_radius(w, model, float(R))
     cum = LogCumulative(lambda t: (n - 3) * w.log_phi(t), 1.0, R, rtol=1e-12)
-    if w.closed_form:
-        inner = _refined_log_inner(w, n, model, R, r0)
-        dbl = _refined_log_double(w, n, model, R, r0)
-    else:
-        inner = model.log_inner_bracket(R, r0)
-        dbl = model.log_double_bracket(R, r0)
+    inner, dbl = _tail_brackets(w, n, model, R, model.r0(R))
     return TailCertificate(
         r_max=R, log_cum=cum.log_total, log_inner=inner,
         double=(math.exp(dbl[0]), math.exp(dbl[1])))

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,23 +37,19 @@ class HarmonicExtension:
     criterion: _criterion.CriterionReport
     spectrum: SphereSpectrum = None
     numeric_slack: float = 0.0
-    _angular_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def r_max(self):
         return min(p.r_max for p in self.profiles.values())
 
-    def mode_amplitudes(self):
-        """Per-m sup-norm amplitude sum_k |c_{m,k}| * max|f_{m,k}|."""
-        out = {}
-        for (m, k), c in self.coeffs.items():
-            out[m] = out.get(m, 0.0) + abs(c) * self.spectrum.sup_norm(m)
-        return out
-
 
 def default_r_max(w: WarpingFunction, n: int, M: int, r_max=None,
-                  spectrum: SphereSpectrum | None = None) -> float:
-    """Profile range: fixed for exponential growth, tail-certified otherwise."""
+                  spectrum: SphereSpectrum | None = None,
+                  certs: dict | None = None) -> float:
+    """Profile range: fixed for exponential growth, tail-certified otherwise.
+
+    The tail certificates computed on the way are added to `certs`.
+    """
     if r_max is not None:
         return float(r_max)
     growth = w.growth_class
@@ -62,7 +58,7 @@ def default_r_max(w: WarpingFunction, n: int, M: int, r_max=None,
     if spectrum is None:
         spectrum = RoundSphere(n)
     lam2_max = float(spectrum.mode(M).lambda_sq)
-    return _radial.suggest_rmax(w, n, max(lam2_max, 1.0))
+    return _radial.suggest_rmax(w, n, max(lam2_max, 1.0), certs)
 
 
 def _truncation_bound(coeffs: CoefficientTable, spectrum: SphereSpectrum,
@@ -91,15 +87,16 @@ def _truncation_bound(coeffs: CoefficientTable, spectrum: SphereSpectrum,
 def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
                     tol: float = 1e-8, r_max=None,
                     criterion: _criterion.CriterionReport | None = None,
-                    spectrum: SphereSpectrum | None = None,
-                    tail_energy_fraction: float = _TAIL_ENERGY_FRACTION
+                    spectrum: SphereSpectrum | None = None
                     ) -> HarmonicExtension:
     """Assemble the harmonic extension of f truncated at degree M.
 
     `spectrum` defaults to the round sphere; any cross-section metric can be
     supplied through the SphereSpectrum interface.  Construction warns when
-    the top of the band carries more than `tail_energy_fraction` of the
-    boundary energy, since the truncation bound is then unreliable.
+    the top of the band carries more than _TAIL_ENERGY_FRACTION of the
+    boundary energy, since the truncation bound is then unreliable.  All
+    modes share one table of tail certificates, so each radius is
+    certified once.
     """
     if spectrum is None:
         spectrum = RoundSphere(n)
@@ -114,18 +111,19 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     total = coeffs.total_energy()
     if total > 0 and M >= 2:
         tail = coeffs.tail_energy(M - 1)
-        if tail > tail_energy_fraction * total:
+        if tail > _TAIL_ENERGY_FRACTION * total:
             warnings.warn(
                 f"boundary data is not well resolved at M={M}: modes >= {M - 1} "
                 f"carry {tail / total:.3g} of the energy", stacklevel=2)
 
-    R = default_r_max(w, n, M, r_max, spectrum)
+    certs = {}
+    R = default_r_max(w, n, M, r_max, spectrum, certs)
     profiles = {}
     slack = 0.0
     for m in range(M + 1):
         mode = spectrum.mode(m)
         prof = _radial.solve_radial(w, n, mode, r_max=R, tol=tol,
-                                    criterion=criterion)
+                                    criterion=criterion, certs=certs)
         profiles[m] = prof
         slack = max(slack, prof.limit_error)
 
@@ -135,18 +133,14 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
         criterion=criterion, spectrum=spectrum, numeric_slack=slack)
 
 
-def _angular_parts(ext: HarmonicExtension, omega, cache_key=None):
+def _angular_parts(ext: HarmonicExtension, omega):
     """sum_k c_{m,k} f_{m,k}(omega) for each m, vectorized over omega."""
-    if cache_key is not None and cache_key in ext._angular_cache:
-        return ext._angular_cache[cache_key]
     parts = {}
     for (m, k), c in ext.coeffs.items():
         if c == 0.0:
             continue
         term = c * ext.spectrum.eigenfunction(m, k, omega)
         parts[m] = parts.get(m, 0.0) + term
-    if cache_key is not None:
-        ext._angular_cache[cache_key] = parts
     return parts
 
 

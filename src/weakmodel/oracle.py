@@ -118,7 +118,7 @@ def sphere_laplacian_s2(F: np.ndarray, colat: np.ndarray,
     return Fcc + ct * Fc + Fll / s2
 
 
-def _apply_symmetrized(w, grid, x, phi_mid, phi_c):
+def _apply_symmetrized(grid, x, phi_mid, phi_c):
     """Matrix-vector product of the symmetrized negative warped Laplacian.
 
     x has shape (n_r - 2, n_theta), interior rows only; Dirichlet rows are
@@ -164,7 +164,7 @@ def solve_annulus_dirichlet(w: WarpingFunction, grid: AnnulusGrid,
     b[-1, :] += phi_mid[-1] * bc_out / grid.h_r ** 2
 
     x = np.zeros_like(b)
-    resid = b - _apply_symmetrized(w, grid, x, phi_mid, phi_c)
+    resid = b - _apply_symmetrized(grid, x, phi_mid, phi_c)
     # Jacobi preconditioner
     diag = ((phi_mid[1:] + phi_mid[:-1]) / grid.h_r ** 2
             + 2.0 / (grid.h_theta ** 2 * phi_c))[:, None] * np.ones_like(b)
@@ -175,7 +175,7 @@ def solve_annulus_dirichlet(w: WarpingFunction, grid: AnnulusGrid,
     for it in range(max_iter):
         if math.sqrt(float(np.sum(resid * resid))) <= tol * b_norm:
             break
-        Ap = _apply_symmetrized(w, grid, p, phi_mid, phi_c)
+        Ap = _apply_symmetrized(grid, p, phi_mid, phi_c)
         alpha = rz / float(np.sum(p * Ap))
         x += alpha * p
         resid -= alpha * Ap

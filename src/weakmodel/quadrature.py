@@ -182,18 +182,3 @@ class LogCumulative:
             lv, _ = kronrod_panel_log(self.logf, pb.a, y)
             parts.append(lv)
         return float(logsumexp(parts))
-
-    def log_from_start(self, y):
-        return self.log_between(self.lo, y)
-
-    def log_to_end(self, x):
-        return self.log_between(x, self.hi)
-
-
-def log_diff_exp(la, lb):
-    """log(exp(la) - exp(lb)) for la >= lb."""
-    if lb == -math.inf:
-        return la
-    if lb >= la:
-        return -math.inf
-    return la + math.log1p(-math.exp(lb - la))

@@ -41,6 +41,10 @@ from .warp import WarpingFunction
 _DEFAULT_R0 = 1e-3
 _GRID_SIZE = 800
 _NORMALIZE_DELTA = 1e-4
+_SUGGEST_DELTA = _NORMALIZE_DELTA / 8.0
+_SUGGEST_START = 30.0
+_FD_STEP = 2e-2
+_MASTER_NODES = 16385
 
 
 def indicial_exponent(n: int, lambda_sq: float) -> float:
@@ -181,13 +185,15 @@ def solve_radial(w: WarpingFunction, n: int, mode: EigenMode,
                  r_max: float = 30.0, tol: float = 1e-10,
                  criterion: _criterion.CriterionReport | None = None,
                  normalize: bool = True, r0: float | None = None,
-                 grid_size: int = _GRID_SIZE) -> RadialProfile:
+                 grid_size: int = _GRID_SIZE,
+                 certs: dict | None = None) -> RadialProfile:
     """Solve the radial mode equation on [r0, r_max].
 
     The m = 0 mode short-circuits to the constant 1.  When the criterion
     verdict is Convergent (computed here unless supplied) the profile is
     normalized to limit 1 with a certified limit error; otherwise the limit
-    estimate is recorded as unbounded.
+    estimate is recorded as unbounded.  `certs` is the caller's table of
+    tail certificates for this metric, see `normalize_profile`.
     """
     lam2 = mode.lambda_sq
     l = indicial_exponent(n, lam2)
@@ -246,12 +252,21 @@ def solve_radial(w: WarpingFunction, n: int, mode: EigenMode,
         criterion = _criterion.march_criterion(w, n, tol=1e-6)
     if criterion.verdict != _criterion.CONVERGENT:
         return profile
-    return normalize_profile(profile, criterion)
+    return normalize_profile(profile, criterion, certs)
 
 
 # ---------------------------------------------------------------------------
 # Normalization via the certified tail bound
 # ---------------------------------------------------------------------------
+
+def _certificate(w, n, R, certs):
+    """tail_certificate(w, n, R), looked up in and added to the table `certs`."""
+    if certs is None:
+        return _criterion.tail_certificate(w, n, R)
+    if R not in certs:
+        certs[R] = _criterion.tail_certificate(w, n, R)
+    return certs[R]
+
 
 def _tail_delta(profile: RadialProfile, cert) -> float:
     """Upper bound for phi_m(inf)/phi_m(R) - 1 from the growth bound tail.
@@ -292,12 +307,15 @@ def riccati_value(profile: RadialProfile, r: float) -> float:
 
 
 def normalize_profile(profile: RadialProfile,
-                      criterion: _criterion.CriterionReport) -> RadialProfile:
+                      criterion: _criterion.CriterionReport,
+                      certs: dict | None = None) -> RadialProfile:
     """Rescale a convergent profile so its limit at infinity is 1.
 
     The limit is pinned between phi_m(R) and phi_m(R)(1 + delta) with delta
     from the certified tail of the growth bound; requires delta < 1e-4,
-    re-solving on a doubled range up to 3 times otherwise.
+    re-solving on a doubled range up to 3 times otherwise.  Certificates
+    are read from and added to `certs`, a {R: TailCertificate} table for
+    the profile's metric that the caller shares across modes.
     """
     if criterion.verdict != _criterion.CONVERGENT:
         raise NotConvergent(
@@ -306,7 +324,7 @@ def normalize_profile(profile: RadialProfile,
         return profile
     current = profile
     for attempt in range(4):
-        cert = _criterion.tail_certificate(current.warp, current.n, current.r_max)
+        cert = _certificate(current.warp, current.n, current.r_max, certs)
         delta = _tail_delta(current, cert)
         if delta < _NORMALIZE_DELTA:
             limit = current.values[-1] * (1.0 + delta)
@@ -328,22 +346,21 @@ def normalize_profile(profile: RadialProfile,
 
 
 def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
-                 delta_target: float = _NORMALIZE_DELTA / 8.0,
-                 start: float = 30.0) -> float:
-    """Smallest doubling of `start` whose certified tail delta is below target."""
+                 certs: dict | None = None) -> float:
+    """Smallest doubling of _SUGGEST_START whose certified tail delta is
+    below _SUGGEST_DELTA.
+
+    Every certificate computed is added to `certs`, so that normalizing at
+    the returned radius reuses the last one.
+    """
     probe = solve_radial(w, n, EigenMode(m=1, lambda_sq=lambda_sq, multiplicity=1),
-                         r_max=max(start, 30.0), normalize=False)
-    A = riccati_value(probe, 1.0)
-    R = max(start, 30.0)
+                         r_max=_SUGGEST_START, normalize=False)
+    R = _SUGGEST_START
     for _ in range(24):
-        cert = _criterion.tail_certificate(w, n, R)
-        exponent = lambda_sq * (A * math.exp(cert.log_inner[1])
-                                + math.exp(cert.log_cum + cert.log_inner[1])
-                                + cert.double[1])
-        if math.expm1(exponent) < delta_target:
+        if _tail_delta(probe, _certificate(w, n, R, certs)) < _SUGGEST_DELTA:
             return R
         R *= 2.0
-    raise TailNotTight(f"no r_max below {R:g} reaches tail delta {delta_target:g}")
+    raise TailNotTight(f"no r_max below {R:g} reaches tail delta {_SUGGEST_DELTA:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,30 +378,28 @@ class RiccatiTrace:
     inequality_ok: bool       # x'(s) <= phi^{n-3}(s) + 1e-9 pointwise
 
 
-def riccati_trace(profile: RadialProfile, w: WarpingFunction | None = None,
-                  n: int | None = None, s_grid=None,
-                  fd_step: float = 2e-2) -> RiccatiTrace:
+def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
     """Log-derivative substitution trace x(s) with its equation residual.
 
     x' is estimated from the solved profile by five-point central
     differences, so the residual genuinely tests the solution rather than
     restating the equation.
     """
-    w = w or profile.warp
-    n = n or profile.n
+    w = profile.warp
+    n = profile.n
     lam2 = profile.mode.lambda_sq
     if lam2 <= 0:
         raise DegenerateProfile("Riccati trace needs lambda^2 > 0 (m >= 1)")
     if s_grid is None:
         s_grid = np.linspace(1.0, min(profile.r_max, 20.0), 481)
     s_grid = np.asarray(s_grid, dtype=float)
-    if s_grid[0] - 2 * fd_step < profile.r0:
+    if s_grid[0] - 2 * _FD_STEP < profile.r0:
         raise DegenerateProfile("trace grid extends below the solved range")
 
     x = riccati_x(profile, s_grid)
     if np.any(~np.isfinite(x)) or np.any(x < 0):
         raise DegenerateProfile("nonpositive phi_m or phi_m' in the trace range")
-    h = fd_step
+    h = _FD_STEP
     xp = (riccati_x(profile, s_grid - 2 * h) - 8 * riccati_x(profile, s_grid - h)
           + 8 * riccati_x(profile, s_grid + h)
           - riccati_x(profile, s_grid + 2 * h)) / (12 * h)
@@ -402,9 +417,7 @@ def riccati_trace(profile: RadialProfile, w: WarpingFunction | None = None,
                         residual_ok=residual_ok, inequality_ok=inequality_ok)
 
 
-def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace,
-                      w: WarpingFunction | None = None,
-                      n: int | None = None, master_nodes: int = 16385):
+def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
     """Verify phi_m(s) <= B exp(int_1^s lambda^2/phi^{n-1} (A + int_1^t phi^{n-3})).
 
     Returns (bound curve on trace.grid, satisfied flag).  The nested
@@ -414,8 +427,8 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace,
     """
     from scipy.integrate import cumulative_simpson
 
-    w = w or profile.warp
-    n = n or profile.n
+    w = profile.warp
+    n = profile.n
     lam2 = profile.mode.lambda_sq
     s_grid = trace.grid
     s_end = float(s_grid[-1])
@@ -425,7 +438,7 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace,
         ok = bool(np.all(profile.interp(s_grid) <= bound * (1 + 1e-8)))
         return bound, ok
 
-    master = np.linspace(1.0, s_end, master_nodes)
+    master = np.linspace(1.0, s_end, _MASTER_NODES)
     log_phi = np.asarray(w.log_phi(master), dtype=float)
     if (n - 3) * np.max(log_phi) > 700.0:
         raise QuadratureFailure(
@@ -446,11 +459,10 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace,
     return bound, satisfied
 
 
-def ode_residual(profile: RadialProfile, w: WarpingFunction | None = None,
-                 n: int | None = None, r_points=None):
+def ode_residual(profile: RadialProfile, r_points=None):
     """Finite-difference residual of the mode equation on interior points."""
-    w = w or profile.warp
-    n = n or profile.n
+    w = profile.warp
+    n = profile.n
     lam2 = profile.mode.lambda_sq
     if r_points is None:
         r_points = np.linspace(max(profile.r0 * 20, 0.05),

@@ -36,3 +36,16 @@ def write_tabulated_csv(path, w, r_grid):
         for row in zip(r_grid, phi, dphi, ddphi):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return path
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so each call's positional arguments are recorded."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

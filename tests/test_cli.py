@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import write_tabulated_csv
+from conftest import count_calls, write_tabulated_csv
+from weakmodel import criterion, extension, radial
 from weakmodel.cli import main
 from weakmodel.warp import Hyperbolic
 
@@ -119,6 +120,17 @@ def test_verify_full_suite(tmp_path, capsys):
     assert all(c["passed"] for c in rep["checks"])
 
 
+def test_verify_traces_and_certifies_each_profile_once(tmp_path, monkeypatch):
+    traces = count_calls(monkeypatch, radial, "riccati_trace")
+    certs = count_calls(monkeypatch, criterion, "tail_certificate")
+    code = run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "2",
+                "--modes", "4", "--out", str(tmp_path / "v")])
+    assert code == 0
+    assert len(traces) == 4
+    # verify's own solves at r_max 25, the extension's at r_max 30
+    assert sorted(args[2] for args in certs) == [25.0, 30.0]
+
+
 def test_verify_divergent_skips_extension_checks(tmp_path):
     code = run(["verify", "--family", "euclidean", "--n", "2", "--modes", "3",
                 "--out", str(tmp_path / "v")])
@@ -162,7 +174,8 @@ def test_sweep_deterministic(tmp_path):
     assert len(obj["cases"]) == 27
 
 
-def test_solve_from_boundary_csv_and_at_infinity(tmp_path, capsys):
+def test_solve_from_boundary_csv_and_at_infinity(tmp_path, capsys,
+                                                 monkeypatch):
     from weakmodel.spectrum import sphere_quadrature
     quad = sphere_quadrature(2, 4)
     csv = tmp_path / "bc.csv"
@@ -171,12 +184,16 @@ def test_solve_from_boundary_csv_and_at_infinity(tmp_path, capsys):
         for th, v in zip(quad.points, 2.0 * np.cos(quad.points)):
             fh.write(f"{th:.17g},{v:.17g}\n")
     out = tmp_path / "s"
+    marches = count_calls(monkeypatch, criterion, "march_criterion")
+    builds = count_calls(monkeypatch, extension, "build_extension")
     code = run(["solve", "--family", "hyperbolic", "--a", "1", "--n", "2",
                 "--modes", "4", "--bc-csv", str(csv), "--at-infinity",
                 "--out", str(out)])
     assert code == 0
     printed = capsys.readouterr().out
-    assert "u(infinity, 0) = 2" in printed
+    assert printed.splitlines()[-1] == "u(infinity, 0) = 2"
+    # the boundary value comes from the extension the solve already built
+    assert len(marches) == 1 and len(builds) == 1
 
 
 def test_band4_preset(tmp_path):
@@ -200,3 +217,24 @@ def test_config_file_with_overrides(tmp_path):
     code = run(["classify", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path / "o3")])
     assert code == 1
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "classify")
+
+
+@pytest.mark.parametrize("name,args", [
+    ("hyperbolic_a1_n2", ["--family", "hyperbolic", "--a", "1", "--n", "2"]),
+    ("powergrowth_p1.5_n3", ["--family", "powergrowth", "--p", "1.5",
+                             "--n", "3"]),
+    ("powerlog_c1.2_n2", ["--family", "powerlog", "--c", "1.2", "--n", "2"]),
+    ("powerlog_c1.2_n3", ["--family", "powerlog", "--c", "1.2", "--n", "3"]),
+    ("euclidean_n3", ["--family", "euclidean", "--n", "3"]),
+    ("powergrowth_p0.8_n2", ["--family", "powergrowth", "--p", "0.8",
+                             "--n", "2"]),
+])
+def test_classify_report_pinned(tmp_path, name, args):
+    # one case per tail path: refined exponential, refined power, power-log
+    # closed form, refined power-log double tail, divergence witnesses
+    run(["classify", *args, "--out", str(tmp_path)])
+    with open(os.path.join(FIXTURES, f"{name}.json"), "rb") as fh:
+        assert (tmp_path / "classify.json").read_bytes() == fh.read()

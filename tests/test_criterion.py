@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,8 +157,19 @@ def test_invalid_tolerance():
 
 def test_unreachable_tolerance_fails_honestly():
     from weakmodel.errors import QuadratureFailure
-    with pytest.raises(QuadratureFailure):
+    with pytest.raises(QuadratureFailure) as info:
         march_criterion(Hyperbolic(1.0), 2, tol=1e-17)
+    msg = str(info.value)
+    assert msg.startswith("could not certify the value within tol")
+    # every r_max tried, each with its error budget split
+    for R in ("60", "120", "240", "480"):
+        assert re.search(rf"r_max={R}: bound \S+ \(finite part \S+, cross "
+                         r"term \S+, outer tail \S+\)", msg), R
+    with pytest.raises(QuadratureFailure) as info:
+        transience_integral(PowerGrowth(1.02), 2, tol=1e-14)
+    msg = str(info.value)
+    assert msg.startswith("could not certify the transience value within tol")
+    assert msg.count("finite part") == 4 and "r_max=800: " in msg
 
 
 def test_tail_certificate_requires_convergence():

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import count_calls
+from weakmodel import criterion
 from weakmodel import extension as ext
 from weakmodel.errors import NotSolvable, OutOfRange
 from weakmodel.oracle import laplace_beltrami_residual_fn
 from weakmodel.spectrum import (BoundaryData, CoefficientTable,
                                 eigenfunction_eval, sphere_quadrature,
                                 synthesize)
-from weakmodel.warp import Euclidean, Hyperbolic
+from weakmodel.warp import Euclidean, Hyperbolic, PowerGrowth
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +32,21 @@ def band_extension(hyperbolic_criterion):
     e = ext.build_extension(Hyperbolic(1.0), 2, f, 4, tol=1e-8,
                             criterion=hyperbolic_criterion)
     return e, f, fn
+
+
+@pytest.mark.parametrize("w,M,radii", [
+    (Hyperbolic(1.0), 4, [30.0]),
+    # suggest_rmax certifies 30 * 2^k up to the returned radius, which the
+    # mode's normalization reuses
+    (PowerGrowth(2.0), 1, [30.0 * 2 ** k for k in range(14)]),
+])
+def test_one_certificate_per_radius(monkeypatch, w, M, radii):
+    table = CoefficientTable(2)
+    table.set(1, 0, math.sqrt(math.pi))
+    certs = count_calls(monkeypatch, criterion, "tail_certificate")
+    e = ext.build_extension(w, 2, BoundaryData.from_coefficients(table), M)
+    assert [args[2] for args in certs] == radii
+    assert e.r_max == radii[-1]
 
 
 def test_constant_data_extends_constantly(hyperbolic_criterion):

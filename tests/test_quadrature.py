@@ -5,8 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from weakmodel.errors import QuadratureFailure
-from weakmodel.quadrature import (LogCumulative, adaptive_quad,
-                                  adaptive_quad_log, log_diff_exp)
+from weakmodel.quadrature import LogCumulative, adaptive_quad, adaptive_quad_log
 
 
 def test_adaptive_known_integrals():
@@ -49,9 +48,3 @@ def test_log_cumulative_consistency():
     direct, _, _ = adaptive_quad_log(lambda x: np.sin(x) - 2.0 * x, 2.5, 7.5)
     assert_allclose(cum.log_between(2.5, 7.5), direct, atol=1e-9)
 
-
-def test_log_diff_exp():
-    assert_allclose(log_diff_exp(math.log(5.0), math.log(3.0)), math.log(2.0),
-                    rtol=1e-14)
-    assert log_diff_exp(0.0, -math.inf) == 0.0
-    assert log_diff_exp(1.0, 1.0) == -math.inf
