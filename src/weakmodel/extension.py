@@ -94,7 +94,9 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     `spectrum` defaults to the round sphere; any cross-section metric can be
     supplied through the SphereSpectrum interface.  Construction warns when
     the top of the band carries more than _TAIL_ENERGY_FRACTION of the
-    boundary energy, since the truncation bound is then unreliable.  All
+    boundary energy, since the truncation bound is then unreliable; exact
+    coefficients with no mode above M need no warning, as their projection
+    drops nothing.  All
     modes share one table of tail certificates, so each radius is
     certified once.
     """
@@ -108,8 +110,9 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
             f"is {criterion.verdict}")
     coeffs = project_boundary(f, M)
 
+    exact = f.coeffs is not None and f.coeffs.max_m() <= M
     total = coeffs.total_energy()
-    if total > 0 and M >= 2:
+    if total > 0 and M >= 2 and not exact:
         tail = coeffs.tail_energy(M - 1)
         if tail > _TAIL_ENERGY_FRACTION * total:
             warnings.warn(

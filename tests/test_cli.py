@@ -238,3 +238,11 @@ def test_classify_report_pinned(tmp_path, name, args):
     run(["classify", *args, "--out", str(tmp_path)])
     with open(os.path.join(FIXTURES, f"{name}.json"), "rb") as fh:
         assert (tmp_path / "classify.json").read_bytes() == fh.read()
+
+
+def test_sweep_report_pinned(tmp_path):
+    # all 27 cases, march and transience, on every tail path
+    run(["sweep", "--out", str(tmp_path)])
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "sweep.json")
+    with open(path, "rb") as fh:
+        assert (tmp_path / "sweep.json").read_bytes() == fh.read()

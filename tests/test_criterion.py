@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from conftest import write_tabulated_csv
+from conftest import count_calls, write_tabulated_csv
 from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
                                  fubini_check, march_criterion,
                                  tail_certificate, transience_integral)
@@ -157,19 +157,53 @@ def test_invalid_tolerance():
 
 def test_unreachable_tolerance_fails_honestly():
     from weakmodel.errors import QuadratureFailure
+    budget = (r"r_max={}: bound \S+ \(finite part \S+, cross term \S+, outer "
+              r"tail \S+\)")
+    # the finite part alone misses tol: a larger r_max cannot help, so the
+    # first attempt is the only one
     with pytest.raises(QuadratureFailure) as info:
         march_criterion(Hyperbolic(1.0), 2, tol=1e-17)
     msg = str(info.value)
     assert msg.startswith("could not certify the value within tol")
-    # every r_max tried, each with its error budget split
-    for R in ("60", "120", "240", "480"):
-        assert re.search(rf"r_max={R}: bound \S+ \(finite part \S+, cross "
-                         r"term \S+, outer tail \S+\)", msg), R
+    assert "(finite-part error alone exceeds tol)" in msg
+    assert msg.count("finite part") == 1 and re.search(budget.format(60), msg)
     with pytest.raises(QuadratureFailure) as info:
         transience_integral(PowerGrowth(1.02), 2, tol=1e-14)
     msg = str(info.value)
     assert msg.startswith("could not certify the transience value within tol")
-    assert msg.count("finite part") == 4 and "r_max=800: " in msg
+    assert "(finite-part error alone exceeds tol)" in msg
+    assert msg.count("finite part") == 1 and "r_max=100: " in msg
+    # tail-limited: every r_max tried, each with its error budget split
+    with pytest.raises(QuadratureFailure) as info:
+        march_criterion(PowerGrowth(1.02), 2, tol=1e-8)
+    msg = str(info.value)
+    assert msg.startswith("could not certify the value within tol")
+    assert "alone exceeds" not in msg and msg.count("finite part") == 4
+    for R in (100, 200, 400, 800):
+        assert re.search(budget.format(R), msg), R
+
+
+def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch):
+    # the integrand phi^(1-n)(t) * int_1^t phi^(n-3) needs one log_phi call
+    # for phi^(1-n) and one for all partial panels of the cumulative integral
+    from weakmodel import criterion
+    w = Hyperbolic(1.0)
+    log_phi_calls = count_calls(monkeypatch, w, "log_phi")
+    per_vector = []
+    quad = criterion.adaptive_quad_log
+
+    def spy(logf, *args, **kwargs):
+        def counted(ts):
+            before = len(log_phi_calls)
+            out = logf(ts)
+            per_vector.append(len(log_phi_calls) - before)
+            return out
+        return quad(counted, *args, **kwargs)
+
+    monkeypatch.setattr(criterion, "adaptive_quad_log", spy)
+    F, F_err, _ = criterion._finite_double(w, 2, 30.0)
+    assert per_vector and max(per_vector) <= 2
+    assert F > 0 and F_err < 1e-9 * F
 
 
 def test_tail_certificate_requires_convergence():

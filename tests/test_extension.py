@@ -237,14 +237,34 @@ def test_n3_polar_mode(hyperbolic_criterion):
     assert abs(res) < 1e-3
 
 
-def test_decay_warning(hyperbolic_criterion):
-    # flat spectrum up to M: the tail check must warn
+def _flat_table(top, bottom=0):
     table = CoefficientTable(2)
-    for m in range(5):
+    for m in range(bottom, top + 1):
         table.set(m, 0, 1.0)
-    f = BoundaryData.from_coefficients(table)
+    return table
+
+
+def test_decay_warning(hyperbolic_criterion):
+    # flat spectrum up to M, sampled on the grid: the tail check must warn
+    samples = BoundaryData.from_coefficients(_flat_table(4)).values_on_grid()
+    f = BoundaryData.from_samples(2, 4, samples)
     with pytest.warns(UserWarning, match="not well resolved"):
         ext.build_extension(Hyperbolic(1.0), 2, f, 4,
+                            criterion=hyperbolic_criterion)
+    # exact coefficients with modes above M lose energy to the projection
+    f = BoundaryData.from_coefficients(_flat_table(6))
+    with pytest.warns(UserWarning, match="not well resolved"):
+        ext.build_extension(Hyperbolic(1.0), 2, f, 4,
+                            criterion=hyperbolic_criterion)
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_exact_band_limited_coefficients_do_not_warn(hyperbolic_criterion):
+    # projecting coefficients with no mode above M is exact, so a top-heavy
+    # band is resolved: the flat spectrum and the single:2:0 preset at M=2
+    for table, M in ((_flat_table(4), 4), (_flat_table(2, bottom=2), 2)):
+        ext.build_extension(Hyperbolic(1.0), 2,
+                            BoundaryData.from_coefficients(table), M,
                             criterion=hyperbolic_criterion)
 
 

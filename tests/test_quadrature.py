@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special
 
 from weakmodel.errors import QuadratureFailure
-from weakmodel.quadrature import LogCumulative, adaptive_quad, adaptive_quad_log
+from weakmodel.quadrature import (LogCumulative, adaptive_quad,
+                                  adaptive_quad_log, kronrod_panel_log,
+                                  logsumexp)
+
+# scipy's logsumexp silenced numpy's floating-point warnings; its in-house
+# replacement must not raise them either
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_adaptive_known_integrals():
@@ -48,3 +55,65 @@ def test_log_cumulative_consistency():
     direct, _, _ = adaptive_quad_log(lambda x: np.sin(x) - 2.0 * x, 2.5, 7.5)
     assert_allclose(cum.log_between(2.5, 7.5), direct, atol=1e-9)
 
+
+def _same_bits(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(20231)
+    battery = [np.array([]), np.array([-np.inf]), np.full(5, -np.inf),
+               np.array([np.inf, 1.0]), np.array([np.inf, -np.inf]),
+               np.array([np.nan, 1.0]), np.array([1e308, 1e308]),
+               np.array([-1e308, 0.0]), np.zeros(7), np.array([3.0])]
+    for length in (1, 2, 3, 7, 8, 9, 15, 16, 17, 100, 128, 129, 257, 2000):
+        for scale in (1.0, 10.0, 100.0, 300.0):
+            a = rng.normal(size=length) * scale
+            battery.append(a)
+            b = a.copy()
+            b[rng.random(length) < 0.3] = -np.inf        # zero terms
+            battery.append(b)
+            c = a.copy()
+            c[rng.integers(length, size=max(1, length // 3))] = a.max()  # ties
+            battery.append(c)
+            battery.append(np.full(length, a[0]))         # all equal
+    for a in battery:
+        assert _same_bits(logsumexp(a), float(special.logsumexp(a))), a
+    # lists, as the quadrature passes them
+    assert logsumexp([0.5, -2.0, 0.5]) == float(special.logsumexp([0.5, -2.0, 0.5]))
+
+
+def _reference_log_between(cum, x, y):
+    """The per-limit algorithm: K15 partial panels and scipy's logsumexp."""
+    x, y = max(x, cum.lo), min(y, cum.hi)
+    if y <= x:
+        return -math.inf
+    starts = [p.a for p in cum.panels]
+    i = max(int(np.searchsorted(starts, x, side="right")) - 1, 0)
+    j = max(int(np.searchsorted(starts, y, side="right")) - 1, 0)
+    if i == j:
+        return kronrod_panel_log(cum.logf, x, y)[0]
+    parts = [kronrod_panel_log(cum.logf, x, cum.panels[i].b)[0]
+             if x > starts[i] else cum.panels[i].log_val]
+    parts += [p.log_val for p in cum.panels[i + 1:j]]
+    if y > starts[j]:
+        parts.append(kronrod_panel_log(cum.logf, starts[j], y)[0])
+    return float(special.logsumexp(parts))
+
+
+def test_batched_log_between_matches_scalar():
+    cum = LogCumulative(lambda x: np.sin(x) - 2.0 * x, 1.0, 9.0)
+    starts = [p.a for p in cum.panels]
+    ys = np.concatenate([starts, [1.0, 0.5, 9.0, 9.5, 12.0],
+                         np.linspace(0.9, 9.3, 41)])
+    for lo in (1.0, 0.5, 2.3, starts[3]):
+        batched = cum.log_between(lo, ys)
+        assert batched.shape == ys.shape
+        for y, v in zip(ys, batched):
+            scalar = cum.log_between(lo, float(y))
+            assert v == scalar == _reference_log_between(cum, lo, y), (lo, y)
+    # an array of lower limits against one upper limit, as Fubini's check uses
+    batched = cum.log_between(ys, 9.0)
+    for x, v in zip(ys, batched):
+        assert v == cum.log_between(float(x), 9.0), x
+        assert v == _reference_log_between(cum, x, 9.0), x
