@@ -96,9 +96,8 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     the top of the band carries more than _TAIL_ENERGY_FRACTION of the
     boundary energy, since the truncation bound is then unreliable; exact
     coefficients with no mode above M need no warning, as their projection
-    drops nothing.  All
-    modes share one table of tail certificates, so each radius is
-    certified once.
+    drops nothing.  All modes share one table of tail certificates, so each
+    radius is certified once.
     """
     if spectrum is None:
         spectrum = RoundSphere(n)
@@ -124,9 +123,9 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     profiles = {}
     slack = 0.0
     for m in range(M + 1):
-        mode = spectrum.mode(m)
-        prof = _radial.solve_radial(w, n, mode, r_max=R, tol=tol,
-                                    criterion=criterion, certs=certs)
+        prof = _radial.normalize_profile(
+            _radial.solve_radial(w, n, spectrum.mode(m), r_max=R, tol=tol),
+            criterion, certs)
         profiles[m] = prof
         slack = max(slack, prof.limit_error)
 

@@ -104,27 +104,6 @@ class RadialProfile:
             out[below] = v0 * (r[below] / self.r0) ** self.indicial_l
         return float(out[0]) if scalar else out
 
-    def deriv(self, r):
-        """phi_m'(r) for r0 <= r <= r_max."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r < self.r0 * (1 - 1e-12)) or np.any(r > self.r_max * (1 + 1e-12)):
-            raise OutOfRange(f"r outside [{self.r0:g}, {self.r_max:g}]")
-        if self.mode.m == 0:
-            return np.zeros_like(r)
-        if self._dense is not None:
-            s = np.log(r)
-            u, w = self._dense(s)
-            return np.exp(u) / self._scale * w / r
-        interp = PchipInterpolator(self.grid, self.derivs)
-        return interp(r)
-
-    def log_deriv_ratio(self, r):
-        """w(r) = r phi_m'(r)/phi_m(r), scale-free."""
-        if self._dense is not None:
-            return self._dense(math.log(r))[1]
-        i = PchipInterpolator(self.grid, self.grid * self.derivs / self.values)
-        return float(i(r))
-
     def to_csv(self, path):
         data = np.column_stack([self.grid, self.values, self.derivs])
         np.savetxt(path, data, delimiter=",", header="r,phi_m,dphi_m",
@@ -183,17 +162,13 @@ def _cubic_seed_coeff(w: WarpingFunction, n, l, lam2):
 
 def solve_radial(w: WarpingFunction, n: int, mode: EigenMode,
                  r_max: float = 30.0, tol: float = 1e-10,
-                 criterion: _criterion.CriterionReport | None = None,
-                 normalize: bool = True, r0: float | None = None,
-                 grid_size: int = _GRID_SIZE,
-                 certs: dict | None = None) -> RadialProfile:
-    """Solve the radial mode equation on [r0, r_max].
+                 r0: float | None = None,
+                 grid_size: int = _GRID_SIZE) -> RadialProfile:
+    """Solve the radial mode equation on [r0, r_max]; the raw profile.
 
-    The m = 0 mode short-circuits to the constant 1.  When the criterion
-    verdict is Convergent (computed here unless supplied) the profile is
-    normalized to limit 1 with a certified limit error; otherwise the limit
-    estimate is recorded as unbounded.  `certs` is the caller's table of
-    tail certificates for this metric, see `normalize_profile`.
+    The m = 0 mode short-circuits to the constant 1.  Every other mode is
+    returned unnormalized with an unbounded limit estimate;
+    `normalize_profile` rescales a convergent one to limit 1.
     """
     lam2 = mode.lambda_sq
     l = indicial_exponent(n, lam2)
@@ -241,18 +216,10 @@ def solve_radial(w: WarpingFunction, n: int, mode: EigenMode,
     values = np.exp(u)
     derivs = values * wlog / grid
 
-    profile = RadialProfile(
+    return RadialProfile(
         mode=mode, n=n, warp=w, indicial_l=l, grid=grid, values=values,
         derivs=derivs, limit_estimate=math.inf, limit_error=math.inf,
         normalized=False, r0=float(grid[0]), _dense=sol.sol)
-
-    if not normalize:
-        return profile
-    if criterion is None:
-        criterion = _criterion.march_criterion(w, n, tol=1e-6)
-    if criterion.verdict != _criterion.CONVERGENT:
-        return profile
-    return normalize_profile(profile, criterion, certs)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +243,7 @@ def _tail_delta(profile: RadialProfile, cert) -> float:
     certified single and double tails and C the cumulative of phi^{n-3}.
     """
     lam2 = profile.mode.lambda_sq
-    A = riccati_value(profile, 1.0)
+    A = float(riccati_x(profile, 1.0)[0])
     log_in_hi = cert.log_inner[1]
     exponent = lam2 * (A * math.exp(log_in_hi)
                        + math.exp(cert.log_cum + log_in_hi)
@@ -300,10 +267,6 @@ def riccati_x(profile: RadialProfile, r) -> np.ndarray:
         wlog = interp(r)
     log_phi = np.asarray(w.log_phi(r), dtype=float)
     return np.exp((n - 1) * log_phi + np.log(wlog) - math.log(lam2) - np.log(r))
-
-
-def riccati_value(profile: RadialProfile, r: float) -> float:
-    return float(riccati_x(profile, r)[0])
 
 
 def normalize_profile(profile: RadialProfile,
@@ -339,7 +302,7 @@ def normalize_profile(profile: RadialProfile,
         if attempt < 3:
             current = solve_radial(
                 current.warp, current.n, current.mode,
-                r_max=current.r_max * 2.0, r0=current.r0, normalize=False)
+                r_max=current.r_max * 2.0, r0=current.r0)
     raise TailNotTight(
         f"tail factor delta = {delta:.3g} still >= {_NORMALIZE_DELTA:g} after "
         f"3 doublings (r_max = {current.r_max:g}); supply a larger r_max")
@@ -354,7 +317,7 @@ def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
     the returned radius reuses the last one.
     """
     probe = solve_radial(w, n, EigenMode(m=1, lambda_sq=lambda_sq, multiplicity=1),
-                         r_max=_SUGGEST_START, normalize=False)
+                         r_max=_SUGGEST_START)
     R = _SUGGEST_START
     for _ in range(24):
         if _tail_delta(probe, _certificate(w, n, R, certs)) < _SUGGEST_DELTA:

@@ -24,9 +24,10 @@ def hyperbolic_criterion():
 @pytest.fixture(scope="session")
 def tanh_profile(hyperbolic_criterion):
     """Normalized m=1 profile for Hyperbolic(1), n=2; exact value tanh(r/2)."""
-    from weakmodel.radial import solve_radial
-    return solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1),
-                        r_max=25.0, criterion=hyperbolic_criterion)
+    from weakmodel.radial import normalize_profile, solve_radial
+    return normalize_profile(
+        solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1), r_max=25.0),
+        hyperbolic_criterion)
 
 
 def write_tabulated_csv(path, w, r_grid):

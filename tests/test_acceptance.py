@@ -67,13 +67,15 @@ def test_criterion_3_exact_mode_solutions(hyperbolic_criterion):
     with criterion_line(3, "exact radial mode solutions"):
         t0 = time.monotonic()
         p = radial.solve_radial(Euclidean(), 2, eigen_round_sphere(2, 2),
-                                r_max=10.0, normalize=False)
+                                r_max=10.0)
         assert time.monotonic() - t0 < 1.0
         assert abs(p.interp(2.0) / p.interp(1.0) - 4.0) < 1e-8
 
         t0 = time.monotonic()
-        q = radial.solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1),
-                                r_max=25.0, criterion=hyperbolic_criterion)
+        q = radial.normalize_profile(
+            radial.solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1),
+                                r_max=25.0),
+            hyperbolic_criterion)
         assert time.monotonic() - t0 < 1.0
         r = np.linspace(0.1, 10.0, 500)
         assert np.max(np.abs(q.interp(r) - np.tanh(r / 2))) < 1e-6
@@ -86,7 +88,7 @@ def test_criterion_4_lemma_suite():
             for n in (2, 3):
                 for m in range(1, 6):
                     p = radial.solve_radial(w, n, eigen_round_sphere(n, m),
-                                            r_max=25.0, normalize=False)
+                                            r_max=25.0)
                     tr = radial.riccati_trace(p, s_grid=s_grid)
                     src = np.exp((n - 3) * np.asarray(w.log_phi(s_grid)))
                     assert np.all(np.abs(tr.residual) < 1e-6 * (1.0 + src)), \

@@ -123,12 +123,38 @@ def test_verify_full_suite(tmp_path, capsys):
 def test_verify_traces_and_certifies_each_profile_once(tmp_path, monkeypatch):
     traces = count_calls(monkeypatch, radial, "riccati_trace")
     certs = count_calls(monkeypatch, criterion, "tail_certificate")
+    solves = count_calls(monkeypatch, radial, "solve_radial")
     code = run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "2",
                 "--modes", "4", "--out", str(tmp_path / "v")])
     assert code == 0
     assert len(traces) == 4
-    # verify's own solves at r_max 25, the extension's at r_max 30
-    assert sorted(args[2] for args in certs) == [25.0, 30.0]
+    # the checks run on the extension's profiles: one solve per mode, all
+    # normalized with the one certificate at the extension's r_max 30
+    assert len(solves) == 5
+    assert sorted(args[2] for args in certs) == [30.0]
+
+
+def test_verify_power_growth_passes(tmp_path):
+    # the extension certifies its own r_max; a fixed verify range did not
+    code = run(["verify", "--family", "powergrowth", "--p", "2", "--n", "2",
+                "--modes", "3", "--out", str(tmp_path / "v")])
+    assert code == 0
+    rep = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert rep["all_passed"] is True
+
+
+def test_verify_artifacts_at_their_own_radii(tmp_path):
+    # the growth bound touches phi_m at s = 1; interpolating the artifact
+    # onto the trace grid pierced it by 3.2e-6 for this metric
+    flags = ["--family", "hyperbolic", "--a", "0.793468", "--n", "2",
+             "--modes", "2", "--preset", "constant"]
+    out = tmp_path / "art"
+    assert run(["solve", *flags, "--out", str(out)]) == 0
+    code = run(["verify", *flags, "--artifacts", str(out),
+                "--out", str(tmp_path / "v")])
+    assert code == 0
+    rep = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert all(c["passed"] for c in rep["checks"])
 
 
 def test_verify_divergent_skips_extension_checks(tmp_path):

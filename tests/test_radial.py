@@ -32,8 +32,7 @@ def test_indicial_exponent():
 
 def test_euclidean_mode_is_power():
     # with phi = r and lambda^2 = m^2 the solution is exactly r^m
-    p = solve_radial(Euclidean(), 2, eigen_round_sphere(2, 2), r_max=10.0,
-                     normalize=False)
+    p = solve_radial(Euclidean(), 2, eigen_round_sphere(2, 2), r_max=10.0)
     assert abs(p.interp(2.0) / p.interp(1.0) - 4.0) < 1e-8
     r = np.linspace(0.2, 9.5, 50)
     assert_allclose(p.interp(r) / p.interp(1.0), r ** 2, rtol=1e-8)
@@ -70,9 +69,7 @@ def test_normalized_profile_invariants(tanh_profile):
 
 
 def test_limit_estimate_matches_closed_form(hyperbolic_criterion):
-    p = solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1),
-                     r_max=20.0, criterion=hyperbolic_criterion,
-                     normalize=False)
+    p = solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1), r_max=20.0)
     q = normalize_profile(p, hyperbolic_criterion)
     # the raw solve is scaled tanh(r/2); its limit estimate must sit within
     # delta of tanh(10) relative to the raw value at r_max
@@ -91,8 +88,7 @@ def test_interp_out_of_range(tanh_profile):
 
 def test_riccati_trace_euclidean():
     # x = phi phi_m'/(lam2 phi_m) = r * m r^{m-1} / (m^2 r^m) = 1/m; for m=1: 1
-    p = solve_radial(Euclidean(), 2, eigen_round_sphere(2, 1), r_max=25.0,
-                     normalize=False)
+    p = solve_radial(Euclidean(), 2, eigen_round_sphere(2, 1), r_max=25.0)
     tr = riccati_trace(p)
     assert np.max(np.abs(tr.x - 1.0)) < 1e-8
     assert tr.residual_ok and tr.inequality_ok
@@ -116,8 +112,7 @@ def test_riccati_rejects_constant_mode():
 
 def test_lemma_bound_euclidean_closed_form():
     # A = B = 1: bound(s) = s exp(log(s)^2/2) from the elementary integral
-    p = solve_radial(Euclidean(), 2, eigen_round_sphere(2, 1), r_max=25.0,
-                     normalize=False)
+    p = solve_radial(Euclidean(), 2, eigen_round_sphere(2, 1), r_max=25.0)
     tr = riccati_trace(p)
     bound, ok = lemma_bound_check(p, tr)
     assert ok
@@ -130,7 +125,7 @@ def test_lemma_bound_zero_mode():
     p = solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 0), r_max=21.0)
     trace_like = riccati_trace(
         solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1),
-                     r_max=21.0, normalize=False))
+                     r_max=21.0))
     # reuse grid/B but lambda^2 = 0 kills the exponent: bound == B
     from weakmodel.radial import RiccatiTrace
     tr0 = RiccatiTrace(grid=trace_like.grid, x=trace_like.x * 0, A=0.0, B=1.0,
@@ -146,8 +141,7 @@ def test_lemma_bound_zero_mode():
 ])
 def test_lemma_suite(w, n):
     for m in range(1, 6):
-        p = solve_radial(w, n, eigen_round_sphere(n, m), r_max=25.0,
-                         normalize=False)
+        p = solve_radial(w, n, eigen_round_sphere(n, m), r_max=25.0)
         tr = riccati_trace(p)
         assert tr.residual_ok, f"m={m}"
         assert tr.inequality_ok, f"m={m}"
@@ -157,8 +151,7 @@ def test_lemma_suite(w, n):
 
 def test_ode_residual_invariant(closed_families):
     for w in closed_families[:6]:
-        p = solve_radial(w, 2, eigen_round_sphere(2, 2), r_max=20.0,
-                         normalize=False)
+        p = solve_radial(w, 2, eigen_round_sphere(2, 2), r_max=20.0)
         res = ode_residual(p)
         phi_scale = np.abs(p.interp(np.linspace(0.05, p.r_max * 0.98, 200)))
         assert np.max(np.abs(res) / np.maximum(1.0, phi_scale)) < 1e-5
@@ -168,10 +161,10 @@ def test_frobenius_launch_consistency(hyperbolic_criterion):
     # moving the launch point changes the normalized profile negligibly
     w = Hyperbolic(1.0)
     mode = eigen_round_sphere(2, 2)
-    p1 = solve_radial(w, 2, mode, r_max=20.0, criterion=hyperbolic_criterion,
-                      r0=1e-3)
-    p2 = solve_radial(w, 2, mode, r_max=20.0, criterion=hyperbolic_criterion,
-                      r0=1e-4)
+    p1 = normalize_profile(solve_radial(w, 2, mode, r_max=20.0, r0=1e-3),
+                           hyperbolic_criterion)
+    p2 = normalize_profile(solve_radial(w, 2, mode, r_max=20.0, r0=1e-4),
+                           hyperbolic_criterion)
     assert abs(p1.interp(1.0) - p2.interp(1.0)) < 1e-6
     # alpha(r) = phi_m r^{-l} tends to a finite positive limit at the origin
     r = np.array([2e-3, 4e-3, 8e-3])
@@ -209,36 +202,36 @@ def test_riccati_reconstruction_cross_check(tanh_profile):
 def test_bounded_iff_convergent_plateau(w, n, r_top):
     rep = march_criterion(w, n, tol=1e-6)
     assert rep.verdict == "Convergent"
-    p = solve_radial(w, n, eigen_round_sphere(n, 1), r_max=r_top,
-                     normalize=False)
+    p = solve_radial(w, n, eigen_round_sphere(n, 1), r_max=r_top)
     ratio = p.interp(r_top) / p.interp(r_top / 2)
     assert ratio - 1.0 < 1e-3
 
 
 @pytest.mark.parametrize("w,n", [(Euclidean(), 2), (PowerGrowth(0.8), 3)])
 def test_divergent_modes_keep_growing(w, n):
-    p = solve_radial(w, n, eigen_round_sphere(n, 1), r_max=100.0,
-                     normalize=False)
+    p = solve_radial(w, n, eigen_round_sphere(n, 1), r_max=100.0)
     assert p.interp(100.0) / p.interp(50.0) > 1.05
     assert math.isinf(p.limit_estimate)
 
 
 def test_normalize_errors():
     rep = march_criterion(Euclidean(), 2, tol=1e-6)
-    p = solve_radial(Euclidean(), 2, eigen_round_sphere(2, 1), r_max=20.0,
-                     normalize=False)
+    p = solve_radial(Euclidean(), 2, eigen_round_sphere(2, 1), r_max=20.0)
     with pytest.raises(NotConvergent):
         normalize_profile(p, rep)
     # power growth at a short range: the certified tail stays too loose
+    power = march_criterion(PowerGrowth(2.0), 2, tol=1e-6)
     with pytest.raises(TailNotTight):
-        solve_radial(PowerGrowth(2.0), 2, eigen_round_sphere(2, 1),
-                     r_max=30.0)
+        normalize_profile(solve_radial(PowerGrowth(2.0), 2,
+                                       eigen_round_sphere(2, 1), r_max=30.0),
+                          power)
 
 
 def test_suggest_rmax_enables_normalization():
     w = PowerGrowth(2.0)
     R = suggest_rmax(w, 2, 1.0)
-    p = solve_radial(w, 2, eigen_round_sphere(2, 1), r_max=R)
+    p = normalize_profile(solve_radial(w, 2, eigen_round_sphere(2, 1), r_max=R),
+                          march_criterion(w, 2, tol=1e-6))
     assert p.normalized and p.limit_error < 1e-4
 
 
@@ -251,8 +244,7 @@ def test_nonpositive_warp_detected():
             return 1.0 * r * (1.0 - r / 4.0), np.ones_like(r), np.zeros_like(r)
 
     with pytest.raises(NonPositiveWarp):
-        solve_radial(Collapsing(), 2, eigen_round_sphere(2, 1), r_max=10.0,
-                     normalize=False)
+        solve_radial(Collapsing(), 2, eigen_round_sphere(2, 1), r_max=10.0)
 
 
 def test_profile_csv_roundtrip(tmp_path, tanh_profile):
