@@ -8,7 +8,6 @@ harmonic function whose boundary values are the data.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -43,22 +42,12 @@ class HarmonicExtension:
         return min(p.r_max for p in self.profiles.values())
 
 
-def default_r_max(w: WarpingFunction, n: int, M: int, r_max=None,
-                  spectrum: SphereSpectrum | None = None,
-                  certs: dict | None = None) -> float:
-    """Profile range: fixed for exponential growth, tail-certified otherwise.
-
-    The tail certificates computed on the way are added to `certs`.
-    """
-    if r_max is not None:
-        return float(r_max)
+def _start_r_max(w: WarpingFunction) -> float:
+    """First profile range tried: from the rate for exponential growth, else 30."""
     growth = w.growth_class
     if isinstance(growth, ExponentialGrowth):
         return float(min(max(30.0, 24.0 / growth.rate), 120.0))
-    if spectrum is None:
-        spectrum = RoundSphere(n)
-    lam2_max = float(spectrum.mode(M).lambda_sq)
-    return _radial.suggest_rmax(w, n, max(lam2_max, 1.0), certs)
+    return 30.0
 
 
 def _truncation_bound(coeffs: CoefficientTable, spectrum: SphereSpectrum,
@@ -96,8 +85,9 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     the top of the band carries more than _TAIL_ENERGY_FRACTION of the
     boundary energy, since the truncation bound is then unreliable; exact
     coefficients with no mode above M need no warning, as their projection
-    drops nothing.  All modes share one table of tail certificates, so each
-    radius is certified once.
+    drops nothing.  All modes share one radius and one tail certificate:
+    from `r_max` (or a start radius) the radius doubles until the top mode's
+    tail is tight, and every mode is solved to it.
     """
     if spectrum is None:
         spectrum = RoundSphere(n)
@@ -118,16 +108,19 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
                 f"boundary data is not well resolved at M={M}: modes >= {M - 1} "
                 f"carry {tail / total:.3g} of the energy", stacklevel=2)
 
-    certs = {}
-    R = default_r_max(w, n, M, r_max, spectrum, certs)
+    R = float(r_max) if r_max is not None else _start_r_max(w)
+    top = _radial.solve_radial(w, n, spectrum.mode(M), r_max=R, tol=tol)
+    cert = None
+    if M > 0:       # the constant mode needs no tail certificate
+        cert = _radial.suggest_rmax(top, R)
+        R = cert.r_max
     profiles = {}
     slack = 0.0
     for m in range(M + 1):
-        prof = _radial.normalize_profile(
-            _radial.solve_radial(w, n, spectrum.mode(m), r_max=R, tol=tol),
-            criterion, certs)
-        profiles[m] = prof
-        slack = max(slack, prof.limit_error)
+        prof = (top if m == M and top.r_max == R else
+                _radial.solve_radial(w, n, spectrum.mode(m), r_max=R, tol=tol))
+        profiles[m] = _radial.normalize_profile(prof, criterion, cert)
+        slack = max(slack, profiles[m].limit_error)
 
     return HarmonicExtension(
         warp=w, n=n, M=M, profiles=profiles, coeffs=coeffs,
@@ -192,27 +185,28 @@ def sup_distance_on_grid(ext: HarmonicExtension, r, f: BoundaryData = None) -> f
 # ---------------------------------------------------------------------------
 
 def dump_evaluation_csv(ext: HarmonicExtension, path, r_values, n_angles=180):
-    """u over a product grid; columns r,theta,u (n=2) or r,colat,lon,u (n=3)."""
+    """u over a product grid; columns r,theta,u (n=2) or r,colat,lon,u (n=3).
+
+    Lines end in CRLF, as csv.writer writes them.
+    """
+    if ext.n == 2:
+        header = "r,theta,u"
+        omega = 2 * math.pi * np.arange(n_angles) / n_angles
+        angles = [f"{th:.12g}" for th in omega]
+    else:
+        header = "r,colat,lon,u"
+        nc = max(n_angles // 2, 8)
+        colat = math.pi * (np.arange(nc) + 0.5) / nc
+        lon = 2 * math.pi * np.arange(n_angles) / n_angles
+        cc, ll = np.meshgrid(colat, lon, indexing="ij")
+        omega = (cc.ravel(), ll.ravel())
+        angles = [f"{c0:.12g},{l0:.12g}" for c0, l0 in zip(*omega)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if ext.n == 2:
-            writer.writerow(["r", "theta", "u"])
-            thetas = 2 * math.pi * np.arange(n_angles) / n_angles
-            for r in r_values:
-                vals = evaluate(ext, r, thetas)
-                for th, v in zip(thetas, vals):
-                    writer.writerow([f"{r:.12g}", f"{th:.12g}", f"{v:.12g}"])
-        else:
-            writer.writerow(["r", "colat", "lon", "u"])
-            nc = max(n_angles // 2, 8)
-            colat = math.pi * (np.arange(nc) + 0.5) / nc
-            lon = 2 * math.pi * np.arange(n_angles) / n_angles
-            cc, ll = np.meshgrid(colat, lon, indexing="ij")
-            for r in r_values:
-                vals = evaluate(ext, r, (cc.ravel(), ll.ravel()))
-                for c0, l0, v in zip(cc.ravel(), ll.ravel(), vals):
-                    writer.writerow([f"{r:.12g}", f"{c0:.12g}",
-                                     f"{l0:.12g}", f"{v:.12g}"])
+        fh.write(header + "\r\n")
+        for r in r_values:
+            rs = f"{r:.12g}"
+            vals = evaluate(ext, r, omega)
+            fh.writelines(f"{rs},{a},{v:.12g}\r\n" for a, v in zip(angles, vals))
 
 
 def summary_json(ext: HarmonicExtension, r_values) -> dict:

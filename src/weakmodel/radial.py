@@ -42,7 +42,6 @@ _DEFAULT_R0 = 1e-3
 _GRID_SIZE = 800
 _NORMALIZE_DELTA = 1e-4
 _SUGGEST_DELTA = _NORMALIZE_DELTA / 8.0
-_SUGGEST_START = 30.0
 _FD_STEP = 2e-2
 _MASTER_NODES = 16385
 
@@ -226,15 +225,6 @@ def solve_radial(w: WarpingFunction, n: int, mode: EigenMode,
 # Normalization via the certified tail bound
 # ---------------------------------------------------------------------------
 
-def _certificate(w, n, R, certs):
-    """tail_certificate(w, n, R), looked up in and added to the table `certs`."""
-    if certs is None:
-        return _criterion.tail_certificate(w, n, R)
-    if R not in certs:
-        certs[R] = _criterion.tail_certificate(w, n, R)
-    return certs[R]
-
-
 def _tail_delta(profile: RadialProfile, cert) -> float:
     """Upper bound for phi_m(inf)/phi_m(R) - 1 from the growth bound tail.
 
@@ -259,6 +249,7 @@ def riccati_x(profile: RadialProfile, r) -> np.ndarray:
     n = profile.n
     w = profile.warp
     r = np.atleast_1d(np.asarray(r, dtype=float))
+    shape, r = r.shape, r.ravel()
     if profile._dense is not None:
         wlog = profile._dense(np.log(r))[1]
     else:
@@ -266,63 +257,61 @@ def riccati_x(profile: RadialProfile, r) -> np.ndarray:
                                    profile.grid * profile.derivs / profile.values)
         wlog = interp(r)
     log_phi = np.asarray(w.log_phi(r), dtype=float)
-    return np.exp((n - 1) * log_phi + np.log(wlog) - math.log(lam2) - np.log(r))
+    x = np.exp((n - 1) * log_phi + np.log(wlog) - math.log(lam2) - np.log(r))
+    return x.reshape(shape)
 
 
 def normalize_profile(profile: RadialProfile,
                       criterion: _criterion.CriterionReport,
-                      certs: dict | None = None) -> RadialProfile:
+                      cert: _criterion.TailCertificate | None = None
+                      ) -> RadialProfile:
     """Rescale a convergent profile so its limit at infinity is 1.
 
-    The limit is pinned between phi_m(R) and phi_m(R)(1 + delta) with delta
-    from the certified tail of the growth bound; requires delta < 1e-4,
-    re-solving on a doubled range up to 3 times otherwise.  Certificates
-    are read from and added to `certs`, a {R: TailCertificate} table for
-    the profile's metric that the caller shares across modes.
+    The limit is pinned between phi_m(R) and phi_m(R)(1 + delta), with delta
+    from `cert`, the certified tail beyond the profile's own R = r_max
+    (computed when not given).  Raises TailNotTight when the certificate
+    starts at another radius or when delta >= 1e-4.
     """
     if criterion.verdict != _criterion.CONVERGENT:
         raise NotConvergent(
             f"normalization requires a Convergent verdict, got {criterion.verdict}")
     if profile.mode.m == 0:
         return profile
-    current = profile
-    for attempt in range(4):
-        cert = _certificate(current.warp, current.n, current.r_max, certs)
-        delta = _tail_delta(current, cert)
-        if delta < _NORMALIZE_DELTA:
-            limit = current.values[-1] * (1.0 + delta)
-            return replace(
-                current,
-                values=current.values / limit,
-                derivs=current.derivs / limit,
-                limit_estimate=1.0,
-                limit_error=delta,
-                normalized=True,
-                _scale=current._scale * limit)
-        if attempt < 3:
-            current = solve_radial(
-                current.warp, current.n, current.mode,
-                r_max=current.r_max * 2.0, r0=current.r0)
-    raise TailNotTight(
-        f"tail factor delta = {delta:.3g} still >= {_NORMALIZE_DELTA:g} after "
-        f"3 doublings (r_max = {current.r_max:g}); supply a larger r_max")
+    if cert is None:
+        cert = _criterion.tail_certificate(profile.warp, profile.n, profile.r_max)
+    if cert.r_max != profile.r_max:
+        raise TailNotTight(
+            f"tail certificate starts at r = {cert.r_max:g}, not at the "
+            f"profile's r_max = {profile.r_max:g}; solve to the certified radius")
+    delta = _tail_delta(profile, cert)
+    if delta >= _NORMALIZE_DELTA:
+        raise TailNotTight(
+            f"tail factor delta = {delta:.3g} >= {_NORMALIZE_DELTA:g} at "
+            f"r_max = {profile.r_max:g}; supply a larger r_max")
+    limit = profile.values[-1] * (1.0 + delta)
+    return replace(
+        profile,
+        values=profile.values / limit,
+        derivs=profile.derivs / limit,
+        limit_estimate=1.0,
+        limit_error=delta,
+        normalized=True,
+        _scale=profile._scale * limit)
 
 
-def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
-                 certs: dict | None = None) -> float:
-    """Smallest doubling of _SUGGEST_START whose certified tail delta is
+def suggest_rmax(probe: RadialProfile, R: float) -> _criterion.TailCertificate:
+    """Certificate at the first doubling of R whose tail delta for `probe` is
     below _SUGGEST_DELTA.
 
-    Every certificate computed is added to `certs`, so that normalizing at
-    the returned radius reuses the last one.
+    Doubling starts at the certificate's own radius, which may lie above R.
+    delta depends on the probe only through x(1), so the probe's solved
+    range does not matter.
     """
-    probe = solve_radial(w, n, EigenMode(m=1, lambda_sq=lambda_sq, multiplicity=1),
-                         r_max=_SUGGEST_START)
-    R = _SUGGEST_START
     for _ in range(24):
-        if _tail_delta(probe, _certificate(w, n, R, certs)) < _SUGGEST_DELTA:
-            return R
-        R *= 2.0
+        cert = _criterion.tail_certificate(probe.warp, probe.n, R)
+        if _tail_delta(probe, cert) < _SUGGEST_DELTA:
+            return cert
+        R = cert.r_max * 2.0
     raise TailNotTight(f"no r_max below {R:g} reaches tail delta {_SUGGEST_DELTA:g}")
 
 
@@ -353,19 +342,20 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
     lam2 = profile.mode.lambda_sq
     if lam2 <= 0:
         raise DegenerateProfile("Riccati trace needs lambda^2 > 0 (m >= 1)")
+    h = _FD_STEP
     if s_grid is None:
-        s_grid = np.linspace(1.0, min(profile.r_max, 20.0), 481)
+        s_grid = np.linspace(1.0, min(profile.r_max - 2 * h, 20.0), 481)
     s_grid = np.asarray(s_grid, dtype=float)
-    if s_grid[0] - 2 * _FD_STEP < profile.r0:
-        raise DegenerateProfile("trace grid extends below the solved range")
+    if (s_grid[0] - 2 * h < profile.r0
+            or s_grid[-1] + 2 * h > profile.r_max * (1 + 1e-12)):
+        raise DegenerateProfile("trace stencil leaves the solved range")
 
-    x = riccati_x(profile, s_grid)
+    # x on the grid and on its four stencil shifts, in one evaluation
+    stencil = riccati_x(profile, s_grid + h * np.array([[0], [-2], [-1], [1], [2]]))
+    x = stencil[0]
     if np.any(~np.isfinite(x)) or np.any(x < 0):
         raise DegenerateProfile("nonpositive phi_m or phi_m' in the trace range")
-    h = _FD_STEP
-    xp = (riccati_x(profile, s_grid - 2 * h) - 8 * riccati_x(profile, s_grid - h)
-          + 8 * riccati_x(profile, s_grid + h)
-          - riccati_x(profile, s_grid + 2 * h)) / (12 * h)
+    xp = (stencil[1] - 8 * stencil[2] + 8 * stencil[3] - stencil[4]) / (12 * h)
 
     log_phi = np.asarray(w.log_phi(s_grid), dtype=float)
     quad_term = np.exp(math.log(lam2) + 2 * np.log(x) - (n - 1) * log_phi,
@@ -416,8 +406,7 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
     with np.errstate(over="ignore"):
         bound = np.exp(np.minimum(log_bound, 700.0))
         bound[log_bound > 700.0] = math.inf
-    log_vals = np.array([
-        float(profile._log_raw(s)) - math.log(profile._scale) for s in s_grid])
+    log_vals = profile._log_raw(s_grid) - math.log(profile._scale)
     satisfied = bool(np.all(log_vals <= log_bound + math.log1p(1e-8)))
     return bound, satisfied
 

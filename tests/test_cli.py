@@ -134,6 +134,16 @@ def test_verify_traces_and_certifies_each_profile_once(tmp_path, monkeypatch):
     assert sorted(args[2] for args in certs) == [30.0]
 
 
+def test_verify_user_rmax_below_certificate_start(tmp_path):
+    # --rmax 4 is the first radius tried; the extension moves to the
+    # radius its tail certificate starts at, and every check uses it
+    code = run(["verify", "--family", "hyperbolic", "--a", "2", "--n", "2",
+                "--rmax", "4", "--modes", "2", "--out", str(tmp_path / "v")])
+    assert code == 0
+    rep = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert rep["all_passed"] is True
+
+
 def test_verify_power_growth_passes(tmp_path):
     # the extension certifies its own r_max; a fixed verify range did not
     code = run(["verify", "--family", "powergrowth", "--p", "2", "--n", "2",

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -47,6 +48,63 @@ def test_one_certificate_per_radius(monkeypatch, w, M, radii):
     e = ext.build_extension(w, 2, BoundaryData.from_coefficients(table), M)
     assert [args[2] for args in certs] == radii
     assert e.r_max == radii[-1]
+
+
+def test_user_rmax_below_certificate_start_is_honest():
+    # the exact modes are tanh(r)^m; --rmax 4 lies below the tail
+    # certificate's start, so the extension moves to the certified radius
+    table = CoefficientTable(2)
+    table.set(1, 0, 1.0)
+    e = ext.build_extension(Hyperbolic(2.0), 2,
+                            BoundaryData.from_coefficients(table), 2, r_max=4.0)
+    for m in (1, 2):
+        p = e.profiles[m]
+        assert abs(p.values[-1] - math.tanh(p.r_max) ** m) <= p.limit_error + 1e-9
+
+
+def test_all_profiles_share_one_radius():
+    table = CoefficientTable(2)
+    table.set(1, 0, 1.0)
+    e = ext.build_extension(Hyperbolic(0.1), 2,
+                            BoundaryData.from_coefficients(table), 3)
+    assert len({p.r_max for p in e.profiles.values()}) == 1
+
+
+def _csv_writer_reference(e, path, r_values, n_angles):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if e.n == 2:
+            writer.writerow(["r", "theta", "u"])
+            thetas = 2 * math.pi * np.arange(n_angles) / n_angles
+            for r in r_values:
+                for th, v in zip(thetas, ext.evaluate(e, r, thetas)):
+                    writer.writerow([f"{r:.12g}", f"{th:.12g}", f"{v:.12g}"])
+        else:
+            writer.writerow(["r", "colat", "lon", "u"])
+            nc = max(n_angles // 2, 8)
+            colat = math.pi * (np.arange(nc) + 0.5) / nc
+            lon = 2 * math.pi * np.arange(n_angles) / n_angles
+            cc, ll = np.meshgrid(colat, lon, indexing="ij")
+            for r in r_values:
+                vals = ext.evaluate(e, r, (cc.ravel(), ll.ravel()))
+                for c0, l0, v in zip(cc.ravel(), ll.ravel(), vals):
+                    writer.writerow([f"{r:.12g}", f"{c0:.12g}", f"{l0:.12g}",
+                                     f"{v:.12g}"])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluation_csv_matches_csv_writer(tmp_path, n):
+    table = CoefficientTable(n)
+    table.set(0, 0, 0.5)
+    table.set(1, 0, 1.0)
+    table.set(2, 1, -0.3)
+    e = ext.build_extension(Hyperbolic(1.0), n,
+                            BoundaryData.from_coefficients(table), 2)
+    r_values = np.linspace(0.1, 12.0, 4)
+    ext.dump_evaluation_csv(e, tmp_path / "eval.csv", r_values, n_angles=12)
+    _csv_writer_reference(e, tmp_path / "ref.csv", r_values, n_angles=12)
+    assert ((tmp_path / "eval.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
 
 
 def test_constant_data_extends_constantly(hyperbolic_criterion):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import cumulative_simpson, solve_ivp
 
-from weakmodel.criterion import march_criterion
+from weakmodel.criterion import march_criterion, tail_certificate
 from weakmodel.errors import (DegenerateProfile, NonPositiveWarp,
                               NotConvergent, OutOfRange, TailNotTight)
 from weakmodel.radial import (RadialProfile, indicial_exponent,
@@ -229,10 +229,31 @@ def test_normalize_errors():
 
 def test_suggest_rmax_enables_normalization():
     w = PowerGrowth(2.0)
-    R = suggest_rmax(w, 2, 1.0)
-    p = normalize_profile(solve_radial(w, 2, eigen_round_sphere(2, 1), r_max=R),
-                          march_criterion(w, 2, tol=1e-6))
+    mode = eigen_round_sphere(2, 1)
+    cert = suggest_rmax(solve_radial(w, 2, mode, r_max=30.0), 30.0)
+    p = normalize_profile(solve_radial(w, 2, mode, r_max=cert.r_max),
+                          march_criterion(w, 2, tol=1e-6), cert)
     assert p.normalized and p.limit_error < 1e-4
+
+
+def test_normalize_rejects_certificate_at_another_radius(hyperbolic_criterion):
+    w = Hyperbolic(1.0)
+    p = solve_radial(w, 2, eigen_round_sphere(2, 1), r_max=20.0)
+    with pytest.raises(TailNotTight):
+        normalize_profile(p, hyperbolic_criterion, cert=tail_certificate(w, 2, 30.0))
+    # a range below the certificate's start cannot be certified either
+    short = solve_radial(Hyperbolic(2.0), 2, eigen_round_sphere(2, 1), r_max=4.0)
+    with pytest.raises(TailNotTight):
+        normalize_profile(short, march_criterion(Hyperbolic(2.0), 2, tol=1e-8))
+
+
+def test_riccati_stencil_stays_inside_solved_range():
+    p = solve_radial(Hyperbolic(2.0), 2, eigen_round_sphere(2, 2), r_max=13.0)
+    tr = riccati_trace(p)
+    assert tr.grid[-1] + 2 * 0.02 <= p.r_max
+    assert tr.residual_ok and tr.inequality_ok
+    with pytest.raises(DegenerateProfile):
+        riccati_trace(p, s_grid=np.linspace(1.0, 13.0, 50))
 
 
 def test_nonpositive_warp_detected():
