@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal
 
 import numpy as np
 
@@ -38,6 +39,18 @@ _DECAY_UNITS = 48.0          # e^-48 ~ 1e-21: negligible truncation remainders
 _MAX_R_DOUBLINGS = 3
 
 
+def _round_up_3(x):
+    """The least 3-significant-digit decimal >= x, as a float.
+
+    A bound printed this way is still a bound; its digits beyond the third
+    are quadrature roundoff.  inf, nan and x <= 0 are returned unchanged.
+    """
+    if not math.isfinite(x) or x <= 0:
+        return x
+    d = Decimal(repr(x))   # float(d) == x, so rounding d up keeps >= x
+    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 2), ROUND_CEILING))
+
+
 @dataclass
 class CriterionReport:
     verdict: str
@@ -50,7 +63,7 @@ class CriterionReport:
         return {
             "verdict": self.verdict,
             "value": self.value,
-            "error_bound": self.error_bound,
+            "error_bound": _round_up_3(self.error_bound),
             "r_max": self.r_max,
             "tail_evidence": self.tail_evidence,
         }
@@ -309,7 +322,7 @@ def _refined_double_exp_power(w, n, model, R, r0, rtol=1e-12):
         cum = LogCumulative(lambda t: (n - 3) * w.log_phi(t), R, X, rtol=rtol)
 
         def logf(ts):
-            return (1 - n) * w.log_phi_pointwise(ts) + cum.log_between(R, ts)
+            return (1 - n) * w.log_phi(ts) + cum.log_between(R, ts)
         log_main, log_err, _ = adaptive_quad_log(logf, R, X, rtol=rtol)
     else:
         p = model.growth.exponent
@@ -320,9 +333,7 @@ def _refined_double_exp_power(w, n, model, R, r0, rtol=1e-12):
             0.0, S, rtol=rtol)
 
         def logf(ss):
-            # math.exp: np.exp differs from it in the last bit on ~5% of inputs
-            ts = R * np.fromiter(map(math.exp, ss), float, len(ss))
-            return ((1 - n) * w.log_phi_pointwise(ts) + cum.log_between(0.0, ss)
+            return ((1 - n) * w.log_phi(R * np.exp(ss)) + cum.log_between(0.0, ss)
                     + math.log(R) + ss)
         log_main, log_err, _ = adaptive_quad_log(logf, 0.0, S, rtol=rtol)
     # remainder beyond X: split C_R = C_R(X) + C_X gives C_R(X)*T_in(X) + T_out(X)
@@ -407,7 +418,7 @@ def _finite_double(w, n, R, rtol=1e-11):
     cum = LogCumulative(lambda t: (n - 3) * w.log_phi(t), 1.0, R, rtol=rtol * 0.1)
 
     def logf(ts):
-        return (1 - n) * w.log_phi_pointwise(ts) + cum.log_between(1.0, ts)
+        return (1 - n) * w.log_phi(ts) + cum.log_between(1.0, ts)
 
     log_val, log_err, _ = adaptive_quad_log(logf, 1.0, R, rtol=rtol)
     return math.exp(log_val), math.exp(min(log_err, 700.0)), cum
@@ -538,10 +549,10 @@ def fubini_check(w: WarpingFunction, n: int, R: float):
     cum_b = LogCumulative(lambda t: (1 - n) * w.log_phi(t), 1.0, R, rtol=1e-12)
 
     def log_lhs(ts):
-        return (1 - n) * w.log_phi_pointwise(ts) + cum_a.log_between(1.0, ts)
+        return (1 - n) * w.log_phi(ts) + cum_a.log_between(1.0, ts)
 
     def log_rhs(ss):
-        return (n - 3) * w.log_phi_pointwise(ss) + cum_b.log_between(ss, R)
+        return (n - 3) * w.log_phi(ss) + cum_b.log_between(ss, R)
 
     lv, _, _ = adaptive_quad_log(log_lhs, 1.0, R, rtol=1e-12)
     rv, _, _ = adaptive_quad_log(log_rhs, 1.0, R, rtol=1e-12)

@@ -8,7 +8,6 @@ harmonic function whose boundary values are the data.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -219,7 +218,3 @@ def summary_json(ext: HarmonicExtension, r_values) -> dict:
                      for r in r_values],
     }
 
-
-def export_summary_json(ext: HarmonicExtension, path, r_values):
-    with open(path, "w") as fh:
-        json.dump(summary_json(ext, r_values), fh, indent=1)

@@ -101,23 +101,6 @@ def laplace_beltrami_residual_fn(w: WarpingFunction, n: int, u, r, omega,
     return float(u_rr + (n - 1) * (dphi / phi) * u_r + sphere_lap / phi ** 2)
 
 
-def sphere_laplacian_s2(F: np.ndarray, colat: np.ndarray,
-                        lon: np.ndarray) -> np.ndarray:
-    """Lat-lon FD Laplacian on S^2 for samples F[i, j] = f(colat_i, lon_j).
-
-    Returns values on interior colatitude rows (poles excluded); longitude
-    wraps.  Second order in both steps.
-    """
-    hc = colat[1] - colat[0]
-    hl = lon[1] - lon[0]
-    Fcc = (F[2:, :] - 2 * F[1:-1, :] + F[:-2, :]) / hc ** 2
-    Fc = (F[2:, :] - F[:-2, :]) / (2 * hc)
-    Fll = (np.roll(F, -1, axis=1) - 2 * F + np.roll(F, 1, axis=1))[1:-1, :] / hl ** 2
-    ct = 1.0 / np.tan(colat[1:-1])[:, None]
-    s2 = np.sin(colat[1:-1])[:, None] ** 2
-    return Fcc + ct * Fc + Fll / s2
-
-
 def _apply_symmetrized(grid, x, phi_mid, phi_c):
     """Matrix-vector product of the symmetrized negative warped Laplacian.
 
@@ -194,12 +177,3 @@ def solve_annulus_dirichlet(w: WarpingFunction, grid: AnnulusGrid,
     u[1:-1, :] = x
     return u
 
-
-def export_annulus_csv(grid: AnnulusGrid, u: np.ndarray, path):
-    rs = grid.r_nodes
-    ths = grid.theta_nodes
-    with open(path, "w") as fh:
-        fh.write("r,theta,u\n")
-        for i, rv in enumerate(rs):
-            for j, tv in enumerate(ths):
-                fh.write(f"{rv:.12g},{tv:.12g},{u[i, j]:.12g}\n")

@@ -5,10 +5,9 @@ values under- or overflow double precision (powers of the warping function
 for large n).  Panel sums are evaluated with log-sum-exp so only the final
 exponentiation can underflow, never the bookkeeping.
 
-`logsumexp` is an in-house plain-numpy kernel.  It does the arithmetic of
-`scipy.special.logsumexp`, in the same order, so every value is bit-identical
-to scipy's, at a fraction of the per-call overhead on the short arrays this
-module sums.
+`logsumexp` is the plain stable form max + log(sum(exp(a - max))) in numpy.
+It agrees with `scipy.special.logsumexp` to a few ulp, at a fraction of the
+per-call overhead on the short arrays this module sums.
 """
 
 from __future__ import annotations
@@ -48,46 +47,23 @@ _WG = np.array([
 _LOG_WK = np.log(_WK)
 
 
-def _direct_logsumexp(a):
-    """log(sum(exp(a))) without shifting: the edge cases (empty, -inf, +inf, nan)."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return float(np.log(np.sum(np.exp(a))))
-
-
 def logsumexp(a):
-    """log(sum(exp(a))) of a 1-D sequence, bit-identical to scipy's.
-
-    Same steps as `scipy.special.logsumexp`: the maxima are taken out of the
-    pairwise sum of shifted exponentials, which is divided by their count k,
-    and the result is log1p(s) + log(k) + max.  Non-finite cases fall back
-    to the direct formula, as scipy does.
-    """
+    """log(sum(exp(a))) of a 1-D sequence; -inf if it is empty."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return -math.inf
     m = a.max()
     if not math.isfinite(m):
-        return _direct_logsumexp(a)
-    top = a == m
-    k = np.count_nonzero(top)
-    s = np.exp(np.where(top, -np.inf, a) - m).sum()
-    if s != 0:
-        s /= k
-    out = float(np.log1p(s) + np.log(np.float64(k)) + m)
-    return out if math.isfinite(out) else _direct_logsumexp(a)
+        return float(m)   # all -inf, or a +inf or nan term decides the sum
+    return float(m + np.log(np.exp(a - m).sum()))
 
 
 def _logsumexp_rows(a):
-    """`logsumexp` of each row of a 2-D array, with the same bits per row."""
+    """`logsumexp` of each row of a 2-D array."""
     m = a.max(axis=1)
-    top = a == m[:, None]
-    k = np.count_nonzero(top, axis=1).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.exp(np.where(top, -np.inf, a) - m[:, None]).sum(axis=1)
-        s = np.where(s == 0, s, s / k)
-        out = np.log1p(s) + np.log(k) + m
-    for i in np.flatnonzero(~np.isfinite(out)):
-        out[i] = logsumexp(a[i])
+    out = m.copy()   # kept for rows that are all -inf or hold +inf or nan
+    ok = np.isfinite(m)
+    out[ok] += np.log(np.exp(a[ok] - m[ok, None]).sum(axis=1))
     return out
 
 

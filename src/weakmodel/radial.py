@@ -411,23 +411,6 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
     return bound, satisfied
 
 
-def ode_residual(profile: RadialProfile, r_points=None):
-    """Finite-difference residual of the mode equation on interior points."""
-    w = profile.warp
-    n = profile.n
-    lam2 = profile.mode.lambda_sq
-    if r_points is None:
-        r_points = np.linspace(max(profile.r0 * 20, 0.05),
-                               profile.r_max * 0.98, 200)
-    r = np.asarray(r_points, dtype=float)
-    h = 1e-4 * np.maximum(1.0, r)
-    f = profile.interp
-    d2 = (f(r + h) - 2 * f(r) + f(r - h)) / h ** 2
-    d1 = (f(r + h) - f(r - h)) / (2 * h)
-    phi, dphi, _ = w.eval(r)
-    return d2 + (n - 1) * (dphi / phi) * d1 - lam2 / phi ** 2 * f(r)
-
-
 def export_metadata_json(profiles, path):
     with open(path, "w") as fh:
         json.dump([p.metadata() for p in profiles], fh, indent=1)

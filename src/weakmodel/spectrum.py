@@ -299,11 +299,6 @@ def synthesize(table: CoefficientTable, n: int, omega):
     return out
 
 
-def export_coefficients_json(table: CoefficientTable, path):
-    with open(path, "w") as fh:
-        json.dump(table.to_json_obj(), fh, indent=1)
-
-
 def load_coefficients_json(path, n):
     with open(path) as fh:
         obj = json.load(fh)

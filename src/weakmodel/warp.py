@@ -67,19 +67,9 @@ class WarpingFunction:
     def eval(self, r):
         raise NotImplementedError
 
-    def phi(self, r):
-        return self.eval(r)[0]
-
     def log_phi(self, r):
         """log phi(r), overridable for families where phi overflows."""
         return np.log(self.eval(r)[0])
-
-    def log_phi_pointwise(self, r):
-        """log phi on a 1-D array, bit-identical to one scalar call per point.
-
-        One array call, for families whose array and scalar arithmetic agree.
-        """
-        return self.log_phi(r)
 
     def _check_axioms(self):
         phi0, dphi0, _ = self.eval(0.0)
@@ -155,11 +145,6 @@ class PowerGrowth(WarpingFunction):
         dphi = one ** ((p - 3) / 2) * (1.0 + p * r * r)
         ddphi = r * one ** ((p - 5) / 2) * (p - 1) * (3.0 + p * r * r)
         return phi, dphi, ddphi
-
-    def log_phi_pointwise(self, r):
-        # numpy raises an array to a power with its SIMD routine and a scalar
-        # with libm's pow; the two differ in the last bit on ~5% of inputs
-        return np.array([self.log_phi(t) for t in r])
 
     def __repr__(self):
         return f"PowerGrowth(p={self.p:g})"

@@ -50,3 +50,20 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def sphere_laplacian_s2(F: np.ndarray, colat: np.ndarray,
+                        lon: np.ndarray) -> np.ndarray:
+    """Lat-lon FD Laplacian on S^2 for samples F[i, j] = f(colat_i, lon_j).
+
+    Returns values on interior colatitude rows (poles excluded); longitude
+    wraps.  Second order in both steps.
+    """
+    hc = colat[1] - colat[0]
+    hl = lon[1] - lon[0]
+    Fcc = (F[2:, :] - 2 * F[1:-1, :] + F[:-2, :]) / hc ** 2
+    Fc = (F[2:, :] - F[:-2, :]) / (2 * hc)
+    Fll = (np.roll(F, -1, axis=1) - 2 * F + np.roll(F, 1, axis=1))[1:-1, :] / hl ** 2
+    ct = 1.0 / np.tan(colat[1:-1])[:, None]
+    s2 = np.sin(colat[1:-1])[:, None] ** 2
+    return Fcc + ct * Fc + Fll / s2

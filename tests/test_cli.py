@@ -8,7 +8,7 @@ import pytest
 from conftest import count_calls, write_tabulated_csv
 from weakmodel import criterion, extension, radial
 from weakmodel.cli import main
-from weakmodel.warp import Hyperbolic
+from weakmodel.warp import Hyperbolic, PowerGrowth
 
 
 def run(args):
@@ -258,27 +258,55 @@ def test_config_file_with_overrides(tmp_path):
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "classify")
 
 
-@pytest.mark.parametrize("name,args", [
-    ("hyperbolic_a1_n2", ["--family", "hyperbolic", "--a", "1", "--n", "2"]),
-    ("powergrowth_p1.5_n3", ["--family", "powergrowth", "--p", "1.5",
-                             "--n", "3"]),
-    ("powerlog_c1.2_n2", ["--family", "powerlog", "--c", "1.2", "--n", "2"]),
-    ("powerlog_c1.2_n3", ["--family", "powerlog", "--c", "1.2", "--n", "3"]),
-    ("euclidean_n3", ["--family", "euclidean", "--n", "3"]),
-    ("powergrowth_p0.8_n2", ["--family", "powergrowth", "--p", "0.8",
-                             "--n", "2"]),
-])
-def test_classify_report_pinned(tmp_path, name, args):
-    # one case per tail path: refined exponential, refined power, power-log
-    # closed form, refined power-log double tail, divergence witnesses
+# one case per tail path: refined exponential, refined power, power-log
+# closed form, refined power-log double tail, divergence witnesses
+PINNED_CLASSIFY = {
+    "hyperbolic_a1_n2": ["--family", "hyperbolic", "--a", "1", "--n", "2"],
+    "powergrowth_p1.5_n3": ["--family", "powergrowth", "--p", "1.5",
+                            "--n", "3"],
+    "powerlog_c1.2_n2": ["--family", "powerlog", "--c", "1.2", "--n", "2"],
+    "powerlog_c1.2_n3": ["--family", "powerlog", "--c", "1.2", "--n", "3"],
+    "euclidean_n3": ["--family", "euclidean", "--n", "3"],
+    "powergrowth_p0.8_n2": ["--family", "powergrowth", "--p", "0.8",
+                            "--n", "2"],
+}
+
+
+def _assert_classify_pinned(tmp_path, name, args):
     run(["classify", *args, "--out", str(tmp_path)])
     with open(os.path.join(FIXTURES, f"{name}.json"), "rb") as fh:
-        assert (tmp_path / "classify.json").read_bytes() == fh.read()
+        assert (tmp_path / "classify.json").read_bytes() == fh.read(), name
 
 
-def test_sweep_report_pinned(tmp_path):
+def _assert_sweep_pinned(tmp_path):
     # all 27 cases, march and transience, on every tail path
     run(["sweep", "--out", str(tmp_path)])
     path = os.path.join(os.path.dirname(__file__), "fixtures", "sweep.json")
     with open(path, "rb") as fh:
         assert (tmp_path / "sweep.json").read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("name,args", list(PINNED_CLASSIFY.items()))
+def test_classify_report_pinned(tmp_path, name, args):
+    _assert_classify_pinned(tmp_path, name, args)
+
+
+def test_sweep_report_pinned(tmp_path):
+    _assert_sweep_pinned(tmp_path)
+
+
+def test_pinned_reports_hold_with_scalar_pow(tmp_path, monkeypatch):
+    # numpy raises an array to a power with a SIMD routine on some CPUs and
+    # with libm's pow on others; they differ in the last bit on ~5% of
+    # inputs.  Evaluating PowerGrowth one point at a time takes libm's pow
+    # everywhere, and must leave every pinned report byte-identical.
+    log_phi = PowerGrowth.log_phi
+
+    def scalar_log_phi(self, r):
+        r = np.asarray(r, dtype=float)
+        return np.array([log_phi(self, t) for t in r.ravel()]).reshape(r.shape)
+
+    monkeypatch.setattr(PowerGrowth, "log_phi", scalar_log_phi)
+    _assert_sweep_pinned(tmp_path)
+    for name in ("powergrowth_p1.5_n3", "powergrowth_p0.8_n2"):
+        _assert_classify_pinned(tmp_path, name, PINNED_CLASSIFY[name])

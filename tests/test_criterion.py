@@ -1,15 +1,21 @@
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from conftest import count_calls, write_tabulated_csv
+from weakmodel.cli import _round12
 from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
-                                 fubini_check, march_criterion,
-                                 tail_certificate, transience_integral)
+                                 CriterionReport, fubini_check,
+                                 march_criterion, tail_certificate,
+                                 transience_integral)
 from weakmodel.errors import InvalidTolerance, NotConvergent
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
                             load_tabulated_csv)
@@ -146,6 +152,35 @@ def test_convergent_reports_satisfy_contract(closed_families):
                 assert rep.tail_evidence  # names the divergent comparison
 
 
+def _printed_bound(x):
+    report = CriterionReport(CONVERGENT, 1.0, x, "", 100.0)
+    return _round12(report.to_json_dict())["error_bound"]
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_printed_error_bound_is_rounded_up(x):
+    printed = _printed_bound(x)
+    if printed == "Infinity":
+        # the least 3-digit decimal >= x is above the largest double
+        assert x > 1.79e308
+        return
+    if printed >= sys.float_info.min:   # subnormals carry fewer digits
+        assert float(f"{printed:.3g}") == printed
+    assert printed >= x
+    # at most 1% above x, up to the rounding of the printed double
+    slack = 2 * Fraction(math.ulp(printed))
+    assert Fraction(printed) <= Fraction(x) * Fraction(101, 100) + slack
+
+
+def test_printed_error_bound_passes_inf_and_nan():
+    assert _printed_bound(math.inf) == "Infinity"
+    assert _printed_bound(math.nan) == "NaN"
+    rep = CriterionReport(CONVERGENT, 1.0, math.nan, "", 100.0)
+    assert math.isnan(rep.to_json_dict()["error_bound"])
+    rep.error_bound = math.inf
+    assert rep.to_json_dict()["error_bound"] == math.inf
+
+
 def test_invalid_tolerance():
     with pytest.raises(InvalidTolerance):
         march_criterion(Euclidean(), 2, tol=0.0)
@@ -183,11 +218,12 @@ def test_unreachable_tolerance_fails_honestly():
         assert re.search(budget.format(R), msg), R
 
 
-def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch):
+@pytest.mark.parametrize("w", [Hyperbolic(1.0), PowerGrowth(1.5)],
+                         ids=["hyperbolic", "powergrowth"])
+def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w):
     # the integrand phi^(1-n)(t) * int_1^t phi^(n-3) needs one log_phi call
     # for phi^(1-n) and one for all partial panels of the cumulative integral
     from weakmodel import criterion
-    w = Hyperbolic(1.0)
     log_phi_calls = count_calls(monkeypatch, w, "log_phi")
     per_vector = []
     quad = criterion.adaptive_quad_log

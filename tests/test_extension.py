@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 
 import numpy as np
@@ -386,8 +385,6 @@ def test_exports(tmp_path, cos_extension):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "r,theta,u"
     assert len(lines) == 1 + 2 * 8
-    json_path = tmp_path / "summary.json"
-    ext.export_summary_json(cos_extension, json_path, r_values=[1.0, 5.0])
-    obj = json.loads(json_path.read_text())
+    obj = ext.summary_json(cos_extension, r_values=[1.0, 5.0])
     assert obj["M"] == 4 and len(obj["l2_curve"]) == 2
     assert obj["l2_curve"][0][1] > obj["l2_curve"][1][1]

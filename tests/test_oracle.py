@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import sphere_laplacian_s2
 from weakmodel.errors import BoundaryPoint, SolverDivergence
-from weakmodel.oracle import (AnnulusGrid, export_annulus_csv,
-                              laplace_beltrami_residual,
+from weakmodel.oracle import (AnnulusGrid, laplace_beltrami_residual,
                               laplace_beltrami_residual_fn,
-                              solve_annulus_dirichlet, sphere_laplacian_s2)
+                              solve_annulus_dirichlet)
 from weakmodel.warp import Euclidean, Hyperbolic
 
 
@@ -127,12 +127,3 @@ def test_sphere_laplacian_stencil_eigen():
     lap = sphere_laplacian_s2(F, colat, lon)
     assert_allclose(lap, -2.0 * F[1:-1], atol=1e-4)
 
-
-def test_annulus_csv_export(tmp_path):
-    g = AnnulusGrid(0.5, 1.5, 16, 16)
-    u = np.zeros((16, 16))
-    path = tmp_path / "u.csv"
-    export_annulus_csv(g, u, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "r,theta,u"
-    assert len(lines) == 1 + 16 * 16

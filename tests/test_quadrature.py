@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 from weakmodel.errors import QuadratureFailure
-from weakmodel.quadrature import (LogCumulative, adaptive_quad,
-                                  adaptive_quad_log, kronrod_panel_log,
-                                  logsumexp)
+from weakmodel.quadrature import (LogCumulative, _logsumexp_rows,
+                                  adaptive_quad, adaptive_quad_log,
+                                  kronrod_panel_log, logsumexp)
 
 
 def test_adaptive_known_integrals():
@@ -52,11 +52,15 @@ def test_log_cumulative_consistency():
     assert_allclose(cum.log_between(2.5, 7.5), direct, atol=1e-9)
 
 
-def _same_bits(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
+def _close_to_scipy(got, want):
+    # the plain form sums in another order than scipy: allow 4 ulp of
+    # max(1, |result|); non-finite results must match exactly
+    if not math.isfinite(want):
+        return got == want or (math.isnan(got) and math.isnan(want))
+    return abs(got - want) <= 4 * math.ulp(max(1.0, abs(want)))
 
 
-def test_logsumexp_matches_scipy_bit_for_bit():
+def test_logsumexp_matches_scipy():
     rng = np.random.default_rng(20231)
     battery = [np.array([]), np.array([-np.inf]), np.full(5, -np.inf),
                np.array([np.inf, 1.0]), np.array([np.inf, -np.inf]),
@@ -74,13 +78,24 @@ def test_logsumexp_matches_scipy_bit_for_bit():
             battery.append(c)
             battery.append(np.full(length, a[0]))         # all equal
     for a in battery:
-        assert _same_bits(logsumexp(a), float(special.logsumexp(a))), a
+        assert _close_to_scipy(logsumexp(a), float(special.logsumexp(a))), a
     # lists, as the quadrature passes them
-    assert logsumexp([0.5, -2.0, 0.5]) == float(special.logsumexp([0.5, -2.0, 0.5]))
+    assert _close_to_scipy(logsumexp([0.5, -2.0, 0.5]),
+                           float(special.logsumexp([0.5, -2.0, 0.5])))
+    # rows of 15, as the partial K15 panels pass them, with non-finite rows
+    rows = np.vstack([a for a in battery if a.size == 15]
+                     + [np.full(15, -np.inf), np.full(15, np.inf),
+                        np.where(np.arange(15) == 4, np.inf, 800.0),
+                        np.where(np.arange(15) == 7, np.nan, 800.0)])
+    for row, got in zip(rows, _logsumexp_rows(rows)):
+        assert _close_to_scipy(got, float(special.logsumexp(row))), row
 
 
 def _reference_log_between(cum, x, y):
-    """The per-limit algorithm: K15 partial panels and scipy's logsumexp."""
+    """The per-limit algorithm: K15 partial panels and scipy's logsumexp.
+
+    It sums in scipy's order, so it agrees with `log_between` to a few ulp.
+    """
     x, y = max(x, cum.lo), min(y, cum.hi)
     if y <= x:
         return -math.inf
@@ -106,10 +121,10 @@ def test_batched_log_between_matches_scalar():
         batched = cum.log_between(lo, ys)
         assert batched.shape == ys.shape
         for y, v in zip(ys, batched):
-            scalar = cum.log_between(lo, float(y))
-            assert v == scalar == _reference_log_between(cum, lo, y), (lo, y)
+            assert v == cum.log_between(lo, float(y)), (lo, y)
+            assert _close_to_scipy(v, _reference_log_between(cum, lo, y)), (lo, y)
     # an array of lower limits against one upper limit, as Fubini's check uses
     batched = cum.log_between(ys, 9.0)
     for x, v in zip(ys, batched):
         assert v == cum.log_between(float(x), 9.0), x
-        assert v == _reference_log_between(cum, x, 9.0), x
+        assert _close_to_scipy(v, _reference_log_between(cum, x, 9.0)), x

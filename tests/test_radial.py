@@ -10,7 +10,7 @@ from weakmodel.errors import (DegenerateProfile, NonPositiveWarp,
                               NotConvergent, OutOfRange, TailNotTight)
 from weakmodel.radial import (RadialProfile, indicial_exponent,
                               lemma_bound_check, load_profile_csv,
-                              normalize_profile, ode_residual, riccati_trace,
+                              normalize_profile, riccati_trace,
                               riccati_x, solve_radial, suggest_rmax)
 from weakmodel.spectrum import eigen_round_sphere
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth,
@@ -147,6 +147,23 @@ def test_lemma_suite(w, n):
         assert tr.inequality_ok, f"m={m}"
         _, ok = lemma_bound_check(p, tr)
         assert ok, f"m={m}"
+
+
+def ode_residual(profile: RadialProfile, r_points=None):
+    """Finite-difference residual of the mode equation on interior points."""
+    w = profile.warp
+    n = profile.n
+    lam2 = profile.mode.lambda_sq
+    if r_points is None:
+        r_points = np.linspace(max(profile.r0 * 20, 0.05),
+                               profile.r_max * 0.98, 200)
+    r = np.asarray(r_points, dtype=float)
+    h = 1e-4 * np.maximum(1.0, r)
+    f = profile.interp
+    d2 = (f(r + h) - 2 * f(r) + f(r - h)) / h ** 2
+    d1 = (f(r + h) - f(r - h)) / (2 * h)
+    phi, dphi, _ = w.eval(r)
+    return d2 + (n - 1) * (dphi / phi) * d1 - lam2 / phi ** 2 * f(r)
 
 
 def test_ode_residual_invariant(closed_families):

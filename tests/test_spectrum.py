@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import sphere_laplacian_s2
 from weakmodel.errors import (GridTooCoarse, IndexOutOfRange,
                               UnsupportedDimension)
-from weakmodel.oracle import sphere_laplacian_s2
 from weakmodel.spectrum import (BoundaryData, CoefficientTable,
                                 eigen_round_sphere, eigenfunction_eval,
-                                export_coefficients_json,
                                 load_coefficients_json, multiplicity,
                                 project_boundary, sphere_quadrature,
                                 synthesize)
@@ -170,7 +169,8 @@ def test_boundary_csv_roundtrip(tmp_path):
 def test_coefficients_json_roundtrip(tmp_path):
     table = CoefficientTable(2, {(0, 0): 1.5, (2, 1): -0.125})
     path = tmp_path / "coeffs.json"
-    export_coefficients_json(table, path)
+    with open(path, "w") as fh:
+        json.dump(table.to_json_obj(), fh)
     back = load_coefficients_json(path, 2)
     assert back == table
     obj = json.loads(path.read_text())

@@ -191,15 +191,3 @@ def test_tabulated_validation(tmp_path):
     with pytest.raises(InvalidFamily):
         load_tabulated_csv(bad)
 
-
-def test_log_phi_pointwise_matches_scalar_calls(closed_families, tmp_path):
-    # the criterion integrands evaluate phi on node vectors; their reports
-    # were fixed with one scalar call per node, bit for bit
-    rng = np.random.default_rng(7)
-    r = np.concatenate([rng.uniform(1.0, 10.0, 200),
-                        np.exp(rng.uniform(2.0, 12.0, 200))])
-    tab = load_tabulated_csv(write_tabulated_csv(
-        tmp_path / "t.csv", PowerGrowth(1.5), np.geomspace(1e-4, 2e5, 3000)))
-    for w in [*closed_families, Hyperbolic(0.37), PowerGrowth(1.02), tab]:
-        expect = np.array([w.log_phi(t) for t in r])
-        assert np.array_equal(w.log_phi_pointwise(r), expect), w
