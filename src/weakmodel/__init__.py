@@ -14,7 +14,7 @@ from .oracle import (AnnulusGrid, laplace_beltrami_residual,
                      laplace_beltrami_residual_fn, solve_annulus_dirichlet)
 from .radial import (RadialProfile, RiccatiTrace, indicial_exponent,
                      lemma_bound_check, normalize_profile, riccati_trace,
-                     solve_radial, suggest_rmax)
+                     solve_modes, solve_radial, suggest_rmax)
 from .spectrum import (BoundaryData, CoefficientTable, EigenMode,
                        RoundSphere, SphereSpectrum, eigen_round_sphere,
                        eigenfunction_eval, project_boundary,

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -29,39 +28,10 @@ from . import extension as _extension
 from . import oracle as _oracle
 from . import radial as _radial
 from .errors import WeakModelError
+from .report import write_json_atomic
 from .spectrum import (BoundaryData, CoefficientTable, eigen_round_sphere,
                        load_coefficients_json, sphere_quadrature)
 from .warp import family_from_name, load_tabulated_csv
-
-
-def _round12(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return float(f"{x:.12g}")
-    if isinstance(x, dict):
-        return {k: _round12(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_round12(v) for v in x]
-    return x
-
-
-def write_json_atomic(obj, path):
-    """Deterministic JSON: sorted keys, 12 significant digits, tmp+rename."""
-    text = json.dumps(_round12(obj), indent=1, sort_keys=True)
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _build_warp(cfg):
@@ -230,9 +200,9 @@ def cmd_verify(args) -> int:
         profiles = ext.profiles
     else:
         r_solve = max(cfg.get("rmax") or 0.0, _VERIFY_RMAX)
-        profiles = {m: _radial.solve_radial(w, n, eigen_round_sphere(n, m),
-                                            r_max=r_solve)
-                    for m in range(0, M + 1)}
+        profiles = dict(enumerate(_radial.solve_modes(
+            w, n, [eigen_round_sphere(n, m) for m in range(M + 1)],
+            r_max=r_solve)))
 
     loaded = None
     if getattr(args, "artifacts", None):

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, Decimal
 
 import numpy as np
 
 from .errors import InvalidTolerance, NotConvergent, QuadratureFailure
 from .quadrature import LogCumulative, adaptive_quad_log, logsumexp
+from .report import round_up_3
 from .warp import (ExponentialGrowth, PowerLawGrowth, PowerLogGrowth,
                    UnknownGrowth, WarpingFunction)
 
@@ -37,18 +37,6 @@ INCONCLUSIVE = "Inconclusive"
 
 _DECAY_UNITS = 48.0          # e^-48 ~ 1e-21: negligible truncation remainders
 _MAX_R_DOUBLINGS = 3
-
-
-def _round_up_3(x):
-    """The least 3-significant-digit decimal >= x, as a float.
-
-    A bound printed this way is still a bound; its digits beyond the third
-    are quadrature roundoff.  inf, nan and x <= 0 are returned unchanged.
-    """
-    if not math.isfinite(x) or x <= 0:
-        return x
-    d = Decimal(repr(x))   # float(d) == x, so rounding d up keeps >= x
-    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 2), ROUND_CEILING))
 
 
 @dataclass
@@ -63,7 +51,7 @@ class CriterionReport:
         return {
             "verdict": self.verdict,
             "value": self.value,
-            "error_bound": _round_up_3(self.error_bound),
+            "error_bound": round_up_3(self.error_bound),
             "r_max": self.r_max,
             "tail_evidence": self.tail_evidence,
         }

@@ -84,9 +84,9 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     the top of the band carries more than _TAIL_ENERGY_FRACTION of the
     boundary energy, since the truncation bound is then unreliable; exact
     coefficients with no mode above M need no warning, as their projection
-    drops nothing.  All modes share one radius and one tail certificate:
-    from `r_max` (or a start radius) the radius doubles until the top mode's
-    tail is tight, and every mode is solved to it.
+    drops nothing.  All modes share one radius and one tail certificate,
+    and are solved as one stack: once at `r_max` (or a start radius), and
+    once more only when the top mode's certificate moves the radius.
     """
     if spectrum is None:
         spectrum = RoundSphere(n)
@@ -108,18 +108,16 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
                 f"carry {tail / total:.3g} of the energy", stacklevel=2)
 
     R = float(r_max) if r_max is not None else _start_r_max(w)
-    top = _radial.solve_radial(w, n, spectrum.mode(M), r_max=R, tol=tol)
+    modes = [spectrum.mode(m) for m in range(M + 1)]
+    raw = _radial.solve_modes(w, n, modes, r_max=R, tol=tol)
     cert = None
     if M > 0:       # the constant mode needs no tail certificate
-        cert = _radial.suggest_rmax(top, R)
-        R = cert.r_max
-    profiles = {}
-    slack = 0.0
-    for m in range(M + 1):
-        prof = (top if m == M and top.r_max == R else
-                _radial.solve_radial(w, n, spectrum.mode(m), r_max=R, tol=tol))
-        profiles[m] = _radial.normalize_profile(prof, criterion, cert)
-        slack = max(slack, profiles[m].limit_error)
+        cert = _radial.suggest_rmax(raw[M], R)
+        if cert.r_max != R:
+            raw = _radial.solve_modes(w, n, modes, r_max=cert.r_max, tol=tol)
+    profiles = {m: _radial.normalize_profile(prof, criterion, cert)
+                for m, prof in enumerate(raw)}
+    slack = max(p.limit_error for p in profiles.values())
 
     return HarmonicExtension(
         warp=w, n=n, M=M, profiles=profiles, coeffs=coeffs,

@@ -23,7 +23,6 @@ error when the criterion integral converges.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -33,8 +32,9 @@ from scipy.interpolate import PchipInterpolator
 
 from . import criterion as _criterion
 from .errors import (DegenerateProfile, NonPositiveWarp, NotConvergent,
-                     OutOfRange, QuadratureFailure, StepSizeUnderflow,
-                     TailNotTight)
+                     OutOfDomain, OutOfRange, QuadratureFailure,
+                     StepSizeUnderflow, TailNotTight)
+from .report import round_up_3, write_json_atomic
 from .spectrum import EigenMode
 from .warp import WarpingFunction
 
@@ -115,7 +115,7 @@ class RadialProfile:
             "lambda_sq": self.mode.lambda_sq,
             "l": self.indicial_l,
             "limit_estimate": ("Unbounded" if math.isinf(lim) else lim),
-            "limit_error": self.limit_error,
+            "limit_error": round_up_3(self.limit_error),
             "normalized": self.normalized,
         }
 
@@ -144,81 +144,117 @@ def load_profile_csv(path, mode: EigenMode, n: int, warp: WarpingFunction,
 # Solving
 # ---------------------------------------------------------------------------
 
-def _cubic_seed_coeff(w: WarpingFunction, n, l, lam2):
-    """Second-order Frobenius correction phi_m ~ r^l (1 + kappa2 r^2).
+def _cubic_beta(w: WarpingFunction) -> float:
+    """beta3 of phi = r + beta3 r^3 + O(r^5), by a finite difference at 1e-2.
 
-    Driven by the cubic term of phi near 0: phi = r + beta3 r^3 + O(r^5);
-    beta3 is recovered by finite differences so tabulated data works too.
+    Recovered numerically so that tabulated data works too; 0 when the warp
+    cannot be evaluated there.
     """
     h = 1e-2
     try:
         phi_h = float(w.eval(h)[0])
     except Exception:
         return 0.0
-    beta3 = (phi_h - h) / h ** 3
-    return -beta3 * (l * (n - 1) + lam2) / (2.0 * l + n)
+    return (phi_h - h) / h ** 3
 
 
-def solve_radial(w: WarpingFunction, n: int, mode: EigenMode,
-                 r_max: float = 30.0, tol: float = 1e-10,
-                 r0: float | None = None,
-                 grid_size: int = _GRID_SIZE) -> RadialProfile:
-    """Solve the radial mode equation on [r0, r_max]; the raw profile.
+def _launch_state(n, l, lam2, beta3, r_launch):
+    """(u, w) at r_launch from phi_m ~ r^l (1 + kappa2 r^2)."""
+    kappa2 = -beta3 * (l * (n - 1) + lam2) / (2.0 * l + n)
+    u0 = l * math.log(r_launch) + math.log1p(kappa2 * r_launch ** 2)
+    w0 = (l + (l + 2) * kappa2 * r_launch ** 2) / (1.0 + kappa2 * r_launch ** 2)
+    return u0, w0
 
-    The m = 0 mode short-circuits to the constant 1.  Every other mode is
-    returned unnormalized with an unbounded limit estimate;
-    `normalize_profile` rescales a convergent one to limit 1.
+
+def _check_warp_on_grid(w: WarpingFunction, grid):
+    """Refuse a grid where phi <= 0, or where phi overflows double precision."""
+    with np.errstate(over="ignore"):
+        phi = np.asarray(w.eval(grid)[0], dtype=float)
+    span = f"inside [{grid[0]:g}, {grid[-1]:g}]"
+    if np.any(phi <= 0):
+        raise NonPositiveWarp(f"phi({grid[np.argmax(phi <= 0)]:g}) <= 0 {span}")
+    if not np.all(np.isfinite(phi)):
+        bad = grid[np.argmax(~np.isfinite(phi))]
+        raise OutOfDomain(f"phi overflows double precision at r = {bad:g} "
+                          f"{span}; the radial solve needs a smaller r_max")
+
+
+def _mode_rows(dense, j):
+    """The (u, w) rows of the j-th solved mode in a stacked dense solution."""
+    return lambda s: dense(s)[2 * j:2 * j + 2]
+
+
+def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
+                tol: float = 1e-10, r0: float | None = None,
+                grid_size: int = _GRID_SIZE) -> list[RadialProfile]:
+    """Solve the radial mode equation of every mode on one [r0, r_max].
+
+    Returns the raw profiles in the order of `modes`.  An m = 0 mode
+    short-circuits to the constant 1.  All other modes are integrated as one
+    DOP853 system whose state stacks their (u, w) pairs, so each stage
+    evaluates the warp once for the whole stack; they are returned
+    unnormalized with an unbounded limit estimate, and `normalize_profile`
+    rescales a convergent one to limit 1.
     """
-    lam2 = mode.lambda_sq
-    l = indicial_exponent(n, lam2)
     grid = np.geomspace(r0 or _DEFAULT_R0, r_max, grid_size)
-
-    if mode.m == 0:
-        return RadialProfile(
-            mode=mode, n=n, warp=w, indicial_l=0.0, grid=grid,
-            values=np.ones_like(grid), derivs=np.zeros_like(grid),
-            limit_estimate=1.0, limit_error=0.0, normalized=True,
-            r0=float(grid[0]))
+    profiles = [RadialProfile(
+        mode=mode, n=n, warp=w, indicial_l=0.0, grid=grid,
+        values=np.ones_like(grid), derivs=np.zeros_like(grid),
+        limit_estimate=1.0, limit_error=0.0, normalized=True,
+        r0=float(grid[0])) if mode.m == 0 else None for mode in modes]
+    solved = [i for i, mode in enumerate(modes) if mode.m != 0]
+    if not solved:
+        return profiles
 
     r_launch = r0 or _DEFAULT_R0
     if r_max <= 1.0:
         raise ValueError(f"r_max must exceed 1, got {r_max}")
-    phi_grid = np.asarray(w.eval(grid)[0], dtype=float)
-    if np.any(phi_grid <= 0) or np.any(~np.isfinite(phi_grid)):
-        bad = grid[np.argmax(~((phi_grid > 0) & np.isfinite(phi_grid)))]
-        raise NonPositiveWarp(f"phi({bad:g}) <= 0 inside [{grid[0]:g}, {r_max:g}]")
-    kappa2 = _cubic_seed_coeff(w, n, l, lam2)
-    u0 = l * math.log(r_launch) + math.log1p(kappa2 * r_launch ** 2)
-    w0 = (l + (l + 2) * kappa2 * r_launch ** 2) / (1.0 + kappa2 * r_launch ** 2)
+    _check_warp_on_grid(w, grid)
+    beta3 = _cubic_beta(w)
+    ls = [indicial_exponent(n, modes[i].lambda_sq) for i in solved]
+    y0 = [v for i, l in zip(solved, ls)
+          for v in _launch_state(n, l, modes[i].lambda_sq, beta3, r_launch)]
+    lam2 = np.array([modes[i].lambda_sq for i in solved])
 
     def rhs(s, y):
         r = math.exp(s)
         phi, dphi, _ = w.eval(r)
         if phi <= 0:
             raise NonPositiveWarp(f"phi({r:g}) = {phi:g} <= 0")
-        ww = y[1]
+        ww = y[1::2]
         rho = r / phi
-        return [ww, ww + lam2 * rho * rho - (n - 1) * (r * dphi / phi) * ww - ww * ww]
+        dy = np.empty_like(y)
+        dy[0::2] = ww
+        dy[1::2] = ww + lam2 * rho * rho - (n - 1) * (r * dphi / phi) * ww - ww * ww
+        return dy
 
     # near-pure relative control on w: it decays doubly-exponentially for
     # fast-growing phi and x = phi^{n-1} w/(lambda^2 r) re-amplifies any
     # absolute error floor, so w must stay relatively accurate
-    sol = solve_ivp(rhs, (math.log(r_launch), math.log(r_max)), [u0, w0],
+    sol = solve_ivp(rhs, (math.log(r_launch), math.log(r_max)), y0,
                     method="DOP853", dense_output=True,
                     rtol=min(max(tol * 1e-3, 1e-13), 1e-8),
-                    atol=[1e-12, 1e-290])
+                    atol=[1e-12, 1e-290] * len(solved))
     if not sol.success:
         raise StepSizeUnderflow(f"radial integration failed: {sol.message}")
 
-    s_grid = np.log(grid)
-    u, wlog = sol.sol(s_grid)
-    values = np.exp(u)
-    derivs = values * wlog / grid
+    stack = sol.sol(np.log(grid))
+    for j, (i, l) in enumerate(zip(solved, ls)):
+        values = np.exp(stack[2 * j])
+        derivs = values * stack[2 * j + 1] / grid
+        profiles[i] = RadialProfile(
+            mode=modes[i], n=n, warp=w, indicial_l=l, grid=grid, values=values,
+            derivs=derivs, limit_estimate=math.inf, limit_error=math.inf,
+            normalized=False, r0=float(grid[0]), _dense=_mode_rows(sol.sol, j))
+    return profiles
 
-    return RadialProfile(
-        mode=mode, n=n, warp=w, indicial_l=l, grid=grid, values=values,
-        derivs=derivs, limit_estimate=math.inf, limit_error=math.inf,
-        normalized=False, r0=float(grid[0]), _dense=sol.sol)
+
+def solve_radial(w: WarpingFunction, n: int, mode: EigenMode,
+                 r_max: float = 30.0, tol: float = 1e-10,
+                 r0: float | None = None,
+                 grid_size: int = _GRID_SIZE) -> RadialProfile:
+    """The raw profile of one mode: `solve_modes` of a one-mode stack."""
+    return solve_modes(w, n, [mode], r_max, tol, r0, grid_size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,5 +448,5 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
 
 
 def export_metadata_json(profiles, path):
-    with open(path, "w") as fh:
-        json.dump([p.metadata() for p in profiles], fh, indent=1)
+    """profiles.json: each profile's metadata, written like every report."""
+    write_json_atomic([p.metadata() for p in profiles], path)

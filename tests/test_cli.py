@@ -1,6 +1,8 @@
+import inspect
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -123,15 +125,37 @@ def test_verify_full_suite(tmp_path, capsys):
 def test_verify_traces_and_certifies_each_profile_once(tmp_path, monkeypatch):
     traces = count_calls(monkeypatch, radial, "riccati_trace")
     certs = count_calls(monkeypatch, criterion, "tail_certificate")
-    solves = count_calls(monkeypatch, radial, "solve_radial")
+    solve_modes = radial.solve_modes
+    stack_radii = []
+
+    def counted(*args, **kwargs):
+        bound = inspect.signature(solve_modes).bind(*args, **kwargs)
+        stack_radii.append(bound.arguments["r_max"])
+        return solve_modes(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "solve_modes", counted)
     code = run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "2",
                 "--modes", "4", "--out", str(tmp_path / "v")])
     assert code == 0
     assert len(traces) == 4
-    # the checks run on the extension's profiles: one solve per mode, all
-    # normalized with the one certificate at the extension's r_max 30
-    assert len(solves) == 5
+    # the checks run on the extension's profiles: all five modes in one
+    # stacked solve, normalized with the one certificate at its r_max 30
+    assert stack_radii == [30.0]
     assert sorted(args[2] for args in certs) == [30.0]
+
+
+def test_solve_refuses_radius_where_phi_overflows(tmp_path, capsys):
+    # sinh(r) overflows double precision near r = 710: a clear refusal
+    # that names the radius, and no overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["solve", "--family", "hyperbolic", "--a", "1", "--n", "3",
+                    "--modes", "2", "--rmax", "1000",
+                    "--out", str(tmp_path / "s")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "phi overflows double precision at r = 719.982" in err
+    assert "<= 0" not in err
 
 
 def test_verify_user_rmax_below_certificate_start(tmp_path):

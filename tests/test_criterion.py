@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from conftest import count_calls, write_tabulated_csv
-from weakmodel.cli import _round12
+from weakmodel.report import round12
 from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
                                  CriterionReport, fubini_check,
                                  march_criterion, tail_certificate,
@@ -154,7 +154,7 @@ def test_convergent_reports_satisfy_contract(closed_families):
 
 def _printed_bound(x):
     report = CriterionReport(CONVERGENT, 1.0, x, "", 100.0)
-    return _round12(report.to_json_dict())["error_bound"]
+    return round12(report.to_json_dict())["error_bound"]
 
 
 @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))

@@ -61,6 +61,22 @@ def test_user_rmax_below_certificate_start_is_honest():
         assert abs(p.values[-1] - math.tanh(p.r_max) ** m) <= p.limit_error + 1e-9
 
 
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
+def test_stacked_modes_within_their_limit_error(a, tol):
+    # the n = 2 modes are exactly tanh(ar/2)^m.  The stacked solve controls
+    # one error norm over all ten components, so every mode must still lie
+    # within its own certified limit_error of the exact one
+    table = CoefficientTable(2)
+    for m in range(6):
+        table.set(m, 0, 1.0)
+    e = ext.build_extension(Hyperbolic(a), 2,
+                            BoundaryData.from_coefficients(table), 5, tol=tol)
+    for m, p in e.profiles.items():
+        gap = np.max(np.abs(p.values - np.tanh(a * p.grid / 2) ** m))
+        assert gap <= p.limit_error + 1e-11, (m, gap, p.limit_error)
+
+
 def test_all_profiles_share_one_radius():
     table = CoefficientTable(2)
     table.set(1, 0, 1.0)

@@ -1,0 +1,42 @@
+"""The benchmark's tracer wraps package functions by their names.
+
+A rename or a deletion of a wrapped binding must fail here, in the test
+suite, and not only in a later traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from weakmodel import cli, radial
+from weakmodel.spectrum import eigen_round_sphere
+from weakmodel.warp import Hyperbolic
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_instruments_and_restores_the_package():
+    tracing = _load_tracing()
+    hooks = ((radial, "solve_radial"), (radial, "solve_ivp"),
+             (radial, "export_metadata_json"), (cli, "write_json_atomic"))
+    originals = [getattr(module, name) for module, name in hooks]
+    tracer = tracing.Tracer()
+    patch = tracing.instrument(tracer)
+    try:
+        assert all(getattr(module, name) is not fn
+                   for (module, name), fn in zip(hooks, originals))
+        # a stacked solve is one counted ODE solve
+        radial.solve_modes(Hyperbolic(1.0), 2,
+                           [eigen_round_sphere(2, m) for m in (1, 2)],
+                           r_max=10.0)
+        assert tracer.counts["radial.ode_solves"] == 1
+        assert tracer.counts["radial.ode_steps"] > 0
+    finally:
+        patch.restore()
+    assert [getattr(module, name) for module, name in hooks] == originals

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +11,13 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 from weakmodel.criterion import march_criterion, tail_certificate
 from weakmodel.errors import (DegenerateProfile, NonPositiveWarp,
                               NotConvergent, OutOfRange, TailNotTight)
-from weakmodel.radial import (RadialProfile, indicial_exponent,
-                              lemma_bound_check, load_profile_csv,
-                              normalize_profile, riccati_trace,
-                              riccati_x, solve_radial, suggest_rmax)
+from weakmodel.radial import (RadialProfile, export_metadata_json,
+                              indicial_exponent, lemma_bound_check,
+                              load_profile_csv, normalize_profile,
+                              riccati_trace, riccati_x, solve_modes,
+                              solve_radial, suggest_rmax)
 from weakmodel.spectrum import eigen_round_sphere
-from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth,
+from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
                             WarpingFunction)
 
 
@@ -294,3 +298,80 @@ def test_profile_csv_roundtrip(tmp_path, tanh_profile):
     assert_allclose(back.values, tanh_profile.values, rtol=1e-12)
     r = np.linspace(0.5, 20.0, 40)
     assert_allclose(back.interp(r), tanh_profile.interp(r), atol=1e-7)
+
+
+def _single_mode_reference(w, n, mode, r_max, tol):
+    """The per-mode solve the stacked solver replaced: a scalar right-hand
+    side returning a list, on the one (u, w) pair of one mode."""
+    lam2 = mode.lambda_sq
+    l = indicial_exponent(n, lam2)
+    r0, h = 1e-3, 1e-2
+    kappa2 = (-((float(w.eval(h)[0]) - h) / h ** 3)
+              * (l * (n - 1) + lam2) / (2.0 * l + n))
+    u0 = l * math.log(r0) + math.log1p(kappa2 * r0 ** 2)
+    w0 = (l + (l + 2) * kappa2 * r0 ** 2) / (1.0 + kappa2 * r0 ** 2)
+
+    def rhs(s, y):
+        r = math.exp(s)
+        phi, dphi, _ = w.eval(r)
+        ww = y[1]
+        rho = r / phi
+        return [ww, ww + lam2 * rho * rho - (n - 1) * (r * dphi / phi) * ww - ww * ww]
+
+    sol = solve_ivp(rhs, (math.log(r0), math.log(r_max)), [u0, w0],
+                    method="DOP853", dense_output=True,
+                    rtol=min(max(tol * 1e-3, 1e-13), 1e-8),
+                    atol=[1e-12, 1e-290])
+    grid = np.geomspace(r0, r_max, 800)
+    u, wlog = sol.sol(np.log(grid))
+    values = np.exp(u)
+    return values, values * wlog / grid, sol.sol
+
+
+@pytest.mark.parametrize("w,n,m,tol", [
+    (Hyperbolic(1.0), 2, 1, 1e-8), (Hyperbolic(2.5), 3, 3, 1e-10),
+    (PowerGrowth(2.0), 3, 2, 1e-8), (PowerLog(1.2), 2, 4, 1e-10),
+    (Euclidean(), 3, 1, 1e-10),
+])
+def test_one_mode_stack_is_the_single_mode_solve(w, n, m, tol):
+    mode = eigen_round_sphere(n, m)
+    values, derivs, dense = _single_mode_reference(w, n, mode, 30.0, tol)
+    p = solve_modes(w, n, [mode], r_max=30.0, tol=tol)[0]
+    assert p.values.tobytes() == values.tobytes()
+    assert p.derivs.tobytes() == derivs.tobytes()
+    s = np.linspace(math.log(1e-3), math.log(30.0), 97)
+    assert p._dense(s).tobytes() == dense(s).tobytes()
+    q = solve_radial(w, n, mode, r_max=30.0, tol=tol)
+    assert q.values.tobytes() == values.tobytes()
+
+
+def test_stack_keeps_mode_order_and_agrees_per_mode():
+    w, n = PowerGrowth(2.0), 3
+    modes = [eigen_round_sphere(n, m) for m in (2, 0, 4, 1)]
+    stack = solve_modes(w, n, modes, r_max=40.0)
+    assert [p.mode for p in stack] == modes
+    assert np.all(stack[1].values == 1.0) and stack[1].normalized
+    r = np.geomspace(2e-3, 40.0, 60)
+    for mode, p in zip(modes, stack):
+        assert p.r_max == 40.0
+        single = solve_radial(w, n, mode, r_max=40.0)
+        assert_allclose(p.values, single.values, rtol=1e-9)
+        assert_allclose(p.interp(r), single.interp(r), rtol=1e-9)
+        if mode.m:
+            assert_allclose(riccati_x(p, r), riccati_x(single, r), rtol=1e-8)
+
+
+def test_profiles_json_ignores_last_bits(tmp_path, tanh_profile):
+    # limit_error is printed rounded up to 3 digits and every other float
+    # at 12, so one ulp of a tail bracket leaves the file's bytes as they were
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    export_metadata_json([tanh_profile], first)
+    err = tanh_profile.limit_error
+    export_metadata_json([replace(tanh_profile, limit_error=math.nextafter(err, 0.0))],
+                         second)
+    assert first.read_bytes() == second.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["a.json", "b.json"]  # no temp left
+    rec, = json.loads(first.read_text())
+    assert err <= rec["limit_error"] <= err * 1.01
+    assert rec["limit_error"] == float(f"{rec['limit_error']:.3g}")
+    assert rec["lambda_sq"] == 1.0 and rec["normalized"] is True
