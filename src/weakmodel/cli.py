@@ -59,6 +59,8 @@ def _load_config(args):
         raise WeakModelError(f"tolerance must be positive, got {cfg['tol']}")
     if cfg["n"] < 2:
         raise WeakModelError(f"dimension must be >= 2, got {cfg['n']}")
+    if cfg["modes"] < 0:
+        raise WeakModelError(f"band limit M must be >= 0, got {cfg['modes']}")
     for path_key in ("bc_csv", "coeffs", "warp_csv"):
         if cfg.get(path_key) and not os.path.exists(cfg[path_key]):
             raise WeakModelError(f"file not found: {cfg[path_key]}")

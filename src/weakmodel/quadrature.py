@@ -3,7 +3,10 @@
 The log-space variants integrate exp(logf) for positive integrands whose
 values under- or overflow double precision (powers of the warping function
 for large n).  Panel sums are evaluated with log-sum-exp so only the final
-exponentiation can underflow, never the bookkeeping.
+exponentiation can underflow, never the bookkeeping.  `kronrod_panel_log`,
+the one log-space K15 kernel, takes arrays of intervals and calls logf once
+for all of them: a split in `adaptive_quad_log` costs one integrand call,
+and `LogCumulative.log_between` has no loop over its limits.
 
 `logsumexp` is the plain stable form max + log(sum(exp(a - max))) in numpy.
 It agrees with `scipy.special.logsumexp` to a few ulp, at a fraction of the
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -45,6 +48,7 @@ _WG = np.array([
 ])
 
 _LOG_WK = np.log(_WK)
+_WK_G7 = _WK - _WG
 
 
 def logsumexp(a):
@@ -78,18 +82,30 @@ def kronrod_panel(f, a, b):
 
 
 def kronrod_panel_log(logf, a, b):
-    """K15 panel for integrand exp(logf); returns (log value, log error)."""
+    """K15 panels for the integrand exp(logf); returns (log value, log error).
+
+    a and b are the ends of one interval, or equal-length arrays of intervals.
+    The nodes of all intervals go to logf in one call; the result is a pair
+    of floats for one interval and a pair of arrays for arrays.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _XK
-    g = np.asarray(logf(x), dtype=float)
-    log_k15 = math.log(half) + logsumexp(_LOG_WK + g)
-    m = float(np.max(g))
-    if not math.isfinite(m):
-        # integrand identically zero (all logf = -inf)
-        return -math.inf, -math.inf
-    diff = float(np.dot(_WK - _WG, np.exp(g - m)))
-    log_err = math.log(half) + m + (math.log(abs(diff)) if diff != 0.0 else -745.0)
-    return log_k15, log_err
+    x = (0.5 * (a + b))[..., None] + half[..., None] * _XK
+    g = np.asarray(logf(x.ravel()), dtype=float).reshape(-1, len(_XK))
+    s = _LOG_WK + g
+    top = s.max(axis=1, keepdims=True)
+    m = g.max(axis=1, keepdims=True)
+    log_half = np.log(half)
+    with np.errstate(invalid="ignore", divide="ignore"):   # rows set to -inf below
+        log_val = log_half + (top[:, 0] + np.log(np.exp(s - top).sum(axis=1)))
+        # K15 - G7 is roundoff-sized: one dot per row keeps its bits stable
+        diff = np.abs([np.dot(_WK_G7, e) for e in np.exp(g - m)])
+        log_err = log_half + m[:, 0] + np.where(diff > 0.0, np.log(diff), -745.0)
+    zero = ~np.isfinite(m[:, 0])   # logf all -inf (or +inf or nan): counted as zero
+    log_val[zero] = log_err[zero] = -math.inf
+    if a.ndim == 0:
+        return float(log_val[0]), float(log_err[0])
+    return log_val, log_err
 
 
 def adaptive_quad(f, a, b, rtol=1e-10, atol=0.0, max_panels=2000):
@@ -115,12 +131,12 @@ def adaptive_quad(f, a, b, rtol=1e-10, atol=0.0, max_panels=2000):
     return total, toterr
 
 
-@dataclass
-class _LogPanel:
-    a: float
-    b: float
-    log_val: float
-    log_err: float
+_LogPanel = namedtuple("_LogPanel", "a b log_val log_err")
+
+
+def _log_panels(logf, a, b):
+    """The K15 panels on the intervals [a_i, b_i], from one call of logf."""
+    return list(map(_LogPanel, a, b, *kronrod_panel_log(logf, a, b)))
 
 
 def adaptive_quad_log(logf, a, b, rtol=1e-10, max_panels=2000, min_panels=1):
@@ -130,11 +146,8 @@ def adaptive_quad_log(logf, a, b, rtol=1e-10, max_panels=2000, min_panels=1):
     """
     if b <= a:
         return -math.inf, -math.inf, []
-    panels = []
     edges = np.linspace(a, b, min_panels + 1)
-    for pa, pb in zip(edges[:-1], edges[1:]):
-        lv, le = kronrod_panel_log(logf, pa, pb)
-        panels.append(_LogPanel(pa, pb, lv, le))
+    panels = _log_panels(logf, edges[:-1], edges[1:])
     log_rtol = math.log(rtol)
     while True:
         log_total = logsumexp([p.log_val for p in panels])
@@ -148,10 +161,7 @@ def adaptive_quad_log(logf, a, b, rtol=1e-10, max_panels=2000, min_panels=1):
         worst = max(range(len(panels)), key=lambda i: panels[i].log_err)
         p = panels.pop(worst)
         mid = 0.5 * (p.a + p.b)
-        lv1, le1 = kronrod_panel_log(logf, p.a, mid)
-        lv2, le2 = kronrod_panel_log(logf, mid, p.b)
-        panels.append(_LogPanel(p.a, mid, lv1, le1))
-        panels.append(_LogPanel(mid, p.b, lv2, le2))
+        panels += _log_panels(logf, [p.a, mid], [mid, p.b])
     panels.sort(key=lambda p: p.a)
     return float(log_total), float(log_err), panels
 
@@ -177,15 +187,16 @@ class LogCumulative:
         self.panels = panels
         self.log_total = log_total
         self._starts = np.array([p.a for p in panels])
+        self._ends = np.array([p.b for p in panels])
         self._log_vals = np.array([p.log_val for p in panels])
 
     def log_between(self, x, y):
         """log of the integral over [x, y] clipped to [lo, hi]; -inf if empty.
 
         x and y may be arrays, broadcast against each other; the result then
-        has their shape.  The partial K15 panels of all limits are evaluated
-        with one call of logf, and each integral is the log-sum-exp of its
-        head panel, the whole panels between and its tail panel, in that order.
+        has their shape.  One kernel call gives the partial K15 panels of all
+        limits; each integral is the log-sum-exp of one row: the head panel,
+        the whole panels between (the others masked with -inf), the tail.
         """
         xs, ys = np.broadcast_arrays(np.maximum(x, self.lo),
                                      np.minimum(y, self.hi))
@@ -194,43 +205,22 @@ class LogCumulative:
         if len(live):
             xc = xs.ravel()[live]
             yc = ys.ravel()[live]
-            first = np.maximum(np.searchsorted(self._starts, xc, side="right") - 1, 0)
-            last = np.maximum(np.searchsorted(self._starts, yc, side="right") - 1, 0)
-            edges = []   # (a, b) of every partial panel
-            plans = []   # per limit pair: (head, i, j, tail), head/tail index edges
-            for xq, yq, i, j in zip(xc, yc, first, last):
-                if i == j:
-                    plans.append((len(edges), i, j, None))
-                    edges.append((xq, yq))
-                    continue
-                head = tail = None
-                if xq > self._starts[i]:
-                    head = len(edges)
-                    edges.append((xq, self.panels[i].b))
-                if yq > self._starts[j]:
-                    tail = len(edges)
-                    edges.append((self._starts[j], yq))
-                plans.append((head, i, j, tail))
-            partial = self._log_partial_panels(edges)
-            flat = out.reshape(-1)
-            for q, (head, i, j, tail) in zip(live, plans):
-                if i == j:
-                    flat[q] = partial[head]
-                    continue
-                parts = [partial[head] if head is not None else self._log_vals[i]]
-                parts.extend(self._log_vals[i + 1:j])
-                if tail is not None:
-                    parts.append(partial[tail])
-                flat[q] = logsumexp(parts)
+            i = np.searchsorted(self._starts, xc, side="right") - 1
+            j = np.searchsorted(self._starts, yc, side="right") - 1
+            one = i == j   # x and y in one panel: the head is all of [x, y]
+            cut_head = one | (xc > self._starts[i])
+            cut_tail = ~one & (yc > self._starts[j])
+            part, _ = kronrod_panel_log(
+                self.logf,
+                np.concatenate([xc[cut_head], self._starts[j[cut_tail]]]),
+                np.concatenate([np.where(one, yc, self._ends[i])[cut_head],
+                                yc[cut_tail]]))
+            head = self._log_vals[i]
+            head[cut_head] = part[:np.count_nonzero(cut_head)]
+            tail = np.full(len(live), -math.inf)
+            tail[cut_tail] = part[np.count_nonzero(cut_head):]
+            cols = np.arange(len(self.panels))
+            between = (cols > i[:, None]) & (cols < j[:, None])
+            out.flat[live] = _logsumexp_rows(np.column_stack(
+                [head, np.where(between, self._log_vals, -math.inf), tail]))
         return float(out) if out.ndim == 0 else out
-
-    def _log_partial_panels(self, edges):
-        """Log K15 values on the intervals `edges`, from one call of logf."""
-        if not edges:
-            return []
-        a, b = np.array(edges).T
-        half = 0.5 * (b - a)
-        nodes = (0.5 * (a + b))[:, None] + half[:, None] * _XK
-        g = np.asarray(self.logf(nodes.ravel()), dtype=float).reshape(nodes.shape)
-        return [math.log(h) + float(v)
-                for h, v in zip(half, _logsumexp_rows(_LOG_WK + g))]

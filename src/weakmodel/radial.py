@@ -225,7 +225,7 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
         rho = r / phi
         dy = np.empty_like(y)
         dy[0::2] = ww
-        dy[1::2] = ww + lam2 * rho * rho - (n - 1) * (r * dphi / phi) * ww - ww * ww
+        dy[1::2] = ww + lam2 * rho * rho - (n - 1) * (rho * dphi) * ww - ww * ww
         return dy
 
     # near-pure relative control on w: it decays doubly-exponentially for

@@ -158,6 +158,29 @@ def test_solve_refuses_radius_where_phi_overflows(tmp_path, capsys):
     assert "<= 0" not in err
 
 
+def test_solve_and_verify_just_below_phi_overflow(tmp_path):
+    # at r = 709.8 phi is still finite but r * phi' overflows; the
+    # right-hand side uses rho * phi' with rho = r / phi instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cmd in ("solve", "verify"):
+            code = run([cmd, "--family", "hyperbolic", "--a", "1", "--n", "3",
+                        "--modes", "2", "--rmax", "709.8",
+                        "--out", str(tmp_path / cmd)])
+            assert code == 0, cmd
+    rep = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert rep["all_passed"] is True
+
+
+def test_negative_band_limit_refused(tmp_path, capsys):
+    for cmd in ("solve", "verify"):
+        code = run([cmd, "--family", "hyperbolic", "--a", "1", "--n", "2",
+                    "--modes", "-1", "--out", str(tmp_path / cmd)])
+        assert code == 1, cmd
+        assert "band limit M must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / cmd).exists()
+
+
 def test_verify_user_rmax_below_certificate_start(tmp_path):
     # --rmax 4 is the first radius tried; the extension moves to the
     # radius its tail certificate starts at, and every check uses it

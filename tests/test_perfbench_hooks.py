@@ -7,9 +7,9 @@ suite, and not only in a later traced benchmark run.
 import importlib.util
 from pathlib import Path
 
-from weakmodel import cli, radial
+from weakmodel import cli, criterion, quadrature, radial
 from weakmodel.spectrum import eigen_round_sphere
-from weakmodel.warp import Hyperbolic
+from weakmodel.warp import Hyperbolic, PowerGrowth
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,3 +40,23 @@ def test_tracer_instruments_and_restores_the_package():
     finally:
         patch.restore()
     assert [getattr(module, name) for module, name in hooks] == originals
+
+
+def test_tracer_instruments_and_restores_quadrature():
+    tracing = _load_tracing()
+    hooks = ((quadrature, "kronrod_panel_log"), (quadrature, "adaptive_quad_log"),
+             (criterion, "adaptive_quad_log"))
+    methods = ("__init__", "log_between")
+    originals = [getattr(module, name) for module, name in hooks]
+    original_methods = [quadrature.LogCumulative.__dict__[m] for m in methods]
+    tracer = tracing.Tracer()
+    patch = tracing.instrument(tracer)
+    try:
+        criterion.march_criterion(PowerGrowth(2.0), 3, tol=1e-6)
+    finally:
+        patch.restore()
+    spans = {tracer.names[i] for i in tracer.name}
+    assert {"quadrature.k15_panel", "quadrature.log_between",
+            "quadrature.adaptive_quad_log"} <= spans
+    assert [getattr(module, name) for module, name in hooks] == originals
+    assert [quadrature.LogCumulative.__dict__[m] for m in methods] == original_methods

@@ -128,3 +128,44 @@ def test_batched_log_between_matches_scalar():
     for x, v in zip(ys, batched):
         assert v == cum.log_between(float(x), 9.0), x
         assert _close_to_scipy(v, _reference_log_between(cum, x, 9.0)), x
+
+
+def test_batched_k15_panels_equal_scalar_panels():
+    # zero below x = 2, so the first interval's logf is all -inf
+    logf = lambda x: np.where(x < 2.0, -np.inf, np.sin(x) - 2.0 * x)
+    a = np.array([0.0, 1.5, 2.0, 3.0, 3.0])
+    b = np.array([1.0, 2.5, 3.0, 7.0, 3.0 + 1e-9])
+    log_vals, log_errs = kronrod_panel_log(logf, a, b)
+    assert log_vals.shape == log_errs.shape == a.shape
+    for k in range(len(a)):
+        lv, le = kronrod_panel_log(logf, a[k], b[k])
+        assert type(lv) is float and type(le) is float
+        assert (lv, le) == (log_vals[k], log_errs[k]), k
+    assert (log_vals[0], log_errs[0]) == (-math.inf, -math.inf)
+    assert np.isfinite(log_vals[1:]).all() and np.isfinite(log_errs[1:]).all()
+
+
+def _counted(logf):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return logf(x)
+    return counted, calls
+
+
+@pytest.mark.parametrize("min_panels", [1, 3, 8])
+def test_adaptive_log_makes_one_call_per_split(min_panels):
+    logf, calls = _counted(lambda x: np.sin(3.0 * x) - 0.5 * x)
+    _, _, panels = adaptive_quad_log(logf, 0.0, 20.0, rtol=1e-12,
+                                     min_panels=min_panels)
+    assert len(panels) > min_panels   # it did split
+    assert len(calls) == 1 + (len(panels) - min_panels)
+    assert calls[0] == 15 * min_panels and set(calls[1:]) == {30}
+
+
+def test_log_between_makes_one_call_of_logf():
+    cum = LogCumulative(lambda x: np.sin(x) - 2.0 * x, 1.0, 9.0)
+    cum.logf, calls = _counted(cum.logf)
+    cum.log_between(np.linspace(1.2, 8.8, 30)[:, None], np.array([2.0, 9.0]))
+    assert len(calls) == 1

@@ -316,7 +316,7 @@ def _single_mode_reference(w, n, mode, r_max, tol):
         phi, dphi, _ = w.eval(r)
         ww = y[1]
         rho = r / phi
-        return [ww, ww + lam2 * rho * rho - (n - 1) * (r * dphi / phi) * ww - ww * ww]
+        return [ww, ww + lam2 * rho * rho - (n - 1) * (rho * dphi) * ww - ww * ww]
 
     sol = solve_ivp(rhs, (math.log(r0), math.log(r_max)), [u0, w0],
                     method="DOP853", dense_output=True,
