@@ -547,14 +547,29 @@ def fubini_check(w: WarpingFunction, n: int, R: float):
     return math.exp(lv), math.exp(rv)
 
 
-def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
-    """Certified tail brackets at R for a metric with convergent criterion."""
+def _convergent_model(w, n):
+    """The tail model of a metric whose criterion integral converges."""
     growth = w.growth_class
     if isinstance(growth, UnknownGrowth):
         raise NotConvergent("cannot certify tails without an analytic growth class")
     model = _TailModel(growth, n)
     if model.inner_diverges() or model.double_diverges():
         raise NotConvergent("criterion integral diverges for this metric")
+    return model
+
+
+def inner_tail(w: WarpingFunction, n: int, R: float):
+    """(R', bracket): R raised to the start of the tail sandwich, and the
+    certified log bracket for int_R'^inf phi^{1-n}."""
+    model = _convergent_model(w, n)
+    R = _start_radius(w, model, float(R))
+    inner, _ = _tail_brackets(w, n, model, R, model.r0(R), double=False)
+    return R, inner
+
+
+def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
+    """Certified tail brackets at R for a metric with convergent criterion."""
+    model = _convergent_model(w, n)
     R = _start_radius(w, model, float(R))
     cum = LogCumulative(lambda t: (n - 3) * w.log_phi(t), 1.0, R, rtol=1e-12)
     inner, dbl = _tail_brackets(w, n, model, R, model.r0(R))

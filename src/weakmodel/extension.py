@@ -84,7 +84,9 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     the top of the band carries more than _TAIL_ENERGY_FRACTION of the
     boundary energy, since the truncation bound is then unreliable; exact
     coefficients with no mode above M need no warning, as their projection
-    drops nothing.  All modes share one radius and one tail certificate,
+    drops nothing.  All modes share one radius.  At n = 2 they are the
+    closed forms exp(-lambda tau) at `r_max` (or a start radius), raised to
+    where the tail bracket holds.  At n >= 3 they share one tail certificate
     and are solved as one stack: once at `r_max` (or a start radius), and
     once more only when the top mode's certificate moves the radius.
     """
@@ -109,14 +111,17 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
 
     R = float(r_max) if r_max is not None else _start_r_max(w)
     modes = [spectrum.mode(m) for m in range(M + 1)]
-    raw = _radial.solve_modes(w, n, modes, r_max=R, tol=tol)
-    cert = None
-    if M > 0:       # the constant mode needs no tail certificate
-        cert = _radial.suggest_rmax(raw[M], R)
-        if cert.r_max != R:
-            raw = _radial.solve_modes(w, n, modes, r_max=cert.r_max, tol=tol)
-    profiles = {m: _radial.normalize_profile(prof, criterion, cert)
-                for m, prof in enumerate(raw)}
+    if n == 2:
+        profiles = dict(enumerate(_radial.conformal_modes(w, modes, R)))
+    else:
+        raw = _radial.solve_modes(w, n, modes, r_max=R, tol=tol)
+        cert = None
+        if M > 0:       # the constant mode needs no tail certificate
+            cert = _radial.suggest_rmax(raw[M], R)
+            if cert.r_max != R:
+                raw = _radial.solve_modes(w, n, modes, r_max=cert.r_max, tol=tol)
+        profiles = {m: _radial.normalize_profile(prof, criterion, cert)
+                    for m, prof in enumerate(raw)}
     slack = max(p.limit_error for p in profiles.values())
 
     return HarmonicExtension(

@@ -81,12 +81,14 @@ def kronrod_panel(f, a, b):
     return k15, abs(k15 - g7)
 
 
-def kronrod_panel_log(logf, a, b):
+def kronrod_panel_log(logf, a, b, err=True):
     """K15 panels for the integrand exp(logf); returns (log value, log error).
 
     a and b are the ends of one interval, or equal-length arrays of intervals.
     The nodes of all intervals go to logf in one call; the result is a pair
-    of floats for one interval and a pair of arrays for arrays.
+    of floats for one interval and a pair of arrays for arrays.  With
+    err=False the K15-G7 estimate is skipped and only the log values are
+    returned, with the same bits.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
@@ -94,15 +96,19 @@ def kronrod_panel_log(logf, a, b):
     g = np.asarray(logf(x.ravel()), dtype=float).reshape(-1, len(_XK))
     s = _LOG_WK + g
     top = s.max(axis=1, keepdims=True)
-    m = g.max(axis=1, keepdims=True)
     log_half = np.log(half)
     with np.errstate(invalid="ignore", divide="ignore"):   # rows set to -inf below
         log_val = log_half + (top[:, 0] + np.log(np.exp(s - top).sum(axis=1)))
-        # K15 - G7 is roundoff-sized: one dot per row keeps its bits stable
-        diff = np.abs([np.dot(_WK_G7, e) for e in np.exp(g - m)])
-        log_err = log_half + m[:, 0] + np.where(diff > 0.0, np.log(diff), -745.0)
-    zero = ~np.isfinite(m[:, 0])   # logf all -inf (or +inf or nan): counted as zero
-    log_val[zero] = log_err[zero] = -math.inf
+        if err:
+            # K15 - G7 is roundoff-sized: one dot per row keeps its bits stable
+            m = g.max(axis=1, keepdims=True)
+            diff = np.abs([np.dot(_WK_G7, e) for e in np.exp(g - m)])
+            log_err = log_half + m[:, 0] + np.where(diff > 0.0, np.log(diff), -745.0)
+    zero = ~np.isfinite(top[:, 0])   # logf all -inf (or +inf or nan): counted as zero
+    log_val[zero] = -math.inf
+    if not err:
+        return float(log_val[0]) if a.ndim == 0 else log_val
+    log_err[zero] = -math.inf
     if a.ndim == 0:
         return float(log_val[0]), float(log_err[0])
     return log_val, log_err
@@ -170,7 +176,8 @@ class LogCumulative:
     """Panelized log of integrals of a positive integrand over [lo, hi].
 
     Supports log(int_x^y exp(logf)) for arbitrary lo <= x <= y <= hi without
-    forming the (possibly overflowing) linear values.
+    forming the (possibly overflowing) linear values.  `log_err` is the log
+    of the K15-G7 error estimate of the whole integral.
     """
 
     def __init__(self, logf, lo, hi, rtol=1e-11, max_panels=4000):
@@ -179,13 +186,14 @@ class LogCumulative:
         self.hi = float(hi)
         if hi <= lo:
             self.panels = []
-            self.log_total = -math.inf
+            self.log_total = self.log_err = -math.inf
             self._starts = np.array([])
             return
-        log_total, _, panels = adaptive_quad_log(
+        log_total, log_err, panels = adaptive_quad_log(
             logf, lo, hi, rtol=rtol, max_panels=max_panels, min_panels=8)
         self.panels = panels
         self.log_total = log_total
+        self.log_err = log_err
         self._starts = np.array([p.a for p in panels])
         self._ends = np.array([p.b for p in panels])
         self._log_vals = np.array([p.log_val for p in panels])
@@ -210,11 +218,11 @@ class LogCumulative:
             one = i == j   # x and y in one panel: the head is all of [x, y]
             cut_head = one | (xc > self._starts[i])
             cut_tail = ~one & (yc > self._starts[j])
-            part, _ = kronrod_panel_log(
+            part = kronrod_panel_log(
                 self.logf,
                 np.concatenate([xc[cut_head], self._starts[j[cut_tail]]]),
                 np.concatenate([np.where(one, yc, self._ends[i])[cut_head],
-                                yc[cut_tail]]))
+                                yc[cut_tail]]), err=False)
             head = self._log_vals[i]
             head[cut_head] = part[:np.count_nonzero(cut_head)]
             tail = np.full(len(live), -math.inf)

@@ -19,6 +19,10 @@ yields the verified growth bound
 
 with A = x(1), B = phi_m(1); the same bound certifies the normalization
 error when the criterion integral converges.
+
+At n = 2 the equation is u'' = lambda^2 u in the conformal time
+tau(r) = int_r^inf 1/phi, so the bounded mode with limit 1 is exactly
+exp(-lambda tau(r)); `conformal_modes` builds those without an ODE solve.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from . import criterion as _criterion
+from . import quadrature as _quadrature
 from .errors import (DegenerateProfile, NonPositiveWarp, NotConvergent,
                      OutOfDomain, OutOfRange, QuadratureFailure,
                      StepSizeUnderflow, TailNotTight)
@@ -44,6 +49,7 @@ _NORMALIZE_DELTA = 1e-4
 _SUGGEST_DELTA = _NORMALIZE_DELTA / 8.0
 _FD_STEP = 2e-2
 _MASTER_NODES = 16385
+_TAU_RTOL = 1e-12
 
 
 def indicial_exponent(n: int, lambda_sq: float) -> float:
@@ -66,7 +72,7 @@ class RadialProfile:
     limit_error: float
     normalized: bool
     r0: float
-    _dense: object = None      # solve_ivp dense solution in s = log r, or None
+    _dense: object = None      # s = log r -> (log raw phi_m, r phi_m'/phi_m), or None
     _scale: float = 1.0        # divisor applied to the raw solution
 
     @property
@@ -179,6 +185,15 @@ def _check_warp_on_grid(w: WarpingFunction, grid):
                           f"{span}; the radial solve needs a smaller r_max")
 
 
+def _constant_profile(w, n, mode, grid):
+    """The m = 0 profile: the constant 1, normalized and exact."""
+    return RadialProfile(
+        mode=mode, n=n, warp=w, indicial_l=0.0, grid=grid,
+        values=np.ones_like(grid), derivs=np.zeros_like(grid),
+        limit_estimate=1.0, limit_error=0.0, normalized=True,
+        r0=float(grid[0]))
+
+
 def _mode_rows(dense, j):
     """The (u, w) rows of the j-th solved mode in a stacked dense solution."""
     return lambda s: dense(s)[2 * j:2 * j + 2]
@@ -197,11 +212,8 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     rescales a convergent one to limit 1.
     """
     grid = np.geomspace(r0 or _DEFAULT_R0, r_max, grid_size)
-    profiles = [RadialProfile(
-        mode=mode, n=n, warp=w, indicial_l=0.0, grid=grid,
-        values=np.ones_like(grid), derivs=np.zeros_like(grid),
-        limit_estimate=1.0, limit_error=0.0, normalized=True,
-        r0=float(grid[0])) if mode.m == 0 else None for mode in modes]
+    profiles = [_constant_profile(w, n, mode, grid) if mode.m == 0 else None
+                for mode in modes]
     solved = [i for i, mode in enumerate(modes) if mode.m != 0]
     if not solved:
         return profiles
@@ -255,6 +267,84 @@ def solve_radial(w: WarpingFunction, n: int, mode: EigenMode,
                  grid_size: int = _GRID_SIZE) -> RadialProfile:
     """The raw profile of one mode: `solve_modes` of a one-mode stack."""
     return solve_modes(w, n, [mode], r_max, tol, r0, grid_size)[0]
+
+
+# ---------------------------------------------------------------------------
+# n = 2: modes in closed form
+# ---------------------------------------------------------------------------
+
+class _ConformalTime:
+    """tau(r) = int_r^inf 1/phi of a convergent n = 2 metric, and r/phi.
+
+    tau is one LogCumulative of r/phi in s = log r over [log r0, log R],
+    plus the midpoint of the certified transience tail bracket at R.
+    `error` bounds |tau - exact| by the bracket's half-width plus the
+    cumulative's K15-G7 estimate.  A call remembers its points and values,
+    so the modes of one extension asked at the same radii share one tau;
+    the memo is one tuple, replaced whole, so concurrent calls stay right.
+    """
+
+    def __init__(self, w: WarpingFunction, r0: float, R: float, log_inner):
+        self.w = w
+        self.S = math.log(R)
+        self.cum = _quadrature.LogCumulative(
+            lambda s: s - w.log_phi(np.exp(s)), math.log(r0), self.S,
+            rtol=_TAU_RTOL)
+        lo, hi = math.exp(log_inner[0]), math.exp(log_inner[1])
+        self.tail = 0.5 * (lo + hi)
+        self.error = 0.5 * (hi - lo) + math.exp(self.cum.log_err)
+        self._memo = None   # (s, tau, r/phi) of the last call
+
+    def __call__(self, s):
+        """(tau, r/phi) at s = log r."""
+        s = np.asarray(s, dtype=float)
+        memo = self._memo
+        if memo is None or not np.array_equal(memo[0], s):
+            tau = self.tail + np.exp(self.cum.log_between(s, self.S))
+            rho = np.exp(s - np.asarray(self.w.log_phi(np.exp(s)), dtype=float))
+            self._memo = memo = (s.copy(), tau, rho)
+        return memo[1], memo[2]
+
+
+def _conformal_rows(tau: _ConformalTime, lam: float):
+    """The (log phi_m, r phi_m'/phi_m) rows of exp(-lam tau), like `_dense`."""
+    def dense(s):
+        t, rho = tau(s)
+        return np.stack([-lam * t, lam * rho])
+    return dense
+
+
+def conformal_modes(w: WarpingFunction, modes,
+                    r_max: float) -> list[RadialProfile]:
+    """The normalized n = 2 profiles exp(-lambda tau) of every mode.
+
+    The grid is the one `solve_modes` uses, with R = r_max raised to the
+    start of the tail sandwich, as for a tail certificate; there is no ODE
+    solve and no search for R.  All modes share one tau, and each mode's
+    limit_error is lambda times tau's error bound, which bounds
+    |phi_m - exact| on the whole range.  Without an m >= 1 mode no tail is
+    needed and R is r_max.
+    """
+    if all(mode.m == 0 for mode in modes):
+        return solve_modes(w, 2, modes, r_max)
+    R, log_inner = _criterion.inner_tail(w, 2, r_max)
+    grid = np.geomspace(_DEFAULT_R0, R, _GRID_SIZE)
+    _check_warp_on_grid(w, grid)
+    tau = _ConformalTime(w, _DEFAULT_R0, R, log_inner)
+    t, rho = tau(np.log(grid))
+    profiles = []
+    for mode in modes:
+        if mode.m == 0:
+            profiles.append(_constant_profile(w, 2, mode, grid))
+            continue
+        lam = math.sqrt(mode.lambda_sq)
+        values = np.exp(-lam * t)
+        profiles.append(RadialProfile(
+            mode=mode, n=2, warp=w, indicial_l=indicial_exponent(2, mode.lambda_sq),
+            grid=grid, values=values, derivs=lam * values * rho / grid,
+            limit_estimate=1.0, limit_error=lam * tau.error, normalized=True,
+            r0=float(grid[0]), _dense=_conformal_rows(tau, lam)))
+    return profiles
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,8 @@ def test_verify_traces_and_certifies_each_profile_once(tmp_path, monkeypatch):
         return solve_modes(*args, **kwargs)
 
     monkeypatch.setattr(radial, "solve_modes", counted)
-    code = run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "2",
+    # n = 3: the n = 2 modes are closed forms, with no solve or certificate
+    code = run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "3",
                 "--modes", "4", "--out", str(tmp_path / "v")])
     assert code == 0
     assert len(traces) == 4
@@ -189,6 +190,24 @@ def test_verify_user_rmax_below_certificate_start(tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "v" / "verify.json").read_text())
     assert rep["all_passed"] is True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", [
+    ["--family", "powergrowth", "--p", "1.1", "--modes", "2"],
+    ["--family", "powerlog", "--c", "3", "--modes", "3"],
+], ids=["powergrowth_1.1", "powerlog_3"])
+def test_slow_n2_tails_solve_and_verify(tmp_path, flags):
+    # the first-order tail delta of these metrics decays like R^-0.1 or
+    # 1/log(R)^2: the ODE path warned of overflow, then searched 24 doublings
+    # of R and failed.  The closed-form modes need neither
+    for cmd in ("solve", "verify"):
+        code = run([cmd, *flags, "--n", "2", "--out", str(tmp_path / cmd)])
+        assert code == 0, cmd
+    rep = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert rep["all_passed"] is True
+    summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+    assert summary["r_max"] == 30.0
 
 
 def test_verify_power_growth_passes(tmp_path):

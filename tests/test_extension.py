@@ -10,6 +10,7 @@ from weakmodel import criterion
 from weakmodel import extension as ext
 from weakmodel.errors import NotSolvable, OutOfRange
 from weakmodel.oracle import laplace_beltrami_residual_fn
+from weakmodel.quadrature import LogCumulative
 from weakmodel.spectrum import (BoundaryData, CoefficientTable,
                                 eigenfunction_eval, sphere_quadrature,
                                 synthesize)
@@ -38,13 +39,14 @@ def band_extension(hyperbolic_criterion):
     (Hyperbolic(1.0), 4, [30.0]),
     # suggest_rmax certifies 30 * 2^k up to the returned radius, which the
     # mode's normalization reuses
-    (PowerGrowth(2.0), 1, [30.0 * 2 ** k for k in range(14)]),
+    (PowerGrowth(2.0), 1, [30.0 * 2 ** k for k in range(5)]),
 ])
 def test_one_certificate_per_radius(monkeypatch, w, M, radii):
-    table = CoefficientTable(2)
-    table.set(1, 0, math.sqrt(math.pi))
+    # n = 3: the n = 2 modes are closed forms and need no certificate
+    table = CoefficientTable(3)
+    table.set(1, 0, 1.0)
     certs = count_calls(monkeypatch, criterion, "tail_certificate")
-    e = ext.build_extension(w, 2, BoundaryData.from_coefficients(table), M)
+    e = ext.build_extension(w, 3, BoundaryData.from_coefficients(table), M)
     assert [args[2] for args in certs] == radii
     assert e.r_max == radii[-1]
 
@@ -64,9 +66,9 @@ def test_user_rmax_below_certificate_start_is_honest():
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
 def test_stacked_modes_within_their_limit_error(a, tol):
-    # the n = 2 modes are exactly tanh(ar/2)^m.  The stacked solve controls
-    # one error norm over all ten components, so every mode must still lie
-    # within its own certified limit_error of the exact one
+    # the n = 2 modes are exactly tanh(ar/2)^m, and the extension builds
+    # them in closed form as exp(-lambda tau): every mode must lie within
+    # 1e-11 of the exact one, and within its own certified limit_error
     table = CoefficientTable(2)
     for m in range(6):
         table.set(m, 0, 1.0)
@@ -74,7 +76,29 @@ def test_stacked_modes_within_their_limit_error(a, tol):
                             BoundaryData.from_coefficients(table), 5, tol=tol)
     for m, p in e.profiles.items():
         gap = np.max(np.abs(p.values - np.tanh(a * p.grid / 2) ** m))
-        assert gap <= p.limit_error + 1e-11, (m, gap, p.limit_error)
+        assert gap <= 1e-11 and gap <= p.limit_error + 1e-15, (m, gap, p.limit_error)
+        r = np.linspace(0.0, p.r_max, 97)
+        assert_allclose(p.interp(r), np.tanh(a * r / 2) ** m, rtol=0, atol=1e-11)
+
+
+def test_evaluate_makes_one_tau_evaluation(monkeypatch):
+    # all n = 2 modes share one tau: u at one radius is one log_between
+    # call however many modes the band holds
+    table = CoefficientTable(2)
+    for m in range(5):
+        table.set(m, 0, 1.0)
+    e = ext.build_extension(Hyperbolic(1.0), 2,
+                            BoundaryData.from_coefficients(table), 4)
+    calls = count_calls(monkeypatch, LogCumulative, "log_between")
+    th = np.linspace(0, 2 * math.pi, 9)
+    u = ext.evaluate(e, 2.5, th)
+    assert len(calls) == 1
+    exact = sum(np.tanh(1.25) ** m * (np.cos(m * th) / math.sqrt(math.pi) if m
+                                      else 1 / math.sqrt(2 * math.pi))
+                for m in range(5))
+    assert_allclose(u, exact, rtol=0, atol=1e-12)
+    ext.evaluate(e, 3.5, th)
+    assert len(calls) == 2
 
 
 def test_all_profiles_share_one_radius():

@@ -145,6 +145,31 @@ def test_batched_k15_panels_equal_scalar_panels():
     assert np.isfinite(log_vals[1:]).all() and np.isfinite(log_errs[1:]).all()
 
 
+def test_value_only_k15_keeps_the_bits_of_log_val():
+    # log_between asks the kernel for values only; they must be the full
+    # kernel's log_val, bit for bit, including an all -inf row and a +inf row
+    rng = np.random.default_rng(5)
+    logf = lambda x: np.where(x < 2.0, -np.inf,
+                              np.where(x > 40.0, np.inf, np.sin(x) - 2.0 * x))
+    a = np.concatenate([[0.0, 39.0], rng.uniform(2.0, 30.0, 40)])
+    b = a + np.concatenate([[1.0, 2.0], rng.uniform(1e-9, 5.0, 40)])
+    log_vals, _ = kronrod_panel_log(logf, a, b)
+    values = kronrod_panel_log(logf, a, b, err=False)
+    assert values.tobytes() == log_vals.tobytes()
+    assert values[0] == -math.inf and values[1] == -math.inf
+    for k in (0, 2, 7):
+        v = kronrod_panel_log(logf, a[k], b[k], err=False)
+        assert type(v) is float and v == kronrod_panel_log(logf, a[k], b[k])[0]
+
+
+def test_log_cumulative_keeps_its_error_estimate():
+    cum = LogCumulative(lambda x: -x, 0.0, 5.0, rtol=1e-12)
+    exact = math.log(-math.expm1(-5.0))
+    assert cum.log_err <= cum.log_total + math.log(1e-12)
+    assert abs(math.exp(cum.log_total) - math.exp(exact)) <= math.exp(cum.log_err) + 1e-15
+    assert LogCumulative(lambda x: -x, 1.0, 1.0).log_err == -math.inf
+
+
 def _counted(logf):
     calls = []
 

@@ -11,11 +11,11 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 from weakmodel.criterion import march_criterion, tail_certificate
 from weakmodel.errors import (DegenerateProfile, NonPositiveWarp,
                               NotConvergent, OutOfRange, TailNotTight)
-from weakmodel.radial import (RadialProfile, export_metadata_json,
-                              indicial_exponent, lemma_bound_check,
-                              load_profile_csv, normalize_profile,
-                              riccati_trace, riccati_x, solve_modes,
-                              solve_radial, suggest_rmax)
+from weakmodel.radial import (RadialProfile, conformal_modes,
+                              export_metadata_json, indicial_exponent,
+                              lemma_bound_check, load_profile_csv,
+                              normalize_profile, riccati_trace, riccati_x,
+                              solve_modes, solve_radial, suggest_rmax)
 from weakmodel.spectrum import eigen_round_sphere
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
                             WarpingFunction)
@@ -375,3 +375,47 @@ def test_profiles_json_ignores_last_bits(tmp_path, tanh_profile):
     assert err <= rec["limit_error"] <= err * 1.01
     assert rec["limit_error"] == float(f"{rec['limit_error']:.3g}")
     assert rec["lambda_sq"] == 1.0 and rec["normalized"] is True
+
+
+def test_conformal_modes_of_power_growth_are_exact():
+    # phi = r sqrt(1 + r^2) has tau = asinh(1/r), so the modes are
+    # exp(-m asinh(1/r)), with no ODE and no search for R
+    modes = [eigen_round_sphere(2, m) for m in range(6)]
+    for p in conformal_modes(PowerGrowth(2.0), modes, 30.0):
+        m = p.mode.m
+        assert p.normalized and p.limit_estimate == 1.0 and p.r_max == 30.0
+        gap = np.max(np.abs(p.values - np.exp(-m * np.arcsinh(1.0 / p.grid))))
+        assert gap <= 1e-11 and gap <= p.limit_error + 1e-15, (m, gap)
+        r = np.geomspace(2e-3, 29.0, 50)
+        assert_allclose(p.interp(r), np.exp(-m * np.arcsinh(1.0 / r)),
+                        rtol=1e-12, atol=1e-15)
+        if m:
+            # the Riccati variable of exp(-lambda tau) is the constant 1/lambda
+            assert_allclose(riccati_x(p, r), 1.0 / m, rtol=1e-13)
+            assert_allclose(p.derivs, m * p.values / (p.grid * np.sqrt(1 + p.grid ** 2)),
+                            rtol=1e-13)
+
+
+def test_conformal_modes_start_where_the_tail_bracket_holds():
+    # R is raised to the start of the sandwich, as for a tail certificate;
+    # with the constant mode alone no tail is needed and R is kept
+    w = Hyperbolic(2.0)
+    one, = conformal_modes(w, [eigen_round_sphere(2, 1)], r_max=4.0)
+    assert one.r_max == tail_certificate(w, 2, 4.0).r_max > 4.0
+    zero, = conformal_modes(w, [eigen_round_sphere(2, 0)], r_max=4.0)
+    assert zero.r_max == 4.0 and np.all(zero.values == 1.0)
+
+
+@pytest.mark.parametrize("w", [Hyperbolic(1.0), PowerGrowth(2.0)],
+                         ids=["hyperbolic", "powergrowth"])
+def test_ode_solve_matches_closed_form_at_n2(w):
+    # the two n = 2 paths cross-check: the raw ODE solve on the same grid is
+    # exp(-lambda tau) times a constant
+    modes = [eigen_round_sphere(2, m) for m in (1, 3)]
+    for closed in conformal_modes(w, modes, 30.0):
+        raw = solve_radial(w, 2, closed.mode, r_max=closed.r_max, tol=1e-10)
+        assert raw.grid.tobytes() == closed.grid.tobytes()
+        shape = raw.values / raw.values[-1]
+        assert_allclose(shape, closed.values / closed.values[-1], rtol=1e-10)
+        r = np.geomspace(0.1, 25.0, 40)
+        assert_allclose(riccati_x(raw, r), riccati_x(closed, r), rtol=1e-10)
