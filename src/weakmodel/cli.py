@@ -28,7 +28,7 @@ from . import extension as _extension
 from . import oracle as _oracle
 from . import radial as _radial
 from .errors import WeakModelError
-from .report import write_json_atomic
+from .report import round_up_3, write_json_atomic
 from .spectrum import (BoundaryData, CoefficientTable, eigen_round_sphere,
                        load_coefficients_json, sphere_quadrature)
 from .warp import family_from_name, load_tabulated_csv
@@ -159,7 +159,7 @@ def cmd_solve(args) -> int:
                                      criterion=report)
     _solve_artifacts(cfg, ext, cfg["out"])
     print(f"solved: M={ext.M}, r_max={ext.r_max:g}, "
-          f"truncation bound {ext.truncation_error_bound:.3g}")
+          f"truncation bound {round_up_3(ext.truncation_error_bound):.3g}")
     if args.at_infinity:
         omega = 0.0 if n == 2 else (0.0, 0.0)
         print(f"u(infinity, 0) = "

@@ -49,19 +49,23 @@ def _start_r_max(w: WarpingFunction) -> float:
     return 30.0
 
 
-def _truncation_bound(coeffs: CoefficientTable, spectrum: SphereSpectrum,
-                      M: int) -> float:
-    """Estimated sup-norm of the discarded m > M tail via decay fit.
+def _truncation_bound(f: BoundaryData, coeffs: CoefficientTable,
+                      spectrum: SphereSpectrum, M: int) -> float:
+    """Sup-norm bound for the discarded m > M part of f.
 
-    Fits a geometric decay to the last nonzero mode amplitudes; for
-    band-limited data all tail amplitudes vanish and the bound is the
-    projection noise floor.
+    Coefficient input that reaches above M drops a known part: the sum of
+    |c_mk| sup_norm(m) over m > M.  Otherwise a geometric decay is fitted
+    to the last nonzero mode amplitudes; for band-limited data all tail
+    amplitudes vanish and the bound is the projection noise floor.
     """
     amps = {}
     for (m, k), c in coeffs.items():
         amps[m] = amps.get(m, 0.0) + abs(c) * spectrum.sup_norm(m)
     total = sum(amps.values())
     floor = 1e-13 * max(total, 1.0)
+    if f.coeffs is not None and f.coeffs.max_m() > M:
+        return floor + sum(abs(c) * spectrum.sup_norm(m)
+                           for (m, _), c in f.coeffs.items() if m > M)
     nonzero = [(m, a) for m, a in sorted(amps.items()) if a > floor]
     if len(nonzero) < 3 or nonzero[-1][0] < M - 1:
         return floor
@@ -80,15 +84,16 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     """Assemble the harmonic extension of f truncated at degree M.
 
     `spectrum` defaults to the round sphere; any cross-section metric can be
-    supplied through the SphereSpectrum interface.  Construction warns when
-    the top of the band carries more than _TAIL_ENERGY_FRACTION of the
-    boundary energy, since the truncation bound is then unreliable; exact
-    coefficients with no mode above M need no warning, as their projection
-    drops nothing.  All modes share one radius.  At n = 2 they are the
-    closed forms exp(-lambda tau) at `r_max` (or a start radius), raised to
-    where the tail bracket holds.  At n >= 3 they share one tail certificate
-    and are solved as one stack: once at `r_max` (or a start radius), and
-    once more only when the top mode's certificate moves the radius.
+    supplied through the SphereSpectrum interface; the round sphere refuses
+    n outside {2, 3} before any solve.  Construction warns when the top of
+    the band, with any input mode above it, carries more than
+    _TAIL_ENERGY_FRACTION of the boundary energy; exact coefficients with no
+    mode above M need no warning, as their projection drops nothing.  All
+    modes share one radius.  At n = 2 they are the closed forms
+    exp(-lambda tau) at `r_max` (or a start radius), raised to where the
+    tail bracket holds.  At n >= 3 the top mode's certificate picks the
+    radius first, from the metric alone, and covers every mode; the modes
+    are then solved once, as one stack, at that radius.
     """
     if spectrum is None:
         spectrum = RoundSphere(n)
@@ -101,9 +106,10 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     coeffs = project_boundary(f, M)
 
     exact = f.coeffs is not None and f.coeffs.max_m() <= M
-    total = coeffs.total_energy()
+    energy = f.coeffs if f.coeffs is not None else coeffs   # with what is dropped
+    total = energy.total_energy()
     if total > 0 and M >= 2 and not exact:
-        tail = coeffs.tail_energy(M - 1)
+        tail = energy.tail_energy(M - 1)
         if tail > _TAIL_ENERGY_FRACTION * total:
             warnings.warn(
                 f"boundary data is not well resolved at M={M}: modes >= {M - 1} "
@@ -114,19 +120,18 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     if n == 2:
         profiles = dict(enumerate(_radial.conformal_modes(w, modes, R)))
     else:
-        raw = _radial.solve_modes(w, n, modes, r_max=R, tol=tol)
         cert = None
         if M > 0:       # the constant mode needs no tail certificate
-            cert = _radial.suggest_rmax(raw[M], R)
-            if cert.r_max != R:
-                raw = _radial.solve_modes(w, n, modes, r_max=cert.r_max, tol=tol)
+            cert = _radial.suggest_rmax(w, n, modes[M].lambda_sq, R)
+            R = cert.r_max
+        raw = _radial.solve_modes(w, n, modes, r_max=R, tol=tol)
         profiles = {m: _radial.normalize_profile(prof, criterion, cert)
                     for m, prof in enumerate(raw)}
     slack = max(p.limit_error for p in profiles.values())
 
     return HarmonicExtension(
         warp=w, n=n, M=M, profiles=profiles, coeffs=coeffs,
-        truncation_error_bound=_truncation_bound(coeffs, spectrum, M),
+        truncation_error_bound=_truncation_bound(f, coeffs, spectrum, M),
         criterion=criterion, spectrum=spectrum, numeric_slack=slack)
 
 

@@ -17,8 +17,9 @@ yields the verified growth bound
 
     phi_m(s) <= B exp( int_1^s lambda^2/phi^{n-1} (A + int_1^t phi^{n-3}) )
 
-with A = x(1), B = phi_m(1); the same bound certifies the normalization
-error when the criterion integral converges.
+with A = x(1), B = phi_m(1); the same bound, with A replaced by its
+metric bound int_0^1 phi^{n-3}, certifies the normalization error when
+the criterion integral converges.
 
 At n = 2 the equation is u'' = lambda^2 u in the conformal time
 tau(r) = int_r^inf 1/phi, so the bounded mode with limit 1 is exactly
@@ -45,8 +46,7 @@ from .warp import WarpingFunction
 
 _DEFAULT_R0 = 1e-3
 _GRID_SIZE = 800
-_NORMALIZE_DELTA = 1e-4
-_SUGGEST_DELTA = _NORMALIZE_DELTA / 8.0
+_TAIL_DELTA = 1.25e-5
 _FD_STEP = 2e-2
 _MASTER_NODES = 16385
 _TAU_RTOL = 1e-12
@@ -351,19 +351,31 @@ def conformal_modes(w: WarpingFunction, modes,
 # Normalization via the certified tail bound
 # ---------------------------------------------------------------------------
 
-def _tail_delta(profile: RadialProfile, cert) -> float:
+def _riccati_bound(w: WarpingFunction, n: int, lambda_sq: float) -> float:
+    """A >= x(1) of the bounded mode, from the metric alone: x = 1/lambda at
+    n = 2; at n >= 3, x(0+) = 0 and x' <= phi^{n-3} give int_0^1 phi^{n-3}."""
+    if n == 2:
+        return 1.0 / math.sqrt(lambda_sq)
+    if n == 3:
+        return 1.0
+    log_val, log_err, _ = _quadrature.adaptive_quad_log(
+        lambda r: (n - 3) * w.log_phi(r), 0.0, 1.0, rtol=1e-12)
+    # rounded up: the K15 estimate leaves out roundoff (int_0^1 1 gives 1 - 1 ulp)
+    return (math.exp(log_val) + math.exp(log_err)) * (1.0 + 1e-12)
+
+
+def _tail_delta(w: WarpingFunction, n: int, lambda_sq: float, cert) -> float:
     """Upper bound for phi_m(inf)/phi_m(R) - 1 from the growth bound tail.
 
     The bound's exponent beyond R splits as
     lambda^2 [ A*T_in(R) + C(1,R)*T_in(R) + T_out(R) ] with T_in, T_out the
-    certified single and double tails and C the cumulative of phi^{n-3}.
+    certified single and double tails, C the cumulative of phi^{n-3} and
+    A >= x(1) from the metric (`_riccati_bound`), so no profile is needed.
     """
-    lam2 = profile.mode.lambda_sq
-    A = float(riccati_x(profile, 1.0)[0])
     log_in_hi = cert.log_inner[1]
-    exponent = lam2 * (A * math.exp(log_in_hi)
-                       + math.exp(cert.log_cum + log_in_hi)
-                       + cert.double[1])
+    exponent = lambda_sq * (_riccati_bound(w, n, lambda_sq) * math.exp(log_in_hi)
+                            + math.exp(cert.log_cum + log_in_hi)
+                            + cert.double[1])
     return math.expm1(exponent)
 
 
@@ -395,8 +407,10 @@ def normalize_profile(profile: RadialProfile,
 
     The limit is pinned between phi_m(R) and phi_m(R)(1 + delta), with delta
     from `cert`, the certified tail beyond the profile's own R = r_max
-    (computed when not given).  Raises TailNotTight when the certificate
-    starts at another radius or when delta >= 1e-4.
+    (computed when not given), and becomes the profile's limit_error.  At
+    n >= 3 that bounds the tail normalization only, not the ODE solve's own
+    error.  Raises TailNotTight when the certificate starts at another
+    radius or when delta >= _TAIL_DELTA.
     """
     if criterion.verdict != _criterion.CONVERGENT:
         raise NotConvergent(
@@ -409,10 +423,10 @@ def normalize_profile(profile: RadialProfile,
         raise TailNotTight(
             f"tail certificate starts at r = {cert.r_max:g}, not at the "
             f"profile's r_max = {profile.r_max:g}; solve to the certified radius")
-    delta = _tail_delta(profile, cert)
-    if delta >= _NORMALIZE_DELTA:
+    delta = _tail_delta(profile.warp, profile.n, profile.mode.lambda_sq, cert)
+    if delta >= _TAIL_DELTA:
         raise TailNotTight(
-            f"tail factor delta = {delta:.3g} >= {_NORMALIZE_DELTA:g} at "
+            f"tail factor delta = {delta:.3g} >= {_TAIL_DELTA:g} at "
             f"r_max = {profile.r_max:g}; supply a larger r_max")
     limit = profile.values[-1] * (1.0 + delta)
     return replace(
@@ -425,20 +439,20 @@ def normalize_profile(profile: RadialProfile,
         _scale=profile._scale * limit)
 
 
-def suggest_rmax(probe: RadialProfile, R: float) -> _criterion.TailCertificate:
-    """Certificate at the first doubling of R whose tail delta for `probe` is
-    below _SUGGEST_DELTA.
+def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
+                 R: float) -> _criterion.TailCertificate:
+    """Certificate at the first doubling of R whose tail delta for a mode of
+    eigenvalue lambda_sq is below _TAIL_DELTA.
 
     Doubling starts at the certificate's own radius, which may lie above R.
-    delta depends on the probe only through x(1), so the probe's solved
-    range does not matter.
+    delta needs the metric and the certificates only, so no mode is solved.
     """
     for _ in range(24):
-        cert = _criterion.tail_certificate(probe.warp, probe.n, R)
-        if _tail_delta(probe, cert) < _SUGGEST_DELTA:
+        cert = _criterion.tail_certificate(w, n, R)
+        if _tail_delta(w, n, lambda_sq, cert) < _TAIL_DELTA:
             return cert
         R = cert.r_max * 2.0
-    raise TailNotTight(f"no r_max below {R:g} reaches tail delta {_SUGGEST_DELTA:g}")
+    raise TailNotTight(f"no r_max below {R:g} reaches tail delta {_TAIL_DELTA:g}")
 
 
 # ---------------------------------------------------------------------------

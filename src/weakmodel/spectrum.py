@@ -343,7 +343,14 @@ class SphereSpectrum:
 
 
 class RoundSphere(SphereSpectrum):
-    """The standard round metric on S^{n-1}."""
+    """The standard round metric on S^{n-1}; its eigenfunctions, quadrature
+    and sup-norm bounds are built in for n in {2, 3}."""
+
+    def __init__(self, n: int):
+        if n not in (2, 3):
+            raise UnsupportedDimension(
+                f"extensions on the round sphere support n in {{2, 3}}, got n={n}")
+        super().__init__(n)
 
     def mode(self, m):
         return eigen_round_sphere(self.n, m)

@@ -146,6 +146,18 @@ class PowerGrowth(WarpingFunction):
         ddphi = r * one ** ((p - 5) / 2) * (p - 1) * (3.0 + p * r * r)
         return phi, dphi, ddphi
 
+    def log_phi(self, r):
+        # log(eval(r)[0]) bit for bit where that is finite; beyond, where
+        # phi or r*r overflows, p log r + (p-1)/2 log1p(r^-2)
+        r = np.asarray(r, dtype=float)
+        p = self.p
+        with np.errstate(over="ignore", divide="ignore"):
+            out = np.log(r * (1.0 + r * r) ** ((p - 1) / 2))
+        far = ~np.isfinite(out) & (r > 1.0)
+        if np.any(far):
+            out = np.where(far, p * np.log(r) + (p - 1) / 2 * np.log1p(r ** -2.0), out)
+        return out
+
     def __repr__(self):
         return f"PowerGrowth(p={self.p:g})"
 

@@ -210,6 +210,58 @@ def test_slow_n2_tails_solve_and_verify(tmp_path, flags):
     assert summary["r_max"] == 30.0
 
 
+@pytest.mark.parametrize("source,exact", [
+    (["--modes", "3", "--preset", "single:5:0"], 1 / math.sqrt(math.pi)),
+    ("coeffs", 1.5 / math.sqrt(math.pi)),
+], ids=["single_5_at_M3", "coeffs_m1_m6"])
+def test_dropped_input_modes_are_in_the_truncation_bound(tmp_path, capsys,
+                                                         source, exact):
+    # coefficients above M are dropped by the projection: the bound must
+    # cover them and the data must be reported as not well resolved
+    if source == "coeffs":
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps([{"m": 1, "k": 0, "c": 1.0},
+                                    {"m": 6, "k": 0, "c": 0.5}]))
+        source = ["--coeffs", str(path)]
+    out = tmp_path / "s"
+    with pytest.warns(UserWarning, match="not well resolved"):
+        code = run(["solve", "--family", "hyperbolic", "--a", "1", "--n", "2",
+                    *source, "--at-infinity", "--out", str(out)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    value = float(lines[-1].split(" = ")[1])
+    printed = float(lines[-2].rsplit("truncation bound ", 1)[1])
+    bound = json.loads((out / "summary.json").read_text())["truncation_error_bound"]
+    assert abs(exact - value) <= min(printed, bound)
+    assert bound < abs(exact - value) + 1e-9
+
+
+def test_unsupported_dimension_refused_before_solving(tmp_path, capsys,
+                                                       monkeypatch):
+    solves = count_calls(monkeypatch, radial, "solve_modes")
+    certs = count_calls(monkeypatch, criterion, "tail_certificate")
+    code = run(["solve", "--family", "powergrowth", "--p", "2", "--n", "4",
+                "--modes", "3", "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "n in {2, 3}, got n=4" in capsys.readouterr().err
+    assert solves == [] and certs == []
+    # verify and classify on a divergent metric need no sphere data
+    for cmd in ("verify", "classify"):
+        code = run([cmd, "--family", "euclidean", "--n", "4", "--modes", "2",
+                    "--out", str(tmp_path / cmd)])
+        assert code == (0 if cmd == "verify" else 2), cmd
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_power_growth_tail_refused_without_overflow(tmp_path, capsys):
+    # the tail search reaches r near R e^340, where 1 + r*r overflows; the
+    # refusal must be the TailNotTight message, not an overflow warning
+    code = run(["solve", "--family", "powergrowth", "--p", "1.05", "--n", "3",
+                "--modes", "2", "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "error: no r_max below" in capsys.readouterr().err
+
+
 def test_verify_power_growth_passes(tmp_path):
     # the extension certifies its own r_max; a fixed verify range did not
     code = run(["verify", "--family", "powergrowth", "--p", "2", "--n", "2",

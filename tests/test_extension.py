@@ -51,6 +51,53 @@ def test_one_certificate_per_radius(monkeypatch, w, M, radii):
     assert e.r_max == radii[-1]
 
 
+def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
+    # the certificate moves R from 30 to 480 before any solve, so the
+    # stack is solved once, at 480
+    table = CoefficientTable(3)
+    table.set(1, 0, 1.0)
+    events = []
+    certify = ext._radial.suggest_rmax
+    solve = ext._radial.solve_modes
+    monkeypatch.setattr(ext._radial, "suggest_rmax",
+                        lambda *a: events.append("certify") or certify(*a))
+    monkeypatch.setattr(ext._radial, "solve_modes",
+                        lambda *a, **k: events.append(k["r_max"]) or solve(*a, **k))
+    e = ext.build_extension(PowerGrowth(2.0), 3,
+                            BoundaryData.from_coefficients(table), 1)
+    assert events == ["certify", 480.0]
+    assert e.r_max == 480.0 and e.profiles[1].normalized
+
+
+@pytest.mark.parametrize("tol,ode_error", [(1e-8, 1e-9), (1e-10, 2e-10)])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_n3_hyperbolic_mode_matches_closed_form(a, tol, ode_error):
+    # at n = 3 the m = 1 mode of sinh(ar)/a with limit 1 is
+    # coth(ar) - ar/sinh(ar)^2 = (sinh(2ar) - 2ar) / (2 sinh(ar)^2);
+    # its series keeps the small-r values free of cancellation.
+    # limit_error bounds the tail normalization only (1e-50 to 1e-19
+    # here); the ODE solve's own error, up to 2.8e-10 at tol 1e-8 and
+    # 5.1e-11 at tol 1e-10 near r = 0.2, is not in it and gets its own slack
+    def exact(r):
+        x = a * np.asarray(r, dtype=float)
+        y = 2 * x
+        series = sum(y ** (2 * k + 1) / math.factorial(2 * k + 1)
+                     for k in range(1, 12))
+        odd = np.where(x < 0.5, series, np.sinh(y) - y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x > 0, odd / (2 * np.sinh(x) ** 2), 0.0)
+
+    table = CoefficientTable(3)
+    table.set(1, 0, 1.0)
+    e = ext.build_extension(Hyperbolic(a), 3,
+                            BoundaryData.from_coefficients(table), 1, tol=tol)
+    p = e.profiles[1]
+    slack = p.limit_error + ode_error
+    assert np.max(np.abs(p.values - exact(p.grid))) <= slack
+    r = np.linspace(0.0, p.r_max, 97)
+    assert np.max(np.abs(p.interp(r) - exact(r))) <= slack
+
+
 def test_user_rmax_below_certificate_start_is_honest():
     # the exact modes are tanh(r)^m; --rmax 4 lies below the tail
     # certificate's start, so the extension moves to the certified radius

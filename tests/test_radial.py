@@ -5,9 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import cumulative_simpson, solve_ivp
+from scipy.integrate import cumulative_simpson, quad, solve_ivp
 
+from conftest import count_calls
+from weakmodel import radial
 from weakmodel.criterion import march_criterion, tail_certificate
 from weakmodel.errors import (DegenerateProfile, NonPositiveWarp,
                               NotConvergent, OutOfRange, TailNotTight)
@@ -251,10 +255,41 @@ def test_normalize_errors():
 def test_suggest_rmax_enables_normalization():
     w = PowerGrowth(2.0)
     mode = eigen_round_sphere(2, 1)
-    cert = suggest_rmax(solve_radial(w, 2, mode, r_max=30.0), 30.0)
+    cert = suggest_rmax(w, 2, mode.lambda_sq, 30.0)
     p = normalize_profile(solve_radial(w, 2, mode, r_max=cert.r_max),
                           march_criterion(w, 2, tol=1e-6), cert)
     assert p.normalized and p.limit_error < 1e-4
+
+
+def test_suggest_rmax_solves_no_mode(monkeypatch):
+    # the tail delta needs the metric and the certificates only
+    ivps = count_calls(monkeypatch, radial, "solve_ivp")
+    certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
+    cert = suggest_rmax(PowerGrowth(2.0), 3, 2.0, 30.0)
+    assert cert.r_max == 480.0
+    assert [args[2] for args in certs] == [30.0 * 2 ** k for k in range(5)]
+    assert ivps == []
+
+
+_FAMILIES = st.one_of(
+    st.just(Euclidean()),
+    st.floats(0.2, 2.5).map(Hyperbolic),
+    st.floats(0.5, 3.0).map(PowerGrowth),
+    st.floats(0.0, 2.0).map(PowerLog))
+
+
+@settings(max_examples=50, deadline=None)
+@given(w=_FAMILIES, n=st.sampled_from([3, 4, 5]), m=st.integers(1, 6))
+def test_metric_bounds_riccati_x_at_one(w, n, m):
+    # x(0+) = 0 and x' <= phi^(n-3) give x(1) <= int_0^1 phi^(n-3) for the
+    # solved mode, whatever the metric; the bound is 1 at n = 3
+    mode = eigen_round_sphere(n, m)
+    bound = radial._riccati_bound(w, n, mode.lambda_sq)
+    x1 = float(riccati_x(solve_radial(w, n, mode, r_max=2.0), 1.0)[0])
+    assert 0.0 < x1 <= bound
+    exact = quad(lambda r: float(w.eval(r)[0]) ** (n - 3), 0.0, 1.0,
+                 epsabs=0.0, epsrel=1e-13)[0]
+    assert exact <= bound <= exact * (1 + 1e-11)
 
 
 def test_normalize_rejects_certificate_at_another_radius(hyperbolic_criterion):
