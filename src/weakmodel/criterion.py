@@ -11,7 +11,10 @@ alone: the analytic growth class of phi supplies an elementary comparison
 function psi with phi in [klo*psi, khi*psi] beyond a radius R0, and the
 verdict comes from integrating the certified elementary bound.  Quadrature
 of the exact integrand over [1, R_max] plus refined tail integrals then
-produce the value and its error bound.
+produce the value and its error bound.  The psi tails are closed forms,
+except the power-log double tail at n >= 3: there the inner integral is
+closed form (an incomplete beta) and one certified 1-D quadrature does the
+outer one.
 
 All integrands are powers of phi and are evaluated in log space so that
 large n or fast exponential growth cannot overflow or underflow the
@@ -24,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc, betaln
 
 from .errors import InvalidTolerance, NotConvergent, QuadratureFailure
 from .quadrature import LogCumulative, adaptive_quad_log, logsumexp
@@ -69,6 +73,43 @@ class TailCertificate:
     log_cum: float
     log_inner: tuple[float, float]
     double: tuple[float, float]
+
+
+def _bracket(log_main, log_err, rem_lo, rem_hi):
+    """Log bracket for a quadrature (value, error) plus a remainder bracket."""
+    lo = logsumexp([log_main - math.log1p(math.exp(log_err - log_main)), rem_lo])
+    return float(lo), float(logsumexp([log_main, log_err, rem_hi]))
+
+
+def _log_g(p, q, y):
+    """log G(y), G(y) = p int_0^1 x^(p-1) (1-yx)^(q-1) dx, for 0 <= y < 1.
+
+    G = p B(p,q) I_y(p,q) / y^p.  Below the Beta(p,q) mean the incomplete
+    beta continued fraction (modified Lentz) gives G = (1-y)^q h, with no
+    I_y to underflow at large p; above it I_y is not small and betainc holds.
+    """
+    y = np.asarray(y, dtype=float)
+    out = np.empty_like(y)
+    cf = y < (p + 1) / (p + q + 2)
+    x = y[cf]
+    d = 1.0 / (1.0 - (p + q) * x / (p + 1))
+    c = np.ones_like(x)
+    log_h = np.log(d)
+    for m in range(1, 1000):
+        for aa in (m * (q - m) * x / ((p - 1 + 2 * m) * (p + 2 * m)),
+                   -(p + m) * (p + q + m) * x / ((p + 2 * m) * (p + 1 + 2 * m))):
+            d = 1.0 / (1.0 + aa * d)
+            c = 1.0 + aa / c
+            log_h += np.log(d * c)
+        if np.all(np.abs(d * c - 1.0) < 1e-15):
+            break
+    else:
+        raise QuadratureFailure(f"incomplete beta fraction for p={p:g}, q={q:g} "
+                                "did not converge")
+    out[cf] = q * np.log1p(-x) + log_h
+    yb = y[~cf]
+    out[~cf] = math.log(p) + betaln(p, q) + np.log(betainc(p, q, yb)) - p * np.log(yb)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +273,17 @@ class _TailModel:
         return lo, hi
 
     def log_psi_double(self, R):
-        """Bracket for log of the psi double tail beyond R; requires convergence."""
+        """Bracket for log of the psi double tail beyond R; requires convergence.
+
+        Closed form except for power-log at n >= 3.  There, with t = log s,
+        v = log(t'/s) and t0 = log R, the tail is int_0^inf e^{-(n-2)v} J(v) dv
+        with the inner integral in closed form,
+        J(v) = int_t0^inf t^{c(n-3)} (t+v)^{-c(n-1)} dt
+             = (t0+v)^{1-2c} G(v/(t0+v)) / (2c-1),
+        and G = 1 at n = 3.  So one certified quadrature over v in [0, V],
+        V = 48/(n-2), gives the bracket.  J decreases, so the remainder is at
+        most J(0) e^{-(n-2)V}/(n-2).
+        """
         n = self.n
         if self.kind == "exp":
             a = self.growth.rate
@@ -247,11 +298,17 @@ class _TailModel:
         if n == 2:
             v = (2 - 2 * c) * math.log(L) - math.log((c - 1) * (2 * c - 2))
             return v, v
-        beta = c * (n - 1)
-        hi = (1 - 2 * c) * math.log(L) - math.log((n - 2) * (2 * c - 1))
-        ratio = beta * (2 * c - 1) / ((n - 2) * 2 * c * L)
-        lo = hi + (math.log1p(-ratio) if ratio < 1 else -math.log(10.0))
-        return lo, hi
+        p = 2 * c - 1
+
+        # scaled by J(0), the logs stay small enough for rtol 1e-14
+        def log_ratio(v):   # log e^{-(n-2)v} J(v)/J(0)
+            out = -(n - 2) * v - p * np.log1p(v / L)
+            return out if n == 3 else out + _log_g(p, c * (n - 3) + 1, v / (L + v))
+        V = _DECAY_UNITS / (n - 2)
+        log_main, log_err, _ = adaptive_quad_log(log_ratio, 0.0, V, rtol=1e-14)
+        log_j0 = -p * math.log(L) - math.log(p)
+        return tuple(log_j0 + b for b in _bracket(
+            log_main, log_err, -math.inf, -(n - 2) * V - math.log(n - 2)))
 
     def _compose(self, q1, q2, psi_bracket, r0):
         """Bracket for kappa^q1 * kappa^q2 * psi-integral bracket."""
@@ -297,13 +354,10 @@ def _refined_log_inner(w, n, model, R, r0, rtol=1e-12):
         S = math.log(X / R)
         logf = lambda s: (1 - n) * w.log_phi(R * np.exp(s)) + math.log(R) + s
         log_main, log_err, _ = adaptive_quad_log(logf, 0.0, S, rtol=rtol)
-    rem_lo, rem_hi = model.log_inner_bracket(X, r0)
-    lo = logsumexp([log_main - math.log1p(math.exp(log_err - log_main)), rem_lo])
-    hi = logsumexp([log_main, log_err, rem_hi])
-    return float(lo), float(hi)
+    return _bracket(log_main, log_err, *model.log_inner_bracket(X, r0))
 
 
-def _refined_double_exp_power(w, n, model, R, r0, rtol=1e-12):
+def _refined_log_double(w, n, model, R, r0, rtol=1e-12):
     """Double tail beyond R via the cumulative flip, for exp/power growth."""
     if model.kind == "exp":
         X = R + _DECAY_UNITS / (2 * model.growth.rate)
@@ -328,69 +382,8 @@ def _refined_double_exp_power(w, n, model, R, r0, rtol=1e-12):
     log_cum_RX = cum.log_total
     in_lo, in_hi = model.log_inner_bracket(X, r0)
     d_lo, d_hi = model.log_double_bracket(X, r0)
-    rem_lo = logsumexp([log_cum_RX + in_lo, d_lo])
-    rem_hi = logsumexp([log_cum_RX + in_hi, d_hi])
-    lo = logsumexp([log_main - math.log1p(math.exp(log_err - log_main)), rem_lo])
-    hi = logsumexp([log_main, log_err, rem_hi])
-    return float(lo), float(hi)
-
-
-def _refined_double_powerlog(model, R, rtol=1e-12):
-    """Double tail beyond R for the exact tail phi = C*s*(log s)^c, n >= 3.
-
-    In t = log sigma the tail reduces to C^-2 * int_{t0}^inf t^{c(n-3)} W(t) dt
-    with W(t) = int_0^inf e^{-(n-2)v} (t+v)^{-c(n-1)} dv, which is integrated
-    with exponentially convergent truncations in v and y = log t.
-    """
-    n = model.n
-    c = model.growth.log_exponent
-    beta = c * (n - 1)
-    log_C = math.log(model.growth.scale)
-    t0 = math.log(R)
-    V = _DECAY_UNITS / (n - 2)
-
-    def log_W(y):
-        # log W(e^y); for large y, log(e^y + v) = y + log1p(v*e^-y)
-        def logf(v):
-            if y < 30.0:
-                log_tv = np.log(math.exp(y) + v)
-            else:
-                log_tv = y + np.log1p(v * math.exp(-y))
-            return -(n - 2) * v - beta * log_tv
-        lv, _, _ = adaptive_quad_log(logf, 0.0, V, rtol=1e-12, max_panels=400)
-        return lv
-
-    y0 = math.log(t0)
-    Y = y0 + min(21.0 / (2 * c - 1), 690.0)
-
-    def log_g(ys):
-        ys = np.atleast_1d(ys)
-        # integrand t^{c(n-3)} W(t) dt with t = e^y
-        return np.array([c * (n - 3) * y + log_W(y) + y for y in ys])
-
-    log_main, log_err, _ = adaptive_quad_log(log_g, y0, Y, rtol=rtol,
-                                             max_panels=600)
-    # elementary strip beyond T = e^Y where W(t) = t^-beta/(n-2) * (1 +- eps)
-    T = math.exp(Y) if Y < 700 else math.inf
-    if math.isfinite(T):
-        log_strip = (1 - 2 * c) * Y - math.log((2 * c - 1) * (n - 2))
-        eps = beta * (V + 1.0) / T + math.exp(-(n - 2) * V)
-        strip_lo = log_strip + math.log1p(-min(eps, 0.5))
-        strip_hi = log_strip + math.log1p(eps)
-    else:
-        strip_lo = strip_hi = -math.inf
-    lo = 2 * (-log_C) + logsumexp(
-        [log_main - math.log1p(math.exp(log_err - log_main)), strip_lo])
-    hi = 2 * (-log_C) + logsumexp([log_main, log_err, strip_hi])
-    return float(lo), float(hi)
-
-
-def _refined_log_double(w, n, model, R, r0, rtol=1e-12):
-    if model.kind == "powerlog":
-        if n == 2:
-            return model.log_double_bracket(R, r0)   # exact closed form
-        return _refined_double_powerlog(model, R, rtol=rtol)
-    return _refined_double_exp_power(w, n, model, R, r0, rtol=rtol)
+    return _bracket(log_main, log_err, logsumexp([log_cum_RX + in_lo, d_lo]),
+                    logsumexp([log_cum_RX + in_hi, d_hi]))
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +436,17 @@ def _tail_brackets(w, n, model, R, r0, double=True):
     """Log brackets (inner, double) for the tails beyond R.
 
     Refined with the exact phi when it has a closed form, elementary from
-    the sandwich otherwise.  The double bracket is None unless `double`.
+    the sandwich otherwise.  Power-log phi is exactly C*psi beyond e^2, so
+    its psi double tail is already the refined one.  The double bracket is
+    None unless `double`.
     """
-    if w.closed_form:
-        inner = _refined_log_inner(w, n, model, R, r0)
-        dbl = _refined_log_double(w, n, model, R, r0) if double else None
-    else:
-        inner = model.log_inner_bracket(R, r0)
-        dbl = model.log_double_bracket(R, r0) if double else None
-    return inner, dbl
+    inner = (_refined_log_inner(w, n, model, R, r0) if w.closed_form
+             else model.log_inner_bracket(R, r0))
+    if not double:
+        return inner, None
+    if w.closed_form and model.kind != "powerlog":
+        return inner, _refined_log_double(w, n, model, R, r0)
+    return inner, model.log_double_bracket(R, r0)
 
 
 def _certify(w, n, tol, r_max, double):

@@ -86,14 +86,15 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     `spectrum` defaults to the round sphere; any cross-section metric can be
     supplied through the SphereSpectrum interface; the round sphere refuses
     n outside {2, 3} before any solve.  Construction warns when the top of
-    the band, with any input mode above it, carries more than
-    _TAIL_ENERGY_FRACTION of the boundary energy; exact coefficients with no
-    mode above M need no warning, as their projection drops nothing.  All
-    modes share one radius.  At n = 2 they are the closed forms
-    exp(-lambda tau) at `r_max` (or a start radius), raised to where the
-    tail bracket holds.  At n >= 3 the top mode's certificate picks the
-    radius first, from the metric alone, and covers every mode; the modes
-    are then solved once, as one stack, at that radius.
+    the band (at M >= 2), with any input mode above it, carries more than
+    _TAIL_ENERGY_FRACTION of the boundary energy; at M < 2 only input modes
+    above M count.  Exact coefficients with no mode above M need no warning,
+    as their projection drops nothing.  All modes share one radius.  At
+    n = 2 they are the closed forms exp(-lambda tau) at `r_max` (or a start
+    radius), raised to where the tail bracket holds.  At n >= 3 the top
+    mode's certificate picks the radius first, from the metric alone, and
+    covers every mode; the modes are then solved once, as one stack, at
+    that radius.
     """
     if spectrum is None:
         spectrum = RoundSphere(n)
@@ -108,11 +109,12 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     exact = f.coeffs is not None and f.coeffs.max_m() <= M
     energy = f.coeffs if f.coeffs is not None else coeffs   # with what is dropped
     total = energy.total_energy()
-    if total > 0 and M >= 2 and not exact:
-        tail = energy.tail_energy(M - 1)
+    top = M - 1 if M >= 2 else M + 1    # below M = 2, only modes above M count
+    if total > 0 and not exact:
+        tail = energy.tail_energy(top)
         if tail > _TAIL_ENERGY_FRACTION * total:
             warnings.warn(
-                f"boundary data is not well resolved at M={M}: modes >= {M - 1} "
+                f"boundary data is not well resolved at M={M}: modes >= {top} "
                 f"carry {tail / total:.3g} of the energy", stacklevel=2)
 
     R = float(r_max) if r_max is not None else _start_r_max(w)

@@ -263,6 +263,19 @@ class PowerLog(WarpingFunction):
             return float(phi[0]), float(dphi[0]), float(ddphi[0])
         return phi, dphi, ddphi
 
+    def log_phi(self, r):
+        # log(eval(r)[0]) bit for bit where that is finite; beyond, where
+        # (log r)^c overflows, log C + log r + c log log r
+        r = np.asarray(r, dtype=float)
+        with np.errstate(over="ignore"):
+            out = np.log(self.eval(r)[0])
+        far = ~np.isfinite(out) & (r >= self.S2)
+        if np.any(far):
+            rf = np.where(far, r, self.S2)
+            out = np.where(far, math.log(self.match_constant) + np.log(rf)
+                           + self.c * np.log(np.log(rf)), out)
+        return out
+
     def __repr__(self):
         return f"PowerLog(c={self.c:g})"
 

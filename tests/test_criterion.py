@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -13,12 +13,12 @@ from scipy.integrate import quad
 from conftest import count_calls, write_tabulated_csv
 from weakmodel.report import round12
 from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
-                                 CriterionReport, fubini_check,
+                                 CriterionReport, _TailModel, fubini_check,
                                  march_criterion, tail_certificate,
                                  transience_integral)
-from weakmodel.errors import InvalidTolerance, NotConvergent
+from weakmodel.errors import InvalidTolerance, NotConvergent, QuadratureFailure
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
-                            load_tabulated_csv)
+                            PowerLogGrowth, load_tabulated_csv)
 
 
 def march_verdict_truth(w, n):
@@ -75,6 +75,122 @@ def test_powerlog_value_against_substitution_oracle():
                     2.0, np.inf, limit=200)
     rep = march_criterion(w, 3, tol=1e-8)
     assert_allclose(rep.value, part1 + part2, atol=1e-7)
+
+
+def transience_verdict_truth(w, n):
+    """Analytic ground truth for int_1^inf phi^{1-n}."""
+    if isinstance(w, Hyperbolic):
+        return CONVERGENT
+    if isinstance(w, PowerLog):
+        return CONVERGENT if (n >= 3 or w.c > 1.0) else DIVERGENT
+    p = 1.0 if isinstance(w, Euclidean) else w.p
+    return CONVERGENT if p * (n - 1) > 1.0 else DIVERGENT
+
+
+@st.composite
+def _metric_and_n(draw):
+    # near-threshold parameters: p -> 1, p -> 1/(n-1), c -> 1/2, c -> 1
+    n = draw(st.integers(2, 6))
+    near = lambda x: st.floats(-1e-2, 1e-2).map(lambda d: x + d)
+    family = draw(st.sampled_from(["euclidean", "hyperbolic", "power", "powerlog"]))
+    if family == "euclidean":
+        return Euclidean(), n
+    if family == "hyperbolic":
+        return Hyperbolic(draw(st.floats(0.05, 5.0))), n
+    if family == "power":
+        return PowerGrowth(draw(st.one_of(st.floats(0.2, 4.0), near(1.0),
+                                          near(1.0 / (n - 1))))), n
+    return PowerLog(draw(st.one_of(st.floats(0.0, 4.0), near(0.5),
+                                   near(1.0)).map(abs))), n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_metric_and_n())
+def test_verdicts_match_the_analytic_truth(case):
+    # every certified verdict is the analytic one; a value that cannot be
+    # certified to tol is refused, never given a wrong verdict
+    w, n = case
+    for classify, truth in ((march_criterion, march_verdict_truth),
+                            (transience_integral, transience_verdict_truth)):
+        try:
+            verdict = classify(w, n, tol=1e-8).verdict
+        except QuadratureFailure:
+            continue
+        assert verdict == truth(w, n), (w, n, classify.__name__)
+
+
+def _assert_within(bracket, ref):
+    # the bracket is a pair of floats: it holds the reference up to the
+    # rounding of a log of that size
+    lo, hi = bracket
+    slack = 2 * math.ulp(abs(ref))
+    assert lo - slack <= ref <= hi + slack, (bracket, ref)
+
+
+@pytest.mark.parametrize("t0", [math.log(10.4), 30.0, 700.0])
+@pytest.mark.parametrize("c", [0.5000001, 0.6, 1.2, 8.0, 50.0, 200.0])
+def test_powerlog_n3_double_tail_against_mpmath(c, t0):
+    # at n = 3 the psi double tail is t0^{1-2c}/(2c-1) times
+    # int_0^inf e^{-v} (1+v/t0)^{1-2c} dv, whose decay rate at 0 is k
+    import mpmath as mp
+    k = 1 + (2 * c - 1) / t0
+    f = lambda v: mp.exp(-v) * (1 + v / t0) ** (1 - 2 * c)
+    with mp.workdps(20):
+        integral = mp.quad(f, [0] + [2 ** j / k for j in range(7)] + [mp.inf])
+        ref = float((1 - 2 * c) * mp.log(t0) - mp.log(2 * c - 1) + mp.log(integral))
+    _assert_within(_TailModel(PowerLogGrowth(c, 1.0), 3).log_psi_double(
+        math.exp(t0)), ref)
+
+
+@pytest.mark.parametrize("t0", [math.log(10.4), 700.0])
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("c", [1, 3, 8])
+def test_powerlog_double_tail_against_binomial_j(c, n, t0):
+    # integer c: with t = (t+v) - v the inner integral J is a finite sum,
+    # J(v) = (t0+v)^{1-2c} sum_j C(a,j) (-y)^j / (2c-1+j), y = v/(t0+v),
+    # which cancels badly near y = 1, hence 60 digits
+    import mpmath as mp
+    a, p = c * (n - 3), 2 * c - 1
+    with mp.workdps(60):
+        t0m = mp.mpf(t0)
+        coef = [mp.binomial(a, j) * (-1) ** j * p / mp.mpf(p + j)
+                for j in range(a + 1)]
+
+        def f(v):   # e^{-(n-2)v} J(v) / J(0)
+            return (mp.exp(-(n - 2) * v) * (1 + v / t0m) ** (1 - 2 * c)
+                    * mp.polyval(coef[::-1], v / (t0m + v)))
+        k = (n - 2) + p / t0m
+        # beyond v = 40 the integrand is below e^-80 of its start
+        integral = mp.quad(f, [0, 1 / k, 4 / k, 16 / k, 40])
+        ref = float((1 - 2 * c) * mp.log(t0m) - mp.log(p) + mp.log(integral))
+    _assert_within(_TailModel(PowerLogGrowth(c, 1.0), n).log_psi_double(
+        math.exp(t0)), ref)
+
+
+@pytest.mark.parametrize("c,n,value,bound", [
+    (32, 4, "0.405391853665", "3.24e-12"), (32, 5, "0.30922999699", "2.86e-12"),
+    (32, 10, "0.136491221575", "1.12e-12"), (50, 4, "0.389914646464", "3.61e-12"),
+    (50, 5, "0.298989975214", "1.81e-12"), (50, 10, "0.133007154683", "9.28e-13")])
+def test_large_powerlog_exponent_keeps_its_report(c, n, value, bound):
+    # betainc underflows from c ~ 32, where the continued fraction carries
+    # log G; value and bound as printed, 12 and 3 digits
+    printed = round12(march_criterion(PowerLog(c), n, tol=1e-8).to_json_dict())
+    assert (repr(printed["value"]), repr(printed["error_bound"])) == (value, bound)
+
+
+def test_powerlog_tail_search_does_not_overflow():
+    # (log r)^200 overflows long before the tail cutoff R e^48
+    rep = march_criterion(PowerLog(200.0), 3, tol=1e-8)
+    assert rep.verdict == CONVERGENT and rep.error_bound < 1e-8
+    w, r = PowerLog(200.0), np.array([0.5, 5.0, 1e3, 1e30, 1e300])
+    with np.errstate(over="ignore"):
+        exact = np.log(w.eval(r)[0])
+    far = ~np.isfinite(exact)
+    assert far.tolist() == [False, False, False, True, True]
+    assert np.array_equal(w.log_phi(r)[~far], exact[~far])
+    assert_allclose(w.log_phi(r)[far], [math.log(w.match_constant) + math.log(x)
+                                        + 200 * math.log(math.log(x))
+                                        for x in r[far]], rtol=1e-15)
 
 
 def test_transience_examples():

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import count_calls
 from weakmodel import criterion
+from weakmodel.cli import _boundary_data
 from weakmodel import extension as ext
 from weakmodel.errors import NotSolvable, OutOfRange
 from weakmodel.oracle import laplace_beltrami_residual_fn
@@ -410,6 +412,22 @@ def test_exact_band_limited_coefficients_do_not_warn(hyperbolic_criterion):
         ext.build_extension(Hyperbolic(1.0), 2,
                             BoundaryData.from_coefficients(table), M,
                             criterion=hyperbolic_criterion)
+
+
+@pytest.mark.parametrize("preset,M,warns", [
+    ("single:5:0", 1, True), ("single:1:0", 0, True),
+    ("cos", 1, False), ("constant", 0, False)])
+def test_dropped_modes_warn_below_m2(hyperbolic_criterion, preset, M, warns):
+    # below M = 2 there is no top band to read; input modes above M decide
+    f = _boundary_data({"n": 2, "modes": M, "preset": preset})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ext.build_extension(Hyperbolic(1.0), 2, f, M,
+                            criterion=hyperbolic_criterion)
+    hits = [w for w in caught if "not well resolved" in str(w.message)]
+    assert bool(hits) == warns
+    if warns:
+        assert f"modes >= {M + 1} carry 1 of the energy" in str(hits[0].message)
 
 
 def test_pluggable_spectrum(hyperbolic_criterion):
