@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln
 
 from .errors import InvalidTolerance, NotConvergent, QuadratureFailure
 from .quadrature import LogCumulative, adaptive_quad_log, logsumexp
@@ -107,6 +106,9 @@ def _log_g(p, q, y):
         raise QuadratureFailure(f"incomplete beta fraction for p={p:g}, q={q:g} "
                                 "did not converge")
     out[cf] = q * np.log1p(-x) + log_h
+    if np.all(cf):
+        return out
+    from scipy.special import betainc, betaln   # loaded only above the mean
     yb = y[~cf]
     out[~cf] = math.log(p) + betaln(p, q) + np.log(betainc(p, q, yb)) - p * np.log(yb)
     return out
@@ -454,9 +456,12 @@ def _certify(w, n, tol, r_max, double):
 
     The value is the finite part over [1, R] plus the certified tails beyond
     R: for the criterion integral the cross term C(1,R)*T_in(R) and the
-    double tail T_out(R), for the transience integral T_in(R) alone.  R
-    doubles until the error bound is below tol, or stops at the first R whose
-    finite-part error alone reaches tol: a larger R cannot lower that.
+    double tail T_out(R), for the transience integral T_in(R) alone.  The
+    error bound adds a rounding term of 1e-14 of the value.  R doubles until
+    the bound is below tol, or stops at the first R whose finite-part error
+    plus rounding reach tol.  A larger R lowers neither: the finite-part
+    error does not fall with R, and the rounding in the stop rule is taken on
+    the value's certified lower end, which bounds the value at every R.
     """
     _check_args(w, n, tol)
     growth = w.growth_class
@@ -489,8 +494,9 @@ def _certify(w, n, tol, r_max, double):
             cross_lo = cross_hi = 0.0
             tout_lo, tout_hi = math.exp(in_lo), math.exp(in_hi)
         value = F + 0.5 * (cross_lo + cross_hi) + 0.5 * (tout_lo + tout_hi)
+        rounding = 1e-14 * value
         err = (F_err + 0.5 * (cross_hi - cross_lo) + 0.5 * (tout_hi - tout_lo)
-               + 1e-14 * value)
+               + rounding)
         if err < tol:
             return CriterionReport(
                 verdict=CONVERGENT, value=value, error_bound=err,
@@ -498,9 +504,12 @@ def _certify(w, n, tol, r_max, double):
         budget.append(
             f"r_max={R:g}: bound {err:.3g} (finite part {F_err:.3g}, cross "
             f"term {0.5 * (cross_hi - cross_lo):.3g}, outer tail "
-            f"{0.5 * (tout_hi - tout_lo):.3g})")
+            f"{0.5 * (tout_hi - tout_lo):.3g}) + rounding {rounding:.3g}")
         if F_err >= tol:
             reason = " (finite-part error alone exceeds tol)"
+            break
+        if F_err + 1e-14 * (F + cross_lo + tout_lo) >= tol:
+            reason = " (finite-part error plus rounding exceed tol)"
             break
         R *= 2.0
     what = "value" if double else "transience value"

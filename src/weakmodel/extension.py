@@ -149,17 +149,22 @@ def _angular_parts(ext: HarmonicExtension, omega):
 
 
 def evaluate(ext: HarmonicExtension, r, omega):
-    """u(r, omega); r scalar with omega scalar/array, 0 <= r <= r_max."""
-    r = float(r)
-    if r < 0 or r > ext.r_max * (1 + 1e-12):
-        raise OutOfRange(f"r = {r:g} outside [0, {ext.r_max:g}]")
+    """u(r, omega) for 0 <= r <= r_max and omega scalar or array.
+
+    A scalar r gives omega's shape; an array of radii gives one row per
+    radius, each equal to the scalar call at that radius.  The angular parts
+    are built once and each profile is interpolated once.
+    """
+    r = np.asarray(r, dtype=float)
+    outside = r[(r < 0) | (r > ext.r_max * (1 + 1e-12))]
+    if outside.size:
+        raise OutOfRange(f"r = {outside[0]:g} outside [0, {ext.r_max:g}]")
     parts = _angular_parts(ext, omega)
-    if ext.n == 2:
-        out = np.zeros_like(np.asarray(omega, dtype=float))
-    else:
-        out = np.zeros_like(np.asarray(omega[0], dtype=float))
+    shape = np.shape(omega if ext.n == 2 else omega[0])
+    out = np.zeros(r.shape + shape)
     for m, ang in parts.items():
-        out = out + ext.profiles[m].interp(r) * ang
+        radial = np.reshape(ext.profiles[m].interp(r), r.shape + (1,) * len(shape))
+        out = out + radial * ang
     return out
 
 
@@ -209,13 +214,15 @@ def dump_evaluation_csv(ext: HarmonicExtension, path, r_values, n_angles=180):
         lon = 2 * math.pi * np.arange(n_angles) / n_angles
         cc, ll = np.meshgrid(colat, lon, indexing="ij")
         omega = (cc.ravel(), ll.ravel())
-        angles = [f"{c0:.12g},{l0:.12g}" for c0, l0 in zip(*omega)]
+        lons = [f"{l0:.12g}" for l0 in lon]
+        angles = [f"{c0:.12g},{l0}" for c0 in colat for l0 in lons]
+    rows = evaluate(ext, r_values, omega)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        for r in r_values:
+        for r, vals in zip(r_values, rows):
             rs = f"{r:.12g}"
-            vals = evaluate(ext, r, omega)
-            fh.writelines(f"{rs},{a},{v:.12g}\r\n" for a, v in zip(angles, vals))
+            fh.write("".join([f"{rs},{a},{v:.12g}\r\n"
+                              for a, v in zip(angles, vals.tolist())]))
 
 
 def summary_json(ext: HarmonicExtension, r_values) -> dict:

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from . import criterion as _criterion
 from . import quadrature as _quadrature
@@ -42,7 +40,7 @@ from .errors import (DegenerateProfile, NonPositiveWarp, NotConvergent,
                      StepSizeUnderflow, TailNotTight)
 from .report import round_up_3, write_json_atomic
 from .spectrum import EigenMode
-from .warp import WarpingFunction
+from .warp import PchipInterpolator, WarpingFunction
 
 _DEFAULT_R0 = 1e-3
 _GRID_SIZE = 800
@@ -192,6 +190,13 @@ def _constant_profile(w, n, mode, grid):
         values=np.ones_like(grid), derivs=np.zeros_like(grid),
         limit_estimate=1.0, limit_error=0.0, normalized=True,
         r0=float(grid[0]))
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's `solve_ivp`, imported on the first call: only the modes of an
+    n >= 3 metric need an ODE solve, so no other command pays the import."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _mode_rows(dense, j):

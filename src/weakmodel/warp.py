@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import InvalidFamily, OutOfDomain
 
@@ -280,13 +279,62 @@ class PowerLog(WarpingFunction):
         return f"PowerLog(c={self.c:g})"
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """scipy's PCHIP end slope: the shape-preserving three-point estimate,
+    0 where its sign differs from m0's, 3 m0 where m0 and m1 differ in sign
+    and it exceeds 3 |m0|."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    against = np.sign(d) != np.sign(m0)
+    clamp = ~against & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(against, 0.0, np.where(clamp, 3.0 * m0, d))
+
+
+class PchipInterpolator:
+    """Monotone cubic (PCHIP) through (x, y) for rows y whose last axis runs
+    along x (at least 3 nodes); the end cubics extrapolate.
+
+    Slopes, end slopes, coefficients and the power sum c3 + c2 s + c1 s^2 +
+    c0 s^3 are those of `scipy.interpolate.PchipInterpolator`, so values
+    agree with it bit for bit.  A call at r returns y.shape[:-1] + r.shape.
+    """
+
+    def __init__(self, x, y):
+        self.x = x = np.asarray(x, dtype=float)
+        self._inner = x[1:-1].copy()
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        # interior: weighted harmonic mean of the slopes, 0 at a sign change
+        # or a flat side
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        ml, mr = m[..., :-1], m[..., 1:]
+        flat = (np.sign(mr) != np.sign(ml)) | (mr == 0) | (ml == 0)
+        d = np.empty_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[..., 1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / ml + w2 / mr) / (w1 + w2)))
+        d[..., 0] = _pchip_end_slope(h[0], h[1], m[..., 0], m[..., 1])
+        d[..., -1] = _pchip_end_slope(h[-1], h[-2], m[..., -1], m[..., -2])
+        t = (d[..., :-1] + d[..., 1:] - 2 * m) / h
+        self.c = np.stack([t / h, (m - d[..., :-1]) / h - t, d[..., :-1], y[..., :-1]])
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        # the piece i with x[i] <= r < x[i+1], the end pieces beyond the hull
+        i = np.searchsorted(self._inner, r, side="right")
+        s = r - self.x[i]
+        c0, c1, c2, c3 = self.c.take(i, axis=-1)
+        s2 = s * s
+        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+
+
 class Tabulated(WarpingFunction):
     """Warping function given by samples of (phi, phi', phi'') on a grid.
 
     Values between nodes come from monotone cubic interpolation of each
-    column separately; the supplied derivative samples are authoritative
-    (the interpolant is never differentiated).  Growth defaults to Unknown,
-    which forces the criterion module onto its heuristic tail path.
+    column, the three stacked in one interpolant; the supplied derivative
+    samples are authoritative (the interpolant is never differentiated).
+    Growth defaults to Unknown, which forces the criterion module onto its
+    heuristic tail path.
     """
 
     closed_form = False
@@ -308,19 +356,17 @@ class Tabulated(WarpingFunction):
             raise InvalidFamily("tabulated columns must share the grid shape")
         self.grid = grid
         self.growth_class = growth if growth is not None else UnknownGrowth()
-        self._phi = PchipInterpolator(grid, phi)
-        self._dphi = PchipInterpolator(grid, dphi)
-        self._ddphi = PchipInterpolator(grid, ddphi)
+        self._columns = PchipInterpolator(grid, np.stack([phi, dphi, ddphi]))
 
     def eval(self, r):
         r = np.asarray(r, dtype=float)
         if np.any(r < self.grid[0] - 1e-15) or np.any(r > self.grid[-1] + 1e-15):
             raise OutOfDomain(
                 f"r outside tabulated hull [{self.grid[0]:g}, {self.grid[-1]:g}]")
-        out = self._phi(r), self._dphi(r), self._ddphi(r)
+        phi, dphi, ddphi = self._columns(r)
         if np.ndim(r) == 0:
-            return float(out[0]), float(out[1]), float(out[2])
-        return out
+            return float(phi), float(dphi), float(ddphi)
+        return phi, dphi, ddphi
 
     def __repr__(self):
         return (f"Tabulated({len(self.grid)} nodes on "

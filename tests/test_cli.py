@@ -2,7 +2,10 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,40 @@ def test_classify_convergent(tmp_path, capsys):
     assert rep["march"]["verdict"] == "Convergent"
     assert rep["transience"]["verdict"] == "Convergent"
     assert abs(rep["march"]["value"] - (math.log(math.tanh(0.5))) ** 2 / 2) < 1e-6
+
+
+_LOADED_SCIPY = """
+import json, sys
+out, steps = sys.argv[1], []
+def loaded(step):
+    steps.append([step, sorted(k for k in sys.modules if k.split(".")[0] == "scipy")])
+import weakmodel.cli as cli
+loaded("import")
+hyp = ["--family", "hyperbolic", "--a", "1", "--out", out]
+code = [cli.main(["classify", *hyp, "--n", "2"])]
+loaded("classify")
+code.append(cli.main(["solve", *hyp, "--n", "2", "--modes", "3"]))
+loaded("n = 2 solve")
+code.append(cli.main(["solve", *hyp, "--n", "3", "--modes", "1"]))
+print(json.dumps({"steps": steps, "code": code,
+                  "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_commands_load_only_the_scipy_they_need(tmp_path):
+    # a fresh process: importing the CLI, classifying and an n = 2 solve load
+    # no scipy; an n = 3 solve imports scipy's ODE solver and still works
+    src = Path(main.__code__.co_filename).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    for step, modules in result["steps"]:
+        assert modules == [], step
+    assert result["code"] == [0, 0, 0]
+    assert result["integrate"]
+    assert json.loads((tmp_path / "profiles.json").read_text())[1]["normalized"]
 
 
 def test_classify_divergent(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -332,6 +333,26 @@ def test_unreachable_tolerance_fails_honestly():
     assert "alone exceeds" not in msg and msg.count("finite part") == 4
     for R in (100, 200, 400, 800):
         assert re.search(budget.format(R), msg), R
+
+
+def test_rounding_limited_refusal_names_every_part_and_stops():
+    # c just above 1/2: the value is about 7e6, so its 1e-14 rounding term
+    # alone exceeds tol and no larger r_max can help
+    start = time.perf_counter()
+    with pytest.raises(QuadratureFailure) as info:
+        march_criterion(PowerLog(0.5000001), 3, tol=1e-8)
+    elapsed = time.perf_counter() - start
+    msg = str(info.value)
+    assert "(finite-part error plus rounding exceed tol)" in msg
+    assert msg.count("r_max=") == 1
+    number = r"(\S+?)"
+    parts = re.search(rf"bound {number} \(finite part {number}, cross term {number}, "
+                      rf"outer tail {number}\) \+ rounding {number}$", msg)
+    bound, *terms = (float(v) for v in parts.groups())
+    # each part is printed to 3 digits
+    assert abs(sum(terms) - bound) <= 5e-3 * bound
+    assert terms[-1] >= 1e-8
+    assert elapsed < 0.2
 
 
 @pytest.mark.parametrize("w", [Hyperbolic(1.0), PowerGrowth(1.5)],

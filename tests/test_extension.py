@@ -150,6 +150,29 @@ def test_evaluate_makes_one_tau_evaluation(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_evaluate_rows_equal_scalar_calls(n):
+    # n = 2: conformal modes sharing one tau; n = 3: the dense output of
+    # one stacked ODE solve.  Radii below the launch point take the r^l branch.
+    table = CoefficientTable(n)
+    for m in range(4):
+        table.set(m, 0, 1.0 / (m + 1))
+    e = ext.build_extension(Hyperbolic(1.0), n,
+                            BoundaryData.from_coefficients(table), 3)
+    radii = np.array([0.0, 1e-4, 0.37, 2.5, 11.0, e.r_max])
+    if n == 2:
+        omegas = [np.linspace(0, 2 * math.pi, 13), 0.7]
+    else:
+        omegas = [(np.linspace(0.1, 3.0, 13), np.linspace(0.0, 6.0, 13)), (1.1, 0.4)]
+    for omega in omegas:
+        rows = ext.evaluate(e, radii, omega)
+        assert rows.shape == radii.shape + np.shape(ext.evaluate(e, 1.0, omega))
+        for r, row in zip(radii, rows):
+            assert row.tobytes() == np.asarray(ext.evaluate(e, r, omega)).tobytes()
+    with pytest.raises(OutOfRange):
+        ext.evaluate(e, [1.0, 2.0 * e.r_max], omegas[1])
+
+
 def test_all_profiles_share_one_radius():
     table = CoefficientTable(2)
     table.set(1, 0, 1.0)

@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from conftest import write_tabulated_csv
 from weakmodel.errors import InvalidFamily, OutOfDomain
-from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
-                            Tabulated, UnknownGrowth, load_tabulated_csv,
-                            radial_curvature, warp_eval)
+from weakmodel.warp import (Euclidean, Hyperbolic, PchipInterpolator,
+                            PowerGrowth, PowerLog, Tabulated, UnknownGrowth,
+                            load_tabulated_csv, radial_curvature, warp_eval)
 
 
 def taylor_sinh_cosh(x, terms=30):
@@ -171,6 +171,77 @@ def test_tabulated_roundtrip(tmp_path):
         t.eval(41.0)
     with pytest.raises(OutOfDomain):
         t.eval(1e-6)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _probe_points(x, rng):
+    """Random points over the hull and a little beyond, every node, the hull
+    ends and the floats just outside them."""
+    span = x[-1] - x[0]
+    return np.concatenate([
+        rng.uniform(x[0] - 0.05 * span, x[-1] + 0.05 * span, 300), x,
+        [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)]])
+
+
+def _pchip_cases():
+    rng = np.random.default_rng(12)
+    cases = []
+    for k in range(40):          # random grids over six decades of spacing
+        x = np.cumsum(rng.exponential(size=rng.integers(3, 50)))
+        x = x * 10.0 ** rng.uniform(-3, 3)
+        cases.append((x, rng.normal(size=x.size) * 10.0 ** rng.uniform(-5, 5)))
+    for k in range(20):          # flat segments and sign changes
+        x = np.sort(rng.uniform(0, 10, rng.integers(4, 30)))
+        cases.append((x, np.round(2 * rng.normal(size=x.size)) * (k % 2 - 0.5)))
+    # end slopes: the three-point estimate against m0's sign (set to 0), and
+    # m0, m1 of opposite signs with the estimate above 3 |m0| (set to 3 m0);
+    # each at the left end, then mirrored to the right end
+    for x, y in ((np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 7.0, 7.5])),
+                 (np.array([0.0, 1.0, 11.0, 12.0]), np.array([0.0, 1.0, -299.0, -290.0]))):
+        cases += [(x, y), (-x[::-1], y[::-1])]
+    return cases
+
+
+@pytest.mark.parametrize("x,y", _pchip_cases())
+def test_pchip_matches_scipy_bit_for_bit(x, y):
+    from scipy.interpolate import PchipInterpolator as ScipyPchip
+    ref = ScipyPchip(x, y)
+    r = _probe_points(x, np.random.default_rng(x.size))
+    assert _same_bits(PchipInterpolator(x, y)(r), ref(r))
+    grid2d = r[:300].reshape(-1, 3)
+    assert _same_bits(PchipInterpolator(x, y)(grid2d), ref(grid2d))
+    for point in (x[0], 0.5 * (x[0] + x[1]), x[-1] + 1.0):
+        assert float(PchipInterpolator(x, y)(point)).hex() == float(ref(point)).hex()
+
+
+def test_pchip_end_slope_clamps_are_exercised():
+    from scipy.interpolate import PchipInterpolator as ScipyPchip
+    zero, zero_right, three, three_right = _pchip_cases()[-4:]
+    for (x, y), end in ((zero, 0), (zero_right, -1)):
+        assert ScipyPchip(x, y).derivative()(x[end]) == 0.0
+    for (x, y), end, m0 in ((three, 0, 1.0), (three_right, -1, -1.0)):
+        assert ScipyPchip(x, y).derivative()(x[end]) == 3.0 * m0
+
+
+def test_pchip_stack_matches_one_scipy_interpolant_per_row():
+    from scipy.interpolate import PchipInterpolator as ScipyPchip
+    w = PowerGrowth(1.5)
+    grid = np.geomspace(1e-4, 400.0, 400)
+    cols = w.eval(grid)
+    stack = PchipInterpolator(grid, np.stack(cols))
+    rng = np.random.default_rng(3)
+    for r in (_probe_points(grid, rng), rng.uniform(1.0, 390.0, (5, 6)), 17.25):
+        want = np.stack([ScipyPchip(grid, col)(r) for col in cols])
+        assert _same_bits(stack(r), want)
+    t = Tabulated(grid, *cols)
+    r = np.linspace(1e-4, 400.0, 450)
+    for got, col in zip(t.eval(r), cols):
+        assert _same_bits(got, ScipyPchip(grid, col)(r))
+    assert t.eval(17.25) == tuple(float(ScipyPchip(grid, col)(17.25)) for col in cols)
 
 
 def test_tabulated_validation(tmp_path):
