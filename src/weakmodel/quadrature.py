@@ -8,6 +8,9 @@ the one log-space K15 kernel, takes arrays of intervals and calls logf once
 for all of them: a split in `adaptive_quad_log` costs one integrand call,
 and `LogCumulative.log_between` has no loop over its limits.
 
+`cumulative_simpson` is the composite Simpson rule on a given grid that
+the growth-bound check of `radial.lemma_bound_check` integrates with.
+
 `logsumexp` is the plain stable form max + log(sum(exp(a - max))) in numpy.
 It agrees with `scipy.special.logsumexp` to a few ulp, at a fraction of the
 per-call overhead on the short arrays this module sums.
@@ -135,6 +138,42 @@ def adaptive_quad(f, a, b, rtol=1e-10, atol=0.0, max_panels=2000):
         heapq.heappush(heap, (-e1, pa, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, pb, v2, e2))
     return total, toterr
+
+
+def _simpson_heads(y, dx):
+    """The integral over the first of each pair of adjacent subintervals,
+    from the parabola through their three nodes (unequal widths)."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def cumulative_simpson(y, x):
+    """int_{x[0]}^{x[i]} y for every node of a strictly increasing x, at
+    least 3 nodes, by the composite Simpson rule; the first value is 0.
+
+    Subinterval [x[i], x[i+1]] integrates the parabola through x[i-1],
+    x[i] and x[i+1] when i is odd or the last, and the one through x[i],
+    x[i+1] and x[i+2] otherwise.  The arithmetic is that of scipy's
+    `cumulative_simpson(y, x=x, initial=0.0)` on 1-D input, so the values
+    are the same bits.
+    """
+    dx = np.diff(x)
+    heads = _simpson_heads(y, dx)
+    tails = _simpson_heads(y[::-1], dx[::-1])[::-1]
+    sub = np.empty(len(dx))
+    sub[:-1:2] = heads[::2]
+    sub[1::2] = tails[::2]
+    sub[-1] = tails[-1]
+    # scipy adds `initial` to every sum, which turns a -0.0 into 0.0
+    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
 
 
 _LogPanel = namedtuple("_LogPanel", "a b log_val log_err")

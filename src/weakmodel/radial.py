@@ -11,9 +11,11 @@ origin and immune to amplitude overflow:
 
     du/ds = w,   dw/ds = w + lambda^2 (r/phi)^2 - (n-1) (r phi'/phi) w - w^2,
 
-with s = log r.  The substitution x = phi^{n-1} phi_m' / (lambda^2 phi_m)
-turns the equation into x' + (lambda^2/phi^{n-1}) x^2 = phi^{n-3}, which
-yields the verified growth bound
+with s = log r, by the package's DOP853 (`dop853.solve_ivp`), one system for
+all the modes of an extension.  The substitution
+x = phi^{n-1} phi_m' / (lambda^2 phi_m) turns the equation into
+x' + (lambda^2/phi^{n-1}) x^2 = phi^{n-3}, which yields the verified growth
+bound
 
     phi_m(s) <= B exp( int_1^s lambda^2/phi^{n-1} (A + int_1^t phi^{n-3}) )
 
@@ -35,6 +37,7 @@ import numpy as np
 
 from . import criterion as _criterion
 from . import quadrature as _quadrature
+from .dop853 import solve_ivp
 from .errors import (DegenerateProfile, NonPositiveWarp, NotConvergent,
                      OutOfDomain, OutOfRange, QuadratureFailure,
                      StepSizeUnderflow, TailNotTight)
@@ -192,13 +195,6 @@ def _constant_profile(w, n, mode, grid):
         r0=float(grid[0]))
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy's `solve_ivp`, imported on the first call: only the modes of an
-    n >= 3 metric need an ODE solve, so no other command pays the import."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
-
-
 def _mode_rows(dense, j):
     """The (u, w) rows of the j-th solved mode in a stacked dense solution."""
     return lambda s: dense(s)[2 * j:2 * j + 2]
@@ -249,7 +245,6 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     # fast-growing phi and x = phi^{n-1} w/(lambda^2 r) re-amplifies any
     # absolute error floor, so w must stay relatively accurate
     sol = solve_ivp(rhs, (math.log(r_launch), math.log(r_max)), y0,
-                    method="DOP853", dense_output=True,
                     rtol=min(max(tol * 1e-3, 1e-13), 1e-8),
                     atol=[1e-12, 1e-290] * len(solved))
     if not sol.success:
@@ -520,11 +515,10 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
 
     Returns (bound curve on trace.grid, satisfied flag).  The nested
     quadrature uses only the warping function, hence is independent of the
-    ODE solver: composite cumulative Simpson on a fine master grid for both
-    the inner cumulative C(t) = int_1^t phi^{n-3} and the outer exponent.
+    ODE solver: `quadrature.cumulative_simpson` on a 16,385-node master grid
+    for both the inner cumulative C(t) = int_1^t phi^{n-3} and the outer
+    exponent.
     """
-    from scipy.integrate import cumulative_simpson
-
     w = profile.warp
     n = profile.n
     lam2 = profile.mode.lambda_sq
@@ -543,9 +537,9 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
             "phi^{n-3} overflows double precision on the trace range; "
             "reduce the trace grid extent")
     src = np.exp((n - 3) * log_phi)
-    C = cumulative_simpson(src, x=master, initial=0.0)
+    C = _quadrature.cumulative_simpson(src, master)
     h = lam2 * np.exp(-(n - 1) * log_phi) * (trace.A + C)
-    H = cumulative_simpson(h, x=master, initial=0.0)
+    H = _quadrature.cumulative_simpson(h, master)
     H_at = np.interp(s_grid, master, H)
     log_bound = math.log(trace.B) + H_at
     with np.errstate(over="ignore"):

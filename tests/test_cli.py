@@ -33,36 +33,43 @@ def test_classify_convergent(tmp_path, capsys):
 
 _LOADED_SCIPY = """
 import json, sys
-out, steps = sys.argv[1], []
+out, steps, code = sys.argv[1], [], []
 def loaded(step):
     steps.append([step, sorted(k for k in sys.modules if k.split(".")[0] == "scipy")])
 import weakmodel.cli as cli
 loaded("import")
-hyp = ["--family", "hyperbolic", "--a", "1", "--out", out]
-code = [cli.main(["classify", *hyp, "--n", "2"])]
-loaded("classify")
-code.append(cli.main(["solve", *hyp, "--n", "2", "--modes", "3"]))
-loaded("n = 2 solve")
-code.append(cli.main(["solve", *hyp, "--n", "3", "--modes", "1"]))
+def run(step, command, *args):
+    code.append(cli.main([command, "--family", "hyperbolic", "--a", "1", *args]))
+    loaded(step)
+run("classify", "classify", "--n", "2", "--out", out + "/c2")
+run("n = 2 solve", "solve", "--n", "2", "--modes", "3", "--out", out + "/s2")
+run("n = 3 solve", "solve", "--n", "3", "--modes", "1", "--out", out + "/s3")
+run("n = 2 verify --artifacts", "verify", "--n", "2", "--modes", "3",
+    "--artifacts", out + "/s2", "--out", out + "/v2")
+run("n = 3 verify", "verify", "--n", "3", "--modes", "1", "--out", out + "/v3")
 print(json.dumps({"steps": steps, "code": code,
                   "integrate": "scipy.integrate" in sys.modules}))
 """
 
 
 def test_commands_load_only_the_scipy_they_need(tmp_path):
-    # a fresh process: importing the CLI, classifying and an n = 2 solve load
-    # no scipy; an n = 3 solve imports scipy's ODE solver and still works
+    # a fresh process: importing the CLI, classify, and solve and verify at
+    # n = 2 and n = 3 load no scipy; the ODE solve and the growth-bound
+    # check are the package's own
     src = Path(main.__code__.co_filename).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
+    assert [step for step, _ in result["steps"]] == [
+        "import", "classify", "n = 2 solve", "n = 3 solve",
+        "n = 2 verify --artifacts", "n = 3 verify"]
     for step, modules in result["steps"]:
         assert modules == [], step
-    assert result["code"] == [0, 0, 0]
-    assert result["integrate"]
-    assert json.loads((tmp_path / "profiles.json").read_text())[1]["normalized"]
+    assert result["code"] == [0, 0, 0, 0, 0]
+    assert not result["integrate"]
+    assert json.loads((tmp_path / "s3" / "profiles.json").read_text())[1]["normalized"]
 
 
 def test_classify_divergent(tmp_path):

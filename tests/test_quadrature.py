@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import special
+from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from weakmodel.errors import QuadratureFailure
 from weakmodel.quadrature import (LogCumulative, _logsumexp_rows,
                                   adaptive_quad, adaptive_quad_log,
-                                  kronrod_panel_log, logsumexp)
+                                  cumulative_simpson, kronrod_panel_log,
+                                  logsumexp)
 
 
 def test_adaptive_known_integrals():
@@ -194,3 +196,24 @@ def test_log_between_makes_one_call_of_logf():
     cum.logf, calls = _counted(cum.logf)
     cum.log_between(np.linspace(1.2, 8.8, 30)[:, None], np.array([2.0, 9.0]))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("nodes", [3, 4, 5, 100, 101])
+def test_cumulative_simpson_is_scipys_bit_for_bit(nodes):
+    # scipy's cumulative_simpson serves only as a reference here
+    rng = np.random.default_rng(nodes)
+    for _ in range(20):
+        x = np.cumsum(rng.uniform(1e-3, 2.0, nodes)) - 1.0
+        y = rng.normal(size=nodes) * np.exp(rng.uniform(-30.0, 30.0, nodes))
+        got = cumulative_simpson(y, x)
+        assert got.tobytes() == scipy_cumulative_simpson(y, x=x, initial=0.0).tobytes()
+
+
+def test_cumulative_simpson_on_the_growth_bound_master_grid():
+    # the 16,385-node grid of radial.lemma_bound_check
+    x = np.linspace(1.0, 20.0, 16385)
+    for y in (np.exp(-2.0 * x) * (1.0 + x), np.sinh(x) ** -2.0, np.sin(7.0 * x)):
+        got = cumulative_simpson(y, x)
+        assert got.tobytes() == scipy_cumulative_simpson(y, x=x, initial=0.0).tobytes()
+    # Simpson is exact on parabolas, up to rounding over 16,384 sums
+    assert_allclose(cumulative_simpson(x ** 2, x), (x ** 3 - 1.0) / 3.0, rtol=1e-12)
