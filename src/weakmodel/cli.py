@@ -266,18 +266,11 @@ def cmd_verify(args) -> int:
                              f"u within [{lo:.6g}, {hi:.6g}]"))
 
         # FD residual of u at interior sample points
-        if n == 2:
-            u_fn = lambda r, t: float(_extension.evaluate(ext, r, t))
-            pts = [(1.5, 0.3), (3.0, 2.0), (6.0, 4.4)]
-            res = [abs(_oracle.laplace_beltrami_residual_fn(w, 2, u_fn, r, t,
-                                                            h=0.02))
-                   for r, t in pts]
-        else:
-            u_fn = lambda r, om: float(_extension.evaluate(ext, r, om))
-            pts = [(1.5, (1.2, 0.3)), (3.0, (1.8, 2.0)), (6.0, (0.9, 4.4))]
-            res = [abs(_oracle.laplace_beltrami_residual_fn(w, 3, u_fn, r, om,
-                                                            h=0.02))
-                   for r, om in pts]
+        u_fn = lambda r, om: float(_extension.evaluate(ext, r, om))
+        pts = ([(1.5, 0.3), (3.0, 2.0), (6.0, 4.4)] if n == 2 else
+               [(1.5, (1.2, 0.3)), (3.0, (1.8, 2.0)), (6.0, (0.9, 4.4))])
+        res = [abs(_oracle.laplace_beltrami_residual_fn(w, n, u_fn, r, om, h=0.02))
+               for r, om in pts]
         checks.append(_check("fd_residual", max(res) < 5e-3,
                              f"max |L u| = {max(res):.3g} at h=0.02"))
 

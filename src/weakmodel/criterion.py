@@ -18,7 +18,10 @@ outer one.
 
 All integrands are powers of phi and are evaluated in log space so that
 large n or fast exponential growth cannot overflow or underflow the
-bookkeeping.
+bookkeeping.  `_log_power` builds every one of them, in t or in log t, and
+`_log_integral` integrates phi^{1-n} or the triangle phi^{1-n}(tau)
+int^tau phi^{n-3} for the finite part and for the one refined tail routine,
+which works in t for exponential growth and in log t otherwise.
 """
 
 from __future__ import annotations
@@ -150,6 +153,20 @@ class _TailModel:
     def r0(self, R):
         """Start of the sandwich used with truncation radius R."""
         return max(self.min_r0(), R / 3.0)
+
+    def decay_rate(self, double):
+        """Rate at which the inner tail integrand phi^{1-n}, or with `double`
+        the double tail's, decays exponentially: in t for exponential growth,
+        in log t otherwise.  Power-log growth has one for the inner tail at
+        n >= 3 only; its double tail is the exact psi tail."""
+        n = self.n
+        if self.kind == "exp":
+            a = self.growth.rate
+            return 2 * a if double else a * (n - 1)
+        if self.kind == "power":
+            p = self.growth.exponent
+            return 2 * p - 2 if double else p * (n - 1) - 1.0
+        return float(n - 2)
 
     def log_sandwich(self, r0):
         """(log klo, log khi) such that phi in [klo, khi]*psi on [r0, inf)."""
@@ -329,88 +346,70 @@ class _TailModel:
 
 
 # ---------------------------------------------------------------------------
-# Refined numeric tails using the exact warping function
+# Log-space integrals of powers of phi
 # ---------------------------------------------------------------------------
 
-def _inner_cutoff(model, R):
-    n = model.n
-    if model.kind == "exp":
-        return R + _DECAY_UNITS / (model.growth.rate * (n - 1))
-    if model.kind == "power":
-        rate = model.growth.exponent * (n - 1) - 1.0
-    else:
-        rate = float(n - 2)
-    return R * math.exp(min(_DECAY_UNITS / rate, 340.0))
+def _log_power(w, q, base=None, cum=None):
+    """log of the integrand phi^q dt in t, or in s = log(t/base) when `base`
+    is given; with `cum`, times cum's integral from cum.lo to the node."""
+    def logf(x):
+        out = q * w.log_phi(x if base is None else base * np.exp(x))
+        if cum is not None:
+            out = out + cum.log_between(cum.lo, x)
+        if base is not None:
+            out = out + math.log(base) + x
+        return out
+    return logf
 
 
-def _refined_log_inner(w, n, model, R, r0, rtol=1e-12):
-    """Bracket (lo, hi) for log int_R^inf phi^{1-n} using exact phi."""
-    if model.kind == "powerlog" and n == 2:
-        return model.log_inner_bracket(R, r0)   # closed form, exact constant
-    X = _inner_cutoff(model, R)
-    if model.kind == "exp":
-        logf = lambda t: (1 - n) * w.log_phi(t)
-        log_main, log_err, _ = adaptive_quad_log(logf, R, X, rtol=rtol)
-    else:
-        # integrate in s = log(t/R): integrand decays exponentially in s
-        S = math.log(X / R)
-        logf = lambda s: (1 - n) * w.log_phi(R * np.exp(s)) + math.log(R) + s
-        log_main, log_err, _ = adaptive_quad_log(logf, 0.0, S, rtol=rtol)
-    return _bracket(log_main, log_err, *model.log_inner_bracket(X, r0))
+def _log_integral(w, n, a, b, rtol, base=None, cum_rtol=None):
+    """(log value, log error, cum) of int_a^b phi^{1-n}, in the variable of
+    `_log_power`, and cum None.  With `cum_rtol` the value is the triangle
+    integral int_a^b phi^{1-n}(tau) [int_a^tau phi^{n-3}] dtau, an iterated
+    order whose integrand stays representable after combining logs, and cum
+    the LogCumulative of phi^{n-3} on [a, b]."""
+    cum = (None if cum_rtol is None
+           else LogCumulative(_log_power(w, n - 3, base), a, b, rtol=cum_rtol))
+    log_val, log_err, _ = adaptive_quad_log(_log_power(w, 1 - n, base, cum),
+                                            a, b, rtol=rtol)
+    return log_val, log_err, cum
 
 
-def _refined_log_double(w, n, model, R, r0, rtol=1e-12):
-    """Double tail beyond R via the cumulative flip, for exp/power growth."""
-    if model.kind == "exp":
-        X = R + _DECAY_UNITS / (2 * model.growth.rate)
-        cum = LogCumulative(lambda t: (n - 3) * w.log_phi(t), R, X, rtol=rtol)
+def _refined_log_tail(w, n, model, R, r0, double):
+    """Bracket (lo, hi) for log int_R^inf phi^{1-n}, or with `double` for
+    the log double tail beyond R, using exact phi.
 
-        def logf(ts):
-            return (1 - n) * w.log_phi(ts) + cum.log_between(R, ts)
-        log_main, log_err, _ = adaptive_quad_log(logf, R, X, rtol=rtol)
-    else:
-        p = model.growth.exponent
-        S = min(_DECAY_UNITS / (2 * p - 2), 340.0)
-        X = R * math.exp(S)
-        cum = LogCumulative(
-            lambda s: (n - 3) * w.log_phi(R * np.exp(s)) + math.log(R) + s,
-            0.0, S, rtol=rtol)
-
-        def logf(ss):
-            return ((1 - n) * w.log_phi(R * np.exp(ss)) + cum.log_between(0.0, ss)
-                    + math.log(R) + ss)
-        log_main, log_err, _ = adaptive_quad_log(logf, 0.0, S, rtol=rtol)
-    # remainder beyond X: split C_R = C_R(X) + C_X gives C_R(X)*T_in(X) + T_out(X)
-    log_cum_RX = cum.log_total
-    in_lo, in_hi = model.log_inner_bracket(X, r0)
-    d_lo, d_hi = model.log_double_bracket(X, r0)
-    return _bracket(log_main, log_err, logsumexp([log_cum_RX + in_lo, d_lo]),
-                    logsumexp([log_cum_RX + in_hi, d_hi]))
-
-
-# ---------------------------------------------------------------------------
-# Finite parts over [1, R]
-# ---------------------------------------------------------------------------
-
-def _finite_double(w, n, R, rtol=1e-11):
-    """Triangle integral over 1 <= sigma <= tau <= R, plus log cumulative.
-
-    Uses the iterated order int_1^R phi^{1-n}(tau) [int_1^tau phi^{n-3}] dtau
-    whose integrand stays representable after combining logs.
+    Exponential growth integrates in t, up to X where its decay rate has
+    used _DECAY_UNITS; the others integrate in s = log(t/R), where their
+    integrands decay exponentially.  The elementary brackets at X bound the
+    remainder; for the double tail, the split C_R = C_R(X) + C_X gives
+    C_R(X)*T_in(X) + T_out(X).
     """
-    cum = LogCumulative(lambda t: (n - 3) * w.log_phi(t), 1.0, R, rtol=rtol * 0.1)
+    rate = model.decay_rate(double)
+    if model.kind == "exp":
+        X = R + _DECAY_UNITS / rate
+        a, b, base = R, X, None
+    else:
+        S = min(_DECAY_UNITS / rate, 340.0)
+        X = R * math.exp(S)
+        a, b, base = 0.0, (S if double else math.log(X / R)), R
+    log_main, log_err, cum = _log_integral(w, n, a, b, 1e-12, base,
+                                           cum_rtol=1e-12 if double else None)
+    in_lo, in_hi = model.log_inner_bracket(X, r0)
+    if not double:
+        return _bracket(log_main, log_err, in_lo, in_hi)
+    d_lo, d_hi = model.log_double_bracket(X, r0)
+    return _bracket(log_main, log_err, logsumexp([cum.log_total + in_lo, d_lo]),
+                    logsumexp([cum.log_total + in_hi, d_hi]))
 
-    def logf(ts):
-        return (1 - n) * w.log_phi(ts) + cum.log_between(1.0, ts)
 
-    log_val, log_err, _ = adaptive_quad_log(logf, 1.0, R, rtol=rtol)
+def _finite(w, n, R, double, rtol):
+    """(value, error, cum) of the finite part over [1, R]: the triangle
+    integral with the cumulative of phi^{n-3} if `double`, else
+    int_1^R phi^{1-n} and cum None."""
+    log_val, log_err, cum = _log_integral(
+        w, n, 1.0, R, rtol, cum_rtol=rtol * 0.1 if double else None)
     return math.exp(log_val), math.exp(min(log_err, 700.0)), cum
-
-
-def _finite_single(w, n, R, rtol=1e-12):
-    log_val, log_err, _ = adaptive_quad_log(
-        lambda t: (1 - n) * w.log_phi(t), 1.0, R, rtol=rtol)
-    return math.exp(log_val), math.exp(min(log_err, 700.0))
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +438,17 @@ def _tail_brackets(w, n, model, R, r0, double=True):
 
     Refined with the exact phi when it has a closed form, elementary from
     the sandwich otherwise.  Power-log phi is exactly C*psi beyond e^2, so
-    its psi double tail is already the refined one.  The double bracket is
-    None unless `double`.
+    its psi double tail, and at n = 2 its psi inner tail, are already the
+    refined ones.  The double bracket is None unless `double`.
     """
-    inner = (_refined_log_inner(w, n, model, R, r0) if w.closed_form
+    exact_psi = model.kind == "powerlog"
+    inner = (_refined_log_tail(w, n, model, R, r0, False)
+             if w.closed_form and not (exact_psi and n == 2)
              else model.log_inner_bracket(R, r0))
     if not double:
         return inner, None
-    if w.closed_form and model.kind != "powerlog":
-        return inner, _refined_log_double(w, n, model, R, r0)
+    if w.closed_form and not exact_psi:
+        return inner, _refined_log_tail(w, n, model, R, r0, True)
     return inner, model.log_double_bracket(R, r0)
 
 
@@ -470,10 +471,10 @@ def _certify(w, n, tol, r_max, double):
     model = _TailModel(growth, n)
     R = _start_radius(w, model, float(r_max) if r_max is not None
                       else model.default_r_max())
+    rtol = 1e-11 if double else 1e-12
 
     if model.inner_diverges() or (double and model.double_diverges()):
-        finite = _finite_double if double else _finite_single
-        F, F_err = finite(w, n, R)[:2]
+        F, F_err, _ = _finite(w, n, R, double, rtol)
         return CriterionReport(
             verdict=DIVERGENT, value=F, error_bound=F_err,
             tail_evidence=model.divergence_evidence(model.r0(R), double),
@@ -484,13 +485,12 @@ def _certify(w, n, tol, r_max, double):
     for _ in range(_MAX_R_DOUBLINGS + 1):
         r0 = model.r0(R)
         (in_lo, in_hi), dbl = _tail_brackets(w, n, model, R, r0, double)
+        F, F_err, cum = _finite(w, n, R, double, rtol)
         if double:
-            F, F_err, cum = _finite_double(w, n, R)
             log_cum = cum.log_total
             cross_lo, cross_hi = math.exp(log_cum + in_lo), math.exp(log_cum + in_hi)
             tout_lo, tout_hi = math.exp(dbl[0]), math.exp(dbl[1])
         else:
-            F, F_err = _finite_single(w, n, R)
             cross_lo = cross_hi = 0.0
             tout_lo, tout_hi = math.exp(in_lo), math.exp(in_hi)
         value = F + 0.5 * (cross_lo + cross_hi) + 0.5 * (tout_lo + tout_hi)
@@ -537,16 +537,12 @@ def fubini_check(w: WarpingFunction, n: int, R: float):
     """
     if R <= 1.0:
         raise InvalidTolerance(f"fubini box needs R > 1, got {R}")
-    cum_a = LogCumulative(lambda t: (n - 3) * w.log_phi(t), 1.0, R, rtol=1e-12)
-    cum_b = LogCumulative(lambda t: (1 - n) * w.log_phi(t), 1.0, R, rtol=1e-12)
-
-    def log_lhs(ts):
-        return (1 - n) * w.log_phi(ts) + cum_a.log_between(1.0, ts)
+    lv, _, _ = _log_integral(w, n, 1.0, R, 1e-12, cum_rtol=1e-12)
+    cum = LogCumulative(_log_power(w, 1 - n), 1.0, R, rtol=1e-12)
 
     def log_rhs(ss):
-        return (n - 3) * w.log_phi(ss) + cum_b.log_between(ss, R)
+        return (n - 3) * w.log_phi(ss) + cum.log_between(ss, R)
 
-    lv, _, _ = adaptive_quad_log(log_lhs, 1.0, R, rtol=1e-12)
     rv, _, _ = adaptive_quad_log(log_rhs, 1.0, R, rtol=1e-12)
     return math.exp(lv), math.exp(rv)
 
@@ -575,7 +571,7 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
     """Certified tail brackets at R for a metric with convergent criterion."""
     model = _convergent_model(w, n)
     R = _start_radius(w, model, float(R))
-    cum = LogCumulative(lambda t: (n - 3) * w.log_phi(t), 1.0, R, rtol=1e-12)
+    cum = LogCumulative(_log_power(w, n - 3), 1.0, R, rtol=1e-12)
     inner, dbl = _tail_brackets(w, n, model, R, model.r0(R))
     return TailCertificate(
         r_max=R, log_cum=cum.log_total, log_inner=inner,
@@ -604,10 +600,7 @@ def _classify_unknown(w, n, tol, double):
                           "octave extrapolation", r_max=top)
     radii = [top / 4.0, top / 2.0, top]
     # extrapolation only resolves octave increments; 1e-8 relative suffices
-    if double:
-        vals = [_finite_double(w, n, R, rtol=1e-8)[0] for R in radii]
-    else:
-        vals = [_finite_single(w, n, R, rtol=1e-8)[0] for R in radii]
+    vals = [_finite(w, n, R, double, 1e-8)[0] for R in radii]
     d1 = vals[1] - vals[0]
     d2 = vals[2] - vals[1]
     scale = max(abs(vals[2]), 1e-300)

@@ -17,6 +17,10 @@ class UnsupportedDimension(WeakModelError, ValueError):
     """Requested spectral data is not available for this dimension."""
 
 
+class UnsupportedSpectrum(WeakModelError, ValueError):
+    """Operation needs the round-sphere basis, but another spectrum was given."""
+
+
 class IndexOutOfRange(WeakModelError, IndexError):
     """Eigenfunction index k outside 0..multiplicity-1."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import criterion as _criterion
 from . import radial as _radial
-from .errors import NotSolvable, OutOfRange
+from .errors import NotSolvable, OutOfRange, UnsupportedSpectrum
 from .spectrum import (BoundaryData, CoefficientTable, RoundSphere,
                        SphereSpectrum, project_boundary)
 from .warp import ExponentialGrowth, WarpingFunction
@@ -84,8 +84,10 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     """Assemble the harmonic extension of f truncated at degree M.
 
     `spectrum` defaults to the round sphere; any cross-section metric can be
-    supplied through the SphereSpectrum interface; the round sphere refuses
-    n outside {2, 3} before any solve.  Construction warns when the top of
+    supplied through the SphereSpectrum interface, with data given by
+    coefficients: sampled data are projected on the round-sphere basis, so
+    they are refused with any other spectrum.  The round sphere refuses n
+    outside {2, 3} before any solve.  Construction warns when the top of
     the band (at M >= 2), with any input mode above it, carries more than
     _TAIL_ENERGY_FRACTION of the boundary energy; at M < 2 only input modes
     above M count.  Exact coefficients with no mode above M need no warning,
@@ -98,6 +100,10 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     """
     if spectrum is None:
         spectrum = RoundSphere(n)
+    if f.coeffs is None and not isinstance(spectrum, RoundSphere):
+        raise UnsupportedSpectrum(
+            f"sampled boundary data are projected on the round-sphere basis; "
+            f"give coefficients to use {type(spectrum).__name__}")
     if criterion is None:
         criterion = _criterion.march_criterion(w, n, tol=max(tol, 1e-10))
     if criterion.verdict != _criterion.CONVERGENT:

@@ -285,7 +285,6 @@ class _ConformalTime:
     """
 
     def __init__(self, w: WarpingFunction, r0: float, R: float, log_inner):
-        self.w = w
         self.S = math.log(R)
         self.cum = _quadrature.LogCumulative(
             lambda s: s - w.log_phi(np.exp(s)), math.log(r0), self.S,
@@ -301,7 +300,7 @@ class _ConformalTime:
         memo = self._memo
         if memo is None or not np.array_equal(memo[0], s):
             tau = self.tail + np.exp(self.cum.log_between(s, self.S))
-            rho = np.exp(s - np.asarray(self.w.log_phi(np.exp(s)), dtype=float))
+            rho = np.exp(self.cum.logf(s))
             self._memo = memo = (s.copy(), tau, rho)
         return memo[1], memo[2]
 

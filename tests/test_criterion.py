@@ -15,7 +15,7 @@ from conftest import count_calls, write_tabulated_csv
 from weakmodel.report import round12
 from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
                                  CriterionReport, _TailModel, fubini_check,
-                                 march_criterion, tail_certificate,
+                                 inner_tail, march_criterion, tail_certificate,
                                  transience_integral)
 from weakmodel.errors import InvalidTolerance, NotConvergent, QuadratureFailure
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
@@ -355,11 +355,15 @@ def test_rounding_limited_refusal_names_every_part_and_stops():
     assert elapsed < 0.2
 
 
-@pytest.mark.parametrize("w", [Hyperbolic(1.0), PowerGrowth(1.5)],
-                         ids=["hyperbolic", "powergrowth"])
-def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w):
+@pytest.mark.parametrize("w, part", [(Hyperbolic(1.0), "finite"),
+                                     (PowerGrowth(1.5), "finite"),
+                                     (PowerGrowth(2.0), "double_tail")],
+                         ids=["hyperbolic", "powergrowth", "powergrowth-log-tail"])
+def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w, part):
     # the integrand phi^(1-n)(t) * int_1^t phi^(n-3) needs one log_phi call
-    # for phi^(1-n) and one for all partial panels of the cumulative integral
+    # for phi^(1-n) and one for all partial panels of the cumulative integral;
+    # the refined double tail of power growth builds the same product in
+    # s = log(t/R)
     from weakmodel import criterion
     log_phi_calls = count_calls(monkeypatch, w, "log_phi")
     per_vector = []
@@ -374,9 +378,46 @@ def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w):
         return quad(counted, *args, **kwargs)
 
     monkeypatch.setattr(criterion, "adaptive_quad_log", spy)
-    F, F_err, _ = criterion._finite_double(w, 2, 30.0)
+    if part == "finite":
+        F, F_err, _ = criterion._finite(w, 2, 30.0, True, 1e-11)
+        assert F > 0 and F_err < 1e-9 * F
+    else:
+        model = _TailModel(w.growth_class, 2)
+        lo, hi = criterion._refined_log_tail(w, 2, model, 100.0, model.r0(100.0),
+                                             double=True)
+        assert lo <= hi < lo + 1e-9
     assert per_vector and max(per_vector) <= 2
-    assert F > 0 and F_err < 1e-9 * F
+
+
+# (metric, n, R): log_cum, log_inner, double of tail_certificate, recorded
+# before the refined tails shared one routine; one metric per refined kind
+_PINNED_TAILS = [
+    ((Hyperbolic(1.0), 2, 30.0), -0.2588525549667824,
+     (-29.30685281944036, -29.306852819439754),
+     (1.7513021525388468e-26, 1.7513021525397554e-26)),
+    ((Hyperbolic(1.0), 3, 30.0), 3.3672958299864737,
+     (-59.30685281944035, -59.306852819439754),
+     (8.756510762695462e-27, 8.756510762697454e-27)),
+    ((PowerGrowth(2.0), 3, 100.0), 4.595119850134589,
+     (-14.914182844147108, -14.914182844146529),
+     (1.666616669047097e-05, 1.6666166690478724e-05)),
+    ((PowerLog(3.0), 3, 100.0), 4.595119850134589,
+     (-12.167803020029725, -12.167803020028432),
+     (0.0005282787990690751, 0.0005282787990690798)),
+]
+
+
+@pytest.mark.parametrize("args, log_cum, log_inner, double", _PINNED_TAILS,
+                         ids=["exp-n2", "exp-n3", "power-n3", "powerlog-n3"])
+def test_refined_tails_match_recorded_values(args, log_cum, log_inner, double):
+    cert = tail_certificate(*args)
+    assert cert.r_max == args[2]
+    assert_allclose(cert.log_cum, log_cum, rtol=1e-13)
+    assert_allclose(cert.log_inner, log_inner, rtol=1e-13)
+    assert_allclose(cert.double, double, rtol=1e-13)
+    R, inner = inner_tail(*args)
+    assert R == args[2]
+    assert_allclose(inner, log_inner, rtol=1e-13)
 
 
 def test_tail_certificate_requires_convergence():

@@ -10,12 +10,14 @@ from conftest import count_calls
 from weakmodel import criterion
 from weakmodel.cli import _boundary_data
 from weakmodel import extension as ext
-from weakmodel.errors import NotSolvable, OutOfRange
+from weakmodel.errors import NotSolvable, OutOfRange, UnsupportedSpectrum
 from weakmodel.oracle import laplace_beltrami_residual_fn
 from weakmodel.quadrature import LogCumulative
-from weakmodel.spectrum import (BoundaryData, CoefficientTable,
-                                eigenfunction_eval, sphere_quadrature,
-                                synthesize)
+from weakmodel.radial import normalize_profile, solve_modes, suggest_rmax
+from weakmodel.spectrum import (BoundaryData, CoefficientTable, EigenMode,
+                                SphereQuadrature, SphereSpectrum,
+                                eigen_round_sphere, eigenfunction_eval,
+                                sphere_quadrature, synthesize)
 from weakmodel.warp import Euclidean, Hyperbolic, PowerGrowth
 
 
@@ -71,6 +73,26 @@ def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
     assert e.r_max == 480.0 and e.profiles[1].normalized
 
 
+def _hyperbolic_mode(a, n, m):
+    """The mode of sinh(ar)/a with limit 1: with t = tanh(ar/2), it is
+    t^m 2F1(m, 1 - n/2; m + n/2; t^2) / G, with G Gauss's value of the 2F1
+    at t = 1."""
+    from scipy.special import hyp2f1
+    G = math.exp(math.lgamma(m + n / 2) + math.lgamma(n - 1)
+                 - math.lgamma(n / 2) - math.lgamma(m + n - 1))
+
+    def exact(r):
+        t = np.tanh(a * np.asarray(r, dtype=float) / 2)
+        return t ** m * hyp2f1(m, 1 - n / 2, m + n / 2, t * t) / G
+    return exact
+
+
+def _assert_profile_matches(p, exact, slack):
+    assert np.max(np.abs(p.values - exact(p.grid))) <= slack
+    r = np.linspace(0.0, p.r_max, 97)
+    assert np.max(np.abs(p.interp(r) - exact(r))) <= slack
+
+
 @pytest.mark.parametrize("tol,ode_error", [(1e-8, 1e-9), (1e-10, 2e-10)])
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_n3_hyperbolic_mode_matches_closed_form(a, tol, ode_error):
@@ -94,10 +116,21 @@ def test_n3_hyperbolic_mode_matches_closed_form(a, tol, ode_error):
     e = ext.build_extension(Hyperbolic(a), 3,
                             BoundaryData.from_coefficients(table), 1, tol=tol)
     p = e.profiles[1]
-    slack = p.limit_error + ode_error
-    assert np.max(np.abs(p.values - exact(p.grid))) <= slack
-    r = np.linspace(0.0, p.r_max, 97)
-    assert np.max(np.abs(p.interp(r) - exact(r))) <= slack
+    _assert_profile_matches(p, exact, p.limit_error + ode_error)
+
+    # every mode m <= 8 at n = 3, 4, 5 against the hypergeometric oracle,
+    # with the same ODE slack.  The round sphere refuses n >= 4, so the
+    # profiles are built as build_extension builds them, without a spectrum
+    w = Hyperbolic(a)
+    for n in (3, 4, 5):
+        modes = [eigen_round_sphere(n, m) for m in range(1, 9)]
+        crit = criterion.march_criterion(w, n, tol=max(tol, 1e-10))
+        cert = suggest_rmax(w, n, modes[-1].lambda_sq, ext._start_r_max(w))
+        for mode, raw in zip(modes, solve_modes(w, n, modes, r_max=cert.r_max,
+                                                tol=tol)):
+            p = normalize_profile(raw, crit, cert)
+            _assert_profile_matches(p, _hyperbolic_mode(a, n, mode.m),
+                                    p.limit_error + ode_error)
 
 
 def test_user_rmax_below_certificate_start_is_honest():
@@ -453,39 +486,37 @@ def test_dropped_modes_warn_below_m2(hyperbolic_criterion, preset, M, warns):
         assert f"modes >= {M + 1} carry 1 of the energy" in str(hits[0].message)
 
 
+class StretchedCircle(SphereSpectrum):
+    """A circle of circumference 4 pi: eigenvalues (m/2)^2."""
+
+    def __init__(self):
+        super().__init__(2)
+
+    def mode(self, m):
+        return EigenMode(m=m, lambda_sq=(m / 2.0) ** 2,
+                         multiplicity=1 if m == 0 else 2)
+
+    def eigenfunction(self, m, k, omega):
+        omega = np.asarray(omega, dtype=float)
+        norm = math.sqrt(2 * math.pi)     # half the round density
+        if m == 0:
+            return np.full_like(omega, 1.0 / math.sqrt(4 * math.pi))
+        trig = np.cos if k == 0 else np.sin
+        return trig(m * omega / 2.0) / norm
+
+    def quadrature(self, M):
+        N = max(4 * (M + 1), 8)
+        pts = 4 * math.pi * np.arange(N) / N
+        return SphereQuadrature(n=2, band_limit=M, points=pts,
+                                weights=np.full(N, 4 * math.pi / N))
+
+    def sup_norm(self, m):
+        return 1.0 / math.sqrt((4 if m == 0 else 2) * math.pi)
+
+
 def test_pluggable_spectrum(hyperbolic_criterion):
-    # a stretched circle (circumference 4 pi) has eigenvalues (m/2)^2; the
-    # radial machinery only sees the spectral data, so solvability and the
-    # extension work unchanged
-    import math as _math
-    from weakmodel.spectrum import (EigenMode, SphereQuadrature,
-                                    SphereSpectrum)
-
-    class StretchedCircle(SphereSpectrum):
-        def __init__(self):
-            super().__init__(2)
-
-        def mode(self, m):
-            return EigenMode(m=m, lambda_sq=(m / 2.0) ** 2,
-                             multiplicity=1 if m == 0 else 2)
-
-        def eigenfunction(self, m, k, omega):
-            omega = np.asarray(omega, dtype=float)
-            norm = _math.sqrt(2 * _math.pi)     # half the round density
-            if m == 0:
-                return np.full_like(omega, 1.0 / _math.sqrt(4 * _math.pi))
-            trig = np.cos if k == 0 else np.sin
-            return trig(m * omega / 2.0) / norm
-
-        def quadrature(self, M):
-            N = max(4 * (M + 1), 8)
-            pts = 4 * _math.pi * np.arange(N) / N
-            return SphereQuadrature(n=2, band_limit=M, points=pts,
-                                    weights=np.full(N, 4 * _math.pi / N))
-
-        def sup_norm(self, m):
-            return 1.0 / _math.sqrt((4 if m == 0 else 2) * _math.pi)
-
+    # the radial machinery only sees the spectral data, so solvability and
+    # the extension work unchanged on a stretched circle
     spec = StretchedCircle()
     # orthonormality sanity of the plugged basis
     quad = spec.quadrature(3)
@@ -504,6 +535,16 @@ def test_pluggable_spectrum(hyperbolic_criterion):
     expect = e.profiles[1].interp(2.0) * spec.eigenfunction(1, 0, th)
     assert_allclose(vals, expect, atol=1e-12)
     assert ext.l2_distance_to_boundary(e, 14.0) < 1e-3
+
+
+def test_custom_spectrum_refuses_sampled_data(hyperbolic_criterion):
+    # samples are projected on the round-sphere basis; with another
+    # spectrum that builds a wrong extension, so they are refused by name
+    spec = StretchedCircle()
+    f = BoundaryData.from_function(2, 3, lambda th: spec.eigenfunction(1, 0, th))
+    with pytest.raises(UnsupportedSpectrum, match="StretchedCircle"):
+        ext.build_extension(Hyperbolic(1.0), 2, f, 3,
+                            criterion=hyperbolic_criterion, spectrum=spec)
 
 
 def test_exports(tmp_path, cos_extension):
