@@ -425,12 +425,15 @@ def _check_args(w, n, tol):
         raise InvalidTolerance(f"tolerance must be positive and finite, got {tol!r}")
 
 
+def _top_radius(w):
+    """The largest R the data allow: just inside a tabulated hull, else inf."""
+    hull = getattr(w, "grid", None)
+    return float(hull[-1]) * 0.995 if hull is not None else math.inf
+
+
 def _start_radius(w, model, R):
     """R raised above the sandwich start; tabulated data stay inside the samples."""
-    hull = getattr(w, "grid", None)
-    if hull is not None:
-        R = min(R, float(hull[-1]) * 0.995)
-    return max(R, model.min_r0() * 1.3)
+    return max(min(R, _top_radius(w)), model.min_r0() * 1.3)
 
 
 def _tail_brackets(w, n, model, R, r0, double=True):
@@ -463,6 +466,7 @@ def _certify(w, n, tol, r_max, double):
     plus rounding reach tol.  A larger R lowers neither: the finite-part
     error does not fall with R, and the rounding in the stop rule is taken on
     the value's certified lower end, which bounds the value at every R.
+    On tabulated data R doubles no further than just inside the last sample.
     """
     _check_args(w, n, tol)
     growth = w.growth_class
@@ -482,6 +486,7 @@ def _certify(w, n, tol, r_max, double):
 
     budget = []
     reason = ""
+    top = _top_radius(w)
     for _ in range(_MAX_R_DOUBLINGS + 1):
         r0 = model.r0(R)
         (in_lo, in_hi), dbl = _tail_brackets(w, n, model, R, r0, double)
@@ -511,7 +516,10 @@ def _certify(w, n, tol, r_max, double):
         if F_err + 1e-14 * (F + cross_lo + tout_lo) >= tol:
             reason = " (finite-part error plus rounding exceed tol)"
             break
-        R *= 2.0
+        if R >= top:
+            reason = f" (r_max reached the end of the tabulated hull at {top:g})"
+            break
+        R = min(2.0 * R, top)
     what = "value" if double else "transience value"
     raise QuadratureFailure(
         f"could not certify the {what} within tol={tol:g}{reason}; error "

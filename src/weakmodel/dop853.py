@@ -222,10 +222,12 @@ ERROR_EXPONENT = -1 / 8      # the error estimator is of order 7
 SUCCESS = "The solver successfully reached the end of the integration interval."
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-# (row of A, c) of stages 1 to 11 and of the 3 interpolant stages
-_STEP_STAGES = [(A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
-_DENSE_STAGES = [(A[s, :s], float(C[s]))
-                 for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
+# The rows of A of stages 1 to 11 and of the 3 interpolant stages
+_STEP_STAGES = [A[s, :s] for s in range(1, N_STAGES)]
+_DENSE_STAGES = [A[s, :s] for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
+# The c of the 15 times at which an attempt calls fun: stages 1 to 11, the
+# new state at t + h (c = 1 gives t + h exactly), the 3 interpolant stages
+_ATTEMPT_C = np.concatenate([C[1:N_STAGES], [1.0], C[N_STAGES + 1:]])
 
 
 class DenseOutput:
@@ -305,7 +307,7 @@ def _error_norm(K, h, scale):
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol):
+def solve_ivp(fun, t_span, y0, rtol, atol, before_attempt=None):
     """Integrate y' = fun(t, y) from y(t_span[0]) = y0 up to t_span[1].
 
     fun returns a float array shaped like y; atol is a float or one value per
@@ -313,6 +315,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol):
     scipy raises it.  On success the result's `sol` is the dense output; when
     a step would fall below 10 ulp of t the result reports `success` False
     with scipy's message, the times reached and no dense output.
+
+    `before_attempt`, if given, is called before each step attempt with the
+    list of the 15 times at which the attempt may call fun: its 11 inner
+    stages, t + h, and the 3 interpolant stages, which run only if the step
+    is accepted.  fun receives exactly these floats, so a caller can
+    evaluate what fun needs at all of them in one pass.  The two calls of
+    the initial step-size choice come before the first attempt.
     """
     t0, t_bound = map(float, t_span)
     if not t_bound > t0:
@@ -339,11 +348,15 @@ def solve_ivp(fun, t_span, y0, rtol, atol):
             h = t_new - t
             h_abs = np.abs(h)
 
+            # t + c * h for every stage, as scipy forms each
+            stage_t = (t + _ATTEMPT_C * h).tolist()
+            if before_attempt is not None:
+                before_attempt(stage_t)
             K[0] = f
-            for s, (a, c) in enumerate(_STEP_STAGES, start=1):
-                K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
+            for s, a in enumerate(_STEP_STAGES, start=1):
+                K[s] = fun(stage_t[s - 1], y + np.dot(KT[s], a) * h)
             y_new = y + h * np.dot(KT[N_STAGES], B)
-            f_new = fun(t + h, y_new)
+            f_new = fun(stage_t[N_STAGES - 1], y_new)
             K[N_STAGES] = f_new
             nfev += N_STAGES
 
@@ -362,8 +375,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol):
             rejected = True
 
         # the interpolant of the accepted step, while K holds its stages
-        for s, (a, c) in enumerate(_DENSE_STAGES, start=N_STAGES + 1):
-            K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
+        for s, a in enumerate(_DENSE_STAGES, start=N_STAGES + 1):
+            K[s] = fun(stage_t[s - 1], y + np.dot(KT[s], a) * h)
         nfev += N_STAGES_EXTENDED - N_STAGES - 1
         F = np.empty((INTERPOLATOR_POWER, y.size))
         delta_y = y_new - y

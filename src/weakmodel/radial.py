@@ -207,10 +207,10 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
 
     Returns the raw profiles in the order of `modes`.  An m = 0 mode
     short-circuits to the constant 1.  All other modes are integrated as one
-    DOP853 system whose state stacks their (u, w) pairs, so each stage
-    evaluates the warp once for the whole stack; they are returned
-    unnormalized with an unbounded limit estimate, and `normalize_profile`
-    rescales a convergent one to limit 1.
+    DOP853 system whose state stacks their (u, w) pairs, and the warp is
+    evaluated once per step attempt, at all its stage times, for the whole
+    stack.  They are returned unnormalized with an unbounded limit estimate,
+    and `normalize_profile` rescales a convergent one to limit 1.
     """
     grid = np.geomspace(r0 or _DEFAULT_R0, r_max, grid_size)
     profiles = [_constant_profile(w, n, mode, grid) if mode.m == 0 else None
@@ -228,10 +228,23 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     y0 = [v for i, l in zip(solved, ls)
           for v in _launch_state(n, l, modes[i].lambda_sq, beta3, r_launch)]
     lam2 = np.array([modes[i].lambda_sq for i in solved])
+    stages = {}
+
+    def evaluate_stages(ts):
+        # one warp call per step attempt: (r, phi, phi') at each stage time,
+        # r = exp(s) formed as rhs forms it
+        rs = [math.exp(s) for s in ts]
+        phi, dphi, _ = w.eval(np.array(rs))
+        stages.clear()
+        stages.update(zip(ts, zip(rs, phi.tolist(), dphi.tolist())))
 
     def rhs(s, y):
-        r = math.exp(s)
-        phi, dphi, _ = w.eval(r)
+        hit = stages.get(s)
+        if hit is None:   # the initial step's two calls
+            r = math.exp(s)
+            phi, dphi, _ = w.eval(r)
+        else:
+            r, phi, dphi = hit
         if phi <= 0:
             raise NonPositiveWarp(f"phi({r:g}) = {phi:g} <= 0")
         ww = y[1::2]
@@ -246,7 +259,8 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     # absolute error floor, so w must stay relatively accurate
     sol = solve_ivp(rhs, (math.log(r_launch), math.log(r_max)), y0,
                     rtol=min(max(tol * 1e-3, 1e-13), 1e-8),
-                    atol=[1e-12, 1e-290] * len(solved))
+                    atol=[1e-12, 1e-290] * len(solved),
+                    before_attempt=evaluate_stages)
     if not sol.success:
         raise StepSizeUnderflow(f"radial integration failed: {sol.message}")
 

@@ -18,6 +18,12 @@ from .errors import InvalidFamily, OutOfDomain
 
 _AXIOM_TOL = 1e-10
 
+# PowerLog's splice series: the coefficients (-1)^k 31/k of its terms
+# k = 6..80, one row each, and the points summed in one buffer
+_SERIES_COEF = np.array([[31.0 / k if k % 2 == 0 else -(31.0 / k)]
+                         for k in range(6, 81)])
+_SERIES_BLOCK = 256
+
 
 # ---------------------------------------------------------------------------
 # Growth descriptors: phi(r) ~ scale * psi(r) for large r, where psi is
@@ -137,25 +143,33 @@ class PowerGrowth(WarpingFunction):
         self._check_axioms()
 
     def eval(self, r):
+        # a scalar takes the array arithmetic: numpy's scalar ** is libm's
+        # pow, its array ** is not, and the two differ in the last bit
         r = np.asarray(r, dtype=float)
+        scalar = r.ndim == 0
+        r = np.atleast_1d(r)
         p = self.p
         one = 1.0 + r * r
         phi = r * one ** ((p - 1) / 2)
         dphi = one ** ((p - 3) / 2) * (1.0 + p * r * r)
         ddphi = r * one ** ((p - 5) / 2) * (p - 1) * (3.0 + p * r * r)
+        if scalar:
+            return float(phi[0]), float(dphi[0]), float(ddphi[0])
         return phi, dphi, ddphi
 
     def log_phi(self, r):
         # log(eval(r)[0]) bit for bit where that is finite; beyond, where
         # phi or r*r overflows, p log r + (p-1)/2 log1p(r^-2)
         r = np.asarray(r, dtype=float)
+        scalar = r.ndim == 0
+        r = np.atleast_1d(r)
         p = self.p
         with np.errstate(over="ignore", divide="ignore"):
             out = np.log(r * (1.0 + r * r) ** ((p - 1) / 2))
         far = ~np.isfinite(out) & (r > 1.0)
         if np.any(far):
             out = np.where(far, p * np.log(r) + (p - 1) / 2 * np.log1p(r ** -2.0), out)
-        return out
+        return out[0] if scalar else out
 
     def __repr__(self):
         return f"PowerGrowth(p={self.p:g})"
@@ -209,13 +223,7 @@ class PowerLog(WarpingFunction):
         out = np.empty_like(u)
         fwd = u <= 0.5
         if np.any(fwd):
-            uf = u[fwd]
-            acc = 2.5 * uf ** 4 - 5.0 * uf ** 5
-            term = uf ** 6
-            for k in range(6, 81):
-                acc = acc + (31.0 / k) * term * (1 if k % 2 == 0 else -1)
-                term = term * uf
-            out[fwd] = acc
+            out[fwd] = cls._series(u[fwd])
         if np.any(~fwd):
             v = 1.0 - u[~fwd]
             K = (1.2 * v ** 5 - 0.75 * v ** 4 + (4.0 / 3.0) * v ** 3
@@ -223,17 +231,54 @@ class PowerLog(WarpingFunction):
             out[~fwd] = cls.J2 - K
         return out
 
+    @staticmethod
+    def _series(u):
+        """2.5 u^4 - 5 u^5 + sum_{k=6}^{80} (-1)^k (31/k) u^k, term by term.
+
+        Per block of points, one buffer of 76 rows: row 0 holds the first
+        two terms, rows 1 to 75 the powers u^6, u^7, ... as running
+        products, then the terms, then the running sums down the rows.  So
+        each point takes the same float operations, in the same order, as a
+        loop over k that adds one term and multiplies the power by u.
+        """
+        out = np.empty_like(u)
+        for i in range(0, u.size, _SERIES_BLOCK):
+            ub = u[i:i + _SERIES_BLOCK]
+            buf = np.empty((_SERIES_COEF.size + 1, ub.size))
+            buf[0] = 2.5 * ub ** 4 - 5.0 * ub ** 5
+            buf[1] = ub ** 6
+            buf[2:] = ub
+            np.multiply.accumulate(buf[1:], axis=0, out=buf[1:])
+            buf[1:] *= _SERIES_COEF
+            np.add.accumulate(buf, axis=0, out=buf)
+            out[i:i + _SERIES_BLOCK] = buf[-1]
+        return out
+
+    def _phi(self, r):
+        """phi alone at a 1-D r, with the arithmetic of `eval`."""
+        phi = np.empty_like(r)
+        low = r <= self.S1
+        phi[low] = r[low]
+        mid = (r > self.S1) & (r < self.S2)
+        if np.any(mid):
+            rm = r[mid]
+            phi[mid] = rm * np.exp(self.c * self._J(np.log(rm)))
+        hi = r >= self.S2
+        if np.any(hi):
+            rh = r[hi]
+            phi[hi] = self.match_constant * rh * np.log(rh) ** self.c
+        return phi
+
     def eval(self, r):
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        phi = np.empty_like(r)
+        phi = self._phi(r)
         dphi = np.empty_like(r)
         ddphi = np.empty_like(r)
         c = self.c
 
         low = r <= self.S1
-        phi[low] = r[low]
         dphi[low] = 1.0
         ddphi[low] = 0.0
 
@@ -242,10 +287,9 @@ class PowerLog(WarpingFunction):
             rm = r[mid]
             s = np.log(rm)
             q, qp = self._q(s), self._qp(s)
-            ph = rm * np.exp(c * self._J(s))
+            ph = phi[mid]
             h = (1.0 + c * q / s) / rm
             hp = (-1.0 + c * (qp / s - q * (s + 1.0) / s ** 2)) / rm ** 2
-            phi[mid] = ph
             dphi[mid] = ph * h
             ddphi[mid] = ph * (h * h + hp)
 
@@ -254,7 +298,6 @@ class PowerLog(WarpingFunction):
             rh = r[hi]
             L = np.log(rh)
             C = self.match_constant
-            phi[hi] = C * rh * L ** c
             dphi[hi] = C * L ** (c - 1) * (L + c)
             ddphi[hi] = C * c * L ** (c - 2) * (L + c - 1.0) / rh
 
@@ -266,14 +309,16 @@ class PowerLog(WarpingFunction):
         # log(eval(r)[0]) bit for bit where that is finite; beyond, where
         # (log r)^c overflows, log C + log r + c log log r
         r = np.asarray(r, dtype=float)
+        scalar = r.ndim == 0
+        r = np.atleast_1d(r)
         with np.errstate(over="ignore"):
-            out = np.log(self.eval(r)[0])
+            out = np.log(self._phi(r))
         far = ~np.isfinite(out) & (r >= self.S2)
         if np.any(far):
             rf = np.where(far, r, self.S2)
             out = np.where(far, math.log(self.match_constant) + np.log(rf)
                            + self.c * np.log(np.log(rf)), out)
-        return out
+        return out[0] if scalar else out
 
     def __repr__(self):
         return f"PowerLog(c={self.c:g})"
@@ -326,6 +371,13 @@ class PchipInterpolator:
         s2 = s * s
         return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
+    def row(self, j):
+        """The interpolant of row j alone: the same nodes and coefficients,
+        so its values are that row's bit for bit."""
+        out = object.__new__(PchipInterpolator)
+        out.x, out._inner, out.c = self.x, self._inner, self.c[:, j]
+        return out
+
 
 class Tabulated(WarpingFunction):
     """Warping function given by samples of (phi, phi', phi'') on a grid.
@@ -357,16 +409,25 @@ class Tabulated(WarpingFunction):
         self.grid = grid
         self.growth_class = growth if growth is not None else UnknownGrowth()
         self._columns = PchipInterpolator(grid, np.stack([phi, dphi, ddphi]))
+        self._phi = self._columns.row(0)
 
-    def eval(self, r):
-        r = np.asarray(r, dtype=float)
+    def _check_hull(self, r):
         if np.any(r < self.grid[0] - 1e-15) or np.any(r > self.grid[-1] + 1e-15):
             raise OutOfDomain(
                 f"r outside tabulated hull [{self.grid[0]:g}, {self.grid[-1]:g}]")
+
+    def eval(self, r):
+        r = np.asarray(r, dtype=float)
+        self._check_hull(r)
         phi, dphi, ddphi = self._columns(r)
         if np.ndim(r) == 0:
             return float(phi), float(dphi), float(ddphi)
         return phi, dphi, ddphi
+
+    def log_phi(self, r):
+        r = np.asarray(r, dtype=float)
+        self._check_hull(r)
+        return np.log(self._phi(r))
 
     def __repr__(self):
         return (f"Tabulated({len(self.grid)} nodes on "

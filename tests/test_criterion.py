@@ -18,8 +18,8 @@ from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
                                  inner_tail, march_criterion, tail_certificate,
                                  transience_integral)
 from weakmodel.errors import InvalidTolerance, NotConvergent, QuadratureFailure
-from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
-                            PowerLogGrowth, load_tabulated_csv)
+from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLawGrowth,
+                            PowerLog, PowerLogGrowth, Tabulated, load_tabulated_csv)
 
 
 def march_verdict_truth(w, n):
@@ -333,6 +333,21 @@ def test_unreachable_tolerance_fails_honestly():
     assert "alone exceeds" not in msg and msg.count("finite part") == 4
     for R in (100, 200, 400, 800):
         assert re.search(budget.format(R), msg), R
+
+
+def test_doubling_stops_at_the_end_of_tabulated_data():
+    # a known power law over [1e-4, 3000]: R doubles from 400 to 1600, then
+    # to just inside the hull, and stops there instead of leaving the data
+    grid = np.geomspace(1e-4, 3000.0, 400)
+    w = Tabulated(grid, *PowerGrowth(1.5).eval(grid),
+                  growth=PowerLawGrowth(1.5, 1.0))
+    with pytest.raises(QuadratureFailure) as info:
+        march_criterion(w, 2, tol=1e-8, r_max=400)
+    msg = str(info.value)
+    assert "(r_max reached the end of the tabulated hull at 2985)" in msg
+    assert msg.count("finite part") == 4
+    for R in (400, 800, 1600, 2985):
+        assert f"r_max={R}: bound " in msg, R
 
 
 def test_rounding_limited_refusal_names_every_part_and_stops():

@@ -2,7 +2,10 @@
 
 Same tableau, same arithmetic: the step times, the right-hand-side count
 and the dense output must be the same bits, on the stacked mode systems
-that `radial.solve_modes` integrates and on a solution that blows up.
+that `radial.solve_modes` integrates and on a solution that blows up.  The
+mode systems evaluate the warp once per step attempt; scipy's reference
+integrates the same system evaluating it at every call, one point at a
+time.
 """
 
 import math
@@ -29,7 +32,21 @@ def _probes(t):
     return np.concatenate([t, 0.5 * (t[1:] + t[:-1]), [t[0], t[-1]]])
 
 
-@pytest.mark.parametrize("w,n,M,r_max", [
+def _per_call_rhs(w, n, lam2):
+    """The stacked mode system, evaluating the warp at each call's radius."""
+    def rhs(s, y):
+        r = math.exp(s)
+        phi, dphi, _ = w.eval(r)
+        ww = y[1::2]
+        rho = r / phi
+        dy = np.empty_like(y)
+        dy[0::2] = ww
+        dy[1::2] = ww + lam2 * rho * rho - (n - 1) * (rho * dphi) * ww - ww * ww
+        return dy
+    return rhs
+
+
+_MODE_STACKS = pytest.mark.parametrize("w,n,M,r_max", [
     (Hyperbolic(1.3), 3, 8, 30.0), (Hyperbolic(1.3), 4, 1, 30.0),
     (Hyperbolic(0.7), 5, 4, 40.0),
     (PowerGrowth(2.0), 3, 4, 60.0), (PowerGrowth(1.5), 4, 8, 200.0),
@@ -37,7 +54,10 @@ def _probes(t):
     (PowerLog(3.0), 3, 1, 60.0), (PowerLog(1.2), 4, 4, 100.0),
     (PowerLog(3.0), 5, 8, 60.0),
 ])
-def test_mode_stack_solve_is_scipys_bit_for_bit(monkeypatch, w, n, M, r_max):
+
+
+def _recorded_solve(monkeypatch, w, n, M, r_max):
+    """solve_modes of modes 1..M; the arguments and result of its one solve."""
     calls = []
 
     def recorded(*args, **kwargs):
@@ -48,8 +68,17 @@ def test_mode_stack_solve_is_scipys_bit_for_bit(monkeypatch, w, n, M, r_max):
     monkeypatch.setattr(radial, "solve_ivp", recorded)
     radial.solve_modes(w, n, [eigen_round_sphere(n, m) for m in range(1, M + 1)],
                        r_max=r_max)
-    [(args, kwargs, sol)] = calls
-    ref = _reference(*args, **kwargs)
+    [call] = calls
+    return call
+
+
+@_MODE_STACKS
+def test_mode_stack_solve_is_scipys_bit_for_bit(monkeypatch, w, n, M, r_max):
+    (_, t_span, y0), kwargs, sol = _recorded_solve(monkeypatch, w, n, M, r_max)
+    assert kwargs["before_attempt"] is not None
+    lam2 = np.array([eigen_round_sphere(n, m).lambda_sq for m in range(1, M + 1)])
+    ref = _reference(_per_call_rhs(w, n, lam2), t_span, y0,
+                     kwargs["rtol"], kwargs["atol"])
     assert sol.success and sol.message == ref.message
     assert sol.t.tobytes() == ref.t.tobytes()
     assert sol.nfev == ref.nfev
@@ -78,7 +107,60 @@ def test_blow_up_fails_like_scipy_without_warnings():
 
 def test_solve_modes_reports_a_failed_solve(monkeypatch):
     # the mode system stands in for the blow-up, at the caller's tolerances
-    monkeypatch.setattr(radial, "solve_ivp", lambda fun, t_span, y0, rtol, atol:
+    monkeypatch.setattr(radial, "solve_ivp", lambda fun, t_span, y0, rtol, atol, **kw:
                         dop853.solve_ivp(_blow_up, (0.0, 2.0), [0.0], rtol, 1e-12))
     with pytest.raises(StepSizeUnderflow, match=re.escape(dop853.TOO_SMALL_STEP)):
         radial.solve_modes(Hyperbolic(1.0), 3, [eigen_round_sphere(3, 1)])
+
+
+class _CountedWarp:
+    """A warp whose evaluations are counted."""
+
+    def __init__(self, w):
+        self.w, self.calls = w, 0
+
+    def eval(self, r):
+        self.calls += 1
+        return self.w.eval(r)
+
+
+@_MODE_STACKS
+def test_mode_stack_evaluates_the_warp_once_per_step_attempt(monkeypatch, w, n, M,
+                                                             r_max):
+    counted = _CountedWarp(w)
+    during = []
+
+    def recorded(*args, **kwargs):
+        before = counted.calls
+        sol = dop853.solve_ivp(*args, **kwargs)
+        during.append((counted.calls - before, sol))
+        return sol
+
+    monkeypatch.setattr(radial, "solve_ivp", recorded)
+    radial.solve_modes(counted, n, [eigen_round_sphere(n, m) for m in range(1, M + 1)],
+                       r_max=r_max)
+    [(calls, sol)] = during
+    # nfev = 2 initial-step calls + 12 per attempt + 3 per accepted step
+    steps = len(sol.t) - 1
+    attempts, rest = divmod(sol.nfev - 2 - 3 * steps, 12)
+    assert rest == 0 and attempts >= steps
+    assert calls == attempts + 2
+
+
+def test_before_attempt_sees_every_time_fun_is_called():
+    seen, called = [], []
+
+    def fun(t, y):
+        called.append(t)
+        return -y
+
+    sol = dop853.solve_ivp(fun, (0.0, 3.0), [1.0, 2.0], 1e-10, 1e-12,
+                           before_attempt=lambda ts: seen.append(list(ts)))
+    assert sol.success
+    assert all(len(ts) == 15 for ts in seen)
+    assert len(called) == sol.nfev
+    # every call after the two of the initial step is at a time handed over
+    stage_times = {t for ts in seen for t in ts}
+    assert all(t in stage_times for t in called[2:])
+    ref = _reference(fun, (0.0, 3.0), [1.0, 2.0], 1e-10, 1e-12)
+    assert sol.t.tobytes() == ref.t.tobytes() and sol.nfev == ref.nfev

@@ -262,3 +262,81 @@ def test_tabulated_validation(tmp_path):
     with pytest.raises(InvalidFamily):
         load_tabulated_csv(bad)
 
+
+
+def _splice_J_loop(s):
+    """PowerLog's int_1^s q(t)/t dt as first written: its forward series
+    summed one term per loop pass, its backward branch in closed form."""
+    s = np.asarray(s, dtype=float)
+    u = s - 1.0
+    out = np.empty_like(u)
+    fwd = u <= 0.5
+    uf = u[fwd]
+    acc = 2.5 * uf ** 4 - 5.0 * uf ** 5
+    term = uf ** 6
+    for k in range(6, 81):
+        acc = acc + (31.0 / k) * term * (1 if k % 2 == 0 else -1)
+        term = term * uf
+    out[fwd] = acc
+    v = 1.0 - u[~fwd]
+    K = (1.2 * v ** 5 - 0.75 * v ** 4 + (4.0 / 3.0) * v ** 3
+         + 4.0 * v ** 2 + 16.0 * v + 31.0 * np.log1p(-0.5 * v))
+    out[~fwd] = PowerLog.J2 - K
+    return out
+
+
+@pytest.mark.parametrize("s", [
+    np.random.default_rng(5).uniform(1.0, 2.0, 20000),   # both branches, > 1 block
+    np.random.default_rng(6).uniform(1.0, 1.5, 300),
+    np.array([1.5]), np.array([1.0, 1.5, 1.5 + 1e-16, 2.0]),
+    np.array([1.2]), np.array([1.9]), np.array([]),
+], ids=["both-20000", "forward-300", "u=0.5", "ends", "one-forward",
+        "one-backward", "empty"])
+def test_splice_series_is_the_term_by_term_loop_bit_for_bit(s):
+    out = PowerLog._J(s)
+    assert out.shape == s.shape
+    assert out.tobytes() == _splice_J_loop(s).tobytes()
+
+
+_RADII = np.concatenate([
+    np.random.default_rng(7).uniform(0.0, 12.0, 3000),
+    np.geomspace(1e-3, 1e6, 500), [0.0, math.e, math.e ** 2, 1.0]])
+
+
+def _tabulated(w, top=1e6):
+    grid = np.geomspace(1e-4, top, 700)
+    return Tabulated(grid, *w.eval(grid))
+
+
+@pytest.mark.parametrize("w", [
+    PowerGrowth(0.8), PowerGrowth(1.5), PowerGrowth(3.0),
+    PowerLog(0.0), PowerLog(0.6), PowerLog(3.0),
+    _tabulated(PowerGrowth(1.5)), _tabulated(PowerLog(1.2)),
+], ids=repr)
+def test_log_phi_is_log_of_phi_bit_for_bit(w):
+    r = _RADII[_RADII >= 1e-4] if isinstance(w, Tabulated) else _RADII
+    with np.errstate(divide="ignore"):
+        expected = np.log(w.eval(r)[0])
+        got = w.log_phi(r)
+    finite = np.isfinite(expected)
+    assert finite.sum() > 0.9 * r.size
+    assert got[finite].tobytes() == expected[finite].tobytes()
+    for x in r[finite][::97]:
+        assert w.log_phi(float(x)) == np.log(w.eval(float(x))[0])
+
+
+@pytest.mark.parametrize("w", [
+    Euclidean(), Hyperbolic(0.5), Hyperbolic(2.0),
+    PowerGrowth(0.8), PowerGrowth(1.5), PowerGrowth(2.0), PowerGrowth(3.0),
+    PowerLog(0.0), PowerLog(0.6), PowerLog(1.2), PowerLog(5.0),
+    _tabulated(Hyperbolic(1.0), top=40.0), _tabulated(PowerLog(1.2)),
+], ids=repr)
+def test_scalar_eval_is_the_point_of_an_array_eval(w):
+    # solve_modes evaluates the warp at all stage times of a step attempt at
+    # once, and the initial step one point at a time: both give the same bits
+    top = w.grid[-1] if isinstance(w, Tabulated) else 60.0
+    r = np.random.default_rng(8).uniform(1e-4, top, 1500)
+    r[:3] = [math.e, math.e ** 2, 1e-4]
+    columns = np.array(w.eval(r))
+    for i, x in enumerate(r):
+        assert np.array(w.eval(float(x))).tobytes() == columns[:, i].tobytes(), x
