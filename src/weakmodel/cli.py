@@ -61,6 +61,10 @@ def _load_config(args):
         raise WeakModelError(f"dimension must be >= 2, got {cfg['n']}")
     if cfg["modes"] < 0:
         raise WeakModelError(f"band limit M must be >= 0, got {cfg['modes']}")
+    rmax = cfg.get("rmax")
+    if rmax is not None and not (isinstance(rmax, (int, float))
+                                 and math.isfinite(rmax) and rmax > 0):
+        raise WeakModelError(f"rmax must be positive and finite, got {rmax}")
     for path_key in ("bc_csv", "coeffs", "warp_csv"):
         if cfg.get(path_key) and not os.path.exists(cfg[path_key]):
             raise WeakModelError(f"file not found: {cfg[path_key]}")

@@ -14,7 +14,9 @@ of the exact integrand over [1, R_max] plus refined tail integrals then
 produce the value and its error bound.  The psi tails are closed forms,
 except the power-log double tail at n >= 3: there the inner integral is
 closed form (an incomplete beta) and one certified 1-D quadrature does the
-outer one.
+outer one.  The incomplete beta is one continued fraction, used on both
+sides of the Beta mean through I_y(p,q) = 1 - I_{1-y}(q,p), so the module
+needs numpy alone.
 
 All integrands are powers of phi and are evaluated in log space so that
 large n or fast exponential growth cannot overflow or underflow the
@@ -43,6 +45,7 @@ INCONCLUSIVE = "Inconclusive"
 
 _DECAY_UNITS = 48.0          # e^-48 ~ 1e-21: negligible truncation remainders
 _MAX_R_DOUBLINGS = 3
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
 
 @dataclass
@@ -83,17 +86,23 @@ def _bracket(log_main, log_err, rem_lo, rem_hi):
     return float(lo), float(logsumexp([log_main, log_err, rem_hi]))
 
 
-def _log_g(p, q, y):
-    """log G(y), G(y) = p int_0^1 x^(p-1) (1-yx)^(q-1) dx, for 0 <= y < 1.
+def _log_beta(p, q):
+    """log B(p,q), with Stirling's main terms of lgamma(p) + lgamma(q) -
+    lgamma(p+q) combined by hand: the three lgammas themselves cancel to a
+    few 1e-12 once p + q reaches a few hundred."""
+    def rest(x):   # lgamma(x) less its main terms; from 16 on, the series
+        if x < 16.0:
+            return math.lgamma(x) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
+        z = 1.0 / (x * x)
+        return (1 / 12 - z * (1 / 360 - z * (1 / 1260 - z * (1 / 1680 - z / 1188)))) / x
+    s = p + q
+    return (_HALF_LOG_2PI + (p - 0.5) * math.log(p / s) + (q - 0.5) * math.log(q / s)
+            - 0.5 * math.log(s) + rest(p) + rest(q) - rest(s))
 
-    G = p B(p,q) I_y(p,q) / y^p.  Below the Beta(p,q) mean the incomplete
-    beta continued fraction (modified Lentz) gives G = (1-y)^q h, with no
-    I_y to underflow at large p; above it I_y is not small and betainc holds.
-    """
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    cf = y < (p + 1) / (p + q + 2)
-    x = y[cf]
+
+def _log_cf(p, q, x):
+    """log h, the incomplete beta continued fraction (modified Lentz), with
+    I_x(p,q) = x^p (1-x)^q h / (p B(p,q)), for 0 <= x <= (p+1)/(p+q+2)."""
     d = 1.0 / (1.0 - (p + q) * x / (p + 1))
     c = np.ones_like(x)
     log_h = np.log(d)
@@ -104,16 +113,33 @@ def _log_g(p, q, y):
             c = 1.0 + aa / c
             log_h += np.log(d * c)
         if np.all(np.abs(d * c - 1.0) < 1e-15):
-            break
-    else:
-        raise QuadratureFailure(f"incomplete beta fraction for p={p:g}, q={q:g} "
-                                "did not converge")
-    out[cf] = q * np.log1p(-x) + log_h
-    if np.all(cf):
-        return out
-    from scipy.special import betainc, betaln   # loaded only above the mean
+            return log_h
+    raise QuadratureFailure(f"incomplete beta fraction for p={p:g}, q={q:g} "
+                            "did not converge")
+
+
+def _log_g(p, q, y):
+    """log G(y), G(y) = p int_0^1 x^(p-1) (1-yx)^(q-1) dx, for 0 <= y < 1.
+
+    G = p B(p,q) I_y(p,q) / y^p, from the one continued fraction `_log_cf`
+    taken on the side of the Beta(p,q) mean where it converges, as in
+    Numerical Recipes' betai.  Below the mean G = (1-y)^q h(p,q,y), with no
+    I_y to underflow at large p.  Above it I_y = 1 - I_{1-y}(q,p), with the
+    fraction at (q, p, 1-y) and log B(p,q) from `_log_beta`.
+    """
+    y = np.asarray(y, dtype=float)
+    out = np.empty_like(y)
+    cf = y < (p + 1) / (p + q + 2)
+    x = y[cf]
+    out[cf] = q * np.log1p(-x) + _log_cf(p, q, x)
     yb = y[~cf]
-    out[~cf] = math.log(p) + betaln(p, q) + np.log(betainc(p, q, yb)) - p * np.log(yb)
+    # p B(p,q) = (p+q) B(p+1,q) and q B(p,q) = (p+q) B(p,q+1): no log p
+    # cancels at small p
+    log_pb = _log_beta(p + 1, q) + math.log(p + q)
+    log_qb = _log_beta(p, q + 1) + math.log(p + q)
+    log_rest = (p * np.log(yb) + q * np.log1p(-yb) + _log_cf(q, p, 1.0 - yb)
+                - log_qb)   # log I_{1-y}(q,p)
+    out[~cf] = log_pb + np.log1p(-np.exp(log_rest)) - p * np.log(yb)
     return out
 
 
@@ -299,6 +325,7 @@ class _TailModel:
         with the inner integral in closed form,
         J(v) = int_t0^inf t^{c(n-3)} (t+v)^{-c(n-1)} dt
              = (t0+v)^{1-2c} G(v/(t0+v)) / (2c-1),
+        with G the scaled incomplete beta of `_log_g` at (2c-1, c(n-3)+1),
         and G = 1 at n = 3.  So one certified quadrature over v in [0, V],
         V = 48/(n-2), gives the bracket.  J decreases, so the remainder is at
         most J(0) e^{-(n-2)V}/(n-2).
@@ -416,13 +443,15 @@ def _finite(w, n, R, double, rtol):
 # Main operations
 # ---------------------------------------------------------------------------
 
-def _check_args(w, n, tol):
+def _check_args(w, n, tol, r_max):
     if not isinstance(w, WarpingFunction):
         raise TypeError(f"expected a WarpingFunction, got {type(w)!r}")
     if n < 2:
         raise ValueError(f"dimension n must be >= 2, got {n}")
     if not (isinstance(tol, (int, float)) and tol > 0 and math.isfinite(tol)):
         raise InvalidTolerance(f"tolerance must be positive and finite, got {tol!r}")
+    if r_max is not None and not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max!r}")
 
 
 def _top_radius(w):
@@ -468,7 +497,7 @@ def _certify(w, n, tol, r_max, double):
     the value's certified lower end, which bounds the value at every R.
     On tabulated data R doubles no further than just inside the last sample.
     """
-    _check_args(w, n, tol)
+    _check_args(w, n, tol, r_max)
     growth = w.growth_class
     if isinstance(growth, UnknownGrowth):
         return _classify_unknown(w, n, tol, double=double)

@@ -1,9 +1,9 @@
-"""Adaptive Gauss-Kronrod quadrature, in linear and log space.
+"""Adaptive Gauss-Kronrod quadrature in log space.
 
-The log-space variants integrate exp(logf) for positive integrands whose
-values under- or overflow double precision (powers of the warping function
-for large n).  Panel sums are evaluated with log-sum-exp so only the final
-exponentiation can underflow, never the bookkeeping.  `kronrod_panel_log`,
+It integrates exp(logf) for positive integrands whose values under- or
+overflow double precision (powers of the warping function for large n).
+Panel sums are evaluated with log-sum-exp so only the final exponentiation
+can underflow, never the bookkeeping.  `kronrod_panel_log`,
 the one log-space K15 kernel, takes arrays of intervals and calls logf once
 for all of them: a split in `adaptive_quad_log` costs one integrand call,
 and `LogCumulative.log_between` has no loop over its limits.
@@ -18,7 +18,6 @@ per-call overhead on the short arrays this module sums.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import namedtuple
 
@@ -74,16 +73,6 @@ def _logsumexp_rows(a):
     return out
 
 
-def kronrod_panel(f, a, b):
-    """Integrate f over [a, b] with K15; return (value, error estimate)."""
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _XK
-    fx = np.asarray(f(x), dtype=float)
-    k15 = half * float(np.dot(_WK, fx))
-    g7 = half * float(np.dot(_WG, fx))
-    return k15, abs(k15 - g7)
-
-
 def kronrod_panel_log(logf, a, b, err=True):
     """K15 panels for the integrand exp(logf); returns (log value, log error).
 
@@ -115,29 +104,6 @@ def kronrod_panel_log(logf, a, b, err=True):
     if a.ndim == 0:
         return float(log_val[0]), float(log_err[0])
     return log_val, log_err
-
-
-def adaptive_quad(f, a, b, rtol=1e-10, atol=0.0, max_panels=2000):
-    """Adaptive K15 subdivision.  Returns (value, error bound)."""
-    if b <= a:
-        return 0.0, 0.0
-    val, err = kronrod_panel(f, a, b)
-    heap = [(-err, a, b, val, err)]
-    total, toterr = val, err
-    while toterr > max(atol, rtol * abs(total)):
-        if len(heap) >= max_panels:
-            raise QuadratureFailure(
-                f"adaptive quadrature on [{a:g}, {b:g}] exceeded {max_panels} panels"
-            )
-        _, pa, pb, pval, perr = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        v1, e1 = kronrod_panel(f, pa, mid)
-        v2, e2 = kronrod_panel(f, mid, pb)
-        total += v1 + v2 - pval
-        toterr += e1 + e2 - perr
-        heapq.heappush(heap, (-e1, pa, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, pb, v2, e2))
-    return total, toterr
 
 
 def _simpson_heads(y, dx):

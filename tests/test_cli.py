@@ -38,8 +38,8 @@ def loaded(step):
     steps.append([step, sorted(k for k in sys.modules if k.split(".")[0] == "scipy")])
 import weakmodel.cli as cli
 loaded("import")
-def run(step, command, *args):
-    code.append(cli.main([command, "--family", "hyperbolic", "--a", "1", *args]))
+def run(step, command, *args, family=("--family", "hyperbolic", "--a", "1")):
+    code.append(cli.main([command, *family, *args]))
     loaded(step)
 run("classify", "classify", "--n", "2", "--out", out + "/c2")
 run("n = 2 solve", "solve", "--n", "2", "--modes", "3", "--out", out + "/s2")
@@ -47,15 +47,19 @@ run("n = 3 solve", "solve", "--n", "3", "--modes", "1", "--out", out + "/s3")
 run("n = 2 verify --artifacts", "verify", "--n", "2", "--modes", "3",
     "--artifacts", out + "/s2", "--out", out + "/v2")
 run("n = 3 verify", "verify", "--n", "3", "--modes", "1", "--out", out + "/v3")
+for n in ("4", "5"):
+    run(f"n = {n} power-log classify", "classify", "--n", n, "--out", out + "/p" + n,
+        family=("--family", "powerlog", "--c", "0.6"))
 print(json.dumps({"steps": steps, "code": code,
                   "integrate": "scipy.integrate" in sys.modules}))
 """
 
 
 def test_commands_load_only_the_scipy_they_need(tmp_path):
-    # a fresh process: importing the CLI, classify, and solve and verify at
-    # n = 2 and n = 3 load no scipy; the ODE solve and the growth-bound
-    # check are the package's own
+    # a fresh process: importing the CLI, classify, solve and verify at
+    # n = 2 and n = 3, and a power-log classify at n = 4 and 5, whose tail
+    # needs the incomplete beta, load no scipy; the ODE solve, the
+    # growth-bound check and the incomplete beta are the package's own
     src = Path(main.__code__.co_filename).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, str(tmp_path)],
@@ -64,12 +68,32 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert [step for step, _ in result["steps"]] == [
         "import", "classify", "n = 2 solve", "n = 3 solve",
-        "n = 2 verify --artifacts", "n = 3 verify"]
+        "n = 2 verify --artifacts", "n = 3 verify", "n = 4 power-log classify",
+        "n = 5 power-log classify"]
     for step, modules in result["steps"]:
         assert modules == [], step
-    assert result["code"] == [0, 0, 0, 0, 0]
+    assert result["code"] == [0] * 7
     assert not result["integrate"]
     assert json.loads((tmp_path / "s3" / "profiles.json").read_text())[1]["normalized"]
+
+
+@pytest.mark.parametrize("command,family,rmax", [
+    ("classify", ["hyperbolic", "--a", "1"], "nan"),
+    ("classify", ["powergrowth", "--p", "2", "--n", "3"], "inf"),
+    ("verify", ["euclidean"], "nan"),
+    ("solve", ["hyperbolic", "--a", "1"], "-inf"),
+    ("classify", ["hyperbolic", "--a", "1"], "0"),
+    ("classify", ["hyperbolic", "--a", "1"], "-5")])
+def test_non_finite_or_non_positive_rmax_is_refused(tmp_path, capsys, command,
+                                                    family, rmax):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([command, "--family", *family, f"--rmax={rmax}",
+                    "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"rmax must be positive and finite, got {float(rmax)}" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_classify_divergent(tmp_path):

@@ -14,9 +14,9 @@ from scipy.integrate import quad
 from conftest import count_calls, write_tabulated_csv
 from weakmodel.report import round12
 from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
-                                 CriterionReport, _TailModel, fubini_check,
-                                 inner_tail, march_criterion, tail_certificate,
-                                 transience_integral)
+                                 CriterionReport, _TailModel, _log_g,
+                                 fubini_check, inner_tail, march_criterion,
+                                 tail_certificate, transience_integral)
 from weakmodel.errors import InvalidTolerance, NotConvergent, QuadratureFailure
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLawGrowth,
                             PowerLog, PowerLogGrowth, Tabulated, load_tabulated_csv)
@@ -173,10 +173,39 @@ def test_powerlog_double_tail_against_binomial_j(c, n, t0):
     (32, 10, "0.136491221575", "1.12e-12"), (50, 4, "0.389914646464", "3.61e-12"),
     (50, 5, "0.298989975214", "1.81e-12"), (50, 10, "0.133007154683", "9.28e-13")])
 def test_large_powerlog_exponent_keeps_its_report(c, n, value, bound):
-    # betainc underflows from c ~ 32, where the continued fraction carries
-    # log G; value and bound as printed, 12 and 3 digits
+    # from c ~ 32 I_y(p,q) underflows below the Beta mean, where the
+    # continued fraction gives log G without forming it; value and bound
+    # as printed, 12 and 3 digits
     printed = round12(march_criterion(PowerLog(c), n, tol=1e-8).to_json_dict())
     assert (repr(printed["value"]), repr(printed["error_bound"])) == (value, bound)
+
+
+@pytest.mark.parametrize("n", [4, 5, 10])
+@pytest.mark.parametrize("c", [0.51, 0.75, 1, 2, 3, 8, 32, 50])
+def test_incomplete_beta_against_mpmath(c, n):
+    # log G(y) = log(p B(p,q) I_y(p,q) / y^p) of the power-log double tail,
+    # around the Beta(p,q) mean and around (p+1)/(p+q+2), where the
+    # continued fraction turns to I_y(p,q) = 1 - I_{1-y}(q,p)
+    import mpmath as mp
+    p, q = 2 * c - 1, c * (n - 3) + 1
+    mean, turn = p / (p + q), (p + 1) / (p + q + 2)
+    ys = [0.05, 0.9] + [k * m for m in (mean, turn) for k in (0.5, 0.999, 1, 1.001)]
+    got = _log_g(p, q, np.array(ys))
+    with mp.workdps(40):
+        P, Q = mp.mpf(p), mp.mpf(q)
+        ref = [float(mp.log(P * mp.beta(P, Q) * mp.betainc(P, Q, 0, mp.mpf(y),
+                                                           regularized=True))
+                     - P * mp.log(mp.mpf(y))) for y in ys]
+    assert_allclose(got, ref, rtol=0, atol=5e-13)
+
+
+@pytest.mark.parametrize("r_max", [math.nan, math.inf, -math.inf])
+def test_non_finite_r_max_is_refused(r_max):
+    # unchecked, nan runs every doubling with nan budgets and inf overflows
+    for classify, w, n in ((march_criterion, Hyperbolic(1.0), 2),
+                           (transience_integral, PowerGrowth(2.0), 3)):
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            classify(w, n, tol=1e-8, r_max=r_max)
 
 
 def test_powerlog_tail_search_does_not_overflow():

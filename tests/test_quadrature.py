@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -7,10 +8,45 @@ from scipy import special
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from weakmodel.errors import QuadratureFailure
-from weakmodel.quadrature import (LogCumulative, _logsumexp_rows,
-                                  adaptive_quad, adaptive_quad_log,
+from weakmodel.quadrature import (_WG, _WK, _XK, LogCumulative,
+                                  _logsumexp_rows, adaptive_quad_log,
                                   cumulative_simpson, kronrod_panel_log,
                                   logsumexp)
+
+
+# Linear-space adaptive K15: the reference the log-space routine is held to.
+
+def kronrod_panel(f, a, b):
+    """Integrate f over [a, b] with K15; return (value, error estimate)."""
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b) + half * _XK
+    fx = np.asarray(f(x), dtype=float)
+    k15 = half * float(np.dot(_WK, fx))
+    g7 = half * float(np.dot(_WG, fx))
+    return k15, abs(k15 - g7)
+
+
+def adaptive_quad(f, a, b, rtol=1e-10, atol=0.0, max_panels=2000):
+    """Adaptive K15 subdivision.  Returns (value, error bound)."""
+    if b <= a:
+        return 0.0, 0.0
+    val, err = kronrod_panel(f, a, b)
+    heap = [(-err, a, b, val, err)]
+    total, toterr = val, err
+    while toterr > max(atol, rtol * abs(total)):
+        if len(heap) >= max_panels:
+            raise QuadratureFailure(
+                f"adaptive quadrature on [{a:g}, {b:g}] exceeded {max_panels} panels"
+            )
+        _, pa, pb, pval, perr = heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        v1, e1 = kronrod_panel(f, pa, mid)
+        v2, e2 = kronrod_panel(f, mid, pb)
+        total += v1 + v2 - pval
+        toterr += e1 + e2 - perr
+        heapq.heappush(heap, (-e1, pa, mid, v1, e1))
+        heapq.heappush(heap, (-e2, mid, pb, v2, e2))
+    return total, toterr
 
 
 def test_adaptive_known_integrals():
