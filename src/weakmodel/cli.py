@@ -41,6 +41,14 @@ def _build_warp(cfg):
                             c=cfg.get("c"))
 
 
+def _is_int(val):
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_real(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _load_config(args):
     cfg = {}
     if getattr(args, "config", None):
@@ -55,14 +63,24 @@ def _load_config(args):
     cfg.setdefault("tol", 1e-8)
     cfg.setdefault("modes", 4)
     cfg.setdefault("out", "out")
-    if cfg["tol"] <= 0:
-        raise WeakModelError(f"tolerance must be positive, got {cfg['tol']}")
+    # a JSON config can hold any type; a value of the wrong one is refused by name
+    for key in ("n", "modes"):
+        if not _is_int(cfg[key]):
+            raise WeakModelError(f"{key} must be an integer, got {cfg[key]!r}")
+    for key in ("a", "p", "c"):
+        if cfg.get(key) is not None and not _is_real(cfg[key]):
+            raise WeakModelError(f"{key} must be a number, got {cfg[key]!r}")
+    for key in ("family", "out", "preset", "bc_csv", "coeffs", "warp_csv"):
+        if cfg.get(key) is not None and not isinstance(cfg[key], str):
+            raise WeakModelError(f"{key} must be a string, got {cfg[key]!r}")
+    if not (_is_real(cfg["tol"]) and cfg["tol"] > 0):
+        raise WeakModelError(f"tolerance must be positive, got {cfg['tol']!r}")
     if cfg["n"] < 2:
         raise WeakModelError(f"dimension must be >= 2, got {cfg['n']}")
     if cfg["modes"] < 0:
         raise WeakModelError(f"band limit M must be >= 0, got {cfg['modes']}")
     rmax = cfg.get("rmax")
-    if rmax is not None and not (isinstance(rmax, (int, float))
+    if rmax is not None and not (_is_real(rmax)
                                  and math.isfinite(rmax) and rmax > 0):
         raise WeakModelError(f"rmax must be positive and finite, got {rmax}")
     for path_key in ("bc_csv", "coeffs", "warp_csv"):

@@ -180,14 +180,18 @@ def boundary_value(ext: HarmonicExtension, omega):
     return sum(parts.values())
 
 
-def l2_distance_to_boundary(ext: HarmonicExtension, r) -> float:
-    """|| u(r, .) - f ||_{L^2} in coefficient space (Parseval)."""
-    r = float(r)
-    total = 0.0
+def l2_distance_to_boundary(ext: HarmonicExtension, r):
+    """|| u(r, .) - f ||_{L^2} in coefficient space (Parseval).
+
+    A float r gives a float; an array of radii gives an array, each entry
+    equal to the float call at that radius.  Each profile is interpolated
+    once.
+    """
+    total = np.zeros(np.shape(r))
     for m in sorted({m for m, _ in ext.coeffs.entries}):
         gap = 1.0 - ext.profiles[m].interp(r)
-        total += gap * gap * ext.coeffs.mode_energy(m)
-    return math.sqrt(total)
+        total = total + gap * gap * ext.coeffs.mode_energy(m)
+    return np.sqrt(total) if np.ndim(r) else math.sqrt(total)
 
 
 def sup_distance_on_grid(ext: HarmonicExtension, r, f: BoundaryData = None) -> float:
@@ -207,7 +211,9 @@ def sup_distance_on_grid(ext: HarmonicExtension, r, f: BoundaryData = None) -> f
 def dump_evaluation_csv(ext: HarmonicExtension, path, r_values, n_angles=180):
     """u over a product grid; columns r,theta,u (n=2) or r,colat,lon,u (n=3).
 
-    Lines end in CRLF, as csv.writer writes them.
+    Lines end in CRLF, as csv.writer writes them.  The file's fixed text,
+    the angles and the line ends, is one %-template, and each radius row
+    fills it with its r and its values.
     """
     if ext.n == 2:
         header = "r,theta,u"
@@ -222,22 +228,24 @@ def dump_evaluation_csv(ext: HarmonicExtension, path, r_values, n_angles=180):
         omega = (cc.ravel(), ll.ravel())
         lons = [f"{l0:.12g}" for l0 in lon]
         angles = [f"{c0:.12g},{l0}" for c0 in colat for l0 in lons]
+    template = "".join([f"%s,{a},%.12g\r\n" for a in angles])
     rows = evaluate(ext, r_values, omega)
+    args = [None] * (2 * len(angles))
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
         for r, vals in zip(r_values, rows):
-            rs = f"{r:.12g}"
-            fh.write("".join([f"{rs},{a},{v:.12g}\r\n"
-                              for a, v in zip(angles, vals.tolist())]))
+            args[0::2] = [f"{r:.12g}"] * len(angles)
+            args[1::2] = vals.tolist()
+            fh.write(template % tuple(args))
 
 
 def summary_json(ext: HarmonicExtension, r_values) -> dict:
+    r_values = np.asarray(r_values, dtype=float)
     return {
         "M": ext.M,
         "n": ext.n,
         "truncation_error_bound": ext.truncation_error_bound,
         "r_max": ext.r_max,
-        "l2_curve": [[float(r), l2_distance_to_boundary(ext, r)]
-                     for r in r_values],
+        "l2_curve": [[r, d] for r, d in zip(
+            r_values.tolist(), l2_distance_to_boundary(ext, r_values).tolist())],
     }
-

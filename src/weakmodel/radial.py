@@ -111,9 +111,11 @@ class RadialProfile:
         return float(out[0]) if scalar else out
 
     def to_csv(self, path):
+        """r,phi_m,dphi_m at 15 significant digits, as np.savetxt writes them."""
         data = np.column_stack([self.grid, self.values, self.derivs])
-        np.savetxt(path, data, delimiter=",", header="r,phi_m,dphi_m",
-                   comments="", fmt="%.15g")
+        with open(path, "w") as fh:
+            fh.write("r,phi_m,dphi_m\n" + ("%.15g,%.15g,%.15g\n" * len(data))
+                     % tuple(data.ravel().tolist()))
 
     def metadata(self):
         lim = self.limit_estimate
@@ -200,6 +202,50 @@ def _mode_rows(dense, j):
     return lambda s: dense(s)[2 * j:2 * j + 2]
 
 
+def _mode_rhs(w: WarpingFunction, n: int, lam2: np.ndarray):
+    """(evaluate_stages, rhs) of the stacked (u, w) system of the modes lam2.
+
+    evaluate_stages(ts) evaluates the warp once, at all the times of a step
+    attempt, and forms there each mode's source lam2 (r/phi)^2 and the
+    damping (n-1) (r/phi) phi'.  rhs(s, y) reads them for s, or forms them
+    at s alone for the initial step's two calls, and works float by float
+    in numpy's order, so its bits are those of the array expression
+    `ww + lam2 * rho * rho - (n - 1) * (rho * dphi) * ww - ww * ww`.
+    """
+    stages = {}
+
+    def terms(rs, phi, dphi):
+        # phi <= 0 is refused by rhs, at the call that meets it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = rs / phi
+            source = (rho[:, None] * lam2) * rho[:, None]
+            damp = (n - 1) * (rho * dphi)
+        return zip(rs.tolist(), phi.tolist(), source.tolist(), damp.tolist())
+
+    def evaluate_stages(ts):
+        # r = exp(s) formed as the initial step's calls form it
+        rs = np.array([math.exp(s) for s in ts])
+        phi, dphi, _ = w.eval(rs)
+        stages.clear()
+        stages.update(zip(ts, terms(rs, phi, dphi)))
+
+    def rhs(s, y):
+        hit = stages.get(s)
+        if hit is None:   # the initial step's two calls
+            r = math.exp(s)
+            phi, dphi, _ = w.eval(r)
+            [hit] = terms(np.array([r]), np.atleast_1d(phi), np.atleast_1d(dphi))
+        r, phi, source, damp = hit
+        if phi <= 0:
+            raise NonPositiveWarp(f"phi({r:g}) = {phi:g} <= 0")
+        dy = []
+        for wj, qj in zip(y[1::2].tolist(), source):
+            dy += (wj, wj + qj - damp * wj - wj * wj)
+        return np.array(dy)
+
+    return evaluate_stages, rhs
+
+
 def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
                 tol: float = 1e-10, r0: float | None = None,
                 grid_size: int = _GRID_SIZE) -> list[RadialProfile]:
@@ -227,32 +273,8 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     ls = [indicial_exponent(n, modes[i].lambda_sq) for i in solved]
     y0 = [v for i, l in zip(solved, ls)
           for v in _launch_state(n, l, modes[i].lambda_sq, beta3, r_launch)]
-    lam2 = np.array([modes[i].lambda_sq for i in solved])
-    stages = {}
-
-    def evaluate_stages(ts):
-        # one warp call per step attempt: (r, phi, phi') at each stage time,
-        # r = exp(s) formed as rhs forms it
-        rs = [math.exp(s) for s in ts]
-        phi, dphi, _ = w.eval(np.array(rs))
-        stages.clear()
-        stages.update(zip(ts, zip(rs, phi.tolist(), dphi.tolist())))
-
-    def rhs(s, y):
-        hit = stages.get(s)
-        if hit is None:   # the initial step's two calls
-            r = math.exp(s)
-            phi, dphi, _ = w.eval(r)
-        else:
-            r, phi, dphi = hit
-        if phi <= 0:
-            raise NonPositiveWarp(f"phi({r:g}) = {phi:g} <= 0")
-        ww = y[1::2]
-        rho = r / phi
-        dy = np.empty_like(y)
-        dy[0::2] = ww
-        dy[1::2] = ww + lam2 * rho * rho - (n - 1) * (rho * dphi) * ww - ww * ww
-        return dy
+    evaluate_stages, rhs = _mode_rhs(
+        w, n, np.array([modes[i].lambda_sq for i in solved]))
 
     # near-pure relative control on w: it decays doubly-exponentially for
     # fast-growing phi and x = phi^{n-1} w/(lambda^2 r) re-amplifies any

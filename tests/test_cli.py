@@ -250,6 +250,31 @@ def test_negative_band_limit_refused(tmp_path, capsys):
         assert not (tmp_path / cmd).exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("tol", "x", "tolerance must be positive, got 'x'"),
+    ("tol", True, "tolerance must be positive, got True"),
+    ("tol", None, "tolerance must be positive, got None"),
+    ("n", "3", "n must be an integer, got '3'"),
+    ("n", 3.5, "n must be an integer, got 3.5"),
+    ("n", True, "n must be an integer, got True"),
+    ("modes", "4", "modes must be an integer, got '4'"),
+    ("modes", 2.0, "modes must be an integer, got 2.0"),
+    ("modes", False, "modes must be an integer, got False"),
+    ("a", "x", "a must be a number, got 'x'"),
+    ("preset", 5, "preset must be a string, got 5")])
+def test_config_values_of_the_wrong_type_are_refused(tmp_path, capsys, key, value,
+                                                     message):
+    # each value used to end in a TypeError or AttributeError traceback,
+    # or, for n = 3.5, in a verdict for a non-integer dimension
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "hyperbolic", "a": 1, key: value}))
+    for cmd in ("classify", "solve"):
+        code = run([cmd, "--config", str(cfg), "--out", str(tmp_path / cmd)])
+        assert code == 1, cmd
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / cmd).exists()
+
+
 def test_verify_user_rmax_below_certificate_start(tmp_path):
     # --rmax 4 is the first radius tried; the extension moves to the
     # radius its tail certificate starts at, and every check uses it

@@ -88,6 +88,23 @@ def test_mode_stack_solve_is_scipys_bit_for_bit(monkeypatch, w, n, M, r_max):
     assert sol.sol(s[len(s) // 3]).tobytes() == ref.sol(s[len(s) // 3]).tobytes()
 
 
+@pytest.mark.parametrize("w,n", [(Hyperbolic(1.3), 3), (PowerGrowth(2.0), 4),
+                                 (PowerLog(3.0), 5), (PowerLog(1.2), 3)])
+def test_mode_rhs_reads_the_stage_terms_with_the_initial_steps_bits(w, n):
+    # the initial step's calls form the warp's terms at s alone, the others
+    # read them from the attempt's one warp pass: both give the bits of the
+    # array expression of the per-call reference
+    lam2 = np.array([eigen_round_sphere(n, m).lambda_sq for m in (1, 2, 5)])
+    evaluate_stages, rhs = radial._mode_rhs(w, n, lam2)
+    reference = _per_call_rhs(w, n, lam2)
+    ts = np.linspace(math.log(1e-3), math.log(60.0), 15).tolist()
+    y = np.random.default_rng(7).uniform(0.1, 4.0, 2 * len(lam2))
+    initial = [rhs(s, y) for s in ts]
+    evaluate_stages(ts)
+    for s, first in zip(ts, initial):
+        assert rhs(s, y).tobytes() == first.tobytes() == reference(s, y).tobytes()
+
+
 def _blow_up(t, y):
     return 1.0 + y * y   # y = tan(t): infinite at t = pi/2
 

@@ -251,6 +251,75 @@ def test_evaluation_csv_matches_csv_writer(tmp_path, n):
             == (tmp_path / "ref.csv").read_bytes())
 
 
+def _extension_of(n):
+    table = CoefficientTable(n)
+    table.set(0, 0, 0.5)
+    table.set(1, 0, 1.0)
+    table.set(2, 1, -0.3)
+    return ext.build_extension(Hyperbolic(1.0), n,
+                               BoundaryData.from_coefficients(table), 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluation_csv_matches_csv_writer_at_the_default_angles(tmp_path, n):
+    e = _extension_of(n)
+    r_values = np.linspace(0.1, 12.0, 3)
+    ext.dump_evaluation_csv(e, tmp_path / "eval.csv", r_values)
+    _csv_writer_reference(e, tmp_path / "ref.csv", r_values, n_angles=180)
+    assert ((tmp_path / "eval.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+# values that print in exponent form, as -0, nan and inf, or with 12 digits
+_ODD_VALUES = np.array([-0.0, 1e-300, -2.5e-17, 1e20, 123456789012.345, 0.1,
+                        -1.0, 5e-324, math.nan, -math.inf, 1e16, 0.0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluation_csv_matches_csv_writer_on_odd_values(tmp_path, monkeypatch, n):
+    def odd(e, r, omega):
+        row = np.resize(_ODD_VALUES, np.size(omega if e.n == 2 else omega[0]))
+        return np.multiply.outer(1.0 + np.asarray(r, dtype=float), row)
+
+    monkeypatch.setattr(ext, "evaluate", odd)
+    e = _extension_of(n)
+    r_values = [0.0, 1e-7, 2.5, 1e5]
+    ext.dump_evaluation_csv(e, tmp_path / "eval.csv", r_values, n_angles=12)
+    _csv_writer_reference(e, tmp_path / "ref.csv", r_values, n_angles=12)
+    text = (tmp_path / "eval.csv").read_bytes()
+    assert text == (tmp_path / "ref.csv").read_bytes()
+    assert b",-0\r\n" in text and b"\r\n1e-07," in text and b"e+20\r\n" in text
+
+
+def _l2_reference(e, r):
+    """l2_distance_to_boundary as it was, one radius per call."""
+    r = float(r)
+    total = 0.0
+    for m in sorted({m for m, _ in e.coeffs.entries}):
+        gap = 1.0 - e.profiles[m].interp(r)
+        total += gap * gap * e.coeffs.mode_energy(m)
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_summary_l2_curve_is_the_per_radius_distance_bit_for_bit(n):
+    # four modes with energy, so that the order of their sum shows in the bits
+    table = CoefficientTable(n)
+    for m, c in enumerate((0.5, 1.0, -0.7, 0.4, 0.3)):
+        table.set(m, 0, c)
+    table.set(2, 1, -0.3)
+    e = ext.build_extension(Hyperbolic(0.8), n,
+                            BoundaryData.from_coefficients(table), 4)
+    r_line = np.linspace(0.1, min(e.r_max, 20.0), 40)
+    radii = np.concatenate([[0.0, 1e-4], r_line, [e.r_max]])
+    curve = ext.summary_json(e, radii)["l2_curve"]
+    expect = [[float(r), _l2_reference(e, r)] for r in radii]
+    assert np.array(curve).tobytes() == np.array(expect).tobytes()
+    for r, d in expect:
+        assert ext.l2_distance_to_boundary(e, r) == d
+        assert type(ext.l2_distance_to_boundary(e, r)) is float
+
+
 def test_constant_data_extends_constantly(hyperbolic_criterion):
     table = CoefficientTable(2)
     table.set(0, 0, 2.5 * math.sqrt(2 * math.pi))   # f == 2.5

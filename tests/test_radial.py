@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -333,6 +334,54 @@ def test_profile_csv_roundtrip(tmp_path, tanh_profile):
     assert_allclose(back.values, tanh_profile.values, rtol=1e-12)
     r = np.linspace(0.5, 20.0, 40)
     assert_allclose(back.interp(r), tanh_profile.interp(r), atol=1e-7)
+
+
+def _savetxt_reference(profile, path):
+    """RadialProfile.to_csv as it was."""
+    data = np.column_stack([profile.grid, profile.values, profile.derivs])
+    np.savetxt(path, data, delimiter=",", header="r,phi_m,dphi_m",
+               comments="", fmt="%.15g")
+
+
+def _odd_profile(profile):
+    """The profile's columns with values that print in exponent form, as -0,
+    nan and inf, or with 15 digits."""
+    odd = np.resize([-0.0, 1e-300, 2.5e-17, 1e20, 1234567890.12345, math.nan,
+                     math.inf, 5e-324, 1e15, 1e16], len(profile.grid))
+    return replace(profile, values=odd, derivs=-odd[::-1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: p,
+    lambda p: solve_modes(Hyperbolic(1.0), 3, [eigen_round_sphere(3, m)
+                                               for m in (0, 2)])[1],
+    lambda p: solve_modes(Hyperbolic(1.0), 3, [eigen_round_sphere(3, 0)])[0],
+    _odd_profile])
+def test_profile_csv_is_the_savetxt_bytes(tmp_path, tanh_profile, make):
+    profile = make(tanh_profile)
+    profile.to_csv(tmp_path / "p.csv")
+    _savetxt_reference(profile, tmp_path / "ref.csv")
+    assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_warp_reaching_zero_inside_the_span_fails_by_name():
+    # phi is r on the solve's grid, so the grid check passes, and 0 at
+    # every other radius above 2, where the first stage there stops the solve
+    grid = np.geomspace(1e-3, 10.0, 800)
+
+    class ZeroOffGrid(WarpingFunction):
+        growth_class = Euclidean().growth_class
+
+        def eval(self, r):
+            r = np.asarray(r, dtype=float)
+            phi = np.where((r < 2.0) | np.isin(r, grid), r, 0.0)
+            return phi, np.ones_like(r), np.zeros_like(r)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveWarp, match=r"phi\(.*\) = 0 <= 0"):
+            solve_modes(ZeroOffGrid(), 3, [eigen_round_sphere(3, m)
+                                           for m in (1, 2)], r_max=10.0)
 
 
 def _single_mode_reference(w, n, mode, r_max, tol):
