@@ -10,8 +10,8 @@ from .criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE, CriterionReport,
                         transience_integral)
 from .extension import (HarmonicExtension, build_extension, evaluate,
                         l2_distance_to_boundary, sup_distance_on_grid)
-from .oracle import (AnnulusGrid, laplace_beltrami_residual,
-                     laplace_beltrami_residual_fn, solve_annulus_dirichlet)
+from .oracle import (AnnulusGrid, laplace_beltrami_residual_fn,
+                     solve_annulus_dirichlet)
 from .radial import (RadialProfile, RiccatiTrace, indicial_exponent,
                      lemma_bound_check, normalize_profile, riccati_trace,
                      solve_modes, solve_radial, suggest_rmax)
@@ -20,7 +20,6 @@ from .spectrum import (BoundaryData, CoefficientTable, EigenMode,
                        eigenfunction_eval, project_boundary,
                        sphere_quadrature, synthesize)
 from .warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog, Tabulated,
-                   WarpingFunction, load_tabulated_csv, radial_curvature,
-                   warp_eval)
+                   WarpingFunction, load_tabulated_csv)
 
 __version__ = "0.1.0"

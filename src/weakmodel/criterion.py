@@ -29,6 +29,7 @@ which works in t for exponential growth and in log t otherwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -446,9 +447,10 @@ def _finite(w, n, R, double, rtol):
 def _check_args(w, n, tol, r_max):
     if not isinstance(w, WarpingFunction):
         raise TypeError(f"expected a WarpingFunction, got {type(w)!r}")
-    if n < 2:
-        raise ValueError(f"dimension n must be >= 2, got {n}")
-    if not (isinstance(tol, (int, float)) and tol > 0 and math.isfinite(tol)):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not (tol > 0 and math.isfinite(tol))):
         raise InvalidTolerance(f"tolerance must be positive and finite, got {tol!r}")
     if r_max is not None and not math.isfinite(r_max):
         raise ValueError(f"r_max must be finite, got {r_max!r}")

@@ -296,15 +296,22 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
 
 
 def _error_norm(K, h, scale):
-    """The RMS of the local error over scale, from the E5 and E3 estimates."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    """The RMS of the local error over scale, from the E5 and E3 estimates.
+
+    A trial that overflowed gives a non-finite estimate.  That is inf here,
+    without a warning, and rejects the attempt with the largest cut,
+    MIN_FACTOR, as scipy's nan does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        err5 = np.dot(K.T, E5) / scale
+        err3 = np.dot(K.T, E3) / scale
+        err5_norm_2 = np.linalg.norm(err5)**2
+        err3_norm_2 = np.linalg.norm(err3)**2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return norm if np.isfinite(norm) else np.inf
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol, before_attempt=None):

@@ -1,6 +1,7 @@
 """Independent finite-difference checks for the spectral pipeline.
 
-Two tools: pointwise second-order residuals of the warped Laplacian
+Two tools: the pointwise second-order residual, for a callable u, of the
+warped Laplacian
 
     L u = u_rr + (n-1)(phi'/phi) u_r + phi^{-2} Delta_omega u,
 
@@ -50,26 +51,6 @@ class AnnulusGrid:
     @property
     def theta_nodes(self):
         return 2 * math.pi * np.arange(self.n_theta) / self.n_theta
-
-
-def laplace_beltrami_residual(w: WarpingFunction, grid: AnnulusGrid,
-                              u_samples: np.ndarray, index) -> float:
-    """Central-difference residual of L u at an interior node (i, j).
-
-    u_samples has shape (n_r, n_theta); theta wraps periodically, so only
-    radial boundary rows are excluded.
-    """
-    i, j = index
-    if not 0 < i < grid.n_r - 1:
-        raise BoundaryPoint(f"row {i} lies on a radial boundary")
-    U = u_samples
-    r = grid.r_a + i * grid.h_r
-    phi, dphi, _ = w.eval(r)
-    jm, jp = (j - 1) % grid.n_theta, (j + 1) % grid.n_theta
-    u_rr = (U[i + 1, j] - 2 * U[i, j] + U[i - 1, j]) / grid.h_r ** 2
-    u_r = (U[i + 1, j] - U[i - 1, j]) / (2 * grid.h_r)
-    u_tt = (U[i, jp] - 2 * U[i, j] + U[i, jm]) / grid.h_theta ** 2
-    return float(u_rr + (dphi / phi) * u_r + u_tt / phi ** 2)
 
 
 def laplace_beltrami_residual_fn(w: WarpingFunction, n: int, u, r, omega,

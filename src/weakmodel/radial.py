@@ -43,7 +43,7 @@ from .errors import (DegenerateProfile, NonPositiveWarp, NotConvergent,
                      StepSizeUnderflow, TailNotTight)
 from .report import round_up_3, write_json_atomic
 from .spectrum import EigenMode
-from .warp import PchipInterpolator, WarpingFunction
+from .warp import WarpingFunction
 
 _DEFAULT_R0 = 1e-3
 _GRID_SIZE = 800
@@ -80,14 +80,19 @@ class RadialProfile:
     def r_max(self):
         return float(self.grid[-1])
 
+    def _solution(self, r):
+        """The dense rows (log raw phi_m, r phi_m'/phi_m) at r; a profile read
+        from samples has none, since interpolating them pierces the growth
+        bound where it touches phi_m."""
+        if self._dense is None:
+            raise DegenerateProfile(
+                f"the m = {self.mode.m} profile read from samples is its grid "
+                "and values only; solve the mode to evaluate it between them")
+        return self._dense(np.log(r))
+
     def _log_raw(self, r):
         """log of the unnormalized phi_m at r (r >= r0, within range)."""
-        s = np.log(r)
-        if self._dense is not None:
-            return self._dense(s)[0]
-        interp = PchipInterpolator(np.log(self.grid),
-                                   np.log(self.values * self._scale))
-        return interp(s)
+        return self._solution(r)[0]
 
     def interp(self, r):
         """phi_m(r) for 0 <= r <= r_max (vectorized)."""
@@ -131,7 +136,9 @@ class RadialProfile:
 
 def load_profile_csv(path, mode: EigenMode, n: int, warp: WarpingFunction,
                      metadata=None) -> RadialProfile:
-    """Rebuild a profile from exported samples (no dense solution)."""
+    """Rebuild a profile from exported samples: its grid, values and
+    derivatives, with no dense solution, so `interp` and `riccati_x`
+    refuse an m >= 1 profile read this way."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     lim = math.inf
     lim_err = 0.0
@@ -206,41 +213,32 @@ def _mode_rhs(w: WarpingFunction, n: int, lam2: np.ndarray):
     """(evaluate_stages, rhs) of the stacked (u, w) system of the modes lam2.
 
     evaluate_stages(ts) evaluates the warp once, at all the times of a step
-    attempt, and forms there each mode's source lam2 (r/phi)^2 and the
-    damping (n-1) (r/phi) phi'.  rhs(s, y) reads them for s, or forms them
-    at s alone for the initial step's two calls, and works float by float
-    in numpy's order, so its bits are those of the array expression
+    attempt, and keeps (r, phi, phi') there as floats.  rhs(s, y) reads them
+    for s, evaluating the warp at s alone for the initial step's two calls,
+    and works float by float in numpy's order, so its bits are those of the
+    array expression
     `ww + lam2 * rho * rho - (n - 1) * (rho * dphi) * ww - ww * ww`.
     """
+    lam2 = lam2.tolist()
     stages = {}
 
-    def terms(rs, phi, dphi):
-        # phi <= 0 is refused by rhs, at the call that meets it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = rs / phi
-            source = (rho[:, None] * lam2) * rho[:, None]
-            damp = (n - 1) * (rho * dphi)
-        return zip(rs.tolist(), phi.tolist(), source.tolist(), damp.tolist())
-
     def evaluate_stages(ts):
-        # r = exp(s) formed as the initial step's calls form it
-        rs = np.array([math.exp(s) for s in ts])
-        phi, dphi, _ = w.eval(rs)
+        rs = [math.exp(s) for s in ts]
+        phi, dphi, _ = w.eval(np.array(rs))
         stages.clear()
-        stages.update(zip(ts, terms(rs, phi, dphi)))
+        stages.update(zip(ts, zip(rs, phi.tolist(), dphi.tolist())))
 
     def rhs(s, y):
-        hit = stages.get(s)
-        if hit is None:   # the initial step's two calls
-            r = math.exp(s)
-            phi, dphi, _ = w.eval(r)
-            [hit] = terms(np.array([r]), np.atleast_1d(phi), np.atleast_1d(dphi))
-        r, phi, source, damp = hit
+        if s not in stages:   # the initial step's two calls
+            evaluate_stages([s])
+        r, phi, dphi = stages[s]
         if phi <= 0:
             raise NonPositiveWarp(f"phi({r:g}) = {phi:g} <= 0")
+        rho = r / phi
+        damp = (n - 1) * (rho * dphi)
         dy = []
-        for wj, qj in zip(y[1::2].tolist(), source):
-            dy += (wj, wj + qj - damp * wj - wj * wj)
+        for wj, lj in zip(y[1::2].tolist(), lam2):
+            dy += (wj, wj + lj * rho * rho - damp * wj - wj * wj)
         return np.array(dy)
 
     return evaluate_stages, rhs
@@ -423,12 +421,7 @@ def riccati_x(profile: RadialProfile, r) -> np.ndarray:
     w = profile.warp
     r = np.atleast_1d(np.asarray(r, dtype=float))
     shape, r = r.shape, r.ravel()
-    if profile._dense is not None:
-        wlog = profile._dense(np.log(r))[1]
-    else:
-        interp = PchipInterpolator(profile.grid,
-                                   profile.grid * profile.derivs / profile.values)
-        wlog = interp(r)
+    wlog = profile._solution(r)[1]
     log_phi = np.asarray(w.log_phi(r), dtype=float)
     x = np.exp((n - 1) * log_phi + np.log(wlog) - math.log(lam2) - np.log(r))
     return x.reshape(shape)

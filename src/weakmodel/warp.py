@@ -438,23 +438,6 @@ class Tabulated(WarpingFunction):
 # Module operations
 # ---------------------------------------------------------------------------
 
-def warp_eval(w: WarpingFunction, r):
-    """Evaluate (phi, phi', phi'') at r >= 0."""
-    if np.any(np.asarray(r) < 0):
-        raise OutOfDomain("warping functions are defined for r >= 0")
-    return w.eval(r)
-
-
-def radial_curvature(w: WarpingFunction, r):
-    """k(r) = -phi''(r)/phi(r) for r > 0."""
-    if np.any(np.asarray(r) <= 0):
-        raise OutOfDomain("radial curvature requires r > 0")
-    phi, _, ddphi = w.eval(r)
-    if np.any(np.asarray(phi) <= 0):
-        raise OutOfDomain("phi(r) <= 0")
-    return -ddphi / phi
-
-
 def load_tabulated_csv(path, growth=None) -> Tabulated:
     """Read a tabulated family from CSV with header r,phi,dphi,ddphi.
 

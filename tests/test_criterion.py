@@ -336,6 +336,21 @@ def test_invalid_tolerance():
         fubini_check(Euclidean(), 2, 0.5)
 
 
+@pytest.mark.parametrize("classify", [march_criterion, transience_integral])
+@pytest.mark.parametrize("n", [3.5, 3.0, "3"])
+def test_non_integer_dimension_is_refused(classify, n):
+    # unchecked, n = 3.5 ran and march_criterion returned Convergent
+    with pytest.raises(ValueError, match="dimension n must be an integer"):
+        classify(Hyperbolic(1.0), n, tol=1e-8)
+
+
+@pytest.mark.parametrize("classify", [march_criterion, transience_integral])
+def test_boolean_tolerance_is_refused(classify):
+    # unchecked, tol=True ran at tol 1
+    with pytest.raises(InvalidTolerance):
+        classify(Hyperbolic(1.0), 3, tol=True)
+
+
 def test_unreachable_tolerance_fails_honestly():
     from weakmodel.errors import QuadratureFailure
     budget = (r"r_max={}: bound \S+ \(finite part \S+, cross term \S+, outer "

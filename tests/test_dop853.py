@@ -122,6 +122,37 @@ def test_blow_up_fails_like_scipy_without_warnings():
     assert abs(sol.t[-1] - math.pi / 2) < 1e-7
 
 
+def _late_blow_up(t, y):
+    # flat until t = 0.5, so the steps grow tenfold each; then y' = y^2 from
+    # y = 100, which blows up at t = 0.51, in Python floats that overflow to
+    # inf without a warning
+    v = float(y[0])
+    return np.array([v * v if t >= 0.5 else 0.0])
+
+
+def test_overflowing_trial_is_rejected_like_scipy_without_warnings():
+    values = []
+
+    def fun(t, y):
+        dy = _late_blow_up(t, y)
+        values.append(dy[0])
+        return dy
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = dop853.solve_ivp(fun, (0.0, 1.0), [100.0], 1e-10, 1e-12)
+    with warnings.catch_warnings():
+        # scipy's error estimate warns on the same trial
+        warnings.simplefilter("ignore")
+        ref = _reference(_late_blow_up, (0.0, 1.0), [100.0], 1e-10, 1e-12)
+    # the long trial that crosses t = 0.5 overflows, and is cut like scipy's
+    assert any(math.isinf(v) for v in values)
+    assert not sol.success and sol.message == ref.message == dop853.TOO_SMALL_STEP
+    assert sol.t.tobytes() == ref.t.tobytes()
+    assert sol.nfev == ref.nfev
+    assert abs(sol.t[-1] - 0.51) < 1e-7
+
+
 def test_solve_modes_reports_a_failed_solve(monkeypatch):
     # the mode system stands in for the blow-up, at the caller's tolerances
     monkeypatch.setattr(radial, "solve_ivp", lambda fun, t_span, y0, rtol, atol, **kw:

