@@ -33,9 +33,10 @@ def test_classify_convergent(tmp_path, capsys):
 
 _LOADED_SCIPY = """
 import json, sys
-out, steps, code = sys.argv[1], [], []
+out, steps, fft, code = sys.argv[1], [], [], []
 def loaded(step):
     steps.append([step, sorted(k for k in sys.modules if k.split(".")[0] == "scipy")])
+    fft.append([step, "numpy.fft" in sys.modules])
 import weakmodel.cli as cli
 loaded("import")
 def run(step, command, *args, family=("--family", "hyperbolic", "--a", "1")):
@@ -50,7 +51,7 @@ run("n = 3 verify", "verify", "--n", "3", "--modes", "1", "--out", out + "/v3")
 for n in ("4", "5"):
     run(f"n = {n} power-log classify", "classify", "--n", n, "--out", out + "/p" + n,
         family=("--family", "powerlog", "--c", "0.6"))
-print(json.dumps({"steps": steps, "code": code,
+print(json.dumps({"steps": steps, "fft": fft, "code": code,
                   "integrate": "scipy.integrate" in sys.modules}))
 """
 
@@ -59,7 +60,10 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
     # a fresh process: importing the CLI, classify, solve and verify at
     # n = 2 and n = 3, and a power-log classify at n = 4 and 5, whose tail
     # needs the incomplete beta, load no scipy; the ODE solve, the
-    # growth-bound check and the incomplete beta are the package's own
+    # growth-bound check and the incomplete beta are the package's own.
+    # No step loads numpy.fft either: the n = 2 annulus oracle projects on
+    # a dense real Fourier basis, since a first FFT call costs more memory
+    # and time than the whole direct solve
     src = Path(main.__code__.co_filename).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, str(tmp_path)],
@@ -72,6 +76,7 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
         "n = 5 power-log classify"]
     for step, modules in result["steps"]:
         assert modules == [], step
+    assert result["fft"] == [[step, False] for step, _ in result["steps"]]
     assert result["code"] == [0] * 7
     assert not result["integrate"]
     assert json.loads((tmp_path / "s3" / "profiles.json").read_text())[1]["normalized"]

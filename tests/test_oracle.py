@@ -1,14 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import sphere_laplacian_s2
-from weakmodel.errors import BoundaryPoint, SolverDivergence
+from weakmodel import oracle
+from weakmodel.errors import (BoundaryPoint, NonPositiveWarp, OutOfDomain,
+                              SolverDivergence)
 from weakmodel.oracle import (AnnulusGrid, laplace_beltrami_residual_fn,
                               solve_annulus_dirichlet)
-from weakmodel.warp import Euclidean, Hyperbolic
+from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
+                            WarpingFunction)
 
 
 def exact_field(grid):
@@ -85,9 +89,117 @@ def test_solver_divergence():
     w = Hyperbolic(1.0)
     g = AnnulusGrid(0.5, 3.0, 64, 64)
     exact = exact_field(g)
-    with pytest.raises(SolverDivergence):
-        solve_annulus_dirichlet(w, g, exact[0], exact[-1], tol=1e-12,
-                                max_iter=3)
+    with pytest.raises(SolverDivergence, match="residual"):
+        solve_annulus_dirichlet(w, g, exact[0], exact[-1], tol=1e-20)
+
+
+def _stencil_system(w, grid, bc_in, bc_out):
+    """phi at faces and rows, and the right-hand side, as the solver forms them."""
+    r = grid.r_nodes
+    phi_mid = w.eval(0.5 * (r[:-1] + r[1:]))[0]
+    phi_c = w.eval(r[1:-1])[0]
+    b = np.zeros((grid.n_r - 2, grid.n_theta))
+    b[0] = phi_mid[0] * bc_in / grid.h_r ** 2
+    b[-1] = phi_mid[-1] * bc_out / grid.h_r ** 2
+    return phi_mid, phi_c, b
+
+
+def _pcg_reference(w, grid, bc_in, bc_out, tol, max_iter=20000):
+    """Jacobi-preconditioned conjugate gradients on the same system, the
+    iterative reference for the direct solve."""
+    phi_mid, phi_c, b = _stencil_system(w, grid, bc_in, bc_out)
+    apply = lambda v: oracle._apply_symmetrized(grid, v, phi_mid, phi_c)
+    x = np.zeros_like(b)
+    resid = b - apply(x)
+    diag = ((phi_mid[1:] + phi_mid[:-1]) / grid.h_r ** 2
+            + 2.0 / (grid.h_theta ** 2 * phi_c))[:, None] * np.ones_like(b)
+    z = resid / diag
+    p = z.copy()
+    rz = float(np.sum(resid * z))
+    b_norm = math.sqrt(float(np.sum(b * b))) or 1.0
+    for _ in range(max_iter):
+        if math.sqrt(float(np.sum(resid * resid))) <= tol * b_norm:
+            break
+        Ap = apply(p)
+        alpha = rz / float(np.sum(p * Ap))
+        x += alpha * p
+        resid -= alpha * Ap
+        z = resid / diag
+        rz_new = float(np.sum(resid * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    else:
+        raise SolverDivergence("reference CG did not converge")
+    return x
+
+
+@pytest.mark.parametrize("n_r,n_theta", [(20, 16), (20, 17), (24, 33)])
+def test_direct_solve_is_the_stencils_exact_solution(n_r, n_theta):
+    # odd n_theta has no Nyquist column; the dense matrix is assembled
+    # column by column from the stencil itself
+    w = Hyperbolic(1.0)
+    g = AnnulusGrid(0.5, 3.0, n_r, n_theta)
+    rng = np.random.default_rng(n_r * n_theta)
+    bc_in, bc_out = rng.normal(size=(2, n_theta))
+    phi_mid, phi_c, b = _stencil_system(w, g, bc_in, bc_out)
+    size = b.size
+    dense = np.empty((size, size))
+    for j in range(size):
+        e = np.zeros(size)
+        e[j] = 1.0
+        dense[:, j] = oracle._apply_symmetrized(g, e.reshape(b.shape), phi_mid,
+                                                phi_c).ravel()
+    exact = np.linalg.solve(dense, b.ravel()).reshape(b.shape)
+    u = solve_annulus_dirichlet(w, g, bc_in, bc_out, tol=1e-12)
+    assert_allclose(u[[0, -1]], [bc_in, bc_out], rtol=0, atol=0)
+    assert np.linalg.norm(u[1:-1] - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("w", [Hyperbolic(0.5), Hyperbolic(2.5),
+                               PowerGrowth(1.2), PowerLog(2.0)], ids=repr)
+def test_direct_solve_matches_cg_on_the_verify_grid(w):
+    g = AnnulusGrid(0.5, 3.0, 96, 96)
+    th = g.theta_nodes
+    bc_in = np.cos(th) + 0.3 * np.sin(3 * th)
+    bc_out = 0.5 - 0.2 * np.cos(2 * th) + 0.1 * np.sin(7 * th)
+    u = solve_annulus_dirichlet(w, g, bc_in, bc_out, tol=1e-12)
+    x = _pcg_reference(w, g, bc_in, bc_out, tol=1e-12)
+    assert np.max(np.abs(u[1:-1] - x)) < 1e-9
+
+
+@pytest.mark.parametrize("side", ["inner", "outer"])
+def test_non_finite_boundary_data_is_refused_fast(side):
+    g = AnnulusGrid(0.5, 3.0, 96, 96)
+    bc = {"inner": np.ones(96), "outer": np.ones(96)}
+    bc[side][7] = math.nan
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"{side} boundary data is not finite "
+                                         f"at theta = {g.theta_nodes[7]:g}"):
+        solve_annulus_dirichlet(Hyperbolic(1.0), g, bc["inner"], bc["outer"])
+    assert time.perf_counter() - t0 < 0.5
+
+
+class _StubWarp(WarpingFunction):
+    def __init__(self, phi):
+        self.phi = phi
+
+    def eval(self, r):
+        r = np.asarray(r, dtype=float)
+        return self.phi(r), np.ones_like(r), np.zeros_like(r)
+
+
+@pytest.mark.parametrize("w,grid,error,match", [
+    (_StubWarp(lambda r: r * (1.0 - r / 2.0)), AnnulusGrid(0.5, 3.0, 96, 96),
+     NonPositiveWarp, r"phi\(2\.0\d*\) <= 0 on the annulus"),
+    (_StubWarp(lambda r: np.where(r > 1.0, math.nan, r)),
+     AnnulusGrid(0.5, 3.0, 96, 96), OutOfDomain, r"phi\(1\.0\d*\) is not finite"),
+    (Hyperbolic(1.0), AnnulusGrid(0.5, 800.0, 96, 96), OutOfDomain,
+     r"phi\(7\d\d\.\d*\) is not finite")], ids=["negative", "nan", "overflow"])
+def test_non_positive_or_non_finite_phi_is_refused_fast(w, grid, error, match):
+    t0 = time.perf_counter()
+    with pytest.raises(error, match=match):
+        solve_annulus_dirichlet(w, grid, np.ones(96), np.ones(96))
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_sphere_laplacian_stencil_eigen():
