@@ -5,8 +5,16 @@ overflow double precision (powers of the warping function for large n).
 Panel sums are evaluated with log-sum-exp so only the final exponentiation
 can underflow, never the bookkeeping.  `kronrod_panel_log`,
 the one log-space K15 kernel, takes arrays of intervals and calls logf once
-for all of them: a split in `adaptive_quad_log` costs one integrand call,
-and `LogCumulative.log_between` has no loop over its limits.
+for all of them, and `LogCumulative.log_between` makes one such call per
+block of 256 limits, with no per-limit loop.
+
+`adaptive_quad_log` bisects worst-first, one panel per step, but refines
+ahead: when the popped panel's halves are not yet known, one kernel call
+computes the halves and quarters of it and of every live panel whose error
+exceeds the mean share of the tolerance.  Later steps take their halves from
+that store.  The kernel and every integrand here work point by point, so the
+steps, the panels and the totals are those of one integrand call per split,
+bit for bit; only the number of calls falls.
 
 `cumulative_simpson` is the composite Simpson rule on a given grid that
 the growth-bound check of `radial.lemma_bound_check` integrates with.
@@ -51,6 +59,9 @@ _WG = np.array([
 
 _LOG_WK = np.log(_WK)
 _WK_G7 = _WK - _WG
+
+# limits of one log_between kernel call and head/between/tail matrix
+_ROW_BLOCK = 256
 
 
 def logsumexp(a):
@@ -150,16 +161,51 @@ def _log_panels(logf, a, b):
     return list(map(_LogPanel, a, b, *kronrod_panel_log(logf, a, b)))
 
 
+def _check_limits(a, b):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration limits must be finite, got [{a:g}, {b:g}]")
+
+
+def _refine_ahead(logf, batch, ahead):
+    """Halves and quarters of every panel in batch, from one call of logf.
+
+    The halves of each panel go into ahead under its key (a, b), and its
+    quarters under the keys of its halves; the halves of batch[0] are taken
+    out again and returned.
+    """
+    a = np.array([p.a for p in batch])
+    b = np.array([p.b for p in batch])
+    mid = 0.5 * (a + b)
+    lo, hi = 0.5 * (a + mid), 0.5 * (mid + b)
+    rows = _log_panels(logf, np.column_stack([a, mid, a, lo, mid, hi]).ravel(),
+                       np.column_stack([mid, b, lo, mid, hi, b]).ravel())
+    for k, p in enumerate(batch):
+        h1, h2, q1, q2, q3, q4 = rows[6 * k:6 * k + 6]
+        ahead[p.a, p.b] = h1, h2
+        ahead[h1.a, h1.b] = q1, q2
+        ahead[h2.a, h2.b] = q3, q4
+    return ahead.pop((batch[0].a, batch[0].b))
+
+
 def adaptive_quad_log(logf, a, b, rtol=1e-10, max_panels=2000, min_panels=1):
     """Adaptive K15 for a positive integrand given as logf.
 
-    Returns (log value, log error bound, sorted panel list).
+    Returns (log value, log error bound, sorted panel list).  Each step
+    bisects the panel with the largest error, the first in list order on a
+    tie.  Its halves come from `ahead`, which maps an interval (a, b) to its
+    two halves; on a miss one kernel call refines it and every other live
+    panel above the mean error share two levels deep.  The kernel computes
+    each row on its own, so when logf evaluates each point on its own, as
+    every integrand in this package does, the result has the bits of one
+    call per split.  Non-finite limits raise ValueError.
     """
+    _check_limits(a, b)
     if b <= a:
         return -math.inf, -math.inf, []
     edges = np.linspace(a, b, min_panels + 1)
     panels = _log_panels(logf, edges[:-1], edges[1:])
     log_rtol = math.log(rtol)
+    ahead = {}
     while True:
         log_total = logsumexp([p.log_val for p in panels])
         log_err = logsumexp([p.log_err for p in panels])
@@ -169,10 +215,15 @@ def adaptive_quad_log(logf, a, b, rtol=1e-10, max_panels=2000, min_panels=1):
             raise QuadratureFailure(
                 f"log-space quadrature on [{a:g}, {b:g}] exceeded {max_panels} panels"
             )
+        share = log_total + log_rtol - math.log(len(panels))
         worst = max(range(len(panels)), key=lambda i: panels[i].log_err)
         p = panels.pop(worst)
-        mid = 0.5 * (p.a + p.b)
-        panels += _log_panels(logf, [p.a, mid], [mid, p.b])
+        halves = ahead.pop((p.a, p.b), None)
+        if halves is None:
+            halves = _refine_ahead(logf, [p] + [
+                q for q in panels if q.log_err > share and (q.a, q.b) not in ahead
+            ], ahead)
+        panels += halves
     panels.sort(key=lambda p: p.a)
     return float(log_total), float(log_err), panels
 
@@ -186,6 +237,7 @@ class LogCumulative:
     """
 
     def __init__(self, logf, lo, hi, rtol=1e-11, max_panels=4000):
+        _check_limits(lo, hi)
         self.logf = logf
         self.lo = float(lo)
         self.hi = float(hi)
@@ -207,33 +259,38 @@ class LogCumulative:
         """log of the integral over [x, y] clipped to [lo, hi]; -inf if empty.
 
         x and y may be arrays, broadcast against each other; the result then
-        has their shape.  One kernel call gives the partial K15 panels of all
-        limits; each integral is the log-sum-exp of one row: the head panel,
-        the whole panels between (the others masked with -inf), the tail.
+        has their shape.  The limits are taken in blocks of `_ROW_BLOCK`,
+        which bounds memory: one kernel call gives the partial K15 panels of
+        a block, and each integral is the log-sum-exp of one row: the head
+        panel, the whole panels between (the others masked with -inf), the
+        tail.
         """
         xs, ys = np.broadcast_arrays(np.maximum(x, self.lo),
                                      np.minimum(y, self.hi))
         out = np.full(xs.shape, -math.inf)
         live = np.flatnonzero(ys > xs) if self.panels else []
-        if len(live):
-            xc = xs.ravel()[live]
-            yc = ys.ravel()[live]
-            i = np.searchsorted(self._starts, xc, side="right") - 1
-            j = np.searchsorted(self._starts, yc, side="right") - 1
-            one = i == j   # x and y in one panel: the head is all of [x, y]
-            cut_head = one | (xc > self._starts[i])
-            cut_tail = ~one & (yc > self._starts[j])
-            part = kronrod_panel_log(
-                self.logf,
-                np.concatenate([xc[cut_head], self._starts[j[cut_tail]]]),
-                np.concatenate([np.where(one, yc, self._ends[i])[cut_head],
-                                yc[cut_tail]]), err=False)
-            head = self._log_vals[i]
-            head[cut_head] = part[:np.count_nonzero(cut_head)]
-            tail = np.full(len(live), -math.inf)
-            tail[cut_tail] = part[np.count_nonzero(cut_head):]
-            cols = np.arange(len(self.panels))
-            between = (cols > i[:, None]) & (cols < j[:, None])
-            out.flat[live] = _logsumexp_rows(np.column_stack(
-                [head, np.where(between, self._log_vals, -math.inf), tail]))
+        for k in range(0, len(live), _ROW_BLOCK):
+            rows = live[k:k + _ROW_BLOCK]
+            out.flat[rows] = self._log_rows(xs.ravel()[rows], ys.ravel()[rows])
         return float(out) if out.ndim == 0 else out
+
+    def _log_rows(self, x, y):
+        """`log_between` of 1-D arrays of limits with lo <= x < y <= hi."""
+        i = np.searchsorted(self._starts, x, side="right") - 1
+        j = np.searchsorted(self._starts, y, side="right") - 1
+        one = i == j   # x and y in one panel: the head is all of [x, y]
+        cut_head = one | (x > self._starts[i])
+        cut_tail = ~one & (y > self._starts[j])
+        part = kronrod_panel_log(
+            self.logf,
+            np.concatenate([x[cut_head], self._starts[j[cut_tail]]]),
+            np.concatenate([np.where(one, y, self._ends[i])[cut_head],
+                            y[cut_tail]]), err=False)
+        head = self._log_vals[i]
+        head[cut_head] = part[:np.count_nonzero(cut_head)]
+        tail = np.full(len(x), -math.inf)
+        tail[cut_tail] = part[np.count_nonzero(cut_head):]
+        cols = np.arange(len(self.panels))
+        between = (cols > i[:, None]) & (cols < j[:, None])
+        return _logsumexp_rows(np.column_stack(
+            [head, np.where(between, self._log_vals, -math.inf), tail]))

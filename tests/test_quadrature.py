@@ -7,11 +7,13 @@ from numpy.testing import assert_allclose
 from scipy import special
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
+from weakmodel.criterion import _log_power
 from weakmodel.errors import QuadratureFailure
-from weakmodel.quadrature import (_WG, _WK, _XK, LogCumulative,
+from weakmodel.quadrature import (_WG, _WK, _XK, LogCumulative, _log_panels,
                                   _logsumexp_rows, adaptive_quad_log,
                                   cumulative_simpson, kronrod_panel_log,
                                   logsumexp)
+from weakmodel.warp import PowerLog
 
 
 # Linear-space adaptive K15: the reference the log-space routine is held to.
@@ -217,14 +219,114 @@ def _counted(logf):
     return counted, calls
 
 
+def _one_split_reference(logf, a, b, rtol=1e-10, max_panels=2000, min_panels=1):
+    """Worst-first bisection with one call of logf per split: the loop that
+    refine-ahead replays."""
+    if b <= a:
+        return -math.inf, -math.inf, []
+    edges = np.linspace(a, b, min_panels + 1)
+    panels = _log_panels(logf, edges[:-1], edges[1:])
+    log_rtol = math.log(rtol)
+    while True:
+        log_total = logsumexp([p.log_val for p in panels])
+        log_err = logsumexp([p.log_err for p in panels])
+        if log_err <= log_total + log_rtol or log_err == -math.inf:
+            break
+        if len(panels) >= max_panels:
+            raise QuadratureFailure(
+                f"log-space quadrature on [{a:g}, {b:g}] exceeded {max_panels} panels"
+            )
+        worst = max(range(len(panels)), key=lambda i: panels[i].log_err)
+        p = panels.pop(worst)
+        mid = 0.5 * (p.a + p.b)
+        panels += _log_panels(logf, [p.a, mid], [mid, p.b])
+    panels.sort(key=lambda p: p.a)
+    return float(log_total), float(log_err), panels
+
+
+def _triangle_integrand():
+    # int phi^{-3}(t) [int_1^t phi(s) ds] dt at n = 4, as _log_integral builds
+    # it, across the power-log splice on [e, e^2]
+    w = PowerLog(2.0)
+    cum = LogCumulative(_log_power(w, 1), 1.1, 40.3, rtol=1e-12)
+    return _log_power(w, -3, cum=cum), 1.1, 40.3
+
+
+_INTEGRANDS = {
+    "oscillating": lambda: (lambda x: np.sin(3.0 * x) - 0.5 * x, 0.0, 20.0),
+    "zero_below_2": lambda: (
+        lambda x: np.where(x < 2.0, -np.inf, np.sin(x) - 2.0 * x), 0.1, 9.3),
+    "triangle": _triangle_integrand,
+}
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12, 1e-14])
 @pytest.mark.parametrize("min_panels", [1, 3, 8])
-def test_adaptive_log_makes_one_call_per_split(min_panels):
-    logf, calls = _counted(lambda x: np.sin(3.0 * x) - 0.5 * x)
-    _, _, panels = adaptive_quad_log(logf, 0.0, 20.0, rtol=1e-12,
-                                     min_panels=min_panels)
-    assert len(panels) > min_panels   # it did split
-    assert len(calls) == 1 + (len(panels) - min_panels)
-    assert calls[0] == 15 * min_panels and set(calls[1:]) == {30}
+@pytest.mark.parametrize("integrand", sorted(_INTEGRANDS))
+def test_refine_ahead_matches_one_split_per_call_bit_for_bit(integrand, min_panels,
+                                                             rtol):
+    logf, a, b = _INTEGRANDS[integrand]()
+    ref_logf, ref_calls = _counted(logf)
+    want = _one_split_reference(ref_logf, a, b, rtol=rtol, min_panels=min_panels)
+    got_logf, calls = _counted(logf)
+    got = adaptive_quad_log(got_logf, a, b, rtol=rtol, min_panels=min_panels)
+    assert got[:2] == want[:2]
+    assert got[2] == want[2]   # every field of every panel, in order
+    splits = len(want[2]) - min_panels
+    assert len(ref_calls) == 1 + splits
+    if integrand != "triangle":   # criterion integrands are smooth: few splits
+        assert splits >= 20
+    if splits >= 20:
+        assert len(calls) < splits
+
+
+def test_refine_ahead_fails_where_one_split_per_call_fails():
+    logf = lambda x: np.log(np.abs(np.sin(30.0 * x)) + 1e-3)
+    with pytest.raises(QuadratureFailure) as want:
+        _one_split_reference(logf, 0.0, 10.0, max_panels=50)
+    with pytest.raises(QuadratureFailure) as got:
+        adaptive_quad_log(logf, 0.0, 10.0, max_panels=50)
+    assert str(got.value) == str(want.value)
+    assert "exceeded 50 panels" in str(got.value)
+    # the limit falls at the same panel count: one panel fewer than the
+    # reference needs fails in both, and the count it needs passes in both
+    logf = lambda x: np.sin(3.0 * x) - 0.5 * x
+    need = len(_one_split_reference(logf, 0.0, 20.0, rtol=1e-12)[2])
+    with pytest.raises(QuadratureFailure, match=f"exceeded {need - 1} panels"):
+        adaptive_quad_log(logf, 0.0, 20.0, rtol=1e-12, max_panels=need - 1)
+    assert len(adaptive_quad_log(logf, 0.0, 20.0, rtol=1e-12,
+                                 max_panels=need)[2]) == need
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                  (0.0, math.nan), (math.nan, 1.0),
+                                  (math.inf, 0.0)])
+def test_non_finite_limits_are_refused(a, b):
+    logf, calls = _counted(lambda x: -x)
+    with pytest.raises(ValueError, match="finite"):
+        adaptive_quad_log(logf, a, b)
+    with pytest.raises(ValueError, match="finite"):
+        LogCumulative(logf, a, b)
+    assert calls == []
+    # an empty finite interval is still the empty result
+    assert adaptive_quad_log(logf, 1.0, 0.0) == (-math.inf, -math.inf, [])
+    assert LogCumulative(logf, 1.0, 1.0).log_total == -math.inf
+
+
+def test_log_between_row_blocks_equal_scalar_calls():
+    cum = LogCumulative(lambda x: np.log(2.0 + np.sin(8.0 * x)) - 0.1 * x,
+                        0.0, 40.0, rtol=1e-13)
+    assert len(cum.panels) > 100
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.0, 41.0, 600)
+    y = x + rng.uniform(-2.0, 30.0, 600)   # some empty, some clipped
+    cum.logf, calls = _counted(cum.logf)
+    batched = cum.log_between(x, y)
+    live = np.flatnonzero(np.minimum(y, 40.0) > np.maximum(x, 0.0))
+    assert len(live) > 512 and len(calls) == 3   # blocks of 256: past 256 and 512
+    scalar = np.array([cum.log_between(float(u), float(v)) for u, v in zip(x, y)])
+    assert batched.tobytes() == scalar.tobytes()
+    assert np.isfinite(batched[live]).all()
 
 
 def test_log_between_makes_one_call_of_logf():
