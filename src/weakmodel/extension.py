@@ -93,10 +93,12 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     above M count.  Exact coefficients with no mode above M need no warning,
     as their projection drops nothing.  All modes share one radius.  At
     n = 2 they are the closed forms exp(-lambda tau) at `r_max` (or a start
-    radius), raised to where the tail bracket holds.  At n >= 3 the top
-    mode's certificate picks the radius first, from the metric alone, and
-    covers every mode; the modes are then solved once, as one stack, at
-    that radius.
+    radius), raised to where the tail bracket holds.  At n >= 3 the
+    certificate of the highest mode the data use picks the radius first,
+    from the metric alone (constant data keep the start radius); every
+    m <= M is then solved once, as one stack, at that radius, and
+    normalized with its own tail delta.  `numeric_slack` is the largest
+    limit_error of the modes the data use.
     """
     if spectrum is None:
         spectrum = RoundSphere(n)
@@ -125,17 +127,19 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
 
     R = float(r_max) if r_max is not None else _start_r_max(w)
     modes = [spectrum.mode(m) for m in range(M + 1)]
+    used = {m for (m, _), c in coeffs.items() if c != 0.0}
     if n == 2:
         profiles = dict(enumerate(_radial.conformal_modes(w, modes, R)))
     else:
         cert = None
         if M > 0:       # the constant mode needs no tail certificate
-            cert = _radial.suggest_rmax(w, n, modes[M].lambda_sq, R)
+            cert = _radial.suggest_rmax(
+                w, n, modes[max(used, default=0)].lambda_sq, R)
             R = cert.r_max
         raw = _radial.solve_modes(w, n, modes, r_max=R, tol=tol)
-        profiles = {m: _radial.normalize_profile(prof, criterion, cert)
+        profiles = {m: _radial.normalize_profile(prof, cert)
                     for m, prof in enumerate(raw)}
-    slack = max(p.limit_error for p in profiles.values())
+    slack = max((profiles[m].limit_error for m in used), default=0.0)
 
     return HarmonicExtension(
         warp=w, n=n, M=M, profiles=profiles, coeffs=coeffs,

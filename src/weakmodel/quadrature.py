@@ -16,7 +16,7 @@ that store.  The kernel and every integrand here work point by point, so the
 steps, the panels and the totals are those of one integrand call per split,
 bit for bit; only the number of calls falls.
 
-`cumulative_simpson` is the composite Simpson rule on a given grid that
+`cumulative_simpson` is the composite Simpson rule at equal steps that
 the growth-bound check of `radial.lemma_bound_check` integrates with.
 
 `logsumexp` is the plain stable form max + log(sum(exp(a - max))) in numpy.
@@ -117,39 +117,21 @@ def kronrod_panel_log(logf, a, b, err=True):
     return log_val, log_err
 
 
-def _simpson_heads(y, dx):
-    """The integral over the first of each pair of adjacent subintervals,
-    from the parabola through their three nodes (unequal widths)."""
-    x21 = dx[:-1]
-    x32 = dx[1:]
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21_x32 = x21 / x32
-    x21x21_x31x32 = x21_x31 * x21_x32
-    coeff1 = 3 - x21_x31
-    coeff2 = 3 + x21x21_x31x32 + x21_x31
-    coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+def cumulative_simpson(y, h):
+    """int_0^{ih} y for samples y[i] at equal steps h, at least 3 of them,
+    by the composite Simpson rule; the first value is 0.
 
-
-def cumulative_simpson(y, x):
-    """int_{x[0]}^{x[i]} y for every node of a strictly increasing x, at
-    least 3 nodes, by the composite Simpson rule; the first value is 0.
-
-    Subinterval [x[i], x[i+1]] integrates the parabola through x[i-1],
-    x[i] and x[i+1] when i is odd or the last, and the one through x[i],
-    x[i+1] and x[i+2] otherwise.  The arithmetic is that of scipy's
-    `cumulative_simpson(y, x=x, initial=0.0)` on 1-D input, so the values
-    are the same bits.
+    Subinterval i integrates the parabola through nodes i, i+1 and i+2,
+    h/12 (5, 8, -1), when i is even and not the last, else the one through
+    nodes i-1, i and i+1, h/12 (-1, 8, 5).
     """
-    dx = np.diff(x)
-    heads = _simpson_heads(y, dx)
-    tails = _simpson_heads(y[::-1], dx[::-1])[::-1]
-    sub = np.empty(len(dx))
+    heads = h / 12 * (5 * y[:-2] + 8 * y[1:-1] - y[2:])
+    tails = h / 12 * (5 * y[2:] + 8 * y[1:-1] - y[:-2])
+    sub = np.empty(len(y) - 1)
     sub[:-1:2] = heads[::2]
     sub[1::2] = tails[::2]
     sub[-1] = tails[-1]
-    # scipy adds `initial` to every sum, which turns a -0.0 into 0.0
+    # + 0.0 turns a -0.0 sum into 0.0
     return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
 
 

@@ -38,9 +38,9 @@ import numpy as np
 from . import criterion as _criterion
 from . import quadrature as _quadrature
 from .dop853 import solve_ivp
-from .errors import (DegenerateProfile, NonPositiveWarp, NotConvergent,
-                     OutOfDomain, OutOfRange, QuadratureFailure,
-                     StepSizeUnderflow, TailNotTight)
+from .errors import (DegenerateProfile, NonPositiveWarp, OutOfDomain,
+                     OutOfRange, QuadratureFailure, StepSizeUnderflow,
+                     TailNotTight)
 from .report import round_up_3, write_json_atomic
 from .spectrum import EigenMode
 from .warp import WarpingFunction
@@ -397,19 +397,23 @@ def _riccati_bound(w: WarpingFunction, n: int, lambda_sq: float) -> float:
     return (math.exp(log_val) + math.exp(log_err)) * (1.0 + 1e-12)
 
 
-def _tail_delta(w: WarpingFunction, n: int, lambda_sq: float, cert) -> float:
-    """Upper bound for phi_m(inf)/phi_m(R) - 1 from the growth bound tail.
+def _tail_terms(w: WarpingFunction, n: int, lambda_sq: float, cert):
+    """The growth bound's exponent beyond R over lambda^2, in its three
+    parts: A*T_in(R), C(1,R)*T_in(R) and T_out(R).
 
-    The bound's exponent beyond R splits as
-    lambda^2 [ A*T_in(R) + C(1,R)*T_in(R) + T_out(R) ] with T_in, T_out the
-    certified single and double tails, C the cumulative of phi^{n-3} and
-    A >= x(1) from the metric (`_riccati_bound`), so no profile is needed.
+    T_in and T_out are the certified single and double tails, C the
+    cumulative of phi^{n-3} and A >= x(1) from the metric
+    (`_riccati_bound`), so no profile is needed.
     """
     log_in_hi = cert.log_inner[1]
-    exponent = lambda_sq * (_riccati_bound(w, n, lambda_sq) * math.exp(log_in_hi)
-                            + math.exp(cert.log_cum + log_in_hi)
-                            + cert.double[1])
-    return math.expm1(exponent)
+    return (_riccati_bound(w, n, lambda_sq) * math.exp(log_in_hi),
+            math.exp(cert.log_cum + log_in_hi), cert.double[1])
+
+
+def _tail_delta(w: WarpingFunction, n: int, lambda_sq: float, cert) -> float:
+    """Upper bound for phi_m(inf)/phi_m(R) - 1 from the growth bound tail."""
+    a_in, cross, outer = _tail_terms(w, n, lambda_sq, cert)
+    return math.expm1(lambda_sq * (a_in + cross + outer))
 
 
 def riccati_x(profile: RadialProfile, r) -> np.ndarray:
@@ -428,34 +432,23 @@ def riccati_x(profile: RadialProfile, r) -> np.ndarray:
 
 
 def normalize_profile(profile: RadialProfile,
-                      criterion: _criterion.CriterionReport,
-                      cert: _criterion.TailCertificate | None = None
-                      ) -> RadialProfile:
-    """Rescale a convergent profile so its limit at infinity is 1.
+                      cert: _criterion.TailCertificate) -> RadialProfile:
+    """Rescale a profile so its limit at infinity is 1.
 
     The limit is pinned between phi_m(R) and phi_m(R)(1 + delta), with delta
-    from `cert`, the certified tail beyond the profile's own R = r_max
-    (computed when not given), and becomes the profile's limit_error.  At
-    n >= 3 that bounds the tail normalization only, not the ODE solve's own
-    error.  Raises TailNotTight when the certificate starts at another
-    radius or when delta >= _TAIL_DELTA.
+    from `cert`, the certified tail beyond the profile's own R = r_max, and
+    becomes the profile's limit_error.  At n >= 3 that bounds the tail
+    normalization only, not the ODE solve's own error.  Whether delta is
+    small enough is the caller's choice of R (`suggest_rmax`).  Raises
+    TailNotTight when the certificate starts at another radius.
     """
-    if criterion.verdict != _criterion.CONVERGENT:
-        raise NotConvergent(
-            f"normalization requires a Convergent verdict, got {criterion.verdict}")
     if profile.mode.m == 0:
         return profile
-    if cert is None:
-        cert = _criterion.tail_certificate(profile.warp, profile.n, profile.r_max)
     if cert.r_max != profile.r_max:
         raise TailNotTight(
             f"tail certificate starts at r = {cert.r_max:g}, not at the "
             f"profile's r_max = {profile.r_max:g}; solve to the certified radius")
     delta = _tail_delta(profile.warp, profile.n, profile.mode.lambda_sq, cert)
-    if delta >= _TAIL_DELTA:
-        raise TailNotTight(
-            f"tail factor delta = {delta:.3g} >= {_TAIL_DELTA:g} at "
-            f"r_max = {profile.r_max:g}; supply a larger r_max")
     limit = profile.values[-1] * (1.0 + delta)
     return replace(
         profile,
@@ -477,10 +470,15 @@ def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
     """
     for _ in range(24):
         cert = _criterion.tail_certificate(w, n, R)
-        if _tail_delta(w, n, lambda_sq, cert) < _TAIL_DELTA:
+        delta = _tail_delta(w, n, lambda_sq, cert)
+        if delta < _TAIL_DELTA:
             return cert
         R = cert.r_max * 2.0
-    raise TailNotTight(f"no r_max below {R:g} reaches tail delta {_TAIL_DELTA:g}")
+    a_in, cross, outer = (lambda_sq * t for t in _tail_terms(w, n, lambda_sq, cert))
+    raise TailNotTight(
+        f"no r_max below {R:g} reaches tail delta {_TAIL_DELTA:g}; at r_max = "
+        f"{cert.r_max:g}, delta = {delta:.3g} is the expm1 of lambda^2 times "
+        f"(A*T_in + C*T_in + T_out) = {a_in:.3g} + {cross:.3g} + {outer:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +542,8 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
     Returns (bound curve on trace.grid, satisfied flag).  The nested
     quadrature uses only the warping function, hence is independent of the
     ODE solver: `quadrature.cumulative_simpson` on a 16,385-node master grid
-    for both the inner cumulative C(t) = int_1^t phi^{n-3} and the outer
-    exponent.
+    of equal steps for both the inner cumulative C(t) = int_1^t phi^{n-3}
+    and the outer exponent.
     """
     w = profile.warp
     n = profile.n
@@ -564,10 +562,11 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
         raise QuadratureFailure(
             "phi^{n-3} overflows double precision on the trace range; "
             "reduce the trace grid extent")
+    step = (s_end - 1.0) / (_MASTER_NODES - 1)
     src = np.exp((n - 3) * log_phi)
-    C = _quadrature.cumulative_simpson(src, master)
+    C = _quadrature.cumulative_simpson(src, step)
     h = lam2 * np.exp(-(n - 1) * log_phi) * (trace.A + C)
-    H = _quadrature.cumulative_simpson(h, master)
+    H = _quadrature.cumulative_simpson(h, step)
     H_at = np.interp(s_grid, master, H)
     log_bound = math.log(trace.B) + H_at
     with np.errstate(over="ignore"):

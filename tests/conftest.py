@@ -21,13 +21,20 @@ def hyperbolic_criterion():
     return march_criterion(Hyperbolic(1.0), 2, tol=1e-8)
 
 
-@pytest.fixture(scope="session")
-def tanh_profile(hyperbolic_criterion):
-    """Normalized m=1 profile for Hyperbolic(1), n=2; exact value tanh(r/2)."""
-    from weakmodel.radial import normalize_profile, solve_radial
+def normalized(profile):
+    """`normalize_profile` with the tail certificate at the profile's r_max."""
+    from weakmodel.criterion import tail_certificate
+    from weakmodel.radial import normalize_profile
     return normalize_profile(
-        solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1), r_max=25.0),
-        hyperbolic_criterion)
+        profile, tail_certificate(profile.warp, profile.n, profile.r_max))
+
+
+@pytest.fixture(scope="session")
+def tanh_profile():
+    """Normalized m=1 profile for Hyperbolic(1), n=2; exact value tanh(r/2)."""
+    from weakmodel.radial import solve_radial
+    return normalized(
+        solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1), r_max=25.0))
 
 
 def write_tabulated_csv(path, w, r_grid):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import normalized
 from weakmodel import extension as ext
 from weakmodel import oracle, radial
 from weakmodel.criterion import (CONVERGENT, DIVERGENT, fubini_check,
@@ -63,7 +64,7 @@ def test_criterion_2_closed_form_value():
         assert abs(rep.value - expect) < 1e-5
 
 
-def test_criterion_3_exact_mode_solutions(hyperbolic_criterion):
+def test_criterion_3_exact_mode_solutions():
     with criterion_line(3, "exact radial mode solutions"):
         t0 = time.monotonic()
         p = radial.solve_radial(Euclidean(), 2, eigen_round_sphere(2, 2),
@@ -72,10 +73,8 @@ def test_criterion_3_exact_mode_solutions(hyperbolic_criterion):
         assert abs(p.interp(2.0) / p.interp(1.0) - 4.0) < 1e-8
 
         t0 = time.monotonic()
-        q = radial.normalize_profile(
-            radial.solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1),
-                                r_max=25.0),
-            hyperbolic_criterion)
+        q = normalized(radial.solve_radial(Hyperbolic(1.0), 2,
+                                           eigen_round_sphere(2, 1), r_max=25.0))
         assert time.monotonic() - t0 < 1.0
         r = np.linspace(0.1, 10.0, 500)
         assert np.max(np.abs(q.interp(r) - np.tanh(r / 2))) < 1e-6

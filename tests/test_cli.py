@@ -360,6 +360,34 @@ def test_far_power_growth_tail_refused_without_overflow(tmp_path, capsys):
     assert "error: no r_max below" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_constant_data_on_a_slow_tail_solve_and_verify(tmp_path):
+    # the data use m = 0 alone, whose tail delta is 0, so the start radius
+    # serves; m = 1..3 carry no data and are still solved and written, with
+    # their own (loose) tail delta as limit_error
+    flags = ["--family", "powergrowth", "--p", "1.249474", "--n", "3",
+             "--modes", "3", "--preset", "single:0:0"]
+    out = tmp_path / "s"
+    assert run(["solve", *flags, "--out", str(out)]) == 0
+    assert all((out / f"profile_m{m}.csv").is_file() for m in range(4))
+    assert json.loads((out / "summary.json").read_text())["r_max"] == 30.0
+    meta = json.loads((out / "profiles.json").read_text())
+    assert meta[3]["limit_error"] > radial._TAIL_DELTA
+    assert run(["verify", *flags, "--artifacts", str(out),
+                "--out", str(tmp_path / "v")]) == 0
+    assert json.loads((tmp_path / "v" / "verify.json").read_text())["all_passed"]
+
+
+def test_mode_with_data_missing_the_tail_target_is_refused(tmp_path, capsys):
+    # the refusal names the last radius tried and the parts of its delta
+    code = run(["solve", "--family", "powergrowth", "--p", "1.1", "--n", "3",
+                "--modes", "1", "--preset", "cos", "--out", str(tmp_path / "s")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no r_max below 5.03316e+08 reaches tail delta")
+    assert "at r_max = 2.51658e+08, delta = 0.232 is the expm1" in err
+
+
 def test_verify_power_growth_passes(tmp_path):
     # the extension certifies its own r_max; a fixed verify range did not
     code = run(["verify", "--family", "powergrowth", "--p", "2", "--n", "2",

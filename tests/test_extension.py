@@ -44,6 +44,8 @@ def band_extension(hyperbolic_criterion):
     # suggest_rmax certifies 30 * 2^k up to the returned radius, which the
     # mode's normalization reuses
     (PowerGrowth(2.0), 1, [30.0 * 2 ** k for k in range(5)]),
+    # the data stop at m = 1, so m = 1 picks the radius, not M = 3
+    (PowerGrowth(2.0), 3, [30.0 * 2 ** k for k in range(5)]),
 ])
 def test_one_certificate_per_radius(monkeypatch, w, M, radii):
     # n = 3: the n = 2 modes are closed forms and need no certificate
@@ -53,6 +55,10 @@ def test_one_certificate_per_radius(monkeypatch, w, M, radii):
     e = ext.build_extension(w, 3, BoundaryData.from_coefficients(table), M)
     assert [args[2] for args in certs] == radii
     assert e.r_max == radii[-1]
+    # the slack of verify's maximum principle is the data's mode's delta;
+    # a mode above the data keeps its own, larger one
+    assert e.numeric_slack == e.profiles[1].limit_error < ext._radial._TAIL_DELTA
+    assert e.profiles[M].limit_error >= e.numeric_slack
 
 
 def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
@@ -76,9 +82,11 @@ def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_powerlog_extension_survives_an_overflowing_trial():
     # at tol 1e-10 one DOP853 trial reaches w = -9e222 near r = 122, where
-    # w * w overflows: the attempt is rejected, and nothing warns
+    # w * w overflows: the attempt is rejected, and nothing warns.  The data
+    # reach m = 4, whose certificate takes the solve past r = 122
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
+    table.set(4, 0, 1.0)
     e = ext.build_extension(PowerLog(5.0), 3, BoundaryData.from_coefficients(table),
                             4, tol=1e-10)
     assert e.r_max == 480.0
@@ -136,11 +144,10 @@ def test_n3_hyperbolic_mode_matches_closed_form(a, tol, ode_error):
     w = Hyperbolic(a)
     for n in (3, 4, 5):
         modes = [eigen_round_sphere(n, m) for m in range(1, 9)]
-        crit = criterion.march_criterion(w, n, tol=max(tol, 1e-10))
         cert = suggest_rmax(w, n, modes[-1].lambda_sq, ext._start_r_max(w))
         for mode, raw in zip(modes, solve_modes(w, n, modes, r_max=cert.r_max,
                                                 tol=tol)):
-            p = normalize_profile(raw, crit, cert)
+            p = normalize_profile(raw, cert)
             _assert_profile_matches(p, _hyperbolic_mode(a, n, mode.m),
                                     p.limit_error + ode_error)
 

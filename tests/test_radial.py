@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import cumulative_simpson, quad, solve_ivp
 
-from conftest import count_calls
+from conftest import count_calls, normalized
 from weakmodel import radial
 from weakmodel.criterion import march_criterion, tail_certificate
 from weakmodel.errors import (DegenerateProfile, NonPositiveWarp,
@@ -77,9 +77,9 @@ def test_normalized_profile_invariants(tanh_profile):
     assert np.all(tanh_profile.values >= 0)
 
 
-def test_limit_estimate_matches_closed_form(hyperbolic_criterion):
+def test_limit_estimate_matches_closed_form():
     p = solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1), r_max=20.0)
-    q = normalize_profile(p, hyperbolic_criterion)
+    q = normalized(p)
     # the raw solve is scaled tanh(r/2); its limit estimate must sit within
     # delta of tanh(10) relative to the raw value at r_max
     assert q.limit_error < 1e-4
@@ -183,14 +183,12 @@ def test_ode_residual_invariant(closed_families):
         assert np.max(np.abs(res) / np.maximum(1.0, phi_scale)) < 1e-5
 
 
-def test_frobenius_launch_consistency(hyperbolic_criterion):
+def test_frobenius_launch_consistency():
     # moving the launch point changes the normalized profile negligibly
     w = Hyperbolic(1.0)
     mode = eigen_round_sphere(2, 2)
-    p1 = normalize_profile(solve_radial(w, 2, mode, r_max=20.0, r0=1e-3),
-                           hyperbolic_criterion)
-    p2 = normalize_profile(solve_radial(w, 2, mode, r_max=20.0, r0=1e-4),
-                           hyperbolic_criterion)
+    p1 = normalized(solve_radial(w, 2, mode, r_max=20.0, r0=1e-3))
+    p2 = normalized(solve_radial(w, 2, mode, r_max=20.0, r0=1e-4))
     assert abs(p1.interp(1.0) - p2.interp(1.0)) < 1e-6
     # alpha(r) = phi_m r^{-l} tends to a finite positive limit at the origin
     r = np.array([2e-3, 4e-3, 8e-3])
@@ -241,24 +239,21 @@ def test_divergent_modes_keep_growing(w, n):
 
 
 def test_normalize_errors():
-    rep = march_criterion(Euclidean(), 2, tol=1e-6)
-    p = solve_radial(Euclidean(), 2, eigen_round_sphere(2, 1), r_max=20.0)
+    # no certificate exists for a divergent metric, so nothing to normalize by
     with pytest.raises(NotConvergent):
-        normalize_profile(p, rep)
-    # power growth at a short range: the certified tail stays too loose
-    power = march_criterion(PowerGrowth(2.0), 2, tol=1e-6)
-    with pytest.raises(TailNotTight):
-        normalize_profile(solve_radial(PowerGrowth(2.0), 2,
-                                       eigen_round_sphere(2, 1), r_max=30.0),
-                          power)
+        tail_certificate(Euclidean(), 2, 20.0)
+    # power growth at a short range: normalization reports the loose tail
+    # as its limit_error; refusing it is suggest_rmax's choice of radius
+    p = normalized(solve_radial(PowerGrowth(2.0), 2, eigen_round_sphere(2, 1),
+                                r_max=30.0))
+    assert p.normalized and p.limit_error >= radial._TAIL_DELTA
 
 
 def test_suggest_rmax_enables_normalization():
     w = PowerGrowth(2.0)
     mode = eigen_round_sphere(2, 1)
     cert = suggest_rmax(w, 2, mode.lambda_sq, 30.0)
-    p = normalize_profile(solve_radial(w, 2, mode, r_max=cert.r_max),
-                          march_criterion(w, 2, tol=1e-6), cert)
+    p = normalize_profile(solve_radial(w, 2, mode, r_max=cert.r_max), cert)
     assert p.normalized and p.limit_error < 1e-4
 
 
@@ -293,15 +288,15 @@ def test_metric_bounds_riccati_x_at_one(w, n, m):
     assert exact <= bound <= exact * (1 + 1e-11)
 
 
-def test_normalize_rejects_certificate_at_another_radius(hyperbolic_criterion):
+def test_normalize_rejects_certificate_at_another_radius():
     w = Hyperbolic(1.0)
     p = solve_radial(w, 2, eigen_round_sphere(2, 1), r_max=20.0)
     with pytest.raises(TailNotTight):
-        normalize_profile(p, hyperbolic_criterion, cert=tail_certificate(w, 2, 30.0))
+        normalize_profile(p, tail_certificate(w, 2, 30.0))
     # a range below the certificate's start cannot be certified either
     short = solve_radial(Hyperbolic(2.0), 2, eigen_round_sphere(2, 1), r_max=4.0)
     with pytest.raises(TailNotTight):
-        normalize_profile(short, march_criterion(Hyperbolic(2.0), 2, tol=1e-8))
+        normalized(short)
 
 
 def test_riccati_stencil_stays_inside_solved_range():
