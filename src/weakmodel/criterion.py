@@ -456,10 +456,10 @@ def _check_args(w, n, tol, r_max):
         raise ValueError(f"r_max must be finite, got {r_max!r}")
 
 
-def _top_radius(w):
-    """The largest R the data allow: just inside a tabulated hull, else inf."""
+def _top_radius(w, default=math.inf):
+    """The largest R the data allow: just inside a tabulated hull, else `default`."""
     hull = getattr(w, "grid", None)
-    return float(hull[-1]) * 0.995 if hull is not None else math.inf
+    return float(hull[-1]) * 0.995 if hull is not None else default
 
 
 def _start_radius(w, model, R):
@@ -625,13 +625,13 @@ def _classify_unknown(w, n, tol, double):
     """Octave-ratio extrapolation of the finite part inside the data hull.
 
     With F(R) the finite part, increments d_k over doublings of R contract
-    geometrically for convergent integrals.  Non-contracting increments
-    witness divergence (a logarithmically divergent integral has constant
-    octave increments).  Near-unit contraction ratios cannot be certified
-    either way and yield Inconclusive.
+    geometrically for convergent integrals.  Non-contracting increments are
+    what a divergent integral shows (a logarithmically divergent one has
+    constant octave increments), but so does a slowly converging one whose
+    contraction starts beyond the data: finite data never certify
+    divergence, so they and near-unit contraction ratios yield Inconclusive.
     """
-    hull = getattr(w, "grid", None)
-    top = float(hull[-1]) * 0.995 if hull is not None else 400.0
+    top = _top_radius(w, 400.0)
     if top < 16.0:
         return CriterionReport(
             verdict=INCONCLUSIVE, value=math.nan, error_bound=math.inf,
@@ -651,9 +651,10 @@ def _classify_unknown(w, n, tol, double):
     q = d2 / d1 if d1 > 0 else math.inf
     if q >= 0.98:
         return CriterionReport(
-            verdict=DIVERGENT, value=vals[2], error_bound=d2,
+            verdict=INCONCLUSIVE, value=vals[2], error_bound=math.inf,
             tail_evidence=f"octave increments do not contract (ratio {q:.4g} "
-                          ">= 0.98); consistent with a divergent integral",
+                          f">= 0.98); finite part {vals[2]:.6g} up to r = "
+                          f"{top:.4g}; tabulated data cannot certify divergence",
             r_max=top)
     tail_est = d2 * q / (1.0 - q)
     unc = tail_est + d2 * 0.05

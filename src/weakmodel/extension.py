@@ -53,17 +53,18 @@ def _truncation_bound(f: BoundaryData, coeffs: CoefficientTable,
                       spectrum: SphereSpectrum, M: int) -> float:
     """Sup-norm bound for the discarded m > M part of f.
 
-    Coefficient input that reaches above M drops a known part: the sum of
-    |c_mk| sup_norm(m) over m > M.  Otherwise a geometric decay is fitted
-    to the last nonzero mode amplitudes; for band-limited data all tail
-    amplitudes vanish and the bound is the projection noise floor.
+    Coefficient input drops a known part: the sum of |c_mk| sup_norm(m)
+    over m > M, nothing when no mode is above M.  Sampled data get a
+    geometric decay fitted to the last nonzero mode amplitudes; for
+    band-limited samples all tail amplitudes vanish and the bound is the
+    projection noise floor.
     """
     amps = {}
     for (m, k), c in coeffs.items():
         amps[m] = amps.get(m, 0.0) + abs(c) * spectrum.sup_norm(m)
     total = sum(amps.values())
     floor = 1e-13 * max(total, 1.0)
-    if f.coeffs is not None and f.coeffs.max_m() > M:
+    if f.coeffs is not None:
         return floor + sum(abs(c) * spectrum.sup_norm(m)
                            for (m, _), c in f.coeffs.items() if m > M)
     nonzero = [(m, a) for m, a in sorted(amps.items()) if a > floor]
@@ -212,28 +213,22 @@ def sup_distance_on_grid(ext: HarmonicExtension, r, f: BoundaryData = None) -> f
 # Exports
 # ---------------------------------------------------------------------------
 
-def dump_evaluation_csv(ext: HarmonicExtension, path, r_values, n_angles=180):
-    """u over a product grid; columns r,theta,u (n=2) or r,colat,lon,u (n=3).
+def dump_evaluation_csv(ext: HarmonicExtension, path, r_values):
+    """u at the nodes of the degree-M quadrature; columns r,theta,u (n=2) or
+    r,colat,lon,u (n=3).
 
-    Lines end in CRLF, as csv.writer writes them.  The file's fixed text,
-    the angles and the line ends, is one %-template, and each radius row
-    fills it with its r and its values.
+    The quadrature is exact for products of degree 2M, so one radius's rows
+    project back to c_mk phi_m(r): they hold all of the truncated u.  Lines
+    end in CRLF, as csv.writer writes them.  The file's fixed text, the
+    angles and the line ends, is one %-template, and each radius row fills
+    it with its r and its values.
     """
-    if ext.n == 2:
-        header = "r,theta,u"
-        omega = 2 * math.pi * np.arange(n_angles) / n_angles
-        angles = [f"{th:.12g}" for th in omega]
-    else:
-        header = "r,colat,lon,u"
-        nc = max(n_angles // 2, 8)
-        colat = math.pi * (np.arange(nc) + 0.5) / nc
-        lon = 2 * math.pi * np.arange(n_angles) / n_angles
-        cc, ll = np.meshgrid(colat, lon, indexing="ij")
-        omega = (cc.ravel(), ll.ravel())
-        lons = [f"{l0:.12g}" for l0 in lon]
-        angles = [f"{c0:.12g},{l0}" for c0 in colat for l0 in lons]
+    quad = ext.spectrum.quadrature(ext.M)
+    header = "r,theta,u" if ext.n == 2 else "r,colat,lon,u"
+    angles = [",".join(f"{a:.12g}" for a in p)
+              for p in quad.points.reshape(len(quad.weights), -1)]
     template = "".join([f"%s,{a},%.12g\r\n" for a in angles])
-    rows = evaluate(ext, r_values, omega)
+    rows = evaluate(ext, r_values, quad.unpack())
     args = [None] * (2 * len(angles))
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")

@@ -498,12 +498,19 @@ def test_tabulated_hyperbolic_convergent(tmp_path):
     assert abs(rep.value - (math.log(math.tanh(0.5))) ** 2 / 2.0) < 1e-3
 
 
-def test_tabulated_euclidean_divergent(tmp_path):
-    path = write_tabulated_csv(tmp_path / "e.csv", Euclidean(),
-                               np.geomspace(1e-4, 150.0, 4000))
-    t = load_tabulated_csv(path)
-    rep = march_criterion(t, 3, tol=1e-6)
-    assert rep.verdict == DIVERGENT
+@pytest.mark.parametrize("w,n,r_grid", [
+    (Euclidean(), 3, np.geomspace(1e-4, 150.0, 4000)),
+    # truly convergent (p > 1, p(n-1) > 1), but its octave ratio is 1.084
+    (PowerGrowth(1.05), 2, np.geomspace(1e-4, 400.0, 400)),
+], ids=["euclidean", "powergrowth_1.05"])
+def test_tabulated_non_contracting_increments_are_inconclusive(tmp_path, w, n,
+                                                               r_grid):
+    # finite data cannot tell a divergent integral from a slow convergent one
+    t = load_tabulated_csv(write_tabulated_csv(tmp_path / "t.csv", w, r_grid))
+    rep = march_criterion(t, n, tol=1e-6)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.error_bound == math.inf and "do not contract" in rep.tail_evidence
+    assert math.isfinite(rep.value) and rep.value > 0
 
 
 def test_tabulated_log_threshold_inconclusive(tmp_path):

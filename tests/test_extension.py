@@ -17,6 +17,7 @@ from weakmodel.radial import normalize_profile, solve_modes, suggest_rmax
 from weakmodel.spectrum import (BoundaryData, CoefficientTable, EigenMode,
                                 SphereQuadrature, SphereSpectrum,
                                 eigen_round_sphere, eigenfunction_eval,
+                                multiplicity, project_boundary,
                                 sphere_quadrature, synthesize)
 from weakmodel.warp import Euclidean, Hyperbolic, PowerGrowth, PowerLog
 
@@ -233,41 +234,23 @@ def test_all_profiles_share_one_radius():
     assert len({p.r_max for p in e.profiles.values()}) == 1
 
 
-def _csv_writer_reference(e, path, r_values, n_angles):
+def _csv_writer_reference(e, path, r_values):
+    quad = sphere_quadrature(e.n, e.M)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if e.n == 2:
             writer.writerow(["r", "theta", "u"])
-            thetas = 2 * math.pi * np.arange(n_angles) / n_angles
+            thetas = quad.points
             for r in r_values:
                 for th, v in zip(thetas, ext.evaluate(e, r, thetas)):
                     writer.writerow([f"{r:.12g}", f"{th:.12g}", f"{v:.12g}"])
         else:
             writer.writerow(["r", "colat", "lon", "u"])
-            nc = max(n_angles // 2, 8)
-            colat = math.pi * (np.arange(nc) + 0.5) / nc
-            lon = 2 * math.pi * np.arange(n_angles) / n_angles
-            cc, ll = np.meshgrid(colat, lon, indexing="ij")
             for r in r_values:
-                vals = ext.evaluate(e, r, (cc.ravel(), ll.ravel()))
-                for c0, l0, v in zip(cc.ravel(), ll.ravel(), vals):
+                vals = ext.evaluate(e, r, quad.unpack())
+                for (c0, l0), v in zip(quad.points, vals):
                     writer.writerow([f"{r:.12g}", f"{c0:.12g}", f"{l0:.12g}",
                                      f"{v:.12g}"])
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_evaluation_csv_matches_csv_writer(tmp_path, n):
-    table = CoefficientTable(n)
-    table.set(0, 0, 0.5)
-    table.set(1, 0, 1.0)
-    table.set(2, 1, -0.3)
-    e = ext.build_extension(Hyperbolic(1.0), n,
-                            BoundaryData.from_coefficients(table), 2)
-    r_values = np.linspace(0.1, 12.0, 4)
-    ext.dump_evaluation_csv(e, tmp_path / "eval.csv", r_values, n_angles=12)
-    _csv_writer_reference(e, tmp_path / "ref.csv", r_values, n_angles=12)
-    assert ((tmp_path / "eval.csv").read_bytes()
-            == (tmp_path / "ref.csv").read_bytes())
 
 
 def _extension_of(n):
@@ -280,11 +263,11 @@ def _extension_of(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_evaluation_csv_matches_csv_writer_at_the_default_angles(tmp_path, n):
+def test_evaluation_csv_matches_csv_writer(tmp_path, n):
     e = _extension_of(n)
-    r_values = np.linspace(0.1, 12.0, 3)
+    r_values = np.linspace(0.1, 12.0, 4)
     ext.dump_evaluation_csv(e, tmp_path / "eval.csv", r_values)
-    _csv_writer_reference(e, tmp_path / "ref.csv", r_values, n_angles=180)
+    _csv_writer_reference(e, tmp_path / "ref.csv", r_values)
     assert ((tmp_path / "eval.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
 
@@ -303,11 +286,47 @@ def test_evaluation_csv_matches_csv_writer_on_odd_values(tmp_path, monkeypatch, 
     monkeypatch.setattr(ext, "evaluate", odd)
     e = _extension_of(n)
     r_values = [0.0, 1e-7, 2.5, 1e5]
-    ext.dump_evaluation_csv(e, tmp_path / "eval.csv", r_values, n_angles=12)
-    _csv_writer_reference(e, tmp_path / "ref.csv", r_values, n_angles=12)
+    ext.dump_evaluation_csv(e, tmp_path / "eval.csv", r_values)
+    _csv_writer_reference(e, tmp_path / "ref.csv", r_values)
     text = (tmp_path / "eval.csv").read_bytes()
     assert text == (tmp_path / "ref.csv").read_bytes()
     assert b",-0\r\n" in text and b"\r\n1e-07," in text and b"e+20\r\n" in text
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_evaluation_csv_rows_determine_the_extension(tmp_path, n):
+    # the nodes are the degree-M quadrature's, exact for products of degree
+    # 2M: one radius's rows project back to c_mk phi_m(r).  The file prints
+    # 12 significant digits, so each value carries a relative rounding of
+    # up to 5e-12, which the projection weighs by w_i |f_mk(x_i)|
+    M = 4
+    e = ext.build_extension(Hyperbolic(1.0), n,
+                            _boundary_data({"n": n, "modes": M, "preset": "band4"}), M)
+    r_values = np.linspace(0.1, 12.0, 4)
+    ext.dump_evaluation_csv(e, tmp_path / "eval.csv", r_values)
+    lines = (tmp_path / "eval.csv").read_text().splitlines()[1:]
+    quad = sphere_quadrature(n, M)
+    omega, nodes = quad.unpack(), len(quad.weights)
+    assert len(lines) == len(r_values) * nodes
+    for i, r in enumerate(r_values):
+        u = np.array([float(line.rsplit(",", 1)[1])
+                      for line in lines[i * nodes:(i + 1) * nodes]])
+        got = project_boundary(BoundaryData.from_samples(n, M, u), M)
+        for m in range(M + 1):
+            for k in range(multiplicity(n, m)):
+                want = e.coeffs.get(m, k) * float(e.profiles[m].interp(r))
+                basis = np.abs(eigenfunction_eval(n, m, k, omega))
+                rounding = 5e-12 * float(np.dot(quad.weights * basis, np.abs(u)))
+                assert abs(got.get(m, k) - want) <= rounding + 1e-14, (r, m, k)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("M", [4, 5, 8])
+def test_exact_coefficients_drop_nothing_from_the_truncation_bound(n, M):
+    # band4 has modes 0..4: at M >= 4 nothing is dropped, so no tail is fitted
+    f = _boundary_data({"n": n, "modes": M, "preset": "band4"})
+    e = ext.build_extension(Hyperbolic(1.0), n, f, M)
+    assert e.truncation_error_bound < 1e-12
 
 
 def _l2_reference(e, r):
@@ -637,11 +656,10 @@ def test_custom_spectrum_refuses_sampled_data(hyperbolic_criterion):
 
 def test_exports(tmp_path, cos_extension):
     csv_path = tmp_path / "eval.csv"
-    ext.dump_evaluation_csv(cos_extension, csv_path, r_values=[1.0, 2.0],
-                            n_angles=8)
+    ext.dump_evaluation_csv(cos_extension, csv_path, r_values=[1.0, 2.0])
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "r,theta,u"
-    assert len(lines) == 1 + 2 * 8
+    assert len(lines) == 1 + 2 * 20    # the 4(M + 1) nodes at M = 4
     obj = ext.summary_json(cos_extension, r_values=[1.0, 5.0])
     assert obj["M"] == 4 and len(obj["l2_curve"]) == 2
     assert obj["l2_curve"][0][1] > obj["l2_curve"][1][1]
