@@ -11,7 +11,9 @@ alone: the analytic growth class of phi supplies an elementary comparison
 function psi with phi in [klo*psi, khi*psi] beyond a radius R0, and the
 verdict comes from integrating the certified elementary bound.  Quadrature
 of the exact integrand over [1, R_max] plus refined tail integrals then
-produce the value and its error bound.  The psi tails are closed forms,
+produce the value and its error bound.  At n = 2, phi^{n-3} = phi^{1-n}, so
+I = T^2/2 with T = int_1^inf phi^{-1} the transience integral: the criterion
+is certified from that one integral.  The psi tails are closed forms,
 except the power-log double tail at n >= 3: there the inner integral is
 closed form (an incomplete beta) and one certified 1-D quadrature does the
 outer one.  The incomplete beta is one continued fraction, used on both
@@ -44,6 +46,7 @@ CONVERGENT = "Convergent"
 DIVERGENT = "Divergent"
 INCONCLUSIVE = "Inconclusive"
 
+_N2_IDENTITY = "n = 2: criterion = T^2/2, T = int_1^inf phi^-1; "
 _DECAY_UNITS = 48.0          # e^-48 ~ 1e-21: negligible truncation remainders
 _MAX_R_DOUBLINGS = 3
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
@@ -222,24 +225,24 @@ class _TailModel:
         return False
 
     def double_diverges(self):
+        """Read after `inner_diverges`, which alone decides n = 2."""
         n = self.n
         if self.kind == "exp":
             return False
         if self.kind == "power":
             p = self.growth.exponent
             return p <= 1.0 or p * (n - 1) <= 1.0
-        c = self.growth.log_exponent
-        if n == 2:
-            return c <= 1.0
-        return c <= 0.5
+        return self.growth.log_exponent <= 0.5
 
     def divergence_evidence(self, r0, double=True):
         """Names the elementary lower-bound integrand whose integral diverges.
 
         `double` selects the criterion integral; otherwise the evidence is
-        for the transience integral int phi^{1-n}.
+        for the transience integral int phi^{1-n}, whose square it is at n = 2.
         """
         n = self.n
+        if double and n == 2:
+            return _N2_IDENTITY + self.divergence_evidence(r0, double=False)
         log_klo, log_khi = self.log_sandwich(r0)
         if not double:
             k = math.exp((1 - n) * log_khi)
@@ -256,19 +259,12 @@ class _TailModel:
                 k = math.exp((1 - n) * log_khi)
                 return (f"inner integrand phi^(1-n) >= {k:.6g}*t^({-p * (n - 1):.6g}) "
                         f"for t >= {r0:.4g}; exponent >= -1, elementary integral diverges")
-            k = math.exp((n - 3) * (log_klo if n >= 3 else log_khi)
-                         + (1 - n) * log_khi) / (p * (n - 1) - 1)
+            k = math.exp((n - 3) * log_klo + (1 - n) * log_khi) / (p * (n - 1) - 1)
             expo = 1.0 - 2.0 * p
             return (f"double-tail integrand >= {k:.6g}*s^({expo:.6g}) for s >= {r0:.4g}; "
                     f"p <= 1 so the elementary integral diverges")
         # powerlog
         c = self.growth.log_exponent
-        if n == 2 and c <= 1.0:
-            k = math.exp(-log_khi)
-            note = "; threshold case c = 1 gives log log t" if c == 1.0 else ""
-            return (f"inner integrand phi^(-1) >= {k:.6g}/(t*(log t)^{c:.6g}) "
-                    f"for t >= {r0:.4g}; log-exponent <= 1, elementary "
-                    f"integral diverges{note}")
         k = math.exp(-2 * log_khi) / (n - 2) / 2.0
         note = "; threshold case 2c = 1 gives int ds/(s log s) = log log s" \
             if c == 0.5 else ""
@@ -277,8 +273,9 @@ class _TailModel:
                 f"diverges{note}")
 
     def convergence_evidence(self, r0, double=True):
-        n = self.n
         g = self.growth
+        if double and self.n == 2:
+            return _N2_IDENTITY + self.convergence_evidence(r0, double=False)
         if not double:
             return (f"{g.describe()}: integrand <= elementary convergent tail "
                     f"beyond {r0:.4g}")
@@ -288,12 +285,8 @@ class _TailModel:
         if self.kind == "power":
             return (f"{g.describe()}: double-tail integrand <= K*s^({1 - 2 * g.exponent:.6g}) "
                     f"beyond s = {r0:.4g}, exponent < -1")
-        c = g.log_exponent
-        if n == 2:
-            return (f"{g.describe()}: double-tail integrand <= "
-                    f"K*(log s)^({1 - 2 * c:.6g})/s beyond s = {r0:.4g}, c > 1")
         return (f"{g.describe()}: double-tail integrand <= "
-                f"K*(log s)^({-2 * c:.6g})/s beyond s = {r0:.4g}, 2c > 1")
+                f"K*(log s)^({-2 * g.log_exponent:.6g})/s beyond s = {r0:.4g}, 2c > 1")
 
     # -- elementary psi tails (log brackets) ---------------------------------
 
@@ -319,9 +312,10 @@ class _TailModel:
         return lo, hi
 
     def log_psi_double(self, R):
-        """Bracket for log of the psi double tail beyond R; requires convergence.
+        """Bracket for log of the psi double tail beyond R; requires
+        convergence and n >= 3 (at n = 2 it is the inner tail's half square).
 
-        Closed form except for power-log at n >= 3.  There, with t = log s,
+        Closed form except for power-log.  There, with t = log s,
         v = log(t'/s) and t0 = log R, the tail is int_0^inf e^{-(n-2)v} J(v) dv
         with the inner integral in closed form,
         J(v) = int_t0^inf t^{c(n-3)} (t+v)^{-c(n-1)} dt
@@ -342,9 +336,6 @@ class _TailModel:
             return v, v
         c = self.growth.log_exponent
         L = math.log(R)
-        if n == 2:
-            v = (2 - 2 * c) * math.log(L) - math.log((c - 1) * (2 * c - 2))
-            return v, v
         p = 2 * c - 1
 
         # scaled by J(0), the logs stay small enough for rtol 1e-14
@@ -432,12 +423,16 @@ def _refined_log_tail(w, n, model, R, r0, double):
 
 
 def _finite(w, n, R, double, rtol):
-    """(value, error, cum) of the finite part over [1, R]: the triangle
-    integral with the cumulative of phi^{n-3} if `double`, else
-    int_1^R phi^{1-n} and cum None."""
+    """(value, error, log_cum) of the finite part over [1, R]: the triangle
+    integral and log int_1^R phi^{n-3} if `double`, else int_1^R phi^{1-n}
+    and log_cum None.  At n = 2 the triangle is C^2/2, with C = int_1^R
+    phi^{-1} and its error e giving C*e + e^2/2, and log_cum is log C."""
     log_val, log_err, cum = _log_integral(
-        w, n, 1.0, R, rtol, cum_rtol=rtol * 0.1 if double else None)
-    return math.exp(log_val), math.exp(min(log_err, 700.0)), cum
+        w, n, 1.0, R, rtol, cum_rtol=rtol * 0.1 if double and n > 2 else None)
+    value, err = math.exp(log_val), math.exp(min(log_err, 700.0))
+    if double and n == 2:
+        return 0.5 * value**2, value * err + 0.5 * err**2, log_val
+    return value, err, None if cum is None else cum.log_total
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +468,8 @@ def _tail_brackets(w, n, model, R, r0, double=True):
     Refined with the exact phi when it has a closed form, elementary from
     the sandwich otherwise.  Power-log phi is exactly C*psi beyond e^2, so
     its psi double tail, and at n = 2 its psi inner tail, are already the
-    refined ones.  The double bracket is None unless `double`.
+    refined ones.  At n = 2 the double tail is T_in^2/2, the half square of
+    the inner bracket.  The double bracket is None unless `double`.
     """
     exact_psi = model.kind == "powerlog"
     inner = (_refined_log_tail(w, n, model, R, r0, False)
@@ -481,6 +477,8 @@ def _tail_brackets(w, n, model, R, r0, double=True):
              else model.log_inner_bracket(R, r0))
     if not double:
         return inner, None
+    if n == 2:
+        return inner, tuple(2.0 * b - math.log(2.0) for b in inner)
     if w.closed_form and not exact_psi:
         return inner, _refined_log_tail(w, n, model, R, r0, True)
     return inner, model.log_double_bracket(R, r0)
@@ -491,7 +489,8 @@ def _certify(w, n, tol, r_max, double):
 
     The value is the finite part over [1, R] plus the certified tails beyond
     R: for the criterion integral the cross term C(1,R)*T_in(R) and the
-    double tail T_out(R), for the transience integral T_in(R) alone.  The
+    double tail T_out(R), for the transience integral T_in(R) alone; at
+    n = 2 the three are C^2/2, C*T_in and T_in^2/2 with C = C(1,R).  The
     error bound adds a rounding term of 1e-14 of the value.  R doubles until
     the bound is below tol, or stops at the first R whose finite-part error
     plus rounding reach tol.  A larger R lowers neither: the finite-part
@@ -506,7 +505,7 @@ def _certify(w, n, tol, r_max, double):
     model = _TailModel(growth, n)
     R = _start_radius(w, model, float(r_max) if r_max is not None
                       else model.default_r_max())
-    rtol = 1e-11 if double else 1e-12
+    rtol = 1e-11 if double and n > 2 else 1e-12
 
     if model.inner_diverges() or (double and model.double_diverges()):
         F, F_err, _ = _finite(w, n, R, double, rtol)
@@ -521,9 +520,8 @@ def _certify(w, n, tol, r_max, double):
     for _ in range(_MAX_R_DOUBLINGS + 1):
         r0 = model.r0(R)
         (in_lo, in_hi), dbl = _tail_brackets(w, n, model, R, r0, double)
-        F, F_err, cum = _finite(w, n, R, double, rtol)
+        F, F_err, log_cum = _finite(w, n, R, double, rtol)
         if double:
-            log_cum = cum.log_total
             cross_lo, cross_hi = math.exp(log_cum + in_lo), math.exp(log_cum + in_hi)
             tout_lo, tout_hi = math.exp(dbl[0]), math.exp(dbl[1])
         else:

@@ -89,9 +89,9 @@ def transience_verdict_truth(w, n):
 
 
 @st.composite
-def _metric_and_n(draw):
+def _metric_and_n(draw, dims=st.integers(2, 6)):
     # near-threshold parameters: p -> 1, p -> 1/(n-1), c -> 1/2, c -> 1
-    n = draw(st.integers(2, 6))
+    n = draw(dims)
     near = lambda x: st.floats(-1e-2, 1e-2).map(lambda d: x + d)
     family = draw(st.sampled_from(["euclidean", "hyperbolic", "power", "powerlog"]))
     if family == "euclidean":
@@ -422,7 +422,7 @@ def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w, part):
     # the integrand phi^(1-n)(t) * int_1^t phi^(n-3) needs one log_phi call
     # for phi^(1-n) and one for all partial panels of the cumulative integral;
     # the refined double tail of power growth builds the same product in
-    # s = log(t/R)
+    # s = log(t/R).  n = 3: at n = 2 neither triangle is built
     from weakmodel import criterion
     log_phi_calls = count_calls(monkeypatch, w, "log_phi")
     per_vector = []
@@ -438,22 +438,23 @@ def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w, part):
 
     monkeypatch.setattr(criterion, "adaptive_quad_log", spy)
     if part == "finite":
-        F, F_err, _ = criterion._finite(w, 2, 30.0, True, 1e-11)
+        F, F_err, _ = criterion._finite(w, 3, 30.0, True, 1e-11)
         assert F > 0 and F_err < 1e-9 * F
     else:
-        model = _TailModel(w.growth_class, 2)
-        lo, hi = criterion._refined_log_tail(w, 2, model, 100.0, model.r0(100.0),
+        model = _TailModel(w.growth_class, 3)
+        lo, hi = criterion._refined_log_tail(w, 3, model, 100.0, model.r0(100.0),
                                              double=True)
         assert lo <= hi < lo + 1e-9
     assert per_vector and max(per_vector) <= 2
 
 
 # (metric, n, R): log_cum, log_inner, double of tail_certificate, recorded
-# before the refined tails shared one routine; one metric per refined kind
+# before the refined tails shared one routine; one metric per refined kind.
+# The n = 2 double is the half square of the inner bracket
 _PINNED_TAILS = [
     ((Hyperbolic(1.0), 2, 30.0), -0.2588525549667824,
      (-29.30685281944036, -29.306852819439754),
-     (1.7513021525388468e-26, 1.7513021525397554e-26)),
+     (1.75130215253824e-26, 1.75130215254035e-26)),
     ((Hyperbolic(1.0), 3, 30.0), 3.3672958299864737,
      (-59.30685281944035, -59.306852819439754),
      (8.756510762695462e-27, 8.756510762697454e-27)),
@@ -477,11 +478,101 @@ def test_refined_tails_match_recorded_values(args, log_cum, log_inner, double):
     R, inner = inner_tail(*args)
     assert R == args[2]
     assert_allclose(inner, log_inner, rtol=1e-13)
+    if args[1] == 2:
+        # (log tanh(15))^2 / 2 from 40-digit mpmath, which the triangle
+        # bracket that the half square replaced also held
+        assert cert.double[0] <= 1.7513021525393041e-26 <= cert.double[1]
 
 
 def test_tail_certificate_requires_convergence():
     with pytest.raises(NotConvergent):
         tail_certificate(Euclidean(), 3, 50.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_metric_and_n())
+def test_finite_part_is_monotone_in_r(case):
+    # both integrands are positive, so F(R) <= F(2R) up to the two error
+    # estimates and the 1e-14 rounding term the certified value carries
+    from weakmodel import criterion
+    w, n = case
+    for double, rtol in ((True, 1e-11 if n > 2 else 1e-12), (False, 1e-12)):
+        for R in (50.0, 100.0):
+            F, e, _ = criterion._finite(w, n, R, double, rtol)
+            F2, e2, _ = criterion._finite(w, n, 2 * R, double, rtol)
+            assert F <= F2 + e + e2 + 1e-14 * F2, (w, n, double, R)
+
+
+# ---------------------------------------------------------------------------
+# n = 2: phi^(n-3) = phi^(1-n), so the criterion integral is T^2/2 with T
+# the transience integral
+# ---------------------------------------------------------------------------
+
+def _exact_n2_criterion(w):
+    """T^2/2 from 40-digit mpmath.  T = -log tanh(a/2) for Hyperbolic(a);
+    for PowerGrowth(p), u = 1/(1+t^2) gives T = 1/2 sum_k 2^-(q+k)/(q+k)
+    with q = (p-1)/2 (mpmath.quad on [1, inf) misses T by 0.39 at p = 1.05)."""
+    import mpmath as mp
+    with mp.workdps(40):
+        if isinstance(w, Hyperbolic):
+            T = -mp.log(mp.tanh(mp.mpf(w.a) / 2))
+        else:
+            q = (mp.mpf(w.p) - 1) / 2
+            T = mp.nsum(lambda k: 2 ** -(q + k) / (q + k), [0, mp.inf]) / 2
+        return float(T ** 2 / 2)
+
+
+@pytest.mark.parametrize("w, tol", [
+    (Hyperbolic(0.3), 1e-8), (Hyperbolic(1.0), 1e-8), (Hyperbolic(3.0), 1e-8),
+    (PowerGrowth(1.5), 1e-8), (PowerGrowth(2.0), 1e-8), (PowerGrowth(4.0), 1e-8),
+    # the finite part is one integral's square, so its error fits in 1e-12
+    (PowerGrowth(2.0), 1e-12)], ids=repr)
+def test_n2_criterion_bound_holds_the_exact_value(w, tol):
+    rep = march_criterion(w, 2, tol=tol)
+    assert rep.verdict == CONVERGENT and rep.error_bound < tol
+    assert abs(rep.value - _exact_n2_criterion(w)) <= rep.error_bound
+    assert rep.tail_evidence.startswith("n = 2: criterion = T^2/2")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_metric_and_n(dims=st.just(2)))
+def test_n2_criterion_is_half_the_transience_square(case):
+    # near the threshold only transience may certify: PowerGrowth(1.02)
+    # does at R = 800, where the criterion's bound is still above tol
+    w, n = case
+    try:
+        m = march_criterion(w, n, tol=1e-8)
+        t = transience_integral(w, n, tol=1e-8)
+    except QuadratureFailure:
+        return
+    assert (m.verdict, m.r_max) == (t.verdict, t.r_max), w
+    if m.verdict == DIVERGENT:
+        assert m.value == 0.5 * t.value**2, w
+    else:
+        assert abs(m.value - 0.5 * t.value**2) <= m.error_bound, w
+    assert m.tail_evidence == ("n = 2: criterion = T^2/2, T = int_1^inf phi^-1; "
+                               + t.tail_evidence)
+
+
+@pytest.mark.parametrize("w, n", [
+    (Hyperbolic(1.0), 2), (PowerGrowth(2.0), 2), (PowerGrowth(0.8), 2),
+    (PowerLog(1.2), 2), (Hyperbolic(1.0), 3), (PowerGrowth(2.0), 3)], ids=repr)
+def test_n2_criterion_builds_no_triangle(monkeypatch, w, n):
+    # at n = 2 no cumulative of phi^(n-3) and no refined double tail; the
+    # n = 3 cases show that the spies see both
+    from weakmodel import criterion
+    cums = count_calls(monkeypatch, criterion, "LogCumulative")
+    doubles = []
+    tail = criterion._refined_log_tail
+
+    def spy(w, n, model, R, r0, double):
+        doubles.append(double)
+        return tail(w, n, model, R, r0, double)
+
+    monkeypatch.setattr(criterion, "_refined_log_tail", spy)
+    march_criterion(w, n, tol=1e-8)
+    built = (len(cums), doubles.count(True))
+    assert built == (0, 0) if n == 2 else min(built) > 0, built
 
 
 # ---------------------------------------------------------------------------
