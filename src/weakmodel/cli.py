@@ -7,7 +7,8 @@ Commands
     sweep      classify a family grid, one deterministic report
 
 Exit codes: classify 0=Convergent 2=Divergent 3=Inconclusive 1=error;
-solve 0 ok, 2 not solvable; verify 0 all pass; sweep 0 ok.
+solve 0 ok, 2 not solvable; verify 0 all pass; sweep 0 ok; a usage error
+exits 1 and --help 0.  Each command takes only the flags it reads.
 All reports use 12-significant-digit numbers and atomic writes so repeated
 runs are byte-identical.
 """
@@ -365,46 +366,47 @@ def main(argv=None) -> int:
                     "symmetric metrics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--family", choices=["euclidean", "hyperbolic",
-                                            "powergrowth", "powerlog"])
-        p.add_argument("--a", type=float, help="hyperbolic rate")
-        p.add_argument("--p", type=float, help="power-growth exponent")
-        p.add_argument("--c", type=float, help="power-log exponent")
-        p.add_argument("--warp-csv", dest="warp_csv",
-                       help="tabulated warping CSV (r,phi,dphi,ddphi)")
-        p.add_argument("--n", type=int, help="ambient dimension (default 2)")
+    def common(p, metric=True, boundary=False):
+        if metric:
+            p.add_argument("--family", choices=["euclidean", "hyperbolic",
+                                                "powergrowth", "powerlog"])
+            p.add_argument("--a", type=float, help="hyperbolic rate")
+            p.add_argument("--p", type=float, help="power-growth exponent")
+            p.add_argument("--c", type=float, help="power-log exponent")
+            p.add_argument("--warp-csv", dest="warp_csv",
+                           help="tabulated warping CSV (r,phi,dphi,ddphi)")
+            p.add_argument("--n", type=int, help="ambient dimension (default 2)")
+            p.add_argument("--rmax", type=float, help="truncation radius")
         p.add_argument("--tol", type=float, help="tolerance (default 1e-8)")
-        p.add_argument("--rmax", type=float, help="truncation radius")
-        p.add_argument("--modes", type=int, help="band limit M (default 4)")
         p.add_argument("--out", help="output directory (default ./out)")
         p.add_argument("--config", help="JSON config file; flags override")
+        if boundary:
+            p.add_argument("--modes", type=int, help="band limit M (default 4)")
+            p.add_argument("--preset", help="boundary preset: cos, constant[:v], "
+                                            "band4, single:m:k (default cos)")
+            p.add_argument("--bc-csv", dest="bc_csv",
+                           help="boundary samples CSV on the canonical grid")
+            p.add_argument("--coeffs", help="boundary coefficients JSON")
 
-    p_classify = sub.add_parser("classify", help="criterion verdicts")
-    common(p_classify)
+    common(sub.add_parser("classify", help="criterion verdicts"))
 
     p_solve = sub.add_parser("solve", help="build a harmonic extension")
-    common(p_solve)
-    p_solve.add_argument("--preset", help="boundary preset: cos, constant[:v], "
-                                          "band4, single:m:k (default cos)")
-    p_solve.add_argument("--bc-csv", dest="bc_csv",
-                         help="boundary samples CSV on the canonical grid")
-    p_solve.add_argument("--coeffs", help="boundary coefficients JSON")
+    common(p_solve, boundary=True)
     p_solve.add_argument("--at-infinity", action="store_true",
                          help="also print the boundary series at theta=0")
 
     p_verify = sub.add_parser("verify", help="verification battery")
-    common(p_verify)
-    p_verify.add_argument("--preset", help="boundary preset (default cos)")
-    p_verify.add_argument("--bc-csv", dest="bc_csv")
-    p_verify.add_argument("--coeffs")
+    common(p_verify, boundary=True)
     p_verify.add_argument("--artifacts",
                           help="directory with solve artifacts to audit")
 
-    p_sweep = sub.add_parser("sweep", help="classify the standard family grid")
-    common(p_sweep)
+    common(sub.add_parser("sweep", help="classify the standard family grid"),
+           metric=False)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # usage errors exit 1; 2 is classify's Divergent
+        return 1 if exc.code else 0
     try:
         if args.command == "classify":
             return cmd_classify(args)

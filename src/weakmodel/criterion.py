@@ -11,14 +11,15 @@ alone: the analytic growth class of phi supplies an elementary comparison
 function psi with phi in [klo*psi, khi*psi] beyond a radius R0, and the
 verdict comes from integrating the certified elementary bound.  Quadrature
 of the exact integrand over [1, R_max] plus refined tail integrals then
-produce the value and its error bound.  At n = 2, phi^{n-3} = phi^{1-n}, so
-I = T^2/2 with T = int_1^inf phi^{-1} the transience integral: the criterion
-is certified from that one integral.  The psi tails are closed forms,
-except the power-log double tail at n >= 3: there the inner integral is
-closed form (an incomplete beta) and one certified 1-D quadrature does the
-outer one.  The incomplete beta is one continued fraction, used on both
-sides of the Beta mean through I_y(p,q) = 1 - I_{1-y}(q,p), so the module
-needs numpy alone.
+produce the value and its error bound.  A warp with no growth class gets
+no verdict: Inconclusive, with the finite part as a lower bound.  At n = 2,
+phi^{n-3} = phi^{1-n}, so I = T^2/2 with T = int_1^inf phi^{-1} the
+transience integral: the criterion is certified from that one integral.
+The psi tails are closed forms, except the power-log double tail at n >= 3:
+there the inner integral is closed form (an incomplete beta) and one
+certified 1-D quadrature does the outer one.  The incomplete beta is one
+continued fraction, used on both sides of the Beta mean through
+I_y(p,q) = 1 - I_{1-y}(q,p), so the module needs numpy alone.
 
 All integrands are powers of phi and are evaluated in log space so that
 large n or fast exponential growth cannot overflow or underflow the
@@ -501,7 +502,7 @@ def _certify(w, n, tol, r_max, double):
     _check_args(w, n, tol, r_max)
     growth = w.growth_class
     if isinstance(growth, UnknownGrowth):
-        return _classify_unknown(w, n, tol, double=double)
+        return _classify_unknown(w, n, double)
     model = _TailModel(growth, n)
     R = _start_radius(w, model, float(r_max) if r_max is not None
                       else model.default_r_max())
@@ -616,53 +617,23 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Heuristic classification for Unknown growth (tabulated data)
+# Unknown growth (tabulated data): the finite part, never a verdict
 # ---------------------------------------------------------------------------
 
-def _classify_unknown(w, n, tol, double):
-    """Octave-ratio extrapolation of the finite part inside the data hull.
+def _classify_unknown(w, n, double):
+    """Inconclusive, with the finite part over [1, top] as the value.
 
-    With F(R) the finite part, increments d_k over doublings of R contract
-    geometrically for convergent integrals.  Non-contracting increments are
-    what a divergent integral shows (a logarithmically divergent one has
-    constant octave increments), but so does a slowly converging one whose
-    contraction starts beyond the data: finite data never certify
-    divergence, so they and near-unit contraction ratios yield Inconclusive.
+    Without a growth class nothing bounds phi beyond the samples, so no tail
+    is certified, and on a finite range a divergent integral looks like a
+    slowly converging one.  The integrand is positive, so the finite part
+    bounds the whole integral from below, up to its quadrature error.  That
+    error is reported rather than certified to tol, so rtol 1e-8 suffices.
     """
     top = _top_radius(w, 400.0)
-    if top < 16.0:
-        return CriterionReport(
-            verdict=INCONCLUSIVE, value=math.nan, error_bound=math.inf,
-            tail_evidence=f"data hull ends at {top:.4g} < 16; too short for "
-                          "octave extrapolation", r_max=top)
-    radii = [top / 4.0, top / 2.0, top]
-    # extrapolation only resolves octave increments; 1e-8 relative suffices
-    vals = [_finite(w, n, R, double, 1e-8)[0] for R in radii]
-    d1 = vals[1] - vals[0]
-    d2 = vals[2] - vals[1]
-    scale = max(abs(vals[2]), 1e-300)
-    if d2 <= 1e-12 * scale:
-        return CriterionReport(
-            verdict=CONVERGENT, value=vals[2], error_bound=max(d2, 1e-14 * scale),
-            tail_evidence="finite part plateaued inside the data hull "
-                          f"(last octave increment {d2:.3g})", r_max=top)
-    q = d2 / d1 if d1 > 0 else math.inf
-    if q >= 0.98:
-        return CriterionReport(
-            verdict=INCONCLUSIVE, value=vals[2], error_bound=math.inf,
-            tail_evidence=f"octave increments do not contract (ratio {q:.4g} "
-                          f">= 0.98); finite part {vals[2]:.6g} up to r = "
-                          f"{top:.4g}; tabulated data cannot certify divergence",
-            r_max=top)
-    tail_est = d2 * q / (1.0 - q)
-    unc = tail_est + d2 * 0.05
-    if q > 0.9 or unc >= tol:
-        return CriterionReport(
-            verdict=INCONCLUSIVE, value=vals[2] + tail_est, error_bound=unc,
-            tail_evidence=f"octave ratio {q:.4g} too close to 1 (or "
-                          f"extrapolated tail {tail_est:.3g} above tolerance) "
-                          "to certify either way", r_max=top)
+    F, F_err, _ = _finite(w, n, top, double, 1e-8)
     return CriterionReport(
-        verdict=CONVERGENT, value=vals[2] + tail_est, error_bound=unc,
-        tail_evidence=f"octave increments contract with ratio {q:.4g}; "
-                      f"extrapolated tail {tail_est:.3g}", r_max=top)
+        verdict=INCONCLUSIVE, value=F, error_bound=math.inf,
+        tail_evidence=f"no growth class: the finite part over [1, {top:.6g}] "
+                      f"is a lower bound (positive integrand), quadrature "
+                      f"error {F_err:.3g}; no tail beyond the data at "
+                      f"r = {top:.6g} is certified", r_max=top)

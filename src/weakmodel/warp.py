@@ -385,8 +385,8 @@ class Tabulated(WarpingFunction):
     Values between nodes come from monotone cubic interpolation of each
     column, the three stacked in one interpolant; the supplied derivative
     samples are authoritative (the interpolant is never differentiated).
-    Growth defaults to Unknown, which forces the criterion module onto its
-    heuristic tail path.
+    Growth defaults to Unknown, for which the criterion module certifies no
+    tail and reports Inconclusive.
     """
 
     closed_form = False

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -122,6 +123,49 @@ def test_classify_inconclusive_tabulated(tmp_path):
     code = run(["classify", "--warp-csv", str(csv), "--n", "2",
                 "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+def test_tabulated_data_get_no_verdict(tmp_path, monkeypatch, capsys):
+    # sampled data have no growth class: classify reports Inconclusive (exit
+    # 3), and solve refuses as not solvable (exit 2) before building anything
+    csv = write_tabulated_csv(tmp_path / "w.csv", Hyperbolic(1.0),
+                              np.geomspace(1e-4, 30.0, 400))
+    code = run(["classify", "--warp-csv", str(csv), "--n", "3",
+                "--out", str(tmp_path / "c")])
+    assert code == 3
+    rep = json.loads((tmp_path / "c" / "classify.json").read_text())
+    assert rep["march"]["verdict"] == rep["transience"]["verdict"] == "Inconclusive"
+    builds = count_calls(monkeypatch, extension, "build_extension")
+    code = run(["solve", "--warp-csv", str(csv), "--n", "3",
+                "--out", str(tmp_path / "s")])
+    assert code == 2 and builds == []
+    assert "not solvable: criterion verdict Inconclusive" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--family", "euclidean", "--n", "3", "--modes", "2"],
+    ["classify", "--family", "euclidean", "--n", "3", "--bogus", "1"],
+    ["sweep", "--n", "1"],
+    ["sweep", "--family", "euclidean"],
+    ["solve", "--family", "euclidean", "--artifacts", "x"],
+], ids=["classify_modes", "classify_bogus", "sweep_n", "sweep_family",
+        "solve_artifacts"])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, args):
+    # a usage error exits 1, never 2, which classify prints for Divergent
+    assert run(args + ["--out", str(tmp_path / "o")]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_lists_only_the_flags_a_command_reads(capsys):
+    flags = {}
+    for cmd in ("classify", "solve", "verify", "sweep"):
+        assert run([cmd, "--help"]) == 0
+        flags[cmd] = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert flags["sweep"] == {"--help", "--tol", "--out", "--config"}
+    assert "--modes" not in flags["classify"]
+    assert flags["solve"] ^ flags["verify"] == {"--at-infinity", "--artifacts"}
 
 
 def test_classify_bad_args(tmp_path, capsys):
@@ -344,10 +388,12 @@ def test_unsupported_dimension_refused_before_solving(tmp_path, capsys,
     assert "n in {2, 3}, got n=4" in capsys.readouterr().err
     assert solves == [] and certs == []
     # verify and classify on a divergent metric need no sphere data
-    for cmd in ("verify", "classify"):
-        code = run([cmd, "--family", "euclidean", "--n", "4", "--modes", "2",
-                    "--out", str(tmp_path / cmd)])
-        assert code == (0 if cmd == "verify" else 2), cmd
+    code = run(["verify", "--family", "euclidean", "--n", "4", "--modes", "2",
+                "--out", str(tmp_path / "verify")])
+    assert code == 0
+    code = run(["classify", "--family", "euclidean", "--n", "4",
+                "--out", str(tmp_path / "classify")])
+    assert code == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
