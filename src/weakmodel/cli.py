@@ -195,8 +195,10 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 _VERIFY_RMAX = 25.0     # smallest range of the raw solves when not Convergent
-# ODE tolerance of the extension verify checks: the Riccati residual needs the
-# solver's relative-tolerance floor of 1e-13, which every tol <= 1e-10 gives
+# ODE tolerance of the extension verify checks.  Solved in (u, z), the n = 3
+# Riccati residual no longer needs the solver's relative-tolerance floor of
+# 1e-13: for modes 1..8 of hyperbolic, power and power-log metrics it stays
+# below 7e-8 (the check allows 1e-6) at every tol from 1e-4 to 1e-10
 _VERIFY_TOL = 1e-10
 
 

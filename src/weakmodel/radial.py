@@ -5,17 +5,20 @@ For each cross-section eigenvalue lambda^2 the radial factor phi_m solves
     phi_m'' + (n-1) (phi'/phi) phi_m' - (lambda^2/phi^2) phi_m = 0,
 
 is launched at a small r0 from its r^l leading behaviour (l the positive
-indicial root), and is nondecreasing and positive.  Integration runs on the
-log-log system (u, w) = (log phi_m, r phi_m'/phi_m), which is regular at the
-origin and immune to amplitude overflow:
-
-    du/ds = w,   dw/ds = w + lambda^2 (r/phi)^2 - (n-1) (r phi'/phi) w - w^2,
-
-with s = log r, by the package's DOP853 (`dop853.solve_ivp`), one system for
-all the modes of an extension.  The substitution
+indicial root), and is nondecreasing and positive.  The substitution
 x = phi^{n-1} phi_m' / (lambda^2 phi_m) turns the equation into
-x' + (lambda^2/phi^{n-1}) x^2 = phi^{n-3}, which yields the verified growth
-bound
+x' + (lambda^2/phi^{n-1}) x^2 = phi^{n-3}.  Integration runs on the scaled
+Riccati system (u, z) = (log phi_m, x / (r phi^{n-3})), which is regular at
+the origin and immune to amplitude overflow.  With s = log r, rho = r/phi
+and w = r phi_m'/phi_m = lambda^2 rho^2 z,
+
+    du/ds = w,   dz/ds = 1 - z (1 + (n-3) r phi'/phi + w),
+
+by the package's DOP853 (`dop853.solve_ivp`), one system for all the modes
+of an extension.  Its coefficients rho and r phi'/phi stay bounded where phi
+grows, and at n = 3 z runs from l/lambda^2 at the origin to 1 at infinity,
+so the solver need not follow w, which decays like (r/phi)^2 there.  The
+Riccati equation yields the verified growth bound
 
     phi_m(s) <= B exp( int_1^s lambda^2/phi^{n-1} (A + int_1^t phi^{n-3}) )
 
@@ -73,7 +76,7 @@ class RadialProfile:
     limit_error: float
     normalized: bool
     r0: float
-    _dense: object = None      # s = log r -> (log raw phi_m, r phi_m'/phi_m), or None
+    _dense: object = None      # s = log r -> (log raw phi_m, z), or None
     _scale: float = 1.0        # divisor applied to the raw solution
 
     @property
@@ -81,7 +84,7 @@ class RadialProfile:
         return float(self.grid[-1])
 
     def _solution(self, r):
-        """The dense rows (log raw phi_m, r phi_m'/phi_m) at r; a profile read
+        """The dense rows (log raw phi_m, z) at r; a profile read
         from samples has none, since interpolating them pierces the growth
         bound where it touches phi_m."""
         if self._dense is None:
@@ -174,16 +177,18 @@ def _cubic_beta(w: WarpingFunction) -> float:
     return (phi_h - h) / h ** 3
 
 
-def _launch_state(n, l, lam2, beta3, r_launch):
-    """(u, w) at r_launch from phi_m ~ r^l (1 + kappa2 r^2)."""
+def _launch_state(n, l, lam2, beta3, r_launch, rho0):
+    """(u, z) at r_launch from phi_m ~ r^l (1 + kappa2 r^2), with
+    rho0 = r_launch / phi(r_launch)."""
     kappa2 = -beta3 * (l * (n - 1) + lam2) / (2.0 * l + n)
     u0 = l * math.log(r_launch) + math.log1p(kappa2 * r_launch ** 2)
     w0 = (l + (l + 2) * kappa2 * r_launch ** 2) / (1.0 + kappa2 * r_launch ** 2)
-    return u0, w0
+    return u0, w0 / (lam2 * rho0 * rho0)
 
 
 def _check_warp_on_grid(w: WarpingFunction, grid):
-    """Refuse a grid where phi <= 0, or where phi overflows double precision."""
+    """phi on the grid; refuses a grid where phi <= 0, or where phi
+    overflows double precision."""
     with np.errstate(over="ignore"):
         phi = np.asarray(w.eval(grid)[0], dtype=float)
     span = f"inside [{grid[0]:g}, {grid[-1]:g}]"
@@ -193,6 +198,7 @@ def _check_warp_on_grid(w: WarpingFunction, grid):
         bad = grid[np.argmax(~np.isfinite(phi))]
         raise OutOfDomain(f"phi overflows double precision at r = {bad:g} "
                           f"{span}; the radial solve needs a smaller r_max")
+    return phi
 
 
 def _constant_profile(w, n, mode, grid):
@@ -205,19 +211,19 @@ def _constant_profile(w, n, mode, grid):
 
 
 def _mode_rows(dense, j):
-    """The (u, w) rows of the j-th solved mode in a stacked dense solution."""
+    """The (u, z) rows of the j-th solved mode in a stacked dense solution."""
     return lambda s: dense(s)[2 * j:2 * j + 2]
 
 
 def _mode_rhs(w: WarpingFunction, n: int, lam2: np.ndarray):
-    """(evaluate_stages, rhs) of the stacked (u, w) system of the modes lam2.
+    """(evaluate_stages, rhs) of the stacked (u, z) system of the modes lam2.
 
     evaluate_stages(ts) evaluates the warp once, at all the times of a step
     attempt, and keeps (r, phi, phi') there as floats.  rhs(s, y) reads them
     for s, evaluating the warp at s alone for the initial step's two calls,
     and works float by float in numpy's order, so its bits are those of the
-    array expression
-    `ww + lam2 * rho * rho - (n - 1) * (rho * dphi) * ww - ww * ww`.
+    array expressions `ww = lam2 * rho * rho * zz` and
+    `1.0 - zz * (1 + (n - 3) * (rho * dphi) + ww)`.
     """
     lam2 = lam2.tolist()
     stages = {}
@@ -235,10 +241,11 @@ def _mode_rhs(w: WarpingFunction, n: int, lam2: np.ndarray):
         if phi <= 0:
             raise NonPositiveWarp(f"phi({r:g}) = {phi:g} <= 0")
         rho = r / phi
-        damp = (n - 1) * (rho * dphi)
+        damp = 1 + (n - 3) * (rho * dphi)
         dy = []
-        for wj, lj in zip(y[1::2].tolist(), lam2):
-            dy += (wj, wj + lj * rho * rho - damp * wj - wj * wj)
+        for zj, lj in zip(y[1::2].tolist(), lam2):
+            wj = lj * rho * rho * zj
+            dy += (wj, 1.0 - zj * (damp + wj))
         return np.array(dy)
 
     return evaluate_stages, rhs
@@ -251,7 +258,7 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
 
     Returns the raw profiles in the order of `modes`.  An m = 0 mode
     short-circuits to the constant 1.  All other modes are integrated as one
-    DOP853 system whose state stacks their (u, w) pairs, and the warp is
+    DOP853 system whose state stacks their (u, z) pairs, and the warp is
     evaluated once per step attempt, at all its stage times, for the whole
     stack.  They are returned unnormalized with an unbounded limit estimate,
     and `normalize_profile` rescales a convergent one to limit 1.
@@ -266,20 +273,21 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     r_launch = r0 or _DEFAULT_R0
     if r_max <= 1.0:
         raise ValueError(f"r_max must exceed 1, got {r_max}")
-    _check_warp_on_grid(w, grid)
+    rho = grid / _check_warp_on_grid(w, grid)
     beta3 = _cubic_beta(w)
+    rho0 = r_launch / float(w.eval(r_launch)[0])
     ls = [indicial_exponent(n, modes[i].lambda_sq) for i in solved]
     y0 = [v for i, l in zip(solved, ls)
-          for v in _launch_state(n, l, modes[i].lambda_sq, beta3, r_launch)]
+          for v in _launch_state(n, l, modes[i].lambda_sq, beta3, r_launch, rho0)]
     evaluate_stages, rhs = _mode_rhs(
         w, n, np.array([modes[i].lambda_sq for i in solved]))
 
-    # near-pure relative control on w: it decays doubly-exponentially for
-    # fast-growing phi and x = phi^{n-1} w/(lambda^2 r) re-amplifies any
-    # absolute error floor, so w must stay relatively accurate
+    # pure relative control on z, which stays positive and away from 0
+    # (between l/lambda^2 and 1 at n = 3), so x = r phi^{n-3} z keeps the
+    # relative accuracy the Riccati trace reads
     sol = solve_ivp(rhs, (math.log(r_launch), math.log(r_max)), y0,
-                    rtol=min(max(tol * 1e-3, 1e-13), 1e-8),
-                    atol=[1e-12, 1e-290] * len(solved),
+                    rtol=min(max(tol * 1e-4, 1e-13), 1e-9),
+                    atol=[1e-14, 1e-290] * len(solved),
                     before_attempt=evaluate_stages)
     if not sol.success:
         raise StepSizeUnderflow(f"radial integration failed: {sol.message}")
@@ -287,7 +295,8 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     stack = sol.sol(np.log(grid))
     for j, (i, l) in enumerate(zip(solved, ls)):
         values = np.exp(stack[2 * j])
-        derivs = values * stack[2 * j + 1] / grid
+        wlog = modes[i].lambda_sq * rho * rho * stack[2 * j + 1]
+        derivs = values * wlog / grid
         profiles[i] = RadialProfile(
             mode=modes[i], n=n, warp=w, indicial_l=l, grid=grid, values=values,
             derivs=derivs, limit_estimate=math.inf, limit_error=math.inf,
@@ -340,10 +349,11 @@ class _ConformalTime:
 
 
 def _conformal_rows(tau: _ConformalTime, lam: float):
-    """The (log phi_m, r phi_m'/phi_m) rows of exp(-lam tau), like `_dense`."""
+    """The (log phi_m, z) rows of exp(-lam tau), like `_dense`: its
+    w = lam rho and x = 1/lam give z = 1/(lam rho)."""
     def dense(s):
         t, rho = tau(s)
-        return np.stack([-lam * t, lam * rho])
+        return np.stack([-lam * t, 1.0 / (lam * rho)])
     return dense
 
 
@@ -425,9 +435,9 @@ def riccati_x(profile: RadialProfile, r) -> np.ndarray:
     w = profile.warp
     r = np.atleast_1d(np.asarray(r, dtype=float))
     shape, r = r.shape, r.ravel()
-    wlog = profile._solution(r)[1]
+    z = profile._solution(r)[1]
     log_phi = np.asarray(w.log_phi(r), dtype=float)
-    x = np.exp((n - 1) * log_phi + np.log(wlog) - math.log(lam2) - np.log(r))
+    x = r * z * np.exp((n - 3) * log_phi)
     return x.reshape(shape)
 
 

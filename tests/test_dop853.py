@@ -37,11 +37,12 @@ def _per_call_rhs(w, n, lam2):
     def rhs(s, y):
         r = math.exp(s)
         phi, dphi, _ = w.eval(r)
-        ww = y[1::2]
+        zz = y[1::2]
         rho = r / phi
+        ww = lam2 * rho * rho * zz
         dy = np.empty_like(y)
         dy[0::2] = ww
-        dy[1::2] = ww + lam2 * rho * rho - (n - 1) * (rho * dphi) * ww - ww * ww
+        dy[1::2] = 1.0 - zz * (1 + (n - 3) * (rho * dphi) + ww)
         return dy
     return rhs
 
@@ -56,7 +57,7 @@ _MODE_STACKS = pytest.mark.parametrize("w,n,M,r_max", [
 ])
 
 
-def _recorded_solve(monkeypatch, w, n, M, r_max):
+def _recorded_solve(monkeypatch, w, n, M, r_max, **kwargs):
     """solve_modes of modes 1..M; the arguments and result of its one solve."""
     calls = []
 
@@ -67,7 +68,7 @@ def _recorded_solve(monkeypatch, w, n, M, r_max):
 
     monkeypatch.setattr(radial, "solve_ivp", recorded)
     radial.solve_modes(w, n, [eigen_round_sphere(n, m) for m in range(1, M + 1)],
-                       r_max=r_max)
+                       r_max=r_max, **kwargs)
     [call] = calls
     return call
 
@@ -86,6 +87,14 @@ def test_mode_stack_solve_is_scipys_bit_for_bit(monkeypatch, w, n, M, r_max):
     assert sol.sol(s).tobytes() == ref.sol(s).tobytes()
     # a scalar point gives the state vector, as scipy's does
     assert sol.sol(s[len(s) // 3]).tobytes() == ref.sol(s[len(s) // 3]).tobytes()
+
+
+def test_fast_growth_takes_few_steps(monkeypatch):
+    # in (u, z) the coefficients r/phi and r phi'/phi stay bounded, so the
+    # solver does not follow w = r phi_m'/phi_m as it decays like (r/phi)^2:
+    # stepping w itself took 2,787 steps here
+    _, _, sol = _recorded_solve(monkeypatch, Hyperbolic(3.0), 3, 4, 200.0, tol=1e-8)
+    assert sol.success and len(sol.t) - 1 < 300
 
 
 @pytest.mark.parametrize("w,n", [(Hyperbolic(1.3), 3), (PowerGrowth(2.0), 4),

@@ -81,10 +81,11 @@ def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_powerlog_extension_survives_an_overflowing_trial():
-    # at tol 1e-10 one DOP853 trial reaches w = -9e222 near r = 122, where
-    # w * w overflows: the attempt is rejected, and nothing warns.  The data
-    # reach m = 4, whose certificate takes the solve past r = 122
+def test_powerlog_extension_builds_without_warnings():
+    # at tol 1e-10 every DOP853 trial keeps z of order 1 (|z| <= 3.2),
+    # where a trial stepping w = r phi_m'/phi_m reached -9e222 near
+    # r = 122 and overflowed w * w.  The data reach m = 4, whose
+    # certificate takes the solve past r = 122
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
     table.set(4, 0, 1.0)
@@ -114,15 +115,10 @@ def _assert_profile_matches(p, exact, slack):
     assert np.max(np.abs(p.interp(r) - exact(r))) <= slack
 
 
-@pytest.mark.parametrize("tol,ode_error", [(1e-8, 1e-9), (1e-10, 2e-10)])
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-def test_n3_hyperbolic_mode_matches_closed_form(a, tol, ode_error):
-    # at n = 3 the m = 1 mode of sinh(ar)/a with limit 1 is
-    # coth(ar) - ar/sinh(ar)^2 = (sinh(2ar) - 2ar) / (2 sinh(ar)^2);
-    # its series keeps the small-r values free of cancellation.
-    # limit_error bounds the tail normalization only (1e-50 to 1e-19
-    # here); the ODE solve's own error, up to 2.8e-10 at tol 1e-8 and
-    # 5.1e-11 at tol 1e-10 near r = 0.2, is not in it and gets its own slack
+def _n3_first_mode(a):
+    """At n = 3 the m = 1 mode of sinh(ar)/a with limit 1:
+    coth(ar) - ar/sinh(ar)^2 = (sinh(2ar) - 2ar) / (2 sinh(ar)^2); its
+    series keeps the small-r values free of cancellation."""
     def exact(r):
         x = a * np.asarray(r, dtype=float)
         y = 2 * x
@@ -131,13 +127,24 @@ def test_n3_hyperbolic_mode_matches_closed_form(a, tol, ode_error):
         odd = np.where(x < 0.5, series, np.sinh(y) - y)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(x > 0, odd / (2 * np.sinh(x) ** 2), 0.0)
+    return exact
 
+
+def _n3_first_profile(a, tol):
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
     e = ext.build_extension(Hyperbolic(a), 3,
                             BoundaryData.from_coefficients(table), 1, tol=tol)
-    p = e.profiles[1]
-    _assert_profile_matches(p, exact, p.limit_error + ode_error)
+    return e.profiles[1]
+
+
+@pytest.mark.parametrize("tol,ode_error", [(1e-8, 1e-9), (1e-10, 2e-10)])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_n3_hyperbolic_mode_matches_closed_form(a, tol, ode_error):
+    # limit_error bounds the tail normalization only (1e-50 to 1e-19
+    # here); the ODE solve's own error is not in it and gets its own slack
+    p = _n3_first_profile(a, tol)
+    _assert_profile_matches(p, _n3_first_mode(a), p.limit_error + ode_error)
 
     # every mode m <= 8 at n = 3, 4, 5 against the hypergeometric oracle,
     # with the same ODE slack.  The round sphere refuses n >= 4, so the
@@ -151,6 +158,16 @@ def test_n3_hyperbolic_mode_matches_closed_form(a, tol, ode_error):
             p = normalize_profile(raw, cert)
             _assert_profile_matches(p, _hyperbolic_mode(a, n, mode.m),
                                     p.limit_error + ode_error)
+
+
+@pytest.mark.parametrize("tol,ode_error", [(1e-8, 2e-10), (1e-10, 2e-11)])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_n3_first_mode_ode_error_is_small(a, tol, ode_error):
+    # stepping z, the ODE solve's own error on the m = 1 mode is up to
+    # 8.8e-11 at tol 1e-8 and 8.1e-12 at tol 1e-10 (at a = 2); stepping
+    # w = r phi_m'/phi_m it reached 2.8e-10 and 5.1e-11 near r = 0.2
+    p = _n3_first_profile(a, tol)
+    _assert_profile_matches(p, _n3_first_mode(a), p.limit_error + ode_error)
 
 
 def test_user_rmax_below_certificate_start_is_honest():

@@ -391,7 +391,7 @@ def test_warp_reaching_zero_inside_the_span_fails_by_name():
 
 def _single_mode_reference(w, n, mode, r_max, tol):
     """The per-mode solve the stacked solver replaced: a scalar right-hand
-    side returning a list, on the one (u, w) pair of one mode."""
+    side returning a list, on the one (u, z) pair of one mode."""
     lam2 = mode.lambda_sq
     l = indicial_exponent(n, lam2)
     r0, h = 1e-3, 1e-2
@@ -399,22 +399,26 @@ def _single_mode_reference(w, n, mode, r_max, tol):
               * (l * (n - 1) + lam2) / (2.0 * l + n))
     u0 = l * math.log(r0) + math.log1p(kappa2 * r0 ** 2)
     w0 = (l + (l + 2) * kappa2 * r0 ** 2) / (1.0 + kappa2 * r0 ** 2)
+    rho0 = r0 / float(w.eval(r0)[0])
+    z0 = w0 / (lam2 * rho0 * rho0)
 
     def rhs(s, y):
         r = math.exp(s)
         phi, dphi, _ = w.eval(r)
-        ww = y[1]
+        zz = y[1]
         rho = r / phi
-        return [ww, ww + lam2 * rho * rho - (n - 1) * (rho * dphi) * ww - ww * ww]
+        ww = lam2 * rho * rho * zz
+        return [ww, 1.0 - zz * (1 + (n - 3) * (rho * dphi) + ww)]
 
-    sol = solve_ivp(rhs, (math.log(r0), math.log(r_max)), [u0, w0],
+    sol = solve_ivp(rhs, (math.log(r0), math.log(r_max)), [u0, z0],
                     method="DOP853", dense_output=True,
-                    rtol=min(max(tol * 1e-3, 1e-13), 1e-8),
-                    atol=[1e-12, 1e-290])
+                    rtol=min(max(tol * 1e-4, 1e-13), 1e-9),
+                    atol=[1e-14, 1e-290])
     grid = np.geomspace(r0, r_max, 800)
-    u, wlog = sol.sol(np.log(grid))
+    u, z = sol.sol(np.log(grid))
+    rho = grid / w.eval(grid)[0]
     values = np.exp(u)
-    return values, values * wlog / grid, sol.sol
+    return values, values * (lam2 * rho * rho * z) / grid, sol.sol
 
 
 @pytest.mark.parametrize("w,n,m,tol", [
