@@ -244,21 +244,24 @@ class DenseOutput:
         self._y_old = y_old       # (steps, n) state at each step's start
         self._F = F               # (steps, 7, n) interpolant coefficients
 
-    def __call__(self, t):
-        """The state at t, a float or a 1-D array: shape (n,) or (n, len(t))."""
+    def __call__(self, t, derivative=False):
+        """The state at t, a float or a 1-D array: shape (n,) or (n, len(t));
+        with `derivative`, the interpolant's exact derivative in t instead."""
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1,
                       0, len(self._h) - 1)
         x = ((t - self.ts[seg]) / self._h[seg])[..., None]
         F = self._F[seg]
         y = np.zeros(F.shape[:-2] + F.shape[-1:])
+        dy = 0.0   # d/dx of y, by the product rule at each factor
         # Horner in x and 1 - x alternately, from the top coefficient down
         for i in range(INTERPOLATOR_POWER):
             y += F[..., INTERPOLATOR_POWER - 1 - i, :]
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
+            if derivative:
+                dy = dy * x + y if i % 2 == 0 else dy * (1 - x) - y
+            y *= x if i % 2 == 0 else 1 - x
+        if derivative:
+            return (dy / self._h[seg][..., None]).T
         y += self._y_old[seg]
         return y.T
 

@@ -51,7 +51,6 @@ from .warp import WarpingFunction
 _DEFAULT_R0 = 1e-3
 _GRID_SIZE = 800
 _TAIL_DELTA = 1.25e-5
-_FD_STEP = 2e-2
 _MASTER_NODES = 16385
 _TAU_RTOL = 1e-12
 
@@ -83,15 +82,15 @@ class RadialProfile:
     def r_max(self):
         return float(self.grid[-1])
 
-    def _solution(self, r):
-        """The dense rows (log raw phi_m, z) at r; a profile read
-        from samples has none, since interpolating them pierces the growth
-        bound where it touches phi_m."""
+    def _solution(self, r, ds=False):
+        """The dense rows (log raw phi_m, z) at r, or with `ds` their exact
+        derivatives in s = log r; a profile read from samples has none, since
+        interpolating them pierces the growth bound where it touches phi_m."""
         if self._dense is None:
             raise DegenerateProfile(
                 f"the m = {self.mode.m} profile read from samples is its grid "
                 "and values only; solve the mode to evaluate it between them")
-        return self._dense(np.log(r))
+        return self._dense(np.log(r), ds)
 
     def _log_raw(self, r):
         """log of the unnormalized phi_m at r (r >= r0, within range)."""
@@ -140,7 +139,7 @@ class RadialProfile:
 def load_profile_csv(path, mode: EigenMode, n: int, warp: WarpingFunction,
                      metadata=None) -> RadialProfile:
     """Rebuild a profile from exported samples: its grid, values and
-    derivatives, with no dense solution, so `interp` and `riccati_x`
+    derivatives, with no dense solution, so `interp` and `riccati_trace`
     refuse an m >= 1 profile read this way."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     lim = math.inf
@@ -211,8 +210,9 @@ def _constant_profile(w, n, mode, grid):
 
 
 def _mode_rows(dense, j):
-    """The (u, z) rows of the j-th solved mode in a stacked dense solution."""
-    return lambda s: dense(s)[2 * j:2 * j + 2]
+    """The (u, z) rows of the j-th solved mode in a stacked dense solution,
+    or with `ds` their derivatives in s."""
+    return lambda s, ds=False: dense(s, derivative=ds)[2 * j:2 * j + 2]
 
 
 def _mode_rhs(w: WarpingFunction, n: int, lam2: np.ndarray):
@@ -328,6 +328,7 @@ class _ConformalTime:
     """
 
     def __init__(self, w: WarpingFunction, r0: float, R: float, log_inner):
+        self.w = w
         self.S = math.log(R)
         self.cum = _quadrature.LogCumulative(
             lambda s: s - w.log_phi(np.exp(s)), math.log(r0), self.S,
@@ -350,9 +351,13 @@ class _ConformalTime:
 
 def _conformal_rows(tau: _ConformalTime, lam: float):
     """The (log phi_m, z) rows of exp(-lam tau), like `_dense`: its
-    w = lam rho and x = 1/lam give z = 1/(lam rho)."""
-    def dense(s):
+    w = lam rho and x = 1/lam give z = 1/(lam rho).  Their derivatives in s
+    are closed forms too, from dtau/ds = -rho and drho/ds = rho (1 - r phi'/phi)."""
+    def dense(s, ds=False):
         t, rho = tau(s)
+        if ds:
+            dphi = tau.w.eval(np.exp(s))[1]
+            return np.stack([lam * rho, (rho * dphi - 1.0) / (lam * rho)])
         return np.stack([-lam * t, 1.0 / (lam * rho)])
     return dense
 
@@ -426,21 +431,6 @@ def _tail_delta(w: WarpingFunction, n: int, lambda_sq: float, cert) -> float:
     return math.expm1(lambda_sq * (a_in + cross + outer))
 
 
-def riccati_x(profile: RadialProfile, r) -> np.ndarray:
-    """x(r) = phi^{n-1}(r) phi_m'(r) / (lambda^2 phi_m(r)), vectorized."""
-    lam2 = profile.mode.lambda_sq
-    if lam2 <= 0:
-        raise DegenerateProfile("x is undefined for the constant mode (lambda^2 = 0)")
-    n = profile.n
-    w = profile.warp
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    shape, r = r.shape, r.ravel()
-    z = profile._solution(r)[1]
-    log_phi = np.asarray(w.log_phi(r), dtype=float)
-    x = r * z * np.exp((n - 3) * log_phi)
-    return x.reshape(shape)
-
-
 def normalize_profile(profile: RadialProfile,
                       cert: _criterion.TailCertificate) -> RadialProfile:
     """Rescale a profile so its limit at infinity is 1.
@@ -503,43 +493,46 @@ class RiccatiTrace:
     B: float                  # phi_m(1)
     residual: np.ndarray      # x' + (lambda^2/phi^{n-1}) x^2 - phi^{n-3}
     residual_ok: bool
-    inequality_ok: bool       # x'(s) <= phi^{n-3}(s) + 1e-9 pointwise
+    inequality_ok: bool       # x' <= phi^{n-3} + 1e-9 (max(1, phi^{n-3}) at n >= 4)
 
 
 def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
-    """Log-derivative substitution trace x(s) with its equation residual.
+    """Log-derivative substitution trace x on the radii s_grid, with its
+    equation residual.
 
-    x' is estimated from the solved profile by five-point central
-    differences, so the residual genuinely tests the solution rather than
-    restating the equation.
+    x = r phi^{n-3} z, and x' = phi^{n-3} (z (1 + (n-3) r phi'/phi) + dz/ds)
+    from the solved rows' exact derivative in s = log r.  The equation is
+    written here apart from the solver's, so the residual is the solution's
+    own defect.
     """
     w = profile.warp
     n = profile.n
     lam2 = profile.mode.lambda_sq
     if lam2 <= 0:
         raise DegenerateProfile("Riccati trace needs lambda^2 > 0 (m >= 1)")
-    h = _FD_STEP
     if s_grid is None:
-        s_grid = np.linspace(1.0, min(profile.r_max - 2 * h, 20.0), 481)
+        s_grid = np.linspace(1.0, min(profile.r_max, 20.0), 481)
     s_grid = np.asarray(s_grid, dtype=float)
-    if (s_grid[0] - 2 * h < profile.r0
-            or s_grid[-1] + 2 * h > profile.r_max * (1 + 1e-12)):
-        raise DegenerateProfile("trace stencil leaves the solved range")
+    if s_grid[0] < profile.r0 or s_grid[-1] > profile.r_max * (1 + 1e-12):
+        raise DegenerateProfile("trace grid leaves the solved range")
 
-    # x on the grid and on its four stencil shifts, in one evaluation
-    stencil = riccati_x(profile, s_grid + h * np.array([[0], [-2], [-1], [1], [2]]))
-    x = stencil[0]
+    z = profile._solution(s_grid)[1]
+    dz = profile._solution(s_grid, ds=True)[1]
+    log_phi = np.asarray(w.log_phi(s_grid), dtype=float)
+    source = np.exp((n - 3) * log_phi)
+    x = s_grid * z * source
     if np.any(~np.isfinite(x)) or np.any(x < 0):
         raise DegenerateProfile("nonpositive phi_m or phi_m' in the trace range")
-    xp = (stencil[1] - 8 * stencil[2] + 8 * stencil[3] - stencil[4]) / (12 * h)
+    phi, dphi, _ = w.eval(s_grid)
+    xp = source * (z * (1 + (n - 3) * (s_grid * dphi / phi)) + dz)
 
-    log_phi = np.asarray(w.log_phi(s_grid), dtype=float)
     quad_term = np.exp(math.log(lam2) + 2 * np.log(x) - (n - 1) * log_phi,
                        where=x > 0, out=np.zeros_like(x))
-    source = np.exp((n - 3) * log_phi)
     residual = xp + quad_term - source
     residual_ok = bool(np.all(np.abs(residual) <= 1e-6 * (1.0 + source)))
-    inequality_ok = bool(np.all(xp <= source + 1e-9))
+    # x' reaches phi^{n-3} up to its rounding, which at n >= 4 grows with phi
+    slack = 1e-9 * (np.maximum(1.0, source) if n >= 4 else 1.0)
+    inequality_ok = bool(np.all(xp <= source + slack))
     A = float(x[np.argmin(np.abs(s_grid - 1.0))])
     B = float(profile.interp(1.0))
     return RiccatiTrace(grid=s_grid, x=x, A=A, B=B, residual=residual,

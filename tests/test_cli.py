@@ -462,11 +462,31 @@ def test_verify_divergent_skips_extension_checks(tmp_path):
                 "--out", str(tmp_path / "v")])
     assert code == 0
     rep = json.loads((tmp_path / "v" / "verify.json").read_text())
-    skipped = {c["name"] for c in rep["checks"] if c.get("skipped")}
+    skipped = {c["name"]: c["detail"] for c in rep["checks"] if c.get("skipped")}
     assert "maximum_principle" in skipped and "annulus_cross_check" in skipped
+    assert "modes are unbounded" in skipped["maximum_principle"]
     ran = {c["name"]: c["passed"] for c in rep["checks"]
            if not c.get("skipped")}
     assert ran["riccati_residual"] and ran["monotone_nonnegative"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_sampled_data_passes_without_a_verdict(tmp_path, n):
+    # sampled data are Inconclusive: the Riccati checks run on raw solves
+    # and pass, and the extension checks are skipped without claiming that
+    # the modes are unbounded
+    csv = write_tabulated_csv(tmp_path / "w.csv", Hyperbolic(1.0),
+                              np.geomspace(1e-4, 30.0, 400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["verify", "--warp-csv", str(csv), "--n", str(n),
+                    "--modes", "2", "--out", str(tmp_path / "v")])
+    assert code == 0
+    rep = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert rep["criterion"] == "Inconclusive" and rep["all_passed"] is True
+    skipped = [c["detail"] for c in rep["checks"] if c.get("skipped")]
+    assert len(skipped) == 3
+    assert all("not certified" in d and "unbounded" not in d for d in skipped)
 
 
 def test_verify_detects_tampered_profile(tmp_path):

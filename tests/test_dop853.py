@@ -221,3 +221,26 @@ def test_before_attempt_sees_every_time_fun_is_called():
     assert all(t in stage_times for t in called[2:])
     ref = _reference(fun, (0.0, 3.0), [1.0, 2.0], 1e-10, 1e-12)
     assert sol.t.tobytes() == ref.t.tobytes() and sol.nfev == ref.nfev
+
+
+def test_dense_derivative_is_the_interpolants_own(monkeypatch):
+    # at every step time the interpolant's slope is the right-hand side at
+    # the state there; between them it is the slope of the dense output
+    w, n, M = Hyperbolic(1.0), 3, 4
+    _, _, sol = _recorded_solve(monkeypatch, w, n, M, 30.0)
+    lam2 = np.array([eigen_round_sphere(n, m).lambda_sq for m in range(1, M + 1)])
+    rhs = _per_call_rhs(w, n, lam2)
+    t = sol.t
+    slope = sol.sol(t, derivative=True)
+    f = np.array([rhs(ti, yi) for ti, yi in zip(t, sol.sol(t).T)]).T
+    scale = np.max(np.abs(f), axis=1, keepdims=True)
+    assert np.all(np.abs(slope - f) <= 1e-14 * scale)
+
+    mid = 0.5 * (t[1:] + t[:-1])
+    e = 1e-5 * np.diff(t)
+    centred = (sol.sol(mid + e) - sol.sol(mid - e)) / (2 * e)
+    slope = sol.sol(mid, derivative=True)
+    assert np.all(np.abs(slope - centred) <= 1e-7 * np.max(np.abs(slope), axis=1,
+                                                          keepdims=True))
+    # a scalar point gives one slope per component
+    assert sol.sol(mid[3], derivative=True).tobytes() == slope[:, 3].tobytes()

@@ -19,9 +19,9 @@ from weakmodel.errors import (DegenerateProfile, NonPositiveWarp,
 from weakmodel.radial import (RadialProfile, conformal_modes,
                               export_metadata_json, indicial_exponent,
                               lemma_bound_check, load_profile_csv,
-                              normalize_profile, riccati_trace, riccati_x,
+                              normalize_profile, riccati_trace,
                               solve_modes, solve_radial, suggest_rmax)
-from weakmodel.spectrum import eigen_round_sphere
+from weakmodel.spectrum import EigenMode, eigen_round_sphere
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
                             WarpingFunction)
 
@@ -158,6 +158,39 @@ def test_lemma_suite(w, n):
         assert ok, f"m={m}"
 
 
+@pytest.mark.parametrize("m", [1, 4, 8])
+@pytest.mark.parametrize("a", [2.04, 3.0])
+def test_fast_growth_n5_trace_passes(a, m):
+    # x' reaches phi^2 ~ e^120 here: the exact derivative leaves only the
+    # solve's own defect, and the inequality's slack scales with phi^(n-3);
+    # the round sphere refuses n = 5, so the mode is given by its eigenvalue
+    p = solve_radial(Hyperbolic(a), 5, EigenMode(m, m * (m + 3), 1), r_max=30.0)
+    tr = riccati_trace(p)
+    assert tr.residual_ok and tr.inequality_ok
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_wrong_eigenvalue_in_the_solver_fails_the_residual(monkeypatch, n):
+    # the trace writes the x-form equation itself, so a solve of a slightly
+    # wrong equation is caught
+    mode = eigen_round_sphere(n, 2)
+    assert riccati_trace(solve_radial(Hyperbolic(1.0), n, mode)).residual_ok
+    mode_rhs = radial._mode_rhs
+    monkeypatch.setattr(radial, "_mode_rhs",
+                        lambda w, n, lam2: mode_rhs(w, n, lam2 * (1 + 1e-4)))
+    assert not riccati_trace(solve_radial(Hyperbolic(1.0), n, mode)).residual_ok
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scaled_z_fails_the_residual(n):
+    p = solve_radial(Hyperbolic(1.0), n, eigen_round_sphere(n, 2))
+    dense = p._dense
+    scaled = replace(p, _dense=lambda s, ds=False:
+                     dense(s, ds) * np.array([[1.0], [1 + 1e-4]]))
+    assert riccati_trace(p).residual_ok
+    assert not riccati_trace(scaled).residual_ok
+
+
 def ode_residual(profile: RadialProfile, r_points=None):
     """Finite-difference residual of the mode equation on interior points."""
     w = profile.warp
@@ -281,7 +314,7 @@ def test_metric_bounds_riccati_x_at_one(w, n, m):
     # solved mode, whatever the metric; the bound is 1 at n = 3
     mode = eigen_round_sphere(n, m)
     bound = radial._riccati_bound(w, n, mode.lambda_sq)
-    x1 = float(riccati_x(solve_radial(w, n, mode, r_max=2.0), 1.0)[0])
+    x1 = float(riccati_trace(solve_radial(w, n, mode, r_max=2.0), s_grid=[1.0]).x[0])
     assert 0.0 < x1 <= bound
     exact = quad(lambda r: float(w.eval(r)[0]) ** (n - 3), 0.0, 1.0,
                  epsabs=0.0, epsrel=1e-13)[0]
@@ -299,13 +332,14 @@ def test_normalize_rejects_certificate_at_another_radius():
         normalized(short)
 
 
-def test_riccati_stencil_stays_inside_solved_range():
+def test_riccati_trace_stays_inside_solved_range():
+    # the default grid runs to the end of the solved range, and no further
     p = solve_radial(Hyperbolic(2.0), 2, eigen_round_sphere(2, 2), r_max=13.0)
     tr = riccati_trace(p)
-    assert tr.grid[-1] + 2 * 0.02 <= p.r_max
+    assert tr.grid[-1] == p.r_max == 13.0
     assert tr.residual_ok and tr.inequality_ok
-    with pytest.raises(DegenerateProfile):
-        riccati_trace(p, s_grid=np.linspace(1.0, 13.0, 50))
+    with pytest.raises(DegenerateProfile, match="leaves the solved range"):
+        riccati_trace(p, s_grid=np.linspace(1.0, 13.5, 50))
 
 
 def test_nonpositive_warp_detected():
@@ -338,7 +372,7 @@ def test_loaded_profile_is_its_samples_only(tmp_path, tanh_profile):
     with pytest.raises(DegenerateProfile, match="m = 1 profile read from samples"):
         back.interp(np.linspace(0.5, 20.0, 40))
     with pytest.raises(DegenerateProfile, match="m = 1 profile read from samples"):
-        riccati_x(back, 1.0)
+        riccati_trace(back, s_grid=[1.0]).x
 
 
 def _savetxt_reference(profile, path):
@@ -451,7 +485,8 @@ def test_stack_keeps_mode_order_and_agrees_per_mode():
         assert_allclose(p.values, single.values, rtol=1e-9)
         assert_allclose(p.interp(r), single.interp(r), rtol=1e-9)
         if mode.m:
-            assert_allclose(riccati_x(p, r), riccati_x(single, r), rtol=1e-8)
+            assert_allclose(riccati_trace(p, s_grid=r).x,
+                            riccati_trace(single, s_grid=r).x, rtol=1e-8)
 
 
 def test_profiles_json_ignores_last_bits(tmp_path, tanh_profile):
@@ -484,7 +519,7 @@ def test_conformal_modes_of_power_growth_are_exact():
                         rtol=1e-12, atol=1e-15)
         if m:
             # the Riccati variable of exp(-lambda tau) is the constant 1/lambda
-            assert_allclose(riccati_x(p, r), 1.0 / m, rtol=1e-13)
+            assert_allclose(riccati_trace(p, s_grid=r).x, 1.0 / m, rtol=1e-13)
             assert_allclose(p.derivs, m * p.values / (p.grid * np.sqrt(1 + p.grid ** 2)),
                             rtol=1e-13)
 
@@ -511,4 +546,5 @@ def test_ode_solve_matches_closed_form_at_n2(w):
         shape = raw.values / raw.values[-1]
         assert_allclose(shape, closed.values / closed.values[-1], rtol=1e-10)
         r = np.geomspace(0.1, 25.0, 40)
-        assert_allclose(riccati_x(raw, r), riccati_x(closed, r), rtol=1e-10)
+        assert_allclose(riccati_trace(raw, s_grid=r).x,
+                        riccati_trace(closed, s_grid=r).x, rtol=1e-10)
