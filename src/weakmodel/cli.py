@@ -195,12 +195,6 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 _VERIFY_RMAX = 25.0     # smallest range of the raw solves when not Convergent
-# ODE tolerance of the extension verify checks.  For modes 1..8 at n = 3 of
-# Hyperbolic(0.5, 1, 2.04, 3), PowerGrowth(2) and PowerLog(5) the worst
-# Riccati residual over 1 + phi^(n-3) is 6.8e-8, 1.3e-8, 4.7e-10 and 9.5e-11
-# at tol 1e-4 to 1e-10 (the check allows 1e-6); x' <= phi^(n-3) + 1e-9 fails
-# 24 and 17 of those 48 profiles at 1e-4 and 1e-6
-_VERIFY_TOL = 1e-10
 
 
 def _check(name, passed, detail):
@@ -220,27 +214,25 @@ def cmd_verify(args) -> int:
     convergent = report.verdict == _criterion.CONVERGENT
     checks = []
 
-    # profiles: the extension's own when it exists, raw solves otherwise
+    # profiles: the extension solve builds, at the same tol, when it
+    # exists; raw solves otherwise
     if convergent:
         ext = _extension.build_extension(w, n, _boundary_data(cfg), M,
-                                         tol=_VERIFY_TOL, r_max=cfg.get("rmax"),
+                                         tol=cfg["tol"], r_max=cfg.get("rmax"),
                                          criterion=report)
         profiles = ext.profiles
     else:
         r_solve = max(cfg.get("rmax") or 0.0, _VERIFY_RMAX)
         profiles = dict(enumerate(_radial.solve_modes(
             w, n, [eigen_round_sphere(n, m) for m in range(M + 1)],
-            r_max=r_solve)))
+            r_max=r_solve, tol=cfg["tol"])))
 
+    # artifacts: the (grid, values) samples of each profile_m*.csv
     loaded = None
     if getattr(args, "artifacts", None):
-        loaded = {}
-        with open(os.path.join(args.artifacts, "profiles.json")) as fh:
-            metas = {rec["m"]: rec for rec in json.load(fh)}
-        for m in range(0, M + 1):
-            path = os.path.join(args.artifacts, f"profile_m{m}.csv")
-            loaded[m] = _radial.load_profile_csv(
-                path, eigen_round_sphere(n, m), n, w, metadata=metas.get(m))
+        loaded = {m: _radial.load_profile_csv(
+            os.path.join(args.artifacts, f"profile_m{m}.csv"))
+            for m in range(M + 1)}
 
     # Riccati residual + inequality (m >= 1)
     traces = {m: _radial.riccati_trace(profiles[m]) for m in range(1, M + 1)}
@@ -259,11 +251,11 @@ def cmd_verify(args) -> int:
     bound_ok = True
     for m, tr in traces.items():
         if loaded:
-            subject = loaded[m]
-            inside = (subject.grid >= tr.grid[0]) & (subject.grid <= tr.grid[-1])
+            grid, values = loaded[m]
+            inside = (grid >= tr.grid[0]) & (grid <= tr.grid[-1])
             ref, _ = _radial.lemma_bound_check(
-                profiles[m], dataclasses.replace(tr, grid=subject.grid[inside]))
-            bound_ok &= bool(np.all(subject.values[inside] <= ref * (1 + 1e-8)))
+                profiles[m], dataclasses.replace(tr, grid=grid[inside]))
+            bound_ok &= bool(np.all(values[inside] <= ref * (1 + 1e-8)))
         else:
             _, okm = _radial.lemma_bound_check(profiles[m], tr)
             bound_ok &= okm
@@ -271,10 +263,10 @@ def cmd_verify(args) -> int:
                          "phi_m below the certified growth bound"))
 
     # monotonicity / nonnegativity
-    mono = all(
-        bool(np.all(np.diff((loaded or profiles)[m].values) >= -1e-12)
-             and np.all((loaded or profiles)[m].values >= 0))
-        for m in range(0, M + 1))
+    mono = True
+    for m in range(M + 1):
+        values = loaded[m][1] if loaded else profiles[m].values
+        mono &= bool(np.all(np.diff(values) >= -1e-12) and np.all(values >= 0))
     checks.append(_check("monotone_nonnegative", mono,
                          "profiles nondecreasing and >= 0"))
 

@@ -61,6 +61,10 @@ class NotSolvable(WeakModelError, ValueError):
     """Dirichlet problem at infinity is not solvable for this metric."""
 
 
+class MalformedArtifact(WeakModelError, ValueError):
+    """Artifact file is not in the format the package writes."""
+
+
 class OutOfRange(WeakModelError, ValueError):
     """Evaluation radius beyond the solved profile range."""
 

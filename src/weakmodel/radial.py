@@ -15,9 +15,10 @@ and w = r phi_m'/phi_m = lambda^2 rho^2 z,
     du/ds = w,   dz/ds = 1 - z (1 + (n-3) r phi'/phi + w),
 
 by the package's DOP853 (`dop853.solve_ivp`), one system for all the modes
-of an extension.  Its coefficients rho and r phi'/phi stay bounded where phi
-grows, and at n = 3 z runs from l/lambda^2 at the origin to 1 at infinity,
-so the solver need not follow w, which decays like (r/phi)^2 there.  The
+of an extension, at an rtol never looser than 1e-12 whatever the tol.  Its
+coefficients rho and r phi'/phi stay bounded where phi grows, and at n = 3
+z runs from l/lambda^2 at the origin to 1 at infinity, so the solver need
+not follow w, which decays like (r/phi)^2 there.  The
 Riccati equation yields the verified growth bound
 
     phi_m(s) <= B exp( int_1^s lambda^2/phi^{n-1} (A + int_1^t phi^{n-3}) )
@@ -34,6 +35,7 @@ exp(-lambda tau(r)); `conformal_modes` builds those without an ODE solve.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,9 +43,9 @@ import numpy as np
 from . import criterion as _criterion
 from . import quadrature as _quadrature
 from .dop853 import solve_ivp
-from .errors import (DegenerateProfile, NonPositiveWarp, OutOfDomain,
-                     OutOfRange, QuadratureFailure, StepSizeUnderflow,
-                     TailNotTight)
+from .errors import (DegenerateProfile, MalformedArtifact, NonPositiveWarp,
+                     OutOfDomain, OutOfRange, QuadratureFailure,
+                     StepSizeUnderflow, TailNotTight)
 from .report import round_up_3, write_json_atomic
 from .spectrum import EigenMode
 from .warp import WarpingFunction
@@ -75,7 +77,7 @@ class RadialProfile:
     limit_error: float
     normalized: bool
     r0: float
-    _dense: object = None      # s = log r -> (log raw phi_m, z), or None
+    _dense: object = None      # s = log r -> (log raw phi_m, z); None at m = 0
     _scale: float = 1.0        # divisor applied to the raw solution
 
     @property
@@ -84,12 +86,7 @@ class RadialProfile:
 
     def _solution(self, r, ds=False):
         """The dense rows (log raw phi_m, z) at r, or with `ds` their exact
-        derivatives in s = log r; a profile read from samples has none, since
-        interpolating them pierces the growth bound where it touches phi_m."""
-        if self._dense is None:
-            raise DegenerateProfile(
-                f"the m = {self.mode.m} profile read from samples is its grid "
-                "and values only; solve the mode to evaluate it between them")
+        derivatives in s = log r."""
         return self._dense(np.log(r), ds)
 
     def _log_raw(self, r):
@@ -136,26 +133,21 @@ class RadialProfile:
         }
 
 
-def load_profile_csv(path, mode: EigenMode, n: int, warp: WarpingFunction,
-                     metadata=None) -> RadialProfile:
-    """Rebuild a profile from exported samples: its grid, values and
-    derivatives, with no dense solution, so `interp` and `riccati_trace`
-    refuse an m >= 1 profile read this way."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    lim = math.inf
-    lim_err = 0.0
-    normalized = False
-    if metadata:
-        raw = metadata.get("limit_estimate", math.inf)
-        lim = math.inf if raw == "Unbounded" else float(raw)
-        lim_err = float(metadata.get("limit_error", 0.0))
-        normalized = bool(metadata.get("normalized", False))
-    return RadialProfile(
-        mode=mode, n=n, warp=warp,
-        indicial_l=indicial_exponent(n, mode.lambda_sq),
-        grid=data[:, 0], values=data[:, 1], derivs=data[:, 2],
-        limit_estimate=lim, limit_error=lim_err, normalized=normalized,
-        r0=float(data[0, 0]))
+def load_profile_csv(path):
+    """(grid, values) of a profile CSV `to_csv` wrote, refused by name
+    unless it holds at least 2 rows of 3 finite numbers.  Samples alone:
+    interpolating them pierces the growth bound where it touches phi_m."""
+    try:
+        with warnings.catch_warnings():   # a header-only file is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise MalformedArtifact(f"{path}: not a profile CSV: {exc}") from None
+    if data.shape[0] < 2 or data.shape[1] != 3 or not np.all(np.isfinite(data)):
+        raise MalformedArtifact(
+            f"{path}: expected at least 2 rows of 3 finite numbers "
+            f"r,phi_m,dphi_m, got {data.shape[0]} rows of {data.shape[1]}")
+    return data[:, 0], data[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +252,9 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     short-circuits to the constant 1.  All other modes are integrated as one
     DOP853 system whose state stacks their (u, z) pairs, and the warp is
     evaluated once per step attempt, at all its stage times, for the whole
-    stack.  They are returned unnormalized with an unbounded limit estimate,
-    and `normalize_profile` rescales a convergent one to limit 1.
+    stack, at rtol = tol * 1e-4 clipped to [1e-13, 1e-12].  They are
+    returned unnormalized with an unbounded limit estimate, and
+    `normalize_profile` rescales a convergent one to limit 1.
     """
     grid = np.geomspace(r0 or _DEFAULT_R0, r_max, grid_size)
     profiles = [_constant_profile(w, n, mode, grid) if mode.m == 0 else None
@@ -284,9 +277,12 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
 
     # pure relative control on z, which stays positive and away from 0
     # (between l/lambda^2 and 1 at n = 3), so x = r phi^{n-3} z keeps the
-    # relative accuracy the Riccati trace reads
+    # relative accuracy the Riccati trace reads.  rtol is never looser than
+    # 1e-12: at 1e-9, 1e-10 and 1e-11 the n = 3 profiles of Hyperbolic(0.5)
+    # decrease by up to 1.8e-11, 6.5e-12 and 2.8e-12, and at 1e-9 and 1e-10
+    # those of Hyperbolic(3) fail x' <= phi^{n-3} + 1e-9
     sol = solve_ivp(rhs, (math.log(r_launch), math.log(r_max)), y0,
-                    rtol=min(max(tol * 1e-4, 1e-13), 1e-9),
+                    rtol=min(max(tol * 1e-4, 1e-13), 1e-12),
                     atol=[1e-14, 1e-290] * len(solved),
                     before_attempt=evaluate_stages)
     if not sol.success:

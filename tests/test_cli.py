@@ -457,6 +457,63 @@ def test_verify_artifacts_at_their_own_radii(tmp_path):
     assert all(c["passed"] for c in rep["checks"])
 
 
+@pytest.mark.parametrize("tol", ["1e-8", "1e-4"])
+def test_verify_checks_the_extension_solve_builds(tmp_path, monkeypatch, tol):
+    built = []
+    build = extension.build_extension
+
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(extension, "build_extension", spy)
+    flags = ["--family", "hyperbolic", "--a", "1", "--n", "3", "--modes", "4",
+             "--preset", "band4", "--tol", tol]
+    assert run(["solve", *flags, "--out", str(tmp_path / "s")]) == 0
+    assert run(["verify", *flags, "--out", str(tmp_path / "v")]) == 0
+    solved, verified = built
+    assert solved.profiles.keys() == verified.profiles.keys()
+    for m, prof in solved.profiles.items():
+        assert np.array_equal(prof.grid, verified.profiles[m].grid)
+        assert np.array_equal(prof.values, verified.profiles[m].values)
+
+
+def test_loose_tol_profiles_are_nondecreasing(tmp_path):
+    # with the ODE rtol clipped at 1e-9 instead of 1e-12, solve wrote
+    # profiles here that decrease by up to 1.8e-11, and verify refused them
+    flags = ["--family", "hyperbolic", "--a", "0.5", "--n", "3", "--modes", "8",
+             "--preset", "band4", "--tol", "1e-4"]
+    out = tmp_path / "s"
+    assert run(["solve", *flags, "--out", str(out)]) == 0
+    for m in range(9):
+        data = np.loadtxt(out / f"profile_m{m}.csv", delimiter=",", skiprows=1)
+        assert np.all(np.diff(data[:, 1]) >= -1e-12)
+    assert run(["verify", *flags, "--artifacts", str(out),
+                "--out", str(tmp_path / "v")]) == 0
+
+
+def test_verify_artifacts_need_only_the_profile_csvs(tmp_path):
+    flags = ["--family", "hyperbolic", "--a", "1", "--n", "2", "--modes", "3"]
+    out = tmp_path / "s"
+    assert run(["solve", *flags, "--out", str(out)]) == 0
+    (out / "profiles.json").unlink()
+    assert run(["verify", *flags, "--artifacts", str(out),
+                "--out", str(tmp_path / "v")]) == 0
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_verify_refuses_a_malformed_artifact_by_name(tmp_path, capsys, rows):
+    flags = ["--family", "hyperbolic", "--a", "1", "--n", "2", "--modes", "3"]
+    out = tmp_path / "s"
+    assert run(["solve", *flags, "--out", str(out)]) == 0
+    path = out / "profile_m1.csv"
+    path.write_text("".join(path.read_text().splitlines(True)[:1 + rows]))
+    assert run(["verify", *flags, "--artifacts", str(out),
+                "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "profile_m1.csv" in err
+
+
 def test_verify_divergent_skips_extension_checks(tmp_path):
     code = run(["verify", "--family", "euclidean", "--n", "2", "--modes", "3",
                 "--out", str(tmp_path / "v")])

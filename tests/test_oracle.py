@@ -29,6 +29,30 @@ def test_known_harmonic_residual_quarters():
     assert r1 / r2 == pytest.approx(4.0, rel=0.1)
 
 
+def test_residual_evaluates_each_stencil_point_once():
+    # the same expressions as with repeated calls, so the same bits
+    calls = []
+
+    def u2(r, th):
+        calls.append((r, th))
+        return math.exp(-1.0 / r) * math.cos(2 * th) + r * r * math.sin(th)
+
+    def u3(r, om):
+        calls.append((r, om))
+        c, l = om
+        return (math.exp(-1.0 / r) * math.cos(c) * math.sin(l + 0.3)
+                + r * math.sin(c) ** 2)
+
+    w = Hyperbolic(1.0)
+    assert laplace_beltrami_residual_fn(w, 2, u2, 1.5, 0.7, h=0.02) \
+        == 3.035314974192535
+    assert len(calls) == len(set(calls)) == 5
+    calls.clear()
+    assert laplace_beltrami_residual_fn(w, 3, u3, 2.0, (1.1, 0.6), h=0.02) \
+        == 1.5493723484708832
+    assert len(calls) == len(set(calls)) == 7
+
+
 def test_boundary_point_rejected():
     with pytest.raises(BoundaryPoint):
         laplace_beltrami_residual_fn(Euclidean(), 3, lambda r, om: 0.0, 1.0,

@@ -14,8 +14,9 @@ from scipy.integrate import cumulative_simpson, quad, solve_ivp
 from conftest import count_calls, normalized
 from weakmodel import radial
 from weakmodel.criterion import march_criterion, tail_certificate
-from weakmodel.errors import (DegenerateProfile, NonPositiveWarp,
-                              NotConvergent, OutOfRange, TailNotTight)
+from weakmodel.errors import (DegenerateProfile, MalformedArtifact,
+                              NonPositiveWarp, NotConvergent, OutOfRange,
+                              TailNotTight)
 from weakmodel.radial import (RadialProfile, conformal_modes,
                               export_metadata_json, indicial_exponent,
                               lemma_bound_check, load_profile_csv,
@@ -357,22 +358,21 @@ def test_nonpositive_warp_detected():
 def test_profile_csv_roundtrip(tmp_path, tanh_profile):
     path = tmp_path / "p.csv"
     tanh_profile.to_csv(path)
-    back = load_profile_csv(path, tanh_profile.mode, 2, Hyperbolic(1.0),
-                            metadata=tanh_profile.metadata())
-    assert back.normalized
-    assert_allclose(back.values, tanh_profile.values, rtol=1e-12)
+    grid, values = load_profile_csv(path)
+    assert_allclose(grid, tanh_profile.grid, rtol=1e-12)
+    assert_allclose(values, tanh_profile.values, rtol=1e-12)
 
 
-def test_loaded_profile_is_its_samples_only(tmp_path, tanh_profile):
-    # no solution between the samples: interpolating them would pierce the
-    # growth bound, so evaluation refuses by name
-    path = tmp_path / "p.csv"
-    tanh_profile.to_csv(path)
-    back = load_profile_csv(path, tanh_profile.mode, 2, Hyperbolic(1.0))
-    with pytest.raises(DegenerateProfile, match="m = 1 profile read from samples"):
-        back.interp(np.linspace(0.5, 20.0, 40))
-    with pytest.raises(DegenerateProfile, match="m = 1 profile read from samples"):
-        riccati_trace(back, s_grid=[1.0]).x
+@pytest.mark.parametrize("body", ["", "0.001,0.5,0.1\n", "0.001,0.5\n1,0.9\n",
+                                  "0.001,0.5,0.1\n1,nan,0.2\n",
+                                  "0.001,0.5,0.1\n1,0.9\n"])
+def test_malformed_profile_csv_refused_by_name(tmp_path, body):
+    path = tmp_path / "profile_m1.csv"
+    path.write_text("r,phi_m,dphi_m\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedArtifact, match="profile_m1.csv"):
+            load_profile_csv(path)
 
 
 def _savetxt_reference(profile, path):
