@@ -6,8 +6,8 @@ verify harmonic extensions of boundary data on the sphere at infinity.
 """
 
 from .criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE, CriterionReport,
-                        fubini_check, march_criterion, tail_certificate,
-                        transience_integral)
+                        classify, fubini_check, march_criterion,
+                        tail_certificate, transience_integral)
 from .extension import (HarmonicExtension, build_extension, evaluate,
                         l2_distance_to_boundary, sup_distance_on_grid)
 from .oracle import (AnnulusGrid, laplace_beltrami_residual_fn,

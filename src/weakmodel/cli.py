@@ -131,10 +131,8 @@ def _boundary_data(cfg) -> BoundaryData:
 def cmd_classify(args) -> int:
     cfg = _load_config(args)
     w = _build_warp(cfg)
-    march = _criterion.march_criterion(w, cfg["n"], tol=cfg["tol"],
+    march, trans = _criterion.classify(w, cfg["n"], tol=cfg["tol"],
                                        r_max=cfg.get("rmax"))
-    trans = _criterion.transience_integral(w, cfg["n"], tol=cfg["tol"],
-                                           r_max=cfg.get("rmax"))
     report = {
         "warp": repr(w),
         "n": cfg["n"],
@@ -339,8 +337,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for family, params, n in _SWEEP:
         w = family_from_name(family, **params)
-        march = _criterion.march_criterion(w, n, tol=cfg["tol"])
-        trans = _criterion.transience_integral(w, n, tol=cfg["tol"])
+        march, trans = _criterion.classify(w, n, tol=cfg["tol"])
         rows.append({
             "family": family, "params": params, "n": n,
             "march": march.to_json_dict(),

@@ -15,6 +15,8 @@ produce the value and its error bound.  A warp with no growth class gets
 no verdict: Inconclusive, with the finite part as a lower bound.  At n = 2,
 phi^{n-3} = phi^{1-n}, so I = T^2/2 with T = int_1^inf phi^{-1} the
 transience integral: the criterion is certified from that one integral.
+`classify` returns both reports and integrates what they share once: the
+inner tail at every n, and at n = 2 the finite part of T as well.
 The psi tails are closed forms, except the power-log double tail at n >= 3:
 there the inner integral is closed form (an incomplete beta) and one
 certified 1-D quadrature does the outer one.  The incomplete beta is one
@@ -423,13 +425,27 @@ def _refined_log_tail(w, n, model, R, r0, double):
                     logsumexp([cum.log_total + in_hi, d_hi]))
 
 
-def _finite(w, n, R, double, rtol):
+def _shared_value(shared, key, compute):
+    """compute(), or the value an earlier pass of the same `classify` call
+    stored under `key` in `shared`; without `shared`, compute()."""
+    if shared is None:
+        return compute()
+    if key not in shared:
+        shared[key] = compute()
+    return shared[key]
+
+
+def _finite(w, n, R, double, rtol, shared=None):
     """(value, error, log_cum) of the finite part over [1, R]: the triangle
     integral and log int_1^R phi^{n-3} if `double`, else int_1^R phi^{1-n}
     and log_cum None.  At n = 2 the triangle is C^2/2, with C = int_1^R
-    phi^{-1} and its error e giving C*e + e^2/2, and log_cum is log C."""
-    log_val, log_err, cum = _log_integral(
-        w, n, 1.0, R, rtol, cum_rtol=rtol * 0.1 if double and n > 2 else None)
+    phi^{-1} and its error e giving C*e + e^2/2, and log_cum is log C.
+    The integral is kept in `shared`, where the criterion at n = 2 and the
+    transience integral find the same C."""
+    cum_rtol = rtol * 0.1 if double and n > 2 else None
+    log_val, log_err, cum = _shared_value(
+        shared, ("finite", R, rtol, cum_rtol),
+        lambda: _log_integral(w, n, 1.0, R, rtol, cum_rtol=cum_rtol))
     value, err = math.exp(log_val), math.exp(min(log_err, 700.0))
     if double and n == 2:
         return 0.5 * value**2, value * err + 0.5 * err**2, log_val
@@ -463,19 +479,21 @@ def _start_radius(w, model, R):
     return max(min(R, _top_radius(w)), model.min_r0() * 1.3)
 
 
-def _tail_brackets(w, n, model, R, r0, double=True):
+def _tail_brackets(w, n, model, R, r0, double=True, shared=None):
     """Log brackets (inner, double) for the tails beyond R.
 
     Refined with the exact phi when it has a closed form, elementary from
     the sandwich otherwise.  Power-log phi is exactly C*psi beyond e^2, so
     its psi double tail, and at n = 2 its psi inner tail, are already the
     refined ones.  At n = 2 the double tail is T_in^2/2, the half square of
-    the inner bracket.  The double bracket is None unless `double`.
+    the inner bracket.  The double bracket is None unless `double`.  The
+    inner bracket, which both integrals need, is kept in `shared`.
     """
     exact_psi = model.kind == "powerlog"
-    inner = (_refined_log_tail(w, n, model, R, r0, False)
-             if w.closed_form and not (exact_psi and n == 2)
-             else model.log_inner_bracket(R, r0))
+    inner = _shared_value(shared, ("inner", R, r0), lambda: (
+        _refined_log_tail(w, n, model, R, r0, False)
+        if w.closed_form and not (exact_psi and n == 2)
+        else model.log_inner_bracket(R, r0)))
     if not double:
         return inner, None
     if n == 2:
@@ -485,7 +503,7 @@ def _tail_brackets(w, n, model, R, r0, double=True):
     return inner, model.log_double_bracket(R, r0)
 
 
-def _certify(w, n, tol, r_max, double):
+def _certify(w, n, tol, r_max, double, shared):
     """Classify the criterion integral (`double`) or the transience integral.
 
     The value is the finite part over [1, R] plus the certified tails beyond
@@ -498,18 +516,20 @@ def _certify(w, n, tol, r_max, double):
     error does not fall with R, and the rounding in the stop rule is taken on
     the value's certified lower end, which bounds the value at every R.
     On tabulated data R doubles no further than just inside the last sample.
+    `shared` is None, or the dict of one `classify` call: integrals that the
+    other pass needs too are computed once and kept there.
     """
     _check_args(w, n, tol, r_max)
     growth = w.growth_class
     if isinstance(growth, UnknownGrowth):
-        return _classify_unknown(w, n, double)
+        return _classify_unknown(w, n, double, r_max, shared)
     model = _TailModel(growth, n)
     R = _start_radius(w, model, float(r_max) if r_max is not None
                       else model.default_r_max())
     rtol = 1e-11 if double and n > 2 else 1e-12
 
     if model.inner_diverges() or (double and model.double_diverges()):
-        F, F_err, _ = _finite(w, n, R, double, rtol)
+        F, F_err, _ = _finite(w, n, R, double, rtol, shared)
         return CriterionReport(
             verdict=DIVERGENT, value=F, error_bound=F_err,
             tail_evidence=model.divergence_evidence(model.r0(R), double),
@@ -520,8 +540,8 @@ def _certify(w, n, tol, r_max, double):
     top = _top_radius(w)
     for _ in range(_MAX_R_DOUBLINGS + 1):
         r0 = model.r0(R)
-        (in_lo, in_hi), dbl = _tail_brackets(w, n, model, R, r0, double)
-        F, F_err, log_cum = _finite(w, n, R, double, rtol)
+        (in_lo, in_hi), dbl = _tail_brackets(w, n, model, R, r0, double, shared)
+        F, F_err, log_cum = _finite(w, n, R, double, rtol, shared)
         if double:
             cross_lo, cross_hi = math.exp(log_cum + in_lo), math.exp(log_cum + in_hi)
             tout_lo, tout_hi = math.exp(dbl[0]), math.exp(dbl[1])
@@ -557,15 +577,28 @@ def _certify(w, n, tol, r_max, double):
 
 
 def march_criterion(w: WarpingFunction, n: int, tol: float = 1e-8,
-                    r_max: float | None = None) -> CriterionReport:
+                    r_max: float | None = None, *,
+                    _shared: dict | None = None) -> CriterionReport:
     """Classify the double criterion integral for (w, n)."""
-    return _certify(w, n, tol, r_max, double=True)
+    return _certify(w, n, tol, r_max, double=True, shared=_shared)
 
 
 def transience_integral(w: WarpingFunction, n: int, tol: float = 1e-8,
-                        r_max: float | None = None) -> CriterionReport:
+                        r_max: float | None = None, *,
+                        _shared: dict | None = None) -> CriterionReport:
     """Classify int_1^inf phi^{1-n}."""
-    return _certify(w, n, tol, r_max, double=False)
+    return _certify(w, n, tol, r_max, double=False, shared=_shared)
+
+
+def classify(w: WarpingFunction, n: int, tol: float = 1e-8,
+             r_max: float | None = None) -> tuple[CriterionReport, CriterionReport]:
+    """(march_criterion, transience_integral) reports for (w, n), each with
+    the bits of its own call.  The two passes share one dict for this call
+    only, so the inner tail at each R, and the finite part int_1^R phi^{1-n}
+    wherever the criterion uses it too, are integrated once."""
+    shared = {}
+    return (march_criterion(w, n, tol, r_max, _shared=shared),
+            transience_integral(w, n, tol, r_max, _shared=shared))
 
 
 def fubini_check(w: WarpingFunction, n: int, R: float):
@@ -620,8 +653,9 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
 # Unknown growth (tabulated data): the finite part, never a verdict
 # ---------------------------------------------------------------------------
 
-def _classify_unknown(w, n, double):
-    """Inconclusive, with the finite part over [1, top] as the value.
+def _classify_unknown(w, n, double, r_max, shared):
+    """Inconclusive, with the finite part over [1, R] as the value, R the
+    smaller of r_max and top, just inside the last sample.
 
     Without a growth class nothing bounds phi beyond the samples, so no tail
     is certified, and on a finite range a divergent integral looks like a
@@ -630,10 +664,12 @@ def _classify_unknown(w, n, double):
     error is reported rather than certified to tol, so rtol 1e-8 suffices.
     """
     top = _top_radius(w, 400.0)
-    F, F_err, _ = _finite(w, n, top, double, 1e-8)
+    R = top if r_max is None else min(float(r_max), top)
+    F, F_err, _ = _finite(w, n, R, double, 1e-8, shared)
+    beyond = "the data at r" if R == top else "r"
     return CriterionReport(
         verdict=INCONCLUSIVE, value=F, error_bound=math.inf,
-        tail_evidence=f"no growth class: the finite part over [1, {top:.6g}] "
+        tail_evidence=f"no growth class: the finite part over [1, {R:.6g}] "
                       f"is a lower bound (positive integrand), quadrature "
-                      f"error {F_err:.3g}; no tail beyond the data at "
-                      f"r = {top:.6g} is certified", r_max=top)
+                      f"error {F_err:.3g}; no tail beyond {beyond} = "
+                      f"{R:.6g} is certified", r_max=R)

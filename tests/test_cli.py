@@ -125,6 +125,25 @@ def test_classify_inconclusive_tabulated(tmp_path):
     assert code == 3
 
 
+def test_tabulated_classify_honours_rmax(tmp_path):
+    # the finite part stops at --rmax when it lies inside the samples; it is
+    # still a lower bound, smaller than the one up to the last sample
+    csv = write_tabulated_csv(tmp_path / "h1.csv", Hyperbolic(1.0),
+                              np.geomspace(1e-4, 30.0, 400))
+    reps = {}
+    for name, extra in (("full", []), ("cut", ["--rmax", "5"])):
+        code = run(["classify", "--warp-csv", str(csv), "--n", "2", *extra,
+                    "--out", str(tmp_path / name)])
+        assert code == 3
+        reps[name] = json.loads((tmp_path / name / "classify.json").read_text())
+    for key in ("march", "transience"):
+        full, cut = reps["full"][key], reps["cut"][key]
+        assert full["r_max"] == 29.85 and cut["r_max"] == 5.0
+        assert 0 < cut["value"] < full["value"]
+        assert "no tail beyond r = 5 is certified" in cut["tail_evidence"]
+        assert "beyond the data at r = 29.85" in full["tail_evidence"]
+
+
 def test_tabulated_data_get_no_verdict(tmp_path, monkeypatch, capsys):
     # sampled data have no growth class: classify reports Inconclusive (exit
     # 3), and solve refuses as not solvable (exit 2) before building anything

@@ -575,6 +575,62 @@ def test_n2_criterion_builds_no_triangle(monkeypatch, w, n):
     assert built == (0, 0) if n == 2 else min(built) > 0, built
 
 
+def _reports_or_error(thunk):
+    """(march dict, transience dict), or the type and text of the error."""
+    try:
+        return tuple(rep.to_json_dict() for rep in thunk())
+    except QuadratureFailure as exc:
+        return type(exc), str(exc)
+
+
+def _assert_classify_is_two_calls(w, n, r_max):
+    from weakmodel import criterion
+    separate = _reports_or_error(lambda: (
+        march_criterion(w, n, tol=1e-8, r_max=r_max),
+        transience_integral(w, n, tol=1e-8, r_max=r_max)))
+    together = _reports_or_error(
+        lambda: criterion.classify(w, n, tol=1e-8, r_max=r_max))
+    assert together == separate, (w, n, r_max)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_metric_and_n(dims=st.integers(2, 5)),
+       st.sampled_from([None, 30.0, 250.0]))
+def test_classify_is_the_two_separate_reports(case, r_max):
+    # the shared integrals change no bit of either report, and a pass that
+    # cannot certify raises what its own call raises
+    _assert_classify_is_two_calls(*case, r_max)
+
+
+@pytest.mark.parametrize("n, r_max", [(2, None), (2, 12.0), (3, None)])
+def test_classify_is_the_two_separate_reports_on_samples(n, r_max):
+    grid = np.geomspace(1e-4, 30.0, 400)
+    _assert_classify_is_two_calls(Tabulated(grid, *Hyperbolic(1.0).eval(grid)),
+                                  n, r_max)
+
+
+@pytest.mark.parametrize("w", [PowerGrowth(2.0), Hyperbolic(0.5)], ids=repr)
+def test_n2_classify_integrates_once(monkeypatch, w):
+    # at n = 2 the criterion and transience share the finite part C and the
+    # refined inner tail: one call each, where two separate calls make four
+    from weakmodel import criterion
+    calls = count_calls(monkeypatch, criterion, "adaptive_quad_log")
+    march, trans = criterion.classify(w, 2, tol=1e-8)
+    assert march.verdict == trans.verdict == CONVERGENT
+    assert len(calls) == 2, [c[1:3] for c in calls]
+
+
+@pytest.mark.parametrize("w", [PowerGrowth(2.0), Hyperbolic(1.0)], ids=repr)
+def test_classify_refines_each_inner_tail_once(monkeypatch, w):
+    # at n = 3 the cross term C(1,R) T_in(R) needs the transience tail T_in(R)
+    from weakmodel import criterion
+    tails = count_calls(monkeypatch, criterion, "_refined_log_tail")
+    criterion.classify(w, 3, tol=1e-8)
+    inner_radii = [c[3] for c in tails if not c[5]]
+    assert inner_radii and len(inner_radii) == len(set(inner_radii)), inner_radii
+    assert any(c[5] for c in tails)
+
+
 # ---------------------------------------------------------------------------
 # Unknown growth: tabulated data get the finite part, never a verdict
 # ---------------------------------------------------------------------------

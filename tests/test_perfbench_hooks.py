@@ -60,3 +60,24 @@ def test_tracer_instruments_and_restores_quadrature():
             "quadrature.adaptive_quad_log"} <= spans
     assert [getattr(module, name) for module, name in hooks] == originals
     assert [quadrature.LogCumulative.__dict__[m] for m in methods] == original_methods
+
+
+def test_classify_and_sweep_keep_their_criterion_spans(tmp_path, monkeypatch):
+    # `classify` goes through the wrapped march_criterion and
+    # transience_integral bindings, so the per-layer criterion metrics see
+    # both passes of every classify and sweep command
+    tracing = _load_tracing()
+    monkeypatch.setattr(cli, "_SWEEP", [("powergrowth", {"p": 2.0}, 3)])
+    for argv, march in (
+            (["classify", "--family", "hyperbolic", "--a", "1", "--n", "2",
+              "--out", str(tmp_path / "c")], "criterion.march.exp"),
+            (["sweep", "--out", str(tmp_path / "s")], "criterion.march.power")):
+        tracer = tracing.Tracer()
+        patch = tracing.instrument(tracer)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            patch.restore()
+        spans = {tracer.names[i] for i in tracer.name}
+        assert {s for s in spans if s.startswith("criterion.march.")} == {march}
+        assert "criterion.transience" in spans, argv[0]
