@@ -367,7 +367,7 @@ def main(argv=None) -> int:
             p.add_argument("--p", type=float, help="power-growth exponent")
             p.add_argument("--c", type=float, help="power-log exponent")
             p.add_argument("--warp-csv", dest="warp_csv",
-                           help="tabulated warping CSV (r,phi,dphi,ddphi)")
+                           help="tabulated warping CSV (columns r,phi,dphi)")
             p.add_argument("--n", type=int, help="ambient dimension (default 2)")
             p.add_argument("--rmax", type=float, help="truncation radius")
         p.add_argument("--tol", type=float, help="tolerance (default 1e-8)")

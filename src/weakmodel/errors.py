@@ -62,7 +62,7 @@ class NotSolvable(WeakModelError, ValueError):
 
 
 class MalformedArtifact(WeakModelError, ValueError):
-    """Artifact file is not in the format the package writes."""
+    """Artifact or input file is not in the format the package writes or reads."""
 
 
 class OutOfRange(WeakModelError, ValueError):

@@ -67,7 +67,7 @@ def laplace_beltrami_residual_fn(w: WarpingFunction, n: int, u, r, omega,
     """
     if h > 0.05:
         raise ValueError("grid step must satisfy h <= 0.05")
-    phi, dphi, _ = w.eval(r)
+    phi, dphi = w.eval(r)
     if n != 2 and math.sin(omega[0]) < 4 * h:
         raise BoundaryPoint("colatitude too close to a pole for the stencil")
     u0 = u(r, omega)

@@ -222,7 +222,7 @@ def _mode_rhs(w: WarpingFunction, n: int, lam2: np.ndarray):
 
     def evaluate_stages(ts):
         rs = [math.exp(s) for s in ts]
-        phi, dphi, _ = w.eval(np.array(rs))
+        phi, dphi = w.eval(np.array(rs))
         stages.clear()
         stages.update(zip(ts, zip(rs, phi.tolist(), dphi.tolist())))
 
@@ -461,18 +461,25 @@ def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
     """Certificate at the first doubling of R whose tail delta for a mode of
     eigenvalue lambda_sq is below _TAIL_DELTA.
 
-    Doubling starts at the certificate's own radius, which may lie above R.
-    delta needs the metric and the certificates only, so no mode is solved.
+    Doubling starts at the certificate's own radius, which may lie above R,
+    and on tabulated data stops just inside the last sample.  delta needs
+    the metric and the certificates only, so no mode is solved.
     """
+    top = _criterion._top_radius(w)
     for _ in range(24):
         cert = _criterion.tail_certificate(w, n, R)
         delta = _tail_delta(w, n, lambda_sq, cert)
         if delta < _TAIL_DELTA:
             return cert
+        if cert.r_max >= top:
+            reach = f"up to the end of the tabulated hull at {top:g}"
+            break
         R = cert.r_max * 2.0
+    else:
+        reach = f"below {R:g}"
     a_in, cross, outer = (lambda_sq * t for t in _tail_terms(w, n, lambda_sq, cert))
     raise TailNotTight(
-        f"no r_max below {R:g} reaches tail delta {_TAIL_DELTA:g}; at r_max = "
+        f"no r_max {reach} reaches tail delta {_TAIL_DELTA:g}; at r_max = "
         f"{cert.r_max:g}, delta = {delta:.3g} is the expm1 of lambda^2 times "
         f"(A*T_in + C*T_in + T_out) = {a_in:.3g} + {cross:.3g} + {outer:.3g}")
 
@@ -519,7 +526,7 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
     x = s_grid * z * source
     if np.any(~np.isfinite(x)) or np.any(x < 0):
         raise DegenerateProfile("nonpositive phi_m or phi_m' in the trace range")
-    phi, dphi, _ = w.eval(s_grid)
+    phi, dphi = w.eval(s_grid)
     xp = source * (z * (1 + (n - 3) * (s_grid * dphi / phi)) + dz)
 
     quad_term = np.exp(math.log(lam2) + 2 * np.log(x) - (n - 1) * log_phi,

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridTooCoarse, IndexOutOfRange, UnsupportedDimension
+from .errors import (GridTooCoarse, IndexOutOfRange, MalformedArtifact,
+                     UnsupportedDimension)
 
 
 @dataclass(frozen=True)
@@ -239,17 +240,22 @@ class BoundaryData:
         Sample locations must match the canonical quadrature grid for (n, M).
         """
         quad = sphere_quadrature(n, M)
+        header = ("theta", "f") if n == 2 else ("colat", "lon", "f")
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            if reader.fieldnames is None or set(header) - set(reader.fieldnames):
+                raise MalformedArtifact(f"{path}: expected CSV header "
+                                        f"{','.join(header)}, got {reader.fieldnames}")
             rows = list(reader)
-        if n == 2:
-            pts = np.array([float(r["theta"]) for r in rows])
+        try:
+            if n == 2:
+                pts = np.array([float(r["theta"]) for r in rows])
+            else:
+                pts = np.array([[float(r["colat"]), float(r["lon"])] for r in rows])
             vals = np.array([float(r["f"]) for r in rows])
-            ref = quad.points
-        else:
-            pts = np.array([[float(r["colat"]), float(r["lon"])] for r in rows])
-            vals = np.array([float(r["f"]) for r in rows])
-            ref = quad.points
+        except (TypeError, ValueError) as exc:
+            raise MalformedArtifact(f"{path}: {exc}") from None
+        ref = quad.points
         if pts.shape != ref.shape or not np.allclose(pts, ref, atol=1e-9):
             raise GridTooCoarse(
                 f"{path}: sample locations do not match the canonical "
@@ -300,9 +306,15 @@ def synthesize(table: CoefficientTable, n: int, omega):
 
 
 def load_coefficients_json(path, n):
-    with open(path) as fh:
-        obj = json.load(fh)
-    return CoefficientTable.from_json_obj(n, obj)
+    """The table in a JSON list of {"m", "k", "c"} records, refused by name
+    (MalformedArtifact) if it is not one."""
+    try:
+        with open(path) as fh:
+            return CoefficientTable.from_json_obj(n, json.load(fh))
+    except KeyError as exc:
+        raise MalformedArtifact(f"{path}: a coefficient record has no {exc} key") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedArtifact(f"{path}: not a list of m, k, c records: {exc}") from None
 
 
 def sup_norm_bound(n: int, m: int) -> float:

@@ -1,9 +1,10 @@
 """Warping functions phi for metrics dr^2 + phi^2(r) g_omega on R^n.
 
 Every family satisfies the weak-model axioms phi(0) = 0, phi'(0) = 1 and
-phi > 0 for r > 0.  Evaluation returns (phi, phi', phi'') and is vectorized
-over r.  Each family carries a growth descriptor consumed by the criterion
-module for analytic tail bounds.
+phi > 0 for r > 0.  Evaluation returns (phi, phi') and is vectorized over
+r: the criterion integrates powers of phi, and the mode equation reads phi
+and phi' only.  Each family carries a growth descriptor consumed by the
+criterion module for analytic tail bounds.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class UnknownGrowth:
 
 
 class WarpingFunction:
-    """Base class.  Subclasses implement eval(r) -> (phi, dphi, ddphi)."""
+    """Base class.  Subclasses implement eval(r) -> (phi, dphi)."""
 
     closed_form = True
     growth_class = UnknownGrowth()
@@ -77,7 +78,7 @@ class WarpingFunction:
         return np.log(self.eval(r)[0])
 
     def _check_axioms(self):
-        phi0, dphi0, _ = self.eval(0.0)
+        phi0, dphi0 = self.eval(0.0)
         if abs(phi0) > _AXIOM_TOL or abs(dphi0 - 1.0) > _AXIOM_TOL:
             raise InvalidFamily(
                 f"{self!r}: phi(0)={phi0!r}, phi'(0)={dphi0!r} violate the "
@@ -94,7 +95,7 @@ class Euclidean(WarpingFunction):
 
     def eval(self, r):
         r = np.asarray(r, dtype=float)
-        return r + 0.0, np.ones_like(r), np.zeros_like(r)
+        return r + 0.0, np.ones_like(r)
 
     def log_phi(self, r):
         return np.log(np.asarray(r, dtype=float))
@@ -116,7 +117,7 @@ class Hyperbolic(WarpingFunction):
     def eval(self, r):
         r = np.asarray(r, dtype=float)
         ar = self.a * r
-        return np.sinh(ar) / self.a, np.cosh(ar), self.a * np.sinh(ar)
+        return np.sinh(ar) / self.a, np.cosh(ar)
 
     def log_phi(self, r):
         # log(sinh(ar)/a) without overflow for large ar
@@ -152,10 +153,9 @@ class PowerGrowth(WarpingFunction):
         one = 1.0 + r * r
         phi = r * one ** ((p - 1) / 2)
         dphi = one ** ((p - 3) / 2) * (1.0 + p * r * r)
-        ddphi = r * one ** ((p - 5) / 2) * (p - 1) * (3.0 + p * r * r)
         if scalar:
-            return float(phi[0]), float(dphi[0]), float(ddphi[0])
-        return phi, dphi, ddphi
+            return float(phi[0]), float(dphi[0])
+        return phi, dphi
 
     def log_phi(self, r):
         # log(eval(r)[0]) bit for bit where that is finite; beyond, where
@@ -204,10 +204,6 @@ class PowerLog(WarpingFunction):
         # q(1) = 0, q(2) = 1, q' = q'' = 0 at both ends
         u = t - 1.0
         return ((6.0 * u - 15.0) * u + 10.0) * u ** 3
-
-    @staticmethod
-    def _qp(t):
-        return 30.0 * (t - 1.0) ** 2 * (t - 2.0) ** 2
 
     @classmethod
     def _J(cls, s):
@@ -275,35 +271,23 @@ class PowerLog(WarpingFunction):
         r = np.atleast_1d(r)
         phi = self._phi(r)
         dphi = np.empty_like(r)
-        ddphi = np.empty_like(r)
         c = self.c
-
-        low = r <= self.S1
-        dphi[low] = 1.0
-        ddphi[low] = 0.0
+        dphi[r <= self.S1] = 1.0
 
         mid = (r > self.S1) & (r < self.S2)
         if np.any(mid):
             rm = r[mid]
             s = np.log(rm)
-            q, qp = self._q(s), self._qp(s)
-            ph = phi[mid]
-            h = (1.0 + c * q / s) / rm
-            hp = (-1.0 + c * (qp / s - q * (s + 1.0) / s ** 2)) / rm ** 2
-            dphi[mid] = ph * h
-            ddphi[mid] = ph * (h * h + hp)
+            dphi[mid] = phi[mid] * ((1.0 + c * self._q(s) / s) / rm)
 
         hi = r >= self.S2
         if np.any(hi):
-            rh = r[hi]
-            L = np.log(rh)
-            C = self.match_constant
-            dphi[hi] = C * L ** (c - 1) * (L + c)
-            ddphi[hi] = C * c * L ** (c - 2) * (L + c - 1.0) / rh
+            L = np.log(r[hi])
+            dphi[hi] = self.match_constant * L ** (c - 1) * (L + c)
 
         if scalar:
-            return float(phi[0]), float(dphi[0]), float(ddphi[0])
-        return phi, dphi, ddphi
+            return float(phi[0]), float(dphi[0])
+        return phi, dphi
 
     def log_phi(self, r):
         # log(eval(r)[0]) bit for bit where that is finite; beyond, where
@@ -380,10 +364,10 @@ class PchipInterpolator:
 
 
 class Tabulated(WarpingFunction):
-    """Warping function given by samples of (phi, phi', phi'') on a grid.
+    """Warping function given by samples of (phi, phi') on a grid.
 
     Values between nodes come from monotone cubic interpolation of each
-    column, the three stacked in one interpolant; the supplied derivative
+    column, the two stacked in one interpolant; the supplied derivative
     samples are authoritative (the interpolant is never differentiated).
     Growth defaults to Unknown, for which the criterion module certifies no
     tail and reports Inconclusive.
@@ -391,24 +375,28 @@ class Tabulated(WarpingFunction):
 
     closed_form = False
 
-    def __init__(self, grid, phi, dphi, ddphi, growth=None):
+    def __init__(self, grid, phi, dphi, growth=None):
         grid = np.asarray(grid, dtype=float)
         phi = np.asarray(phi, dtype=float)
         dphi = np.asarray(dphi, dtype=float)
-        ddphi = np.asarray(ddphi, dtype=float)
         if grid.ndim != 1 or len(grid) < 4:
             raise InvalidFamily("tabulated grid needs at least 4 nodes")
+        for name, col in (("grid", grid), ("phi", phi), ("dphi", dphi)):
+            bad = np.flatnonzero(~np.isfinite(col))
+            if bad.size:
+                raise InvalidFamily(
+                    f"tabulated {name}[{bad[0]}] = {col.flat[bad[0]]} is not finite")
         if np.any(np.diff(grid) <= 0):
             raise InvalidFamily("tabulated grid must be strictly increasing")
         if grid[0] <= 0:
             raise InvalidFamily("tabulated grid must be positive")
         if np.any(phi <= 0):
             raise InvalidFamily("tabulated phi must be positive on the grid")
-        if not (phi.shape == dphi.shape == ddphi.shape == grid.shape):
+        if not (phi.shape == dphi.shape == grid.shape):
             raise InvalidFamily("tabulated columns must share the grid shape")
         self.grid = grid
         self.growth_class = growth if growth is not None else UnknownGrowth()
-        self._columns = PchipInterpolator(grid, np.stack([phi, dphi, ddphi]))
+        self._columns = PchipInterpolator(grid, np.stack([phi, dphi]))
         self._phi = self._columns.row(0)
 
     def _check_hull(self, r):
@@ -419,10 +407,10 @@ class Tabulated(WarpingFunction):
     def eval(self, r):
         r = np.asarray(r, dtype=float)
         self._check_hull(r)
-        phi, dphi, ddphi = self._columns(r)
+        phi, dphi = self._columns(r)
         if np.ndim(r) == 0:
-            return float(phi), float(dphi), float(ddphi)
-        return phi, dphi, ddphi
+            return float(phi), float(dphi)
+        return phi, dphi
 
     def log_phi(self, r):
         r = np.asarray(r, dtype=float)
@@ -438,8 +426,23 @@ class Tabulated(WarpingFunction):
 # Module operations
 # ---------------------------------------------------------------------------
 
+def _csv_number(path, line, row, key):
+    """The finite number in column `key` of a CSV row, else InvalidFamily
+    naming the file and line."""
+    text = row[key]
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        what = "missing" if text in (None, "") else f"{text!r}, not a finite number"
+        raise InvalidFamily(f"{path}, line {line}: {key} is {what}")
+    return value
+
+
 def load_tabulated_csv(path, growth=None) -> Tabulated:
-    """Read a tabulated family from CSV with header r,phi,dphi,ddphi.
+    """Read a tabulated family from CSV with the columns r, phi and dphi,
+    found by header name; any other columns are ignored.
 
     The r column must be strictly increasing with r[0] <= 1e-3 so that
     radial solves can launch inside the hull.
@@ -447,20 +450,20 @@ def load_tabulated_csv(path, growth=None) -> Tabulated:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        expected = {"r", "phi", "dphi", "ddphi"}
+        expected = {"r", "phi", "dphi"}
         if reader.fieldnames is None or expected - set(reader.fieldnames):
             raise InvalidFamily(
-                f"{path}: expected CSV header r,phi,dphi,ddphi, got {reader.fieldnames}")
+                f"{path}: expected CSV header r,phi,dphi, got {reader.fieldnames}")
         for row in reader:
-            rows.append((float(row["r"]), float(row["phi"]),
-                         float(row["dphi"]), float(row["ddphi"])))
+            rows.append(tuple(_csv_number(path, reader.line_num, row, key)
+                              for key in ("r", "phi", "dphi")))
     if not rows:
         raise InvalidFamily(f"{path}: no data rows")
     data = np.array(rows)
     if data[0, 0] > 1e-3:
         raise InvalidFamily(
             f"{path}: first grid point {data[0, 0]:g} must be <= 1e-3")
-    return Tabulated(data[:, 0], data[:, 1], data[:, 2], data[:, 3], growth=growth)
+    return Tabulated(data[:, 0], data[:, 1], data[:, 2], growth=growth)
 
 
 def family_from_name(name, a=None, p=None, c=None) -> WarpingFunction:

@@ -38,10 +38,10 @@ def tanh_profile():
 
 
 def write_tabulated_csv(path, w, r_grid):
-    phi, dphi, ddphi = w.eval(np.asarray(r_grid, dtype=float))
+    phi, dphi = w.eval(np.asarray(r_grid, dtype=float))
     with open(path, "w") as fh:
-        fh.write("r,phi,dphi,ddphi\n")
-        for row in zip(r_grid, phi, dphi, ddphi):
+        fh.write("r,phi,dphi\n")
+        for row in zip(r_grid, phi, dphi):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     return path
 

@@ -125,6 +125,45 @@ def test_classify_inconclusive_tabulated(tmp_path):
     assert code == 3
 
 
+def test_classify_reads_the_old_four_column_layout_unchanged(tmp_path):
+    w = Hyperbolic(1.0)
+    grid = np.geomspace(1e-4, 30.0, 400)
+    phi, dphi = w.eval(grid)
+    old = tmp_path / "old.csv"
+    np.savetxt(old, np.column_stack([grid, phi, dphi, phi]), fmt="%.17g",
+               delimiter=",", header="r,phi,dphi,ddphi", comments="")
+    new = write_tabulated_csv(tmp_path / "new.csv", w, grid)
+    for name, path in (("old", old), ("new", new)):
+        assert run(["classify", "--warp-csv", str(path), "--n", "3",
+                    "--out", str(tmp_path / name)]) == 3
+    assert ((tmp_path / "old" / "classify.json").read_bytes()
+            == (tmp_path / "new" / "classify.json").read_bytes())
+
+
+def _refused_by_name(capsys, args, path):
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "Traceback" not in err
+
+
+def test_malformed_input_files_are_refused_by_name(tmp_path, capsys):
+    warp = write_tabulated_csv(tmp_path / "w.csv", Hyperbolic(1.0),
+                               np.geomspace(1e-4, 30.0, 50))
+    lines = warp.read_text().splitlines()
+    warp.write_text("\n".join(lines[:4] + ["0.5,0.5"] + lines[5:]) + "\n")
+    _refused_by_name(capsys, ["classify", "--warp-csv", str(warp), "--n", "3",
+                              "--out", str(tmp_path / "c")], warp)
+    solve = ["solve", "--family", "hyperbolic", "--a", "1", "--n", "2",
+             "--modes", "3", "--out", str(tmp_path / "s")]
+    bc = tmp_path / "bc.csv"
+    bc.write_text("angle,f\n0.0,1.0\n")
+    _refused_by_name(capsys, solve + ["--bc-csv", str(bc)], bc)
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text('[{"k": 0, "c": 1.0}]')
+    _refused_by_name(capsys, solve + ["--coeffs", str(coeffs)], coeffs)
+    assert not (tmp_path / "s").exists()
+
+
 def test_tabulated_classify_honours_rmax(tmp_path):
     # the finite part stops at --rmax when it lies inside the samples; it is
     # still a lower bound, smaller than the one up to the last sample

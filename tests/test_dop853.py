@@ -36,7 +36,7 @@ def _per_call_rhs(w, n, lam2):
     """The stacked mode system, evaluating the warp at each call's radius."""
     def rhs(s, y):
         r = math.exp(s)
-        phi, dphi, _ = w.eval(r)
+        phi, dphi = w.eval(r)
         zz = y[1::2]
         rho = r / phi
         ww = lam2 * rho * rho * zz

@@ -209,7 +209,7 @@ class _StubWarp(WarpingFunction):
 
     def eval(self, r):
         r = np.asarray(r, dtype=float)
-        return self.phi(r), np.ones_like(r), np.zeros_like(r)
+        return self.phi(r), np.ones_like(r)
 
 
 @pytest.mark.parametrize("w,grid,error,match", [

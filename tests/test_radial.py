@@ -23,8 +23,8 @@ from weakmodel.radial import (RadialProfile, conformal_modes,
                               normalize_profile, riccati_trace,
                               solve_modes, solve_radial, suggest_rmax)
 from weakmodel.spectrum import EigenMode, eigen_round_sphere
-from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
-                            WarpingFunction)
+from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLawGrowth,
+                            PowerLog, Tabulated, WarpingFunction)
 
 
 def test_indicial_exponent():
@@ -205,7 +205,7 @@ def ode_residual(profile: RadialProfile, r_points=None):
     f = profile.interp
     d2 = (f(r + h) - 2 * f(r) + f(r - h)) / h ** 2
     d1 = (f(r + h) - f(r - h)) / (2 * h)
-    phi, dphi, _ = w.eval(r)
+    phi, dphi = w.eval(r)
     return d2 + (n - 1) * (dphi / phi) * d1 - lam2 / phi ** 2 * f(r)
 
 
@@ -301,6 +301,20 @@ def test_suggest_rmax_solves_no_mode(monkeypatch):
     assert ivps == []
 
 
+def test_suggest_rmax_stops_at_the_end_of_tabulated_data(monkeypatch):
+    # a trusted power law sampled to r = 60: R doubles from 30 to just inside
+    # the hull, where the certificate stops, and the refusal names the hull
+    grid = np.geomspace(1e-4, 60.0, 400)
+    w = Tabulated(grid, *PowerGrowth(1.5).eval(grid),
+                  growth=PowerLawGrowth(1.5, 1.0))
+    certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
+    with pytest.raises(TailNotTight,
+                       match=r"^no r_max up to the end of the tabulated hull at "
+                             r"59\.7 reaches .* at r_max = 59\.7,"):
+        suggest_rmax(w, 3, 2.0, 30.0)
+    assert [args[2] for args in certs] == [30.0, 60.0]
+
+
 _FAMILIES = st.one_of(
     st.just(Euclidean()),
     st.floats(0.2, 2.5).map(Hyperbolic),
@@ -349,7 +363,7 @@ def test_nonpositive_warp_detected():
 
         def eval(self, r):
             r = np.asarray(r, dtype=float)
-            return 1.0 * r * (1.0 - r / 4.0), np.ones_like(r), np.zeros_like(r)
+            return 1.0 * r * (1.0 - r / 4.0), np.ones_like(r)
 
     with pytest.raises(NonPositiveWarp):
         solve_radial(Collapsing(), 2, eigen_round_sphere(2, 1), r_max=10.0)
@@ -414,7 +428,7 @@ def test_warp_reaching_zero_inside_the_span_fails_by_name():
         def eval(self, r):
             r = np.asarray(r, dtype=float)
             phi = np.where((r < 2.0) | np.isin(r, grid), r, 0.0)
-            return phi, np.ones_like(r), np.zeros_like(r)
+            return phi, np.ones_like(r)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -438,7 +452,7 @@ def _single_mode_reference(w, n, mode, r_max, tol):
 
     def rhs(s, y):
         r = math.exp(s)
-        phi, dphi, _ = w.eval(r)
+        phi, dphi = w.eval(r)
         zz = y[1]
         rho = r / phi
         ww = lam2 * rho * rho * zz

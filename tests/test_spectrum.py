@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import sphere_laplacian_s2
-from weakmodel.errors import (GridTooCoarse, IndexOutOfRange,
+from weakmodel.errors import (GridTooCoarse, IndexOutOfRange, MalformedArtifact,
                               UnsupportedDimension)
 from weakmodel.spectrum import (BoundaryData, CoefficientTable,
                                 eigen_round_sphere, eigenfunction_eval,
@@ -175,3 +175,26 @@ def test_coefficients_json_roundtrip(tmp_path):
     assert back == table
     obj = json.loads(path.read_text())
     assert obj == [{"m": 0, "k": 0, "c": 1.5}, {"m": 2, "k": 1, "c": -0.125}]
+
+
+@pytest.mark.parametrize("text,message", [
+    ('[{"k": 0, "c": 1.0}]', "a coefficient record has no 'm' key"),
+    ('{"m": 0, "k": 0, "c": 1.0}', "not a list of m, k, c records"),
+    ('[{"m": 0, "k": 0, "c": "x"}]', "not a list of m, k, c records"),
+], ids=["no_m", "not_a_list", "text"])
+def test_malformed_coefficients_json_is_refused_by_name(tmp_path, text, message):
+    path = tmp_path / "coeffs.json"
+    path.write_text(text)
+    with pytest.raises(MalformedArtifact, match=f"^{path}: {message}"):
+        load_coefficients_json(path, 2)
+
+
+@pytest.mark.parametrize("n,text", [
+    (2, "angle,f\n0.0,1.0\n"), (3, "theta,f\n0.0,1.0\n"),
+    (2, "theta,f\n0.0,1.0\n0.5\n"), (2, "theta,f\n0.0,abc\n"),
+], ids=["n2_header", "n3_header", "short_row", "text"])
+def test_malformed_boundary_csv_is_refused_by_name(tmp_path, n, text):
+    path = tmp_path / "bc.csv"
+    path.write_text(text)
+    with pytest.raises(MalformedArtifact, match=f"^{path}: "):
+        BoundaryData.from_csv(path, n, 2)
