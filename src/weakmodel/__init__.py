@@ -6,10 +6,10 @@ verify harmonic extensions of boundary data on the sphere at infinity.
 """
 
 from .criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE, CriterionReport,
-                        classify, fubini_check, march_criterion,
-                        tail_certificate, transience_integral)
+                        classify, march_criterion, tail_certificate,
+                        transience_integral)
 from .extension import (HarmonicExtension, build_extension, evaluate,
-                        l2_distance_to_boundary, sup_distance_on_grid)
+                        l2_distance_to_boundary)
 from .oracle import (AnnulusGrid, laplace_beltrami_residual_fn,
                      solve_annulus_dirichlet)
 from .radial import (RadialProfile, RiccatiTrace, indicial_exponent,
@@ -18,7 +18,7 @@ from .radial import (RadialProfile, RiccatiTrace, indicial_exponent,
 from .spectrum import (BoundaryData, CoefficientTable, EigenMode,
                        RoundSphere, SphereSpectrum, eigen_round_sphere,
                        eigenfunction_eval, project_boundary,
-                       sphere_quadrature, synthesize)
+                       sphere_quadrature)
 from .warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog, Tabulated,
                    WarpingFunction, load_tabulated_csv)
 

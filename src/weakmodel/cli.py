@@ -117,9 +117,12 @@ def _boundary_data(cfg) -> BoundaryData:
             table.set(m, 0, cval)
         return BoundaryData.from_coefficients(table)
     if preset.startswith("single:"):
-        _, m, k = preset.split(":")
+        mk = preset.split(":")[1:]
+        if len(mk) != 2 or not all(v.isdigit() for v in mk):
+            raise WeakModelError(f"boundary preset {preset!r} is not of the "
+                                 "form single:m:k, with integers m, k >= 0")
         table = CoefficientTable(n)
-        table.set(int(m), int(k), 1.0)
+        table.set(int(mk[0]), int(mk[1]), 1.0)
         return BoundaryData.from_coefficients(table)
     raise WeakModelError(f"unknown boundary preset {preset!r}")
 

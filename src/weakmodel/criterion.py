@@ -601,23 +601,6 @@ def classify(w: WarpingFunction, n: int, tol: float = 1e-8,
             transience_integral(w, n, tol, r_max, _shared=shared))
 
 
-def fubini_check(w: WarpingFunction, n: int, R: float):
-    """Both iterated orders of the finite-box integral over 1<=sigma<=tau<=R.
-
-    Returns (lhs, rhs); the two must agree to roundoff-dominated accuracy.
-    """
-    if R <= 1.0:
-        raise InvalidTolerance(f"fubini box needs R > 1, got {R}")
-    lv, _, _ = _log_integral(w, n, 1.0, R, 1e-12, cum_rtol=1e-12)
-    cum = LogCumulative(_log_power(w, 1 - n), 1.0, R, rtol=1e-12)
-
-    def log_rhs(ss):
-        return (n - 3) * w.log_phi(ss) + cum.log_between(ss, R)
-
-    rv, _, _ = adaptive_quad_log(log_rhs, 1.0, R, rtol=1e-12)
-    return math.exp(lv), math.exp(rv)
-
-
 def _convergent_model(w, n):
     """The tail model of a metric whose criterion integral converges."""
     growth = w.growth_class

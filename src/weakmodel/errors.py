@@ -62,7 +62,8 @@ class NotSolvable(WeakModelError, ValueError):
 
 
 class MalformedArtifact(WeakModelError, ValueError):
-    """Artifact or input file is not in the format the package writes or reads."""
+    """Artifact, input file or input data is not in the form the package
+    writes or reads."""
 
 
 class OutOfRange(WeakModelError, ValueError):

@@ -199,16 +199,6 @@ def l2_distance_to_boundary(ext: HarmonicExtension, r):
     return np.sqrt(total) if np.ndim(r) else math.sqrt(total)
 
 
-def sup_distance_on_grid(ext: HarmonicExtension, r, f: BoundaryData = None) -> float:
-    """max over the quadrature grid of |u(r, omega) - f(omega)|."""
-    quad = (f.quadrature if f is not None and f.quadrature is not None
-            else ext.spectrum.quadrature(max(ext.M, ext.coeffs.max_m())))
-    omega = quad.unpack()
-    target = (f.values_on_grid() if f is not None
-              else boundary_value(ext, omega))
-    return float(np.max(np.abs(evaluate(ext, r, omega) - target)))
-
-
 # ---------------------------------------------------------------------------
 # Exports
 # ---------------------------------------------------------------------------

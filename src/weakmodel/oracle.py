@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundaryPoint, NonPositiveWarp, OutOfDomain,
-                     SolverDivergence)
-from .warp import WarpingFunction
+from .errors import BoundaryPoint, SolverDivergence
+from .warp import WarpingFunction, phi_on
 
 
 @dataclass(frozen=True)
@@ -120,18 +119,6 @@ def _real_fourier_basis(n):
     return basis / np.sqrt(np.sum(basis * basis, axis=0)), k
 
 
-def _phi_on(w, r):
-    """phi at the radii r, refused by name where it is not positive and finite."""
-    with np.errstate(over="ignore"):
-        phi = np.asarray(w.eval(r)[0], dtype=float)
-    if np.any(phi <= 0):
-        raise NonPositiveWarp(f"phi({r[np.argmax(phi <= 0)]:g}) <= 0 on the annulus")
-    if not np.all(np.isfinite(phi)):
-        raise OutOfDomain(f"phi({r[np.argmax(~np.isfinite(phi))]:g}) is not "
-                          "finite on the annulus")
-    return phi
-
-
 def solve_annulus_dirichlet(w: WarpingFunction, grid: AnnulusGrid,
                             inner_bc, outer_bc, tol: float = 1e-10) -> np.ndarray:
     """Solve L u = 0 on the annulus with Dirichlet circles, n = 2.
@@ -155,8 +142,8 @@ def solve_annulus_dirichlet(w: WarpingFunction, grid: AnnulusGrid,
                              f"{thetas[np.argmax(~np.isfinite(bc))]:g}")
 
     r = grid.r_nodes
-    phi_mid = _phi_on(w, 0.5 * (r[:-1] + r[1:]))
-    phi_c = _phi_on(w, r[1:-1])
+    phi_mid = phi_on(w, 0.5 * (r[:-1] + r[1:]), "on the annulus")
+    phi_c = phi_on(w, r[1:-1], "on the annulus")
     h_r2 = grid.h_r ** 2
 
     # right-hand side from Dirichlet rows entering the stencil

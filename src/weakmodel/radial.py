@@ -44,11 +44,11 @@ from . import criterion as _criterion
 from . import quadrature as _quadrature
 from .dop853 import solve_ivp
 from .errors import (DegenerateProfile, MalformedArtifact, NonPositiveWarp,
-                     OutOfDomain, OutOfRange, QuadratureFailure,
-                     StepSizeUnderflow, TailNotTight)
+                     OutOfRange, QuadratureFailure, StepSizeUnderflow,
+                     TailNotTight)
 from .report import round_up_3, write_json_atomic
 from .spectrum import EigenMode
-from .warp import WarpingFunction
+from .warp import WarpingFunction, phi_on
 
 _DEFAULT_R0 = 1e-3
 _GRID_SIZE = 800
@@ -177,21 +177,6 @@ def _launch_state(n, l, lam2, beta3, r_launch, rho0):
     return u0, w0 / (lam2 * rho0 * rho0)
 
 
-def _check_warp_on_grid(w: WarpingFunction, grid):
-    """phi on the grid; refuses a grid where phi <= 0, or where phi
-    overflows double precision."""
-    with np.errstate(over="ignore"):
-        phi = np.asarray(w.eval(grid)[0], dtype=float)
-    span = f"inside [{grid[0]:g}, {grid[-1]:g}]"
-    if np.any(phi <= 0):
-        raise NonPositiveWarp(f"phi({grid[np.argmax(phi <= 0)]:g}) <= 0 {span}")
-    if not np.all(np.isfinite(phi)):
-        bad = grid[np.argmax(~np.isfinite(phi))]
-        raise OutOfDomain(f"phi overflows double precision at r = {bad:g} "
-                          f"{span}; the radial solve needs a smaller r_max")
-    return phi
-
-
 def _constant_profile(w, n, mode, grid):
     """The m = 0 profile: the constant 1, normalized and exact."""
     return RadialProfile(
@@ -266,7 +251,8 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     r_launch = r0 or _DEFAULT_R0
     if r_max <= 1.0:
         raise ValueError(f"r_max must exceed 1, got {r_max}")
-    rho = grid / _check_warp_on_grid(w, grid)
+    rho = grid / phi_on(w, grid, f"inside [{grid[0]:g}, {grid[-1]:g}]; the "
+                                 "radial solve needs a smaller r_max")
     beta3 = _cubic_beta(w)
     rho0 = r_launch / float(w.eval(r_launch)[0])
     ls = [indicial_exponent(n, modes[i].lambda_sq) for i in solved]
@@ -373,7 +359,8 @@ def conformal_modes(w: WarpingFunction, modes,
         return solve_modes(w, 2, modes, r_max)
     R, log_inner = _criterion.inner_tail(w, 2, r_max)
     grid = np.geomspace(_DEFAULT_R0, R, _GRID_SIZE)
-    _check_warp_on_grid(w, grid)
+    phi_on(w, grid, f"inside [{grid[0]:g}, {grid[-1]:g}]; the radial solve "
+                    "needs a smaller r_max")
     tau = _ConformalTime(w, _DEFAULT_R0, R, log_inner)
     t, rho = tau(np.log(grid))
     profiles = []

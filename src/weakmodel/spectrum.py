@@ -162,13 +162,24 @@ class CoefficientTable:
 
     def __init__(self, n: int, entries=None):
         self.n = n
-        self.entries: dict[tuple[int, int], float] = dict(entries or {})
+        self.entries: dict[tuple[int, int], float] = {}
+        for (m, k), c in dict(entries or {}).items():
+            self.set(m, k, c)
 
     def get(self, m, k):
         return self.entries.get((m, k), 0.0)
 
     def set(self, m, k, c):
-        self.entries[(m, k)] = float(c)
+        """c_{m,k} = c; a negative index (IndexOutOfRange) or a c that is
+        not finite (MalformedArtifact) is refused."""
+        if m < 0 or k < 0:
+            raise IndexOutOfRange(f"coefficient index (m, k) = ({m}, {k}) "
+                                  "is negative")
+        c = float(c)
+        if not math.isfinite(c):
+            raise MalformedArtifact(f"coefficient c_{{{m},{k}}} is {c}, not "
+                                    "a finite number")
+        self.entries[(m, k)] = c
 
     def max_m(self):
         return max((m for m, _ in self.entries), default=0)
@@ -217,7 +228,8 @@ class BoundaryData:
             samples = np.asarray(fn(quad.points), dtype=float)
         else:
             samples = np.asarray(fn(quad.points[:, 0], quad.points[:, 1]), dtype=float)
-        return cls(n=n, band_limit=M, samples=samples, quadrature=quad)
+        return cls(n=n, band_limit=M, samples=_finite(samples, quad),
+                   quadrature=quad)
 
     @classmethod
     def from_samples(cls, n, M, samples):
@@ -227,7 +239,8 @@ class BoundaryData:
             raise GridTooCoarse(
                 f"expected {len(quad.weights)} samples on the (n={n}, M={M}) "
                 f"grid, got {samples.shape}")
-        return cls(n=n, band_limit=M, samples=samples, quadrature=quad)
+        return cls(n=n, band_limit=M, samples=_finite(samples, quad),
+                   quadrature=quad)
 
     @classmethod
     def from_coefficients(cls, table: CoefficientTable):
@@ -237,7 +250,8 @@ class BoundaryData:
     def from_csv(cls, path, n, M):
         """n=2 expects header theta,f; n=3 expects colat,lon,f.
 
-        Sample locations must match the canonical quadrature grid for (n, M).
+        Sample locations must match the canonical quadrature grid for (n, M),
+        and an f that is not finite is refused by file and line.
         """
         quad = sphere_quadrature(n, M)
         header = ("theta", "f") if n == 2 else ("colat", "lon", "f")
@@ -246,13 +260,13 @@ class BoundaryData:
             if reader.fieldnames is None or set(header) - set(reader.fieldnames):
                 raise MalformedArtifact(f"{path}: expected CSV header "
                                         f"{','.join(header)}, got {reader.fieldnames}")
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader]
         try:
             if n == 2:
-                pts = np.array([float(r["theta"]) for r in rows])
+                pts = np.array([float(r["theta"]) for _, r in rows])
             else:
-                pts = np.array([[float(r["colat"]), float(r["lon"])] for r in rows])
-            vals = np.array([float(r["f"]) for r in rows])
+                pts = np.array([[float(r["colat"]), float(r["lon"])] for _, r in rows])
+            vals = np.array([float(r["f"]) for _, r in rows])
         except (TypeError, ValueError) as exc:
             raise MalformedArtifact(f"{path}: {exc}") from None
         ref = quad.points
@@ -260,14 +274,28 @@ class BoundaryData:
             raise GridTooCoarse(
                 f"{path}: sample locations do not match the canonical "
                 f"(n={n}, M={M}) quadrature grid")
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            line, row = rows[int(np.argmax(bad))]
+            raise MalformedArtifact(f"{path}, line {line}: f is {row['f']!r}, "
+                                    "not a finite number")
         return cls(n=n, band_limit=M, samples=vals, quadrature=quad)
 
-    def values_on_grid(self):
-        if self.samples is not None:
-            return self.samples
-        # synthesize from coefficients on the canonical grid
-        quad = self.quadrature or sphere_quadrature(self.n, self.band_limit)
-        return synthesize(self.coeffs, self.n, quad.unpack())
+
+def _finite(samples, quad: SphereQuadrature):
+    """samples, refused (MalformedArtifact) at the first that is not finite,
+    named by its index and, when there is one per node, its node."""
+    flat = np.ravel(samples)
+    bad = ~np.isfinite(flat)
+    if not np.any(bad):
+        return samples
+    i = int(np.argmax(bad))
+    node = ""
+    if flat.size == len(quad.weights):
+        coords = ", ".join(f"{a:g}" for a in np.atleast_1d(quad.points[i]))
+        node = f" ({'theta' if quad.n == 2 else 'colat, lon'} = {coords})"
+    raise MalformedArtifact(f"boundary sample {i}{node} is {flat[i]:g}, not "
+                            "a finite number")
 
 
 def project_boundary(data: BoundaryData, M: int) -> CoefficientTable:
@@ -293,18 +321,6 @@ def project_boundary(data: BoundaryData, M: int) -> CoefficientTable:
     return table
 
 
-def synthesize(table: CoefficientTable, n: int, omega):
-    """Evaluate sum_{m,k} c_{m,k} f_{m,k}(omega)."""
-    if n == 2:
-        out = np.zeros_like(np.asarray(omega, dtype=float))
-    else:
-        out = np.zeros_like(np.asarray(omega[0], dtype=float))
-    for (m, k), c in table.items():
-        if c != 0.0:
-            out = out + c * eigenfunction_eval(n, m, k, omega)
-    return out
-
-
 def load_coefficients_json(path, n):
     """The table in a JSON list of {"m", "k", "c"} records, refused by name
     (MalformedArtifact) if it is not one."""
@@ -313,6 +329,8 @@ def load_coefficients_json(path, n):
             return CoefficientTable.from_json_obj(n, json.load(fh))
     except KeyError as exc:
         raise MalformedArtifact(f"{path}: a coefficient record has no {exc} key") from None
+    except (IndexOutOfRange, MalformedArtifact) as exc:
+        raise MalformedArtifact(f"{path}: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise MalformedArtifact(f"{path}: not a list of m, k, c records: {exc}") from None
 

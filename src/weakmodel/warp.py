@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFamily, OutOfDomain
+from .errors import InvalidFamily, NonPositiveWarp, OutOfDomain
 
 _AXIOM_TOL = 1e-10
 
@@ -425,6 +425,19 @@ class Tabulated(WarpingFunction):
 # ---------------------------------------------------------------------------
 # Module operations
 # ---------------------------------------------------------------------------
+
+def phi_on(w: WarpingFunction, r, where: str):
+    """phi at the radii r, refused where it is not positive (NonPositiveWarp)
+    or not finite (OutOfDomain), by the first such radius and `where`."""
+    with np.errstate(over="ignore"):
+        phi = np.asarray(w.eval(r)[0], dtype=float)
+    if np.any(phi <= 0):
+        raise NonPositiveWarp(f"phi({r[np.argmax(phi <= 0)]:g}) <= 0 {where}")
+    if not np.all(np.isfinite(phi)):
+        raise OutOfDomain(f"phi({r[np.argmax(~np.isfinite(phi))]:g}) is not "
+                          f"finite {where}")
+    return phi
+
 
 def _csv_number(path, line, row, key):
     """The finite number in column `key` of a CSV row, else InvalidFamily

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from weakmodel.criterion import _log_integral, _log_power
+from weakmodel.errors import InvalidTolerance
+from weakmodel.quadrature import LogCumulative, adaptive_quad_log
 from weakmodel.spectrum import eigen_round_sphere
-from weakmodel.warp import Euclidean, Hyperbolic, PowerGrowth, PowerLog
+from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
+                            WarpingFunction)
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +41,23 @@ def tanh_profile():
     from weakmodel.radial import solve_radial
     return normalized(
         solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1), r_max=25.0))
+
+
+def fubini_check(w: WarpingFunction, n: int, R: float):
+    """Both iterated orders of the finite-box integral over 1<=sigma<=tau<=R.
+
+    Returns (lhs, rhs); the two must agree to roundoff-dominated accuracy.
+    """
+    if R <= 1.0:
+        raise InvalidTolerance(f"fubini box needs R > 1, got {R}")
+    lv, _, _ = _log_integral(w, n, 1.0, R, 1e-12, cum_rtol=1e-12)
+    cum = LogCumulative(_log_power(w, 1 - n), 1.0, R, rtol=1e-12)
+
+    def log_rhs(ss):
+        return (n - 3) * w.log_phi(ss) + cum.log_between(ss, R)
+
+    rv, _, _ = adaptive_quad_log(log_rhs, 1.0, R, rtol=1e-12)
+    return math.exp(lv), math.exp(rv)
 
 
 def write_tabulated_csv(path, w, r_grid):

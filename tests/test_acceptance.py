@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import normalized
+from conftest import fubini_check, normalized
 from weakmodel import extension as ext
 from weakmodel import oracle, radial
-from weakmodel.criterion import (CONVERGENT, DIVERGENT, fubini_check,
-                                 march_criterion, transience_integral)
+from weakmodel.criterion import (CONVERGENT, DIVERGENT, march_criterion,
+                                 transience_integral)
 from weakmodel.spectrum import BoundaryData, eigen_round_sphere
 from weakmodel.warp import Euclidean, Hyperbolic, PowerGrowth, PowerLog
 

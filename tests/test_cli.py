@@ -14,6 +14,7 @@ import pytest
 from conftest import count_calls, write_tabulated_csv
 from weakmodel import criterion, extension, radial
 from weakmodel.cli import main
+from weakmodel.spectrum import sphere_quadrature
 from weakmodel.warp import Hyperbolic, PowerGrowth
 
 
@@ -161,6 +162,64 @@ def test_malformed_input_files_are_refused_by_name(tmp_path, capsys):
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text('[{"k": 0, "c": 1.0}]')
     _refused_by_name(capsys, solve + ["--coeffs", str(coeffs)], coeffs)
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("n,bad", [(2, "nan"), (3, "inf")])
+def test_boundary_csv_sample_that_is_not_finite_is_refused_by_line(
+        tmp_path, capsys, n, bad):
+    # unchecked, a nan sample solved to "truncation bound nan" with exit 0
+    quad = sphere_quadrature(n, 4)
+    vals = np.cos(quad.points if n == 2 else quad.points[:, 0])
+    vals[3] = float(bad)
+    bc = tmp_path / "bc.csv"
+    np.savetxt(bc, np.column_stack([quad.points, vals]), fmt="%.17g",
+               delimiter=",", header="theta,f" if n == 2 else "colat,lon,f",
+               comments="")
+    assert run(["solve", "--family", "hyperbolic", "--a", "1", "--n", str(n),
+                "--modes", "4", "--bc-csv", str(bc), "--at-infinity",
+                "--out", str(tmp_path / "s")]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {bc}, line 5: f is '{bad}', not a finite number\n"
+    assert out == "" and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("record,message", [
+    ('{"m": 1, "k": 0, "c": NaN}', "coefficient c_{1,0} is nan, not a finite number"),
+    ('{"m": 1, "k": 0, "c": Infinity}', "coefficient c_{1,0} is inf, not a finite number"),
+    ('{"m": -1, "k": 0, "c": 1.0}', "coefficient index (m, k) = (-1, 0) is negative"),
+    ('{"m": 1, "k": -1, "c": 1.0}', "coefficient index (m, k) = (1, -1) is negative"),
+], ids=["nan", "inf", "negative_m", "negative_k"])
+def test_coefficient_record_that_is_not_finite_or_not_a_mode_is_refused_by_name(
+        tmp_path, capsys, record, message):
+    # unchecked, NaN and Infinity solved with exit 0 (Infinity with a
+    # RuntimeWarning at n = 3), and m = -1 ended in a KeyError traceback
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(f'[{{"m": 0, "k": 0, "c": 1.0}}, {record}]')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["solve", "--family", "hyperbolic", "--a", "1", "--n", "3",
+                    "--modes", "3", "--coeffs", str(coeffs),
+                    "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {coeffs}: {message}\n"
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("preset,message", [
+    ("constant:nan", "coefficient c_{0,0} is nan, not a finite number"),
+    ("single:-1:0", "boundary preset 'single:-1:0' is not of the form "
+                    "single:m:k, with integers m, k >= 0"),
+    ("single:1", "boundary preset 'single:1' is not of the form single:m:k, "
+                 "with integers m, k >= 0"),
+], ids=["constant_nan", "single_negative", "single_short"])
+def test_malformed_preset_is_refused_by_name(tmp_path, capsys, preset, message):
+    # unchecked, constant:nan solved to nan with exit 0, single:-1:0 ended in
+    # a KeyError traceback and single:1 printed "not enough values to unpack"
+    assert run(["solve", "--family", "hyperbolic", "--a", "1", "--n", "2",
+                "--modes", "4", "--preset", preset,
+                "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "s").exists()
 
 
@@ -330,7 +389,8 @@ def test_solve_refuses_radius_where_phi_overflows(tmp_path, capsys):
                     "--out", str(tmp_path / "s")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "phi overflows double precision at r = 719.982" in err
+    assert ("error: phi(719.982) is not finite inside [0.001, 1000]; the "
+            "radial solve needs a smaller r_max") in err
     assert "<= 0" not in err
 
 

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from conftest import count_calls, write_tabulated_csv
+from conftest import count_calls, fubini_check, write_tabulated_csv
 from weakmodel.report import round12
 from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
                                  CriterionReport, _TailModel, _log_g,
-                                 fubini_check, inner_tail, march_criterion,
-                                 tail_certificate, transience_integral)
+                                 inner_tail, march_criterion, tail_certificate,
+                                 transience_integral)
 from weakmodel.errors import InvalidTolerance, NotConvergent, QuadratureFailure
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLawGrowth,
                             PowerLog, PowerLogGrowth, Tabulated, load_tabulated_csv)

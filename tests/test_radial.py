@@ -336,6 +336,23 @@ def test_metric_bounds_riccati_x_at_one(w, n, m):
     assert exact <= bound <= exact * (1 + 1e-11)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(w=st.one_of(st.just(Euclidean()),
+                   st.floats(0.2, 3.0).map(Hyperbolic),
+                   st.floats(0.3, 3.0).map(PowerGrowth),
+                   st.floats(0.0, 5.0).map(PowerLog)),
+       n=st.sampled_from([2, 3, 4]),
+       ms=st.lists(st.integers(1, 8), min_size=3, max_size=3, unique=True),
+       r_max=st.sampled_from([10.0, 25.0, 60.0]))
+def test_every_raw_profile_lies_below_the_growth_bound(w, n, ms, r_max):
+    # the lemma's bound holds for every mode of every metric, convergent or
+    # not, on the raw profiles as solved
+    modes = [eigen_round_sphere(n, m) for m in sorted(ms)]
+    for p in solve_modes(w, n, modes, r_max=r_max):
+        _, ok = lemma_bound_check(p, riccati_trace(p))
+        assert ok, f"{w!r} n={n} m={p.mode.m} r_max={r_max}"
+
+
 def test_normalize_rejects_certificate_at_another_radius():
     w = Hyperbolic(1.0)
     p = solve_radial(w, 2, eigen_round_sphere(2, 1), r_max=20.0)

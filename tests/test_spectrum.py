@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ from weakmodel.errors import (GridTooCoarse, IndexOutOfRange, MalformedArtifact,
 from weakmodel.spectrum import (BoundaryData, CoefficientTable,
                                 eigen_round_sphere, eigenfunction_eval,
                                 load_coefficients_json, multiplicity,
-                                project_boundary, sphere_quadrature,
-                                synthesize)
+                                project_boundary, sphere_quadrature)
 
 
 def test_eigenvalues_and_multiplicities():
@@ -120,7 +120,8 @@ def test_project_synthesize_roundtrip(n, M):
         for k in range(multiplicity(n, m)):
             table.set(m, k, float(rng.normal()))
     quad = sphere_quadrature(n, M)
-    samples = synthesize(table, n, quad.unpack())
+    samples = sum(c * eigenfunction_eval(n, m, k, quad.unpack())
+                  for (m, k), c in table.items())
     back = project_boundary(BoundaryData.from_samples(n, M, samples), M)
     for (m, k), c in table.items():
         assert_allclose(back.get(m, k), c, atol=1e-10)
@@ -164,6 +165,43 @@ def test_boundary_csv_roundtrip(tmp_path):
         fh.write("theta,f\n0.0,1.0\n0.5,1.0\n")
     with pytest.raises(GridTooCoarse):
         BoundaryData.from_csv(path, 2, 3)
+
+
+def test_coefficient_table_refuses_negative_index_and_non_finite_value():
+    table = CoefficientTable(2)
+    for m, k in ((-1, 0), (1, -1)):
+        with pytest.raises(IndexOutOfRange,
+                           match=rf"^coefficient index \(m, k\) = \({m}, {k}\) "
+                                 "is negative$"):
+            table.set(m, k, 1.0)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(MalformedArtifact,
+                           match=re.escape(f"coefficient c_{{1,0}} is {c}, "
+                                           "not a finite number")):
+            table.set(1, 0, c)
+    with pytest.raises(MalformedArtifact, match=re.escape("c_{0,0} is nan")):
+        CoefficientTable(2, {(0, 0): math.nan})
+    assert table.entries == {}
+
+
+@pytest.mark.parametrize("n,node", [(2, "theta = 2.0944"),
+                                    (3, "colat, lon = 2.6083, 3.14159")])
+def test_boundary_samples_that_are_not_finite_are_refused_by_node(n, node):
+    quad = sphere_quadrature(n, 2)
+    samples = np.ones(len(quad.weights))
+    samples[4] = math.nan
+    message = rf"^boundary sample 4 \({node}\) is nan, not a finite number$"
+    with pytest.raises(MalformedArtifact, match=message):
+        BoundaryData.from_samples(n, 2, samples)
+    with pytest.raises(MalformedArtifact, match=message):
+        BoundaryData.from_function(n, 2, lambda *omega: samples)
+    with pytest.raises(MalformedArtifact,
+                       match="^boundary sample 0 is inf, not a finite number$"):
+        BoundaryData.from_function(n, 2, lambda *omega: math.inf)
+    # a scalar is still taken as the same value at every node
+    f = BoundaryData.from_function(n, 2, lambda *omega: 2.0)
+    assert_allclose(project_boundary(f, 2).get(0, 0),
+                    2.0 * math.sqrt(2 * math.pi if n == 2 else 4 * math.pi))
 
 
 def test_coefficients_json_roundtrip(tmp_path):
