@@ -98,8 +98,12 @@ def _boundary_data(cfg) -> BoundaryData:
         return BoundaryData.from_coefficients(
             load_coefficients_json(cfg["coeffs"], n))
     preset = cfg.get("preset", "cos")
-    if preset.startswith("constant"):
-        value = float(preset.split(":")[1]) if ":" in preset else 1.0
+    if preset.partition(":")[0] == "constant":
+        try:
+            value = 1.0 if preset == "constant" else float(preset.partition(":")[2])
+        except ValueError:
+            raise WeakModelError(f"boundary preset {preset!r} is not of the form "
+                                 "constant[:v], with v a number") from None
         table = CoefficientTable(n)
         vol = 2 * math.pi if n == 2 else 4 * math.pi
         table.set(0, 0, value * math.sqrt(vol))

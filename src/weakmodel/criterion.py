@@ -27,8 +27,8 @@ All integrands are powers of phi and are evaluated in log space so that
 large n or fast exponential growth cannot overflow or underflow the
 bookkeeping.  `_log_power` builds every one of them, in t or in log t, and
 `_log_integral` integrates phi^{1-n} or the triangle phi^{1-n}(tau)
-int^tau phi^{n-3} for the finite part and for the one refined tail routine,
-which works in t for exponential growth and in log t otherwise.
+int^tau phi^{n-3} for the finite part, in t, and for the one refined tail
+routine, in log t.  Exponential tails need no quadrature (`_tail_brackets`).
 """
 
 from __future__ import annotations
@@ -188,14 +188,11 @@ class _TailModel:
         return max(self.min_r0(), R / 3.0)
 
     def decay_rate(self, double):
-        """Rate at which the inner tail integrand phi^{1-n}, or with `double`
-        the double tail's, decays exponentially: in t for exponential growth,
-        in log t otherwise.  Power-log growth has one for the inner tail at
-        n >= 3 only; its double tail is the exact psi tail."""
+        """Rate in log t at which the inner tail integrand phi^{1-n}, or with
+        `double` the double tail's, decays exponentially.  Power-log growth
+        has one for the inner tail at n >= 3 only; its double tail is the
+        exact psi tail."""
         n = self.n
-        if self.kind == "exp":
-            a = self.growth.rate
-            return 2 * a if double else a * (n - 1)
         if self.kind == "power":
             p = self.growth.exponent
             return 2 * p - 2 if double else p * (n - 1) - 1.0
@@ -399,24 +396,18 @@ def _log_integral(w, n, a, b, rtol, base=None, cum_rtol=None):
 
 def _refined_log_tail(w, n, model, R, r0, double):
     """Bracket (lo, hi) for log int_R^inf phi^{1-n}, or with `double` for
-    the log double tail beyond R, using exact phi.
+    the log double tail beyond R, using exact phi of power growth, or of
+    power-log growth for its inner tail at n >= 3.
 
-    Exponential growth integrates in t, up to X where its decay rate has
-    used _DECAY_UNITS; the others integrate in s = log(t/R), where their
-    integrands decay exponentially.  The elementary brackets at X bound the
-    remainder; for the double tail, the split C_R = C_R(X) + C_X gives
-    C_R(X)*T_in(X) + T_out(X).
+    It integrates in s = log(t/R), where these integrands decay
+    exponentially, up to X = R*e^S, where their decay rate has used
+    _DECAY_UNITS.  The elementary brackets at X bound the remainder; for the
+    double tail, the split C_R = C_R(X) + C_X gives C_R(X)*T_in(X) + T_out(X).
     """
-    rate = model.decay_rate(double)
-    if model.kind == "exp":
-        X = R + _DECAY_UNITS / rate
-        a, b, base = R, X, None
-    else:
-        S = min(_DECAY_UNITS / rate, 340.0)
-        X = R * math.exp(S)
-        a, b, base = 0.0, (S if double else math.log(X / R)), R
-    log_main, log_err, cum = _log_integral(w, n, a, b, 1e-12, base,
-                                           cum_rtol=1e-12 if double else None)
+    S = min(_DECAY_UNITS / model.decay_rate(double), 340.0)
+    X = R * math.exp(S)
+    log_main, log_err, cum = _log_integral(w, n, 0.0, S if double else math.log(X / R),
+                                           1e-12, R, cum_rtol=1e-12 if double else None)
     in_lo, in_hi = model.log_inner_bracket(X, r0)
     if not double:
         return _bracket(log_main, log_err, in_lo, in_hi)
@@ -482,25 +473,33 @@ def _start_radius(w, model, R):
 def _tail_brackets(w, n, model, R, r0, double=True, shared=None):
     """Log brackets (inner, double) for the tails beyond R.
 
-    Refined with the exact phi when it has a closed form, elementary from
-    the sandwich otherwise.  Power-log phi is exactly C*psi beyond e^2, so
+    Exponential growth, phi = scale*e^{at}(1 - e^{-2at}), takes the
+    elementary brackets with the sandwich at R, the start of the tail: they
+    hold the exact tails to a relative (n-1)e^{-2aR}, once widened by 4 ulp
+    of each log end for their rounding.  Otherwise the tails are refined
+    with the exact phi when it has a closed form, elementary from the
+    sandwich at r0 if not.  Power-log phi is exactly C*psi beyond e^2, so
     its psi double tail, and at n = 2 its psi inner tail, are already the
     refined ones.  At n = 2 the double tail is T_in^2/2, the half square of
     the inner bracket.  The double bracket is None unless `double`.  The
     inner bracket, which both integrals need, is kept in `shared`.
     """
-    exact_psi = model.kind == "powerlog"
-    inner = _shared_value(shared, ("inner", R, r0), lambda: (
-        _refined_log_tail(w, n, model, R, r0, False)
-        if w.closed_form and not (exact_psi and n == 2)
-        else model.log_inner_bracket(R, r0)))
+    exp = model.kind == "exp"
+    r0 = R if exp else r0
+
+    def tail(dbl):
+        if w.closed_form and (model.kind == "power" or (
+                model.kind == "powerlog" and n > 2 and not dbl)):
+            return _refined_log_tail(w, n, model, R, r0, dbl)
+        lo, hi = (model.log_double_bracket if dbl else model.log_inner_bracket)(R, r0)
+        return (lo - 4 * math.ulp(lo), hi + 4 * math.ulp(hi)) if exp else (lo, hi)
+
+    inner = _shared_value(shared, ("inner", R, r0), lambda: tail(False))
     if not double:
         return inner, None
     if n == 2:
         return inner, tuple(2.0 * b - math.log(2.0) for b in inner)
-    if w.closed_form and not exact_psi:
-        return inner, _refined_log_tail(w, n, model, R, r0, True)
-    return inner, model.log_double_bracket(R, r0)
+    return inner, tail(True)
 
 
 def _certify(w, n, tol, r_max, double, shared):

@@ -201,9 +201,15 @@ class CoefficientTable:
 
     @classmethod
     def from_json_obj(cls, n, obj):
+        """The table of a list of {"m", "k", "c"} records; an index that is
+        not a JSON integer is refused (MalformedArtifact)."""
         table = cls(n)
         for rec in obj:
-            table.set(int(rec["m"]), int(rec["k"]), float(rec["c"]))
+            for key in "mk":
+                if type(rec[key]) is not int:   # not 1.7, nor true, a bool
+                    raise MalformedArtifact(f"coefficient index {key} = "
+                                            f"{json.dumps(rec[key])} is not an integer")
+            table.set(rec["m"], rec["k"], float(rec["c"]))
         return table
 
     def __eq__(self, other):

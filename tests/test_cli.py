@@ -189,11 +189,16 @@ def test_boundary_csv_sample_that_is_not_finite_is_refused_by_line(
     ('{"m": 1, "k": 0, "c": Infinity}', "coefficient c_{1,0} is inf, not a finite number"),
     ('{"m": -1, "k": 0, "c": 1.0}', "coefficient index (m, k) = (-1, 0) is negative"),
     ('{"m": 1, "k": -1, "c": 1.0}', "coefficient index (m, k) = (1, -1) is negative"),
-], ids=["nan", "inf", "negative_m", "negative_k"])
+    ('{"m": 1.7, "k": 0, "c": 1.0}', "coefficient index m = 1.7 is not an integer"),
+    ('{"m": true, "k": 0, "c": 1.0}', "coefficient index m = true is not an integer"),
+    ('{"m": 1, "k": 0.5, "c": 1.0}', "coefficient index k = 0.5 is not an integer"),
+], ids=["nan", "inf", "negative_m", "negative_k", "fractional_m", "boolean_m",
+        "fractional_k"])
 def test_coefficient_record_that_is_not_finite_or_not_a_mode_is_refused_by_name(
         tmp_path, capsys, record, message):
     # unchecked, NaN and Infinity solved with exit 0 (Infinity with a
-    # RuntimeWarning at n = 3), and m = -1 ended in a KeyError traceback
+    # RuntimeWarning at n = 3), m = -1 ended in a KeyError traceback, and
+    # m = 1.7 or true was solved as mode 1
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text(f'[{{"m": 0, "k": 0, "c": 1.0}}, {record}]')
     with warnings.catch_warnings():
@@ -212,10 +217,13 @@ def test_coefficient_record_that_is_not_finite_or_not_a_mode_is_refused_by_name(
                     "single:m:k, with integers m, k >= 0"),
     ("single:1", "boundary preset 'single:1' is not of the form single:m:k, "
                  "with integers m, k >= 0"),
-], ids=["constant_nan", "single_negative", "single_short"])
+    ("constant:abc", "boundary preset 'constant:abc' is not of the form "
+                     "constant[:v], with v a number"),
+], ids=["constant_nan", "single_negative", "single_short", "constant_text"])
 def test_malformed_preset_is_refused_by_name(tmp_path, capsys, preset, message):
     # unchecked, constant:nan solved to nan with exit 0, single:-1:0 ended in
-    # a KeyError traceback and single:1 printed "not enough values to unpack"
+    # a KeyError traceback, single:1 printed "not enough values to unpack" and
+    # constant:abc "could not convert string to float: 'abc'"
     assert run(["solve", "--family", "hyperbolic", "--a", "1", "--n", "2",
                 "--modes", "4", "--preset", preset,
                 "--out", str(tmp_path / "s")]) == 1

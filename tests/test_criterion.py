@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -449,12 +450,15 @@ def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w, part):
 
 
 # (metric, n, R): log_cum, log_inner, double of tail_certificate, recorded
-# before the refined tails shared one routine; one metric per refined kind.
-# The n = 2 double is the half square of the inner bracket
+# before the refined tails shared one routine; one metric per growth kind.
+# The n = 2 double is the half square of the inner bracket.  Exponential
+# tails are now the elementary brackets with the sandwich at R, inside the
+# refined ones first recorded here; the n = 2 double, whose ends moved by
+# up to 6e-13 of itself, was re-recorded
 _PINNED_TAILS = [
     ((Hyperbolic(1.0), 2, 30.0), -0.2588525549667824,
      (-29.30685281944036, -29.306852819439754),
-     (1.75130215253824e-26, 1.75130215254035e-26)),
+     (1.7513021525392452e-26, 1.7513021525393448e-26)),
     ((Hyperbolic(1.0), 3, 30.0), 3.3672958299864737,
      (-59.30685281944035, -59.306852819439754),
      (8.756510762695462e-27, 8.756510762697454e-27)),
@@ -482,6 +486,48 @@ def test_refined_tails_match_recorded_values(args, log_cum, log_inner, double):
         # (log tanh(15))^2 / 2 from 40-digit mpmath, which the triangle
         # bracket that the half square replaced also held
         assert cert.double[0] <= 1.7513021525393041e-26 <= cert.double[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("a, R", [
+    (1.0, 30.0), (0.5, 40.0), (2.0, 10.0), (0.5, 1e5), (1.0, 1e5), (2.0, 1e5),
+    (0.5, 1e7), (1.0, 1e7), (2.0, 1e7)])
+def test_exponential_tail_brackets_hold_the_closed_forms(a, R, n):
+    # Hyperbolic(a), x = e^-aR, from 40-digit mpmath: at n = 2 T_in =
+    # -log tanh(aR/2) = 2 atanh(x), whose tanh rounds to 1 at large R, and
+    # the double tail is its half square; at n = 3 T_in = 2a x^2/(1 - x^2)
+    # and T_out = -log(1 - x^2).  The brackets are a few ulp wide
+    import mpmath as mp
+    from weakmodel import criterion
+    w = Hyperbolic(a)
+    model = _TailModel(w.growth_class, n)
+    inner, double = criterion._tail_brackets(w, n, model, R, model.r0(R))
+    with mp.workdps(40):
+        x = mp.exp(-mp.mpf(a) * R)
+        if n == 2:
+            t_in = 2 * mp.atanh(x)
+            t_out = t_in ** 2 / 2
+        else:
+            t_in = 2 * a * x ** 2 / (1 - x ** 2)
+            t_out = -mp.log1p(-x ** 2)
+        for (lo, hi), exact in ((inner, t_in), (double, t_out)):
+            assert lo <= mp.log(exact) <= hi, (lo, hi, exact)
+            assert hi - lo <= 1e-14 * abs(lo), (lo, hi)
+
+
+@pytest.mark.parametrize("R", [1e5, 1e7])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 3.0])
+def test_exponential_tail_certificate_holds_at_large_radii(a, R):
+    # the tails beyond R need no quadrature: a refined tail in t exceeded
+    # its panel budget here, as "log-space quadrature on [1e+07, 1e+07]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n in range(2, 6):
+            cert = tail_certificate(Hyperbolic(a), n, R)
+            assert cert.r_max == R
+            lo, hi = cert.log_inner
+            assert lo <= hi <= lo + 1e-14 * abs(lo), (n, lo, hi)
+            assert 0.0 <= cert.double[0] <= cert.double[1], n
 
 
 def test_tail_certificate_requires_convergence():
@@ -559,20 +605,19 @@ def test_n2_criterion_is_half_the_transience_square(case):
     (PowerLog(1.2), 2), (Hyperbolic(1.0), 3), (PowerGrowth(2.0), 3)], ids=repr)
 def test_n2_criterion_builds_no_triangle(monkeypatch, w, n):
     # at n = 2 no cumulative of phi^(n-3) and no refined double tail; the
-    # n = 3 cases show that the spies see both
+    # n = 3 power case shows that the spies see both.  Exponential tails are
+    # elementary at every n, so Hyperbolic refines none
     from weakmodel import criterion
     cums = count_calls(monkeypatch, criterion, "LogCumulative")
-    doubles = []
-    tail = criterion._refined_log_tail
-
-    def spy(w, n, model, R, r0, double):
-        doubles.append(double)
-        return tail(w, n, model, R, r0, double)
-
-    monkeypatch.setattr(criterion, "_refined_log_tail", spy)
+    tails = count_calls(monkeypatch, criterion, "_refined_log_tail")
     march_criterion(w, n, tol=1e-8)
-    built = (len(cums), doubles.count(True))
-    assert built == (0, 0) if n == 2 else min(built) > 0, built
+    doubles = [c[5] for c in tails].count(True)
+    if n == 2:
+        assert (len(cums), doubles) == (0, 0), (len(cums), doubles)
+    elif isinstance(w, Hyperbolic):
+        assert cums and not tails, (len(cums), tails)
+    else:
+        assert cums and doubles, (len(cums), doubles)
 
 
 def _reports_or_error(thunk):
@@ -612,20 +657,28 @@ def test_classify_is_the_two_separate_reports_on_samples(n, r_max):
 @pytest.mark.parametrize("w", [PowerGrowth(2.0), Hyperbolic(0.5)], ids=repr)
 def test_n2_classify_integrates_once(monkeypatch, w):
     # at n = 2 the criterion and transience share the finite part C and the
-    # refined inner tail: one call each, where two separate calls make four
+    # refined inner tail: one call each, where two separate calls make four.
+    # Exponential tails are elementary, so Hyperbolic integrates C alone
     from weakmodel import criterion
     calls = count_calls(monkeypatch, criterion, "adaptive_quad_log")
+    tails = count_calls(monkeypatch, criterion, "_refined_log_tail")
     march, trans = criterion.classify(w, 2, tol=1e-8)
     assert march.verdict == trans.verdict == CONVERGENT
-    assert len(calls) == 2, [c[1:3] for c in calls]
+    refined = not isinstance(w, Hyperbolic)
+    assert len(tails) == refined, tails
+    assert len(calls) == 1 + refined, [c[1:3] for c in calls]
 
 
 @pytest.mark.parametrize("w", [PowerGrowth(2.0), Hyperbolic(1.0)], ids=repr)
 def test_classify_refines_each_inner_tail_once(monkeypatch, w):
-    # at n = 3 the cross term C(1,R) T_in(R) needs the transience tail T_in(R)
+    # at n = 3 the cross term C(1,R) T_in(R) needs the transience tail T_in(R).
+    # Exponential tails are elementary, so Hyperbolic refines none
     from weakmodel import criterion
     tails = count_calls(monkeypatch, criterion, "_refined_log_tail")
     criterion.classify(w, 3, tol=1e-8)
+    if isinstance(w, Hyperbolic):
+        assert tails == [], tails
+        return
     inner_radii = [c[3] for c in tails if not c[5]]
     assert inner_radii and len(inner_radii) == len(set(inner_radii)), inner_radii
     assert any(c[5] for c in tails)
