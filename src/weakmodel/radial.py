@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,6 +55,9 @@ _GRID_SIZE = 800
 _TAIL_DELTA = 1.25e-5
 _MASTER_NODES = 16385
 _TAU_RTOL = 1e-12
+_MEMO_SETS = 16          # entries a profile memo keeps before it starts over
+_RADII = 24              # doublings suggest_rmax tries
+_SCREEN_MARGIN = 1e-6    # relative rounding slack of the delta floor
 
 
 def indicial_exponent(n: int, lambda_sq: float) -> float:
@@ -62,6 +65,35 @@ def indicial_exponent(n: int, lambda_sq: float) -> float:
     if lambda_sq < 0:
         raise ValueError(f"lambda^2 must be >= 0, got {lambda_sq}")
     return 0.5 * (-(n - 2) + math.sqrt((n - 2) ** 2 + 4.0 * lambda_sq))
+
+
+class _Memo:
+    """Arrays computed once per point set, shared by the profiles of one
+    solve (one warp, one n, one stacked or conformal solution).
+
+    `get(tag, x, compute)` returns compute(x) for the points x, computing
+    it only the first time the tag meets points of that shape and those
+    bits.  Stored arrays are read-only, so no caller can change what
+    another mode reads.  Past _MEMO_SETS entries the store starts over; it
+    is replaced whole, so concurrent calls stay right.
+    """
+
+    def __init__(self):
+        self._store = {}
+
+    def get(self, tag, x, compute):
+        x = np.asarray(x, dtype=float)
+        key = (tag, x.shape, x.tobytes())
+        store = self._store
+        if key not in store:
+            val = compute(x)
+            for a in val if isinstance(val, tuple) else (val,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            if len(store) >= _MEMO_SETS:
+                store = self._store = {}
+            store[key] = val
+        return store[key]
 
 
 @dataclass
@@ -79,6 +111,7 @@ class RadialProfile:
     r0: float
     _dense: object = None      # s = log r -> (log raw phi_m, z); None at m = 0
     _scale: float = 1.0        # divisor applied to the raw solution
+    _memo: _Memo = field(default_factory=_Memo)   # shared by one solve's profiles
 
     @property
     def r_max(self):
@@ -186,10 +219,12 @@ def _constant_profile(w, n, mode, grid):
         r0=float(grid[0]))
 
 
-def _mode_rows(dense, j):
+def _mode_rows(memo, dense, j):
     """The (u, z) rows of the j-th solved mode in a stacked dense solution,
-    or with `ds` their derivatives in s."""
-    return lambda s, ds=False: dense(s, derivative=ds)[2 * j:2 * j + 2]
+    or with `ds` their derivatives in s: slices of one evaluation of the
+    whole stack per point set, kept in the stack's memo."""
+    return lambda s, ds=False: memo.get(
+        ("dense", ds), s, lambda s: dense(s, derivative=ds))[2 * j:2 * j + 2]
 
 
 def _mode_rhs(w: WarpingFunction, n: int, lam2: np.ndarray):
@@ -275,6 +310,7 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
         raise StepSizeUnderflow(f"radial integration failed: {sol.message}")
 
     stack = sol.sol(np.log(grid))
+    memo = _Memo()
     for j, (i, l) in enumerate(zip(solved, ls)):
         values = np.exp(stack[2 * j])
         wlog = modes[i].lambda_sq * rho * rho * stack[2 * j + 1]
@@ -282,7 +318,8 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
         profiles[i] = RadialProfile(
             mode=modes[i], n=n, warp=w, indicial_l=l, grid=grid, values=values,
             derivs=derivs, limit_estimate=math.inf, limit_error=math.inf,
-            normalized=False, r0=float(grid[0]), _dense=_mode_rows(sol.sol, j))
+            normalized=False, r0=float(grid[0]), _dense=_mode_rows(memo, sol.sol, j),
+            _memo=memo)
     return profiles
 
 
@@ -304,9 +341,8 @@ class _ConformalTime:
     tau is one LogCumulative of r/phi in s = log r over [log r0, log R],
     plus the midpoint of the certified transience tail bracket at R.
     `error` bounds |tau - exact| by the bracket's half-width plus the
-    cumulative's K15-G7 estimate.  A call remembers its points and values,
-    so the modes of one extension asked at the same radii share one tau;
-    the memo is one tuple, replaced whole, so concurrent calls stay right.
+    cumulative's K15-G7 estimate.  tau, r/phi and phi' are computed once
+    per point set, in `memo`, which the modes of one extension share.
     """
 
     def __init__(self, w: WarpingFunction, r0: float, R: float, log_inner):
@@ -318,17 +354,13 @@ class _ConformalTime:
         lo, hi = math.exp(log_inner[0]), math.exp(log_inner[1])
         self.tail = 0.5 * (lo + hi)
         self.error = 0.5 * (hi - lo) + math.exp(self.cum.log_err)
-        self._memo = None   # (s, tau, r/phi) of the last call
+        self.memo = _Memo()
 
     def __call__(self, s):
         """(tau, r/phi) at s = log r."""
-        s = np.asarray(s, dtype=float)
-        memo = self._memo
-        if memo is None or not np.array_equal(memo[0], s):
-            tau = self.tail + np.exp(self.cum.log_between(s, self.S))
-            rho = np.exp(self.cum.logf(s))
-            self._memo = memo = (s.copy(), tau, rho)
-        return memo[1], memo[2]
+        return self.memo.get("tau", s, lambda s: (
+            self.tail + np.exp(self.cum.log_between(s, self.S)),
+            np.exp(self.cum.logf(s))))
 
 
 def _conformal_rows(tau: _ConformalTime, lam: float):
@@ -338,7 +370,7 @@ def _conformal_rows(tau: _ConformalTime, lam: float):
     def dense(s, ds=False):
         t, rho = tau(s)
         if ds:
-            dphi = tau.w.eval(np.exp(s))[1]
+            dphi = tau.memo.get("dphi", s, lambda s: tau.w.eval(np.exp(s))[1])
             return np.stack([lam * rho, (rho * dphi - 1.0) / (lam * rho)])
         return np.stack([-lam * t, 1.0 / (lam * rho)])
     return dense
@@ -374,7 +406,7 @@ def conformal_modes(w: WarpingFunction, modes,
             mode=mode, n=2, warp=w, indicial_l=indicial_exponent(2, mode.lambda_sq),
             grid=grid, values=values, derivs=lam * values * rho / grid,
             limit_estimate=1.0, limit_error=lam * tau.error, normalized=True,
-            r0=float(grid[0]), _dense=_conformal_rows(tau, lam)))
+            r0=float(grid[0]), _dense=_conformal_rows(tau, lam), _memo=tau.memo))
     return profiles
 
 
@@ -395,7 +427,7 @@ def _riccati_bound(w: WarpingFunction, n: int, lambda_sq: float) -> float:
     return (math.exp(log_val) + math.exp(log_err)) * (1.0 + 1e-12)
 
 
-def _tail_terms(w: WarpingFunction, n: int, lambda_sq: float, cert):
+def _tail_terms(A: float, cert):
     """The growth bound's exponent beyond R over lambda^2, in its three
     parts: A*T_in(R), C(1,R)*T_in(R) and T_out(R).
 
@@ -404,14 +436,40 @@ def _tail_terms(w: WarpingFunction, n: int, lambda_sq: float, cert):
     (`_riccati_bound`), so no profile is needed.
     """
     log_in_hi = cert.log_inner[1]
-    return (_riccati_bound(w, n, lambda_sq) * math.exp(log_in_hi),
-            math.exp(cert.log_cum + log_in_hi), cert.double[1])
+    return (A * math.exp(log_in_hi), math.exp(cert.log_cum + log_in_hi),
+            cert.double[1])
 
 
-def _tail_delta(w: WarpingFunction, n: int, lambda_sq: float, cert) -> float:
+def _expm1(x: float) -> float:
+    """expm1(x), or inf where it leaves double range: a delta past it bounds
+    nothing and is never tight."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
+def _tail_delta(A: float, lambda_sq: float, cert) -> float:
     """Upper bound for phi_m(inf)/phi_m(R) - 1 from the growth bound tail."""
-    a_in, cross, outer = _tail_terms(w, n, lambda_sq, cert)
-    return math.expm1(lambda_sq * (a_in + cross + outer))
+    a_in, cross, outer = _tail_terms(A, cert)
+    return _expm1(lambda_sq * (a_in + cross + outer))
+
+
+def _delta_floor(model, n: int, lambda_sq: float, A: float, R: float) -> float:
+    """A floor under `_tail_delta` of the certificate at R, from the
+    elementary sandwich brackets at (R, model.r0(R)) alone.
+
+    It takes the lower ends of T_in and T_out, and C(1,R) >= R - 1 at
+    n = 3 (phi^0 = 1), else 0; at n = 2 T_out is T_in^2/2.  Only the
+    power-log double tail at n >= 3 needs a quadrature, one of the three a
+    certificate makes.
+    """
+    r0 = model.r0(R)
+    t_in = math.exp(model.log_inner_bracket(R, r0)[0])
+    t_out = (0.5 * t_in * t_in if n == 2
+             else math.exp(model.log_double_bracket(R, r0)[0]))
+    cum = R - 1.0 if n == 3 else 0.0
+    return _expm1(lambda_sq * (A * t_in + cum * t_in + t_out))
 
 
 def normalize_profile(profile: RadialProfile,
@@ -431,7 +489,8 @@ def normalize_profile(profile: RadialProfile,
         raise TailNotTight(
             f"tail certificate starts at r = {cert.r_max:g}, not at the "
             f"profile's r_max = {profile.r_max:g}; solve to the certified radius")
-    delta = _tail_delta(profile.warp, profile.n, profile.mode.lambda_sq, cert)
+    lam2 = profile.mode.lambda_sq
+    delta = _tail_delta(_riccati_bound(profile.warp, profile.n, lam2), lam2, cert)
     limit = profile.values[-1] * (1.0 + delta)
     return replace(
         profile,
@@ -450,21 +509,30 @@ def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
 
     Doubling starts at the certificate's own radius, which may lie above R,
     and on tabulated data stops just inside the last sample.  delta needs
-    the metric and the certificates only, so no mode is solved.
+    the metric and the certificates only, so no mode is solved.  Each
+    radius is first screened by `_delta_floor`: where the floor is above
+    the target (by _SCREEN_MARGIN, for rounding) the certificate would
+    fail too, so none is computed there, except at the last radius tried,
+    whose certificate a refusal prints.
     """
+    model = _criterion._convergent_model(w, n)
+    A = _riccati_bound(w, n, lambda_sq)
     top = _criterion._top_radius(w)
-    for _ in range(24):
-        cert = _criterion.tail_certificate(w, n, R)
-        delta = _tail_delta(w, n, lambda_sq, cert)
-        if delta < _TAIL_DELTA:
-            return cert
-        if cert.r_max >= top:
+    for k in range(_RADII):
+        start = _criterion._start_radius(w, model, float(R))
+        if (k == _RADII - 1 or start >= top or _delta_floor(model, n, lambda_sq, A, start)
+                <= _TAIL_DELTA * (1.0 + _SCREEN_MARGIN)):
+            cert = _criterion.tail_certificate(w, n, R)
+            delta = _tail_delta(A, lambda_sq, cert)
+            if delta < _TAIL_DELTA:
+                return cert
+        if start >= top:
             reach = f"up to the end of the tabulated hull at {top:g}"
             break
-        R = cert.r_max * 2.0
+        R = start * 2.0
     else:
         reach = f"below {R:g}"
-    a_in, cross, outer = (lambda_sq * t for t in _tail_terms(w, n, lambda_sq, cert))
+    a_in, cross, outer = (lambda_sq * t for t in _tail_terms(A, cert))
     raise TailNotTight(
         f"no r_max {reach} reaches tail delta {_TAIL_DELTA:g}; at r_max = "
         f"{cert.r_max:g}, delta = {delta:.3g} is the expm1 of lambda^2 times "
@@ -493,7 +561,8 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
     x = r phi^{n-3} z, and x' = phi^{n-3} (z (1 + (n-3) r phi'/phi) + dz/ds)
     from the solved rows' exact derivative in s = log r.  The equation is
     written here apart from the solver's, so the residual is the solution's
-    own defect.
+    own defect.  phi, phi' and log phi on s_grid come from the memo the
+    profiles of one solve share, so each point set reads the warp once.
     """
     w = profile.warp
     n = profile.n
@@ -508,12 +577,12 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
 
     z = profile._solution(s_grid)[1]
     dz = profile._solution(s_grid, ds=True)[1]
-    log_phi = np.asarray(w.log_phi(s_grid), dtype=float)
+    log_phi, phi, dphi = profile._memo.get(("warp", w), s_grid, lambda r: (
+        np.asarray(w.log_phi(r), dtype=float), *w.eval(r)))
     source = np.exp((n - 3) * log_phi)
     x = s_grid * z * source
     if np.any(~np.isfinite(x)) or np.any(x < 0):
         raise DegenerateProfile("nonpositive phi_m or phi_m' in the trace range")
-    phi, dphi = w.eval(s_grid)
     xp = source * (z * (1 + (n - 3) * (s_grid * dphi / phi)) + dz)
 
     quad_term = np.exp(math.log(lam2) + 2 * np.log(x) - (n - 1) * log_phi,
@@ -529,6 +598,24 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
                         residual_ok=residual_ok, inequality_ok=inequality_ok)
 
 
+def _master(profile: RadialProfile, s_end: float):
+    """(master grid on [1, s_end], its step, C = int_1^t phi^{n-3} and
+    phi^{1-n} on it), once per s_end for the profiles of one solve."""
+    w, n = profile.warp, profile.n
+
+    def compute(_):
+        master = np.linspace(1.0, s_end, _MASTER_NODES)
+        log_phi = np.asarray(w.log_phi(master), dtype=float)
+        if (n - 3) * np.max(log_phi) > 700.0:
+            raise QuadratureFailure(
+                "phi^{n-3} overflows double precision on the trace range; "
+                "reduce the trace grid extent")
+        step = (s_end - 1.0) / (_MASTER_NODES - 1)
+        C = _quadrature.cumulative_simpson(np.exp((n - 3) * log_phi), step)
+        return master, step, C, np.exp(-(n - 1) * log_phi)
+    return profile._memo.get(("master", w, n), s_end, compute)
+
+
 def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
     """Verify phi_m(s) <= B exp(int_1^s lambda^2/phi^{n-1} (A + int_1^t phi^{n-3})).
 
@@ -536,29 +623,19 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
     quadrature uses only the warping function, hence is independent of the
     ODE solver: `quadrature.cumulative_simpson` on a 16,385-node master grid
     of equal steps for both the inner cumulative C(t) = int_1^t phi^{n-3}
-    and the outer exponent.
+    and the outer exponent.  The master grid's C and phi^{1-n} depend on
+    the metric alone, so the profiles of one solve share them (`_master`).
     """
-    w = profile.warp
-    n = profile.n
     lam2 = profile.mode.lambda_sq
     s_grid = trace.grid
-    s_end = float(s_grid[-1])
 
     if lam2 == 0:
         bound = np.full_like(s_grid, trace.B)
         ok = bool(np.all(profile.interp(s_grid) <= bound * (1 + 1e-8)))
         return bound, ok
 
-    master = np.linspace(1.0, s_end, _MASTER_NODES)
-    log_phi = np.asarray(w.log_phi(master), dtype=float)
-    if (n - 3) * np.max(log_phi) > 700.0:
-        raise QuadratureFailure(
-            "phi^{n-3} overflows double precision on the trace range; "
-            "reduce the trace grid extent")
-    step = (s_end - 1.0) / (_MASTER_NODES - 1)
-    src = np.exp((n - 3) * log_phi)
-    C = _quadrature.cumulative_simpson(src, step)
-    h = lam2 * np.exp(-(n - 1) * log_phi) * (trace.A + C)
+    master, step, C, decay = _master(profile, float(s_grid[-1]))
+    h = lam2 * decay * (trace.A + C)
     H = _quadrature.cumulative_simpson(h, step)
     H_at = np.interp(s_grid, master, H)
     log_bound = math.log(trace.B) + H_at

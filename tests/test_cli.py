@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, write_tabulated_csv
-from weakmodel import criterion, extension, radial
+from weakmodel import criterion, dop853, extension, quadrature, radial
 from weakmodel.cli import main
 from weakmodel.spectrum import sphere_quadrature
 from weakmodel.warp import Hyperbolic, PowerGrowth
@@ -385,6 +385,51 @@ def test_verify_traces_and_certifies_each_profile_once(tmp_path, monkeypatch):
     # stacked solve, normalized with the one certificate at its r_max 30
     assert stack_radii == [30.0]
     assert sorted(args[2] for args in certs) == [30.0]
+
+
+def test_n2_verify_reads_tau_once_per_point_set(tmp_path, monkeypatch):
+    # the modes share one conformal time, which integrates tau once for
+    # each point set: the grid, the trace grid, r = 1, the checks' radii
+    calls = []
+    log_between = quadrature.LogCumulative.log_between
+
+    def counted(self, x, y):
+        calls.append((id(self), np.shape(x), np.asarray(x, dtype=float).tobytes(), y))
+        return log_between(self, x, y)
+
+    monkeypatch.setattr(quadrature.LogCumulative, "log_between", counted)
+    code = run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "2",
+                "--modes", "4", "--preset", "band4", "--out", str(tmp_path / "v")])
+    assert code == 0
+    assert len(calls) == len(set(calls)) >= 5
+
+
+def test_n3_verify_evaluates_the_stack_and_the_master_grid_once(tmp_path,
+                                                                 monkeypatch):
+    # every mode slices one evaluation of the stacked dense output per point
+    # set, and the growth bound's master grid reads the warp once
+    calls, master = [], []
+    dense = dop853.DenseOutput.__call__
+    log_phi = Hyperbolic.log_phi
+
+    def counted_dense(self, t, derivative=False):
+        calls.append((id(self), np.asarray(t, dtype=float).tobytes(), derivative))
+        return dense(self, t, derivative)
+
+    def counted_log_phi(self, r):
+        if np.size(r) == radial._MASTER_NODES:
+            master.append(r)
+        return log_phi(self, r)
+
+    monkeypatch.setattr(dop853.DenseOutput, "__call__", counted_dense)
+    monkeypatch.setattr(Hyperbolic, "log_phi", counted_log_phi)
+    code = run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "3",
+                "--modes", "4", "--out", str(tmp_path / "v")])
+    assert code == 0
+    # the solve's grid, the trace grid with and without the derivative,
+    # r = 1, and the radii of the maximum principle and the FD stencils
+    assert len(calls) == len(set(calls)) == 6
+    assert len(master) == 1
 
 
 def test_solve_refuses_radius_where_phi_overflows(tmp_path, capsys):

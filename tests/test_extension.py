@@ -42,11 +42,11 @@ def band_extension(hyperbolic_criterion):
 
 @pytest.mark.parametrize("w,M,radii", [
     (Hyperbolic(1.0), 4, [30.0]),
-    # suggest_rmax certifies 30 * 2^k up to the returned radius, which the
-    # mode's normalization reuses
-    (PowerGrowth(2.0), 1, [30.0 * 2 ** k for k in range(5)]),
+    # suggest_rmax screens 30 * 2^k on elementary brackets and certifies
+    # only the returned radius, 480, which the mode's normalization reuses
+    (PowerGrowth(2.0), 1, [480.0]),
     # the data stop at m = 1, so m = 1 picks the radius, not M = 3
-    (PowerGrowth(2.0), 3, [30.0 * 2 ** k for k in range(5)]),
+    (PowerGrowth(2.0), 3, [480.0]),
 ])
 def test_one_certificate_per_radius(monkeypatch, w, M, radii):
     # n = 3: the n = 2 modes are closed forms and need no certificate

@@ -182,6 +182,48 @@ def test_wrong_eigenvalue_in_the_solver_fails_the_residual(monkeypatch, n):
     assert not riccati_trace(solve_radial(Hyperbolic(1.0), n, mode)).residual_ok
 
 
+def _trace_and_bound_alone(profile):
+    """riccati_trace's residual and lemma_bound_check's bound, each array
+    computed for this one profile: the warp read on the trace grid and on
+    the master grid, and the profile's own dense rows."""
+    w, n, lam2 = profile.warp, profile.n, profile.mode.lambda_sq
+    s_grid = np.linspace(1.0, min(profile.r_max, 20.0), 481)
+    z, dz = profile._dense(np.log(s_grid))[1], profile._dense(np.log(s_grid), True)[1]
+    log_phi = np.asarray(w.log_phi(s_grid), dtype=float)
+    source = np.exp((n - 3) * log_phi)
+    x = s_grid * z * source
+    phi, dphi = w.eval(s_grid)
+    xp = source * (z * (1 + (n - 3) * (s_grid * dphi / phi)) + dz)
+    residual = xp + np.exp(math.log(lam2) + 2 * np.log(x) - (n - 1) * log_phi) - source
+    A = float(x[np.argmin(np.abs(s_grid - 1.0))])
+    B = float(profile.interp(1.0))
+    master = np.linspace(1.0, float(s_grid[-1]), radial._MASTER_NODES)
+    log_phi = np.asarray(w.log_phi(master), dtype=float)
+    step = (float(s_grid[-1]) - 1.0) / (radial._MASTER_NODES - 1)
+    C = radial._quadrature.cumulative_simpson(np.exp((n - 3) * log_phi), step)
+    h = lam2 * np.exp(-(n - 1) * log_phi) * (A + C)
+    H = radial._quadrature.cumulative_simpson(h, step)
+    return residual, np.exp(math.log(B) + np.interp(s_grid, master, H))
+
+
+@pytest.mark.parametrize("w,n", [(PowerGrowth(2.0), 3), (Hyperbolic(0.7), 3),
+                                 (PowerLog(1.5), 2), (Hyperbolic(1.0), 2)])
+def test_shared_trace_arrays_keep_every_bit(w, n):
+    # the modes of one solve share the warp's arrays, the stack's dense
+    # rows and the master grid; each mode, read on a stack of its own where
+    # no other mode shares anything, gives the same bits
+    modes = [eigen_round_sphere(n, m) for m in range(1, 5)]
+    solve = ((lambda: conformal_modes(w, modes, 30.0)) if n == 2
+             else (lambda: solve_modes(w, n, modes, r_max=30.0)))
+    shared = solve()
+    traces = [riccati_trace(p) for p in shared]
+    bounds = [lemma_bound_check(p, tr)[0] for p, tr in zip(shared, traces)]
+    for j in range(len(modes)):
+        residual, bound = _trace_and_bound_alone(solve()[j])
+        assert traces[j].residual.tobytes() == residual.tobytes()
+        assert bounds[j].tobytes() == bound.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_scaled_z_fails_the_residual(n):
     p = solve_radial(Hyperbolic(1.0), n, eigen_round_sphere(n, 2))
@@ -292,18 +334,20 @@ def test_suggest_rmax_enables_normalization():
 
 
 def test_suggest_rmax_solves_no_mode(monkeypatch):
-    # the tail delta needs the metric and the certificates only
+    # the tail delta needs the metric and the certificates only; the
+    # elementary brackets rule out 30 to 240, so only 480 is certified
     ivps = count_calls(monkeypatch, radial, "solve_ivp")
     certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
     cert = suggest_rmax(PowerGrowth(2.0), 3, 2.0, 30.0)
     assert cert.r_max == 480.0
-    assert [args[2] for args in certs] == [30.0 * 2 ** k for k in range(5)]
+    assert [args[2] for args in certs] == [480.0]
     assert ivps == []
 
 
 def test_suggest_rmax_stops_at_the_end_of_tabulated_data(monkeypatch):
     # a trusted power law sampled to r = 60: R doubles from 30 to just inside
-    # the hull, where the certificate stops, and the refusal names the hull
+    # the hull, where the certificate stops, and the refusal names the hull;
+    # the screen rules out 30, and the hull's certificate is the one printed
     grid = np.geomspace(1e-4, 60.0, 400)
     w = Tabulated(grid, *PowerGrowth(1.5).eval(grid),
                   growth=PowerLawGrowth(1.5, 1.0))
@@ -312,7 +356,82 @@ def test_suggest_rmax_stops_at_the_end_of_tabulated_data(monkeypatch):
                        match=r"^no r_max up to the end of the tabulated hull at "
                              r"59\.7 reaches .* at r_max = 59\.7,"):
         suggest_rmax(w, 3, 2.0, 30.0)
-    assert [args[2] for args in certs] == [30.0, 60.0]
+    assert [args[2] for args in certs] == [60.0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=st.one_of(
+           st.tuples(st.floats(1.05, 3.0).map(PowerGrowth), st.integers(0, 23)),
+           st.tuples(st.floats(0.55, 5.0).map(PowerLog), st.integers(0, 23)),
+           # beyond R ~ 1e5 the certificate's cumulative of phi^(n-3) runs
+           # out of panels for exponential growth at n >= 4
+           st.tuples(st.floats(0.3, 3.0).map(Hyperbolic), st.integers(0, 10))),
+       n=st.sampled_from([3, 4, 5]), m=st.integers(1, 8))
+def test_delta_floor_never_exceeds_the_certified_delta(case, n, m):
+    # suggest_rmax skips the certificate at a radius whose floor is above
+    # the target, so the floor must lie below the delta certified there
+    w, k = case
+    lam2 = m * (m + n - 2)
+    A = radial._riccati_bound(w, n, lam2)
+    cert = tail_certificate(w, n, 30.0 * 2 ** k)
+    model = radial._criterion._convergent_model(w, n)
+    floor = radial._delta_floor(model, n, lam2, A, cert.r_max)
+    assert floor <= radial._tail_delta(A, lam2, cert)
+
+
+def _doubling_without_screen(w, n, lambda_sq, R):
+    """The certificate suggest_rmax returns, or the text of its refusal,
+    from a certificate at every doubling of R."""
+    A = radial._riccati_bound(w, n, lambda_sq)
+    top = radial._criterion._top_radius(w)
+    for _ in range(24):
+        cert = tail_certificate(w, n, R)
+        delta = radial._tail_delta(A, lambda_sq, cert)
+        if delta < radial._TAIL_DELTA:
+            return cert
+        if cert.r_max >= top:
+            reach = f"up to the end of the tabulated hull at {top:g}"
+            break
+        R = cert.r_max * 2.0
+    else:
+        reach = f"below {R:g}"
+    a_in, cross, outer = (lambda_sq * t for t in radial._tail_terms(A, cert))
+    return (f"no r_max {reach} reaches tail delta 1.25e-05; at r_max = "
+            f"{cert.r_max:g}, delta = {delta:.3g} is the expm1 of lambda^2 times "
+            f"(A*T_in + C*T_in + T_out) = {a_in:.3g} + {cross:.3g} + {outer:.3g}")
+
+
+def _tabulated_power_law():
+    grid = np.geomspace(1e-4, 60.0, 400)
+    return Tabulated(grid, *PowerGrowth(1.5).eval(grid),
+                     growth=PowerLawGrowth(1.5, 1.0))
+
+
+@pytest.mark.parametrize("w,lam2", [
+    (PowerGrowth(2.0), 2.0), (PowerGrowth(1.3), 2.0), (PowerGrowth(1.2), 12.0),
+    (PowerLog(5.0), 20.0), (_tabulated_power_law(), 2.0),
+])
+def test_screened_doubling_is_the_plain_doubling(w, lam2):
+    expected = _doubling_without_screen(w, 3, lam2, 30.0)
+    if isinstance(expected, str):
+        with pytest.raises(TailNotTight) as info:
+            suggest_rmax(w, 3, lam2, 30.0)
+        assert str(info.value) == expected
+        return
+    cert = suggest_rmax(w, 3, lam2, 30.0)
+    assert (cert.r_max, cert.log_cum, cert.log_inner, cert.double) == (
+        expected.r_max, expected.log_cum, expected.log_inner, expected.double)
+
+
+def test_refusal_certifies_only_the_radius_it_prints(monkeypatch):
+    # PowerGrowth(1.3) at m = 1 misses the target at all 24 doublings: the
+    # screen rules out the first 23, and the last one's certificate is the
+    # one the refusal prints
+    certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
+    with pytest.raises(TailNotTight, match=r"^no r_max below 5\.03316e\+08 .* "
+                                           r"at r_max = 2\.51658e\+08,"):
+        suggest_rmax(PowerGrowth(1.3), 3, 2.0, 30.0)
+    assert [args[2] for args in certs] == [30.0 * 2 ** 23]
 
 
 _FAMILIES = st.one_of(
