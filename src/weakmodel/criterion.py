@@ -10,25 +10,28 @@ int_1^inf phi^{1-n}).  Verdicts are never produced by numeric quadrature
 alone: the analytic growth class of phi supplies an elementary comparison
 function psi with phi in [klo*psi, khi*psi] beyond a radius R0, and the
 verdict comes from integrating the certified elementary bound.  Quadrature
-of the exact integrand over [1, R_max] plus refined tail integrals then
-produce the value and its error bound.  A warp with no growth class gets
-no verdict: Inconclusive, with the finite part as a lower bound.  At n = 2,
-phi^{n-3} = phi^{1-n}, so I = T^2/2 with T = int_1^inf phi^{-1} the
-transience integral: the criterion is certified from that one integral.
+of the exact integrand over [1, R_max] plus certified tail brackets beyond
+R_max then produce the value and its error bound.  A warp with no growth
+class gets no verdict: Inconclusive, with the finite part as a lower bound.
+At n = 2, phi^{n-3} = phi^{1-n}, so I = T^2/2 with T = int_1^inf phi^{-1}
+the transience integral: the criterion is certified from that one integral.
 `classify` returns both reports and integrates what they share once: the
 inner tail at every n, and at n = 2 the finite part of T as well.
-The psi tails are closed forms, except the power-log double tail at n >= 3:
-there the inner integral is closed form (an incomplete beta) and one
-certified 1-D quadrature does the outer one.  The incomplete beta is one
-continued fraction, used on both sides of the Beta mean through
-I_y(p,q) = 1 - I_{1-y}(q,p), so the module needs numpy alone.
+
+Every tail bracket comes from `_TailModel` (`_tail_brackets`): exponential
+growth takes the sandwich at R, a closed-form power law sums the binomial
+series of its exact phi, power-log phi is exactly C*psi beyond e^2, and
+tabulated data with a trusted growth class take the sandwich.  Only
+power-log at n >= 3 integrates there: one certified 1-D quadrature in
+log(t/R) per tail, the double tail's inner integral being an incomplete
+beta.  That is one continued fraction, used on both sides of the Beta mean
+through I_y(p,q) = 1 - I_{1-y}(q,p), so the module needs numpy alone.
 
 All integrands are powers of phi and are evaluated in log space so that
 large n or fast exponential growth cannot overflow or underflow the
-bookkeeping.  `_log_power` builds every one of them, in t or in log t, and
-`_log_integral` integrates phi^{1-n} or the triangle phi^{1-n}(tau)
-int^tau phi^{n-3} for the finite part, in t, and for the one refined tail
-routine, in log t.  Exponential tails need no quadrature (`_tail_brackets`).
+bookkeeping.  `_log_power` builds every one of them, and `_log_integral`
+integrates phi^{1-n} or the triangle phi^{1-n}(tau) int^tau phi^{n-3} for
+the finite part over [1, R].
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ INCONCLUSIVE = "Inconclusive"
 _N2_IDENTITY = "n = 2: criterion = T^2/2, T = int_1^inf phi^-1; "
 _DECAY_UNITS = 48.0          # e^-48 ~ 1e-21: negligible truncation remainders
 _MAX_R_DOUBLINGS = 3
+_SERIES_TERMS = 40           # x = R^-2 < 1/676: x^40 < 1e-113
+_UNIT_ROUNDOFF = 2.0 ** -53
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
 
@@ -85,12 +90,6 @@ class TailCertificate:
     log_cum: float
     log_inner: tuple[float, float]
     double: tuple[float, float]
-
-
-def _bracket(log_main, log_err, rem_lo, rem_hi):
-    """Log bracket for a quadrature (value, error) plus a remainder bracket."""
-    lo = logsumexp([log_main - math.log1p(math.exp(log_err - log_main)), rem_lo])
-    return float(lo), float(logsumexp([log_main, log_err, rem_hi]))
 
 
 def _log_beta(p, q):
@@ -155,9 +154,13 @@ def _log_g(p, q, y):
 # ---------------------------------------------------------------------------
 
 class _TailModel:
-    """Comparison data phi in [klo*psi, khi*psi] on [R0, inf)."""
+    """Comparison data phi in [klo*psi, khi*psi] on [R0, inf).
 
-    def __init__(self, growth, n):
+    With `exact` (a closed form), power growth is phi = t^p (1 + t^-2)^((p-1)/2)
+    itself, whose tails are series with no sandwich (`_log_power_series`).
+    """
+
+    def __init__(self, growth, n, exact=False):
         self.growth = growth
         self.n = n
         if isinstance(growth, ExponentialGrowth):
@@ -168,6 +171,7 @@ class _TailModel:
             self.kind = "powerlog"
         else:
             raise NotConvergent(f"no tail model for growth {growth!r}")
+        self.exact = exact and self.kind == "power"
 
     # -- geometry -----------------------------------------------------------
 
@@ -187,52 +191,31 @@ class _TailModel:
         """Start of the sandwich used with truncation radius R."""
         return max(self.min_r0(), R / 3.0)
 
-    def decay_rate(self, double):
-        """Rate in log t at which the inner tail integrand phi^{1-n}, or with
-        `double` the double tail's, decays exponentially.  Power-log growth
-        has one for the inner tail at n >= 3 only; its double tail is the
-        exact psi tail."""
-        n = self.n
-        if self.kind == "power":
-            p = self.growth.exponent
-            return 2 * p - 2 if double else p * (n - 1) - 1.0
-        return float(n - 2)
-
     def log_sandwich(self, r0):
         """(log klo, log khi) such that phi in [klo, khi]*psi on [r0, inf)."""
         g = self.growth
+        ls = math.log(g.scale)
         if self.kind == "exp":
-            ls = math.log(g.scale)
             return ls + math.log1p(-math.exp(-2 * g.rate * r0)), ls
         if self.kind == "powerlog":
-            ls = math.log(g.scale)
             return ls, ls
         slack = abs(g.exponent - 1.0) / 2.0 * math.log1p(r0 ** -2)
-        ls = math.log(g.scale)
         return ls - slack, ls + slack
 
     # -- convergence decisions (structural, from psi alone) ------------------
 
     def inner_diverges(self):
-        n = self.n
-        if self.kind == "exp":
-            return False
         if self.kind == "power":
-            return self.growth.exponent * (n - 1) <= 1.0
-        # powerlog: r*(log r)^c
-        if n == 2:
-            return self.growth.log_exponent <= 1.0
-        return False
+            return self.growth.exponent * (self.n - 1) <= 1.0
+        # powerlog, r*(log r)^c: at n = 2 only
+        return self.kind == "powerlog" and self.n == 2 and self.growth.log_exponent <= 1.0
 
     def double_diverges(self):
         """Read after `inner_diverges`, which alone decides n = 2."""
-        n = self.n
-        if self.kind == "exp":
-            return False
         if self.kind == "power":
             p = self.growth.exponent
-            return p <= 1.0 or p * (n - 1) <= 1.0
-        return self.growth.log_exponent <= 0.5
+            return p <= 1.0 or p * (self.n - 1) <= 1.0
+        return self.kind == "powerlog" and self.growth.log_exponent <= 0.5
 
     def divergence_evidence(self, r0, double=True):
         """Names the elementary lower-bound integrand whose integral diverges.
@@ -288,42 +271,41 @@ class _TailModel:
         return (f"{g.describe()}: double-tail integrand <= "
                 f"K*(log s)^({-2 * g.log_exponent:.6g})/s beyond s = {r0:.4g}, 2c > 1")
 
-    # -- elementary psi tails (log brackets) ---------------------------------
+    # -- psi tails (log brackets) ----------------------------------------------
 
     def log_psi_inner(self, R):
-        """Bracket for log int_R^inf psi^{1-n}; requires convergence."""
+        """Bracket for log int_R^inf psi^{1-n}; requires convergence.  Power
+        growth sums its series.  Power-log at n >= 3, with L = log R and
+        beta = c(n-1), is R^{2-n} L^-beta int_0^inf e^{-(n-2)v} (1+v/L)^-beta dv."""
         n = self.n
         if self.kind == "exp":
             a = self.growth.rate
             v = -a * (n - 1) * R - math.log(a * (n - 1))
             return v, v
         if self.kind == "power":
-            p = self.growth.exponent
-            v = (1 - p * (n - 1)) * math.log(R) - math.log(p * (n - 1) - 1)
-            return v, v
+            return self._log_power_series(R, double=False)
         c = self.growth.log_exponent
         L = math.log(R)
         if n == 2:
-            v = (1 - c) * math.log(L) - math.log(c - 1)
-            return v, v
+            head, log_c1 = (1 - c) * math.log(L), math.log(c - 1)
+            # the rounding of both logs and of the log C `_compose` adds: they may cancel
+            pad = 4 * math.ulp(abs(head) + abs(log_c1) + abs(math.log(self.growth.scale)))
+            return head - log_c1 - pad, head - log_c1 + pad
         beta = c * (n - 1)
-        hi = (2 - n) * math.log(R) - beta * math.log(L) - math.log(n - 2)
-        lo = hi - math.log1p(beta / ((n - 2) * L))
-        return lo, hi
+        head = (2 - n) * math.log(R) - beta * math.log(L)
+        return tuple(head + b for b in self._log_decay_integral(L, beta))
 
     def log_psi_double(self, R):
         """Bracket for log of the psi double tail beyond R; requires
         convergence and n >= 3 (at n = 2 it is the inner tail's half square).
 
-        Closed form except for power-log.  There, with t = log s,
-        v = log(t'/s) and t0 = log R, the tail is int_0^inf e^{-(n-2)v} J(v) dv
-        with the inner integral in closed form,
+        Power growth sums its series; exponential growth is a closed form.
+        For power-log, with t = log s, v = log(t'/s) and t0 = log R, the tail
+        is int_0^inf e^{-(n-2)v} J(v) dv with the inner integral in closed form,
         J(v) = int_t0^inf t^{c(n-3)} (t+v)^{-c(n-1)} dt
              = (t0+v)^{1-2c} G(v/(t0+v)) / (2c-1),
-        with G the scaled incomplete beta of `_log_g` at (2c-1, c(n-3)+1),
-        and G = 1 at n = 3.  So one certified quadrature over v in [0, V],
-        V = 48/(n-2), gives the bracket.  J decreases, so the remainder is at
-        most J(0) e^{-(n-2)V}/(n-2).
+        with G <= 1 the scaled incomplete beta of `_log_g` at
+        (2c-1, c(n-3)+1), and G = 1 at n = 3.
         """
         n = self.n
         if self.kind == "exp":
@@ -331,89 +313,111 @@ class _TailModel:
             v = -2 * a * R - math.log(2 * a * a * (n - 1))
             return v, v
         if self.kind == "power":
-            p = self.growth.exponent
-            v = (2 - 2 * p) * math.log(R) - math.log((2 * p - 2) * (p * (n - 1) - 1))
-            return v, v
+            return self._log_power_series(R, double=True)
         c = self.growth.log_exponent
         L = math.log(R)
         p = 2 * c - 1
-
-        # scaled by J(0), the logs stay small enough for rtol 1e-14
-        def log_ratio(v):   # log e^{-(n-2)v} J(v)/J(0)
-            out = -(n - 2) * v - p * np.log1p(v / L)
-            return out if n == 3 else out + _log_g(p, c * (n - 3) + 1, v / (L + v))
-        V = _DECAY_UNITS / (n - 2)
-        log_main, log_err, _ = adaptive_quad_log(log_ratio, 0.0, V, rtol=1e-14)
+        log_g = None if n == 3 else lambda v: _log_g(p, c * (n - 3) + 1, v / (L + v))
         log_j0 = -p * math.log(L) - math.log(p)
-        return tuple(log_j0 + b for b in _bracket(
-            log_main, log_err, -math.inf, -(n - 2) * V - math.log(n - 2)))
+        return tuple(log_j0 + b for b in self._log_decay_integral(L, p, log_g))
 
-    def _compose(self, q1, q2, psi_bracket, r0):
-        """Bracket for kappa^q1 * kappa^q2 * psi-integral bracket."""
-        log_klo, log_khi = self.log_sandwich(r0)
+    def _log_decay_integral(self, L, expo, log_g=None):
+        """Log bracket for int_0^inf e^{-(n-2)v} (1+v/L)^-expo g(v) dv, 0 < g <= 1
+        given by its log (None for 1): a certified quadrature over [0, 48/(n-2)],
+        plus at most e^-48/(n-2) for the rest.  So scaled, the logs stay small."""
+        n = self.n
+
+        def log_f(v):
+            out = -(n - 2) * v - expo * np.log1p(v / L)
+            return out if log_g is None else out + log_g(v)
+        V = _DECAY_UNITS / (n - 2)
+        log_main, log_err, _ = adaptive_quad_log(log_f, 0.0, V, rtol=1e-14)
+        return (log_main - math.log1p(math.exp(log_err - log_main)),
+                logsumexp([log_main, log_err, -(n - 2) * V - math.log(n - 2)]))
+
+    def _log_power_series(self, R, double):
+        """Log bracket for the inner tail, or with `double` the double tail,
+        beyond R of t^p (1 + t^-2)^b, b = (p-1)/2 if `exact` else 0.  With
+        x = R^-2, a = p(n-1) - 1, e1 = -b(n-1) and e3 = b(n-3), term by term
+            T_in  = R^-a sum_k C(e1,k) x^k / (a+2k),
+            T_out = R^(2-2p) sum_m x^m / (2p-2+2m) sum_{j+k=m} C(e3,j) C(e1,k) / (a+2k).
+        |C(e,k)| <= C(E+k-1, k), E = |e| (|e1| + |e3| for the product), so
+        after K terms the rest is at most C(E+K-1, K) x^K / (1-rho) over the
+        smallest denominator, rho = x max(1, (E+K)/(K+1)).  Term k takes at
+        most 8k + 16 roundings, and fsum one.  R^-a and R^(2-2p) stay logs.
+        """
+        p, n = self.growth.exponent, self.n
+        a = math.fsum([p] * (n - 1) + [-1.0])   # correctly rounded
+        b = (p - 1) / 2 if self.exact else 0.0
+        e1, e3 = -b * (n - 1), (b * (n - 3) if double else 0.0)
+        k = np.arange(_SERIES_TERMS, dtype=float)
+        K, x = k.size, R ** -2.0
+
+        def binomial(e):   # C(e, k)
+            return np.cumprod(np.r_[1.0, (e - k[:-1]) / k[1:]])
+        coef = binomial(e1) / (a + 2 * k)
+        size = np.abs(coef)
+        if double:
+            c3, den = binomial(e3), 2 * p - 2 + 2 * k
+            coef = np.convolve(c3, coef)[:K] / den
+            size = np.convolve(np.abs(c3), size)[:K] / den
+        powers = x ** k
+        total = math.fsum(coef * powers)
+        E = abs(e1) + abs(e3)
+        rho = x * max(1.0, (E + K) / (K + 1))
+        smallest = a * (2 * p - 2 + 2 * K) if double else a + 2 * K
+        rest = (float(np.prod((E + k) / (k + 1))) * x ** K / (1.0 - rho) / smallest
+                if rho < 1.0 else math.inf)
+        err = rest + _UNIT_ROUNDOFF * (total + float(np.dot(8 * k + 16, size * powers)))
+        head = -(2 * p - 2 if double else a) * math.log(R)
+        pad = 4 * math.ulp(head) + math.ulp(math.log(total))   # of a*log R and log
+        lo = head + math.log(total - err) - pad if total > err else -math.inf
+        return lo, head + math.log(total + err) + pad
+
+    def _compose(self, q1, q2, psi_bracket, R):
+        """Bracket for kappa^q1 * kappa^q2 * psi-integral bracket beyond R,
+        with the sandwich at R for exponential growth, where it holds the
+        exact tails to a relative (n-1)e^{-2aR}, else at r0(R).  Exact power
+        growth has no kappa."""
+        if self.exact:
+            return psi_bracket
+        log_klo, log_khi = self.log_sandwich(R if self.kind == "exp" else self.r0(R))
         lo_f = (q1 * (log_klo if q1 >= 0 else log_khi)
                 + q2 * (log_klo if q2 >= 0 else log_khi))
         hi_f = (q1 * (log_khi if q1 >= 0 else log_klo)
                 + q2 * (log_khi if q2 >= 0 else log_klo))
         return lo_f + psi_bracket[0], hi_f + psi_bracket[1]
 
-    def log_inner_bracket(self, R, r0):
-        return self._compose(1 - self.n, 0, self.log_psi_inner(R), r0)
+    def log_inner_bracket(self, R):
+        return self._compose(1 - self.n, 0, self.log_psi_inner(R), R)
 
-    def log_double_bracket(self, R, r0):
-        return self._compose(self.n - 3, 1 - self.n, self.log_psi_double(R), r0)
+    def log_double_bracket(self, R):
+        return self._compose(self.n - 3, 1 - self.n, self.log_psi_double(R), R)
 
 
 # ---------------------------------------------------------------------------
 # Log-space integrals of powers of phi
 # ---------------------------------------------------------------------------
 
-def _log_power(w, q, base=None, cum=None):
-    """log of the integrand phi^q dt in t, or in s = log(t/base) when `base`
-    is given; with `cum`, times cum's integral from cum.lo to the node."""
-    def logf(x):
-        out = q * w.log_phi(x if base is None else base * np.exp(x))
-        if cum is not None:
-            out = out + cum.log_between(cum.lo, x)
-        if base is not None:
-            out = out + math.log(base) + x
-        return out
+def _log_power(w, q, cum=None):
+    """log of the integrand phi^q dt; with `cum`, times cum's integral from
+    cum.lo to the node."""
+    def logf(t):
+        out = q * w.log_phi(t)
+        return out if cum is None else out + cum.log_between(cum.lo, t)
     return logf
 
 
-def _log_integral(w, n, a, b, rtol, base=None, cum_rtol=None):
-    """(log value, log error, cum) of int_a^b phi^{1-n}, in the variable of
-    `_log_power`, and cum None.  With `cum_rtol` the value is the triangle
-    integral int_a^b phi^{1-n}(tau) [int_a^tau phi^{n-3}] dtau, an iterated
-    order whose integrand stays representable after combining logs, and cum
-    the LogCumulative of phi^{n-3} on [a, b]."""
+def _log_integral(w, n, a, b, rtol, cum_rtol=None):
+    """(log value, log error, cum) of int_a^b phi^{1-n}, and cum None.  With
+    `cum_rtol` the value is the triangle integral
+    int_a^b phi^{1-n}(tau) [int_a^tau phi^{n-3}] dtau, an iterated order
+    whose integrand stays representable after combining logs, and cum the
+    LogCumulative of phi^{n-3} on [a, b]."""
     cum = (None if cum_rtol is None
-           else LogCumulative(_log_power(w, n - 3, base), a, b, rtol=cum_rtol))
-    log_val, log_err, _ = adaptive_quad_log(_log_power(w, 1 - n, base, cum),
-                                            a, b, rtol=rtol)
+           else LogCumulative(_log_power(w, n - 3), a, b, rtol=cum_rtol))
+    log_val, log_err, _ = adaptive_quad_log(_log_power(w, 1 - n, cum), a, b, rtol=rtol)
     return log_val, log_err, cum
-
-
-def _refined_log_tail(w, n, model, R, r0, double):
-    """Bracket (lo, hi) for log int_R^inf phi^{1-n}, or with `double` for
-    the log double tail beyond R, using exact phi of power growth, or of
-    power-log growth for its inner tail at n >= 3.
-
-    It integrates in s = log(t/R), where these integrands decay
-    exponentially, up to X = R*e^S, where their decay rate has used
-    _DECAY_UNITS.  The elementary brackets at X bound the remainder; for the
-    double tail, the split C_R = C_R(X) + C_X gives C_R(X)*T_in(X) + T_out(X).
-    """
-    S = min(_DECAY_UNITS / model.decay_rate(double), 340.0)
-    X = R * math.exp(S)
-    log_main, log_err, cum = _log_integral(w, n, 0.0, S if double else math.log(X / R),
-                                           1e-12, R, cum_rtol=1e-12 if double else None)
-    in_lo, in_hi = model.log_inner_bracket(X, r0)
-    if not double:
-        return _bracket(log_main, log_err, in_lo, in_hi)
-    d_lo, d_hi = model.log_double_bracket(X, r0)
-    return _bracket(log_main, log_err, logsumexp([cum.log_total + in_lo, d_lo]),
-                    logsumexp([cum.log_total + in_hi, d_hi]))
 
 
 def _shared_value(shared, key, compute):
@@ -470,36 +474,26 @@ def _start_radius(w, model, R):
     return max(min(R, _top_radius(w)), model.min_r0() * 1.3)
 
 
-def _tail_brackets(w, n, model, R, r0, double=True, shared=None):
-    """Log brackets (inner, double) for the tails beyond R.
+def _tail_brackets(n, model, R, double=True, shared=None):
+    """Log brackets (inner, double) for the tails beyond R, from `model` for
+    every growth class, each log end widened by 4 ulp for its rounding.
 
-    Exponential growth, phi = scale*e^{at}(1 - e^{-2at}), takes the
-    elementary brackets with the sandwich at R, the start of the tail: they
-    hold the exact tails to a relative (n-1)e^{-2aR}, once widened by 4 ulp
-    of each log end for their rounding.  Otherwise the tails are refined
-    with the exact phi when it has a closed form, elementary from the
-    sandwich at r0 if not.  Power-log phi is exactly C*psi beyond e^2, so
-    its psi double tail, and at n = 2 its psi inner tail, are already the
-    refined ones.  At n = 2 the double tail is T_in^2/2, the half square of
-    the inner bracket.  The double bracket is None unless `double`.  The
+    Exponential growth, phi = scale*e^{at}(1 - e^{-2at}), takes the sandwich
+    at R.  Closed power and power-log tails are exact, and tabulated data
+    with a trusted growth class take the sandwich at `model.r0(R)`.  At
+    n = 2 the double tail is T_in^2/2.  It is None unless `double`; the
     inner bracket, which both integrals need, is kept in `shared`.
     """
-    exp = model.kind == "exp"
-    r0 = R if exp else r0
+    def tail(bracket):
+        lo, hi = bracket(R)
+        return lo - 4 * math.ulp(lo), hi + 4 * math.ulp(hi)
 
-    def tail(dbl):
-        if w.closed_form and (model.kind == "power" or (
-                model.kind == "powerlog" and n > 2 and not dbl)):
-            return _refined_log_tail(w, n, model, R, r0, dbl)
-        lo, hi = (model.log_double_bracket if dbl else model.log_inner_bracket)(R, r0)
-        return (lo - 4 * math.ulp(lo), hi + 4 * math.ulp(hi)) if exp else (lo, hi)
-
-    inner = _shared_value(shared, ("inner", R, r0), lambda: tail(False))
+    inner = _shared_value(shared, ("inner", R), lambda: tail(model.log_inner_bracket))
     if not double:
         return inner, None
     if n == 2:
         return inner, tuple(2.0 * b - math.log(2.0) for b in inner)
-    return inner, tail(True)
+    return inner, tail(model.log_double_bracket)
 
 
 def _certify(w, n, tol, r_max, double, shared):
@@ -522,7 +516,7 @@ def _certify(w, n, tol, r_max, double, shared):
     growth = w.growth_class
     if isinstance(growth, UnknownGrowth):
         return _classify_unknown(w, n, double, r_max, shared)
-    model = _TailModel(growth, n)
+    model = _TailModel(growth, n, w.closed_form)
     R = _start_radius(w, model, float(r_max) if r_max is not None
                       else model.default_r_max())
     rtol = 1e-11 if double and n > 2 else 1e-12
@@ -539,7 +533,7 @@ def _certify(w, n, tol, r_max, double, shared):
     top = _top_radius(w)
     for _ in range(_MAX_R_DOUBLINGS + 1):
         r0 = model.r0(R)
-        (in_lo, in_hi), dbl = _tail_brackets(w, n, model, R, r0, double, shared)
+        (in_lo, in_hi), dbl = _tail_brackets(n, model, R, double, shared)
         F, F_err, log_cum = _finite(w, n, R, double, rtol, shared)
         if double:
             cross_lo, cross_hi = math.exp(log_cum + in_lo), math.exp(log_cum + in_hi)
@@ -605,7 +599,7 @@ def _convergent_model(w, n):
     growth = w.growth_class
     if isinstance(growth, UnknownGrowth):
         raise NotConvergent("cannot certify tails without an analytic growth class")
-    model = _TailModel(growth, n)
+    model = _TailModel(growth, n, w.closed_form)
     if model.inner_diverges() or model.double_diverges():
         raise NotConvergent("criterion integral diverges for this metric")
     return model
@@ -616,7 +610,7 @@ def inner_tail(w: WarpingFunction, n: int, R: float):
     certified log bracket for int_R'^inf phi^{1-n}."""
     model = _convergent_model(w, n)
     R = _start_radius(w, model, float(R))
-    inner, _ = _tail_brackets(w, n, model, R, model.r0(R), double=False)
+    inner, _ = _tail_brackets(n, model, R, double=False)
     return R, inner
 
 
@@ -625,7 +619,7 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
     model = _convergent_model(w, n)
     R = _start_radius(w, model, float(R))
     cum = LogCumulative(_log_power(w, n - 3), 1.0, R, rtol=1e-12)
-    inner, dbl = _tail_brackets(w, n, model, R, model.r0(R))
+    inner, dbl = _tail_brackets(n, model, R)
     return TailCertificate(
         r_max=R, log_cum=cum.log_total, log_inner=inner,
         double=(math.exp(dbl[0]), math.exp(dbl[1])))

@@ -456,18 +456,17 @@ def _tail_delta(A: float, lambda_sq: float, cert) -> float:
 
 
 def _delta_floor(model, n: int, lambda_sq: float, A: float, R: float) -> float:
-    """A floor under `_tail_delta` of the certificate at R, from the
-    elementary sandwich brackets at (R, model.r0(R)) alone.
+    """A floor under `_tail_delta` of the certificate at R, from the model's
+    tail brackets at R alone, the certificate's own before their widening.
 
     It takes the lower ends of T_in and T_out, and C(1,R) >= R - 1 at
-    n = 3 (phi^0 = 1), else 0; at n = 2 T_out is T_in^2/2.  Only the
-    power-log double tail at n >= 3 needs a quadrature, one of the three a
+    n = 3 (phi^0 = 1), else 0; at n = 2 T_out is T_in^2/2.  Only power-log
+    at n >= 3 needs quadratures: its two tails, two of the three a
     certificate makes.
     """
-    r0 = model.r0(R)
-    t_in = math.exp(model.log_inner_bracket(R, r0)[0])
+    t_in = math.exp(model.log_inner_bracket(R)[0])
     t_out = (0.5 * t_in * t_in if n == 2
-             else math.exp(model.log_double_bracket(R, r0)[0]))
+             else math.exp(model.log_double_bracket(R)[0]))
     cum = R - 1.0 if n == 3 else 0.0
     return _expm1(lambda_sq * (A * t_in + cum * t_in + t_out))
 

@@ -370,9 +370,15 @@ def test_unreachable_tolerance_fails_honestly():
     assert msg.startswith("could not certify the transience value within tol")
     assert "(finite-part error alone exceeds tol)" in msg
     assert msg.count("finite part") == 1 and "r_max=100: " in msg
-    # tail-limited: every r_max tried, each with its error budget split
+    # tail-limited: every r_max tried, each with its error budget split.
+    # A table of PowerGrowth(1.02) with that growth class trusted takes its
+    # tails from the sandwich at R/3, which is wide this near p = 1; the
+    # closed form certifies at R = 100 from its exact series
+    grid = np.geomspace(1e-4, 1000.0, 400)
+    table = Tabulated(grid, *PowerGrowth(1.02).eval(grid),
+                      growth=PowerLawGrowth(1.02, 1.0))
     with pytest.raises(QuadratureFailure) as info:
-        march_criterion(PowerGrowth(1.02), 2, tol=1e-8)
+        march_criterion(table, 2, tol=1e-8)
     msg = str(info.value)
     assert msg.startswith("could not certify the value within tol")
     assert "alone exceeds" not in msg and msg.count("finite part") == 4
@@ -421,9 +427,9 @@ def test_rounding_limited_refusal_names_every_part_and_stops():
                          ids=["hyperbolic", "powergrowth", "powergrowth-log-tail"])
 def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w, part):
     # the integrand phi^(1-n)(t) * int_1^t phi^(n-3) needs one log_phi call
-    # for phi^(1-n) and one for all partial panels of the cumulative integral;
-    # the refined double tail of power growth builds the same product in
-    # s = log(t/R).  n = 3: at n = 2 neither triangle is built
+    # for phi^(1-n) and one for all partial panels of the cumulative integral.
+    # The double tail of power growth is its series: no quadrature and no
+    # phi at all.  n = 3: at n = 2 no triangle is built
     from weakmodel import criterion
     log_phi_calls = count_calls(monkeypatch, w, "log_phi")
     per_vector = []
@@ -442,10 +448,11 @@ def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w, part):
         F, F_err, _ = criterion._finite(w, 3, 30.0, True, 1e-11)
         assert F > 0 and F_err < 1e-9 * F
     else:
-        model = _TailModel(w.growth_class, 3)
-        lo, hi = criterion._refined_log_tail(w, 3, model, 100.0, model.r0(100.0),
-                                             double=True)
+        model = _TailModel(w.growth_class, 3, exact=True)
+        _, (lo, hi) = criterion._tail_brackets(3, model, 100.0)
         assert lo <= hi < lo + 1e-9
+        assert (per_vector, log_phi_calls) == ([], [])
+        return
     assert per_vector and max(per_vector) <= 2
 
 
@@ -454,7 +461,10 @@ def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w, part):
 # The n = 2 double is the half square of the inner bracket.  Exponential
 # tails are now the elementary brackets with the sandwich at R, inside the
 # refined ones first recorded here; the n = 2 double, whose ends moved by
-# up to 6e-13 of itself, was re-recorded
+# up to 6e-13 of itself, was re-recorded.  Power tails are now the exact
+# series, re-recorded inside the quadrature brackets first recorded here
+# ((-14.914182844147108, -14.914182844146529) and (1.666616669047097e-05,
+# 1.6666166690478724e-05))
 _PINNED_TAILS = [
     ((Hyperbolic(1.0), 2, 30.0), -0.2588525549667824,
      (-29.30685281944036, -29.306852819439754),
@@ -463,8 +473,8 @@ _PINNED_TAILS = [
      (-59.30685281944035, -59.306852819439754),
      (8.756510762695462e-27, 8.756510762697454e-27)),
     ((PowerGrowth(2.0), 3, 100.0), 4.595119850134589,
-     (-14.914182844147108, -14.914182844146529),
-     (1.666616669047097e-05, 1.6666166690478724e-05)),
+     (-14.91418284414684, -14.914182844146799),
+     (1.666616669047443e-05, 1.6666166690475112e-05)),
     ((PowerLog(3.0), 3, 100.0), 4.595119850134589,
      (-12.167803020029725, -12.167803020028432),
      (0.0005282787990690751, 0.0005282787990690798)),
@@ -486,6 +496,11 @@ def test_refined_tails_match_recorded_values(args, log_cum, log_inner, double):
         # (log tanh(15))^2 / 2 from 40-digit mpmath, which the triangle
         # bracket that the half square replaced also held
         assert cert.double[0] <= 1.7513021525393041e-26 <= cert.double[1]
+    if isinstance(args[0], PowerGrowth):
+        # phi^-2 = t^-2 - (1+t^2)^-1, so T_in = 1/R - atan(1/R) and
+        # T_out = R atan(1/R) + log1p(R^-2)/2 - 1, from 40-digit mpmath
+        assert cert.log_inner[0] <= -14.914182844146817 <= cert.log_inner[1]
+        assert cert.double[0] <= 1.666616669047480e-05 <= cert.double[1]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -501,7 +516,7 @@ def test_exponential_tail_brackets_hold_the_closed_forms(a, R, n):
     from weakmodel import criterion
     w = Hyperbolic(a)
     model = _TailModel(w.growth_class, n)
-    inner, double = criterion._tail_brackets(w, n, model, R, model.r0(R))
+    inner, double = criterion._tail_brackets(n, model, R)
     with mp.workdps(40):
         x = mp.exp(-mp.mpf(a) * R)
         if n == 2:
@@ -528,6 +543,128 @@ def test_exponential_tail_certificate_holds_at_large_radii(a, R):
             lo, hi = cert.log_inner
             assert lo <= hi <= lo + 1e-14 * abs(lo), (n, lo, hi)
             assert 0.0 <= cert.double[0] <= cert.double[1], n
+
+
+def _best_seconds(thunk, repeats=3):
+    """(thunk's result, its fastest time over `repeats` calls)."""
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = thunk()
+        best = min(best, time.perf_counter() - start)
+    return out, best
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1, 2.0])
+def test_power_tails_reach_every_radius(p):
+    # the exact series keep R^-a and R^(2-2p) as logs, so no R in double
+    # range overflows, underflows or needs a quadrature.  A quadrature in
+    # s = log(t/R) formed t = R e^s and overflowed at R = 1e250 for n = 3..5.
+    # At n = 2 the certificate's time is its cumulative int_1^R phi^-1 in t,
+    # a finite part, not a tail
+    from weakmodel import criterion
+    w = PowerGrowth(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n in range(2, 7):
+            model = _TailModel(w.growth_class, n, exact=True)
+            a = p * (n - 1) - 1
+            for R in (1e30, 1e100, 1e250):
+                (inner, double), t_tails = _best_seconds(
+                    lambda: criterion._tail_brackets(n, model, R))
+                (R_in, inner_again), t_inner = _best_seconds(lambda: inner_tail(w, n, R))
+                cert, t_cert = _best_seconds(lambda: tail_certificate(w, n, R),
+                                             repeats=1 if n == 2 else 3)
+                assert R_in == cert.r_max == R
+                assert inner_again == cert.log_inner == inner
+                lo, hi = inner
+                assert lo <= hi <= lo + 1e-14 * max(1.0, abs(lo)), (n, R, inner)
+                # the leading term R^-a / a, relative x = R^-2 <= 1e-60 below
+                assert_allclose(lo, -a * math.log(R) - math.log(a), rtol=1e-14, atol=1e-14)
+                assert double[0] <= double[1] and 0.0 <= cert.double[0] <= cert.double[1]
+                assert max(t_tails, t_inner) < 0.01, (n, R, t_tails, t_inner)
+                assert n == 2 or t_cert < 0.01, (n, R, t_cert)
+
+
+def test_closed_power_laws_are_the_series_phi():
+    # the exact power tails sum the series of phi = t^p (1 + t^-2)^((p-1)/2):
+    # every closed-form family with power-law growth must be that phi
+    from weakmodel.warp import WarpingFunction, family_from_name
+    families = [family_from_name("euclidean"), family_from_name("hyperbolic", a=1.0),
+                family_from_name("powerlog", c=1.2)] + [
+        family_from_name("powergrowth", p=p) for p in (0.5, 1.01, 1.5, 3.7, 10.0)]
+    closed = {cls for cls in WarpingFunction.__subclasses__()
+              if cls.closed_form and cls.__module__ == "weakmodel.warp"}
+    assert {type(w) for w in families} == closed
+    t = np.geomspace(20.0, 1e6, 400)
+    power = [w for w in families if isinstance(w.growth_class, PowerLawGrowth)]
+    assert {type(w) for w in power} == {Euclidean, PowerGrowth}
+    for w in power:
+        p = w.growth_class.exponent
+        assert w.growth_class.scale == 1.0
+        assert_allclose(w.log_phi(t), p * np.log(t) + (p - 1) / 2 * np.log1p(t ** -2.0),
+                        rtol=1e-15, atol=0.0, err_msg=repr(w))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1.2, 1.1, 1.05, 1.02, 1.01])
+def test_near_threshold_power_values_hold_the_closed_forms(p, n, tol):
+    # with d = p - 1 and e = d/2: at n = 2 T = 2F1(e, e; 1+e; -1)/(2e) and
+    # the criterion is T^2/2; at n = 3 it is
+    # 2F1(d, d; 1+d; -1)/(2d) - 2F1(d, d+1/2; d+3/2; -1)/(2d+1).  A quadrature
+    # of the double tail printed 9.08419272704, bound 2.8e-11, at p = 1.05,
+    # n = 3, tol 1e-10, where the closed form is 9.084192689137
+    from scipy.special import hyp2f1
+    d = p - 1
+    if n == 2:
+        T = hyp2f1(d / 2, d / 2, 1 + d / 2, -1) / d
+        exact = T * T / 2
+    else:
+        exact = (hyp2f1(d, d, 1 + d, -1) / (2 * d)
+                 - hyp2f1(d, d + 0.5, d + 1.5, -1) / (2 * d + 1))
+    if (p, n, tol) == (1.01, 2, 1e-10):
+        # the value is near 5000, so its rounding term 1e-14 of it is half of tol
+        with pytest.raises(QuadratureFailure, match=r"\+ rounding 5e-11$"):
+            march_criterion(PowerGrowth(p), n, tol=tol)
+        return
+    rep = march_criterion(PowerGrowth(p), n, tol=tol)
+    assert rep.verdict == CONVERGENT and rep.error_bound < tol
+    assert abs(rep.value - exact) <= rep.error_bound, (rep.value, exact, rep.error_bound)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_euclidean_tails_are_exact(n):
+    # phi = t: T_in = R^(2-n)/(n-2), the series' one term, and at n = 3 the
+    # transience integral int_1^inf t^-2 is 1
+    import mpmath as mp
+    from weakmodel import criterion
+    model = _TailModel(Euclidean().growth_class, n, exact=True)
+    for R in (30.0, 1e3, 1e30, 1e250):
+        (lo, hi), _ = criterion._tail_brackets(n, model, R, double=False)
+        with mp.workdps(40):
+            exact = mp.log(mp.mpf(R) ** (2 - n) / (n - 2))
+        assert lo <= exact <= hi and hi - lo <= 1e-14 * abs(lo), (R, lo, hi, exact)
+    if n == 3:
+        rep = transience_integral(Euclidean(), 3, tol=1e-10)
+        assert rep.verdict == CONVERGENT and abs(rep.value - 1.0) <= rep.error_bound
+
+
+@pytest.mark.parametrize("R", [30.0, 1e3, 1e7, 1e30])
+@pytest.mark.parametrize("c", [1.1, 1.2, 1.5, 2.0, 3.0, 5.0])
+def test_powerlog_n2_inner_bracket_holds_the_exact_tail(c, R):
+    # phi = C t (log t)^c beyond e^2, so int_R^inf phi^-1 is
+    # (log R)^(1-c)/(C(c-1)), from 40-digit mpmath; the zero-width bracket
+    # (v, v) missed it
+    import mpmath as mp
+    w = PowerLog(c)
+    R_in, (lo, hi) = inner_tail(w, 2, R)
+    assert R_in == R
+    with mp.workdps(40):
+        exact = mp.log(mp.log(R) ** (1 - mp.mpf(c))
+                       / (mp.mpf(w.match_constant) * (mp.mpf(c) - 1)))
+    assert lo <= exact <= hi, (lo, hi, exact)
+    assert hi - lo <= 1e-14 * max(1.0, abs(lo)), (lo, hi)
 
 
 def test_tail_certificate_requires_convergence():
@@ -604,20 +741,16 @@ def test_n2_criterion_is_half_the_transience_square(case):
     (Hyperbolic(1.0), 2), (PowerGrowth(2.0), 2), (PowerGrowth(0.8), 2),
     (PowerLog(1.2), 2), (Hyperbolic(1.0), 3), (PowerGrowth(2.0), 3)], ids=repr)
 def test_n2_criterion_builds_no_triangle(monkeypatch, w, n):
-    # at n = 2 no cumulative of phi^(n-3) and no refined double tail; the
-    # n = 3 power case shows that the spies see both.  Exponential tails are
-    # elementary at every n, so Hyperbolic refines none
+    # at n = 2 no cumulative of phi^(n-3): the one quadrature is the finite
+    # part C; the n = 3 cases show that the spy sees the triangle's
+    # cumulative.  Exponential, power and n = 2 power-log tails are closed
+    # forms or series, so no tail makes a quadrature
     from weakmodel import criterion
     cums = count_calls(monkeypatch, criterion, "LogCumulative")
-    tails = count_calls(monkeypatch, criterion, "_refined_log_tail")
-    march_criterion(w, n, tol=1e-8)
-    doubles = [c[5] for c in tails].count(True)
-    if n == 2:
-        assert (len(cums), doubles) == (0, 0), (len(cums), doubles)
-    elif isinstance(w, Hyperbolic):
-        assert cums and not tails, (len(cums), tails)
-    else:
-        assert cums and doubles, (len(cums), doubles)
+    quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
+    rep = march_criterion(w, n, tol=1e-8)
+    assert rep.r_max == _TailModel(w.growth_class, n).default_r_max()
+    assert (len(cums), len(quads)) == (int(n > 2), 1), (cums, quads)
 
 
 def _reports_or_error(thunk):
@@ -657,31 +790,32 @@ def test_classify_is_the_two_separate_reports_on_samples(n, r_max):
 @pytest.mark.parametrize("w", [PowerGrowth(2.0), Hyperbolic(0.5)], ids=repr)
 def test_n2_classify_integrates_once(monkeypatch, w):
     # at n = 2 the criterion and transience share the finite part C and the
-    # refined inner tail: one call each, where two separate calls make four.
-    # Exponential tails are elementary, so Hyperbolic integrates C alone
+    # inner tail: one call each, where two separate calls make two of each.
+    # Exponential and power tails make no quadrature, so C is the only one
     from weakmodel import criterion
     calls = count_calls(monkeypatch, criterion, "adaptive_quad_log")
-    tails = count_calls(monkeypatch, criterion, "_refined_log_tail")
+    tails = count_calls(monkeypatch, criterion._TailModel, "log_inner_bracket")
     march, trans = criterion.classify(w, 2, tol=1e-8)
     assert march.verdict == trans.verdict == CONVERGENT
-    refined = not isinstance(w, Hyperbolic)
-    assert len(tails) == refined, tails
-    assert len(calls) == 1 + refined, [c[1:3] for c in calls]
+    assert len(tails) == 1, tails
+    assert len(calls) == 1, [c[1:3] for c in calls]
 
 
-@pytest.mark.parametrize("w", [PowerGrowth(2.0), Hyperbolic(1.0)], ids=repr)
+@pytest.mark.parametrize("w", [PowerGrowth(2.0), Hyperbolic(1.0), PowerLog(1.2)],
+                         ids=repr)
 def test_classify_refines_each_inner_tail_once(monkeypatch, w):
-    # at n = 3 the cross term C(1,R) T_in(R) needs the transience tail T_in(R).
-    # Exponential tails are elementary, so Hyperbolic refines none
+    # at n = 3 the cross term C(1,R) T_in(R) needs the transience tail T_in(R),
+    # computed once per R for both passes.  Exponential and power tails make
+    # no quadrature; power-log makes one per tail, on [0, 48] in v = log(t/R)
+    # for its inner tail and its double tail alike, so its inner one is shared
     from weakmodel import criterion
-    tails = count_calls(monkeypatch, criterion, "_refined_log_tail")
+    tails = count_calls(monkeypatch, criterion._TailModel, "log_inner_bracket")
+    quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
     criterion.classify(w, 3, tol=1e-8)
-    if isinstance(w, Hyperbolic):
-        assert tails == [], tails
-        return
-    inner_radii = [c[3] for c in tails if not c[5]]
+    inner_radii = [c[1] for c in tails]
     assert inner_radii and len(inner_radii) == len(set(inner_radii)), inner_radii
-    assert any(c[5] for c in tails)
+    tail_quads = [c for c in quads if c[1] == 0.0]
+    assert len(tail_quads) == (2 * len(inner_radii) if isinstance(w, PowerLog) else 0)
 
 
 # ---------------------------------------------------------------------------
