@@ -57,7 +57,8 @@ def _truncation_bound(f: BoundaryData, coeffs: CoefficientTable,
     over m > M, nothing when no mode is above M.  Sampled data get a
     geometric decay fitted to the last nonzero mode amplitudes; for
     band-limited samples all tail amplitudes vanish and the bound is the
-    projection noise floor.
+    projection noise floor.  Either is raised to the node residual
+    max_j |f_j - f_M(eta_j)|, a lower bound on sup |f - f_M|.
     """
     amps = {}
     for (m, k), c in coeffs.items():
@@ -67,14 +68,17 @@ def _truncation_bound(f: BoundaryData, coeffs: CoefficientTable,
     if f.coeffs is not None:
         return floor + sum(abs(c) * spectrum.sup_norm(m)
                            for (m, _), c in f.coeffs.items() if m > M)
+    omega = f.quadrature.unpack()
+    f_M = sum(c * spectrum.eigenfunction(m, k, omega) for (m, k), c in coeffs.items())
+    residual = float(np.max(np.abs(f.samples - f_M)))
     nonzero = [(m, a) for m, a in sorted(amps.items()) if a > floor]
     if len(nonzero) < 3 or nonzero[-1][0] < M - 1:
-        return floor
+        return max(floor, residual)
     (m1, a1), (m2, a2) = nonzero[-2], nonzero[-1]
     if m2 == m1 or a2 >= a1:
-        return floor + a2  # no decay evidence: budget one more mode's worth
+        return max(floor + a2, residual)  # no decay evidence: one more mode's worth
     rho = (a2 / a1) ** (1.0 / (m2 - m1))
-    return floor + a2 * rho / (1.0 - rho)
+    return max(floor + a2 * rho / (1.0 - rho), residual)
 
 
 def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
@@ -96,7 +100,8 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     n = 2 they are the closed forms exp(-lambda tau) at `r_max` (or a start
     radius), raised to where the tail bracket holds.  At n >= 3 the
     certificate of the highest mode the data use picks the radius first,
-    from the metric alone (constant data keep the start radius); every
+    from the metric alone, by `suggest_rmax`'s search in log R for where
+    its tail delta is tight (constant data keep the start radius); every
     m <= M is then solved once, as one stack, at that radius, and
     normalized with its own tail delta.  `numeric_slack` is the largest
     limit_error of the modes the data use.

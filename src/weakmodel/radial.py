@@ -44,7 +44,7 @@ from . import criterion as _criterion
 from . import quadrature as _quadrature
 from .dop853 import solve_ivp
 from .errors import (DegenerateProfile, MalformedArtifact, NonPositiveWarp,
-                     OutOfRange, QuadratureFailure, StepSizeUnderflow,
+                     OutOfDomain, OutOfRange, QuadratureFailure, StepSizeUnderflow,
                      TailNotTight)
 from .report import round_up_3, write_json_atomic
 from .spectrum import EigenMode
@@ -56,8 +56,7 @@ _TAIL_DELTA = 1.25e-5
 _MASTER_NODES = 16385
 _TAU_RTOL = 1e-12
 _MEMO_SETS = 16          # entries a profile memo keeps before it starts over
-_RADII = 24              # doublings suggest_rmax tries
-_SCREEN_MARGIN = 1e-6    # relative rounding slack of the delta floor
+_LOG_R_STEP = 1e-3       # suggest_rmax's passing and failing log R are this close
 
 
 def indicial_exponent(n: int, lambda_sq: float) -> float:
@@ -440,35 +439,14 @@ def _tail_terms(A: float, cert):
             cert.double[1])
 
 
-def _expm1(x: float) -> float:
-    """expm1(x), or inf where it leaves double range: a delta past it bounds
-    nothing and is never tight."""
+def _tail_delta(A: float, lambda_sq: float, cert) -> float:
+    """Upper bound for phi_m(inf)/phi_m(R) - 1 from the growth bound tail,
+    or inf past double range, where it bounds nothing and is never tight."""
+    a_in, cross, outer = _tail_terms(A, cert)
     try:
-        return math.expm1(x)
+        return math.expm1(lambda_sq * (a_in + cross + outer))
     except OverflowError:
         return math.inf
-
-
-def _tail_delta(A: float, lambda_sq: float, cert) -> float:
-    """Upper bound for phi_m(inf)/phi_m(R) - 1 from the growth bound tail."""
-    a_in, cross, outer = _tail_terms(A, cert)
-    return _expm1(lambda_sq * (a_in + cross + outer))
-
-
-def _delta_floor(model, n: int, lambda_sq: float, A: float, R: float) -> float:
-    """A floor under `_tail_delta` of the certificate at R, from the model's
-    tail brackets at R alone, the certificate's own before their widening.
-
-    It takes the lower ends of T_in and T_out, and C(1,R) >= R - 1 at
-    n = 3 (phi^0 = 1), else 0; at n = 2 T_out is T_in^2/2.  Only power-log
-    at n >= 3 needs quadratures: its two tails, two of the three a
-    certificate makes.
-    """
-    t_in = math.exp(model.log_inner_bracket(R)[0])
-    t_out = (0.5 * t_in * t_in if n == 2
-             else math.exp(model.log_double_bracket(R)[0]))
-    cum = R - 1.0 if n == 3 else 0.0
-    return _expm1(lambda_sq * (A * t_in + cum * t_in + t_out))
 
 
 def normalize_profile(profile: RadialProfile,
@@ -503,39 +481,60 @@ def normalize_profile(profile: RadialProfile,
 
 def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
                  R: float) -> _criterion.TailCertificate:
-    """Certificate at the first doubling of R whose tail delta for a mode of
-    eigenvalue lambda_sq is below _TAIL_DELTA.
+    """Certificate near the smallest radius whose tail delta for a mode of
+    eigenvalue lambda_sq is below _TAIL_DELTA, from certificates alone.
 
-    Doubling starts at the certificate's own radius, which may lie above R,
-    and on tabulated data stops just inside the last sample.  delta needs
-    the metric and the certificates only, so no mode is solved.  Each
-    radius is first screened by `_delta_floor`: where the floor is above
-    the target (by _SCREEN_MARGIN, for rounding) the certificate would
-    fail too, so none is computed there, except at the last radius tried,
-    whose certificate a refusal prints.
+    R is kept if it passes.  Else log R doubles until a certificate passes,
+    up to the top: the last R with finite phi and phi', by bisection, which
+    a table's certificate clips to its hull.  The Illinois form of regula
+    falsi on g = log log1p(delta), linear in log R for power growth, then
+    narrows the bracket to _LOG_R_STEP, trying at least half that inside it.
     """
-    model = _criterion._convergent_model(w, n)
     A = _riccati_bound(w, n, lambda_sq)
-    top = _criterion._top_radius(w)
-    for k in range(_RADII):
-        start = _criterion._start_radius(w, model, float(R))
-        if (k == _RADII - 1 or start >= top or _delta_floor(model, n, lambda_sq, A, start)
-                <= _TAIL_DELTA * (1.0 + _SCREEN_MARGIN)):
-            cert = _criterion.tail_certificate(w, n, R)
-            delta = _tail_delta(A, lambda_sq, cert)
-            if delta < _TAIL_DELTA:
-                return cert
-        if start >= top:
-            reach = f"up to the end of the tabulated hull at {top:g}"
-            break
-        R = start * 2.0
-    else:
-        reach = f"below {R:g}"
-    a_in, cross, outer = (lambda_sq * t for t in _tail_terms(A, cert))
-    raise TailNotTight(
-        f"no r_max {reach} reaches tail delta {_TAIL_DELTA:g}; at r_max = "
-        f"{cert.r_max:g}, delta = {delta:.3g} is the expm1 of lambda^2 times "
-        f"(A*T_in + C*T_in + T_out) = {a_in:.3g} + {cross:.3g} + {outer:.3g}")
+
+    def certify(R):
+        cert = _criterion.tail_certificate(w, n, R)
+        delta = _tail_delta(A, lambda_sq, cert)
+        g = math.log(math.log1p(delta) / math.log1p(_TAIL_DELTA)) if delta else -math.inf
+        return cert, delta, math.log(cert.r_max), g
+
+    cert, delta, s_lo, g_lo = certify(R)
+    if delta < _TAIL_DELTA:
+        return cert
+    s_hi, s_out = s_lo, math.log(np.finfo(float).max)
+    while s_out - s_hi > _LOG_R_STEP:     # the top; off a table's hull w.eval raises
+        s = 0.5 * (s_hi + s_out)
+        try:
+            with np.errstate(all="ignore"):
+                finite = all(map(math.isfinite, w.eval(math.exp(s))))
+        except OutOfDomain:
+            finite = False
+        s_hi, s_out = (s, s_out) if finite else (s_hi, s)
+    g_hi, passed, kept = math.nan, None, None
+    while passed is None or s_hi - s_lo > _LOG_R_STEP:
+        if passed is None:       # expand
+            s = min(2.0 * s_lo, s_hi)
+        else:                    # refine
+            s = 0.5 * (s_lo + s_hi)
+            if math.isfinite(g_lo - g_hi) and g_lo > g_hi:
+                s = s_hi - g_hi * (s_hi - s_lo) / (g_hi - g_lo)
+            s = min(max(s, s_lo + 0.5 * _LOG_R_STEP), s_hi - 0.5 * _LOG_R_STEP)
+        top, trial = s == s_hi, math.exp(s)
+        cert, delta, s, g = certify(trial)
+        if delta < _TAIL_DELTA:   # Illinois: an end kept twice has its g halved
+            passed, s_hi, g_hi, g_lo = cert, s, g, g_lo * (0.5 if kept else 1.0)
+        elif top:
+            reach = (f"up to the end of the tabulated hull at {cert.r_max:g}"
+                     if cert.r_max < trial else f"below {math.exp(s_out):g}")
+            a_in, cross, outer = (lambda_sq * t for t in _tail_terms(A, cert))
+            raise TailNotTight(
+                f"no r_max {reach} reaches tail delta {_TAIL_DELTA:g}; at r_max = "
+                f"{cert.r_max:g}, delta = {delta:.3g} is the expm1 of lambda^2 times "
+                f"(A*T_in + C*T_in + T_out) = {a_in:.3g} + {cross:.3g} + {outer:.3g}")
+        else:
+            s_lo, g_lo, g_hi = s, g, g_hi * (0.5 if kept is False else 1.0)
+        kept = delta < _TAIL_DELTA
+    return passed
 
 
 # ---------------------------------------------------------------------------

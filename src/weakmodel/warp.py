@@ -428,8 +428,9 @@ class Tabulated(WarpingFunction):
 
 def phi_on(w: WarpingFunction, r, where: str):
     """phi at the radii r, refused where it is not positive (NonPositiveWarp)
-    or not finite (OutOfDomain), by the first such radius and `where`."""
-    with np.errstate(over="ignore"):
+    or not finite (OutOfDomain), by the first such radius and `where`.
+    Only phi is read, so neither its overflow nor an invalid phi' warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
         phi = np.asarray(w.eval(r)[0], dtype=float)
     if np.any(phi <= 0):
         raise NonPositiveWarp(f"phi({r[np.argmax(phi <= 0)]:g}) <= 0 {where}")

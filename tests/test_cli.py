@@ -569,12 +569,50 @@ def test_unsupported_dimension_refused_before_solving(tmp_path, capsys,
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_power_growth_tail_refused_without_overflow(tmp_path, capsys):
-    # the tail search reaches r near R e^340, where 1 + r*r overflows; the
+    # the tail search reaches r near 1.3e154, where 1 + r*r overflows; the
     # refusal must be the TailNotTight message, not an overflow warning
-    code = run(["solve", "--family", "powergrowth", "--p", "1.05", "--n", "3",
+    code = run(["solve", "--family", "powergrowth", "--p", "1.02", "--n", "3",
                 "--modes", "2", "--out", str(tmp_path / "s")])
     assert code == 1
-    assert "error: no r_max below" in capsys.readouterr().err
+    assert "error: no r_max below 1.32768e+154 reaches" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_phi_beyond_double_range_refused_without_warning(tmp_path, capsys):
+    # phi overflows at r = 1e200, where PowerGrowth's phi' is 0 * inf: the
+    # solve's guard reads phi alone and refuses it by name
+    code = run(["solve", "--family", "powergrowth", "--p", "2", "--n", "3",
+                "--modes", "1", "--rmax", "1e200", "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert "is not finite inside [0.001, 1e+200]" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags,lo,hi", [
+    (["--family", "powergrowth", "--p", "1.3", "--modes", "1", "--preset", "cos"],
+     1.1e9, 1.11e9),
+    (["--family", "powergrowth", "--p", "1.3", "--modes", "4", "--preset", "band4"],
+     5.1e10, 5.2e10),
+    (["--family", "powergrowth", "--p", "1.1", "--modes", "4", "--preset", "band4"],
+     3.2e34, 3.3e34),
+    (["--family", "powergrowth", "--p", "1.05", "--modes", "4", "--preset", "band4"],
+     1.09e72, 1.11e72),
+    (["--family", "powergrowth", "--p", "1.03", "--modes", "1", "--preset", "cos"],
+     1.25e107, 1.27e107),
+    (["--family", "powerlog", "--c", "3", "--modes", "4", "--preset", "band4"],
+     6.7e8, 6.8e8),
+    (["--family", "powerlog", "--c", "2", "--modes", "4", "--preset", "band4"],
+     6.6e59, 6.8e59),
+], ids=["pg1.3_m1", "pg1.3_m4", "pg1.1_m4", "pg1.05_m4", "pg1.03_m1", "pl3_m4", "pl2_m4"])
+def test_slow_tails_solve_and_verify(tmp_path, flags, lo, hi):
+    # the doubling search refused each of these at R <= 5.03e8
+    flags = [*flags, "--n", "3"]
+    out = tmp_path / "s"
+    assert run(["solve", *flags, "--out", str(out)]) == 0
+    assert lo < json.loads((out / "summary.json").read_text())["r_max"] < hi
+    assert run(["verify", *flags, "--artifacts", str(out),
+                "--out", str(tmp_path / "v")]) == 0
+    assert json.loads((tmp_path / "v" / "verify.json").read_text())["all_passed"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -597,12 +635,12 @@ def test_constant_data_on_a_slow_tail_solve_and_verify(tmp_path):
 
 def test_mode_with_data_missing_the_tail_target_is_refused(tmp_path, capsys):
     # the refusal names the last radius tried and the parts of its delta
-    code = run(["solve", "--family", "powergrowth", "--p", "1.1", "--n", "3",
+    code = run(["solve", "--family", "powerlog", "--c", "1", "--n", "3",
                 "--modes", "1", "--preset", "cos", "--out", str(tmp_path / "s")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: no r_max below 5.03316e+08 reaches tail delta")
-    assert "at r_max = 2.51658e+08, delta = 0.232 is the expm1" in err
+    assert err.startswith("error: no r_max below 3.80258e+305 reaches tail delta")
+    assert "at r_max = 3.80002e+305, delta = 0.00631 is the expm1" in err
 
 
 def test_verify_power_growth_passes(tmp_path):

@@ -42,11 +42,11 @@ def band_extension(hyperbolic_criterion):
 
 @pytest.mark.parametrize("w,M,radii", [
     (Hyperbolic(1.0), 4, [30.0]),
-    # suggest_rmax screens 30 * 2^k on elementary brackets and certifies
-    # only the returned radius, 480, which the mode's normalization reuses
-    (PowerGrowth(2.0), 1, [480.0]),
+    # suggest_rmax certifies 30 and 900, then narrows to the root near
+    # 282.8; the mode's normalization reuses the certificate it returns
+    (PowerGrowth(2.0), 1, [30.0, 900.0, 282.8]),
     # the data stop at m = 1, so m = 1 picks the radius, not M = 3
-    (PowerGrowth(2.0), 3, [480.0]),
+    (PowerGrowth(2.0), 3, [30.0, 900.0, 282.8]),
 ])
 def test_one_certificate_per_radius(monkeypatch, w, M, radii):
     # n = 3: the n = 2 modes are closed forms and need no certificate
@@ -54,8 +54,10 @@ def test_one_certificate_per_radius(monkeypatch, w, M, radii):
     table.set(1, 0, 1.0)
     certs = count_calls(monkeypatch, criterion, "tail_certificate")
     e = ext.build_extension(w, 3, BoundaryData.from_coefficients(table), M)
-    assert [args[2] for args in certs] == radii
-    assert e.r_max == radii[-1]
+    tried = [args[2] for args in certs]
+    assert len(set(tried)) == len(tried) and e.r_max in tried
+    assert tried[:len(radii) - 1] == pytest.approx(radii[:-1], rel=1e-15)
+    assert radii[-1] <= e.r_max < radii[-1] * 1.002
     # the slack of verify's maximum principle is the data's mode's delta;
     # a mode above the data keeps its own, larger one
     assert e.numeric_slack == e.profiles[1].limit_error < ext._radial._TAIL_DELTA
@@ -63,8 +65,8 @@ def test_one_certificate_per_radius(monkeypatch, w, M, radii):
 
 
 def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
-    # the certificate moves R from 30 to 480 before any solve, so the
-    # stack is solved once, at 480
+    # the certificate moves R from 30 to near 282.8 before any solve, so
+    # the stack is solved once, at the certified radius
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
     events = []
@@ -76,8 +78,8 @@ def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
                         lambda *a, **k: events.append(k["r_max"]) or solve(*a, **k))
     e = ext.build_extension(PowerGrowth(2.0), 3,
                             BoundaryData.from_coefficients(table), 1)
-    assert events == ["certify", 480.0]
-    assert e.r_max == 480.0 and e.profiles[1].normalized
+    assert events == ["certify", e.r_max]
+    assert 282.8 < e.r_max < 283.2 and e.profiles[1].normalized
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -85,14 +87,31 @@ def test_powerlog_extension_builds_without_warnings():
     # at tol 1e-10 every DOP853 trial keeps z of order 1 (|z| <= 3.2),
     # where a trial stepping w = r phi_m'/phi_m reached -9e222 near
     # r = 122 and overflowed w * w.  The data reach m = 4, whose
-    # certificate takes the solve past r = 122
+    # certificate takes the solve past r = 122, to near 386.7
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
     table.set(4, 0, 1.0)
     e = ext.build_extension(PowerLog(5.0), 3, BoundaryData.from_coefficients(table),
                             4, tol=1e-10)
-    assert e.r_max == 480.0
+    assert 386.6 < e.r_max < 387.2
     assert all(p.normalized for p in e.profiles.values())
+
+
+@pytest.mark.parametrize("n,fn,residual", [
+    (2, lambda theta: np.cos(5 * theta), 1.0),
+    (3, lambda colat, lon: np.cos(colat) ** 7, 0.0579),
+])
+def test_sampled_truncation_bound_covers_the_node_residual(n, fn, residual):
+    # sup |f - f_M| is at least the residual at the sample nodes, which the
+    # fitted tail alone left at the noise floor of 1e-13
+    f = BoundaryData.from_function(n, 4, fn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        e = ext.build_extension(Hyperbolic(1.0), n, f, 4)
+    f_M = ext.boundary_value(e, f.quadrature.unpack())
+    rho = float(np.max(np.abs(f.samples - f_M)))
+    assert rho == pytest.approx(residual, rel=1e-3)
+    assert e.truncation_error_bound >= rho
 
 
 def _hyperbolic_mode(a, n, m):

@@ -12,7 +12,7 @@ import pytest
 
 from weakmodel.errors import TailNotTight
 from weakmodel.radial import suggest_rmax
-from weakmodel.warp import PowerGrowth
+from weakmodel.warp import PowerLog
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,5 +30,5 @@ def _load_checks(monkeypatch):
 def test_tail_not_tight_refusal_is_a_known_defect(monkeypatch):
     checks = _load_checks(monkeypatch)
     with pytest.raises(TailNotTight) as exc:
-        suggest_rmax(PowerGrowth(1.2), 3, 12.0, 30.0)
+        suggest_rmax(PowerLog(1.0), 3, 2.0, 30.0)
     assert checks._TAIL_NOT_TIGHT.search("error: " + str(exc.value))
