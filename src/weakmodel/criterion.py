@@ -54,7 +54,6 @@ INCONCLUSIVE = "Inconclusive"
 
 _N2_IDENTITY = "n = 2: criterion = T^2/2, T = int_1^inf phi^-1; "
 _DECAY_UNITS = 48.0          # e^-48 ~ 1e-21: negligible truncation remainders
-_MAX_R_DOUBLINGS = 3
 _SERIES_TERMS = 40           # x = R^-2 < 1/676: x^40 < 1e-113
 _UNIT_ROUNDOFF = 2.0 ** -53
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
@@ -469,6 +468,12 @@ def _top_radius(w, default=math.inf):
     return float(hull[-1]) * 0.995 if hull is not None else default
 
 
+def _radius(w, r_max, default):
+    """r_max, or else `default`; on tabulated data at most just inside the
+    last sample, which is the default there."""
+    return _top_radius(w, default) if r_max is None else min(float(r_max), _top_radius(w))
+
+
 def _start_radius(w, model, R):
     """R raised above the sandwich start; tabulated data stay inside the samples."""
     return max(min(R, _top_radius(w)), model.min_r0() * 1.3)
@@ -482,7 +487,8 @@ def _tail_brackets(n, model, R, double=True, shared=None):
     at R.  Closed power and power-log tails are exact, and tabulated data
     with a trusted growth class take the sandwich at `model.r0(R)`.  At
     n = 2 the double tail is T_in^2/2.  It is None unless `double`; the
-    inner bracket, which both integrals need, is kept in `shared`.
+    inner bracket, which both integrals need at the one R of a `classify`
+    call, is kept in `shared`.
     """
     def tail(bracket):
         lo, hi = bracket(R)
@@ -503,12 +509,11 @@ def _certify(w, n, tol, r_max, double, shared):
     R: for the criterion integral the cross term C(1,R)*T_in(R) and the
     double tail T_out(R), for the transience integral T_in(R) alone; at
     n = 2 the three are C^2/2, C*T_in and T_in^2/2 with C = C(1,R).  The
-    error bound adds a rounding term of 1e-14 of the value.  R doubles until
-    the bound is below tol, or stops at the first R whose finite-part error
-    plus rounding reach tol.  A larger R lowers neither: the finite-part
-    error does not fall with R, and the rounding in the stop rule is taken on
-    the value's certified lower end, which bounds the value at every R.
-    On tabulated data R doubles no further than just inside the last sample.
+    error bound adds a rounding term of 1e-14 of the value.  R is r_max, or
+    else the model's default, or on a table with a trusted growth class just
+    inside the last sample (`_radius`), raised to the sandwich start.  It is
+    the one radius tried: every tail is a certified bracket, so a report that
+    misses tol at R is refused with its error budget there.
     `shared` is None, or the dict of one `classify` call: integrals that the
     other pass needs too are computed once and kept there.
     """
@@ -517,56 +522,43 @@ def _certify(w, n, tol, r_max, double, shared):
     if isinstance(growth, UnknownGrowth):
         return _classify_unknown(w, n, double, r_max, shared)
     model = _TailModel(growth, n, w.closed_form)
-    R = _start_radius(w, model, float(r_max) if r_max is not None
-                      else model.default_r_max())
+    R = _start_radius(w, model, _radius(w, r_max, model.default_r_max()))
+    r0 = model.r0(R)
     rtol = 1e-11 if double and n > 2 else 1e-12
 
     if model.inner_diverges() or (double and model.double_diverges()):
         F, F_err, _ = _finite(w, n, R, double, rtol, shared)
         return CriterionReport(
             verdict=DIVERGENT, value=F, error_bound=F_err,
-            tail_evidence=model.divergence_evidence(model.r0(R), double),
-            r_max=R)
+            tail_evidence=model.divergence_evidence(r0, double), r_max=R)
 
-    budget = []
-    reason = ""
-    top = _top_radius(w)
-    for _ in range(_MAX_R_DOUBLINGS + 1):
-        r0 = model.r0(R)
-        (in_lo, in_hi), dbl = _tail_brackets(n, model, R, double, shared)
-        F, F_err, log_cum = _finite(w, n, R, double, rtol, shared)
-        if double:
-            cross_lo, cross_hi = math.exp(log_cum + in_lo), math.exp(log_cum + in_hi)
-            tout_lo, tout_hi = math.exp(dbl[0]), math.exp(dbl[1])
-        else:
-            cross_lo = cross_hi = 0.0
-            tout_lo, tout_hi = math.exp(in_lo), math.exp(in_hi)
-        value = F + 0.5 * (cross_lo + cross_hi) + 0.5 * (tout_lo + tout_hi)
-        rounding = 1e-14 * value
-        err = (F_err + 0.5 * (cross_hi - cross_lo) + 0.5 * (tout_hi - tout_lo)
-               + rounding)
-        if err < tol:
-            return CriterionReport(
-                verdict=CONVERGENT, value=value, error_bound=err,
-                tail_evidence=model.convergence_evidence(r0, double), r_max=R)
-        budget.append(
-            f"r_max={R:g}: bound {err:.3g} (finite part {F_err:.3g}, cross "
-            f"term {0.5 * (cross_hi - cross_lo):.3g}, outer tail "
-            f"{0.5 * (tout_hi - tout_lo):.3g}) + rounding {rounding:.3g}")
-        if F_err >= tol:
-            reason = " (finite-part error alone exceeds tol)"
-            break
-        if F_err + 1e-14 * (F + cross_lo + tout_lo) >= tol:
-            reason = " (finite-part error plus rounding exceed tol)"
-            break
-        if R >= top:
-            reason = f" (r_max reached the end of the tabulated hull at {top:g})"
-            break
-        R = min(2.0 * R, top)
+    (in_lo, in_hi), dbl = _tail_brackets(n, model, R, double, shared)
+    F, F_err, log_cum = _finite(w, n, R, double, rtol, shared)
+    if double:
+        cross_lo, cross_hi = math.exp(log_cum + in_lo), math.exp(log_cum + in_hi)
+        tout_lo, tout_hi = math.exp(dbl[0]), math.exp(dbl[1])
+    else:
+        cross_lo = cross_hi = 0.0
+        tout_lo, tout_hi = math.exp(in_lo), math.exp(in_hi)
+    value = F + 0.5 * (cross_lo + cross_hi) + 0.5 * (tout_lo + tout_hi)
+    rounding = 1e-14 * value
+    err = (F_err + 0.5 * (cross_hi - cross_lo) + 0.5 * (tout_hi - tout_lo)
+           + rounding)
+    if err < tol:
+        return CriterionReport(
+            verdict=CONVERGENT, value=value, error_bound=err,
+            tail_evidence=model.convergence_evidence(r0, double), r_max=R)
+    # the rounding is taken on the value's certified lower end, which bounds
+    # the value at every R: past tol, no radius can help
+    reason = (" (finite-part error alone exceeds tol)" if F_err >= tol else
+              " (finite-part error plus rounding exceed tol)"
+              if F_err + 1e-14 * (F + cross_lo + tout_lo) >= tol else "")
     what = "value" if double else "transience value"
     raise QuadratureFailure(
         f"could not certify the {what} within tol={tol:g}{reason}; error "
-        f"budget per attempt: " + "; ".join(budget))
+        f"budget at r_max={R:g}: bound {err:.3g} (finite part {F_err:.3g}, "
+        f"cross term {0.5 * (cross_hi - cross_lo):.3g}, outer tail "
+        f"{0.5 * (tout_hi - tout_lo):.3g}) + rounding {rounding:.3g}")
 
 
 def march_criterion(w: WarpingFunction, n: int, tol: float = 1e-8,
@@ -586,9 +578,10 @@ def transience_integral(w: WarpingFunction, n: int, tol: float = 1e-8,
 def classify(w: WarpingFunction, n: int, tol: float = 1e-8,
              r_max: float | None = None) -> tuple[CriterionReport, CriterionReport]:
     """(march_criterion, transience_integral) reports for (w, n), each with
-    the bits of its own call.  The two passes share one dict for this call
-    only, so the inner tail at each R, and the finite part int_1^R phi^{1-n}
-    wherever the criterion uses it too, are integrated once."""
+    the bits of its own call.  Both passes run at the same R and share one
+    dict for this call only, so the inner tail beyond R, and the finite part
+    int_1^R phi^{1-n} wherever the criterion uses it too, are integrated
+    once."""
     shared = {}
     return (march_criterion(w, n, tol, r_max, _shared=shared),
             transience_integral(w, n, tol, r_max, _shared=shared))
@@ -630,8 +623,8 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
 # ---------------------------------------------------------------------------
 
 def _classify_unknown(w, n, double, r_max, shared):
-    """Inconclusive, with the finite part over [1, R] as the value, R the
-    smaller of r_max and top, just inside the last sample.
+    """Inconclusive, with the finite part over [1, R] as the value, R from
+    `_radius`: r_max, or else just inside the last sample (400 off a table).
 
     Without a growth class nothing bounds phi beyond the samples, so no tail
     is certified, and on a finite range a divergent integral looks like a
@@ -639,10 +632,9 @@ def _classify_unknown(w, n, double, r_max, shared):
     bounds the whole integral from below, up to its quadrature error.  That
     error is reported rather than certified to tol, so rtol 1e-8 suffices.
     """
-    top = _top_radius(w, 400.0)
-    R = top if r_max is None else min(float(r_max), top)
+    R = _radius(w, r_max, 400.0)
     F, F_err, _ = _finite(w, n, R, double, 1e-8, shared)
-    beyond = "the data at r" if R == top else "r"
+    beyond = "the data at r" if R == _top_radius(w) else "r"
     return CriterionReport(
         verdict=INCONCLUSIVE, value=F, error_bound=math.inf,
         tail_evidence=f"no growth class: the finite part over [1, {R:.6g}] "

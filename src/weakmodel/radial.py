@@ -484,11 +484,12 @@ def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
     """Certificate near the smallest radius whose tail delta for a mode of
     eigenvalue lambda_sq is below _TAIL_DELTA, from certificates alone.
 
-    R is kept if it passes.  Else log R doubles until a certificate passes,
-    up to the top: the last R with finite phi and phi', by bisection, which
-    a table's certificate clips to its hull.  The Illinois form of regula
-    falsi on g = log log1p(delta), linear in log R for power growth, then
-    narrows the bracket to _LOG_R_STEP, trying at least half that inside it.
+    R is kept if it passes, and refused if it fails clipped to a table's
+    hull.  Else log R doubles until a certificate passes, up to the top: the
+    last R with finite phi and phi', by bisection, which a table's
+    certificate clips to its hull.  The Illinois form of regula falsi on
+    g = log log1p(delta), linear in log R for power growth, then narrows
+    the bracket to _LOG_R_STEP, trying at least half that inside it.
     """
     A = _riccati_bound(w, n, lambda_sq)
 
@@ -498,10 +499,22 @@ def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
         g = math.log(math.log1p(delta) / math.log1p(_TAIL_DELTA)) if delta else -math.inf
         return cert, delta, math.log(cert.r_max), g
 
+    def refuse(cert, delta, trial):
+        reach = (f"up to the end of the tabulated hull at {cert.r_max:g}"
+                 if cert.r_max < trial else f"below {math.exp(s_out):g}")
+        a_in, cross, outer = (lambda_sq * t for t in _tail_terms(A, cert))
+        raise TailNotTight(
+            f"no r_max {reach} reaches tail delta {_TAIL_DELTA:g}; at r_max = "
+            f"{cert.r_max:g}, delta = {delta:.3g} is the expm1 of lambda^2 times "
+            f"(A*T_in + C*T_in + T_out) = {a_in:.3g} + {cross:.3g} + {outer:.3g}")
+
+    s_out = math.log(np.finfo(float).max)
     cert, delta, s_lo, g_lo = certify(R)
     if delta < _TAIL_DELTA:
         return cert
-    s_hi, s_out = s_lo, math.log(np.finfo(float).max)
+    if cert.r_max < R:
+        refuse(cert, delta, R)
+    s_hi = s_lo
     while s_out - s_hi > _LOG_R_STEP:     # the top; off a table's hull w.eval raises
         s = 0.5 * (s_hi + s_out)
         try:
@@ -524,13 +537,7 @@ def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
         if delta < _TAIL_DELTA:   # Illinois: an end kept twice has its g halved
             passed, s_hi, g_hi, g_lo = cert, s, g, g_lo * (0.5 if kept else 1.0)
         elif top:
-            reach = (f"up to the end of the tabulated hull at {cert.r_max:g}"
-                     if cert.r_max < trial else f"below {math.exp(s_out):g}")
-            a_in, cross, outer = (lambda_sq * t for t in _tail_terms(A, cert))
-            raise TailNotTight(
-                f"no r_max {reach} reaches tail delta {_TAIL_DELTA:g}; at r_max = "
-                f"{cert.r_max:g}, delta = {delta:.3g} is the expm1 of lambda^2 times "
-                f"(A*T_in + C*T_in + T_out) = {a_in:.3g} + {cross:.3g} + {outer:.3g}")
+            refuse(cert, delta, trial)
         else:
             s_lo, g_lo, g_hi = s, g, g_hi * (0.5 if kept is False else 1.0)
         kept = delta < _TAIL_DELTA

@@ -202,7 +202,7 @@ def test_incomplete_beta_against_mpmath(c, n):
 
 @pytest.mark.parametrize("r_max", [math.nan, math.inf, -math.inf])
 def test_non_finite_r_max_is_refused(r_max):
-    # unchecked, nan runs every doubling with nan budgets and inf overflows
+    # unchecked, nan gives a nan budget and inf overflows
     for classify, w, n in ((march_criterion, Hyperbolic(1.0), 2),
                            (transience_integral, PowerGrowth(2.0), 3)):
         with pytest.raises(ValueError, match="r_max must be finite"):
@@ -370,10 +370,11 @@ def test_unreachable_tolerance_fails_honestly():
     assert msg.startswith("could not certify the transience value within tol")
     assert "(finite-part error alone exceeds tol)" in msg
     assert msg.count("finite part") == 1 and "r_max=100: " in msg
-    # tail-limited: every r_max tried, each with its error budget split.
+    # tail-limited: the one radius tried, with its error budget split.
     # A table of PowerGrowth(1.02) with that growth class trusted takes its
-    # tails from the sandwich at R/3, which is wide this near p = 1; the
-    # closed form certifies at R = 100 from its exact series
+    # tails from the sandwich at R/3, which is wide this near p = 1, even at
+    # R just inside its hull; the closed form certifies at R = 100 from its
+    # exact series
     grid = np.geomspace(1e-4, 1000.0, 400)
     table = Tabulated(grid, *PowerGrowth(1.02).eval(grid),
                       growth=PowerLawGrowth(1.02, 1.0))
@@ -381,24 +382,45 @@ def test_unreachable_tolerance_fails_honestly():
         march_criterion(table, 2, tol=1e-8)
     msg = str(info.value)
     assert msg.startswith("could not certify the value within tol")
-    assert "alone exceeds" not in msg and msg.count("finite part") == 4
-    for R in (100, 200, 400, 800):
-        assert re.search(budget.format(R), msg), R
+    assert "exceed" not in msg and msg.count("finite part") == 1
+    assert re.search(budget.format(995), msg)
+    # the exact series' 4-ulp pads alone miss tol 1e-8 this near p = 1
+    with pytest.raises(QuadratureFailure) as info:
+        march_criterion(PowerGrowth(1.001), 2, tol=1e-8)
+    msg = str(info.value)
+    assert msg.startswith("could not certify the value within tol=1e-08")
+    assert msg.count("r_max=") == 1 and re.search(budget.format(100), msg)
 
 
-def test_doubling_stops_at_the_end_of_tabulated_data():
-    # a known power law over [1e-4, 3000]: R doubles from 400 to 1600, then
-    # to just inside the hull, and stops there instead of leaving the data
+def test_trusted_table_is_certified_at_one_radius():
+    # a known power law over [1e-4, 3000]: R is the given r_max, or else
+    # just inside the hull, and is the one radius whose budget a refusal
+    # gives
     grid = np.geomspace(1e-4, 3000.0, 400)
     w = Tabulated(grid, *PowerGrowth(1.5).eval(grid),
                   growth=PowerLawGrowth(1.5, 1.0))
-    with pytest.raises(QuadratureFailure) as info:
-        march_criterion(w, 2, tol=1e-8, r_max=400)
-    msg = str(info.value)
-    assert "(r_max reached the end of the tabulated hull at 2985)" in msg
-    assert msg.count("finite part") == 4
-    for R in (400, 800, 1600, 2985):
-        assert f"r_max={R}: bound " in msg, R
+    for r_max, R in ((400, 400), (None, 2985)):
+        with pytest.raises(QuadratureFailure) as info:
+            march_criterion(w, 2, tol=1e-8, r_max=r_max)
+        msg = str(info.value)
+        assert msg.count("r_max=") == 1 and f"r_max={R}: bound " in msg, r_max
+
+
+def test_trusted_table_starts_just_inside_its_hull(monkeypatch):
+    # PowerGrowth(1.1) sampled on [1e-4, 1e4] with its growth class trusted:
+    # its tails at R = 100 to 800 miss tol, at R just inside the hull they
+    # do not.  Each pass integrates its finite part once, at that R.  The
+    # value is not checked against its bound: table bounds leave out the
+    # interpolation error of the samples
+    from weakmodel import criterion
+    grid = np.geomspace(1e-4, 1e4, 2000)
+    w = Tabulated(grid, *PowerGrowth(1.1).eval(grid),
+                  growth=PowerLawGrowth(1.1, 1.0))
+    calls = count_calls(monkeypatch, criterion, "_finite")
+    reports = criterion.classify(w, 3, tol=1e-6)
+    for rep in reports:
+        assert rep.verdict == CONVERGENT and rep.r_max == pytest.approx(9950.0)
+    assert [c[2] for c in calls] == [reports[0].r_max] * 2
 
 
 def test_rounding_limited_refusal_names_every_part_and_stops():

@@ -364,6 +364,21 @@ def test_suggest_rmax_stops_at_the_end_of_tabulated_data(monkeypatch):
     assert tried[0] == 30.0 and 59.7 < tried[1] <= 60.0 and len(tried) == 2
 
 
+def test_suggest_rmax_refuses_a_clipped_hull_at_once(monkeypatch):
+    # R = 100 lies past the samples: its certificate is clipped to just
+    # inside the hull, and no larger R exists, so that one certificate
+    # gives the refusal
+    grid = np.geomspace(1e-4, 60.0, 400)
+    w = Tabulated(grid, *PowerGrowth(1.5).eval(grid),
+                  growth=PowerLawGrowth(1.5, 1.0))
+    certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
+    with pytest.raises(TailNotTight,
+                       match=r"^no r_max up to the end of the tabulated hull at "
+                             r"59\.7 reaches .* at r_max = 59\.7,"):
+        suggest_rmax(w, 3, 2.0, 100.0)
+    assert [args[2] for args in certs] == [100.0]
+
+
 def _passes(w, n, lam2, R):
     A = radial._riccati_bound(w, n, lam2)
     return radial._tail_delta(A, lam2, tail_certificate(w, n, R)) < radial._TAIL_DELTA
