@@ -9,6 +9,8 @@ Commands
 Exit codes: classify 0=Convergent 2=Divergent 3=Inconclusive 1=error;
 solve 0 ok, 2 not solvable; verify 0 all pass; sweep 0 ok; a usage error
 exits 1 and --help 0.  Each command takes only the flags it reads.
+The parser is built once per process, at import, so `main` may be called
+many times in one process; each call only parses its argv and dispatches.
 All reports use 12-significant-digit numbers and atomic writes so repeated
 runs are byte-identical.
 """
@@ -377,7 +379,7 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def main(argv=None) -> int:
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="weakmodel",
         description="Dirichlet problem at infinity on rotationally "
@@ -420,9 +422,15 @@ def main(argv=None) -> int:
 
     common(sub.add_parser("sweep", help="classify the standard family grid"),
            metric=False)
+    return parser
 
+
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:   # usage errors exit 1; 2 is classify's Divergent
         return 1 if exc.code else 0
     try:

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTolerance, NotConvergent, QuadratureFailure
+from .errors import (InvalidTolerance, NotConvergent, OutOfDomain,
+                     QuadratureFailure)
 from .quadrature import LogCumulative, adaptive_quad_log, logsumexp
 from .report import round_up_3
 from .warp import (ExponentialGrowth, PowerLawGrowth, PowerLogGrowth,
@@ -475,8 +476,13 @@ def _radius(w, r_max, default):
 
 
 def _start_radius(w, model, R):
-    """R raised above the sandwich start; tabulated data stay inside the samples."""
-    return max(min(R, _top_radius(w)), model.min_r0() * 1.3)
+    """R raised above the sandwich start; tabulated data stay inside the
+    samples, and a table whose samples end before that start is refused."""
+    start, hull = model.min_r0() * 1.3, getattr(w, "grid", None)
+    if hull is not None and hull[-1] < start:
+        raise OutOfDomain(f"tabulated hull ends at r = {hull[-1]:g}, below the "
+                          f"tail sandwich start r = {start:g}")
+    return max(min(R, _top_radius(w)), start)
 
 
 def _tail_brackets(n, model, R, double=True, shared=None):

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import math
@@ -886,3 +887,54 @@ def test_pinned_reports_hold_with_scalar_pow(tmp_path, monkeypatch):
     _assert_sweep_pinned(tmp_path)
     for name in ("powergrowth_p1.5_n3", "powergrowth_p0.8_n2"):
         _assert_classify_pinned(tmp_path, name, PINNED_CLASSIFY[name])
+
+
+def test_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    # the argparse tree is built once, at import; each call only parses
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    out = str(tmp_path / "o")
+    counts = []
+    for args in (["classify", "--family", "euclidean", "--n", "2", "--out", out],
+                 ["classify", "--modes", "3"],
+                 ["--help"],
+                 ["sweep", "--out", out],
+                 ["solve", "--family", "euclidean", "--n", "2", "--out", out],
+                 ["verify", "--family", "euclidean", "--n", "2", "--modes", "1",
+                  "--out", out]):
+        run(args)
+        counts.append(len(built))
+    assert counts == [counts[0]] * 6, built
+
+
+def test_no_state_carries_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"tol": 1e-6}))
+    assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "w1")]) == 0
+    _assert_sweep_pinned(tmp_path / "w2")
+
+    solve = ["solve", "--family", "hyperbolic", "--a", "1", "--n", "2",
+             "--modes", "1", "--out", str(tmp_path / "s")]
+    capsys.readouterr()
+    assert run(solve + ["--at-infinity"]) == 0
+    assert "u(infinity, 0)" in capsys.readouterr().out
+    assert run(solve) == 0
+    assert "u(infinity, 0)" not in capsys.readouterr().out
+
+    assert run(["classify", "--modes", "3"]) == 1
+    _assert_classify_pinned(tmp_path / "c", "hyperbolic_a1_n2",
+                            PINNED_CLASSIFY["hyperbolic_a1_n2"])
+
+    capsys.readouterr()
+    for cmd in ([], ["classify"], ["solve"], ["verify"], ["sweep"]):
+        helps = []
+        for _ in range(2):
+            assert run(cmd + ["--help"]) == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] != "", cmd

@@ -18,7 +18,8 @@ from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
                                  CriterionReport, _TailModel, _log_g,
                                  inner_tail, march_criterion, tail_certificate,
                                  transience_integral)
-from weakmodel.errors import InvalidTolerance, NotConvergent, QuadratureFailure
+from weakmodel.errors import (InvalidTolerance, NotConvergent, OutOfDomain,
+                              QuadratureFailure)
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLawGrowth,
                             PowerLog, PowerLogGrowth, Tabulated, load_tabulated_csv)
 
@@ -421,6 +422,24 @@ def test_trusted_table_starts_just_inside_its_hull(monkeypatch):
     for rep in reports:
         assert rep.verdict == CONVERGENT and rep.r_max == pytest.approx(9950.0)
     assert [c[2] for c in calls] == [reports[0].r_max] * 2
+
+
+@pytest.mark.parametrize("entry", ["march", "transience", "certificate",
+                                   "suggest_rmax"])
+def test_trusted_table_ending_below_the_sandwich_is_refused(entry):
+    # Hyperbolic(0.05) sampled to r = 60: its sandwich starts at
+    # 1.3 * 200 = 260, past the last sample, so no tail can be certified
+    from weakmodel.radial import suggest_rmax
+    grid = np.geomspace(1e-4, 60.0, 400)
+    h = Hyperbolic(0.05)
+    w = Tabulated(grid, *h.eval(grid), growth=h.growth_class)
+    call = {"march": lambda: march_criterion(w, 3),
+            "transience": lambda: transience_integral(w, 3),
+            "certificate": lambda: tail_certificate(w, 3, 30.0),
+            "suggest_rmax": lambda: suggest_rmax(w, 3, 2.0, 30.0)}[entry]
+    with pytest.raises(OutOfDomain, match=r"^tabulated hull ends at r = 60, "
+                       r"below the tail sandwich start r = 260$"):
+        call()
 
 
 def test_rounding_limited_refusal_names_every_part_and_stops():
