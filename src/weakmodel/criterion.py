@@ -15,6 +15,8 @@ R_max then produce the value and its error bound.  A warp with no growth
 class gets no verdict: Inconclusive, with the finite part as a lower bound.
 At n = 2, phi^{n-3} = phi^{1-n}, so I = T^2/2 with T = int_1^inf phi^{-1}
 the transience integral: the criterion is certified from that one integral.
+At n = 3, phi^{n-3} = 1, so C(1,R) = int_1^R phi^{n-3} = R - 1 exactly and
+the finite part is the one integral int_1^R (t - 1) phi^{-2}(t) dt.
 `classify` returns both reports and integrates what they share once: the
 inner tail at every n, and at n = 2 the finite part of T as well.
 
@@ -31,7 +33,8 @@ All integrands are powers of phi and are evaluated in log space so that
 large n or fast exponential growth cannot overflow or underflow the
 bookkeeping.  `_log_power` builds every one of them, and `_log_integral`
 integrates phi^{1-n} or the triangle phi^{1-n}(tau) int^tau phi^{n-3} for
-the finite part over [1, R].
+the finite part over [1, R], with the inner cumulative from `_cumulative`:
+exact at n = 3, a `LogCumulative` at n >= 4.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class CriterionReport:
 class TailCertificate:
     """Certified tail data at radius r_max for a convergent metric.
 
-    log_cum:    log int_1^R phi^{n-3}
+    log_cum:    log int_1^R phi^{n-3}, exactly log(R - 1) at n = 3
     log_inner:  bracket (lo, hi) for log int_R^inf phi^{1-n}
     double:     bracket (lo, hi) for the double integral tail beyond R
     """
@@ -408,14 +411,39 @@ def _log_power(w, q, cum=None):
     return logf
 
 
+class _LengthCumulative:
+    """The cumulative of phi^0 = 1 on [lo, hi], exact: the integral over
+    [x, y] is the length of [x, y] clipped to [lo, hi]."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = float(lo), float(hi)
+        self.log_total = math.log(hi - lo) if hi > lo else -math.inf
+
+    def log_between(self, x, y):
+        """log of the clipped length; -inf if the range is empty."""
+        span = np.minimum(y, self.hi) - np.maximum(x, self.lo)
+        with np.errstate(divide="ignore"):
+            out = np.log(np.maximum(span, 0.0))
+        return float(out) if out.ndim == 0 else out
+
+
+def _cumulative(w, n, a, b, rtol):
+    """The cumulative of phi^{n-3} on [a, b]: at n = 3 the exact
+    `_LengthCumulative`, which makes no quadrature, else a `LogCumulative`
+    to `rtol`."""
+    if n == 3:
+        return _LengthCumulative(a, b)
+    return LogCumulative(_log_power(w, n - 3), a, b, rtol=rtol)
+
+
 def _log_integral(w, n, a, b, rtol, cum_rtol=None):
     """(log value, log error, cum) of int_a^b phi^{1-n}, and cum None.  With
     `cum_rtol` the value is the triangle integral
     int_a^b phi^{1-n}(tau) [int_a^tau phi^{n-3}] dtau, an iterated order
     whose integrand stays representable after combining logs, and cum the
-    LogCumulative of phi^{n-3} on [a, b]."""
-    cum = (None if cum_rtol is None
-           else LogCumulative(_log_power(w, n - 3), a, b, rtol=cum_rtol))
+    cumulative of phi^{n-3} on [a, b] (`_cumulative`).  At n = 3 that is
+    the one quadrature of (tau - a) phi^-2(tau)."""
+    cum = None if cum_rtol is None else _cumulative(w, n, a, b, cum_rtol)
     log_val, log_err, _ = adaptive_quad_log(_log_power(w, 1 - n, cum), a, b, rtol=rtol)
     return log_val, log_err, cum
 
@@ -434,7 +462,9 @@ def _finite(w, n, R, double, rtol, shared=None):
     """(value, error, log_cum) of the finite part over [1, R]: the triangle
     integral and log int_1^R phi^{n-3} if `double`, else int_1^R phi^{1-n}
     and log_cum None.  At n = 2 the triangle is C^2/2, with C = int_1^R
-    phi^{-1} and its error e giving C*e + e^2/2, and log_cum is log C.
+    phi^{-1} and its error e giving C*e + e^2/2, and log_cum is log C.  At
+    n = 3 it is int_1^R (t - 1) phi^-2, and log_cum is log(R - 1), -inf
+    when R <= 1.
     The integral is kept in `shared`, where the criterion at n = 2 and the
     transience integral find the same C."""
     cum_rtol = rtol * 0.1 if double and n > 2 else None
@@ -617,10 +647,10 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
     """Certified tail brackets at R for a metric with convergent criterion."""
     model = _convergent_model(w, n)
     R = _start_radius(w, model, float(R))
-    cum = LogCumulative(_log_power(w, n - 3), 1.0, R, rtol=1e-12)
+    log_cum = _cumulative(w, n, 1.0, R, 1e-12).log_total
     inner, dbl = _tail_brackets(n, model, R)
     return TailCertificate(
-        r_max=R, log_cum=cum.log_total, log_inner=inner,
+        r_max=R, log_cum=log_cum, log_inner=inner,
         double=(math.exp(dbl[0]), math.exp(dbl[1])))
 
 

@@ -251,6 +251,35 @@ def test_tabulated_classify_honours_rmax(tmp_path):
         assert "beyond the data at r = 29.85" in full["tail_evidence"]
 
 
+_EMPTY_FINITE_PART = """ {{
+  "error_bound": "Infinity",
+  "r_max": {r_max},
+  "tail_evidence": "no growth class: the finite part over [1, {R}] is a lower bound (positive integrand), quadrature error 0; no tail beyond r = {R} is certified",
+  "value": 0.0,
+  "verdict": "Inconclusive"
+ }}"""
+
+
+@pytest.mark.parametrize("rmax, r_max", [("0.5", "0.5"), ("1", "1.0")])
+def test_tabulated_n3_classify_of_an_empty_range(tmp_path, capsys, rmax, r_max):
+    # at --rmax <= 1 the finite part over [1, R] is empty: value 0 and exit
+    # 3, with no domain error and no warning, in the bytes recorded before
+    # the n = 3 cumulative became exact
+    csv = write_tabulated_csv(tmp_path / "h1.csv", Hyperbolic(1.0),
+                              np.geomspace(1e-4, 30.0, 400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["classify", "--warp-csv", str(csv), "--n", "3",
+                    "--rmax", rmax, "--out", str(tmp_path / "c")])
+    assert code == 3
+    assert capsys.readouterr().out == (
+        "march: Inconclusive (value 0); transience: Inconclusive\n")
+    part = _EMPTY_FINITE_PART.format(r_max=r_max, R=rmax)
+    assert (tmp_path / "c" / "classify.json").read_text() == (
+        f'{{\n "march":{part},\n "n": 3,\n "transience":{part},\n'
+        f' "warp": "Tabulated(400 nodes on [0.0001, 30])"\n}}\n')
+
+
 def test_tabulated_data_get_no_verdict(tmp_path, monkeypatch, capsys):
     # sampled data have no growth class: classify reports Inconclusive (exit
     # 3), and solve refuses as not solvable (exit 2) before building anything

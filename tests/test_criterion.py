@@ -780,11 +780,11 @@ def test_n2_criterion_is_half_the_transience_square(case):
 
 @pytest.mark.parametrize("w, n", [
     (Hyperbolic(1.0), 2), (PowerGrowth(2.0), 2), (PowerGrowth(0.8), 2),
-    (PowerLog(1.2), 2), (Hyperbolic(1.0), 3), (PowerGrowth(2.0), 3)], ids=repr)
+    (PowerLog(1.2), 2), (Hyperbolic(1.0), 4), (PowerGrowth(2.0), 4)], ids=repr)
 def test_n2_criterion_builds_no_triangle(monkeypatch, w, n):
     # at n = 2 no cumulative of phi^(n-3): the one quadrature is the finite
-    # part C; the n = 3 cases show that the spy sees the triangle's
-    # cumulative.  Exponential, power and n = 2 power-log tails are closed
+    # part C; the n = 4 cases show that the spy sees the triangle's
+    # cumulative (n = 3 has an exact one, see below).  Exponential, power and n = 2 power-log tails are closed
     # forms or series, so no tail makes a quadrature
     from weakmodel import criterion
     cums = count_calls(monkeypatch, criterion, "LogCumulative")
@@ -792,6 +792,57 @@ def test_n2_criterion_builds_no_triangle(monkeypatch, w, n):
     rep = march_criterion(w, n, tol=1e-8)
     assert rep.r_max == _TailModel(w.growth_class, n).default_r_max()
     assert (len(cums), len(quads)) == (int(n > 2), 1), (cums, quads)
+
+
+_N3_GRID = np.geomspace(1e-4, 30.0, 400)
+
+
+@pytest.mark.parametrize("w", [
+    Hyperbolic(1.0), PowerGrowth(2.0), PowerGrowth(0.8), PowerLog(1.2),
+    Tabulated(_N3_GRID, *Hyperbolic(1.0).eval(_N3_GRID))], ids=repr)
+def test_n3_criterion_is_one_quadrature(monkeypatch, w):
+    # at n = 3, phi^(n-3) = 1: the triangle's cumulative is the length
+    # tau - 1, exact, so the criterion's finite part is the one quadrature
+    # of (tau - 1) phi^-2 on every path (Convergent, Divergent, Inconclusive),
+    # and no LogCumulative is built.  Power-log tails add their inner and
+    # double quadratures in log(t/R)
+    from weakmodel import criterion, quadrature
+    cums = count_calls(monkeypatch, criterion, "LogCumulative")
+    quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
+    cum_quads = count_calls(monkeypatch, quadrature, "adaptive_quad_log")
+    march_criterion(w, 3, tol=1e-8)
+    tails = 2 if isinstance(w.growth_class, PowerLogGrowth) else 0
+    assert (len(cums), len(cum_quads), len(quads)) == (0, 0, 1 + tails)
+    criterion.classify(w, 3, tol=1e-8)
+    assert (len(cums), len(cum_quads)) == (0, 0)
+
+
+def test_n3_cumulative_is_the_clipped_length_without_a_warning():
+    from weakmodel import criterion
+    w = Hyperbolic(1.0)
+    cum = criterion._cumulative(w, 3, 1.0, 30.0, 1e-12)
+    empty = criterion._cumulative(w, 3, 1.0, 0.5, 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cum.log_between(1.0, 3.0) == math.log(2.0)
+        assert_allclose(cum.log_between(1.0, np.array([0.5, 1.0, 2.0, 40.0])),
+                        [-math.inf, -math.inf, 0.0, math.log(29.0)], rtol=1e-15)
+        assert (cum.log_total, empty.log_total) == (math.log(29.0), -math.inf)
+        assert empty.log_between(1.0, np.array([0.7, 2.0])).tolist() == [-math.inf] * 2
+    assert type(criterion._cumulative(w, 4, 1.0, 30.0, 1e-12)) is criterion.LogCumulative
+
+
+@pytest.mark.parametrize("w", [Hyperbolic(1.0), PowerGrowth(2.0), PowerLog(1.2)],
+                         ids=repr)
+@pytest.mark.parametrize("R", [30.0, 1e5, 1e250])
+def test_n3_tail_certificate_cumulative_is_exact(monkeypatch, w, R):
+    # C(1,R) = int_1^R phi^0 = R - 1, with no quadrature behind it
+    from weakmodel import criterion
+    cums = count_calls(monkeypatch, criterion, "LogCumulative")
+    cert = tail_certificate(w, 3, R)
+    assert cert.r_max == R
+    assert cert.log_cum == math.log(R - 1.0)
+    assert cums == []
 
 
 def _reports_or_error(thunk):

@@ -52,7 +52,7 @@ def test_tracer_instruments_and_restores_quadrature():
     tracer = tracing.Tracer()
     patch = tracing.instrument(tracer)
     try:
-        criterion.march_criterion(PowerGrowth(2.0), 3, tol=1e-6)
+        criterion.march_criterion(PowerGrowth(2.0), 4, tol=1e-6)
     finally:
         patch.restore()
     spans = {tracer.names[i] for i in tracer.name}
