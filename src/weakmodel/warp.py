@@ -1,10 +1,12 @@
 """Warping functions phi for metrics dr^2 + phi^2(r) g_omega on R^n.
 
-Every family satisfies the weak-model axioms phi(0) = 0, phi'(0) = 1 and
-phi > 0 for r > 0.  Evaluation returns (phi, phi') and is vectorized over
-r: the criterion integrates powers of phi, and the mode equation reads phi
-and phi' only.  Each family carries a growth descriptor consumed by the
-criterion module for analytic tail bounds.
+Every closed family satisfies the weak-model axioms phi(0) = 0,
+phi'(0) = 1 and phi > 0 for r > 0.  Evaluation returns (phi, phi') and is
+vectorized over r: the criterion integrates powers of phi, and the mode
+equation reads phi and phi' only.  Each family carries a growth descriptor
+consumed by the criterion module for analytic tail bounds.  A table of
+samples (`Tabulated`) is read between its nodes through one cubic Hermite
+of log phi in log r, whose slopes are the sampled r phi'/phi.
 """
 
 from __future__ import annotations
@@ -308,69 +310,15 @@ class PowerLog(WarpingFunction):
         return f"PowerLog(c={self.c:g})"
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """scipy's PCHIP end slope: the shape-preserving three-point estimate,
-    0 where its sign differs from m0's, 3 m0 where m0 and m1 differ in sign
-    and it exceeds 3 |m0|."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    against = np.sign(d) != np.sign(m0)
-    clamp = ~against & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    return np.where(against, 0.0, np.where(clamp, 3.0 * m0, d))
-
-
-class PchipInterpolator:
-    """Monotone cubic (PCHIP) through (x, y) for rows y whose last axis runs
-    along x (at least 3 nodes); the end cubics extrapolate.
-
-    Slopes, end slopes, coefficients and the power sum c3 + c2 s + c1 s^2 +
-    c0 s^3 are those of `scipy.interpolate.PchipInterpolator`, so values
-    agree with it bit for bit.  A call at r returns y.shape[:-1] + r.shape.
-    """
-
-    def __init__(self, x, y):
-        self.x = x = np.asarray(x, dtype=float)
-        self._inner = x[1:-1].copy()
-        y = np.asarray(y, dtype=float)
-        h = np.diff(x)
-        m = np.diff(y) / h
-        # interior: weighted harmonic mean of the slopes, 0 at a sign change
-        # or a flat side
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        ml, mr = m[..., :-1], m[..., 1:]
-        flat = (np.sign(mr) != np.sign(ml)) | (mr == 0) | (ml == 0)
-        d = np.empty_like(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d[..., 1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / ml + w2 / mr) / (w1 + w2)))
-        d[..., 0] = _pchip_end_slope(h[0], h[1], m[..., 0], m[..., 1])
-        d[..., -1] = _pchip_end_slope(h[-1], h[-2], m[..., -1], m[..., -2])
-        t = (d[..., :-1] + d[..., 1:] - 2 * m) / h
-        self.c = np.stack([t / h, (m - d[..., :-1]) / h - t, d[..., :-1], y[..., :-1]])
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        # the piece i with x[i] <= r < x[i+1], the end pieces beyond the hull
-        i = np.searchsorted(self._inner, r, side="right")
-        s = r - self.x[i]
-        c0, c1, c2, c3 = self.c.take(i, axis=-1)
-        s2 = s * s
-        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
-
-    def row(self, j):
-        """The interpolant of row j alone: the same nodes and coefficients,
-        so its values are that row's bit for bit."""
-        out = object.__new__(PchipInterpolator)
-        out.x, out._inner, out.c = self.x, self._inner, self.c[:, j]
-        return out
-
-
 class Tabulated(WarpingFunction):
     """Warping function given by samples of (phi, phi') on a grid.
 
-    Values between nodes come from monotone cubic interpolation of each
-    column, the two stacked in one interpolant; the supplied derivative
-    samples are authoritative (the interpolant is never differentiated).
-    Growth defaults to Unknown, for which the criterion module certifies no
-    tail and reports Inconclusive.
+    Between nodes, y = log phi is the cubic Hermite in s = log r through
+    the samples' values log phi and slopes dy/ds = r phi'/phi, so no slope
+    is estimated and the interpolation error is O(h^4) in s.  phi' is
+    that interpolant's own derivative, phi (dy/ds) / r, and equals the
+    sampled phi' at the nodes.  Growth defaults to Unknown, for which the
+    criterion module certifies no tail and reports Inconclusive.
     """
 
     closed_form = False
@@ -396,26 +344,42 @@ class Tabulated(WarpingFunction):
             raise InvalidFamily("tabulated columns must share the grid shape")
         self.grid = grid
         self.growth_class = growth if growth is not None else UnknownGrowth()
-        self._columns = PchipInterpolator(grid, np.stack([phi, dphi]))
-        self._phi = self._columns.row(0)
+        # per interval, y = y0 + d0 t + c2 t^2 + c3 t^3 in t = s - s0
+        s, y, d = np.log(grid), np.log(phi), grid * dphi / phi
+        h = np.diff(s)
+        m = np.diff(y) / h
+        self._s = s
+        self._c = np.stack([(d[:-1] + d[1:] - 2 * m) / (h * h),
+                            (3 * m - 2 * d[:-1] - d[1:]) / h, d[:-1], y[:-1]])
 
     def _check_hull(self, r):
         if np.any(r < self.grid[0] - 1e-15) or np.any(r > self.grid[-1] + 1e-15):
             raise OutOfDomain(
                 f"r outside tabulated hull [{self.grid[0]:g}, {self.grid[-1]:g}]")
 
+    def _log_phi_and_slope(self, r):
+        """(log phi, d log phi / d log r) at the radii r, refused outside
+        the hull; the end cubics cover the hull's rounding slack."""
+        self._check_hull(r)
+        s = np.log(r)
+        i = np.searchsorted(self._s[1:-1], s, side="right")
+        t = s - self._s[i]
+        c3, c2, d0, y0 = self._c.take(i, axis=-1)
+        return ((c3 * t + c2) * t + d0) * t + y0, (3 * c3 * t + 2 * c2) * t + d0
+
     def eval(self, r):
         r = np.asarray(r, dtype=float)
-        self._check_hull(r)
-        phi, dphi = self._columns(r)
+        y, dy = self._log_phi_and_slope(r)
+        phi = np.exp(y)
+        dphi = phi * dy / r
         if np.ndim(r) == 0:
             return float(phi), float(dphi)
         return phi, dphi
 
     def log_phi(self, r):
-        r = np.asarray(r, dtype=float)
-        self._check_hull(r)
-        return np.log(self._phi(r))
+        # the log of eval's phi, bit for bit, not y itself
+        y = self._log_phi_and_slope(np.asarray(r, dtype=float))[0]
+        return np.log(np.exp(y))
 
     def __repr__(self):
         return (f"Tabulated({len(self.grid)} nodes on "

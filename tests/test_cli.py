@@ -785,6 +785,22 @@ def test_verify_sampled_data_passes_without_a_verdict(tmp_path, n):
     assert all("not certified" in d and "unbounded" not in d for d in skipped)
 
 
+def test_verify_passes_on_a_coarse_table(tmp_path):
+    # 50 geometric samples of Hyperbolic(1) on [1e-4, 30]: the profiles
+    # solved on the log-space Hermite interpolant stay nondecreasing, and
+    # every check that runs passes
+    csv = write_tabulated_csv(tmp_path / "w.csv", Hyperbolic(1.0),
+                              np.geomspace(1e-4, 30.0, 50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["verify", "--warp-csv", str(csv), "--n", "3",
+                    "--modes", "2", "--out", str(tmp_path / "v")])
+    assert code == 0
+    rep = json.loads((tmp_path / "v" / "verify.json").read_text())
+    ran = {c["name"]: c["passed"] for c in rep["checks"] if not c.get("skipped")}
+    assert rep["all_passed"] is True and ran["monotone_nonnegative"]
+
+
 def test_verify_detects_tampered_profile(tmp_path):
     out = tmp_path / "art"
     assert run(["solve", "--family", "hyperbolic", "--a", "1", "--n", "2",

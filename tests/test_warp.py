@@ -7,9 +7,8 @@ from numpy.testing import assert_allclose
 
 from conftest import write_tabulated_csv
 from weakmodel.errors import InvalidFamily, OutOfDomain
-from weakmodel.warp import (Euclidean, Hyperbolic, PchipInterpolator,
-                            PowerGrowth, PowerLog, Tabulated, UnknownGrowth,
-                            load_tabulated_csv)
+from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
+                            Tabulated, UnknownGrowth, load_tabulated_csv)
 
 
 def taylor_sinh_cosh(x, terms=30):
@@ -174,7 +173,7 @@ def test_tabulated_roundtrip(tmp_path):
     t = load_tabulated_csv(path)
     assert isinstance(t.growth_class, UnknownGrowth)
     r = np.linspace(0.05, 39.0, 57)
-    # monotone cubic interpolation: accuracy set by the sample density
+    # cubic Hermite of log phi in log r: accuracy set by the sample density
     assert_allclose(t.eval(r)[0], w.eval(r)[0], rtol=2e-5)
     assert_allclose(t.eval(r)[1], w.eval(r)[1], rtol=2e-5)
     with pytest.raises(OutOfDomain):
@@ -186,72 +185,6 @@ def test_tabulated_roundtrip(tmp_path):
 def _same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     return got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def _probe_points(x, rng):
-    """Random points over the hull and a little beyond, every node, the hull
-    ends and the floats just outside them."""
-    span = x[-1] - x[0]
-    return np.concatenate([
-        rng.uniform(x[0] - 0.05 * span, x[-1] + 0.05 * span, 300), x,
-        [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)]])
-
-
-def _pchip_cases():
-    rng = np.random.default_rng(12)
-    cases = []
-    for k in range(40):          # random grids over six decades of spacing
-        x = np.cumsum(rng.exponential(size=rng.integers(3, 50)))
-        x = x * 10.0 ** rng.uniform(-3, 3)
-        cases.append((x, rng.normal(size=x.size) * 10.0 ** rng.uniform(-5, 5)))
-    for k in range(20):          # flat segments and sign changes
-        x = np.sort(rng.uniform(0, 10, rng.integers(4, 30)))
-        cases.append((x, np.round(2 * rng.normal(size=x.size)) * (k % 2 - 0.5)))
-    # end slopes: the three-point estimate against m0's sign (set to 0), and
-    # m0, m1 of opposite signs with the estimate above 3 |m0| (set to 3 m0);
-    # each at the left end, then mirrored to the right end
-    for x, y in ((np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 7.0, 7.5])),
-                 (np.array([0.0, 1.0, 11.0, 12.0]), np.array([0.0, 1.0, -299.0, -290.0]))):
-        cases += [(x, y), (-x[::-1], y[::-1])]
-    return cases
-
-
-@pytest.mark.parametrize("x,y", _pchip_cases())
-def test_pchip_matches_scipy_bit_for_bit(x, y):
-    from scipy.interpolate import PchipInterpolator as ScipyPchip
-    ref = ScipyPchip(x, y)
-    r = _probe_points(x, np.random.default_rng(x.size))
-    assert _same_bits(PchipInterpolator(x, y)(r), ref(r))
-    grid2d = r[:300].reshape(-1, 3)
-    assert _same_bits(PchipInterpolator(x, y)(grid2d), ref(grid2d))
-    for point in (x[0], 0.5 * (x[0] + x[1]), x[-1] + 1.0):
-        assert float(PchipInterpolator(x, y)(point)).hex() == float(ref(point)).hex()
-
-
-def test_pchip_end_slope_clamps_are_exercised():
-    from scipy.interpolate import PchipInterpolator as ScipyPchip
-    zero, zero_right, three, three_right = _pchip_cases()[-4:]
-    for (x, y), end in ((zero, 0), (zero_right, -1)):
-        assert ScipyPchip(x, y).derivative()(x[end]) == 0.0
-    for (x, y), end, m0 in ((three, 0, 1.0), (three_right, -1, -1.0)):
-        assert ScipyPchip(x, y).derivative()(x[end]) == 3.0 * m0
-
-
-def test_pchip_stack_matches_one_scipy_interpolant_per_row():
-    from scipy.interpolate import PchipInterpolator as ScipyPchip
-    w = PowerGrowth(1.5)
-    grid = np.geomspace(1e-4, 400.0, 400)
-    cols = w.eval(grid)
-    stack = PchipInterpolator(grid, np.stack(cols))
-    rng = np.random.default_rng(3)
-    for r in (_probe_points(grid, rng), rng.uniform(1.0, 390.0, (5, 6)), 17.25):
-        want = np.stack([ScipyPchip(grid, col)(r) for col in cols])
-        assert _same_bits(stack(r), want)
-    t = Tabulated(grid, *cols)
-    r = np.linspace(1e-4, 400.0, 450)
-    for got, col in zip(t.eval(r), cols):
-        assert _same_bits(got, ScipyPchip(grid, col)(r))
-    assert t.eval(17.25) == tuple(float(ScipyPchip(grid, col)(17.25)) for col in cols)
 
 
 def test_tabulated_validation(tmp_path):
@@ -316,7 +249,35 @@ def test_columns_are_read_by_name(tmp_path):
     for path in (old, short):
         t = load_tabulated_csv(path)
         assert _same_bits(t.grid, three.grid)
-        assert _same_bits(t._columns.c, three._columns.c)
+        assert _same_bits(t._c, three._c)
+
+
+def test_a_cubic_log_phi_in_log_r_is_reproduced_to_rounding():
+    # the interpolant is the cubic Hermite of log phi in s = log r through
+    # the sampled slopes r phi'/phi, so a warp whose log phi is a cubic in s
+    # comes back exactly, phi and phi' alike, between the nodes too
+    coef = np.array([0.01, -0.05, 1.2, 0.3])
+    slope = np.polyder(coef)
+    grid = np.geomspace(0.5, 20.0, 12)
+    phi = np.exp(np.polyval(coef, np.log(grid)))
+    t = Tabulated(grid, phi, phi * np.polyval(slope, np.log(grid)) / grid)
+    r = np.concatenate([np.sqrt(grid[:-1] * grid[1:]),
+                        np.random.default_rng(1).uniform(0.5, 20.0, 200)])
+    want = np.exp(np.polyval(coef, np.log(r)))
+    got_phi, got_dphi = t.eval(r)
+    assert_allclose(got_phi, want, rtol=1e-13)
+    assert_allclose(got_dphi, want * np.polyval(slope, np.log(r)) / r, rtol=1e-13)
+
+
+def test_tabulated_dphi_is_the_derivative_of_its_phi():
+    # phi' between nodes is the interpolant's own derivative, not a second
+    # interpolant of the dphi column: central differences of phi agree
+    grid = np.geomspace(1e-4, 30.0, 400)
+    t = Tabulated(grid, *Hyperbolic(1.0).eval(grid))
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    h = 1e-5 * mid
+    diff = (t.eval(mid + h)[0] - t.eval(mid - h)[0]) / (2 * h)
+    assert_allclose(diff, t.eval(mid)[1], rtol=1e-6)
 
 
 
