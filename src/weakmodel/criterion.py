@@ -13,12 +13,10 @@ verdict comes from integrating the certified elementary bound.  Quadrature
 of the exact integrand over [1, R_max] plus certified tail brackets beyond
 R_max then produce the value and its error bound.  A warp with no growth
 class gets no verdict: Inconclusive, with the finite part as a lower bound.
-At n = 2, phi^{n-3} = phi^{1-n}, so I = T^2/2 with T = int_1^inf phi^{-1}
-the transience integral: the criterion is certified from that one integral.
-At n = 3, phi^{n-3} = 1, so C(1,R) = int_1^R phi^{n-3} = R - 1 exactly and
-the finite part is the one integral int_1^R (t - 1) phi^{-2}(t) dt.
-`classify` returns both reports and integrates what they share once: the
-inner tail at every n, and at n = 2 the finite part of T as well.
+The finite parts over [1, R] of both integrals, and C(1,R) = int_1^R
+phi^{n-3} of the cross term, come from one pass of panel triples at every
+n (`_finite`), which `classify` runs once for both reports with their
+inner tail.  At n = 2 the criterion is T^2/2, T the transience integral.
 
 Every tail bracket comes from `_TailModel` (`_tail_brackets`): exponential
 growth takes the sandwich at R, a closed-form power law sums the binomial
@@ -29,12 +27,8 @@ log(t/R) per tail, the double tail's inner integral being an incomplete
 beta.  That is one continued fraction, used on both sides of the Beta mean
 through I_y(p,q) = 1 - I_{1-y}(q,p), so the module needs numpy alone.
 
-All integrands are powers of phi and are evaluated in log space so that
-large n or fast exponential growth cannot overflow or underflow the
-bookkeeping.  `_log_power` builds every one of them, and `_log_integral`
-integrates phi^{1-n} or the triangle phi^{1-n}(tau) int^tau phi^{n-3} for
-the finite part over [1, R], with the inner cumulative from `_cumulative`:
-exact at n = 3, a `LogCumulative` at n >= 4.
+All integrands are powers of phi, evaluated in log space so that large n
+or fast exponential growth cannot overflow or underflow the bookkeeping.
 """
 
 from __future__ import annotations
@@ -47,8 +41,8 @@ import numpy as np
 
 from .errors import (InvalidTolerance, NotConvergent, OutOfDomain,
                      QuadratureFailure)
-from .quadrature import LogCumulative, adaptive_quad_log, logsumexp
-from .report import round_up_3
+from .quadrature import adaptive_quad_log, logsumexp
+from .report import round12, round_up_3
 from .warp import (ExponentialGrowth, PowerLawGrowth, PowerLogGrowth,
                    UnknownGrowth, WarpingFunction)
 
@@ -72,10 +66,14 @@ class CriterionReport:
     r_max: float
 
     def to_json_dict(self):
+        """The report as printed: the value at 12 digits, so the bound, rounded
+        up, also covers the value's rounding to them."""
+        finite = math.isfinite(self.value)
+        printing = abs(round12(self.value) - self.value) if finite else 0.0
         return {
             "verdict": self.verdict,
             "value": self.value,
-            "error_bound": round_up_3(self.error_bound),
+            "error_bound": round_up_3(self.error_bound + printing),
             "r_max": self.r_max,
             "tail_evidence": self.tail_evidence,
         }
@@ -334,7 +332,8 @@ class _TailModel:
             out = -(n - 2) * v - expo * np.log1p(v / L)
             return out if log_g is None else out + log_g(v)
         V = _DECAY_UNITS / (n - 2)
-        log_main, log_err, _ = adaptive_quad_log(log_f, 0.0, V, rtol=1e-14)
+        log_main, log_err, _ = adaptive_quad_log(log_f, np.linspace(0.0, V, 9),
+                                                 rtol=1e-14)
         return (log_main - math.log1p(math.exp(log_err - log_main)),
                 logsumexp([log_main, log_err, -(n - 2) * V - math.log(n - 2)]))
 
@@ -399,58 +398,21 @@ class _TailModel:
 
 
 # ---------------------------------------------------------------------------
-# Log-space integrals of powers of phi
+# The finite part: one pass of panel triples over [1, R]
 # ---------------------------------------------------------------------------
 
-def _log_power(w, q, cum=None):
-    """log of the integrand phi^q dt; with `cum`, times cum's integral from
-    cum.lo to the node."""
-    def logf(t):
-        out = q * w.log_phi(t)
-        return out if cum is None else out + cum.log_between(cum.lo, t)
-    return logf
-
-
-class _LengthCumulative:
-    """The cumulative of phi^0 = 1 on [lo, hi], exact: the integral over
-    [x, y] is the length of [x, y] clipped to [lo, hi]."""
-
-    def __init__(self, lo, hi):
-        self.lo, self.hi = float(lo), float(hi)
-        self.log_total = math.log(hi - lo) if hi > lo else -math.inf
-
-    def log_between(self, x, y):
-        """log of the clipped length; -inf if the range is empty."""
-        span = np.minimum(y, self.hi) - np.maximum(x, self.lo)
-        with np.errstate(divide="ignore"):
-            out = np.log(np.maximum(span, 0.0))
-        return float(out) if out.ndim == 0 else out
-
-
-def _cumulative(w, n, a, b, rtol):
-    """The cumulative of phi^{n-3} on [a, b]: at n = 3 the exact
-    `_LengthCumulative`, which makes no quadrature, else a `LogCumulative`
-    to `rtol`."""
-    if n == 3:
-        return _LengthCumulative(a, b)
-    return LogCumulative(_log_power(w, n - 3), a, b, rtol=rtol)
-
-
-def _log_integral(w, n, a, b, rtol, cum_rtol=None):
-    """(log value, log error, cum) of int_a^b phi^{1-n}, and cum None.  With
-    `cum_rtol` the value is the triangle integral
-    int_a^b phi^{1-n}(tau) [int_a^tau phi^{n-3}] dtau, an iterated order
-    whose integrand stays representable after combining logs, and cum the
-    cumulative of phi^{n-3} on [a, b] (`_cumulative`).  At n = 3 that is
-    the one quadrature of (tau - a) phi^-2(tau)."""
-    cum = None if cum_rtol is None else _cumulative(w, n, a, b, cum_rtol)
-    log_val, log_err, _ = adaptive_quad_log(_log_power(w, 1 - n, cum), a, b, rtol=rtol)
-    return log_val, log_err, cum
+def _edges(w, R):
+    """Edges equally spaced in log t over [1, R], 8 panels or one per decade
+    (a K15 panel over many decades has no node near its left end, where a
+    decaying integrand has its mass), and phi's breakpoints; R <= 1: none."""
+    top = max(R, 1.0)
+    edges = np.geomspace(1.0, top, max(8, math.ceil(math.log10(top))) + 1)
+    inside = [x for x in w.breakpoints if 1.0 < x < R and x not in edges]
+    return np.sort(np.r_[edges, inside])
 
 
 def _shared_value(shared, key, compute):
-    """compute(), or the value an earlier pass of the same `classify` call
-    stored under `key` in `shared`; without `shared`, compute()."""
+    """compute(), kept under `key` in `shared`, the dict of one `classify`."""
     if shared is None:
         return compute()
     if key not in shared:
@@ -459,22 +421,16 @@ def _shared_value(shared, key, compute):
 
 
 def _finite(w, n, R, double, rtol, shared=None):
-    """(value, error, log_cum) of the finite part over [1, R]: the triangle
-    integral and log int_1^R phi^{n-3} if `double`, else int_1^R phi^{1-n}
-    and log_cum None.  At n = 2 the triangle is C^2/2, with C = int_1^R
-    phi^{-1} and its error e giving C*e + e^2/2, and log_cum is log C.  At
-    n = 3 it is int_1^R (t - 1) phi^-2, and log_cum is log(R - 1), -inf
-    when R <= 1.
-    The integral is kept in `shared`, where the criterion at n = 2 and the
-    transience integral find the same C."""
-    cum_rtol = rtol * 0.1 if double and n > 2 else None
-    log_val, log_err, cum = _shared_value(
-        shared, ("finite", R, rtol, cum_rtol),
-        lambda: _log_integral(w, n, 1.0, R, rtol, cum_rtol=cum_rtol))
-    value, err = math.exp(log_val), math.exp(min(log_err, 700.0))
-    if double and n == 2:
-        return 0.5 * value**2, value * err + 0.5 * err**2, log_val
-    return value, err, None if cum is None else cum.log_total
+    """(value, error, cum) of the finite part over [1, R]: the triangle
+    int_1^R phi^{1-n}(tau) int_1^tau phi^{n-3} if `double`, else
+    int_1^R phi^{1-n}, and cum the logs (value, error) of C(1,R).  All come
+    from one pass of panel triples, kept in `shared` for the other report."""
+    log_val, log_err, _ = _shared_value(
+        shared, ("finite", R, rtol), lambda: adaptive_quad_log(
+            w.log_phi, _edges(w, R), rtol=rtol, triangle=(1 - n, n - 3)))
+    k = 0 if double else 1
+    return (math.exp(log_val[k]), math.exp(min(log_err[k], 700.0)),
+            (float(log_val[2]), float(log_err[2])))
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +499,12 @@ def _certify(w, n, tol, r_max, double, shared):
 
     The value is the finite part over [1, R] plus the certified tails beyond
     R: for the criterion integral the cross term C(1,R)*T_in(R) and the
-    double tail T_out(R), for the transience integral T_in(R) alone; at
-    n = 2 the three are C^2/2, C*T_in and T_in^2/2 with C = C(1,R).  The
+    double tail T_out(R), for the transience integral T_in(R) alone.  The
     error bound adds a rounding term of 1e-14 of the value.  R is r_max, or
     else the model's default, or on a table with a trusted growth class just
-    inside the last sample (`_radius`), raised to the sandwich start.  It is
-    the one radius tried: every tail is a certified bracket, so a report that
-    misses tol at R is refused with its error budget there.
-    `shared` is None, or the dict of one `classify` call: integrals that the
-    other pass needs too are computed once and kept there.
+    inside the last sample (`_radius`), raised to the sandwich start: the
+    one radius tried, where a report that misses tol is refused with its
+    error budget.  `shared` is None, or the dict of one `classify` call.
     """
     _check_args(w, n, tol, r_max)
     growth = w.growth_class
@@ -560,18 +513,18 @@ def _certify(w, n, tol, r_max, double, shared):
     model = _TailModel(growth, n, w.closed_form)
     R = _start_radius(w, model, _radius(w, r_max, model.default_r_max()))
     r0 = model.r0(R)
-    rtol = 1e-11 if double and n > 2 else 1e-12
 
     if model.inner_diverges() or (double and model.double_diverges()):
-        F, F_err, _ = _finite(w, n, R, double, rtol, shared)
+        F, F_err, _ = _finite(w, n, R, double, 1e-12, shared)
         return CriterionReport(
             verdict=DIVERGENT, value=F, error_bound=F_err,
             tail_evidence=model.divergence_evidence(r0, double), r_max=R)
 
     (in_lo, in_hi), dbl = _tail_brackets(n, model, R, double, shared)
-    F, F_err, log_cum = _finite(w, n, R, double, rtol, shared)
-    if double:
-        cross_lo, cross_hi = math.exp(log_cum + in_lo), math.exp(log_cum + in_hi)
+    F, F_err, (log_c, log_ec) = _finite(w, n, R, double, 1e-12, shared)
+    if double:   # (C - e_C, C + e_C) * T_in
+        cross_lo = max(math.exp(log_c + in_lo) - math.exp(log_ec + in_lo), 0.0)
+        cross_hi = math.exp(log_c + in_hi) + math.exp(log_ec + in_hi)
         tout_lo, tout_hi = math.exp(dbl[0]), math.exp(dbl[1])
     else:
         cross_lo = cross_hi = 0.0
@@ -614,10 +567,8 @@ def transience_integral(w: WarpingFunction, n: int, tol: float = 1e-8,
 def classify(w: WarpingFunction, n: int, tol: float = 1e-8,
              r_max: float | None = None) -> tuple[CriterionReport, CriterionReport]:
     """(march_criterion, transience_integral) reports for (w, n), each with
-    the bits of its own call.  Both passes run at the same R and share one
-    dict for this call only, so the inner tail beyond R, and the finite part
-    int_1^R phi^{1-n} wherever the criterion uses it too, are integrated
-    once."""
+    the bits of its own call.  Both run at the same R and share one dict for
+    this call only, so the pass over [1, R] and the inner tail run once."""
     shared = {}
     return (march_criterion(w, n, tol, r_max, _shared=shared),
             transience_integral(w, n, tol, r_max, _shared=shared))
@@ -647,7 +598,8 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
     """Certified tail brackets at R for a metric with convergent criterion."""
     model = _convergent_model(w, n)
     R = _start_radius(w, model, float(R))
-    log_cum = _cumulative(w, n, 1.0, R, 1e-12).log_total
+    log_cum = math.log(R - 1.0) if n == 3 else adaptive_quad_log(
+        lambda t: (n - 3) * w.log_phi(t), _edges(w, R), rtol=1e-12)[0]
     inner, dbl = _tail_brackets(n, model, R)
     return TailCertificate(
         r_max=R, log_cum=log_cum, log_inner=inner,

@@ -3,18 +3,20 @@
 It integrates exp(logf) for positive integrands whose values under- or
 overflow double precision (powers of the warping function for large n).
 Panel sums are evaluated with log-sum-exp so only the final exponentiation
-can underflow, never the bookkeeping.  `kronrod_panel_log`,
-the one log-space K15 kernel, takes arrays of intervals and calls logf once
-for all of them, and `LogCumulative.log_between` makes one such call per
-block of 256 limits, with no per-limit loop.
+can underflow, never the bookkeeping.  `kronrod_panel_log`, the K15 kernel
+of one integrand, calls logf once for arrays of intervals, and
+`LogCumulative.log_between` makes one such call per block of 256 limits.
 
-`adaptive_quad_log` bisects worst-first, one panel per step, but refines
-ahead: when the popped panel's halves are not yet known, one kernel call
-computes the halves and quarters of it and of every live panel whose error
-exceeds the mean share of the tolerance.  Later steps take their halves from
-that store.  The kernel and every integrand here work point by point, so the
-steps, the panels and the totals are those of one integrand call per split,
-bit for bit; only the number of calls falls.
+`adaptive_quad_log` is the one adaptive loop, over panel triples: one call
+of logf on a K15 panel [a_k, b_k] gives, for f = exp(q_out logf) and
+h = exp(q_in logf), I_k = int h, A_k = int f and B_k = int f(x) int_{a_k}^x h,
+the inner partials at the nodes from their Legendre integration matrix
+(Greengard, "Spectral integration and two-point boundary value problems",
+SIAM J. Numer. Anal. 28, 1991).  With P_k = sum_{j<k} I_j the triangle
+int f(x) int^x h is sum (P_k A_k + B_k), and its panel error
+P_k eA_k + eI_k A_{>k} + eB_k carries the inner one; eI and eA are
+K15 - G7, eB is B less its form on the 7 Gauss nodes.  One integral of
+exp(logf) is A at q = (1, 0).
 
 `cumulative_simpson` is the composite Simpson rule at equal steps that
 the growth-bound check of `radial.lemma_bound_check` integrates with.
@@ -27,7 +29,6 @@ per-call overhead on the short arrays this module sums.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -59,6 +60,21 @@ _WG = np.array([
 
 _LOG_WK = np.log(_WK)
 _WK_G7 = _WK - _WG
+
+
+def _integration_matrix(x):
+    """S with (S @ y)_i = int_{-1}^{x_i} p, p the polynomial of degree len(x) - 1
+    through (x, y), in Legendre P_k: int_{-1}^x P_k = (P_k+1 - P_k-1)/(2k + 1)."""
+    P = [np.ones_like(x), x]
+    for k in range(1, len(x)):
+        P.append(((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1))
+    partials = [x + 1.0] + [(P[k + 1] - P[k - 1]) / (2 * k + 1) for k in range(1, len(x))]
+    return np.linalg.solve(np.array(P[:-1]), np.array(partials)).T
+
+
+_S15 = _integration_matrix(_XK)
+_S7 = _integration_matrix(_XK[1::2])
+_WG7 = _WG[1::2]
 
 # limits of one log_between kernel call and head/between/tail matrix
 _ROW_BLOCK = 256
@@ -135,79 +151,114 @@ def cumulative_simpson(y, h):
     return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
 
 
-_LogPanel = namedtuple("_LogPanel", "a b log_val log_err")
-
-
-def _log_panels(logf, a, b):
-    """The K15 panels on the intervals [a_i, b_i], from one call of logf."""
-    return list(map(_LogPanel, a, b, *kronrod_panel_log(logf, a, b)))
-
-
 def _check_limits(a, b):
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration limits must be finite, got [{a:g}, {b:g}]")
 
 
-def _refine_ahead(logf, batch, ahead):
-    """Halves and quarters of every panel in batch, from one call of logf.
+def _with_rounding(log_val, log_est, size):
+    """(log error, log splittable error) of panels whose log integrand
+    reaches `size`: its rounding moves the value by nu = 4 eps (size + 1),
+    a floor on the K15-G7 estimate that no split lowers, so a panel at it
+    has nothing to split (-inf) unless nu >= 2^-20."""
+    nu = np.minimum(2.0 ** -50 * (size + 1.0), 1.0)
+    log_floor = log_val + np.log(nu)
+    with np.errstate(invalid="ignore"):   # -inf - -inf: nan, not splittable
+        fixable = (log_est > log_floor) | (nu >= 2.0 ** -20)
+    return np.logaddexp(log_est, log_floor), np.where(fixable, log_est, -math.inf)
 
-    The halves of each panel go into ahead under its key (a, b), and its
-    quarters under the keys of its halves; the halves of batch[0] are taken
-    out again and returned.
+
+def _triple_rows(logf, q_out, q_in, a, b):
+    """Per panel [a_i, b_i] the logs of (I, A, B), of their errors and of
+    their splittable errors (`_with_rounding`), from one call of logf; every
+    sum runs along its own row."""
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _XK
+    g = np.asarray(logf(x.ravel()), dtype=float).reshape(-1, len(_XK))
+    with np.errstate(invalid="ignore", divide="ignore"):   # zero rows: -inf below
+        lf, lh = q_out * g, q_in * g if q_in else np.zeros_like(g)   # no 0 * -inf
+        mf, mh = lf.max(axis=1), lh.max(axis=1)
+        f, h = np.exp(lf - mf[:, None]), np.exp(lh - mh[:, None])
+        inner = np.einsum("kj,ij->ki", h, _S15)   # int_{-1}^{x_i} h, unscaled
+        inner7 = np.einsum("kj,ij->ki", h[:, 1::2], _S7)
+        b15 = np.einsum("kj,kj,j->k", f, inner, _WK)
+        sums = np.column_stack([
+            np.einsum("kj,j->k", h, _WK), np.einsum("kj,j->k", f, _WK), b15,
+            np.einsum("kj,j->k", h, _WK_G7), np.einsum("kj,j->k", f, _WK_G7),
+            b15 - np.einsum("kj,kj,j->k", f[:, 1::2], inner7, _WG7)])
+        log_half = np.log(half)[:, None]
+        scale = np.column_stack([mh, mf, mf + mh + log_half[:, 0]])
+        logs = log_half + np.tile(scale, 2) + np.log(np.abs(sums))
+    logs[~np.isfinite(mf + mh)] = -math.inf   # logf all -inf (or +inf or nan)
+    size = np.column_stack([np.abs(mh), np.abs(mf), np.abs(mf) + np.abs(mh)])
+    return np.column_stack([logs[:, :3], *_with_rounding(logs[:, :3], logs[:, 3:], size)])
+
+
+def _triangle_columns(log_vals, log_errs):
+    """Per panel, in order, the log values and log errors of the triangle,
+    int f and int h, from those of (I, A, B): two (k, 3) arrays."""
+    (log_i, log_a, log_b), (log_ei, log_ea, log_eb) = log_vals.T, log_errs.T
+    log_p = np.r_[-math.inf, np.logaddexp.accumulate(log_i)[:-1]]
+    log_after = np.r_[np.logaddexp.accumulate(log_a[::-1])[-2::-1], -math.inf]
+    tri = np.logaddexp(log_p + log_a, log_b)
+    tri_err = np.logaddexp(np.logaddexp(log_p + log_ea, log_ei + log_after), log_eb)
+    return (np.column_stack([tri, log_a, log_i]),
+            np.column_stack([tri_err, log_ea, log_ei]))
+
+
+def adaptive_quad_log(logf, edges, rtol=1e-10, max_panels=2000, triangle=None):
+    """Adaptive K15 of exp(logf) in log space, from the panels between `edges`.
+
+    Returns (log value, log error, panels), panels a record array in order
+    with fields a, b, log_val, log_err and log_fix (the splittable error).
+    With triangle = (q_out, q_in) the panels are triples (module notes), and
+    the logs are arrays for the triangle, int f and int h.  Each round
+    splits into quarters, in one kernel call, the worst panel and every one
+    whose splittable error exceeds rtol/k of a column's total, until each
+    column's is within rtol of its total, a difference of logs: at a log
+    total near -4e17 one ulp is 64.  It raises QuadratureFailure past
+    max_panels or where a panel cannot be split.  Edges that do not
+    increase give the empty result; non-finite ones raise ValueError.
     """
-    a = np.array([p.a for p in batch])
-    b = np.array([p.b for p in batch])
-    mid = 0.5 * (a + b)
-    lo, hi = 0.5 * (a + mid), 0.5 * (mid + b)
-    rows = _log_panels(logf, np.column_stack([a, mid, a, lo, mid, hi]).ravel(),
-                       np.column_stack([mid, b, lo, mid, hi, b]).ravel())
-    for k, p in enumerate(batch):
-        h1, h2, q1, q2, q3, q4 = rows[6 * k:6 * k + 6]
-        ahead[p.a, p.b] = h1, h2
-        ahead[h1.a, h1.b] = q1, q2
-        ahead[h2.a, h2.b] = q3, q4
-    return ahead.pop((batch[0].a, batch[0].b))
-
-
-def adaptive_quad_log(logf, a, b, rtol=1e-10, max_panels=2000, min_panels=1):
-    """Adaptive K15 for a positive integrand given as logf.
-
-    Returns (log value, log error bound, sorted panel list).  Each step
-    bisects the panel with the largest error, the first in list order on a
-    tie.  Its halves come from `ahead`, which maps an interval (a, b) to its
-    two halves; on a miss one kernel call refines it and every other live
-    panel above the mean error share two levels deep.  The kernel computes
-    each row on its own, so when logf evaluates each point on its own, as
-    every integrand in this package does, the result has the bits of one
-    call per split.  Non-finite limits raise ValueError.
-    """
-    _check_limits(a, b)
-    if b <= a:
-        return -math.inf, -math.inf, []
-    edges = np.linspace(a, b, min_panels + 1)
-    panels = _log_panels(logf, edges[:-1], edges[1:])
-    log_rtol = math.log(rtol)
-    ahead = {}
-    while True:
-        log_total = logsumexp([p.log_val for p in panels])
-        log_err = logsumexp([p.log_err for p in panels])
-        if log_err <= log_total + log_rtol or log_err == -math.inf:
-            break
-        if len(panels) >= max_panels:
-            raise QuadratureFailure(
-                f"log-space quadrature on [{a:g}, {b:g}] exceeded {max_panels} panels"
-            )
-        share = log_total + log_rtol - math.log(len(panels))
-        worst = max(range(len(panels)), key=lambda i: panels[i].log_err)
-        p = panels.pop(worst)
-        halves = ahead.pop((p.a, p.b), None)
-        if halves is None:
-            halves = _refine_ahead(logf, [p] + [
-                q for q in panels if q.log_err > share and (q.a, q.b) not in ahead
-            ], ahead)
-        panels += halves
-    panels.sort(key=lambda p: p.a)
-    return float(log_total), float(log_err), panels
+    edges = np.asarray(edges, dtype=float)
+    _check_limits(edges[0], edges[-1])
+    q = triangle or (1, 0)
+    columns = _triangle_columns if triangle else lambda v, e: (v[:, 1:2], e[:, 1:2])
+    log_total = log_err = np.full(1 if triangle is None else 3, -math.inf)
+    a, b = (edges[:-1], edges[1:]) if edges[-1] > edges[0] else (edges[:0], edges[:0])
+    rows = _triple_rows(logf, *q, a, b) if len(a) else np.empty((0, 9))
+    where = f"log-space quadrature on [{edges[0]:g}, {edges[-1]:g}]"
+    while len(rows):
+        vals, fixable = columns(rows[:, :3], rows[:, 6:])
+        log_total = _logsumexp_rows(vals.T)
+        with np.errstate(invalid="ignore"):   # -inf - -inf: nan, counted as met
+            if not np.any(_logsumexp_rows(fixable.T) - log_total > math.log(rtol)):
+                break
+            excess = np.where(fixable == -math.inf, -math.inf,
+                              fixable - log_total).max(axis=1)
+        if len(a) >= max_panels:
+            raise QuadratureFailure(f"{where} exceeded {max_panels} panels")
+        split = excess > math.log(rtol / len(a))
+        split[np.argmax(excess)] = True
+        lo, hi = a[split], b[split]
+        mid = 0.5 * (lo + hi)
+        cuts = np.column_stack([lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi])
+        flat = (np.diff(cuts, axis=1) <= 0.0).any(axis=1)
+        if flat.any():
+            raise QuadratureFailure(f"{where} cannot split the panel at {lo[flat][0]:g} "
+                                    "below rounding")
+        qa, qb = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        order = np.argsort(np.r_[a[~split], qa], kind="stable")
+        a, b = np.r_[a[~split], qa][order], np.r_[b[~split], qb][order]
+        rows = np.concatenate([rows[~split], _triple_rows(logf, *q, qa, qb)])[order]
+    if len(rows):
+        log_err = _logsumexp_rows(columns(rows[:, :3], rows[:, 3:6])[1].T)
+    logs, shape = (np.split(rows, 3, axis=1), (3,)) if triangle else (rows[:, 1::3].T, ())
+    panels = np.rec.fromarrays([a, b, *logs], dtype=[("a", float), ("b", float)] + [
+        (field, float, shape) for field in ("log_val", "log_err", "log_fix")])
+    if triangle is None:
+        return float(log_total[0]), float(log_err[0]), panels
+    return log_total, log_err, panels
 
 
 class LogCumulative:
@@ -215,27 +266,19 @@ class LogCumulative:
 
     Supports log(int_x^y exp(logf)) for arbitrary lo <= x <= y <= hi without
     forming the (possibly overflowing) linear values.  `log_err` is the log
-    of the K15-G7 error estimate of the whole integral.
+    of the whole integral's error estimate.  The panels start from 8 equal
+    ones, with edges at the `breaks` inside [lo, hi].
     """
 
-    def __init__(self, logf, lo, hi, rtol=1e-11, max_panels=4000):
+    def __init__(self, logf, lo, hi, rtol=1e-11, max_panels=4000, breaks=()):
         _check_limits(lo, hi)
         self.logf = logf
         self.lo = float(lo)
         self.hi = float(hi)
-        if hi <= lo:
-            self.panels = []
-            self.log_total = self.log_err = -math.inf
-            self._starts = np.array([])
-            return
-        log_total, log_err, panels = adaptive_quad_log(
-            logf, lo, hi, rtol=rtol, max_panels=max_panels, min_panels=8)
-        self.panels = panels
-        self.log_total = log_total
-        self.log_err = log_err
-        self._starts = np.array([p.a for p in panels])
-        self._ends = np.array([p.b for p in panels])
-        self._log_vals = np.array([p.log_val for p in panels])
+        edges = np.linspace(lo, max(lo, hi), 9)
+        inside = [x for x in breaks if lo < x < hi and x not in edges]
+        self.log_total, self.log_err, self.panels = adaptive_quad_log(
+            logf, np.sort(np.r_[edges, inside]), rtol=rtol, max_panels=max_panels)
 
     def log_between(self, x, y):
         """log of the integral over [x, y] clipped to [lo, hi]; -inf if empty.
@@ -250,7 +293,7 @@ class LogCumulative:
         xs, ys = np.broadcast_arrays(np.maximum(x, self.lo),
                                      np.minimum(y, self.hi))
         out = np.full(xs.shape, -math.inf)
-        live = np.flatnonzero(ys > xs) if self.panels else []
+        live = np.flatnonzero(ys > xs) if len(self.panels) else []
         for k in range(0, len(live), _ROW_BLOCK):
             rows = live[k:k + _ROW_BLOCK]
             out.flat[rows] = self._log_rows(xs.ravel()[rows], ys.ravel()[rows])
@@ -258,21 +301,21 @@ class LogCumulative:
 
     def _log_rows(self, x, y):
         """`log_between` of 1-D arrays of limits with lo <= x < y <= hi."""
-        i = np.searchsorted(self._starts, x, side="right") - 1
-        j = np.searchsorted(self._starts, y, side="right") - 1
+        i = np.searchsorted(self.panels.a, x, side="right") - 1
+        j = np.searchsorted(self.panels.a, y, side="right") - 1
         one = i == j   # x and y in one panel: the head is all of [x, y]
-        cut_head = one | (x > self._starts[i])
-        cut_tail = ~one & (y > self._starts[j])
+        cut_head = one | (x > self.panels.a[i])
+        cut_tail = ~one & (y > self.panels.a[j])
         part = kronrod_panel_log(
             self.logf,
-            np.concatenate([x[cut_head], self._starts[j[cut_tail]]]),
-            np.concatenate([np.where(one, y, self._ends[i])[cut_head],
+            np.concatenate([x[cut_head], self.panels.a[j[cut_tail]]]),
+            np.concatenate([np.where(one, y, self.panels.b[i])[cut_head],
                             y[cut_tail]]), err=False)
-        head = self._log_vals[i]
+        head = self.panels.log_val[i]
         head[cut_head] = part[:np.count_nonzero(cut_head)]
         tail = np.full(len(x), -math.inf)
         tail[cut_tail] = part[np.count_nonzero(cut_head):]
         cols = np.arange(len(self.panels))
         between = (cols > i[:, None]) & (cols < j[:, None])
         return _logsumexp_rows(np.column_stack(
-            [head, np.where(between, self._log_vals, -math.inf), tail]))
+            [head, np.where(between, self.panels.log_val, -math.inf), tail]))

@@ -340,7 +340,7 @@ class _ConformalTime:
     tau is one LogCumulative of r/phi in s = log r over [log r0, log R],
     plus the midpoint of the certified transience tail bracket at R.
     `error` bounds |tau - exact| by the bracket's half-width plus the
-    cumulative's K15-G7 estimate.  tau, r/phi and phi' are computed once
+    cumulative's error estimate.  tau, r/phi and phi' are computed once
     per point set, in `memo`, which the modes of one extension share.
     """
 
@@ -349,7 +349,7 @@ class _ConformalTime:
         self.S = math.log(R)
         self.cum = _quadrature.LogCumulative(
             lambda s: s - w.log_phi(np.exp(s)), math.log(r0), self.S,
-            rtol=_TAU_RTOL)
+            rtol=_TAU_RTOL, breaks=np.log(w.breakpoints))
         lo, hi = math.exp(log_inner[0]), math.exp(log_inner[1])
         self.tail = 0.5 * (lo + hi)
         self.error = 0.5 * (hi - lo) + math.exp(self.cum.log_err)
@@ -421,7 +421,7 @@ def _riccati_bound(w: WarpingFunction, n: int, lambda_sq: float) -> float:
     if n == 3:
         return 1.0
     log_val, log_err, _ = _quadrature.adaptive_quad_log(
-        lambda r: (n - 3) * w.log_phi(r), 0.0, 1.0, rtol=1e-12)
+        lambda r: (n - 3) * w.log_phi(r), [0.0, 1.0], rtol=1e-12)
     # rounded up: the K15 estimate leaves out roundoff (int_0^1 1 gives 1 - 1 ulp)
     return (math.exp(log_val) + math.exp(log_err)) * (1.0 + 1e-12)
 

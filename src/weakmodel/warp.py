@@ -67,10 +67,13 @@ class UnknownGrowth:
 
 
 class WarpingFunction:
-    """Base class.  Subclasses implement eval(r) -> (phi, dphi)."""
+    """Base class.  Subclasses implement eval(r) -> (phi, dphi).  A pass over
+    a range that holds `breakpoints`, where phi is less smooth, starts with
+    panel edges there."""
 
     closed_form = True
     growth_class = UnknownGrowth()
+    breakpoints = ()
 
     def eval(self, r):
         raise NotImplementedError
@@ -189,6 +192,7 @@ class PowerLog(WarpingFunction):
 
     S1 = math.e
     S2 = math.e ** 2
+    breakpoints = (S1, S2)
     # J2 = int_1^2 q(t)/t dt, frozen at quad precision
     J2 = 0.29577073597502874
 

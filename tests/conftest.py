@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from weakmodel.criterion import _log_integral, _log_power
+from weakmodel.criterion import _finite
 from weakmodel.errors import InvalidTolerance
 from weakmodel.quadrature import LogCumulative, adaptive_quad_log
 from weakmodel.spectrum import eigen_round_sphere
@@ -50,14 +50,14 @@ def fubini_check(w: WarpingFunction, n: int, R: float):
     """
     if R <= 1.0:
         raise InvalidTolerance(f"fubini box needs R > 1, got {R}")
-    lv, _, _ = _log_integral(w, n, 1.0, R, 1e-12, cum_rtol=1e-12)
-    cum = LogCumulative(_log_power(w, 1 - n), 1.0, R, rtol=1e-12)
+    lhs, _, _ = _finite(w, n, R, True, 1e-12)   # the pass of panel triples
+    cum = LogCumulative(lambda t: (1 - n) * w.log_phi(t), 1.0, R, rtol=1e-12)
 
     def log_rhs(ss):
         return (n - 3) * w.log_phi(ss) + cum.log_between(ss, R)
 
-    rv, _, _ = adaptive_quad_log(log_rhs, 1.0, R, rtol=1e-12)
-    return math.exp(lv), math.exp(rv)
+    rv, _, _ = adaptive_quad_log(log_rhs, [1.0, R], rtol=1e-12)
+    return lhs, math.exp(rv)
 
 
 def write_tabulated_csv(path, w, r_grid):

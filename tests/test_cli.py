@@ -983,3 +983,17 @@ def test_no_state_carries_between_calls(tmp_path, capsys):
             assert run(cmd + ["--help"]) == 0
             helps.append(capsys.readouterr().out)
         assert helps[0] == helps[1] != "", cmd
+
+
+def test_classify_refuses_exponential_growth_past_1e20_at_n4(tmp_path, capsys):
+    # n = 2 and 3 print the closed forms there (test_criterion); at n = 4
+    # the pass refuses, with no report and no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["classify", "--family", "hyperbolic", "--a", "1", "--n", "4",
+                    "--rmax", "1e30", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: log-space quadrature on [1, 1e+30]")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "classify.json").exists()

@@ -171,13 +171,17 @@ def test_powerlog_double_tail_against_binomial_j(c, n, t0):
 
 
 @pytest.mark.parametrize("c,n,value,bound", [
-    (32, 4, "0.405391853665", "3.24e-12"), (32, 5, "0.30922999699", "2.86e-12"),
-    (32, 10, "0.136491221575", "1.12e-12"), (50, 4, "0.389914646464", "3.61e-12"),
-    (50, 5, "0.298989975214", "1.81e-12"), (50, 10, "0.133007154683", "9.28e-13")])
+    (32, 4, "0.405391853607", "2.46e-13"), (32, 5, "0.309229997073", "1.59e-13"),
+    (32, 10, "0.136491215785", "4.64e-13"), (50, 4, "0.389914646591", "4.06e-13"),
+    (50, 5, "0.2989899752", "1.61e-13"), (50, 10, "0.133007139214", "2.18e-13")])
 def test_large_powerlog_exponent_keeps_its_report(c, n, value, bound):
     # from c ~ 32 I_y(p,q) underflows below the Beta mean, where the
     # continued fraction gives log G without forming it; value and bound
-    # as printed, 12 and 3 digits
+    # as printed, 12 and 3 digits, the bound covering the value's rounding
+    # to 12.  Each finite part is within 2.2e-16 of the composite reference
+    # of tests/test_reference_grid.py; the values first pinned here, from
+    # panels across the splice at e and e^2, were up to 1.5e-8 off, against
+    # bounds of 1e-12
     printed = round12(march_criterion(PowerLog(c), n, tol=1e-8).to_json_dict())
     assert (repr(printed["value"]), repr(printed["error_bound"])) == (value, bound)
 
@@ -467,10 +471,9 @@ def test_rounding_limited_refusal_names_every_part_and_stops():
                                      (PowerGrowth(2.0), "double_tail")],
                          ids=["hyperbolic", "powergrowth", "powergrowth-log-tail"])
 def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w, part):
-    # the integrand phi^(1-n)(t) * int_1^t phi^(n-3) needs one log_phi call
-    # for phi^(1-n) and one for all partial panels of the cumulative integral.
-    # The double tail of power growth is its series: no quadrature and no
-    # phi at all.  n = 3: at n = 2 no triangle is built
+    # the panel triples of phi^(1-n) and phi^(n-3) need one log_phi call
+    # per node vector.  The double tail of power growth is its series: no
+    # quadrature and no phi at all
     from weakmodel import criterion
     log_phi_calls = count_calls(monkeypatch, w, "log_phi")
     per_vector = []
@@ -486,7 +489,7 @@ def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w, part):
 
     monkeypatch.setattr(criterion, "adaptive_quad_log", spy)
     if part == "finite":
-        F, F_err, _ = criterion._finite(w, 3, 30.0, True, 1e-11)
+        F, F_err, _ = criterion._finite(w, 3, 30.0, True, 1e-12)
         assert F > 0 and F_err < 1e-9 * F
     else:
         model = _TailModel(w.growth_class, 3, exact=True)
@@ -494,7 +497,7 @@ def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w, part):
         assert lo <= hi < lo + 1e-9
         assert (per_vector, log_phi_calls) == ([], [])
         return
-    assert per_vector and max(per_vector) <= 2
+    assert per_vector and max(per_vector) == 1
 
 
 # (metric, n, R): log_cum, log_inner, double of tail_certificate, recorded
@@ -720,10 +723,10 @@ def test_finite_part_is_monotone_in_r(case):
     # estimates and the 1e-14 rounding term the certified value carries
     from weakmodel import criterion
     w, n = case
-    for double, rtol in ((True, 1e-11 if n > 2 else 1e-12), (False, 1e-12)):
+    for double in (True, False):
         for R in (50.0, 100.0):
-            F, e, _ = criterion._finite(w, n, R, double, rtol)
-            F2, e2, _ = criterion._finite(w, n, 2 * R, double, rtol)
+            F, e, _ = criterion._finite(w, n, R, double, 1e-12)
+            F2, e2, _ = criterion._finite(w, n, 2 * R, double, 1e-12)
             assert F <= F2 + e + e2 + 1e-14 * F2, (w, n, double, R)
 
 
@@ -770,28 +773,9 @@ def test_n2_criterion_is_half_the_transience_square(case):
     except QuadratureFailure:
         return
     assert (m.verdict, m.r_max) == (t.verdict, t.r_max), w
-    if m.verdict == DIVERGENT:
-        assert m.value == 0.5 * t.value**2, w
-    else:
-        assert abs(m.value - 0.5 * t.value**2) <= m.error_bound, w
+    assert abs(m.value - 0.5 * t.value**2) <= m.error_bound, w
     assert m.tail_evidence == ("n = 2: criterion = T^2/2, T = int_1^inf phi^-1; "
                                + t.tail_evidence)
-
-
-@pytest.mark.parametrize("w, n", [
-    (Hyperbolic(1.0), 2), (PowerGrowth(2.0), 2), (PowerGrowth(0.8), 2),
-    (PowerLog(1.2), 2), (Hyperbolic(1.0), 4), (PowerGrowth(2.0), 4)], ids=repr)
-def test_n2_criterion_builds_no_triangle(monkeypatch, w, n):
-    # at n = 2 no cumulative of phi^(n-3): the one quadrature is the finite
-    # part C; the n = 4 cases show that the spy sees the triangle's
-    # cumulative (n = 3 has an exact one, see below).  Exponential, power and n = 2 power-log tails are closed
-    # forms or series, so no tail makes a quadrature
-    from weakmodel import criterion
-    cums = count_calls(monkeypatch, criterion, "LogCumulative")
-    quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
-    rep = march_criterion(w, n, tol=1e-8)
-    assert rep.r_max == _TailModel(w.growth_class, n).default_r_max()
-    assert (len(cums), len(quads)) == (int(n > 2), 1), (cums, quads)
 
 
 _N3_GRID = np.geomspace(1e-4, 30.0, 400)
@@ -801,13 +785,12 @@ _N3_GRID = np.geomspace(1e-4, 30.0, 400)
     Hyperbolic(1.0), PowerGrowth(2.0), PowerGrowth(0.8), PowerLog(1.2),
     Tabulated(_N3_GRID, *Hyperbolic(1.0).eval(_N3_GRID))], ids=repr)
 def test_n3_criterion_is_one_quadrature(monkeypatch, w):
-    # at n = 3, phi^(n-3) = 1: the triangle's cumulative is the length
-    # tau - 1, exact, so the criterion's finite part is the one quadrature
-    # of (tau - 1) phi^-2 on every path (Convergent, Divergent, Inconclusive),
+    # at n = 3, phi^(n-3) = 1: the criterion's finite part is the one pass
+    # of panel triples on every path (Convergent, Divergent, Inconclusive),
     # and no LogCumulative is built.  Power-log tails add their inner and
     # double quadratures in log(t/R)
     from weakmodel import criterion, quadrature
-    cums = count_calls(monkeypatch, criterion, "LogCumulative")
+    cums = count_calls(monkeypatch, quadrature, "LogCumulative")
     quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
     cum_quads = count_calls(monkeypatch, quadrature, "adaptive_quad_log")
     march_criterion(w, 3, tol=1e-8)
@@ -817,19 +800,27 @@ def test_n3_criterion_is_one_quadrature(monkeypatch, w):
     assert (len(cums), len(cum_quads)) == (0, 0)
 
 
-def test_n3_cumulative_is_the_clipped_length_without_a_warning():
-    from weakmodel import criterion
-    w = Hyperbolic(1.0)
-    cum = criterion._cumulative(w, 3, 1.0, 30.0, 1e-12)
-    empty = criterion._cumulative(w, 3, 1.0, 0.5, 1e-12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cum.log_between(1.0, 3.0) == math.log(2.0)
-        assert_allclose(cum.log_between(1.0, np.array([0.5, 1.0, 2.0, 40.0])),
-                        [-math.inf, -math.inf, 0.0, math.log(29.0)], rtol=1e-15)
-        assert (cum.log_total, empty.log_total) == (math.log(29.0), -math.inf)
-        assert empty.log_between(1.0, np.array([0.7, 2.0])).tolist() == [-math.inf] * 2
-    assert type(criterion._cumulative(w, 4, 1.0, 30.0, 1e-12)) is criterion.LogCumulative
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("w", [
+    Hyperbolic(1.0), PowerGrowth(2.0), PowerGrowth(0.8), PowerLog(1.2),
+    Tabulated(_N3_GRID, *Hyperbolic(1.0).eval(_N3_GRID))], ids=repr)
+def test_classify_runs_one_pass_at_every_n(monkeypatch, w, n):
+    # the triangle, int_1^R phi^(1-n) and C(1,R) of both reports come from
+    # one pass of panel triples over [1, R], at every n and on every path; a
+    # report alone runs that one pass too, to the same bits.  No
+    # LogCumulative is built.  Power-log tails add quadratures that start at
+    # v = 0 in v = log(t/R)
+    from weakmodel import criterion, quadrature
+    cums = count_calls(monkeypatch, quadrature, "LogCumulative")
+    quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
+    reports = criterion.classify(w, n, tol=1e-8)
+    passes = [c for c in quads if c[1][0] == 1.0]
+    assert len(passes) == 1 and passes[0][1][-1] == reports[0].r_max
+    for alone, rep in zip((march_criterion, transience_integral), reports):
+        quads.clear()
+        assert alone(w, n, tol=1e-8).to_json_dict() == rep.to_json_dict()
+        assert len([c for c in quads if c[1][0] == 1.0]) == 1
+    assert cums == []
 
 
 @pytest.mark.parametrize("w", [Hyperbolic(1.0), PowerGrowth(2.0), PowerLog(1.2)],
@@ -837,12 +828,13 @@ def test_n3_cumulative_is_the_clipped_length_without_a_warning():
 @pytest.mark.parametrize("R", [30.0, 1e5, 1e250])
 def test_n3_tail_certificate_cumulative_is_exact(monkeypatch, w, R):
     # C(1,R) = int_1^R phi^0 = R - 1, with no quadrature behind it
-    from weakmodel import criterion
-    cums = count_calls(monkeypatch, criterion, "LogCumulative")
+    from weakmodel import criterion, quadrature
+    cums = count_calls(monkeypatch, quadrature, "LogCumulative")
+    quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
     cert = tail_certificate(w, 3, R)
     assert cert.r_max == R
     assert cert.log_cum == math.log(R - 1.0)
-    assert cums == []
+    assert cums == [] and [c for c in quads if c[1][0] == 1.0] == []
 
 
 def _reports_or_error(thunk):
@@ -906,7 +898,7 @@ def test_classify_refines_each_inner_tail_once(monkeypatch, w):
     criterion.classify(w, 3, tol=1e-8)
     inner_radii = [c[1] for c in tails]
     assert inner_radii and len(inner_radii) == len(set(inner_radii)), inner_radii
-    tail_quads = [c for c in quads if c[1] == 0.0]
+    tail_quads = [c for c in quads if c[1][0] == 0.0]
     assert len(tail_quads) == (2 * len(inner_radii) if isinstance(w, PowerLog) else 0)
 
 
@@ -993,3 +985,59 @@ def test_tabulated_with_trusted_growth(tmp_path):
     assert abs(rep.value - (math.log(math.tanh(0.5))) ** 2 / 2.0) < 1e-3
     rep_t = transience_integral(t, 2, tol=1e-3)
     assert rep_t.verdict == CONVERGENT
+
+
+# ---------------------------------------------------------------------------
+# Exponential growth at user radii past 1e20, and phi's breakpoints
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a, R", [(1.0, 1e30), (0.1, 1e21)])
+def test_exponential_growth_past_1e20_prints_the_closed_forms(a, R):
+    # the one K15 panel on [1, R] has every node beyond 4e17, where a log
+    # value near -4e17 has an ulp of 64: a stopping test that added log rtol
+    # to it passed, and the reports printed 0 with bound 0.  At n = 2 the
+    # criterion is (log tanh(a/2))^2/2, at n = 3 the transience integral is
+    # a (coth a - 1)
+    import mpmath as mp
+    with mp.workdps(40):
+        n2 = float(mp.log(mp.tanh(mp.mpf(a) / 2)) ** 2 / 2)
+        n3 = float(a * (mp.coth(a) - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        march = march_criterion(Hyperbolic(a), 2, tol=1e-8, r_max=R)
+        trans = transience_integral(Hyperbolic(a), 3, tol=1e-8, r_max=R)
+    for rep, exact in ((march, n2), (trans, n3)):
+        assert rep.verdict == CONVERGENT and rep.r_max == R
+        assert rep.value > 0 and abs(rep.value - exact) <= rep.error_bound, (rep, exact)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_exponential_growth_past_1e20_at_n4_and_up_is_refused(n):
+    # phi^(n-3) near R = 1e30 has a log near 1e30, whose rounding no panel
+    # in t resolves: the pass refuses at once
+    start = time.perf_counter()
+    with pytest.raises(QuadratureFailure, match=r"^log-space quadrature on "
+                       r"\[1, 1e\+30\] cannot split the panel at .* below rounding$"):
+        march_criterion(Hyperbolic(1.0), n, tol=1e-8, r_max=1e30)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_every_pass_starts_at_the_power_log_splice(monkeypatch):
+    # phi is C^3 only at e and e^2: the criterion's pass, the certificate's
+    # C(1,R) and tau's cumulative in s = log r start with edges there
+    from weakmodel import criterion, quadrature, radial
+    from weakmodel.spectrum import eigen_round_sphere
+    quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
+    cums = count_calls(monkeypatch, quadrature, "adaptive_quad_log")
+    w = PowerLog(2.0)
+    criterion.classify(w, 4, tol=1e-8)
+    tail_certificate(w, 4, 100.0)
+    radial.conformal_modes(w, [eigen_round_sphere(2, 1)], r_max=100.0)
+    passes = [c[1] for c in quads if c[1][0] == 1.0]
+    assert len(passes) == 2
+    for edges in passes:
+        assert {math.e, math.e ** 2} <= set(edges)
+    (tau_edges,) = [c[1] for c in cums]
+    assert {1.0, 2.0} <= set(tau_edges)
+    assert PowerLog.breakpoints == (math.e, math.e ** 2)
+    assert Hyperbolic(1.0).breakpoints == () == PowerGrowth(2.0).breakpoints

@@ -53,6 +53,9 @@ def test_tracer_instruments_and_restores_quadrature():
     patch = tracing.instrument(tracer)
     try:
         criterion.march_criterion(PowerGrowth(2.0), 4, tol=1e-6)
+        # tau of an n = 2 extension is the one reader of log_between
+        radial.conformal_modes(Hyperbolic(1.0), [eigen_round_sphere(2, 1)],
+                               r_max=10.0)
     finally:
         patch.restore()
     spans = {tracer.names[i] for i in tracer.name}

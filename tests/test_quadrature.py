@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from scipy import special
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
-from weakmodel.criterion import _log_power
+from weakmodel import quadrature
 from weakmodel.errors import QuadratureFailure
-from weakmodel.quadrature import (_WG, _WK, _XK, LogCumulative, _log_panels,
+from weakmodel.quadrature import (_WG, _WK, _XK, LogCumulative,
                                   _logsumexp_rows, adaptive_quad_log,
                                   cumulative_simpson, kronrod_panel_log,
                                   logsumexp)
@@ -62,20 +62,20 @@ def test_adaptive_known_integrals():
 def test_adaptive_log_matches_linear():
     f = lambda x: np.exp(-x) * (2.0 + np.sin(3 * x))
     lin, _ = adaptive_quad(f, 0.0, 20.0)
-    logv, logerr, _ = adaptive_quad_log(lambda x: np.log(f(x)), 0.0, 20.0)
+    logv, logerr, _ = adaptive_quad_log(lambda x: np.log(f(x)), [0.0, 20.0])
     assert_allclose(math.exp(logv), lin, rtol=1e-10)
 
 
 def test_log_space_handles_underflow():
     # integrand e^{-500 x} underflows linearly on most of the range
-    logv, _, _ = adaptive_quad_log(lambda x: -500.0 * x, 1.0, 40.0)
+    logv, _, _ = adaptive_quad_log(lambda x: -500.0 * x, [1.0, 40.0])
     assert_allclose(logv, -500.0 - math.log(500.0), rtol=1e-12)
 
 
 def test_budget_exhaustion_raises():
     wild = lambda x: np.abs(np.sin(1000.0 * x)) + 1e-30
     with pytest.raises(QuadratureFailure):
-        adaptive_quad_log(lambda x: np.log(wild(x)), 0.0, 10.0,
+        adaptive_quad_log(lambda x: np.log(wild(x)), [0.0, 10.0],
                           rtol=1e-13, max_panels=8)
 
 
@@ -88,7 +88,7 @@ def test_log_cumulative_consistency():
         total = np.logaddexp(a, b)
         assert_allclose(total, cum.log_total, rtol=1e-10)
     # agrees with a direct adaptive integral on a sub-interval
-    direct, _, _ = adaptive_quad_log(lambda x: np.sin(x) - 2.0 * x, 2.5, 7.5)
+    direct, _, _ = adaptive_quad_log(lambda x: np.sin(x) - 2.0 * x, [2.5, 7.5])
     assert_allclose(cum.log_between(2.5, 7.5), direct, atol=1e-9)
 
 
@@ -219,83 +219,66 @@ def _counted(logf):
     return counted, calls
 
 
-def _one_split_reference(logf, a, b, rtol=1e-10, max_panels=2000, min_panels=1):
-    """Worst-first bisection with one call of logf per split: the loop that
-    refine-ahead replays."""
-    if b <= a:
-        return -math.inf, -math.inf, []
-    edges = np.linspace(a, b, min_panels + 1)
-    panels = _log_panels(logf, edges[:-1], edges[1:])
-    log_rtol = math.log(rtol)
-    while True:
-        log_total = logsumexp([p.log_val for p in panels])
-        log_err = logsumexp([p.log_err for p in panels])
-        if log_err <= log_total + log_rtol or log_err == -math.inf:
-            break
-        if len(panels) >= max_panels:
-            raise QuadratureFailure(
-                f"log-space quadrature on [{a:g}, {b:g}] exceeded {max_panels} panels"
-            )
-        worst = max(range(len(panels)), key=lambda i: panels[i].log_err)
-        p = panels.pop(worst)
-        mid = 0.5 * (p.a + p.b)
-        panels += _log_panels(logf, [p.a, mid], [mid, p.b])
-    panels.sort(key=lambda p: p.a)
-    return float(log_total), float(log_err), panels
+def _one_call_per_panel(monkeypatch):
+    """Make the loop's kernel compute its panels one call each."""
+    batched = quadrature._triple_rows
 
-
-def _triangle_integrand():
-    # int phi^{-3}(t) [int_1^t phi(s) ds] dt at n = 4, as _log_integral builds
-    # it, across the power-log splice on [e, e^2]
-    w = PowerLog(2.0)
-    cum = LogCumulative(_log_power(w, 1), 1.1, 40.3, rtol=1e-12)
-    return _log_power(w, -3, cum=cum), 1.1, 40.3
+    def single(logf, q_out, q_in, a, b):
+        return np.concatenate([batched(logf, q_out, q_in, a[k:k + 1], b[k:k + 1])
+                               for k in range(len(a))])
+    monkeypatch.setattr(quadrature, "_triple_rows", single)
 
 
 _INTEGRANDS = {
-    "oscillating": lambda: (lambda x: np.sin(3.0 * x) - 0.5 * x, 0.0, 20.0),
-    "zero_below_2": lambda: (
-        lambda x: np.where(x < 2.0, -np.inf, np.sin(x) - 2.0 * x), 0.1, 9.3),
-    "triangle": _triangle_integrand,
+    "oscillating": (lambda x: np.sin(3.0 * x) - 0.5 * x, 0.0, 20.0, None),
+    "zero_below_2": (lambda x: np.where(x < 2.0, -np.inf, np.sin(x) - 2.0 * x),
+                     0.1, 9.3, None),
+    # int phi^{-3}(t) [int_1.1^t phi(s) ds] dt at n = 4, as the criterion's
+    # pass builds it, across the power-log splice on [e, e^2]
+    "triangle": (PowerLog(2.0).log_phi, 1.1, 40.3, (-3, 1)),
 }
 
 
 @pytest.mark.parametrize("rtol", [1e-10, 1e-12, 1e-14])
-@pytest.mark.parametrize("min_panels", [1, 3, 8])
+@pytest.mark.parametrize("panels", [1, 3, 8])
 @pytest.mark.parametrize("integrand", sorted(_INTEGRANDS))
-def test_refine_ahead_matches_one_split_per_call_bit_for_bit(integrand, min_panels,
-                                                             rtol):
-    logf, a, b = _INTEGRANDS[integrand]()
-    ref_logf, ref_calls = _counted(logf)
-    want = _one_split_reference(ref_logf, a, b, rtol=rtol, min_panels=min_panels)
+def test_refine_ahead_matches_one_split_per_call_bit_for_bit(integrand, panels,
+                                                             rtol, monkeypatch):
+    # each round splits every panel above its share in one kernel call; the
+    # kernels compute each panel on its own, so the result has the bits of
+    # one call per split panel, with far fewer calls of logf
+    logf, a, b, triangle = _INTEGRANDS[integrand]
+    edges = np.linspace(a, b, panels + 1)
     got_logf, calls = _counted(logf)
-    got = adaptive_quad_log(got_logf, a, b, rtol=rtol, min_panels=min_panels)
-    assert got[:2] == want[:2]
-    assert got[2] == want[2]   # every field of every panel, in order
-    splits = len(want[2]) - min_panels
-    assert len(ref_calls) == 1 + splits
-    if integrand != "triangle":   # criterion integrands are smooth: few splits
-        assert splits >= 20
-    if splits >= 20:
-        assert len(calls) < splits
+    got = adaptive_quad_log(got_logf, edges, rtol=rtol, triangle=triangle)
+    _one_call_per_panel(monkeypatch)
+    ref_logf, ref_calls = _counted(logf)
+    want = adaptive_quad_log(ref_logf, edges, rtol=rtol, triangle=triangle)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2].tobytes() == want[2].tobytes()   # every field of every panel
+    assert len(ref_calls) == len(want[2]) + (len(want[2]) - panels) // 3
+    assert len(calls) < len(ref_calls) // 4
+    if integrand != "triangle":   # criterion integrands are smooth: few panels
+        assert len(want[2]) >= 20
 
 
-def test_refine_ahead_fails_where_one_split_per_call_fails():
-    logf = lambda x: np.log(np.abs(np.sin(30.0 * x)) + 1e-3)
-    with pytest.raises(QuadratureFailure) as want:
-        _one_split_reference(logf, 0.0, 10.0, max_panels=50)
-    with pytest.raises(QuadratureFailure) as got:
-        adaptive_quad_log(logf, 0.0, 10.0, max_panels=50)
-    assert str(got.value) == str(want.value)
-    assert "exceeded 50 panels" in str(got.value)
-    # the limit falls at the same panel count: one panel fewer than the
-    # reference needs fails in both, and the count it needs passes in both
-    logf = lambda x: np.sin(3.0 * x) - 0.5 * x
-    need = len(_one_split_reference(logf, 0.0, 20.0, rtol=1e-12)[2])
-    with pytest.raises(QuadratureFailure, match=f"exceeded {need - 1} panels"):
-        adaptive_quad_log(logf, 0.0, 20.0, rtol=1e-12, max_panels=need - 1)
-    assert len(adaptive_quad_log(logf, 0.0, 20.0, rtol=1e-12,
-                                 max_panels=need)[2]) == need
+def test_refine_ahead_fails_where_one_split_per_call_fails(monkeypatch):
+    # the loop refuses past max_panels with one message, one kernel call per
+    # panel or not; a budget of the panels a run ends with passes, and a
+    # quarter of it, at most the panels of its last round, fails
+    wild = lambda x: np.log(np.abs(np.sin(30.0 * x)) + 1e-3)
+    smooth = lambda x: np.sin(3.0 * x) - 0.5 * x
+    need = len(adaptive_quad_log(smooth, [0.0, 20.0], rtol=1e-12)[2])
+    for one_per_panel in (False, True):
+        if one_per_panel:
+            _one_call_per_panel(monkeypatch)
+        with pytest.raises(QuadratureFailure, match=r"^log-space quadrature on "
+                           r"\[0, 10\] exceeded 50 panels$"):
+            adaptive_quad_log(wild, [0.0, 10.0], max_panels=50)
+        with pytest.raises(QuadratureFailure, match=f"exceeded {need // 4} panels$"):
+            adaptive_quad_log(smooth, [0.0, 20.0], rtol=1e-12, max_panels=need // 4)
+        assert len(adaptive_quad_log(smooth, [0.0, 20.0], rtol=1e-12,
+                                     max_panels=need)[2]) == need
 
 
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
@@ -304,12 +287,13 @@ def test_refine_ahead_fails_where_one_split_per_call_fails():
 def test_non_finite_limits_are_refused(a, b):
     logf, calls = _counted(lambda x: -x)
     with pytest.raises(ValueError, match="finite"):
-        adaptive_quad_log(logf, a, b)
+        adaptive_quad_log(logf, [a, b])
     with pytest.raises(ValueError, match="finite"):
         LogCumulative(logf, a, b)
     assert calls == []
     # an empty finite interval is still the empty result
-    assert adaptive_quad_log(logf, 1.0, 0.0) == (-math.inf, -math.inf, [])
+    log_val, log_err, panels = adaptive_quad_log(logf, [1.0, 0.0])
+    assert (log_val, log_err, len(panels)) == (-math.inf, -math.inf, 0)
     assert LogCumulative(logf, 1.0, 1.0).log_total == -math.inf
 
 
