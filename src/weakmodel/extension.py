@@ -96,9 +96,12 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     the band (at M >= 2), with any input mode above it, carries more than
     _TAIL_ENERGY_FRACTION of the boundary energy; at M < 2 only input modes
     above M count.  Exact coefficients with no mode above M need no warning,
-    as their projection drops nothing.  All modes share one radius.  At
-    n = 2 they are the closed forms exp(-lambda tau) at `r_max` (or a start
-    radius), raised to where the tail bracket holds.  At n >= 3 the
+    as their projection drops nothing.  For sampled data the energy is
+    sum_j w_j f_j^2 on the grid, and the tail is that less what the
+    projection puts below the top of the band, so modes the grid cannot
+    resolve count as dropped.  All modes share one radius.  At n = 2 they
+    are the closed forms exp(-lambda tau) at `r_max` (or a start radius),
+    raised to where the tail bracket holds.  At n >= 3 the
     certificate of the highest mode the data use picks the radius first,
     from the metric alone, by `suggest_rmax`'s search in log R for where
     its tail delta is tight (constant data keep the start radius); every
@@ -121,11 +124,13 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     coeffs = project_boundary(f, M)
 
     exact = f.coeffs is not None and f.coeffs.max_m() <= M
-    energy = f.coeffs if f.coeffs is not None else coeffs   # with what is dropped
-    total = energy.total_energy()
     top = M - 1 if M >= 2 else M + 1    # below M = 2, only modes above M count
+    if f.coeffs is not None:
+        total, tail = f.coeffs.total_energy(), f.coeffs.tail_energy(top)
+    else:   # the samples' energy, less what the projection puts below top
+        total = float(np.dot(f.quadrature.weights, f.samples ** 2))
+        tail = total - sum(coeffs.mode_energy(m) for m in range(top))
     if total > 0 and not exact:
-        tail = energy.tail_energy(top)
         if tail > _TAIL_ENERGY_FRACTION * total:
             warnings.warn(
                 f"boundary data is not well resolved at M={M}: modes >= {top} "

@@ -3,20 +3,22 @@
 It integrates exp(logf) for positive integrands whose values under- or
 overflow double precision (powers of the warping function for large n).
 Panel sums are evaluated with log-sum-exp so only the final exponentiation
-can underflow, never the bookkeeping.  `kronrod_panel_log`, the K15 kernel
-of one integrand, calls logf once for arrays of intervals, and
-`LogCumulative.log_between` makes one such call per block of 256 limits.
+can underflow, never the bookkeeping.
 
-`adaptive_quad_log` is the one adaptive loop, over panel triples: one call
-of logf on a K15 panel [a_k, b_k] gives, for f = exp(q_out logf) and
-h = exp(q_in logf), I_k = int h, A_k = int f and B_k = int f(x) int_{a_k}^x h,
-the inner partials at the nodes from their Legendre integration matrix
-(Greengard, "Spectral integration and two-point boundary value problems",
-SIAM J. Numer. Anal. 28, 1991).  With P_k = sum_{j<k} I_j the triangle
-int f(x) int^x h is sum (P_k A_k + B_k), and its panel error
-P_k eA_k + eI_k A_{>k} + eB_k carries the inner one; eI and eA are
-K15 - G7, eB is B less its form on the 7 Gauss nodes.  One integral of
-exp(logf) is A at q = (1, 0).
+`kronrod_panel_log` is the one K15 kernel.  One call of logf on panels
+[a_k, b_k] gives, for f = exp(q_out logf) and h = exp(q_in logf),
+I_k = int h, A_k = int f and B_k = int f(x) int_{a_k}^x h, the inner
+partials at the nodes from their Legendre integration matrix (Greengard,
+"Spectral integration and two-point boundary value problems", SIAM
+J. Numer. Anal. 28, 1991); eI and eA are K15 - G7, eB is B less its form
+on the 7 Gauss nodes.  One integral of exp(logf) is A at q = (1, 0).
+
+`adaptive_quad_log` is the one adaptive loop, over panels of the kernel.
+With P_k = sum_{j<k} I_j the triangle int f(x) int^x h is
+sum (P_k A_k + B_k), and its panel error P_k eA_k + eI_k A_{>k} + eB_k
+carries the inner one.  `LogCumulative` keeps the panels of one integral
+and the logs of their suffix sums, and reads int_x^hi at any x from one
+more kernel call on the partial panels [x, b_i].
 
 `cumulative_simpson` is the composite Simpson rule at equal steps that
 the growth-bound check of `radial.lemma_bound_check` integrates with.
@@ -58,7 +60,6 @@ _WG = np.array([
     0.12948496616886969, 0.0,
 ])
 
-_LOG_WK = np.log(_WK)
 _WK_G7 = _WK - _WG
 
 
@@ -75,9 +76,6 @@ def _integration_matrix(x):
 _S15 = _integration_matrix(_XK)
 _S7 = _integration_matrix(_XK[1::2])
 _WG7 = _WG[1::2]
-
-# limits of one log_between kernel call and head/between/tail matrix
-_ROW_BLOCK = 256
 
 
 def logsumexp(a):
@@ -98,39 +96,6 @@ def _logsumexp_rows(a):
     ok = np.isfinite(m)
     out[ok] += np.log(np.exp(a[ok] - m[ok, None]).sum(axis=1))
     return out
-
-
-def kronrod_panel_log(logf, a, b, err=True):
-    """K15 panels for the integrand exp(logf); returns (log value, log error).
-
-    a and b are the ends of one interval, or equal-length arrays of intervals.
-    The nodes of all intervals go to logf in one call; the result is a pair
-    of floats for one interval and a pair of arrays for arrays.  With
-    err=False the K15-G7 estimate is skipped and only the log values are
-    returned, with the same bits.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[..., None] + half[..., None] * _XK
-    g = np.asarray(logf(x.ravel()), dtype=float).reshape(-1, len(_XK))
-    s = _LOG_WK + g
-    top = s.max(axis=1, keepdims=True)
-    log_half = np.log(half)
-    with np.errstate(invalid="ignore", divide="ignore"):   # rows set to -inf below
-        log_val = log_half + (top[:, 0] + np.log(np.exp(s - top).sum(axis=1)))
-        if err:
-            # K15 - G7 is roundoff-sized: one dot per row keeps its bits stable
-            m = g.max(axis=1, keepdims=True)
-            diff = np.abs([np.dot(_WK_G7, e) for e in np.exp(g - m)])
-            log_err = log_half + m[:, 0] + np.where(diff > 0.0, np.log(diff), -745.0)
-    zero = ~np.isfinite(top[:, 0])   # logf all -inf (or +inf or nan): counted as zero
-    log_val[zero] = -math.inf
-    if not err:
-        return float(log_val[0]) if a.ndim == 0 else log_val
-    log_err[zero] = -math.inf
-    if a.ndim == 0:
-        return float(log_val[0]), float(log_err[0])
-    return log_val, log_err
 
 
 def cumulative_simpson(y, h):
@@ -168,10 +133,12 @@ def _with_rounding(log_val, log_est, size):
     return np.logaddexp(log_est, log_floor), np.where(fixable, log_est, -math.inf)
 
 
-def _triple_rows(logf, q_out, q_in, a, b):
-    """Per panel [a_i, b_i] the logs of (I, A, B), of their errors and of
-    their splittable errors (`_with_rounding`), from one call of logf; every
-    sum runs along its own row."""
+def kronrod_panel_log(logf, q_out, q_in, a, b):
+    """The K15 kernel: for the panels [a_i, b_i] of arrays a and b, a (k, 9)
+    array of the logs of (I, A, B) (module notes), of their errors and of
+    their splittable errors (`_with_rounding`), from one call of logf.
+    Every sum runs along its own row, so a panel's bits do not depend on
+    the others in the call."""
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * _XK
     g = np.asarray(logf(x.ravel()), dtype=float).reshape(-1, len(_XK))
@@ -189,7 +156,7 @@ def _triple_rows(logf, q_out, q_in, a, b):
         log_half = np.log(half)[:, None]
         scale = np.column_stack([mh, mf, mf + mh + log_half[:, 0]])
         logs = log_half + np.tile(scale, 2) + np.log(np.abs(sums))
-    logs[~np.isfinite(mf + mh)] = -math.inf   # logf all -inf (or +inf or nan)
+        logs[~np.isfinite(mf + mh)] = -math.inf   # logf all -inf (or +inf or nan)
     size = np.column_stack([np.abs(mh), np.abs(mf), np.abs(mf) + np.abs(mh)])
     return np.column_stack([logs[:, :3], *_with_rounding(logs[:, :3], logs[:, 3:], size)])
 
@@ -226,7 +193,7 @@ def adaptive_quad_log(logf, edges, rtol=1e-10, max_panels=2000, triangle=None):
     columns = _triangle_columns if triangle else lambda v, e: (v[:, 1:2], e[:, 1:2])
     log_total = log_err = np.full(1 if triangle is None else 3, -math.inf)
     a, b = (edges[:-1], edges[1:]) if edges[-1] > edges[0] else (edges[:0], edges[:0])
-    rows = _triple_rows(logf, *q, a, b) if len(a) else np.empty((0, 9))
+    rows = kronrod_panel_log(logf, *q, a, b) if len(a) else np.empty((0, 9))
     where = f"log-space quadrature on [{edges[0]:g}, {edges[-1]:g}]"
     while len(rows):
         vals, fixable = columns(rows[:, :3], rows[:, 6:])
@@ -250,7 +217,7 @@ def adaptive_quad_log(logf, edges, rtol=1e-10, max_panels=2000, triangle=None):
         qa, qb = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
         order = np.argsort(np.r_[a[~split], qa], kind="stable")
         a, b = np.r_[a[~split], qa][order], np.r_[b[~split], qb][order]
-        rows = np.concatenate([rows[~split], _triple_rows(logf, *q, qa, qb)])[order]
+        rows = np.concatenate([rows[~split], kronrod_panel_log(logf, *q, qa, qb)])[order]
     if len(rows):
         log_err = _logsumexp_rows(columns(rows[:, :3], rows[:, 3:6])[1].T)
     logs, shape = (np.split(rows, 3, axis=1), (3,)) if triangle else (rows[:, 1::3].T, ())
@@ -262,12 +229,14 @@ def adaptive_quad_log(logf, edges, rtol=1e-10, max_panels=2000, triangle=None):
 
 
 class LogCumulative:
-    """Panelized log of integrals of a positive integrand over [lo, hi].
+    """Panelized log of the integrals int_x^hi of a positive integrand.
 
-    Supports log(int_x^y exp(logf)) for arbitrary lo <= x <= y <= hi without
-    forming the (possibly overflowing) linear values.  `log_err` is the log
-    of the whole integral's error estimate.  The panels start from 8 equal
-    ones, with edges at the `breaks` inside [lo, hi].
+    The panels of int_lo^hi exp(logf) start from 8 equal ones, with edges at
+    the `breaks` inside [lo, hi].  `log_err` is the log of the whole
+    integral's error estimate.  The logs of the sums from each panel on are
+    kept, so no (possibly overflowing) linear value is formed.
+    `log_between` reads only int_x^hi; it keeps its name because the
+    benchmark's tracer wraps the reader by that name.
     """
 
     def __init__(self, logf, lo, hi, rtol=1e-11, max_panels=4000, breaks=()):
@@ -279,43 +248,22 @@ class LogCumulative:
         inside = [x for x in breaks if lo < x < hi and x not in edges]
         self.log_total, self.log_err, self.panels = adaptive_quad_log(
             logf, np.sort(np.r_[edges, inside]), rtol=rtol, max_panels=max_panels)
+        log_val = self.panels.log_val
+        self._after = np.r_[np.logaddexp.accumulate(log_val[::-1])[::-1], -math.inf]
 
-    def log_between(self, x, y):
-        """log of the integral over [x, y] clipped to [lo, hi]; -inf if empty.
+    def log_between(self, x):
+        """log int_x^hi, with x clipped to [lo, hi]; -inf at hi.
 
-        x and y may be arrays, broadcast against each other; the result then
-        has their shape.  The limits are taken in blocks of `_ROW_BLOCK`,
-        which bounds memory: one kernel call gives the partial K15 panels of
-        a block, and each integral is the log-sum-exp of one row: the head
-        panel, the whole panels between (the others masked with -inf), the
-        tail.
+        x may be an array; the result then has its shape.  One kernel call
+        gives the heads [x, b_i] in the panels that hold the limits, and
+        each adds the sum of the panels after its own.  An x on a panel's
+        start reads that panel whole, with its own bits.
         """
-        xs, ys = np.broadcast_arrays(np.maximum(x, self.lo),
-                                     np.minimum(y, self.hi))
+        xs = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
         out = np.full(xs.shape, -math.inf)
-        live = np.flatnonzero(ys > xs) if len(self.panels) else []
-        for k in range(0, len(live), _ROW_BLOCK):
-            rows = live[k:k + _ROW_BLOCK]
-            out.flat[rows] = self._log_rows(xs.ravel()[rows], ys.ravel()[rows])
+        if len(self.panels):
+            flat = xs.ravel()
+            i = np.searchsorted(self.panels.a, flat, side="right") - 1
+            heads = kronrod_panel_log(self.logf, 1, 0, flat, self.panels.b[i])[:, 1]
+            out.flat[:] = np.logaddexp(heads, self._after[i + 1])
         return float(out) if out.ndim == 0 else out
-
-    def _log_rows(self, x, y):
-        """`log_between` of 1-D arrays of limits with lo <= x < y <= hi."""
-        i = np.searchsorted(self.panels.a, x, side="right") - 1
-        j = np.searchsorted(self.panels.a, y, side="right") - 1
-        one = i == j   # x and y in one panel: the head is all of [x, y]
-        cut_head = one | (x > self.panels.a[i])
-        cut_tail = ~one & (y > self.panels.a[j])
-        part = kronrod_panel_log(
-            self.logf,
-            np.concatenate([x[cut_head], self.panels.a[j[cut_tail]]]),
-            np.concatenate([np.where(one, y, self.panels.b[i])[cut_head],
-                            y[cut_tail]]), err=False)
-        head = self.panels.log_val[i]
-        head[cut_head] = part[:np.count_nonzero(cut_head)]
-        tail = np.full(len(x), -math.inf)
-        tail[cut_tail] = part[np.count_nonzero(cut_head):]
-        cols = np.arange(len(self.panels))
-        between = (cols > i[:, None]) & (cols < j[:, None])
-        return _logsumexp_rows(np.column_stack(
-            [head, np.where(between, self.panels.log_val, -math.inf), tail]))

@@ -338,7 +338,10 @@ class _ConformalTime:
     """tau(r) = int_r^inf 1/phi of a convergent n = 2 metric, and r/phi.
 
     tau is one LogCumulative of r/phi in s = log r over [log r0, log R],
-    plus the midpoint of the certified transience tail bracket at R.
+    read at each s as int_s^(log R): the sum of the panels after the one
+    that holds s, plus one K15 head on [s, b_i] from the quadrature's one
+    kernel, for all the points of a set in one call.  To that it adds the
+    midpoint of the certified transience tail bracket at R.
     `error` bounds |tau - exact| by the bracket's half-width plus the
     cumulative's error estimate.  tau, r/phi and phi' are computed once
     per point set, in `memo`, which the modes of one extension share.
@@ -346,9 +349,8 @@ class _ConformalTime:
 
     def __init__(self, w: WarpingFunction, r0: float, R: float, log_inner):
         self.w = w
-        self.S = math.log(R)
         self.cum = _quadrature.LogCumulative(
-            lambda s: s - w.log_phi(np.exp(s)), math.log(r0), self.S,
+            lambda s: s - w.log_phi(np.exp(s)), math.log(r0), math.log(R),
             rtol=_TAU_RTOL, breaks=np.log(w.breakpoints))
         lo, hi = math.exp(log_inner[0]), math.exp(log_inner[1])
         self.tail = 0.5 * (lo + hi)
@@ -358,7 +360,7 @@ class _ConformalTime:
     def __call__(self, s):
         """(tau, r/phi) at s = log r."""
         return self.memo.get("tau", s, lambda s: (
-            self.tail + np.exp(self.cum.log_between(s, self.S)),
+            self.tail + np.exp(self.cum.log_between(s)),
             np.exp(self.cum.logf(s))))
 
 

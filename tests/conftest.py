@@ -54,7 +54,7 @@ def fubini_check(w: WarpingFunction, n: int, R: float):
     cum = LogCumulative(lambda t: (1 - n) * w.log_phi(t), 1.0, R, rtol=1e-12)
 
     def log_rhs(ss):
-        return (n - 3) * w.log_phi(ss) + cum.log_between(ss, R)
+        return (n - 3) * w.log_phi(ss) + cum.log_between(ss)
 
     rv, _, _ = adaptive_quad_log(log_rhs, [1.0, R], rtol=1e-12)
     return lhs, math.exp(rv)

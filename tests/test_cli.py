@@ -423,9 +423,9 @@ def test_n2_verify_reads_tau_once_per_point_set(tmp_path, monkeypatch):
     calls = []
     log_between = quadrature.LogCumulative.log_between
 
-    def counted(self, x, y):
-        calls.append((id(self), np.shape(x), np.asarray(x, dtype=float).tobytes(), y))
-        return log_between(self, x, y)
+    def counted(self, x):
+        calls.append((id(self), np.shape(x), np.asarray(x, dtype=float).tobytes()))
+        return log_between(self, x)
 
     monkeypatch.setattr(quadrature.LogCumulative, "log_between", counted)
     code = run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "2",

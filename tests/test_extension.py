@@ -612,6 +612,25 @@ def test_decay_warning(hyperbolic_criterion):
                             criterion=hyperbolic_criterion)
 
 
+def test_unresolved_samples_warn_with_their_dropped_energy(hyperbolic_criterion):
+    # cos(5 theta) on the n = 2, M = 4 grid projects to rounding noise: the
+    # dropped share is of the samples' energy, not a ratio of that noise
+    f = BoundaryData.from_function(2, 4, lambda th: np.cos(5 * th))
+    with pytest.warns(UserWarning, match="modes >= 3 carry 1 of the energy"):
+        ext.build_extension(Hyperbolic(1.0), 2, f, 4,
+                            criterion=hyperbolic_criterion)
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_band_limited_samples_do_not_warn(hyperbolic_criterion):
+    # samples of modes below the top of the band drop nothing
+    for n, M, fn in ((2, 4, lambda th: 1.0 + np.cos(th) - 0.5 * np.sin(2 * th)),
+                     (3, 3, lambda colat, lon: np.cos(colat) + np.sin(colat) * np.cos(lon))):
+        f = BoundaryData.from_function(n, M, fn)
+        crit = hyperbolic_criterion if n == 2 else None
+        ext.build_extension(Hyperbolic(1.0), n, f, M, criterion=crit)
+
+
 @pytest.mark.filterwarnings("error::UserWarning")
 def test_exact_band_limited_coefficients_do_not_warn(hyperbolic_criterion):
     # projecting coefficients with no mode above M is exact, so a top-heavy

@@ -81,15 +81,14 @@ def test_budget_exhaustion_raises():
 
 def test_log_cumulative_consistency():
     cum = LogCumulative(lambda x: np.sin(x) - 2.0 * x, 1.0, 9.0)
-    # prefix + suffix recombine to the total
-    for x in (1.7, 3.0, 6.28, 8.9):
-        a = cum.log_between(1.0, x)
-        b = cum.log_between(x, 9.0)
-        total = np.logaddexp(a, b)
-        assert_allclose(total, cum.log_total, rtol=1e-10)
+    # the suffix at each panel start is the log-sum of the panels from there on
+    for k, a in enumerate(cum.panels.a):
+        want = float(special.logsumexp(cum.panels.log_val[k:]))
+        assert _close_to_scipy(cum.log_between(a), want), k
+    assert_allclose(cum.log_between(1.0), cum.log_total, rtol=1e-14)
     # agrees with a direct adaptive integral on a sub-interval
-    direct, _, _ = adaptive_quad_log(lambda x: np.sin(x) - 2.0 * x, [2.5, 7.5])
-    assert_allclose(cum.log_between(2.5, 7.5), direct, atol=1e-9)
+    direct, _, _ = adaptive_quad_log(lambda x: np.sin(x) - 2.0 * x, [2.5, 9.0])
+    assert_allclose(cum.log_between(2.5), direct, atol=1e-9)
 
 
 def _close_to_scipy(got, want):
@@ -131,75 +130,54 @@ def test_logsumexp_matches_scipy():
         assert _close_to_scipy(got, float(special.logsumexp(row))), row
 
 
-def _reference_log_between(cum, x, y):
-    """The per-limit algorithm: K15 partial panels and scipy's logsumexp.
+def _reference_log_between(cum, x):
+    """The per-limit algorithm: the kernel's head [x, b_i] and scipy's
+    logsumexp of it and the later panels.
 
     It sums in scipy's order, so it agrees with `log_between` to a few ulp.
     """
-    x, y = max(x, cum.lo), min(y, cum.hi)
-    if y <= x:
+    x = min(max(x, cum.lo), cum.hi)
+    if x == cum.hi:
         return -math.inf
-    starts = [p.a for p in cum.panels]
-    i = max(int(np.searchsorted(starts, x, side="right")) - 1, 0)
-    j = max(int(np.searchsorted(starts, y, side="right")) - 1, 0)
-    if i == j:
-        return kronrod_panel_log(cum.logf, x, y)[0]
-    parts = [kronrod_panel_log(cum.logf, x, cum.panels[i].b)[0]
-             if x > starts[i] else cum.panels[i].log_val]
-    parts += [p.log_val for p in cum.panels[i + 1:j]]
-    if y > starts[j]:
-        parts.append(kronrod_panel_log(cum.logf, starts[j], y)[0])
-    return float(special.logsumexp(parts))
+    i = int(np.searchsorted(cum.panels.a, x, side="right")) - 1
+    head = kronrod_panel_log(cum.logf, 1, 0, np.array([x]), cum.panels.b[i:i + 1])[0, 1]
+    return float(special.logsumexp(np.r_[head, cum.panels.log_val[i + 1:]]))
 
 
 def test_batched_log_between_matches_scalar():
     cum = LogCumulative(lambda x: np.sin(x) - 2.0 * x, 1.0, 9.0)
-    starts = [p.a for p in cum.panels]
-    ys = np.concatenate([starts, [1.0, 0.5, 9.0, 9.5, 12.0],
+    starts = cum.panels.a
+    xs = np.concatenate([starts, [1.0, 0.5, 9.0, 9.5, 12.0],
                          np.linspace(0.9, 9.3, 41)])
-    for lo in (1.0, 0.5, 2.3, starts[3]):
-        batched = cum.log_between(lo, ys)
-        assert batched.shape == ys.shape
-        for y, v in zip(ys, batched):
-            assert v == cum.log_between(lo, float(y)), (lo, y)
-            assert _close_to_scipy(v, _reference_log_between(cum, lo, y)), (lo, y)
-    # an array of lower limits against one upper limit, as Fubini's check uses
-    batched = cum.log_between(ys, 9.0)
-    for x, v in zip(ys, batched):
-        assert v == cum.log_between(float(x), 9.0), x
-        assert _close_to_scipy(v, _reference_log_between(cum, x, 9.0)), x
+    batched = cum.log_between(xs)
+    assert batched.shape == xs.shape
+    for x, v in zip(xs, batched):
+        assert v == cum.log_between(float(x)), x
+        assert _close_to_scipy(v, _reference_log_between(cum, x)), x
+    # a limit on a panel's start reads that panel whole; at and past hi, -inf
+    assert cum.log_between(starts).tobytes() == cum._after[:-1].tobytes()
+    assert cum.log_between(9.0) == cum.log_between(12.0) == -math.inf
+    assert cum.log_between(xs.reshape(-1, 2)).tobytes() == batched.tobytes()
 
 
 def test_batched_k15_panels_equal_scalar_panels():
-    # zero below x = 2, so the first interval's logf is all -inf
-    logf = lambda x: np.where(x < 2.0, -np.inf, np.sin(x) - 2.0 * x)
-    a = np.array([0.0, 1.5, 2.0, 3.0, 3.0])
-    b = np.array([1.0, 2.5, 3.0, 7.0, 3.0 + 1e-9])
-    log_vals, log_errs = kronrod_panel_log(logf, a, b)
-    assert log_vals.shape == log_errs.shape == a.shape
-    for k in range(len(a)):
-        lv, le = kronrod_panel_log(logf, a[k], b[k])
-        assert type(lv) is float and type(le) is float
-        assert (lv, le) == (log_vals[k], log_errs[k]), k
-    assert (log_vals[0], log_errs[0]) == (-math.inf, -math.inf)
-    assert np.isfinite(log_vals[1:]).all() and np.isfinite(log_errs[1:]).all()
-
-
-def test_value_only_k15_keeps_the_bits_of_log_val():
-    # log_between asks the kernel for values only; they must be the full
-    # kernel's log_val, bit for bit, including an all -inf row and a +inf row
+    # zero below x = 2 and +inf above 40: the first interval's logf is all
+    # -inf and the second's holds +inf, and both rows are -inf
     rng = np.random.default_rng(5)
     logf = lambda x: np.where(x < 2.0, -np.inf,
                               np.where(x > 40.0, np.inf, np.sin(x) - 2.0 * x))
-    a = np.concatenate([[0.0, 39.0], rng.uniform(2.0, 30.0, 40)])
-    b = a + np.concatenate([[1.0, 2.0], rng.uniform(1e-9, 5.0, 40)])
-    log_vals, _ = kronrod_panel_log(logf, a, b)
-    values = kronrod_panel_log(logf, a, b, err=False)
-    assert values.tobytes() == log_vals.tobytes()
-    assert values[0] == -math.inf and values[1] == -math.inf
-    for k in (0, 2, 7):
-        v = kronrod_panel_log(logf, a[k], b[k], err=False)
-        assert type(v) is float and v == kronrod_panel_log(logf, a[k], b[k])[0]
+    a = np.concatenate([[0.0, 39.0, 1.5, 2.0, 3.0, 3.0], rng.uniform(2.0, 30.0, 40)])
+    b = a + np.concatenate([[1.0, 2.0, 1.0, 1.0, 4.0, 1e-9], rng.uniform(1e-9, 5.0, 40)])
+    for q in ((1, 0), (-3, 1)):
+        rows = kronrod_panel_log(logf, *q, a, b)
+        assert rows.shape == (len(a), 9)
+        for k in range(len(a)):
+            one = kronrod_panel_log(logf, *q, a[k:k + 1], b[k:k + 1])
+            assert one.tobytes() == rows[k:k + 1].tobytes(), (q, k)
+        assert (rows[:2] == -math.inf).all()
+        # [1.5, 2.5] holds zeros of the integrand at q = (1, 0), poles at (-3, 1)
+        assert np.isfinite(rows[2 if q[0] > 0 else 3:, 1]).all()
+        assert (rows[2, :3] == -math.inf).all() == (q[0] < 0)
 
 
 def test_log_cumulative_keeps_its_error_estimate():
@@ -221,12 +199,12 @@ def _counted(logf):
 
 def _one_call_per_panel(monkeypatch):
     """Make the loop's kernel compute its panels one call each."""
-    batched = quadrature._triple_rows
+    batched = quadrature.kronrod_panel_log
 
     def single(logf, q_out, q_in, a, b):
         return np.concatenate([batched(logf, q_out, q_in, a[k:k + 1], b[k:k + 1])
                                for k in range(len(a))])
-    monkeypatch.setattr(quadrature, "_triple_rows", single)
+    monkeypatch.setattr(quadrature, "kronrod_panel_log", single)
 
 
 _INTEGRANDS = {
@@ -302,21 +280,20 @@ def test_log_between_row_blocks_equal_scalar_calls():
                         0.0, 40.0, rtol=1e-13)
     assert len(cum.panels) > 100
     rng = np.random.default_rng(7)
-    x = rng.uniform(-1.0, 41.0, 600)
-    y = x + rng.uniform(-2.0, 30.0, 600)   # some empty, some clipped
+    x = rng.uniform(-1.0, 41.0, 600)   # some clipped at each end
     cum.logf, calls = _counted(cum.logf)
-    batched = cum.log_between(x, y)
-    live = np.flatnonzero(np.minimum(y, 40.0) > np.maximum(x, 0.0))
-    assert len(live) > 512 and len(calls) == 3   # blocks of 256: past 256 and 512
-    scalar = np.array([cum.log_between(float(u), float(v)) for u, v in zip(x, y)])
+    batched = cum.log_between(x)
+    assert calls == [600 * 15]   # the 600 heads in one call
+    scalar = np.array([cum.log_between(float(u)) for u in x])
     assert batched.tobytes() == scalar.tobytes()
-    assert np.isfinite(batched[live]).all()
+    inside = x < 40.0
+    assert np.isfinite(batched[inside]).all() and (batched[~inside] == -math.inf).all()
 
 
 def test_log_between_makes_one_call_of_logf():
     cum = LogCumulative(lambda x: np.sin(x) - 2.0 * x, 1.0, 9.0)
     cum.logf, calls = _counted(cum.logf)
-    cum.log_between(np.linspace(1.2, 8.8, 30)[:, None], np.array([2.0, 9.0]))
+    assert cum.log_between(np.linspace(1.2, 8.8, 60).reshape(30, 2)).shape == (30, 2)
     assert len(calls) == 1
 
 

@@ -721,3 +721,30 @@ def test_ode_solve_matches_closed_form_at_n2(w):
         r = np.geomspace(0.1, 25.0, 40)
         assert_allclose(riccati_trace(raw, s_grid=r).x,
                         riccati_trace(closed, s_grid=r).x, rtol=1e-10)
+
+
+def _neg_log_tanh(x):
+    """-log tanh(x) without cancellation: log(1 + e^-2x) - log(1 - e^-2x)."""
+    return np.log1p(np.exp(-2.0 * x)) - np.log(-np.expm1(-2.0 * x))
+
+
+@pytest.mark.parametrize("w, exact", [
+    (Hyperbolic(0.5), lambda r: _neg_log_tanh(0.25 * r)),
+    (Hyperbolic(1.0), lambda r: _neg_log_tanh(0.5 * r)),
+    (Hyperbolic(2.0), lambda r: _neg_log_tanh(r)),
+    (PowerGrowth(2.0), lambda r: np.arcsinh(1.0 / r))])
+@pytest.mark.parametrize("r_max", [30.0, 100.0])
+def test_conformal_time_within_its_bound_of_the_closed_form(w, exact, r_max):
+    # tau = int_r^inf 1/phi, as conformal_modes builds it, on the solve's
+    # grid and at radii between its nodes; one call per point set equals
+    # one call per radius, bit for bit
+    R, log_inner = radial._criterion.inner_tail(w, 2, r_max)
+    grid = np.geomspace(radial._DEFAULT_R0, R, radial._GRID_SIZE)
+    off = np.exp(np.random.default_rng(11).uniform(math.log(grid[0]), math.log(R), 500))
+    for r in (grid, off):
+        tau = radial._ConformalTime(w, radial._DEFAULT_R0, R, log_inner)
+        t = tau(np.log(r))[0]
+        assert np.all(np.abs(t - exact(r)) <= tau.error), (
+            np.max(np.abs(t - exact(r))), tau.error)
+        one = np.array([tau(s)[0] for s in np.log(r)])
+        assert one.tobytes() == t.tobytes()
