@@ -20,6 +20,9 @@ carries the inner one.  `LogCumulative` keeps the panels of one integral
 and the logs of their suffix sums, and reads int_x^hi at any x from one
 more kernel call on the partial panels [x, b_i].
 
+`legendre` gives the Legendre polynomials of the integration matrices,
+which the radial solve's collocation panels also read.
+
 `cumulative_simpson` is the composite Simpson rule at equal steps that
 the growth-bound check of `radial.lemma_bound_check` integrates with.
 
@@ -63,12 +66,18 @@ _WG = np.array([
 _WK_G7 = _WK - _WG
 
 
+def legendre(x, count):
+    """[P_0(x), ..., P_{count-1}(x)] by Bonnet's recurrence, elementwise in x."""
+    P = [np.ones_like(x), x]
+    for k in range(1, count - 1):
+        P.append(((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1))
+    return P[:count]
+
+
 def _integration_matrix(x):
     """S with (S @ y)_i = int_{-1}^{x_i} p, p the polynomial of degree len(x) - 1
     through (x, y), in Legendre P_k: int_{-1}^x P_k = (P_k+1 - P_k-1)/(2k + 1)."""
-    P = [np.ones_like(x), x]
-    for k in range(1, len(x)):
-        P.append(((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1))
+    P = legendre(x, len(x) + 1)
     partials = [x + 1.0] + [(P[k + 1] - P[k - 1]) / (2 * k + 1) for k in range(1, len(x))]
     return np.linalg.solve(np.array(P[:-1]), np.array(partials)).T
 

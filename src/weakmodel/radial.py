@@ -14,12 +14,19 @@ and w = r phi_m'/phi_m = lambda^2 rho^2 z,
 
     du/ds = w,   dz/ds = 1 - z (1 + (n-3) r phi'/phi + w),
 
-by the package's DOP853 (`dop853.solve_ivp`), one system for all the modes
-of an extension, at an rtol never looser than 1e-12 whatever the tol.  Its
-coefficients rho and r phi'/phi stay bounded where phi grows, and at n = 3
-z runs from l/lambda^2 at the origin to 1 at infinity, so the solver need
-not follow w, which decays like (r/phi)^2 there.  The
-Riccati equation yields the verified growth bound
+one system for all the modes of an extension, at an rtol never looser
+than 1e-12 whatever the tol.  Its coefficients rho and r phi'/phi stay
+bounded where phi grows, and at n = 3 z runs from l/lambda^2 at the
+origin to 1 at infinity, so the solver need not follow w, which decays
+like (r/phi)^2 there.  The bounded branch of z attracts at the rate
+1 + 2l near the origin and 1 + (n-3) r phi'/phi far out, which bounds an
+explicit method's steps whatever the solution does.  So `solve_ivp`
+solves each panel in s whole, by collocation at the K15 nodes the
+quadrature already holds (Hairer and Wanner, *Solving ODEs II*, IV.5),
+in the spectral-integration form of `quadrature._S15` (Greengard, 1991),
+with Newton's method: tens of panels where an explicit method takes
+hundreds to thousands of steps.  The Riccati equation yields the verified
+growth bound
 
     phi_m(s) <= B exp( int_1^s lambda^2/phi^{n-1} (A + int_1^t phi^{n-3}) )
 
@@ -37,12 +44,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import criterion as _criterion
 from . import quadrature as _quadrature
-from .dop853 import solve_ivp
+from .quadrature import _S15, _WK, _WK_G7, _XK
 from .errors import (DegenerateProfile, MalformedArtifact, NonPositiveWarp,
                      OutOfDomain, OutOfRange, QuadratureFailure, StepSizeUnderflow,
                      TailNotTight)
@@ -226,40 +234,158 @@ def _mode_rows(memo, dense, j):
         ("dense", ds), s, lambda s: dense(s, derivative=ds))[2 * j:2 * j + 2]
 
 
-def _mode_rhs(w: WarpingFunction, n: int, lam2: np.ndarray):
-    """(evaluate_stages, rhs) of the stacked (u, z) system of the modes lam2.
+# Legendre coefficients of the degree-14 polynomial through values at the
+# K15 nodes: the inverse of the nodes' Legendre-Vandermonde matrix.  Its
+# first row, c_0 = int_{-1}^1 p / 2, is taken as half the K15 weights,
+# exact at that degree, so a panel's polynomial ends on its K15 end value
+_TO_LEGENDRE = np.linalg.inv(np.array(_quadrature.legendre(_XK, len(_XK))).T)
+_TO_LEGENDRE[0] = 0.5 * _WK
+_U_ATOL = 1e-14          # the u rows' absolute error target per panel
+_NEWTON_ITERATIONS = 8   # a panel whose Newton solve takes more is rejected
+_NEWTON_RTOL = 1e-10     # converged: the error left is about its square
 
-    evaluate_stages(ts) evaluates the warp once, at all the times of a step
-    attempt, and keeps (r, phi, phi') there as floats.  rhs(s, y) reads them
-    for s, evaluating the warp at s alone for the initial step's two calls,
-    and works float by float in numpy's order, so its bits are those of the
-    array expressions `ww = lam2 * rho * rho * zz` and
-    `1.0 - zz * (1 + (n - 3) * (rho * dphi) + ww)`.
+
+class OdeResult(NamedTuple):
+    t: np.ndarray                   # the panel edges in s, the span's start first
+    sol: PanelSolution | None       # None when the solve failed
+    nfev: int                       # right-hand sides of the stack at one node
+    success: bool
+    message: str
+
+
+class PanelSolution:
+    """The continuous solution of `solve_ivp`: each panel's collocation
+    polynomial, in x in [-1, 1] across the panel.
+
+    Per panel it keeps the start state and the Legendre coefficients c_k of
+    the slopes in s, the interpolant of the right-hand side at the nodes.
+    The values are the start plus (h/2) sum c_k int_{-1}^x P_k, with
+    int_{-1}^x P_k = (P_k+1 - P_k-1)/(2k + 1): that is the start at x = -1
+    and the next panel's start at x = 1, bit for bit, and it adds the start
+    last, so a flat row stays monotone through rounding.  A call evaluates
+    every point with elementwise arithmetic and no reduction across points,
+    so a point's bits do not depend on the others.  A point on a panel edge
+    belongs to the panel that ends there, and points outside the span
+    extrapolate the first or the last panel.
     """
-    lam2 = lam2.tolist()
-    stages = {}
 
-    def evaluate_stages(ts):
-        rs = [math.exp(s) for s in ts]
-        phi, dphi = w.eval(np.array(rs))
-        stages.clear()
-        stages.update(zip(ts, zip(rs, phi.tolist(), dphi.tolist())))
+    def __init__(self, t, starts, coefficients):
+        self.t = t                          # (panels + 1,) edges
+        self._half = 0.5 * np.diff(t)
+        self._start = starts                # (panels, rows)
+        self._c = coefficients              # (panels, 15, rows)
 
-    def rhs(s, y):
-        if s not in stages:   # the initial step's two calls
-            evaluate_stages([s])
-        r, phi, dphi = stages[s]
-        if phi <= 0:
-            raise NonPositiveWarp(f"phi({r:g}) = {phi:g} <= 0")
+    def __call__(self, s, derivative=False):
+        """The rows at s, a float or a 1-D array: shape (rows,) or
+        (rows, len(s)); with `derivative`, their exact derivative in s."""
+        s = np.asarray(s, dtype=float)
+        seg = np.clip(np.searchsorted(self.t, s, side="left") - 1,
+                      0, len(self._half) - 1)
+        x = ((s - self.t[seg]) / self._half[seg] - 1.0)[..., None]
+        count = self._c.shape[1]
+        P = _quadrature.legendre(x, count + 1)
+        basis = P[:-1] if derivative else [x + 1.0] + [
+            (P[k + 1] - P[k - 1]) / (2 * k + 1) for k in range(1, count)]
+        out = sum(self._c[seg, k] * b for k, b in enumerate(basis))
+        if not derivative:
+            out = self._start[seg] + self._half[seg][..., None] * out
+        return np.moveaxis(out, -1, 0)
+
+
+def _collocate(y, damp, a, half, rtol):
+    """One panel of the stack: (error ratio, end state, Legendre
+    coefficients of the slopes, Newton iterations), the ratio inf when
+    Newton's method fails.
+
+    damp = 1 + (n-3) r phi'/phi and a = lambda^2 rho^2 are at the 15 nodes,
+    so w = a z.  The slopes are the right-hand side at the nodes, (15, rows).
+    """
+    z = y[1::2, None]
+    zz = np.repeat(z, len(_XK), axis=1)
+    eye = np.eye(len(_XK))
+    with np.errstate(all="ignore"):   # an overflow fails to converge, unwarned
+        for k in range(1, _NEWTON_ITERATIONS + 1):
+            F = 1.0 - zz * (damp + a * zz)
+            jac = eye + half * _S15 * (damp + 2 * a * zz)[:, None, :]
+            try:
+                dz = np.linalg.solve(jac, (zz - z - half * F @ _S15.T)[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                return math.inf, None, None, k
+            zz = zz - dz
+            if np.all(np.abs(dz) <= _NEWTON_RTOL * np.abs(zz)):
+                break
+        else:
+            return math.inf, None, None, k
+        slopes = np.empty((len(_XK), len(y)))
+        slopes[:, 0::2] = (a * zz).T
+        slopes[:, 1::2] = (1.0 - zz * (damp + a * zz)).T
+        c = _TO_LEGENDRE @ slopes
+        y_new = y + half * (2.0 * c[0])   # the K15 rule, as the dense output ends
+        scale = np.full_like(y, _U_ATOL)
+        scale[1::2] = rtol * np.abs(y_new[1::2])
+        ratio = float(np.max(half * np.abs(_WK_G7 @ slopes) / scale))
+    return (math.inf if math.isnan(ratio) else ratio), y_new, c, k
+
+
+def solve_ivp(w: WarpingFunction, n: int, lam2, s_span, y0, rtol: float) -> OdeResult:
+    """Integrate the stacked (u, z) system of the modes lam2 over s_span
+    from the pairs y0, by collocation at the K15 nodes on panels in s.
+
+    On a panel [s_a, s_a + h] the z rows solve z_i = z_a + (h/2) (S F)_i
+    at the nodes, S the Legendre integration matrix `quadrature._S15`, by
+    Newton's method from z_i = z_a.  The modes share the panels and
+    nothing else, so the Jacobian I + (h/2) S diag(damp + 2w) is one
+    15 x 15 system per mode.  The u rows and the ends follow from the K15
+    weights, and the warp is read once per panel attempt, at its 15 nodes.
+
+    A panel is accepted when (h/2) |K15 - G7| of each z row's right-hand
+    side is within rtol |z| and of each u row's within 1e-14.  The next h
+    is 0.9 ratio^(-1/14) times this one, within [1/5, 3]; a Newton solve
+    that does not converge or overflows is rejected with the cut 1/5, and
+    without a warning.  Panel edges fall on the warp's breakpoints, the
+    first panel is at most 1 long, and only a panel below rounding ends
+    the solve unsuccessfully.  phi <= 0 at a node raises NonPositiveWarp.
+    `nfev` counts right-hand sides of the stack at one node: 15 per Newton
+    iteration and per accepted panel.
+    """
+    s, s_end = map(float, s_span)
+    if not s_end > s:
+        raise ValueError(f"the span must run forward, got {s_span}")
+    lam2 = np.asarray(lam2, dtype=float)[:, None]
+    y = np.asarray(y0, dtype=float)
+    stops = sorted({b for b in np.log(w.breakpoints).tolist() if s < b < s_end}
+                   | {s_end})
+    h = min(1.0, s_end - s)
+    edges, starts, coefficients, nfev = [s], [], [], 0
+    while s < s_end:
+        b = min(s + h, next(b for b in stops if b > s))
+        if b - s < 10 * (np.nextafter(s, math.inf) - s):
+            return OdeResult(np.array(edges), None, nfev, False,
+                             f"the panel at s = {s:.17g} fell below rounding")
+        half = 0.5 * (b - s)
+        r = np.exp(0.5 * (s + b) + half * _XK)
+        phi, dphi = w.eval(r)
+        if np.any(phi <= 0):
+            i = int(np.argmax(phi <= 0))
+            raise NonPositiveWarp(f"phi({r[i]:g}) = {phi[i]:g} <= 0")
         rho = r / phi
-        damp = 1 + (n - 3) * (rho * dphi)
-        dy = []
-        for zj, lj in zip(y[1::2].tolist(), lam2):
-            wj = lj * rho * rho * zj
-            dy += (wj, 1.0 - zj * (damp + wj))
-        return np.array(dy)
-
-    return evaluate_stages, rhs
+        ratio, y_new, c, iterations = _collocate(
+            y, 1 + (n - 3) * (rho * dphi), lam2 * rho * rho, half, rtol)
+        nfev += len(_XK) * (iterations + (ratio <= 1))
+        factor = 0.2 if ratio == math.inf else 3.0 if ratio == 0 else min(
+            3.0, max(0.2, 0.9 * ratio ** (-1 / 14)))
+        if ratio > 1:
+            h = factor * (b - s)
+            continue
+        # a panel cut short at a breakpoint does not shorten the next one
+        h = factor * (b - s) if b == s + h else max(h, factor * (b - s))
+        edges.append(b)
+        starts.append(y)
+        coefficients.append(c)
+        s, y = b, y_new
+    return OdeResult(np.array(edges), PanelSolution(
+        np.array(edges), np.array(starts), np.array(coefficients)), nfev, True,
+        "the solver reached the end of the span")
 
 
 def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
@@ -269,11 +395,13 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
 
     Returns the raw profiles in the order of `modes`.  An m = 0 mode
     short-circuits to the constant 1.  All other modes are integrated as one
-    DOP853 system whose state stacks their (u, z) pairs, and the warp is
-    evaluated once per step attempt, at all its stage times, for the whole
-    stack, at rtol = tol * 1e-4 clipped to [1e-13, 1e-12].  They are
-    returned unnormalized with an unbounded limit estimate, and
-    `normalize_profile` rescales a convergent one to limit 1.
+    system whose state stacks their (u, z) pairs, by `solve_ivp`'s panel
+    collocation: the modes share its panels, and the warp is evaluated once
+    per panel attempt, at its 15 nodes, for the whole stack, at
+    rtol = tol * 1e-4 clipped to [1e-13, 1e-12].  Each profile reads its
+    rows of the stack's dense output.  They are returned unnormalized with
+    an unbounded limit estimate, and `normalize_profile` rescales a
+    convergent one to limit 1.
     """
     grid = np.geomspace(r0 or _DEFAULT_R0, r_max, grid_size)
     profiles = [_constant_profile(w, n, mode, grid) if mode.m == 0 else None
@@ -292,19 +420,13 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     ls = [indicial_exponent(n, modes[i].lambda_sq) for i in solved]
     y0 = [v for i, l in zip(solved, ls)
           for v in _launch_state(n, l, modes[i].lambda_sq, beta3, r_launch, rho0)]
-    evaluate_stages, rhs = _mode_rhs(
-        w, n, np.array([modes[i].lambda_sq for i in solved]))
-
     # pure relative control on z, which stays positive and away from 0
     # (between l/lambda^2 and 1 at n = 3), so x = r phi^{n-3} z keeps the
-    # relative accuracy the Riccati trace reads.  rtol is never looser than
-    # 1e-12: at 1e-9, 1e-10 and 1e-11 the n = 3 profiles of Hyperbolic(0.5)
-    # decrease by up to 1.8e-11, 6.5e-12 and 2.8e-12, and at 1e-9 and 1e-10
-    # those of Hyperbolic(3) fail x' <= phi^{n-3} + 1e-9
-    sol = solve_ivp(rhs, (math.log(r_launch), math.log(r_max)), y0,
-                    rtol=min(max(tol * 1e-4, 1e-13), 1e-12),
-                    atol=[1e-14, 1e-290] * len(solved),
-                    before_attempt=evaluate_stages)
+    # relative accuracy the Riccati trace reads; the G7 estimate is so
+    # pessimistic that tol 1e-8 and 1e-10 give the same profiles to 1e-14
+    sol = solve_ivp(w, n, [modes[i].lambda_sq for i in solved],
+                    (math.log(r_launch), math.log(r_max)), y0,
+                    rtol=min(max(tol * 1e-4, 1e-13), 1e-12))
     if not sol.success:
         raise StepSizeUnderflow(f"radial integration failed: {sol.message}")
 
@@ -623,6 +745,15 @@ def _master(profile: RadialProfile, s_end: float):
     return profile._memo.get(("master", w, n), s_end, compute)
 
 
+def _hermite(x, nodes, step, y, dy):
+    """The cubic Hermite through values y and slopes dy at the equally
+    spaced nodes, at the points x inside them."""
+    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
+    t = (x - nodes[i]) / step
+    return ((1 + 2 * t) * y[i] + t * step * dy[i]) * (1 - t) ** 2 + (
+        (3 - 2 * t) * y[i + 1] + (t - 1) * step * dy[i + 1]) * t * t
+
+
 def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
     """Verify phi_m(s) <= B exp(int_1^s lambda^2/phi^{n-1} (A + int_1^t phi^{n-3})).
 
@@ -630,8 +761,11 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
     quadrature uses only the warping function, hence is independent of the
     ODE solver: `quadrature.cumulative_simpson` on a 16,385-node master grid
     of equal steps for both the inner cumulative C(t) = int_1^t phi^{n-3}
-    and the outer exponent.  The master grid's C and phi^{1-n} depend on
-    the metric alone, so the profiles of one solve share them (`_master`).
+    and the outer exponent, read between master nodes by the cubic Hermite
+    of the exponent and its integrand: H is concave just above s = 1, where
+    the bound touches phi_m, and a chord there undercuts it.  The master
+    grid's C and phi^{1-n} depend on the metric alone, so the profiles of
+    one solve share them (`_master`).
     """
     lam2 = profile.mode.lambda_sq
     s_grid = trace.grid
@@ -644,8 +778,7 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
     master, step, C, decay = _master(profile, float(s_grid[-1]))
     h = lam2 * decay * (trace.A + C)
     H = _quadrature.cumulative_simpson(h, step)
-    H_at = np.interp(s_grid, master, H)
-    log_bound = math.log(trace.B) + H_at
+    log_bound = math.log(trace.B) + _hermite(s_grid, master, step, H, h)
     with np.errstate(over="ignore"):
         bound = np.exp(np.minimum(log_bound, 700.0))
         bound[log_bound > 700.0] = math.inf

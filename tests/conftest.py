@@ -97,3 +97,45 @@ def sphere_laplacian_s2(F: np.ndarray, colat: np.ndarray,
     ct = 1.0 / np.tan(colat[1:-1])[:, None]
     s2 = np.sin(colat[1:-1])[:, None] ** 2
     return Fcc + ct * Fc + Fll / s2
+
+
+def dop853_reference(w: WarpingFunction, n: int, lam2, s_span, y0, cuts=(),
+                     rtol=1e-13):
+    """scipy's DOP853 on the stacked (u, z) system of the modes lam2, at
+    rtol and the atol (1e-14, 1e-290) of each pair, reading the warp at each
+    call's radius alone and restarting at every cut inside s_span.
+
+    Returns the rows at an array of s, each point read from the piece that
+    holds it, like the solver's dense output.
+    """
+    from scipy.integrate import solve_ivp
+    lam2 = np.asarray(lam2, dtype=float)
+
+    def rhs(s, y):
+        r = math.exp(s)
+        phi, dphi = w.eval(r)
+        zz = y[1::2]
+        rho = r / phi
+        ww = lam2 * rho * rho * zz
+        dy = np.empty_like(y)
+        dy[0::2] = ww
+        dy[1::2] = 1.0 - zz * (1 + (n - 3) * (rho * dphi) + ww)
+        return dy
+
+    edges = [s_span[0], *[c for c in cuts if s_span[0] < c < s_span[1]], s_span[1]]
+    pieces, y = [], np.asarray(y0, dtype=float)
+    for a, b in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", dense_output=True,
+                        rtol=rtol, atol=[1e-14, 1e-290] * len(lam2))
+        assert sol.success, sol.message
+        pieces.append(sol.sol)
+        y = sol.y[:, -1]
+
+    def dense(s):
+        s = np.asarray(s, dtype=float)
+        piece = np.clip(np.searchsorted(edges, s, side="left") - 1, 0, len(pieces) - 1)
+        out = np.empty((len(y), len(s)))
+        for i in np.unique(piece):
+            out[:, piece == i] = pieces[i](s[piece == i])
+        return out
+    return dense

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, write_tabulated_csv
-from weakmodel import criterion, dop853, extension, quadrature, radial
+from weakmodel import criterion, extension, quadrature, radial
 from weakmodel.cli import main
 from weakmodel.spectrum import sphere_quadrature
 from weakmodel.warp import Hyperbolic, PowerGrowth
@@ -439,7 +439,7 @@ def test_n3_verify_evaluates_the_stack_and_the_master_grid_once(tmp_path,
     # every mode slices one evaluation of the stacked dense output per point
     # set, and the growth bound's master grid reads the warp once
     calls, master = [], []
-    dense = dop853.DenseOutput.__call__
+    dense = radial.PanelSolution.__call__
     log_phi = Hyperbolic.log_phi
 
     def counted_dense(self, t, derivative=False):
@@ -451,7 +451,7 @@ def test_n3_verify_evaluates_the_stack_and_the_master_grid_once(tmp_path,
             master.append(r)
         return log_phi(self, r)
 
-    monkeypatch.setattr(dop853.DenseOutput, "__call__", counted_dense)
+    monkeypatch.setattr(radial.PanelSolution, "__call__", counted_dense)
     monkeypatch.setattr(Hyperbolic, "log_phi", counted_log_phi)
     code = run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "3",
                 "--modes", "4", "--out", str(tmp_path / "v")])
@@ -661,6 +661,33 @@ def test_constant_data_on_a_slow_tail_solve_and_verify(tmp_path):
     assert run(["verify", *flags, "--artifacts", str(out),
                 "--out", str(tmp_path / "v")]) == 0
     assert json.loads((tmp_path / "v" / "verify.json").read_text())["all_passed"]
+
+
+def test_n3_profiles_are_nondecreasing_row_by_row(tmp_path):
+    # near r_max the profiles are flat within rounding; the dense output
+    # adds each panel's start last, so they stay nondecreasing in the
+    # written digits too (DOP853's m = 8 profile fell by 1.48e-13 here)
+    out = tmp_path / "s"
+    assert run(["solve", "--family", "hyperbolic", "--a", "0.5", "--n", "3",
+                "--modes", "8", "--preset", "band4", "--out", str(out)]) == 0
+    for m in range(9):
+        _, values = radial.load_profile_csv(out / f"profile_m{m}.csv")
+        assert np.all(np.diff(values) >= 0), m
+
+
+def test_growth_bound_read_between_master_nodes_holds(tmp_path):
+    # the exponent H is concave just above r = 1, where the bound touches
+    # phi_1: a chord between master nodes undercut it by about 1.3e-7, past
+    # the check's 1e-8 slack, so this true bound failed; the cubic Hermite
+    # of (H, H') keeps it
+    flags = ["--family", "powergrowth", "--p", "2.441479", "--n", "3",
+             "--modes", "3", "--preset", "cos"]
+    out = tmp_path / "s"
+    assert run(["solve", *flags, "--out", str(out)]) == 0
+    assert run(["verify", *flags, "--artifacts", str(out),
+                "--out", str(tmp_path / "v")]) == 0
+    checks = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]
+    assert {c["name"]: c["passed"] for c in checks}["lemma_bound"] is True
 
 
 def test_mode_with_data_missing_the_tail_target_is_refused(tmp_path, capsys):

@@ -157,17 +157,15 @@ def _n3_first_profile(a, tol):
     return e.profiles[1]
 
 
-@pytest.mark.parametrize("tol,ode_error", [(1e-8, 1e-9), (1e-10, 2e-10)])
-@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-def test_n3_hyperbolic_mode_matches_closed_form(a, tol, ode_error):
-    # limit_error bounds the tail normalization only (1e-50 to 1e-19
-    # here); the ODE solve's own error is not in it and gets its own slack
+def _assert_hyperbolic_modes_match(a, tol, ode_error):
+    """The m = 1 profile at n = 3 against its closed form, and every mode
+    m <= 8 at n = 3, 4, 5 against the hypergeometric oracle, each within
+    its limit_error plus ode_error.  limit_error bounds the tail
+    normalization only (1e-50 to 1e-19 here); the ODE solve's own error is
+    not in it.  The round sphere refuses n >= 4, so the profiles are built
+    as build_extension builds them, without a spectrum."""
     p = _n3_first_profile(a, tol)
     _assert_profile_matches(p, _n3_first_mode(a), p.limit_error + ode_error)
-
-    # every mode m <= 8 at n = 3, 4, 5 against the hypergeometric oracle,
-    # with the same ODE slack.  The round sphere refuses n >= 4, so the
-    # profiles are built as build_extension builds them, without a spectrum
     w = Hyperbolic(a)
     for n in (3, 4, 5):
         modes = [eigen_round_sphere(n, m) for m in range(1, 9)]
@@ -179,14 +177,30 @@ def test_n3_hyperbolic_mode_matches_closed_form(a, tol, ode_error):
                                     p.limit_error + ode_error)
 
 
+@pytest.mark.parametrize("tol,ode_error", [(1e-8, 1e-9), (1e-10, 2e-10)])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_n3_hyperbolic_mode_matches_closed_form(a, tol, ode_error):
+    # the slacks a DOP853 solve needed (it reached 4.4e-12 over the modes);
+    # test_n3_modes_ode_error_is_within_1e_12 holds the panels to 1e-12
+    _assert_hyperbolic_modes_match(a, tol, ode_error)
+
+
 @pytest.mark.parametrize("tol,ode_error", [(1e-8, 2e-10), (1e-10, 2e-11)])
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 def test_n3_first_mode_ode_error_is_small(a, tol, ode_error):
-    # stepping z, the ODE solve's own error on the m = 1 mode is up to
-    # 8.8e-11 at tol 1e-8 and 8.1e-12 at tol 1e-10 (at a = 2); stepping
-    # w = r phi_m'/phi_m it reached 2.8e-10 and 5.1e-11 near r = 0.2
+    # DOP853 stepping z reached 8.8e-11 at tol 1e-8 and 8.1e-12 at tol
+    # 1e-10 on the m = 1 mode (at a = 2), and stepping w = r phi_m'/phi_m
+    # 2.8e-10 and 5.1e-11 near r = 0.2; the panels reach 1.0e-14
     p = _n3_first_profile(a, tol)
     _assert_profile_matches(p, _n3_first_mode(a), p.limit_error + ode_error)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_n3_modes_ode_error_is_within_1e_12(a, tol):
+    # the panel collocation's own error is up to 1.0e-14 on the m = 1
+    # profile and 3.4e-13 over every mode; DOP853 failed this bound
+    _assert_hyperbolic_modes_match(a, tol, 1e-12)
 
 
 def test_user_rmax_below_certificate_start_is_honest():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import cumulative_simpson, quad, solve_ivp
 
-from conftest import count_calls, normalized
+from conftest import count_calls, dop853_reference, normalized
 from weakmodel import radial
 from weakmodel.criterion import march_criterion, tail_certificate
 from weakmodel.errors import (DegenerateProfile, MalformedArtifact,
@@ -177,9 +177,9 @@ def test_wrong_eigenvalue_in_the_solver_fails_the_residual(monkeypatch, n):
     # wrong equation is caught
     mode = eigen_round_sphere(n, 2)
     assert riccati_trace(solve_radial(Hyperbolic(1.0), n, mode)).residual_ok
-    mode_rhs = radial._mode_rhs
-    monkeypatch.setattr(radial, "_mode_rhs",
-                        lambda w, n, lam2: mode_rhs(w, n, lam2 * (1 + 1e-4)))
+    solve_ivp = radial.solve_ivp
+    monkeypatch.setattr(radial, "solve_ivp", lambda w, n, lam2, *args, **kwargs:
+                        solve_ivp(w, n, np.multiply(lam2, 1 + 1e-4), *args, **kwargs))
     assert not riccati_trace(solve_radial(Hyperbolic(1.0), n, mode)).residual_ok
 
 
@@ -204,7 +204,7 @@ def _trace_and_bound_alone(profile):
     C = radial._quadrature.cumulative_simpson(np.exp((n - 3) * log_phi), step)
     h = lam2 * np.exp(-(n - 1) * log_phi) * (A + C)
     H = radial._quadrature.cumulative_simpson(h, step)
-    return residual, np.exp(math.log(B) + np.interp(s_grid, master, H))
+    return residual, np.exp(math.log(B) + radial._hermite(s_grid, master, step, H, h))
 
 
 @pytest.mark.parametrize("w,n", [(PowerGrowth(2.0), 3), (Hyperbolic(0.7), 3),
@@ -596,9 +596,10 @@ def test_warp_reaching_zero_inside_the_span_fails_by_name():
                                            for m in (1, 2)], r_max=10.0)
 
 
-def _single_mode_reference(w, n, mode, r_max, tol):
-    """The per-mode solve the stacked solver replaced: a scalar right-hand
-    side returning a list, on the one (u, z) pair of one mode."""
+def _single_mode_reference(w, n, mode, r_max):
+    """The per-mode solve the stacked solver replaced, at rtol 1e-13: the
+    launch state of one mode, and scipy's DOP853 on its one (u, z) pair,
+    restarted at the warp's breakpoints."""
     lam2 = mode.lambda_sq
     l = indicial_exponent(n, lam2)
     r0, h = 1e-3, 1e-2
@@ -608,24 +609,13 @@ def _single_mode_reference(w, n, mode, r_max, tol):
     w0 = (l + (l + 2) * kappa2 * r0 ** 2) / (1.0 + kappa2 * r0 ** 2)
     rho0 = r0 / float(w.eval(r0)[0])
     z0 = w0 / (lam2 * rho0 * rho0)
-
-    def rhs(s, y):
-        r = math.exp(s)
-        phi, dphi = w.eval(r)
-        zz = y[1]
-        rho = r / phi
-        ww = lam2 * rho * rho * zz
-        return [ww, 1.0 - zz * (1 + (n - 3) * (rho * dphi) + ww)]
-
-    sol = solve_ivp(rhs, (math.log(r0), math.log(r_max)), [u0, z0],
-                    method="DOP853", dense_output=True,
-                    rtol=min(max(tol * 1e-4, 1e-13), 1e-9),
-                    atol=[1e-14, 1e-290])
+    dense = dop853_reference(w, n, [lam2], (math.log(r0), math.log(r_max)),
+                             [u0, z0], cuts=np.log(w.breakpoints))
     grid = np.geomspace(r0, r_max, 800)
-    u, z = sol.sol(np.log(grid))
+    u, z = dense(np.log(grid))
     rho = grid / w.eval(grid)[0]
     values = np.exp(u)
-    return values, values * (lam2 * rho * rho * z) / grid, sol.sol
+    return values, values * (lam2 * rho * rho * z) / grid, dense
 
 
 @pytest.mark.parametrize("w,n,m,tol", [
@@ -635,14 +625,15 @@ def _single_mode_reference(w, n, mode, r_max, tol):
 ])
 def test_one_mode_stack_is_the_single_mode_solve(w, n, m, tol):
     mode = eigen_round_sphere(n, m)
-    values, derivs, dense = _single_mode_reference(w, n, mode, 30.0, tol)
+    values, derivs, dense = _single_mode_reference(w, n, mode, 30.0)
     p = solve_modes(w, n, [mode], r_max=30.0, tol=tol)[0]
-    assert p.values.tobytes() == values.tobytes()
-    assert p.derivs.tobytes() == derivs.tobytes()
-    s = np.linspace(math.log(1e-3), math.log(30.0), 97)
-    assert p._dense(s).tobytes() == dense(s).tobytes()
     q = solve_radial(w, n, mode, r_max=30.0, tol=tol)
-    assert q.values.tobytes() == values.tobytes()
+    assert p.values.tobytes() == q.values.tobytes()
+    assert p.derivs.tobytes() == q.derivs.tobytes()
+    assert_allclose(p.values, values, rtol=1e-12, atol=0)
+    assert_allclose(p.derivs, derivs, rtol=1e-12, atol=0)
+    s = np.linspace(math.log(1e-3), math.log(30.0), 97)
+    assert np.max(np.abs(p._dense(s)[0] - dense(s)[0])) <= 1e-12
 
 
 def test_stack_keeps_mode_order_and_agrees_per_mode():
