@@ -18,13 +18,15 @@ With P_k = sum_{j<k} I_j the triangle int f(x) int^x h is
 sum (P_k A_k + B_k), and its panel error P_k eA_k + eI_k A_{>k} + eB_k
 carries the inner one.  `LogCumulative` keeps the panels of one integral
 and the logs of their suffix sums, and reads int_x^hi at any x from one
-more kernel call on the partial panels [x, b_i].
+more kernel call on the partial panels [x, b_i].  `log_prefix` is its
+twin for the triangle's panels: it reads the three columns from the start
+to any x, which is how the growth-bound check of
+`radial.lemma_bound_check` gets its exponent.  So every integral of a
+power of phi goes through `kronrod_panel_log`.
 
 `legendre` gives the Legendre polynomials of the integration matrices,
-which the radial solve's collocation panels also read.
-
-`cumulative_simpson` is the composite Simpson rule at equal steps that
-the growth-bound check of `radial.lemma_bound_check` integrates with.
+and `legendre_integrals` their integrals int_{-1}^x P_k, which the
+radial solve's collocation panels also read.
 
 `logsumexp` is the plain stable form max + log(sum(exp(a - max))) in numpy.
 It agrees with `scipy.special.logsumexp` to a few ulp, at a fraction of the
@@ -74,12 +76,17 @@ def legendre(x, count):
     return P[:count]
 
 
+def legendre_integrals(P):
+    """[int_{-1}^x P_0, ..., int_{-1}^x P_{count-2}] from P = legendre(x, count):
+    x + 1, then (P_k+1 - P_k-1)/(2k + 1)."""
+    return [P[1] + 1.0] + [(P[k + 1] - P[k - 1]) / (2 * k + 1) for k in range(1, len(P) - 1)]
+
+
 def _integration_matrix(x):
     """S with (S @ y)_i = int_{-1}^{x_i} p, p the polynomial of degree len(x) - 1
-    through (x, y), in Legendre P_k: int_{-1}^x P_k = (P_k+1 - P_k-1)/(2k + 1)."""
+    through (x, y), in Legendre P_k (`legendre_integrals`)."""
     P = legendre(x, len(x) + 1)
-    partials = [x + 1.0] + [(P[k + 1] - P[k - 1]) / (2 * k + 1) for k in range(1, len(x))]
-    return np.linalg.solve(np.array(P[:-1]), np.array(partials)).T
+    return np.linalg.solve(np.array(P[:-1]), np.array(legendre_integrals(P))).T
 
 
 _S15 = _integration_matrix(_XK)
@@ -105,24 +112,6 @@ def _logsumexp_rows(a):
     ok = np.isfinite(m)
     out[ok] += np.log(np.exp(a[ok] - m[ok, None]).sum(axis=1))
     return out
-
-
-def cumulative_simpson(y, h):
-    """int_0^{ih} y for samples y[i] at equal steps h, at least 3 of them,
-    by the composite Simpson rule; the first value is 0.
-
-    Subinterval i integrates the parabola through nodes i, i+1 and i+2,
-    h/12 (5, 8, -1), when i is even and not the last, else the one through
-    nodes i-1, i and i+1, h/12 (-1, 8, 5).
-    """
-    heads = h / 12 * (5 * y[:-2] + 8 * y[1:-1] - y[2:])
-    tails = h / 12 * (5 * y[2:] + 8 * y[1:-1] - y[:-2])
-    sub = np.empty(len(y) - 1)
-    sub[:-1:2] = heads[::2]
-    sub[1::2] = tails[::2]
-    sub[-1] = tails[-1]
-    # + 0.0 turns a -0.0 sum into 0.0
-    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
 
 
 def _check_limits(a, b):
@@ -170,11 +159,17 @@ def kronrod_panel_log(logf, q_out, q_in, a, b):
     return np.column_stack([logs[:, :3], *_with_rounding(logs[:, :3], logs[:, 3:], size)])
 
 
+def _before(log):
+    """The logs of the sums of the entries before each one, along axis 0."""
+    head = np.full((1,) + np.shape(log)[1:], -math.inf)
+    return np.concatenate([head, np.logaddexp.accumulate(log)[:-1]])
+
+
 def _triangle_columns(log_vals, log_errs):
     """Per panel, in order, the log values and log errors of the triangle,
     int f and int h, from those of (I, A, B): two (k, 3) arrays."""
     (log_i, log_a, log_b), (log_ei, log_ea, log_eb) = log_vals.T, log_errs.T
-    log_p = np.r_[-math.inf, np.logaddexp.accumulate(log_i)[:-1]]
+    log_p = _before(log_i)
     log_after = np.r_[np.logaddexp.accumulate(log_a[::-1])[-2::-1], -math.inf]
     tri = np.logaddexp(log_p + log_a, log_b)
     tri_err = np.logaddexp(np.logaddexp(log_p + log_ea, log_ei + log_after), log_eb)
@@ -235,6 +230,29 @@ def adaptive_quad_log(logf, edges, rtol=1e-10, max_panels=2000, triangle=None):
     if triangle is None:
         return float(log_total[0]), float(log_err[0]), panels
     return log_total, log_err, panels
+
+
+def log_prefix(logf, triangle, panels, x):
+    """The logs of the triangle, int f and int h from the first panel's start
+    to each x in the panels of `adaptive_quad_log(logf, ..., triangle)`: a
+    (3,) + x.shape array, -inf where there are no panels.
+
+    It is the prefix twin of `LogCumulative.log_between`: the sums over the
+    whole panels before x's own, with P_k = sum I_j for the triangle, plus
+    one kernel call on the partial panels [a_k, x].  x must lie in the
+    panels' span; one on the span's end reads the last panel whole, with
+    its own bits.
+    """
+    xs = np.asarray(x, dtype=float)
+    out = np.full((3,) + xs.shape, -math.inf)
+    if len(panels):
+        flat = xs.ravel()
+        k = np.clip(np.searchsorted(panels.a, flat, side="right") - 1, 0, len(panels) - 1)
+        tri, whole_a, log_p = _before(_triangle_columns(panels.log_val, panels.log_err)[0])[k].T
+        log_i, log_a, log_b = kronrod_panel_log(logf, *triangle, panels.a[k], flat)[:, :3].T
+        out.reshape(3, -1)[:] = [np.logaddexp(tri, np.logaddexp(log_p + log_a, log_b)),
+                                 np.logaddexp(whole_a, log_a), np.logaddexp(log_p, log_i)]
+    return out
 
 
 class LogCumulative:

@@ -52,8 +52,7 @@ from . import criterion as _criterion
 from . import quadrature as _quadrature
 from .quadrature import _S15, _WK, _WK_G7, _XK
 from .errors import (DegenerateProfile, MalformedArtifact, NonPositiveWarp,
-                     OutOfDomain, OutOfRange, QuadratureFailure, StepSizeUnderflow,
-                     TailNotTight)
+                     OutOfDomain, OutOfRange, StepSizeUnderflow, TailNotTight)
 from .report import round_up_3, write_json_atomic
 from .spectrum import EigenMode
 from .warp import WarpingFunction, phi_on
@@ -61,7 +60,6 @@ from .warp import WarpingFunction, phi_on
 _DEFAULT_R0 = 1e-3
 _GRID_SIZE = 800
 _TAIL_DELTA = 1.25e-5
-_MASTER_NODES = 16385
 _TAU_RTOL = 1e-12
 _MEMO_SETS = 16          # entries a profile memo keeps before it starts over
 _LOG_R_STEP = 1e-3       # suggest_rmax's passing and failing log R are this close
@@ -284,8 +282,7 @@ class PanelSolution:
         x = ((s - self.t[seg]) / self._half[seg] - 1.0)[..., None]
         count = self._c.shape[1]
         P = _quadrature.legendre(x, count + 1)
-        basis = P[:-1] if derivative else [x + 1.0] + [
-            (P[k + 1] - P[k - 1]) / (2 * k + 1) for k in range(1, count)]
+        basis = P[:-1] if derivative else _quadrature.legendre_integrals(P)
         out = sum(self._c[seg, k] * b for k, b in enumerate(basis))
         if not derivative:
             out = self._start[seg] + self._half[seg][..., None] * out
@@ -727,45 +724,30 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
                         residual_ok=residual_ok, inequality_ok=inequality_ok)
 
 
-def _master(profile: RadialProfile, s_end: float):
-    """(master grid on [1, s_end], its step, C = int_1^t phi^{n-3} and
-    phi^{1-n} on it), once per s_end for the profiles of one solve."""
+def _exponent(profile: RadialProfile, x):
+    """The logs of F = int_1^x phi^{1-n} and T = int_1^x phi^{1-n}(t)
+    int_1^t phi^{n-3} at the radii x >= 1, from one pass of panel triples
+    over [1, x[-1]]; once per point set for the profiles of one solve."""
     w, n = profile.warp, profile.n
 
-    def compute(_):
-        master = np.linspace(1.0, s_end, _MASTER_NODES)
-        log_phi = np.asarray(w.log_phi(master), dtype=float)
-        if (n - 3) * np.max(log_phi) > 700.0:
-            raise QuadratureFailure(
-                "phi^{n-3} overflows double precision on the trace range; "
-                "reduce the trace grid extent")
-        step = (s_end - 1.0) / (_MASTER_NODES - 1)
-        C = _quadrature.cumulative_simpson(np.exp((n - 3) * log_phi), step)
-        return master, step, C, np.exp(-(n - 1) * log_phi)
-    return profile._memo.get(("master", w, n), s_end, compute)
-
-
-def _hermite(x, nodes, step, y, dy):
-    """The cubic Hermite through values y and slopes dy at the equally
-    spaced nodes, at the points x inside them."""
-    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, len(nodes) - 2)
-    t = (x - nodes[i]) / step
-    return ((1 + 2 * t) * y[i] + t * step * dy[i]) * (1 - t) ** 2 + (
-        (3 - 2 * t) * y[i + 1] + (t - 1) * step * dy[i + 1]) * t * t
+    def compute(x):
+        q = (1 - n, n - 3)
+        _, _, panels = _quadrature.adaptive_quad_log(
+            w.log_phi, _criterion._edges(w, float(x[-1])), rtol=1e-12, triangle=q)
+        log_t, log_f, _ = _quadrature.log_prefix(w.log_phi, q, panels, x)
+        return log_f, log_t
+    return profile._memo.get(("exponent", w, n), x, compute)
 
 
 def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
     """Verify phi_m(s) <= B exp(int_1^s lambda^2/phi^{n-1} (A + int_1^t phi^{n-3})).
 
-    Returns (bound curve on trace.grid, satisfied flag).  The nested
-    quadrature uses only the warping function, hence is independent of the
-    ODE solver: `quadrature.cumulative_simpson` on a 16,385-node master grid
-    of equal steps for both the inner cumulative C(t) = int_1^t phi^{n-3}
-    and the outer exponent, read between master nodes by the cubic Hermite
-    of the exponent and its integrand: H is concave just above s = 1, where
-    the bound touches phi_m, and a chord there undercuts it.  The master
-    grid's C and phi^{1-n} depend on the metric alone, so the profiles of
-    one solve share them (`_master`).
+    Returns (bound curve on trace.grid, satisfied flag).  The exponent is
+    lambda^2 (A F + T), with F = int_1^s phi^{1-n} and the triangle
+    T = int_1^s phi^{1-n}(t) int_1^t phi^{n-3}, read at each radius from
+    panel triples (`quadrature.log_prefix`), so it uses only the warping
+    function and is independent of the ODE solver.  F and T depend on the
+    metric alone, so the profiles of one solve share them (`_exponent`).
     """
     lam2 = profile.mode.lambda_sq
     s_grid = trace.grid
@@ -775,11 +757,9 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
         ok = bool(np.all(profile.interp(s_grid) <= bound * (1 + 1e-8)))
         return bound, ok
 
-    master, step, C, decay = _master(profile, float(s_grid[-1]))
-    h = lam2 * decay * (trace.A + C)
-    H = _quadrature.cumulative_simpson(h, step)
-    log_bound = math.log(trace.B) + _hermite(s_grid, master, step, H, h)
+    log_f, log_t = _exponent(profile, s_grid)
     with np.errstate(over="ignore"):
+        log_bound = math.log(trace.B) + lam2 * (trace.A * np.exp(log_f) + np.exp(log_t))
         bound = np.exp(np.minimum(log_bound, 700.0))
         bound[log_bound > 700.0] = math.inf
     log_vals = profile._log_raw(s_grid) - math.log(profile._scale)

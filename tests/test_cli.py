@@ -434,32 +434,41 @@ def test_n2_verify_reads_tau_once_per_point_set(tmp_path, monkeypatch):
     assert len(calls) == len(set(calls)) >= 5
 
 
-def test_n3_verify_evaluates_the_stack_and_the_master_grid_once(tmp_path,
-                                                                 monkeypatch):
+def test_n3_verify_evaluates_the_stack_and_the_exponent_once(tmp_path, monkeypatch):
     # every mode slices one evaluation of the stacked dense output per point
-    # set, and the growth bound's master grid reads the warp once
-    calls, master = [], []
+    # set, and the growth bound's exponent is one pass of panel triples per
+    # point set: the trace grid, and with --artifacts the solve's own grid
+    calls, passes, reads = [], [], []
     dense = radial.PanelSolution.__call__
-    log_phi = Hyperbolic.log_phi
+    quad, prefix = quadrature.adaptive_quad_log, quadrature.log_prefix
 
     def counted_dense(self, t, derivative=False):
         calls.append((id(self), np.asarray(t, dtype=float).tobytes(), derivative))
         return dense(self, t, derivative)
 
-    def counted_log_phi(self, r):
-        if np.size(r) == radial._MASTER_NODES:
-            master.append(r)
-        return log_phi(self, r)
+    def counted_quad(logf, edges, *args, triangle=None, **kwargs):
+        passes.append(triangle)
+        return quad(logf, edges, *args, triangle=triangle, **kwargs)
+
+    def counted_prefix(logf, triangle, panels, x):
+        reads.append(np.asarray(x, dtype=float).tobytes())
+        return prefix(logf, triangle, panels, x)
 
     monkeypatch.setattr(radial.PanelSolution, "__call__", counted_dense)
-    monkeypatch.setattr(Hyperbolic, "log_phi", counted_log_phi)
-    code = run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "3",
-                "--modes", "4", "--out", str(tmp_path / "v")])
-    assert code == 0
+    monkeypatch.setattr(quadrature, "adaptive_quad_log", counted_quad)
+    monkeypatch.setattr(quadrature, "log_prefix", counted_prefix)
+    flags = ["--family", "hyperbolic", "--a", "1", "--n", "3", "--modes", "4"]
+    assert run(["verify", *flags, "--out", str(tmp_path / "v")]) == 0
     # the solve's grid, the trace grid with and without the derivative,
     # r = 1, and the radii of the maximum principle and the FD stencils
     assert len(calls) == len(set(calls)) == 6
-    assert len(master) == 1
+    assert passes == [(-2, 0)] and len(reads) == 1
+    assert run(["solve", *flags, "--out", str(tmp_path / "s")]) == 0
+    passes.clear()
+    reads.clear()
+    assert run(["verify", *flags, "--artifacts", str(tmp_path / "s"),
+                "--out", str(tmp_path / "va")]) == 0
+    assert passes == [(-2, 0)] and len(reads) == 1
 
 
 def test_solve_refuses_radius_where_phi_overflows(tmp_path, capsys):
@@ -677,9 +686,9 @@ def test_n3_profiles_are_nondecreasing_row_by_row(tmp_path):
 
 def test_growth_bound_read_between_master_nodes_holds(tmp_path):
     # the exponent H is concave just above r = 1, where the bound touches
-    # phi_1: a chord between master nodes undercut it by about 1.3e-7, past
-    # the check's 1e-8 slack, so this true bound failed; the cubic Hermite
-    # of (H, H') keeps it
+    # phi_1: a chord between the nodes of a Simpson master grid undercut it
+    # by about 1.3e-7, past the check's 1e-8 slack, so this true bound
+    # failed; H read at each radius from the panel triples keeps it
     flags = ["--family", "powergrowth", "--p", "2.441479", "--n", "3",
              "--modes", "3", "--preset", "cos"]
     out = tmp_path / "s"

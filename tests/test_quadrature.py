@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import special
-from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from weakmodel import quadrature
 from weakmodel.errors import QuadratureFailure
 from weakmodel.quadrature import (_WG, _WK, _XK, LogCumulative,
                                   _logsumexp_rows, adaptive_quad_log,
-                                  cumulative_simpson, kronrod_panel_log,
-                                  logsumexp)
+                                  kronrod_panel_log, log_prefix, logsumexp)
 from weakmodel.warp import PowerLog
 
 
@@ -297,14 +295,56 @@ def test_log_between_makes_one_call_of_logf():
     assert len(calls) == 1
 
 
-def test_cumulative_simpson_on_the_growth_bound_master_grid():
-    # the 16,385-node grid of radial.lemma_bound_check at its default end
-    # 20, whose step 19/16384 is exact, so scipy's unequal-step arithmetic
-    # sees the same step everywhere
-    x = np.linspace(1.0, 20.0, 16385)
-    h = 19.0 / 16384
-    for y in (np.exp(-2.0 * x) * (1.0 + x), np.sinh(x) ** -2.0, np.sin(7.0 * x)):
-        got = cumulative_simpson(y, h)
-        assert got.tobytes() == scipy_cumulative_simpson(y, x=x, initial=0.0).tobytes()
-    # Simpson is exact on parabolas, up to rounding over 16,384 sums
-    assert_allclose(cumulative_simpson(x ** 2, h), (x ** 3 - 1.0) / 3.0, rtol=1e-12)
+def _euclidean_n3_pass(rtol=1e-12):
+    """The growth bound's pass at phi = r, n = 3: f = r^-2, h = 1, with the
+    triangle int_1^x t^-2 (t - 1) = log x - 1 + 1/x."""
+    return adaptive_quad_log(np.log, np.geomspace(1.0, 20.0, 9), rtol=rtol,
+                             triangle=(-2, 0))
+
+
+def test_log_prefix_reads_the_closed_form_at_any_radius():
+    log_total, _, panels = _euclidean_n3_pass()
+    x = np.r_[1.0, np.random.default_rng(3).uniform(1.0, 20.0, 200), 20.0]
+    tri, int_f, int_h = np.exp(log_prefix(np.log, (-2, 0), panels, x))
+    # the closed form cancels near x = 1, where it is only good to an ulp of 1
+    assert_allclose(tri, np.log(x) - 1.0 + 1.0 / x, rtol=1e-13, atol=1e-15)
+    assert_allclose(int_f, 1.0 - 1.0 / x, rtol=1e-13, atol=0.0)
+    assert_allclose(int_h, x - 1.0, rtol=1e-13, atol=0.0)
+    # the span's end reads the whole pass, up to the order of its sums
+    assert_allclose(log_prefix(np.log, (-2, 0), panels, 20.0), log_total, rtol=1e-14)
+
+
+def test_log_prefix_at_panel_starts_is_the_sum_before_them():
+    _, _, panels = _euclidean_n3_pass()
+    logf, calls = _counted(np.log)
+    got = log_prefix(logf, (-2, 0), panels, panels.a)
+    assert calls == [len(panels) * 15]   # every partial panel in one call
+    log_i, log_a, log_b = panels.log_val.T
+    log_p = np.r_[-math.inf, np.logaddexp.accumulate(log_i)[:-1]]
+    for row, whole in zip(got, (np.logaddexp(log_p + log_a, log_b), log_a, log_i)):
+        assert row.tobytes() == np.r_[-math.inf, np.logaddexp.accumulate(whole)[:-1]].tobytes()
+
+
+def test_log_prefix_batched_equals_scalar_reads():
+    _, _, panels = adaptive_quad_log(PowerLog(2.0).log_phi, np.geomspace(1.0, 40.3, 9),
+                                     rtol=1e-12, triangle=(-3, 1))
+    x = np.random.default_rng(11).uniform(1.0, 40.3, 60)
+    batched = log_prefix(PowerLog(2.0).log_phi, (-3, 1), panels, x.reshape(30, 2))
+    assert batched.shape == (3, 30, 2) and np.isfinite(batched).all()
+    scalar = np.column_stack([log_prefix(PowerLog(2.0).log_phi, (-3, 1), panels, u) for u in x])
+    assert batched.reshape(3, -1).tobytes() == scalar.tobytes()
+    # no panels: every read is empty
+    empty = adaptive_quad_log(np.log, [1.0, 1.0], triangle=(-2, 0))[2]
+    assert (log_prefix(np.log, (-2, 0), empty, [1.0, 1.0]) == -math.inf).all()
+
+
+def test_legendre_integrals_match_numpys_legint():
+    # int_{-1}^x P_k by the antiderivative (P_k+1 - P_k-1)/(2k + 1), against
+    # numpy's Legendre series integrated from -1; _S15 is built from them
+    x = np.linspace(-1.0, 1.0, 7)
+    got = quadrature.legendre_integrals(quadrature.legendre(x, 16))
+    assert len(got) == 15
+    for k, row in enumerate(got):
+        c = np.polynomial.legendre.legint(np.eye(15)[k], lbnd=-1.0)
+        assert_allclose(row, np.polynomial.legendre.legval(x, c), rtol=0, atol=1e-15)
+    assert_allclose(quadrature._S15 @ np.ones(15), _XK + 1.0, rtol=0, atol=1e-14)

@@ -14,7 +14,7 @@ from scipy.integrate import cumulative_simpson, quad, solve_ivp
 
 from conftest import count_calls, dop853_reference, normalized
 from weakmodel import radial
-from weakmodel.criterion import march_criterion, tail_certificate
+from weakmodel.criterion import _edges, march_criterion, tail_certificate
 from weakmodel.errors import (DegenerateProfile, MalformedArtifact,
                               NonPositiveWarp, NotConvergent, OutOfRange,
                               TailNotTight)
@@ -121,15 +121,34 @@ def test_riccati_rejects_constant_mode():
         riccati_trace(p)
 
 
+def _hyperbolic_n2_exponent(x, a=0.7):
+    F = np.log(np.tanh(0.5 * a * x)) - math.log(math.tanh(0.5 * a))
+    return F, F ** 2 / 2.0
+
+
+# (F, T) of the growth bound's exponent lambda^2 (A F + T) in closed form:
+# F = int_1^x phi^{1-n} and T = int_1^x phi^{1-n}(t) int_1^t phi^{n-3}
+_EXPONENTS = {
+    "euclidean-n2": (Euclidean(), 2, lambda x: (np.log(x), np.log(x) ** 2 / 2.0)),
+    "hyperbolic-n2": (Hyperbolic(0.7), 2, _hyperbolic_n2_exponent),
+    "euclidean-n3": (Euclidean(), 3, lambda x: (1.0 - 1.0 / x, np.log(x) - 1.0 + 1.0 / x)),
+}
+
+
 def test_lemma_bound_euclidean_closed_form():
-    # A = B = 1: bound(s) = s exp(log(s)^2/2) from the elementary integral
-    p = solve_radial(Euclidean(), 2, eigen_round_sphere(2, 1), r_max=25.0)
-    tr = riccati_trace(p)
-    bound, ok = lemma_bound_check(p, tr)
-    assert ok
-    expect = tr.grid * np.exp(np.log(tr.grid) ** 2 / 2.0)
-    assert_allclose(bound, expect, rtol=1e-6)
-    assert np.all(p.interp(tr.grid) <= bound * (1 + 1e-8))
+    # bound = B exp(lambda^2 (A F + T)), read on the trace grid and, as
+    # verify --artifacts reads it, on the solve's own grid inside [1, 20]
+    for case, (w, n, exponent) in _EXPONENTS.items():
+        p = solve_radial(w, n, eigen_round_sphere(n, 1), r_max=25.0)
+        tr = riccati_trace(p)
+        own = p.grid[(p.grid >= 1.0) & (p.grid <= tr.grid[-1])]
+        for trace in (tr, replace(tr, grid=own)):
+            bound, ok = lemma_bound_check(p, trace)
+            assert ok, case
+            F, T = exponent(trace.grid)
+            expect = tr.B * np.exp(p.mode.lambda_sq * (tr.A * F + T))
+            assert_allclose(bound, expect, rtol=1e-12, err_msg=case)
+            assert np.all(p.interp(trace.grid) <= bound * (1 + 1e-8)), case
 
 
 def test_lemma_bound_zero_mode():
@@ -185,8 +204,9 @@ def test_wrong_eigenvalue_in_the_solver_fails_the_residual(monkeypatch, n):
 
 def _trace_and_bound_alone(profile):
     """riccati_trace's residual and lemma_bound_check's bound, each array
-    computed for this one profile: the warp read on the trace grid and on
-    the master grid, and the profile's own dense rows."""
+    computed for this one profile: the warp read on the trace grid, the
+    growth bound's own pass of panel triples, and the profile's own dense
+    rows."""
     w, n, lam2 = profile.warp, profile.n, profile.mode.lambda_sq
     s_grid = np.linspace(1.0, min(profile.r_max, 20.0), 481)
     z, dz = profile._dense(np.log(s_grid))[1], profile._dense(np.log(s_grid), True)[1]
@@ -198,21 +218,19 @@ def _trace_and_bound_alone(profile):
     residual = xp + np.exp(math.log(lam2) + 2 * np.log(x) - (n - 1) * log_phi) - source
     A = float(x[np.argmin(np.abs(s_grid - 1.0))])
     B = float(profile.interp(1.0))
-    master = np.linspace(1.0, float(s_grid[-1]), radial._MASTER_NODES)
-    log_phi = np.asarray(w.log_phi(master), dtype=float)
-    step = (float(s_grid[-1]) - 1.0) / (radial._MASTER_NODES - 1)
-    C = radial._quadrature.cumulative_simpson(np.exp((n - 3) * log_phi), step)
-    h = lam2 * np.exp(-(n - 1) * log_phi) * (A + C)
-    H = radial._quadrature.cumulative_simpson(h, step)
-    return residual, np.exp(math.log(B) + radial._hermite(s_grid, master, step, H, h))
+    q = (1 - n, n - 3)
+    _, _, panels = radial._quadrature.adaptive_quad_log(
+        w.log_phi, _edges(w, float(s_grid[-1])), rtol=1e-12, triangle=q)
+    log_t, log_f, _ = radial._quadrature.log_prefix(w.log_phi, q, panels, s_grid)
+    return residual, np.exp(math.log(B) + lam2 * (A * np.exp(log_f) + np.exp(log_t)))
 
 
 @pytest.mark.parametrize("w,n", [(PowerGrowth(2.0), 3), (Hyperbolic(0.7), 3),
                                  (PowerLog(1.5), 2), (Hyperbolic(1.0), 2)])
 def test_shared_trace_arrays_keep_every_bit(w, n):
     # the modes of one solve share the warp's arrays, the stack's dense
-    # rows and the master grid; each mode, read on a stack of its own where
-    # no other mode shares anything, gives the same bits
+    # rows and the growth bound's exponent; each mode, read on a stack of
+    # its own where no other mode shares anything, gives the same bits
     modes = [eigen_round_sphere(n, m) for m in range(1, 5)]
     solve = ((lambda: conformal_modes(w, modes, 30.0)) if n == 2
              else (lambda: solve_modes(w, n, modes, r_max=30.0)))
