@@ -185,8 +185,7 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         return 2
     ext = _extension.build_extension(w, n, _boundary_data(cfg), M,
-                                     tol=cfg["tol"], r_max=cfg.get("rmax"),
-                                     criterion=report)
+                                     tol=cfg["tol"], criterion=report)
     _solve_artifacts(cfg, ext, cfg["out"])
     print(f"solved: M={ext.M}, r_max={ext.r_max:g}, "
           f"truncation bound {round_up_3(ext.truncation_error_bound):.3g}")
@@ -200,9 +199,6 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-_VERIFY_RMAX = 25.0     # smallest range of the raw solves when not Convergent
-
 
 def _check(name, passed, detail):
     return {"name": name, "passed": bool(passed), "detail": detail}
@@ -240,17 +236,15 @@ def cmd_verify(args) -> int:
     checks = []
 
     # profiles: the extension solve builds, at the same tol, when it
-    # exists; raw solves otherwise
+    # exists; raw solves to the criterion's radius otherwise
     if convergent:
         ext = _extension.build_extension(w, n, _boundary_data(cfg), M,
-                                         tol=cfg["tol"], r_max=cfg.get("rmax"),
-                                         criterion=report)
+                                         tol=cfg["tol"], criterion=report)
         profiles = ext.profiles
     else:
-        r_solve = max(cfg.get("rmax") or 0.0, _VERIFY_RMAX)
         profiles = dict(enumerate(_radial.solve_modes(
             w, n, [eigen_round_sphere(n, m) for m in range(M + 1)],
-            r_max=r_solve, tol=cfg["tol"])))
+            r_max=report.r_max, tol=cfg["tol"])))
 
     # artifacts: the (grid, values) samples of each profile_m*.csv
     loaded = None

@@ -539,9 +539,11 @@ def _certify(w, n, tol, r_max, double, shared):
             tail_evidence=model.convergence_evidence(r0, double), r_max=R)
     # the rounding is taken on the value's certified lower end, which bounds
     # the value at every R: past tol, no radius can help
+    floor = 1e-14 * (F + cross_lo + tout_lo)
     reason = (" (finite-part error alone exceeds tol)" if F_err >= tol else
+              " (rounding of the value alone exceeds tol)" if floor >= tol else
               " (finite-part error plus rounding exceed tol)"
-              if F_err + 1e-14 * (F + cross_lo + tout_lo) >= tol else "")
+              if F_err + floor >= tol else "")
     what = "value" if double else "transience value"
     raise QuadratureFailure(
         f"could not certify the {what} within tol={tol:g}{reason}; error "

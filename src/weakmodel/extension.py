@@ -19,7 +19,7 @@ from . import radial as _radial
 from .errors import NotSolvable, OutOfRange, UnsupportedSpectrum
 from .spectrum import (BoundaryData, CoefficientTable, RoundSphere,
                        SphereSpectrum, project_boundary)
-from .warp import ExponentialGrowth, WarpingFunction
+from .warp import WarpingFunction
 
 _TAIL_ENERGY_FRACTION = 1e-6
 
@@ -39,14 +39,6 @@ class HarmonicExtension:
     @property
     def r_max(self):
         return min(p.r_max for p in self.profiles.values())
-
-
-def _start_r_max(w: WarpingFunction) -> float:
-    """First profile range tried: from the rate for exponential growth, else 30."""
-    growth = w.growth_class
-    if isinstance(growth, ExponentialGrowth):
-        return float(min(max(30.0, 24.0 / growth.rate), 120.0))
-    return 30.0
 
 
 def _truncation_bound(f: BoundaryData, coeffs: CoefficientTable,
@@ -82,7 +74,7 @@ def _truncation_bound(f: BoundaryData, coeffs: CoefficientTable,
 
 
 def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
-                    tol: float = 1e-8, r_max=None,
+                    tol: float = 1e-8,
                     criterion: _criterion.CriterionReport | None = None,
                     spectrum: SphereSpectrum | None = None
                     ) -> HarmonicExtension:
@@ -99,13 +91,13 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     as their projection drops nothing.  For sampled data the energy is
     sum_j w_j f_j^2 on the grid, and the tail is that less what the
     projection puts below the top of the band, so modes the grid cannot
-    resolve count as dropped.  All modes share one radius.  At n = 2 they
-    are the closed forms exp(-lambda tau) at `r_max` (or a start radius),
-    raised to where the tail bracket holds.  At n >= 3 the
-    certificate of the highest mode the data use picks the radius first,
-    from the metric alone, by `suggest_rmax`'s search in log R for where
-    its tail delta is tight (constant data keep the start radius); every
-    m <= M is then solved once, as one stack, at that radius, and
+    resolve count as dropped.  All modes share one radius, starting at
+    R = `criterion.r_max` (pass `march_criterion(w, n, r_max=...)` to
+    choose it).  At n = 2 they are the closed forms exp(-lambda tau) at R.
+    At n >= 3 the certificate of the highest mode the data use picks the
+    radius first, from the metric alone, by `suggest_rmax`'s search in
+    log R from R for where its tail delta is tight (constant data keep R);
+    every m <= M is then solved once, as one stack, at that radius, and
     normalized with its own tail delta.  `numeric_slack` is the largest
     limit_error of the modes the data use.
     """
@@ -136,7 +128,7 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
                 f"boundary data is not well resolved at M={M}: modes >= {top} "
                 f"carry {tail / total:.3g} of the energy", stacklevel=2)
 
-    R = float(r_max) if r_max is not None else _start_r_max(w)
+    R = criterion.r_max
     modes = [spectrum.mode(m) for m in range(M + 1)]
     used = {m for (m, _), c in coeffs.items() if c != 0.0}
     if n == 2:

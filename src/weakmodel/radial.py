@@ -501,8 +501,9 @@ def conformal_modes(w: WarpingFunction, modes,
     """The normalized n = 2 profiles exp(-lambda tau) of every mode.
 
     The grid is the one `solve_modes` uses, with R = r_max raised to the
-    start of the tail sandwich, as for a tail certificate; there is no ODE
-    solve and no search for R.  All modes share one tau, and each mode's
+    start of the tail sandwich, as for a tail certificate (a criterion
+    report's R is past it already); there is no ODE solve and no search
+    for R.  All modes share one tau, and each mode's
     limit_error is lambda times tau's error bound, which bounds
     |phi_m - exact| on the whole range.  Without an m >= 1 mode no tail is
     needed and R is r_max.
@@ -718,7 +719,9 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
     # x' reaches phi^{n-3} up to its rounding, which at n >= 4 grows with phi
     slack = 1e-9 * (np.maximum(1.0, source) if n >= 4 else 1.0)
     inequality_ok = bool(np.all(xp <= source + slack))
-    A = float(x[np.argmin(np.abs(s_grid - 1.0))])
+    one = np.array([1.0])     # A and B at r = 1 itself, wherever the grid starts
+    log_phi_one = profile._memo.get(("log_phi", w), one, w.log_phi)
+    A = float(profile._solution(one)[1][0] * np.exp((n - 3) * log_phi_one)[0])
     B = float(profile.interp(1.0))
     return RiccatiTrace(grid=s_grid, x=x, A=A, B=B, residual=residual,
                         residual_ok=residual_ok, inequality_ok=inequality_ok)
@@ -751,6 +754,9 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
     """
     lam2 = profile.mode.lambda_sq
     s_grid = trace.grid
+    if np.any(s_grid < 1.0):
+        raise DegenerateProfile(f"the growth bound starts at r = 1, and the "
+                                f"trace grid reaches r = {np.min(s_grid):g}")
 
     if lam2 == 0:
         bound = np.full_like(s_grid, trace.B)

@@ -412,9 +412,10 @@ def test_verify_traces_and_certifies_each_profile_once(tmp_path, monkeypatch):
     assert code == 0
     assert len(traces) == 4
     # the checks run on the extension's profiles: all five modes in one
-    # stacked solve, normalized with the one certificate at its r_max 30
-    assert stack_radii == [30.0]
-    assert sorted(args[2] for args in certs) == [30.0]
+    # stacked solve, normalized with the one certificate at the criterion's
+    # r_max 60
+    assert stack_radii == [60.0]
+    assert sorted(args[2] for args in certs) == [60.0]
 
 
 def test_n2_verify_reads_tau_once_per_point_set(tmp_path, monkeypatch):
@@ -552,14 +553,15 @@ def test_verify_user_rmax_below_certificate_start(tmp_path):
 def test_slow_n2_tails_solve_and_verify(tmp_path, flags):
     # the first-order tail delta of these metrics decays like R^-0.1 or
     # 1/log(R)^2: the ODE path warned of overflow, then searched 24 doublings
-    # of R and failed.  The closed-form modes need neither
+    # of R and failed.  The closed-form modes need neither, and are built
+    # at the criterion's radius
     for cmd in ("solve", "verify"):
         code = run([cmd, *flags, "--n", "2", "--out", str(tmp_path / cmd)])
         assert code == 0, cmd
     rep = json.loads((tmp_path / "verify" / "verify.json").read_text())
     assert rep["all_passed"] is True
     summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
-    assert summary["r_max"] == 30.0
+    assert summary["r_max"] == 100.0
 
 
 @pytest.mark.parametrize("source,exact", [
@@ -609,11 +611,12 @@ def test_unsupported_dimension_refused_before_solving(tmp_path, capsys,
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_power_growth_tail_refused_without_overflow(tmp_path, capsys):
     # the tail search reaches r near 1.3e154, where 1 + r*r overflows; the
-    # refusal must be the TailNotTight message, not an overflow warning
+    # refusal must be the TailNotTight message, not an overflow warning.
+    # The top is found by bisection from the start radius, 100
     code = run(["solve", "--family", "powergrowth", "--p", "1.02", "--n", "3",
                 "--modes", "2", "--out", str(tmp_path / "s")])
     assert code == 1
-    assert "error: no r_max below 1.32768e+154 reaches" in capsys.readouterr().err
+    assert "error: no r_max below 1.3281e+154 reaches" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -656,15 +659,15 @@ def test_slow_tails_solve_and_verify(tmp_path, flags, lo, hi):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_constant_data_on_a_slow_tail_solve_and_verify(tmp_path):
-    # the data use m = 0 alone, whose tail delta is 0, so the start radius
-    # serves; m = 1..3 carry no data and are still solved and written, with
+    # the data use m = 0 alone, whose tail delta is 0, so the criterion's
+    # radius serves; m = 1..3 carry no data and are still solved and written, with
     # their own (loose) tail delta as limit_error
     flags = ["--family", "powergrowth", "--p", "1.249474", "--n", "3",
              "--modes", "3", "--preset", "single:0:0"]
     out = tmp_path / "s"
     assert run(["solve", *flags, "--out", str(out)]) == 0
     assert all((out / f"profile_m{m}.csv").is_file() for m in range(4))
-    assert json.loads((out / "summary.json").read_text())["r_max"] == 30.0
+    assert json.loads((out / "summary.json").read_text())["r_max"] == 100.0
     meta = json.loads((out / "profiles.json").read_text())
     assert meta[3]["limit_error"] > radial._TAIL_DELTA
     assert run(["verify", *flags, "--artifacts", str(out),
@@ -700,13 +703,14 @@ def test_growth_bound_read_between_master_nodes_holds(tmp_path):
 
 
 def test_mode_with_data_missing_the_tail_target_is_refused(tmp_path, capsys):
-    # the refusal names the last radius tried and the parts of its delta
+    # the refusal names the last radius tried and the parts of its delta;
+    # the search starts at the criterion's radius, 100
     code = run(["solve", "--family", "powerlog", "--c", "1", "--n", "3",
                 "--modes", "1", "--preset", "cos", "--out", str(tmp_path / "s")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: no r_max below 3.80258e+305 reaches tail delta")
-    assert "at r_max = 3.80002e+305, delta = 0.00631 is the expm1" in err
+    assert err.startswith("error: no r_max below 3.80158e+305 reaches tail delta")
+    assert "at r_max = 3.79902e+305, delta = 0.00631 is the expm1" in err
 
 
 def test_verify_power_growth_passes(tmp_path):
@@ -800,6 +804,56 @@ def test_verify_divergent_skips_extension_checks(tmp_path):
     ran = {c["name"]: c["passed"] for c in rep["checks"]
            if not c.get("skipped")}
     assert ran["riccati_residual"] and ran["monotone_nonnegative"]
+
+
+@pytest.mark.parametrize("flags,r_max", [
+    (["--family", "hyperbolic", "--a", "0.5", "--n", "2"], 120.0),
+    (["--family", "powergrowth", "--p", "2", "--n", "2"], 100.0),
+    (["--family", "powerlog", "--c", "2", "--n", "2"], 100.0),
+    (["--family", "hyperbolic", "--a", "1", "--n", "3"], 60.0),
+], ids=["hyperbolic_0.5_n2", "powergrowth_2_n2", "powerlog_2_n2", "hyperbolic_1_n3"])
+def test_solve_works_at_the_radius_classify_certifies(tmp_path, flags, r_max):
+    # one radius per command: the extension is built at the criterion's
+    # r_max, the one classify prints
+    assert run(["classify", *flags, "--out", str(tmp_path / "c")]) == 0
+    march = json.loads((tmp_path / "c" / "classify.json").read_text())["march"]
+    assert run(["solve", *flags, "--modes", "2", "--out", str(tmp_path / "s")]) == 0
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    assert summary["r_max"] == march["r_max"] == r_max
+
+
+def test_verify_solves_raw_modes_to_the_criterion_radius(tmp_path, monkeypatch):
+    # a Divergent metric has no extension: its raw modes are solved to the
+    # radius of the report that found it Divergent
+    marches = count_calls(monkeypatch, criterion, "march_criterion")
+    solve_modes = radial.solve_modes
+    radii = []
+
+    def counted(*args, **kwargs):
+        radii.append(inspect.signature(solve_modes).bind(*args, **kwargs)
+                     .arguments["r_max"])
+        return solve_modes(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "solve_modes", counted)
+    code = run(["verify", "--family", "powergrowth", "--p", "0.8", "--n", "3",
+                "--modes", "2", "--out", str(tmp_path / "v")])
+    assert code == 0
+    rep = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert rep["criterion"] == "Divergent" and rep["all_passed"] is True
+    assert len(marches) == 1
+    assert radii == [criterion.march_criterion(*marches[0]).r_max] == [100.0]
+
+
+@pytest.mark.parametrize("rmax", ["1", "0.5"])
+def test_verify_table_below_r_one_is_refused(tmp_path, capsys, rmax):
+    # an Inconclusive table's raw modes are solved to its report's radius,
+    # which is --rmax itself; at or below 1 that range is refused by name
+    csv = write_tabulated_csv(tmp_path / "w.csv", Hyperbolic(1.0),
+                              np.geomspace(1e-4, 30.0, 400))
+    code = run(["verify", "--warp-csv", str(csv), "--n", "3", "--modes", "2",
+                "--rmax", rmax, "--out", str(tmp_path / "v")])
+    assert code == 1
+    assert "error: r_max must exceed 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -454,7 +454,7 @@ def test_rounding_limited_refusal_names_every_part_and_stops():
         march_criterion(PowerLog(0.5000001), 3, tol=1e-8)
     elapsed = time.perf_counter() - start
     msg = str(info.value)
-    assert "(finite-part error plus rounding exceed tol)" in msg
+    assert "(rounding of the value alone exceeds tol)" in msg
     assert msg.count("r_max=") == 1
     number = r"(\S+?)"
     parts = re.search(rf"bound {number} \(finite part {number}, cross term {number}, "
@@ -464,6 +464,17 @@ def test_rounding_limited_refusal_names_every_part_and_stops():
     assert abs(sum(terms) - bound) <= 5e-3 * bound
     assert terms[-1] >= 1e-8
     assert elapsed < 0.2
+
+
+def test_refusal_names_the_rounding_when_it_binds_alone():
+    # the finite part is 4.92e-14 and the rounding term 2e-12: the rounding
+    # alone exceeds tol, so the reason blames it, not the finite part
+    with pytest.raises(QuadratureFailure) as info:
+        march_criterion(PowerGrowth(1.05), 2, tol=1e-12)
+    msg = str(info.value)
+    assert "(rounding of the value alone exceeds tol)" in msg
+    assert "finite-part error" not in msg
+    assert "(finite part 4.92e-14," in msg and msg.endswith("+ rounding 2e-12")
 
 
 @pytest.mark.parametrize("w, part", [(Hyperbolic(1.0), "finite"),

@@ -41,12 +41,13 @@ def band_extension(hyperbolic_criterion):
 
 
 @pytest.mark.parametrize("w,M,radii", [
-    (Hyperbolic(1.0), 4, [30.0]),
-    # suggest_rmax certifies 30 and 900, then narrows to the root near
-    # 282.8; the mode's normalization reuses the certificate it returns
-    (PowerGrowth(2.0), 1, [30.0, 900.0, 282.8]),
+    (Hyperbolic(1.0), 4, [60.0]),
+    # suggest_rmax starts at the criterion's radius: it certifies 100 and
+    # 1e4, then narrows to the root near 282.8; the mode's normalization
+    # reuses the certificate it returns
+    (PowerGrowth(2.0), 1, [100.0, 1e4, 282.8]),
     # the data stop at m = 1, so m = 1 picks the radius, not M = 3
-    (PowerGrowth(2.0), 3, [30.0, 900.0, 282.8]),
+    (PowerGrowth(2.0), 3, [100.0, 1e4, 282.8]),
 ])
 def test_one_certificate_per_radius(monkeypatch, w, M, radii):
     # n = 3: the n = 2 modes are closed forms and need no certificate
@@ -65,8 +66,8 @@ def test_one_certificate_per_radius(monkeypatch, w, M, radii):
 
 
 def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
-    # the certificate moves R from 30 to near 282.8 before any solve, so
-    # the stack is solved once, at the certified radius
+    # the certificate moves R from the criterion's 100 to near 282.8
+    # before any solve, so the stack is solved once, at the certified radius
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
     events = []
@@ -169,7 +170,8 @@ def _assert_hyperbolic_modes_match(a, tol, ode_error):
     w = Hyperbolic(a)
     for n in (3, 4, 5):
         modes = [eigen_round_sphere(n, m) for m in range(1, 9)]
-        cert = suggest_rmax(w, n, modes[-1].lambda_sq, ext._start_r_max(w))
+        cert = suggest_rmax(w, n, modes[-1].lambda_sq,
+                            criterion.march_criterion(w, n).r_max)
         for mode, raw in zip(modes, solve_modes(w, n, modes, r_max=cert.r_max,
                                                 tol=tol)):
             p = normalize_profile(raw, cert)
@@ -205,11 +207,14 @@ def test_n3_modes_ode_error_is_within_1e_12(a, tol):
 
 def test_user_rmax_below_certificate_start_is_honest():
     # the exact modes are tanh(r)^m; --rmax 4 lies below the tail
-    # certificate's start, so the extension moves to the certified radius
+    # certificate's start, so the criterion, and with it the extension,
+    # moves to the certified radius
     table = CoefficientTable(2)
     table.set(1, 0, 1.0)
-    e = ext.build_extension(Hyperbolic(2.0), 2,
-                            BoundaryData.from_coefficients(table), 2, r_max=4.0)
+    w = Hyperbolic(2.0)
+    e = ext.build_extension(w, 2, BoundaryData.from_coefficients(table), 2,
+                            criterion=criterion.march_criterion(w, 2, r_max=4.0))
+    assert e.r_max == e.criterion.r_max > 4.0
     for m in (1, 2):
         p = e.profiles[m]
         assert abs(p.values[-1] - math.tanh(p.r_max) ** m) <= p.limit_error + 1e-9

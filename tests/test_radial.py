@@ -534,6 +534,25 @@ def test_riccati_trace_stays_inside_solved_range():
         riccati_trace(p, s_grid=np.linspace(1.0, 13.5, 50))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("w,n", [(Hyperbolic(1.0), 3), (PowerGrowth(2.0), 3),
+                                 (Hyperbolic(1.0), 2)])
+def test_growth_bound_starts_at_one(w, n):
+    # A = x(1) and B = phi_m(1) are read at r = 1 itself, wherever the trace
+    # grid starts; a grid below r = 1, where the bound does not start, is
+    # refused by name rather than failed (or read backwards)
+    p = solve_radial(w, n, eigen_round_sphere(n, 1), r_max=25.0)
+    at_one = riccati_trace(p, s_grid=[1.0, 1.5, 3.0])
+    assert at_one.A == at_one.x[0]
+    for grid in ([0.97, 1.5, 3.0], [1.03, 1.5, 3.0]):
+        tr = riccati_trace(p, s_grid=grid)
+        assert (tr.A, tr.B) == (at_one.A, at_one.B)
+    low = riccati_trace(p, s_grid=[0.97, 1.03, 1.1, 1.5, 3.0])
+    with pytest.raises(DegenerateProfile, match="starts at r = 1.*r = 0.97"):
+        lemma_bound_check(p, low)
+    assert lemma_bound_check(p, replace(low, grid=low.grid[1:]))[1]
+
+
 def test_nonpositive_warp_detected():
     class Collapsing(WarpingFunction):
         growth_class = Euclidean().growth_class
