@@ -253,8 +253,9 @@ def cmd_verify(args) -> int:
             os.path.join(args.artifacts, f"profile_m{m}.csv"))
             for m in range(M + 1)}
 
-    # Riccati residual + inequality (m >= 1)
-    traces = {m: _radial.riccati_trace(profiles[m]) for m in range(1, M + 1)}
+    # Riccati residual + inequality (m >= 1), inside the criterion's panels
+    s_grid = np.linspace(1.0, min(report.r_max, 20.0), 481)
+    traces = {m: _radial.riccati_trace(profiles[m], s_grid) for m in range(1, M + 1)}
     worst_res, ineq_ok, res_ok = 0.0, True, True
     for tr in traces.values():
         worst_res = max(worst_res, float(np.max(np.abs(tr.residual))))
@@ -273,10 +274,10 @@ def cmd_verify(args) -> int:
             grid, values = loaded[m]
             inside = (grid >= tr.grid[0]) & (grid <= tr.grid[-1])
             ref, _ = _radial.lemma_bound_check(
-                profiles[m], dataclasses.replace(tr, grid=grid[inside]))
+                profiles[m], dataclasses.replace(tr, grid=grid[inside]), report)
             bound_ok &= bool(np.all(values[inside] <= ref * (1 + 1e-8)))
         else:
-            _, okm = _radial.lemma_bound_check(profiles[m], tr)
+            _, okm = _radial.lemma_bound_check(profiles[m], tr, report)
             bound_ok &= okm
     checks.append(_check("lemma_bound", bound_ok,
                          "phi_m below the certified growth bound"))

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class CriterionReport:
     error_bound: float
     tail_evidence: str
     r_max: float
+    # the pass of panel triples (1-n, n-3) over [1, r_max] behind the value
+    panels: np.recarray | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self):
         """The report as printed: the value at 12 digits, so the bound, rounded
@@ -420,17 +422,17 @@ def _shared_value(shared, key, compute):
     return shared[key]
 
 
-def _finite(w, n, R, double, rtol, shared=None):
-    """(value, error, cum) of the finite part over [1, R]: the triangle
+def _finite(w, n, R, double, shared=None):
+    """(value, error, cum, panels) of the finite part over [1, R]: the triangle
     int_1^R phi^{1-n}(tau) int_1^tau phi^{n-3} if `double`, else
-    int_1^R phi^{1-n}, and cum the logs (value, error) of C(1,R).  All come
-    from one pass of panel triples, kept in `shared` for the other report."""
-    log_val, log_err, _ = _shared_value(
-        shared, ("finite", R, rtol), lambda: adaptive_quad_log(
-            w.log_phi, _edges(w, R), rtol=rtol, triangle=(1 - n, n - 3)))
+    int_1^R phi^{1-n}, cum the logs (value, error) of C(1,R), and the panels
+    of the one pass of triples at rtol 1e-12 they come from, kept in `shared`."""
+    log_val, log_err, panels = _shared_value(
+        shared, ("finite", R), lambda: adaptive_quad_log(
+            w.log_phi, _edges(w, R), rtol=1e-12, triangle=(1 - n, n - 3)))
     k = 0 if double else 1
     return (math.exp(log_val[k]), math.exp(min(log_err[k], 700.0)),
-            (float(log_val[2]), float(log_err[2])))
+            (float(log_val[2]), float(log_err[2])), panels)
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +517,13 @@ def _certify(w, n, tol, r_max, double, shared):
     r0 = model.r0(R)
 
     if model.inner_diverges() or (double and model.double_diverges()):
-        F, F_err, _ = _finite(w, n, R, double, 1e-12, shared)
+        F, F_err, _, panels = _finite(w, n, R, double, shared)
         return CriterionReport(
             verdict=DIVERGENT, value=F, error_bound=F_err,
-            tail_evidence=model.divergence_evidence(r0, double), r_max=R)
+            tail_evidence=model.divergence_evidence(r0, double), r_max=R, panels=panels)
 
     (in_lo, in_hi), dbl = _tail_brackets(n, model, R, double, shared)
-    F, F_err, (log_c, log_ec) = _finite(w, n, R, double, 1e-12, shared)
+    F, F_err, (log_c, log_ec), panels = _finite(w, n, R, double, shared)
     if double:   # (C - e_C, C + e_C) * T_in
         cross_lo = max(math.exp(log_c + in_lo) - math.exp(log_ec + in_lo), 0.0)
         cross_hi = math.exp(log_c + in_hi) + math.exp(log_ec + in_hi)
@@ -536,7 +538,7 @@ def _certify(w, n, tol, r_max, double, shared):
     if err < tol:
         return CriterionReport(
             verdict=CONVERGENT, value=value, error_bound=err,
-            tail_evidence=model.convergence_evidence(r0, double), r_max=R)
+            tail_evidence=model.convergence_evidence(r0, double), r_max=R, panels=panels)
     # the rounding is taken on the value's certified lower end, which bounds
     # the value at every R: past tol, no radius can help
     floor = 1e-14 * (F + cross_lo + tout_lo)
@@ -620,14 +622,15 @@ def _classify_unknown(w, n, double, r_max, shared):
     is certified, and on a finite range a divergent integral looks like a
     slowly converging one.  The integrand is positive, so the finite part
     bounds the whole integral from below, up to its quadrature error.  That
-    error is reported rather than certified to tol, so rtol 1e-8 suffices.
+    error is reported rather than certified to tol, from the one pass at
+    rtol 1e-12 whose panels give `verify` its growth bound.
     """
     R = _radius(w, r_max, 400.0)
-    F, F_err, _ = _finite(w, n, R, double, 1e-8, shared)
+    F, F_err, _, panels = _finite(w, n, R, double, shared)
     beyond = "the data at r" if R == _top_radius(w) else "r"
     return CriterionReport(
         verdict=INCONCLUSIVE, value=F, error_bound=math.inf,
         tail_evidence=f"no growth class: the finite part over [1, {R:.6g}] "
                       f"is a lower bound (positive integrand), quadrature "
                       f"error {F_err:.3g}; no tail beyond {beyond} = "
-                      f"{R:.6g} is certified", r_max=R)
+                      f"{R:.6g} is certified", r_max=R, panels=panels)

@@ -20,8 +20,8 @@ carries the inner one.  `LogCumulative` keeps the panels of one integral
 and the logs of their suffix sums, and reads int_x^hi at any x from one
 more kernel call on the partial panels [x, b_i].  `log_prefix` is its
 twin for the triangle's panels: it reads the three columns from the start
-to any x, which is how the growth-bound check of
-`radial.lemma_bound_check` gets its exponent.  So every integral of a
+to any x in their span, which is how `radial.lemma_bound_check` reads its
+growth bound off the panels of a criterion report.  So every integral of a
 power of phi goes through `kronrod_panel_log`.
 
 `legendre` gives the Legendre polynomials of the integration matrices,
@@ -239,15 +239,19 @@ def log_prefix(logf, triangle, panels, x):
 
     It is the prefix twin of `LogCumulative.log_between`: the sums over the
     whole panels before x's own, with P_k = sum I_j for the triangle, plus
-    one kernel call on the partial panels [a_k, x].  x must lie in the
-    panels' span; one on the span's end reads the last panel whole, with
-    its own bits.
+    one kernel call on the partial panels [a_k, x].  An x outside the
+    panels' span raises ValueError; one on the span's end reads the last
+    panel whole, with its own bits.
     """
     xs = np.asarray(x, dtype=float)
     out = np.full((3,) + xs.shape, -math.inf)
     if len(panels):
         flat = xs.ravel()
-        k = np.clip(np.searchsorted(panels.a, flat, side="right") - 1, 0, len(panels) - 1)
+        outside = flat[~((flat >= panels.a[0]) & (flat <= panels.b[-1]))]
+        if outside.size:
+            raise ValueError(f"x = {outside[0]:g} lies outside the panels' span "
+                             f"[{panels.a[0]:g}, {panels.b[-1]:g}]")
+        k = np.searchsorted(panels.a, flat, side="right") - 1
         tri, whole_a, log_p = _before(_triangle_columns(panels.log_val, panels.log_err)[0])[k].T
         log_i, log_a, log_b = kronrod_panel_log(logf, *triangle, panels.a[k], flat)[:, :3].T
         out.reshape(3, -1)[:] = [np.logaddexp(tri, np.logaddexp(log_p + log_a, log_b)),

@@ -727,43 +727,35 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
                         residual_ok=residual_ok, inequality_ok=inequality_ok)
 
 
-def _exponent(profile: RadialProfile, x):
-    """The logs of F = int_1^x phi^{1-n} and T = int_1^x phi^{1-n}(t)
-    int_1^t phi^{n-3} at the radii x >= 1, from one pass of panel triples
-    over [1, x[-1]]; once per point set for the profiles of one solve."""
-    w, n = profile.warp, profile.n
-
-    def compute(x):
-        q = (1 - n, n - 3)
-        _, _, panels = _quadrature.adaptive_quad_log(
-            w.log_phi, _criterion._edges(w, float(x[-1])), rtol=1e-12, triangle=q)
-        log_t, log_f, _ = _quadrature.log_prefix(w.log_phi, q, panels, x)
-        return log_f, log_t
-    return profile._memo.get(("exponent", w, n), x, compute)
-
-
-def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace):
+def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace,
+                      criterion: _criterion.CriterionReport):
     """Verify phi_m(s) <= B exp(int_1^s lambda^2/phi^{n-1} (A + int_1^t phi^{n-3})).
 
     Returns (bound curve on trace.grid, satisfied flag).  The exponent is
     lambda^2 (A F + T), with F = int_1^s phi^{1-n} and the triangle
-    T = int_1^s phi^{1-n}(t) int_1^t phi^{n-3}, read at each radius from
-    panel triples (`quadrature.log_prefix`), so it uses only the warping
-    function and is independent of the ODE solver.  F and T depend on the
-    metric alone, so the profiles of one solve share them (`_exponent`).
+    T = int_1^s phi^{1-n}(t) int_1^t phi^{n-3}: the integrals of March's
+    criterion, read at each radius off the panel triples of `criterion`, the
+    report of (warp, n), by `quadrature.log_prefix`.  So the bound uses only
+    the warping function and no pass of its own, independent of the ODE
+    solver.  The profiles of one solve share F and T per point set and
+    report.  A trace grid outside [1, criterion.r_max] is refused.
     """
-    lam2 = profile.mode.lambda_sq
+    lam2, w, n = profile.mode.lambda_sq, profile.warp, profile.n
     s_grid = trace.grid
-    if np.any(s_grid < 1.0):
-        raise DegenerateProfile(f"the growth bound starts at r = 1, and the "
-                                f"trace grid reaches r = {np.min(s_grid):g}")
+    lo, hi = np.min(s_grid, initial=1.0), np.max(s_grid, initial=criterion.r_max)
+    if lo < 1.0 or hi > criterion.r_max:
+        raise DegenerateProfile(f"the growth bound starts at r = 1 and ends at the "
+                                f"criterion's r_max = {criterion.r_max:g}, and the "
+                                f"trace grid reaches r = {lo if lo < 1.0 else hi:g}")
 
     if lam2 == 0:
         bound = np.full_like(s_grid, trace.B)
         ok = bool(np.all(profile.interp(s_grid) <= bound * (1 + 1e-8)))
         return bound, ok
 
-    log_f, log_t = _exponent(profile, s_grid)
+    log_t, log_f, _ = profile._memo.get(
+        ("exponent", w, n, criterion.panels.tobytes()), s_grid, lambda x:
+        _quadrature.log_prefix(w.log_phi, (1 - n, n - 3), criterion.panels, x))
     with np.errstate(over="ignore"):
         log_bound = math.log(trace.B) + lam2 * (trace.A * np.exp(log_f) + np.exp(log_t))
         bound = np.exp(np.minimum(log_bound, 700.0))

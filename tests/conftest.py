@@ -35,6 +35,13 @@ def normalized(profile):
         profile, tail_certificate(profile.warp, profile.n, profile.r_max))
 
 
+def criterion_at(profile):
+    """The criterion report at a profile's r_max (raised to the tail
+    sandwich's start), whose panels give `lemma_bound_check` its exponent."""
+    from weakmodel.criterion import march_criterion
+    return march_criterion(profile.warp, profile.n, r_max=profile.r_max)
+
+
 @pytest.fixture(scope="session")
 def tanh_profile():
     """Normalized m=1 profile for Hyperbolic(1), n=2; exact value tanh(r/2)."""
@@ -50,7 +57,7 @@ def fubini_check(w: WarpingFunction, n: int, R: float):
     """
     if R <= 1.0:
         raise InvalidTolerance(f"fubini box needs R > 1, got {R}")
-    lhs, _, _ = _finite(w, n, R, True, 1e-12)   # the pass of panel triples
+    lhs = _finite(w, n, R, True)[0]   # the pass of panel triples
     cum = LogCumulative(lambda t: (1 - n) * w.log_phi(t), 1.0, R, rtol=1e-12)
 
     def log_rhs(ss):

@@ -435,28 +435,41 @@ def test_n2_verify_reads_tau_once_per_point_set(tmp_path, monkeypatch):
     assert len(calls) == len(set(calls)) >= 5
 
 
+def _count_triple_passes(monkeypatch):
+    """The triangle of each adaptive pass of panel triples, through both
+    names the program calls the loop by."""
+    passes = []
+    quad = quadrature.adaptive_quad_log
+
+    def counted(logf, edges, *args, triangle=None, **kwargs):
+        if triangle is not None:
+            passes.append(triangle)
+        return quad(logf, edges, *args, triangle=triangle, **kwargs)
+
+    monkeypatch.setattr(quadrature, "adaptive_quad_log", counted)
+    monkeypatch.setattr(criterion, "adaptive_quad_log", counted)
+    return passes
+
+
 def test_n3_verify_evaluates_the_stack_and_the_exponent_once(tmp_path, monkeypatch):
     # every mode slices one evaluation of the stacked dense output per point
-    # set, and the growth bound's exponent is one pass of panel triples per
-    # point set: the trace grid, and with --artifacts the solve's own grid
-    calls, passes, reads = [], [], []
+    # set, and the criterion's pass of panel triples is the only one: the
+    # growth bound reads its exponent from the report's panels, on the trace
+    # grid and with --artifacts on the solve's own grid
+    calls, reads = [], []
     dense = radial.PanelSolution.__call__
-    quad, prefix = quadrature.adaptive_quad_log, quadrature.log_prefix
+    prefix = quadrature.log_prefix
 
     def counted_dense(self, t, derivative=False):
         calls.append((id(self), np.asarray(t, dtype=float).tobytes(), derivative))
         return dense(self, t, derivative)
-
-    def counted_quad(logf, edges, *args, triangle=None, **kwargs):
-        passes.append(triangle)
-        return quad(logf, edges, *args, triangle=triangle, **kwargs)
 
     def counted_prefix(logf, triangle, panels, x):
         reads.append(np.asarray(x, dtype=float).tobytes())
         return prefix(logf, triangle, panels, x)
 
     monkeypatch.setattr(radial.PanelSolution, "__call__", counted_dense)
-    monkeypatch.setattr(quadrature, "adaptive_quad_log", counted_quad)
+    passes = _count_triple_passes(monkeypatch)
     monkeypatch.setattr(quadrature, "log_prefix", counted_prefix)
     flags = ["--family", "hyperbolic", "--a", "1", "--n", "3", "--modes", "4"]
     assert run(["verify", *flags, "--out", str(tmp_path / "v")]) == 0
@@ -470,6 +483,73 @@ def test_n3_verify_evaluates_the_stack_and_the_exponent_once(tmp_path, monkeypat
     assert run(["verify", *flags, "--artifacts", str(tmp_path / "s"),
                 "--out", str(tmp_path / "va")]) == 0
     assert passes == [(-2, 0)] and len(reads) == 1
+
+
+def test_n2_verify_makes_one_pass_of_triples_and_one_tau(tmp_path, monkeypatch):
+    # at n = 2 the growth bound reads the criterion's panels too, and tau
+    # keeps its one cumulative
+    passes = _count_triple_passes(monkeypatch)
+    taus = count_calls(monkeypatch, quadrature, "LogCumulative")
+    assert run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "2",
+                "--modes", "4", "--out", str(tmp_path / "v")]) == 0
+    assert passes == [(-1, -1)] and len(taus) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("metric, rmax, R, solved", [
+    (("hyperbolic", "--a", "1"), "10", 13.0, 13.0),
+    (("powerlog", "--c", "5"), "5", 10.4, 100.77)], ids=["hyperbolic", "powerlog"])
+def test_verify_traces_inside_a_criterion_radius_below_20(tmp_path, monkeypatch,
+                                                         metric, rmax, R, solved):
+    # --rmax below the sandwich's start gives the criterion that start as
+    # its radius: 13 for Hyperbolic(1), 10.4 for PowerLog(5), whose modes
+    # suggest_rmax solves out to about 100.77.  The trace, whose growth
+    # bound reads the criterion's panels, stops at the criterion's radius
+    traces = count_calls(monkeypatch, radial, "riccati_trace")
+    flags = ["--family", metric[0], metric[1], metric[2], "--n", "3",
+             "--modes", "4", "--preset", "cos", "--rmax", rmax]
+    assert run(["solve", *flags, "--out", str(tmp_path / "s")]) == 0
+    assert run(["verify", *flags, "--out", str(tmp_path / "v")]) == 0
+    assert run(["verify", *flags, "--artifacts", str(tmp_path / "s"),
+                "--out", str(tmp_path / "va")]) == 0
+    assert len(traces) == 8
+    for profile, s_grid in traces:
+        assert s_grid[-1] == pytest.approx(R, rel=1e-15)
+        assert profile.r_max == pytest.approx(solved, rel=1e-4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("size", [50, 400])
+@pytest.mark.parametrize("w, top", [(Hyperbolic(1.0), 30.0), (PowerGrowth(2.0), 300.0)],
+                         ids=repr)
+def test_table_growth_bound_reads_the_inconclusive_report(tmp_path, monkeypatch,
+                                                          w, top, size, n):
+    # a table is classified at rtol 1e-12 like every metric, so the growth
+    # bound read from its Inconclusive report's panels lies within 1e-12 of
+    # a fresh rtol-1e-12 pass over the trace grid alone
+    reads = []
+    check = radial.lemma_bound_check
+
+    def spy(profile, trace, report):
+        bound, ok = check(profile, trace, report)
+        reads.append((profile, trace, report, bound))
+        return bound, ok
+
+    monkeypatch.setattr(radial, "lemma_bound_check", spy)
+    path = write_tabulated_csv(tmp_path / "t.csv", w, np.geomspace(1e-4, top, size))
+    assert run(["verify", "--warp-csv", str(path), "--n", str(n), "--modes", "4",
+                "--out", str(tmp_path / "v")]) == 0
+    assert len(reads) == 4
+    for profile, trace, report, bound in reads:
+        assert report.verdict == criterion.INCONCLUSIVE
+        t, q = profile.warp, (1 - n, n - 3)
+        _, _, panels = quadrature.adaptive_quad_log(
+            t.log_phi, np.geomspace(1.0, trace.grid[-1], 9), rtol=1e-12, triangle=q)
+        log_t, log_f, _ = quadrature.log_prefix(t.log_phi, q, panels, trace.grid)
+        fresh = trace.B * np.exp(profile.mode.lambda_sq * (trace.A * np.exp(log_f)
+                                                           + np.exp(log_t)))
+        np.testing.assert_allclose(bound, fresh, rtol=1e-12, atol=0.0)
 
 
 def test_solve_refuses_radius_where_phi_overflows(tmp_path, capsys):

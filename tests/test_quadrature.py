@@ -325,6 +325,25 @@ def test_log_prefix_at_panel_starts_is_the_sum_before_them():
         assert row.tobytes() == np.r_[-math.inf, np.logaddexp.accumulate(whole)[:-1]].tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_prefix_refuses_x_outside_the_span_and_keeps_its_ends():
+    # below the first panel a read would be a backward panel, past the last
+    # one K15 panel stretched over [a_k, x]: both are refused by name
+    _, _, panels = _euclidean_n3_pass()
+    for x in (0.97, np.nextafter(1.0, 0.0), np.nextafter(20.0, 21.0), 21.0, math.nan):
+        with pytest.raises(ValueError, match=rf"x = {x:g} lies outside the panels' "
+                                             r"span \[1, 20\]"):
+            log_prefix(np.log, (-2, 0), panels, [1.5, x])
+    ends = log_prefix(np.log, (-2, 0), panels, [1.0, 20.0])
+    assert (ends[:, 0] == -math.inf).all()
+    # the span's end reads the last panel whole: the sums before it, then
+    # that panel's own bits
+    log_i, log_a, log_b = panels.log_val.T
+    log_p = np.r_[-math.inf, np.logaddexp.accumulate(log_i)[:-1]]
+    for got, whole in zip(ends[:, 1], (np.logaddexp(log_p + log_a, log_b), log_a, log_i)):
+        assert got == np.logaddexp(np.logaddexp.accumulate(whole[:-1])[-1], whole[-1])
+
+
 def test_log_prefix_batched_equals_scalar_reads():
     _, _, panels = adaptive_quad_log(PowerLog(2.0).log_phi, np.geomspace(1.0, 40.3, 9),
                                      rtol=1e-12, triangle=(-3, 1))

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import cumulative_simpson, quad, solve_ivp
 
-from conftest import count_calls, dop853_reference, normalized
+from conftest import count_calls, criterion_at, dop853_reference, normalized
 from weakmodel import radial
-from weakmodel.criterion import _edges, march_criterion, tail_certificate
+from weakmodel.criterion import march_criterion, tail_certificate
 from weakmodel.errors import (DegenerateProfile, MalformedArtifact,
                               NonPositiveWarp, NotConvergent, OutOfRange,
                               TailNotTight)
@@ -143,7 +143,7 @@ def test_lemma_bound_euclidean_closed_form():
         tr = riccati_trace(p)
         own = p.grid[(p.grid >= 1.0) & (p.grid <= tr.grid[-1])]
         for trace in (tr, replace(tr, grid=own)):
-            bound, ok = lemma_bound_check(p, trace)
+            bound, ok = lemma_bound_check(p, trace, criterion_at(p))
             assert ok, case
             F, T = exponent(trace.grid)
             expect = tr.B * np.exp(p.mode.lambda_sq * (tr.A * F + T))
@@ -161,7 +161,7 @@ def test_lemma_bound_zero_mode():
     tr0 = RiccatiTrace(grid=trace_like.grid, x=trace_like.x * 0, A=0.0, B=1.0,
                        residual=trace_like.residual * 0, residual_ok=True,
                        inequality_ok=True)
-    bound, ok = lemma_bound_check(p, tr0)
+    bound, ok = lemma_bound_check(p, tr0, criterion_at(p))
     assert ok and np.all(bound == 1.0)
 
 
@@ -175,7 +175,7 @@ def test_lemma_suite(w, n):
         tr = riccati_trace(p)
         assert tr.residual_ok, f"m={m}"
         assert tr.inequality_ok, f"m={m}"
-        _, ok = lemma_bound_check(p, tr)
+        _, ok = lemma_bound_check(p, tr, criterion_at(p))
         assert ok, f"m={m}"
 
 
@@ -205,8 +205,8 @@ def test_wrong_eigenvalue_in_the_solver_fails_the_residual(monkeypatch, n):
 def _trace_and_bound_alone(profile):
     """riccati_trace's residual and lemma_bound_check's bound, each array
     computed for this one profile: the warp read on the trace grid, the
-    growth bound's own pass of panel triples, and the profile's own dense
-    rows."""
+    panel triples of a criterion report of its own, and the profile's own
+    dense rows."""
     w, n, lam2 = profile.warp, profile.n, profile.mode.lambda_sq
     s_grid = np.linspace(1.0, min(profile.r_max, 20.0), 481)
     z, dz = profile._dense(np.log(s_grid))[1], profile._dense(np.log(s_grid), True)[1]
@@ -218,10 +218,8 @@ def _trace_and_bound_alone(profile):
     residual = xp + np.exp(math.log(lam2) + 2 * np.log(x) - (n - 1) * log_phi) - source
     A = float(x[np.argmin(np.abs(s_grid - 1.0))])
     B = float(profile.interp(1.0))
-    q = (1 - n, n - 3)
-    _, _, panels = radial._quadrature.adaptive_quad_log(
-        w.log_phi, _edges(w, float(s_grid[-1])), rtol=1e-12, triangle=q)
-    log_t, log_f, _ = radial._quadrature.log_prefix(w.log_phi, q, panels, s_grid)
+    log_t, log_f, _ = radial._quadrature.log_prefix(
+        w.log_phi, (1 - n, n - 3), criterion_at(profile).panels, s_grid)
     return residual, np.exp(math.log(B) + lam2 * (A * np.exp(log_f) + np.exp(log_t)))
 
 
@@ -236,7 +234,8 @@ def test_shared_trace_arrays_keep_every_bit(w, n):
              else (lambda: solve_modes(w, n, modes, r_max=30.0)))
     shared = solve()
     traces = [riccati_trace(p) for p in shared]
-    bounds = [lemma_bound_check(p, tr)[0] for p, tr in zip(shared, traces)]
+    report = criterion_at(shared[0])
+    bounds = [lemma_bound_check(p, tr, report)[0] for p, tr in zip(shared, traces)]
     for j in range(len(modes)):
         residual, bound = _trace_and_bound_alone(solve()[j])
         assert traces[j].residual.tobytes() == residual.tobytes()
@@ -508,8 +507,10 @@ def test_every_raw_profile_lies_below_the_growth_bound(w, n, ms, r_max):
     # the lemma's bound holds for every mode of every metric, convergent or
     # not, on the raw profiles as solved
     modes = [eigen_round_sphere(n, m) for m in sorted(ms)]
+    report = None
     for p in solve_modes(w, n, modes, r_max=r_max):
-        _, ok = lemma_bound_check(p, riccati_trace(p))
+        report = report or criterion_at(p)
+        _, ok = lemma_bound_check(p, riccati_trace(p), report)
         assert ok, f"{w!r} n={n} m={p.mode.m} r_max={r_max}"
 
 
@@ -548,9 +549,25 @@ def test_growth_bound_starts_at_one(w, n):
         tr = riccati_trace(p, s_grid=grid)
         assert (tr.A, tr.B) == (at_one.A, at_one.B)
     low = riccati_trace(p, s_grid=[0.97, 1.03, 1.1, 1.5, 3.0])
+    report = criterion_at(p)
     with pytest.raises(DegenerateProfile, match="starts at r = 1.*r = 0.97"):
-        lemma_bound_check(p, low)
-    assert lemma_bound_check(p, replace(low, grid=low.grid[1:]))[1]
+        lemma_bound_check(p, low, report)
+    assert lemma_bound_check(p, replace(low, grid=low.grid[1:]), report)[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_growth_bound_stays_inside_the_criterion_radius():
+    # the bound is read from the report's panels over [1, r_max]: --rmax 10
+    # gives Hyperbolic(1) the radius 13, the sandwich's start, and a trace
+    # grid past it is refused by name rather than read off the panels
+    w = Hyperbolic(1.0)
+    p = solve_radial(w, 3, eigen_round_sphere(3, 1), r_max=25.0)
+    report = march_criterion(w, 3, r_max=10.0)
+    assert report.r_max == 13.0
+    with pytest.raises(DegenerateProfile, match="ends at the criterion's r_max = 13.*r = 20"):
+        lemma_bound_check(p, riccati_trace(p), report)
+    inside = riccati_trace(p, s_grid=np.linspace(1.0, 13.0, 200))
+    assert lemma_bound_check(p, inside, report)[1]
 
 
 def test_nonpositive_warp_detected():

@@ -119,10 +119,10 @@ def test_finite_parts_hold_the_reference(w):
             R_n = _default_r(w, n) if R is None else R
             if _refuses(w, n, R_n):
                 with pytest.raises(QuadratureFailure, match="below rounding"):
-                    criterion._finite(w, n, R_n, True, 1e-12)
+                    criterion._finite(w, n, R_n, True)
                 continue
-            tri, tri_err, (log_c, log_ec) = criterion._finite(w, n, R_n, True, 1e-12)
-            trans, trans_err, _ = criterion._finite(w, n, R_n, False, 1e-12)
+            tri, tri_err, (log_c, log_ec), _ = criterion._finite(w, n, R_n, True)
+            trans, trans_err = criterion._finite(w, n, R_n, False)[:2]
             want = reference(w, n, R_n, 8000)
             coarse = reference(w, n, R_n, 4000)
             case = (w, n, R_n)
