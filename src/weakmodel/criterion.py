@@ -64,8 +64,11 @@ class CriterionReport:
     error_bound: float
     tail_evidence: str
     r_max: float
-    # the pass of panel triples (1-n, n-3) over [1, r_max] behind the value
+    # the pass of panel triples (1-n, n-3) over [1, r_max] behind the value,
+    # and the warp and n it integrates
     panels: np.recarray | None = field(default=None, repr=False, compare=False)
+    _warp: WarpingFunction | None = field(default=None, repr=False, compare=False)
+    _n: int | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self):
         """The report as printed: the value at 12 digits, so the bound, rounded
@@ -520,7 +523,8 @@ def _certify(w, n, tol, r_max, double, shared):
         F, F_err, _, panels = _finite(w, n, R, double, shared)
         return CriterionReport(
             verdict=DIVERGENT, value=F, error_bound=F_err,
-            tail_evidence=model.divergence_evidence(r0, double), r_max=R, panels=panels)
+            tail_evidence=model.divergence_evidence(r0, double), r_max=R, panels=panels,
+            _warp=w, _n=n)
 
     (in_lo, in_hi), dbl = _tail_brackets(n, model, R, double, shared)
     F, F_err, (log_c, log_ec), panels = _finite(w, n, R, double, shared)
@@ -538,7 +542,8 @@ def _certify(w, n, tol, r_max, double, shared):
     if err < tol:
         return CriterionReport(
             verdict=CONVERGENT, value=value, error_bound=err,
-            tail_evidence=model.convergence_evidence(r0, double), r_max=R, panels=panels)
+            tail_evidence=model.convergence_evidence(r0, double), r_max=R, panels=panels,
+            _warp=w, _n=n)
     # the rounding is taken on the value's certified lower end, which bounds
     # the value at every R: past tol, no radius can help
     floor = 1e-14 * (F + cross_lo + tout_lo)
@@ -633,4 +638,5 @@ def _classify_unknown(w, n, double, r_max, shared):
         tail_evidence=f"no growth class: the finite part over [1, {R:.6g}] "
                       f"is a lower bound (positive integrand), quadrature "
                       f"error {F_err:.3g}; no tail beyond {beyond} = "
-                      f"{R:.6g} is certified", r_max=R, panels=panels)
+                      f"{R:.6g} is certified", r_max=R, panels=panels,
+        _warp=w, _n=n)

@@ -17,16 +17,22 @@ on the 7 Gauss nodes.  One integral of exp(logf) is A at q = (1, 0).
 With P_k = sum_{j<k} I_j the triangle int f(x) int^x h is
 sum (P_k A_k + B_k), and its panel error P_k eA_k + eI_k A_{>k} + eB_k
 carries the inner one.  `LogCumulative` keeps the panels of one integral
-and the logs of their suffix sums, and reads int_x^hi at any x from one
-more kernel call on the partial panels [x, b_i].  `log_prefix` is its
-twin for the triangle's panels: it reads the three columns from the start
-to any x in their span, which is how `radial.lemma_bound_check` reads its
-growth bound off the panels of a criterion report.  So every integral of a
-power of phi goes through `kronrod_panel_log`.
+and the logs of their suffix sums, and reads int_x^hi at any x.
+`log_prefix` is its twin for the triangle's panels: it reads the three
+columns from the start to any x in their span, which is how
+`radial.lemma_bound_check` reads its growth bound off the panels of a
+criterion report.  So every integral of a power of phi goes through
+`kronrod_panel_log`.  Both readers take a partial panel, [x, b_i] or
+[a_k, x], from the degree-14 interpolant through its whole panel's 15 K15
+values (`_partial_panels`), as Greengard's spectral integration reads a
+panel anywhere: phi is evaluated at the nodes of the panels that hold the
+points, at most 15 per panel, and at no new node per point.
 
 `legendre` gives the Legendre polynomials of the integration matrices,
 and `legendre_integrals` their integrals int_{-1}^x P_k, which the
-radial solve's collocation panels also read.
+partial panels and the radial solve's collocation panels also read, with
+`_TO_LEGENDRE`, the Legendre coefficients of the interpolant through the
+15 nodes.
 
 `logsumexp` is the plain stable form max + log(sum(exp(a - max))) in numpy.
 It agrees with `scipy.special.logsumexp` to a few ulp, at a fraction of the
@@ -69,17 +75,25 @@ _WK_G7 = _WK - _WG
 
 
 def legendre(x, count):
-    """[P_0(x), ..., P_{count-1}(x)] by Bonnet's recurrence, elementwise in x."""
-    P = [np.ones_like(x), x]
+    """[P_0(x), ..., P_{count-1}(x)] by Bonnet's recurrence, elementwise in x,
+    ((2k+1) x P_k - k P_k-1)/(k+1): an array of shape (count,) + x.shape."""
+    x = np.asarray(x, dtype=float)
+    P = np.empty((max(count, 2),) + x.shape)
+    P[0], P[1] = 1.0, x
     for k in range(1, count - 1):
-        P.append(((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1))
+        p = P[k + 1]
+        np.multiply(2 * k + 1, x, out=p)
+        p *= P[k]
+        p -= k * P[k - 1]
+        p /= k + 1
     return P[:count]
 
 
 def legendre_integrals(P):
     """[int_{-1}^x P_0, ..., int_{-1}^x P_{count-2}] from P = legendre(x, count):
-    x + 1, then (P_k+1 - P_k-1)/(2k + 1)."""
-    return [P[1] + 1.0] + [(P[k + 1] - P[k - 1]) / (2 * k + 1) for k in range(1, len(P) - 1)]
+    x + 1, then (P_k+1 - P_k-1)/(2k + 1), as one array."""
+    k = np.arange(1, len(P) - 1).reshape((-1,) + (1,) * (P.ndim - 1))
+    return np.concatenate([P[1:2] + 1.0, (P[2:] - P[:-2]) / (2 * k + 1)])
 
 
 def _integration_matrix(x):
@@ -92,6 +106,13 @@ def _integration_matrix(x):
 _S15 = _integration_matrix(_XK)
 _S7 = _integration_matrix(_XK[1::2])
 _WG7 = _WG[1::2]
+
+# Legendre coefficients of the degree-14 polynomial through values at the
+# K15 nodes: the inverse of the nodes' Legendre-Vandermonde matrix.  Its
+# first row, c_0 = int_{-1}^1 p / 2, is taken as half the K15 weights,
+# exact at that degree, so a panel's polynomial integrates to its K15 sum
+_TO_LEGENDRE = np.linalg.inv(np.array(legendre(_XK, len(_XK))).T)
+_TO_LEGENDRE[0] = 0.5 * _WK
 
 
 def logsumexp(a):
@@ -131,19 +152,27 @@ def _with_rounding(log_val, log_est, size):
     return np.logaddexp(log_est, log_floor), np.where(fixable, log_est, -math.inf)
 
 
+def _node_values(logf, q, a, b):
+    """(half widths, f, h, log max f, log max h) of the panels [a_i, b_i]
+    at their K15 nodes, from one call of logf: f = exp(q_out logf) and
+    h = exp(q_in logf), each row scaled by its maximum."""
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _XK
+    g = np.asarray(logf(x.ravel()), dtype=float).reshape(-1, len(_XK))
+    q_out, q_in = q
+    lf, lh = q_out * g, q_in * g if q_in else np.zeros_like(g)   # no 0 * -inf
+    mf, mh = lf.max(axis=1), lh.max(axis=1)
+    return half, np.exp(lf - mf[:, None]), np.exp(lh - mh[:, None]), mf, mh
+
+
 def kronrod_panel_log(logf, q_out, q_in, a, b):
     """The K15 kernel: for the panels [a_i, b_i] of arrays a and b, a (k, 9)
     array of the logs of (I, A, B) (module notes), of their errors and of
     their splittable errors (`_with_rounding`), from one call of logf.
     Every sum runs along its own row, so a panel's bits do not depend on
     the others in the call."""
-    half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _XK
-    g = np.asarray(logf(x.ravel()), dtype=float).reshape(-1, len(_XK))
     with np.errstate(invalid="ignore", divide="ignore"):   # zero rows: -inf below
-        lf, lh = q_out * g, q_in * g if q_in else np.zeros_like(g)   # no 0 * -inf
-        mf, mh = lf.max(axis=1), lh.max(axis=1)
-        f, h = np.exp(lf - mf[:, None]), np.exp(lh - mh[:, None])
+        half, f, h, mf, mh = _node_values(logf, (q_out, q_in), a, b)
         inner = np.einsum("kj,ij->ki", h, _S15)   # int_{-1}^{x_i} h, unscaled
         inner7 = np.einsum("kj,ij->ki", h[:, 1::2], _S7)
         b15 = np.einsum("kj,kj,j->k", f, inner, _WK)
@@ -157,6 +186,46 @@ def kronrod_panel_log(logf, q_out, q_in, a, b):
         logs[~np.isfinite(mf + mh)] = -math.inf   # logf all -inf (or +inf or nan)
     size = np.column_stack([np.abs(mh), np.abs(mf), np.abs(mf) + np.abs(mh)])
     return np.column_stack([logs[:, :3], *_with_rounding(logs[:, :3], logs[:, 3:], size)])
+
+
+def _partial_panels(logf, panels, k, x, triangle=None):
+    """For points x in the panels k of `panels` (fields a and b), the logs of
+    the heads int_x^{b_k} exp(logf); with triangle = (q_out, q_in), the
+    logs of (I, A, B) (module notes) on [a_k, x] instead, a (3, len(x)) array.
+
+    logf is called once, on the K15 nodes of the distinct panels that hold
+    the points.  A partial panel integrates the degree-14 interpolant
+    through its panel's 15 values, the Legendre series `_TO_LEGENDRE @
+    values`, by `legendre_integrals` at x's place t in [-1, 1].  A head
+    reads the mirrored series sum (-1)^k c_k int_{-1}^{-t} P_k, so it is 0
+    at x = b_k exactly, as a prefix is at x = a_k; a slightly negative sum
+    is read as 0.  Each sum runs along a panel's own row or elementwise in
+    the points, so a point's bits do not depend on the others in the call.
+    """
+    held = np.zeros(len(panels), dtype=bool)
+    held[k] = True
+    j = np.cumsum(held)[k] - 1   # each point's place among the held panels
+    a, b = panels.a[held], panels.b[held]
+    with np.errstate(invalid="ignore", divide="ignore"):   # zero rows: -inf below
+        half, f, h, mf, mh = _node_values(logf, triangle or (1, 0), a, b)
+        log_half = np.log(half)
+        if triangle:
+            values = np.concatenate([h, f, f * np.einsum("kj,ij->ki", h, _S15)])
+            scale = log_half + np.array([mh, mf, mf + mh + log_half])
+            t = (x - a[j]) / half[j] - 1.0
+        else:
+            values, scale, t = f, (log_half + mf)[None], (b[j] - x) / half[j] - 1.0
+        c = np.einsum("kj,ij->ki", values, _TO_LEGENDRE)
+        if not triangle:
+            c[:, 1::2] *= -1.0
+        c = c.reshape(len(scale), len(a), len(_XK)).transpose(2, 0, 1)[:, :, j]
+        terms = c * legendre_integrals(legendre(t, len(_XK) + 1))[:, None, :]
+        sums = terms[0]
+        for term in terms[1:]:   # in order, elementwise
+            sums += term
+        logs = scale[:, j] + np.log(np.maximum(sums, 0.0))
+        logs[:, ~np.isfinite(mf + mh)[j]] = -math.inf   # logf all -inf (or +inf or nan)
+    return logs if triangle else logs[0]
 
 
 def _before(log):
@@ -239,9 +308,11 @@ def log_prefix(logf, triangle, panels, x):
 
     It is the prefix twin of `LogCumulative.log_between`: the sums over the
     whole panels before x's own, with P_k = sum I_j for the triangle, plus
-    one kernel call on the partial panels [a_k, x].  An x outside the
-    panels' span raises ValueError; one on the span's end reads the last
-    panel whole, with its own bits.
+    the partial panels [a_k, x], read off the interpolants through their
+    panels' own nodes in one call of logf (`_partial_panels`).  An x on a
+    panel's start adds nothing of it; an x outside the panels' span raises
+    ValueError; one on the span's end reads the last panel whole, with its
+    own bits.
     """
     xs = np.asarray(x, dtype=float)
     out = np.full((3,) + xs.shape, -math.inf)
@@ -253,7 +324,10 @@ def log_prefix(logf, triangle, panels, x):
                              f"[{panels.a[0]:g}, {panels.b[-1]:g}]")
         k = np.searchsorted(panels.a, flat, side="right") - 1
         tri, whole_a, log_p = _before(_triangle_columns(panels.log_val, panels.log_err)[0])[k].T
-        log_i, log_a, log_b = kronrod_panel_log(logf, *triangle, panels.a[k], flat)[:, :3].T
+        part = _partial_panels(logf, panels, k, flat, triangle)
+        end = flat == panels.b[k]   # the span's end reads the last panel whole
+        part[:, end] = panels.log_val[k[end]].T
+        log_i, log_a, log_b = part
         out.reshape(3, -1)[:] = [np.logaddexp(tri, np.logaddexp(log_p + log_a, log_b)),
                                  np.logaddexp(whole_a, log_a), np.logaddexp(log_p, log_i)]
     return out
@@ -285,16 +359,20 @@ class LogCumulative:
     def log_between(self, x):
         """log int_x^hi, with x clipped to [lo, hi]; -inf at hi.
 
-        x may be an array; the result then has its shape.  One kernel call
-        gives the heads [x, b_i] in the panels that hold the limits, and
-        each adds the sum of the panels after its own.  An x on a panel's
-        start reads that panel whole, with its own bits.
+        x may be an array; the result then has its shape.  The heads
+        [x, b_i] are read off the interpolants through the nodes of the
+        panels that hold the limits, in one call of logf
+        (`_partial_panels`), and each adds the sum of the panels after its
+        own.  An x on a panel's start reads that panel whole, with its own
+        bits, and at hi the head is 0 exactly.
         """
         xs = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
         out = np.full(xs.shape, -math.inf)
         if len(self.panels):
             flat = xs.ravel()
             i = np.searchsorted(self.panels.a, flat, side="right") - 1
-            heads = kronrod_panel_log(self.logf, 1, 0, flat, self.panels.b[i])[:, 1]
+            heads = _partial_panels(self.logf, self.panels, i, flat)
+            start = flat == self.panels.a[i]   # reads its panel whole
+            heads[start] = self.panels.log_val[i[start]]
             out.flat[:] = np.logaddexp(heads, self._after[i + 1])
         return float(out) if out.ndim == 0 else out

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import criterion as _criterion
 from . import quadrature as _quadrature
-from .quadrature import _S15, _WK, _WK_G7, _XK
+from .quadrature import _S15, _TO_LEGENDRE, _WK_G7, _XK
 from .errors import (DegenerateProfile, MalformedArtifact, NonPositiveWarp,
                      OutOfDomain, OutOfRange, StepSizeUnderflow, TailNotTight)
 from .report import round_up_3, write_json_atomic
@@ -153,11 +153,13 @@ class RadialProfile:
         return float(out[0]) if scalar else out
 
     def to_csv(self, path):
-        """r,phi_m,dphi_m at 15 significant digits, as np.savetxt writes them."""
-        data = np.column_stack([self.grid, self.values, self.derivs])
+        """r,phi_m,dphi_m at 15 significant digits, as np.savetxt writes them.
+        The r column, which the profiles of one solve share, is formatted
+        once per grid into the format string of the rows, in the memo."""
+        rows = self._memo.get("csv", self.grid, lambda grid: "r,phi_m,dphi_m\n" + "".join(
+            "%.15g" % r + ",%.15g,%.15g\n" for r in grid.tolist()))
         with open(path, "w") as fh:
-            fh.write("r,phi_m,dphi_m\n" + ("%.15g,%.15g,%.15g\n" * len(data))
-                     % tuple(data.ravel().tolist()))
+            fh.write(rows % tuple(np.column_stack([self.values, self.derivs]).ravel().tolist()))
 
     def metadata(self):
         lim = self.limit_estimate
@@ -215,13 +217,14 @@ def _launch_state(n, l, lam2, beta3, r_launch, rho0):
     return u0, w0 / (lam2 * rho0 * rho0)
 
 
-def _constant_profile(w, n, mode, grid):
-    """The m = 0 profile: the constant 1, normalized and exact."""
+def _constant_profile(w, n, mode, grid, memo):
+    """The m = 0 profile: the constant 1, normalized and exact, with the
+    memo of the solve it belongs to."""
     return RadialProfile(
         mode=mode, n=n, warp=w, indicial_l=0.0, grid=grid,
         values=np.ones_like(grid), derivs=np.zeros_like(grid),
         limit_estimate=1.0, limit_error=0.0, normalized=True,
-        r0=float(grid[0]))
+        r0=float(grid[0]), _memo=memo)
 
 
 def _mode_rows(memo, dense, j):
@@ -232,12 +235,6 @@ def _mode_rows(memo, dense, j):
         ("dense", ds), s, lambda s: dense(s, derivative=ds))[2 * j:2 * j + 2]
 
 
-# Legendre coefficients of the degree-14 polynomial through values at the
-# K15 nodes: the inverse of the nodes' Legendre-Vandermonde matrix.  Its
-# first row, c_0 = int_{-1}^1 p / 2, is taken as half the K15 weights,
-# exact at that degree, so a panel's polynomial ends on its K15 end value
-_TO_LEGENDRE = np.linalg.inv(np.array(_quadrature.legendre(_XK, len(_XK))).T)
-_TO_LEGENDRE[0] = 0.5 * _WK
 _U_ATOL = 1e-14          # the u rows' absolute error target per panel
 _NEWTON_ITERATIONS = 8   # a panel whose Newton solve takes more is rejected
 _NEWTON_RTOL = 1e-10     # converged: the error left is about its square
@@ -401,7 +398,8 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     convergent one to limit 1.
     """
     grid = np.geomspace(r0 or _DEFAULT_R0, r_max, grid_size)
-    profiles = [_constant_profile(w, n, mode, grid) if mode.m == 0 else None
+    memo = _Memo()
+    profiles = [_constant_profile(w, n, mode, grid, memo) if mode.m == 0 else None
                 for mode in modes]
     solved = [i for i, mode in enumerate(modes) if mode.m != 0]
     if not solved:
@@ -428,7 +426,6 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
         raise StepSizeUnderflow(f"radial integration failed: {sol.message}")
 
     stack = sol.sol(np.log(grid))
-    memo = _Memo()
     for j, (i, l) in enumerate(zip(solved, ls)):
         values = np.exp(stack[2 * j])
         wlog = modes[i].lambda_sq * rho * rho * stack[2 * j + 1]
@@ -458,8 +455,9 @@ class _ConformalTime:
 
     tau is one LogCumulative of r/phi in s = log r over [log r0, log R],
     read at each s as int_s^(log R): the sum of the panels after the one
-    that holds s, plus one K15 head on [s, b_i] from the quadrature's one
-    kernel, for all the points of a set in one call.  To that it adds the
+    that holds s, plus the head [s, b_i] of the interpolant through that
+    panel's own K15 nodes, for all the points of a set in one call of r/phi
+    on the nodes of the panels they fall in.  To that it adds the
     midpoint of the certified transience tail bracket at R.
     `error` bounds |tau - exact| by the bracket's half-width plus the
     cumulative's error estimate.  tau, r/phi and phi' are computed once
@@ -519,7 +517,7 @@ def conformal_modes(w: WarpingFunction, modes,
     profiles = []
     for mode in modes:
         if mode.m == 0:
-            profiles.append(_constant_profile(w, 2, mode, grid))
+            profiles.append(_constant_profile(w, 2, mode, grid, tau.memo))
             continue
         lam = math.sqrt(mode.lambda_sq)
         values = np.exp(-lam * t)
@@ -738,9 +736,16 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace,
     report of (warp, n), by `quadrature.log_prefix`.  So the bound uses only
     the warping function and no pass of its own, independent of the ODE
     solver.  The profiles of one solve share F and T per point set and
-    report.  A trace grid outside [1, criterion.r_max] is refused.
+    report.  A report of another warp or n, and a trace grid outside
+    [1, criterion.r_max], are refused.
     """
     lam2, w, n = profile.mode.lambda_sq, profile.warp, profile.n
+    if criterion._n != n:
+        raise DegenerateProfile(f"the criterion report is of n = {criterion._n}, "
+                                f"not of the profile's n = {n}")
+    if criterion._warp is not w:
+        raise DegenerateProfile(f"the criterion report is of {criterion._warp!r}, another "
+                                f"warp object than the profile's {w!r}")
     s_grid = trace.grid
     lo, hi = np.min(s_grid, initial=1.0), np.max(s_grid, initial=criterion.r_max)
     if lo < 1.0 or hi > criterion.r_max:

@@ -435,6 +435,40 @@ def test_n2_verify_reads_tau_once_per_point_set(tmp_path, monkeypatch):
     assert len(calls) == len(set(calls)) >= 5
 
 
+def test_n2_verify_reads_phi_at_most_at_the_nodes_of_the_panels(tmp_path, monkeypatch):
+    # tau and the growth bound read each partial panel from its panel's own
+    # K15 nodes: a read of hundreds of points evaluates phi on at most 15
+    # nodes per panel of its pass, never 15 new nodes per point
+    reads = []
+    log_between, prefix = quadrature.LogCumulative.log_between, quadrature.log_prefix
+
+    def counting(logf, sizes):
+        return lambda x: (sizes.append(len(x)), logf(x))[1]
+
+    def counted_between(self, x):
+        logf, sizes = self.logf, []
+        self.logf = counting(logf, sizes)
+        try:
+            return log_between(self, x)
+        finally:
+            self.logf = logf
+            reads.append((np.size(x), sum(sizes), len(self.panels)))
+
+    def counted_prefix(logf, triangle, panels, x):
+        sizes = []
+        out = prefix(counting(logf, sizes), triangle, panels, x)
+        reads.append((np.size(x), sum(sizes), len(panels)))
+        return out
+
+    monkeypatch.setattr(quadrature.LogCumulative, "log_between", counted_between)
+    monkeypatch.setattr(quadrature, "log_prefix", counted_prefix)
+    assert run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "2",
+                "--modes", "4", "--out", str(tmp_path / "v")]) == 0
+    assert max(points for points, _, _ in reads) >= 481
+    for points, nodes, panels in reads:
+        assert nodes <= 15 * panels, (points, nodes, panels)
+
+
 def _count_triple_passes(monkeypatch):
     """The triangle of each adaptive pass of panel triples, through both
     names the program calls the loop by."""

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as legendre_series
 from numpy.testing import assert_allclose
 from scipy import special
 
@@ -129,16 +130,23 @@ def test_logsumexp_matches_scipy():
 
 
 def _reference_log_between(cum, x):
-    """The per-limit algorithm: the kernel's head [x, b_i] and scipy's
-    logsumexp of it and the later panels.
+    """The per-limit algorithm: the head [x, b_i] of the interpolant through
+    panel i's K15 values, its mirrored Legendre series integrated by numpy's
+    `legint` and summed by `legval`, and scipy's logsumexp of it and the
+    later panels.
 
-    It sums in scipy's order, so it agrees with `log_between` to a few ulp.
+    It sums in other orders, so it agrees with `log_between` to a few ulp.
     """
     x = min(max(x, cum.lo), cum.hi)
     if x == cum.hi:
         return -math.inf
     i = int(np.searchsorted(cum.panels.a, x, side="right")) - 1
-    head = kronrod_panel_log(cum.logf, 1, 0, np.array([x]), cum.panels.b[i:i + 1])[0, 1]
+    a, b = cum.panels.a[i], cum.panels.b[i]
+    half = 0.5 * (b - a)
+    g = cum.logf(0.5 * (a + b) + half * _XK)
+    c = quadrature._TO_LEGENDRE @ np.exp(g - g.max()) * (-1.0) ** np.arange(15)
+    tail = legendre_series.legval((b - x) / half - 1.0, legendre_series.legint(c, lbnd=-1.0))
+    head = math.log(half) + g.max() + math.log(tail)
     return float(special.logsumexp(np.r_[head, cum.panels.log_val[i + 1:]]))
 
 
@@ -281,7 +289,9 @@ def test_log_between_row_blocks_equal_scalar_calls():
     x = rng.uniform(-1.0, 41.0, 600)   # some clipped at each end
     cum.logf, calls = _counted(cum.logf)
     batched = cum.log_between(x)
-    assert calls == [600 * 15]   # the 600 heads in one call
+    # the 600 heads in one call, on the nodes of the panels that hold them
+    held = np.unique(np.searchsorted(cum.panels.a, np.clip(x, 0.0, 40.0), side="right") - 1)
+    assert calls == [len(held) * 15] and len(held) < 600
     scalar = np.array([cum.log_between(float(u)) for u in x])
     assert batched.tobytes() == scalar.tobytes()
     inside = x < 40.0
@@ -292,7 +302,7 @@ def test_log_between_makes_one_call_of_logf():
     cum = LogCumulative(lambda x: np.sin(x) - 2.0 * x, 1.0, 9.0)
     cum.logf, calls = _counted(cum.logf)
     assert cum.log_between(np.linspace(1.2, 8.8, 60).reshape(30, 2)).shape == (30, 2)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0] <= 15 * len(cum.panels) < 60 * 15
 
 
 def _euclidean_n3_pass(rtol=1e-12):
@@ -352,6 +362,9 @@ def test_log_prefix_batched_equals_scalar_reads():
     assert batched.shape == (3, 30, 2) and np.isfinite(batched).all()
     scalar = np.column_stack([log_prefix(PowerLog(2.0).log_phi, (-3, 1), panels, u) for u in x])
     assert batched.reshape(3, -1).tobytes() == scalar.tobytes()
+    # nor do a point's bits depend on the other panels a batch reads
+    wider = log_prefix(PowerLog(2.0).log_phi, (-3, 1), panels, np.r_[x, panels.a, 40.3])
+    assert wider[:, :60].tobytes() == scalar.tobytes()
     # no panels: every read is empty
     empty = adaptive_quad_log(np.log, [1.0, 1.0], triangle=(-2, 0))[2]
     assert (log_prefix(np.log, (-2, 0), empty, [1.0, 1.0]) == -math.inf).all()
@@ -367,3 +380,64 @@ def test_legendre_integrals_match_numpys_legint():
         c = np.polynomial.legendre.legint(np.eye(15)[k], lbnd=-1.0)
         assert_allclose(row, np.polynomial.legendre.legval(x, c), rtol=0, atol=1e-15)
     assert_allclose(quadrature._S15 @ np.ones(15), _XK + 1.0, rtol=0, atol=1e-14)
+
+
+def _mp_hyperbolic_columns(n, x):
+    """40-digit (triangle, int f, int h) over [1, x] at phi = sinh, f = phi^(1-n),
+    h = phi^(n-3), with int_1^t h in closed form for n in {2, 3, 4}."""
+    import mpmath as mp
+    with mp.workdps(40):
+        H = {2: lambda t: mp.log(mp.tanh(t / 2)) - mp.log(mp.tanh(mp.mpf(1) / 2)),
+             3: lambda t: t - 1, 4: lambda t: mp.cosh(t) - mp.cosh(1)}[n]
+        x = mp.mpf(float(x))
+        return [float(mp.quad(g, [1, x])) for g in (
+            lambda t: mp.sinh(t) ** (1 - n) * H(t), lambda t: mp.sinh(t) ** (1 - n),
+            lambda t: mp.sinh(t) ** (n - 3))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_log_prefix_within_its_pass_error_of_mpmath(n):
+    # the partial panels [a_k, x] integrate the interpolant through their
+    # panel's own K15 nodes: each column lies within the whole pass's error
+    # estimate of the 40-digit value, at panel starts, inside panels and at
+    # the span's end
+    logf = lambda t: np.log(np.sinh(t))
+    _, log_err, panels = adaptive_quad_log(
+        logf, np.geomspace(1.0, 12.0, 9), rtol=1e-12, triangle=(1 - n, n - 3))
+    x = np.r_[panels.a[1::3], np.random.default_rng(n).uniform(1.0, 12.0, 12), 12.0]
+    got = np.exp(log_prefix(logf, (1 - n, n - 3), panels, x))
+    for j, u in enumerate(x):
+        exact = _mp_hyperbolic_columns(n, u)
+        assert np.all(np.abs(got[:, j] - exact) <= np.exp(log_err)), (u, got[:, j], exact)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_between_within_its_error_of_mpmath():
+    # tau's integrand at phi = sinh in s = log r: the heads [x, b_i] read
+    # from panel i's own nodes keep int_x^hi within the pass's error estimate
+    import mpmath as mp
+    cum = LogCumulative(lambda s: s - np.log(np.sinh(np.exp(s))), math.log(1e-3),
+                        math.log(30.0), rtol=1e-12)
+    x = np.r_[cum.panels.a[1::4], np.random.default_rng(3).uniform(cum.lo, cum.hi, 12)]
+    got = np.exp(cum.log_between(x))
+    with mp.workdps(40):
+        for u, v in zip(x, got):
+            exact = mp.quad(lambda s: mp.exp(s) / mp.sinh(mp.exp(s)),
+                            [mp.mpf(float(u)), mp.mpf(cum.hi)])
+            assert abs(v - float(exact)) <= math.exp(cum.log_err), (u, v, exact)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reads_on_a_panel_end_warn_of_nothing():
+    # a head [x, b_i] at x = b_i, and a prefix just inside its panel, are
+    # empty or tiny: the guarded series gives -inf or a finite log, never a
+    # warning; the span's end reads -inf (heads) and a finite whole pass (prefix)
+    cum = LogCumulative(lambda x: np.sin(x) - 2.0 * x, 1.0, 9.0)
+    ends = cum.panels.b
+    assert cum.log_between(cum.hi) == -math.inf
+    assert np.isfinite(cum.log_between(np.nextafter(ends, 0.0))).all()
+    assert np.isfinite(cum.log_between(ends[:-1])).all()
+    _, _, panels = _euclidean_n3_pass()
+    near = log_prefix(np.log, (-2, 0), panels, np.r_[np.nextafter(panels.a, 30.0), panels.b])
+    assert not np.isnan(near).any() and np.isfinite(near[:, -1]).all()

@@ -570,6 +570,26 @@ def test_growth_bound_stays_inside_the_criterion_radius():
     assert lemma_bound_check(p, inside, report)[1]
 
 
+@pytest.mark.parametrize("report, message", [
+    (lambda w: march_criterion(w, 2, r_max=25.0), r"of n = 2, not of the profile's n = 3"),
+    (lambda w: march_criterion(Hyperbolic(2.0), 3, r_max=25.0),
+     r"of Hyperbolic\(a=2\), another warp object than the profile's Hyperbolic\(a=1\)"),
+    (lambda w: march_criterion(Hyperbolic(1.0), 3, r_max=25.0),
+     r"of Hyperbolic\(a=1\), another warp object than the profile's Hyperbolic\(a=1\)")],
+    ids=["another-n", "another-warp", "another-warp-object"])
+def test_growth_bound_refuses_a_report_of_another_metric(report, message):
+    # the exponent is read off the report's panels, which integrate one warp
+    # at one n: an n = 2 report would give this n = 3 mode a bound up to
+    # 5.8 times too large, and it is refused by name, as is a report of
+    # another warp object, whose repr may not tell the two apart
+    w = Hyperbolic(1.0)
+    p = solve_radial(w, 3, eigen_round_sphere(3, 2), r_max=25.0)
+    tr = riccati_trace(p)
+    assert lemma_bound_check(p, tr, criterion_at(p))[1]
+    with pytest.raises(DegenerateProfile, match="the criterion report is " + message):
+        lemma_bound_check(p, tr, report(w))
+
+
 def test_nonpositive_warp_detected():
     class Collapsing(WarpingFunction):
         growth_class = Euclidean().growth_class
@@ -628,6 +648,21 @@ def test_profile_csv_is_the_savetxt_bytes(tmp_path, tanh_profile, make):
     profile.to_csv(tmp_path / "p.csv")
     _savetxt_reference(profile, tmp_path / "ref.csv")
     assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n, solve", [
+    (3, lambda modes: solve_modes(Hyperbolic(1.0), 3, modes)),
+    (2, lambda modes: conformal_modes(Hyperbolic(1.0), modes, 30.0))], ids=["n3", "n2"])
+def test_one_solve_formats_its_r_column_once(tmp_path, n, solve):
+    # the profiles of one solve, m = 0 included, share the memo in which the
+    # r column is formatted once; each file keeps the savetxt bytes
+    profiles = solve([eigen_round_sphere(n, m) for m in range(3)])
+    assert all(p._memo is profiles[0]._memo for p in profiles)
+    for p in profiles:
+        p.to_csv(tmp_path / f"p{p.mode.m}.csv")
+        _savetxt_reference(p, tmp_path / "ref.csv")
+        assert (tmp_path / f"p{p.mode.m}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert sum(key[0] == "csv" for key in profiles[0]._memo._store) == 1
 
 
 def test_warp_reaching_zero_inside_the_span_fails_by_name():
