@@ -65,8 +65,10 @@ class CriterionReport:
     tail_evidence: str
     r_max: float
     # the pass of panel triples (1-n, n-3) over [1, r_max] behind the value,
-    # and the warp and n it integrates
+    # the tail certificate at r_max of a Convergent criterion report, and
+    # the warp and n they integrate
     panels: np.recarray | None = field(default=None, repr=False, compare=False)
+    certificate: TailCertificate | None = field(default=None, repr=False, compare=False)
     _warp: WarpingFunction | None = field(default=None, repr=False, compare=False)
     _n: int | None = field(default=None, repr=False, compare=False)
 
@@ -88,7 +90,8 @@ class CriterionReport:
 class TailCertificate:
     """Certified tail data at radius r_max for a convergent metric.
 
-    log_cum:    log int_1^R phi^{n-3}, exactly log(R - 1) at n = 3
+    log_cum:    log int_1^R phi^{n-3}: exactly log(R - 1) at n = 3, else
+                the C(1,R) column of the pass of triples (`_finite`)
     log_inner:  bracket (lo, hi) for log int_R^inf phi^{1-n}
     double:     bracket (lo, hi) for the double integral tail beyond R
     """
@@ -505,13 +508,16 @@ def _certify(w, n, tol, r_max, double, shared):
     The value is the finite part over [1, R] plus the certified tails beyond
     R: for the criterion integral the cross term C(1,R)*T_in(R) and the
     double tail T_out(R), for the transience integral T_in(R) alone.  The
-    error bound adds a rounding term of 1e-14 of the value.  R is r_max, or
-    else the model's default, or on a table with a trusted growth class just
-    inside the last sample (`_radius`), raised to the sandwich start: the
-    one radius tried, where a report that misses tol is refused with its
-    error budget.  `shared` is None, or the dict of one `classify` call.
+    error bound adds a rounding term of 1e-14 of the value.  A Convergent
+    criterion report keeps the tail certificate of the same brackets and
+    pass.  R is r_max, or else the model's default, or on a table with a
+    trusted growth class just inside the last sample (`_radius`), raised to
+    the sandwich start: the one radius tried, where a report that misses tol
+    is refused with its error budget.  `shared` is None, or the dict of one
+    `classify` call.
     """
     _check_args(w, n, tol, r_max)
+    shared = {} if shared is None else shared
     growth = w.growth_class
     if isinstance(growth, UnknownGrowth):
         return _classify_unknown(w, n, double, r_max, shared)
@@ -526,12 +532,13 @@ def _certify(w, n, tol, r_max, double, shared):
             tail_evidence=model.divergence_evidence(r0, double), r_max=R, panels=panels,
             _warp=w, _n=n)
 
-    (in_lo, in_hi), dbl = _tail_brackets(n, model, R, double, shared)
+    cert = _certificate(w, n, model, R, shared) if double else None
+    (in_lo, in_hi), _ = _tail_brackets(n, model, R, False, shared)
     F, F_err, (log_c, log_ec), panels = _finite(w, n, R, double, shared)
     if double:   # (C - e_C, C + e_C) * T_in
         cross_lo = max(math.exp(log_c + in_lo) - math.exp(log_ec + in_lo), 0.0)
         cross_hi = math.exp(log_c + in_hi) + math.exp(log_ec + in_hi)
-        tout_lo, tout_hi = math.exp(dbl[0]), math.exp(dbl[1])
+        tout_lo, tout_hi = cert.double
     else:
         cross_lo = cross_hi = 0.0
         tout_lo, tout_hi = math.exp(in_lo), math.exp(in_hi)
@@ -543,7 +550,7 @@ def _certify(w, n, tol, r_max, double, shared):
         return CriterionReport(
             verdict=CONVERGENT, value=value, error_bound=err,
             tail_evidence=model.convergence_evidence(r0, double), r_max=R, panels=panels,
-            _warp=w, _n=n)
+            certificate=cert, _warp=w, _n=n)
     # the rounding is taken on the value's certified lower end, which bounds
     # the value at every R: past tol, no radius can help
     floor = 1e-14 * (F + cross_lo + tout_lo)
@@ -583,36 +590,39 @@ def classify(w: WarpingFunction, n: int, tol: float = 1e-8,
             transience_integral(w, n, tol, r_max, _shared=shared))
 
 
-def _convergent_model(w, n):
-    """The tail model of a metric whose criterion integral converges."""
-    growth = w.growth_class
-    if isinstance(growth, UnknownGrowth):
-        raise NotConvergent("cannot certify tails without an analytic growth class")
-    model = _TailModel(growth, n, w.closed_form)
-    if model.inner_diverges() or model.double_diverges():
-        raise NotConvergent("criterion integral diverges for this metric")
-    return model
-
-
-def inner_tail(w: WarpingFunction, n: int, R: float):
-    """(R', bracket): R raised to the start of the tail sandwich, and the
-    certified log bracket for int_R'^inf phi^{1-n}."""
-    model = _convergent_model(w, n)
-    R = _start_radius(w, model, float(R))
-    inner, _ = _tail_brackets(n, model, R, double=False)
-    return R, inner
+def _certificate(w, n, model, R, shared=None):
+    """The tail certificate at R: the brackets of `_tail_brackets`, with
+    C(1,R) exactly R - 1 at n = 3, else from the pass of `_finite`, each
+    taken from `shared` where the caller holds them already."""
+    inner, dbl = _tail_brackets(n, model, R, shared=shared)
+    log_cum = math.log(R - 1.0) if n == 3 else _finite(w, n, R, True, shared)[2][0]
+    return TailCertificate(r_max=R, log_cum=log_cum, log_inner=inner,
+                           double=(math.exp(dbl[0]), math.exp(dbl[1])))
 
 
 def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
-    """Certified tail brackets at R for a metric with convergent criterion."""
-    model = _convergent_model(w, n)
-    R = _start_radius(w, model, float(R))
-    log_cum = math.log(R - 1.0) if n == 3 else adaptive_quad_log(
-        lambda t: (n - 3) * w.log_phi(t), _edges(w, R), rtol=1e-12)[0]
-    inner, dbl = _tail_brackets(n, model, R)
-    return TailCertificate(
-        r_max=R, log_cum=log_cum, log_inner=inner,
-        double=(math.exp(dbl[0]), math.exp(dbl[1])))
+    """Certified tail brackets at R, raised to the tail sandwich's start, for
+    a metric with convergent criterion: the certificate a Convergent
+    `march_criterion` report at that R holds, bit for bit."""
+    model = _TailModel(w.growth_class, n, w.closed_form)
+    if model.inner_diverges() or model.double_diverges():
+        raise NotConvergent("criterion integral diverges for this metric")
+    return _certificate(w, n, model, _start_radius(w, model, float(R)))
+
+
+def check_report(report, w, n, whose, error, certified=False):
+    """Refuse by name, with the exception class `error`, a report of another
+    n or warp object than (w, n), the `whose` metric, as it integrates
+    another phi; with `certified`, one with no tail certificate too."""
+    if report._n != n:
+        raise error(f"the criterion report is of n = {report._n}, "
+                    f"not of the {whose} n = {n}")
+    if report._warp is not w:
+        raise error(f"the criterion report is of {report._warp!r}, another warp object "
+                    f"than the {whose} {w!r}")
+    if certified and report.certificate is None:
+        raise error(f"the {report.verdict} criterion report holds no tail certificate; "
+                    "only a Convergent march_criterion report does")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import criterion as _criterion
 from . import radial as _radial
-from .errors import NotSolvable, OutOfRange, UnsupportedSpectrum
+from .errors import NotConvergent, NotSolvable, OutOfRange, UnsupportedSpectrum
 from .spectrum import (BoundaryData, CoefficientTable, RoundSphere,
                        SphereSpectrum, project_boundary)
 from .warp import WarpingFunction
@@ -91,12 +91,14 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     as their projection drops nothing.  For sampled data the energy is
     sum_j w_j f_j^2 on the grid, and the tail is that less what the
     projection puts below the top of the band, so modes the grid cannot
-    resolve count as dropped.  All modes share one radius, starting at
-    R = `criterion.r_max` (pass `march_criterion(w, n, r_max=...)` to
-    choose it).  At n = 2 they are the closed forms exp(-lambda tau) at R.
-    At n >= 3 the certificate of the highest mode the data use picks the
-    radius first, from the metric alone, by `suggest_rmax`'s search in
-    log R from R for where its tail delta is tight (constant data keep R);
+    resolve count as dropped.  The Convergent `criterion` report of (w, n)
+    gives R, panels and tail certificate (pass `march_criterion(w, n,
+    r_max=...)` to choose R); one of another warp object or n, or with no
+    certificate, is refused with NotConvergent.  At n = 2 the modes are the
+    closed forms exp(-lambda tau) at R, tau read off the report.  At n >= 3
+    the highest mode the data use picks the radius first, from the metric
+    alone, by `suggest_rmax`'s search in log R from the report's
+    certificate, kept if its tail delta is tight (constant data keep R);
     every m <= M is then solved once, as one stack, at that radius, and
     normalized with its own tail delta.  `numeric_slack` is the largest
     limit_error of the modes the data use.
@@ -113,6 +115,7 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
         raise NotSolvable(
             f"Dirichlet problem at infinity not solvable: criterion verdict "
             f"is {criterion.verdict}")
+    _criterion.check_report(criterion, w, n, "extension's", NotConvergent, certified=True)
     coeffs = project_boundary(f, M)
 
     exact = f.coeffs is not None and f.coeffs.max_m() <= M
@@ -128,18 +131,14 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
                 f"boundary data is not well resolved at M={M}: modes >= {top} "
                 f"carry {tail / total:.3g} of the energy", stacklevel=2)
 
-    R = criterion.r_max
     modes = [spectrum.mode(m) for m in range(M + 1)]
     used = {m for (m, _), c in coeffs.items() if c != 0.0}
     if n == 2:
-        profiles = dict(enumerate(_radial.conformal_modes(w, modes, R)))
-    else:
-        cert = None
-        if M > 0:       # the constant mode needs no tail certificate
-            cert = _radial.suggest_rmax(
-                w, n, modes[max(used, default=0)].lambda_sq, R)
-            R = cert.r_max
-        raw = _radial.solve_modes(w, n, modes, r_max=R, tol=tol)
+        profiles = dict(enumerate(_radial.conformal_modes(w, modes, criterion)))
+    else:   # constant data, with lambda^2 = 0, keep the report's certificate
+        cert = _radial.suggest_rmax(
+            w, n, modes[max(used, default=0)].lambda_sq, criterion.certificate)
+        raw = _radial.solve_modes(w, n, modes, r_max=cert.r_max, tol=tol)
         profiles = {m: _radial.normalize_profile(prof, cert)
                     for m, prof in enumerate(raw)}
     slack = max((profiles[m].limit_error for m in used), default=0.0)

@@ -16,13 +16,13 @@ on the 7 Gauss nodes.  One integral of exp(logf) is A at q = (1, 0).
 `adaptive_quad_log` is the one adaptive loop, over panels of the kernel.
 With P_k = sum_{j<k} I_j the triangle int f(x) int^x h is
 sum (P_k A_k + B_k), and its panel error P_k eA_k + eI_k A_{>k} + eB_k
-carries the inner one.  `LogCumulative` keeps the panels of one integral
-and the logs of their suffix sums, and reads int_x^hi at any x.
-`log_prefix` is its twin for the triangle's panels: it reads the three
-columns from the start to any x in their span, which is how
-`radial.lemma_bound_check` reads its growth bound off the panels of a
-criterion report.  So every integral of a power of phi goes through
-`kronrod_panel_log`.  Both readers take a partial panel, [x, b_i] or
+carries the inner one.  Two readers take kept panels and run no pass:
+`LogCumulative` reads int_x^hi at any x off one integral's suffix sums
+(tau, off an n = 2 criterion report's int phi^-1 column after a short
+pass below it), and `log_prefix`, its twin for the triangle's panels, the
+three columns from the start to any x (the growth bound of
+`radial.lemma_bound_check`).  So every integral of a power of phi goes
+through `kronrod_panel_log`.  Both take a partial panel, [x, b_i] or
 [a_k, x], from the degree-14 interpolant through its whole panel's 15 K15
 values (`_partial_panels`), as Greengard's spectral integration reads a
 panel anywhere: phi is evaluated at the nodes of the panels that hold the
@@ -133,11 +133,6 @@ def _logsumexp_rows(a):
     ok = np.isfinite(m)
     out[ok] += np.log(np.exp(a[ok] - m[ok, None]).sum(axis=1))
     return out
-
-
-def _check_limits(a, b):
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integration limits must be finite, got [{a:g}, {b:g}]")
 
 
 def _with_rounding(log_val, log_est, size):
@@ -261,7 +256,9 @@ def adaptive_quad_log(logf, edges, rtol=1e-10, max_panels=2000, triangle=None):
     increase give the empty result; non-finite ones raise ValueError.
     """
     edges = np.asarray(edges, dtype=float)
-    _check_limits(edges[0], edges[-1])
+    if not np.isfinite(edges[[0, -1]]).all():
+        raise ValueError("integration limits must be finite, got "
+                         f"[{edges[0]:g}, {edges[-1]:g}]")
     q = triangle or (1, 0)
     columns = _triangle_columns if triangle else lambda v, e: (v[:, 1:2], e[:, 1:2])
     log_total = log_err = np.full(1 if triangle is None else 3, -math.inf)
@@ -334,30 +331,25 @@ def log_prefix(logf, triangle, panels, x):
 
 
 class LogCumulative:
-    """Panelized log of the integrals int_x^hi of a positive integrand.
+    """The suffix reader of given panels of one integral of exp(logf), the
+    twin of `log_prefix`: int_x^hi, hi the last panel's end.
 
-    The panels of int_lo^hi exp(logf) start from 8 equal ones, with edges at
-    the `breaks` inside [lo, hi].  `log_err` is the log of the whole
-    integral's error estimate.  The logs of the sums from each panel on are
-    kept, so no (possibly overflowing) linear value is formed.
-    `log_between` reads only int_x^hi; it keeps its name because the
-    benchmark's tracer wraps the reader by that name.
+    `panels` holds fields a, b, log_val and log_err, in order, as
+    `adaptive_quad_log` gives them, of one pass or of passes over adjacent
+    spans.  `log_err` is the log of their summed error estimates.  The logs
+    of the sums from each panel on are kept, so no (possibly overflowing)
+    linear value is formed.  The class and `log_between` keep their names
+    because the benchmark's tracer wraps them by those names.
     """
 
-    def __init__(self, logf, lo, hi, rtol=1e-11, max_panels=4000, breaks=()):
-        _check_limits(lo, hi)
+    def __init__(self, logf, panels):
         self.logf = logf
-        self.lo = float(lo)
-        self.hi = float(hi)
-        edges = np.linspace(lo, max(lo, hi), 9)
-        inside = [x for x in breaks if lo < x < hi and x not in edges]
-        self.log_total, self.log_err, self.panels = adaptive_quad_log(
-            logf, np.sort(np.r_[edges, inside]), rtol=rtol, max_panels=max_panels)
-        log_val = self.panels.log_val
-        self._after = np.r_[np.logaddexp.accumulate(log_val[::-1])[::-1], -math.inf]
+        self.panels = panels
+        self.log_err = logsumexp(panels.log_err)
+        self._after = np.r_[np.logaddexp.accumulate(panels.log_val[::-1])[::-1], -math.inf]
 
     def log_between(self, x):
-        """log int_x^hi, with x clipped to [lo, hi]; -inf at hi.
+        """log int_x^hi, with x clipped to the panels' span; -inf at hi.
 
         x may be an array; the result then has its shape.  The heads
         [x, b_i] are read off the interpolants through the nodes of the
@@ -366,13 +358,11 @@ class LogCumulative:
         own.  An x on a panel's start reads that panel whole, with its own
         bits, and at hi the head is 0 exactly.
         """
-        xs = np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
-        out = np.full(xs.shape, -math.inf)
-        if len(self.panels):
-            flat = xs.ravel()
-            i = np.searchsorted(self.panels.a, flat, side="right") - 1
-            heads = _partial_panels(self.logf, self.panels, i, flat)
-            start = flat == self.panels.a[i]   # reads its panel whole
-            heads[start] = self.panels.log_val[i[start]]
-            out.flat[:] = np.logaddexp(heads, self._after[i + 1])
+        panels, shape = self.panels, np.shape(x)
+        flat = np.clip(np.ravel(x).astype(float), panels.a[0], panels.b[-1])
+        i = np.searchsorted(panels.a, flat, side="right") - 1
+        heads = _partial_panels(self.logf, panels, i, flat)
+        start = flat == panels.a[i]   # reads its panel whole
+        heads[start] = panels.log_val[i[start]]
+        out = np.logaddexp(heads, self._after[i + 1]).reshape(shape)
         return float(out) if out.ndim == 0 else out

@@ -52,7 +52,8 @@ from . import criterion as _criterion
 from . import quadrature as _quadrature
 from .quadrature import _S15, _TO_LEGENDRE, _WK_G7, _XK
 from .errors import (DegenerateProfile, MalformedArtifact, NonPositiveWarp,
-                     OutOfDomain, OutOfRange, StepSizeUnderflow, TailNotTight)
+                     NotConvergent, OutOfDomain, OutOfRange, StepSizeUnderflow,
+                     TailNotTight)
 from .report import round_up_3, write_json_atomic
 from .spectrum import EigenMode
 from .warp import WarpingFunction, phi_on
@@ -61,6 +62,7 @@ _DEFAULT_R0 = 1e-3
 _GRID_SIZE = 800
 _TAIL_DELTA = 1.25e-5
 _TAU_RTOL = 1e-12
+_NEAR_PANELS = 16        # tau's pass over [r0, 1], in panels equal in log r
 _MEMO_SETS = 16          # entries a profile memo keeps before it starts over
 _LOG_R_STEP = 1e-3       # suggest_rmax's passing and failing log R are this close
 
@@ -453,32 +455,41 @@ def solve_radial(w: WarpingFunction, n: int, mode: EigenMode,
 class _ConformalTime:
     """tau(r) = int_r^inf 1/phi of a convergent n = 2 metric, and r/phi.
 
-    tau is one LogCumulative of r/phi in s = log r over [log r0, log R],
-    read at each s as int_s^(log R): the sum of the panels after the one
-    that holds s, plus the head [s, b_i] of the interpolant through that
-    panel's own K15 nodes, for all the points of a set in one call of r/phi
-    on the nodes of the panels they fall in.  To that it adds the
-    midpoint of the certified transience tail bracket at R.
+    tau is one LogCumulative of 1/phi over [r0, R]: a pass of _NEAR_PANELS
+    panels equal in log r over [r0, 1], then the int phi^-1 column of the
+    criterion report's pass over [1, R], so [1, R] is integrated once per
+    metric, plus the midpoint of the report's inner tail bracket at R.
     `error` bounds |tau - exact| by the bracket's half-width plus the
-    cumulative's error estimate.  tau, r/phi and phi' are computed once
+    panels' error estimates.  tau and r/phi read log phi alone, so they hold
+    past the r where phi overflows.  tau, r/phi and phi' are computed once
     per point set, in `memo`, which the modes of one extension share.
     """
 
-    def __init__(self, w: WarpingFunction, r0: float, R: float, log_inner):
+    def __init__(self, w: WarpingFunction, criterion):
         self.w = w
-        self.cum = _quadrature.LogCumulative(
-            lambda s: s - w.log_phi(np.exp(s)), math.log(r0), math.log(R),
-            rtol=_TAU_RTOL, breaks=np.log(w.breakpoints))
-        lo, hi = math.exp(log_inner[0]), math.exp(log_inner[1])
+
+        def logf(t):
+            return -w.log_phi(t)
+        edges = np.geomspace(_DEFAULT_R0, 1.0, _NEAR_PANELS + 1)
+        inside = [x for x in w.breakpoints if edges[0] < x < 1.0 and x not in edges]
+        near = _quadrature.adaptive_quad_log(logf, np.sort(np.r_[edges, inside]),
+                                             rtol=_TAU_RTOL)[2]
+        far = criterion.panels   # triples (-1, -1): column 1 is int phi^-1
+        self.cum = _quadrature.LogCumulative(logf, np.rec.fromarrays(
+            [np.r_[near.a, far.a], np.r_[near.b, far.b],
+             np.r_[near.log_val, far.log_val[:, 1]], np.r_[near.log_err, far.log_err[:, 1]]],
+            names="a,b,log_val,log_err"))
+        lo, hi = (math.exp(b) for b in criterion.certificate.log_inner)
         self.tail = 0.5 * (lo + hi)
         self.error = 0.5 * (hi - lo) + math.exp(self.cum.log_err)
         self.memo = _Memo()
 
     def __call__(self, s):
         """(tau, r/phi) at s = log r."""
-        return self.memo.get("tau", s, lambda s: (
-            self.tail + np.exp(self.cum.log_between(s)),
-            np.exp(self.cum.logf(s))))
+        def compute(s):
+            r = np.exp(s)
+            return self.tail + np.exp(self.cum.log_between(r)), np.exp(s + self.cum.logf(r))
+        return self.memo.get("tau", s, compute)
 
 
 def _conformal_rows(tau: _ConformalTime, lam: float):
@@ -490,29 +501,25 @@ def _conformal_rows(tau: _ConformalTime, lam: float):
         if ds:
             dphi = tau.memo.get("dphi", s, lambda s: tau.w.eval(np.exp(s))[1])
             return np.stack([lam * rho, (rho * dphi - 1.0) / (lam * rho)])
-        return np.stack([-lam * t, 1.0 / (lam * rho)])
+        with np.errstate(divide="ignore"):   # z = inf where r/phi underflows
+            return np.stack([-lam * t, 1.0 / (lam * rho)])
     return dense
 
 
 def conformal_modes(w: WarpingFunction, modes,
-                    r_max: float) -> list[RadialProfile]:
+                    criterion: _criterion.CriterionReport) -> list[RadialProfile]:
     """The normalized n = 2 profiles exp(-lambda tau) of every mode.
 
-    The grid is the one `solve_modes` uses, with R = r_max raised to the
-    start of the tail sandwich, as for a tail certificate (a criterion
-    report's R is past it already); there is no ODE solve and no search
-    for R.  All modes share one tau, and each mode's
-    limit_error is lambda times tau's error bound, which bounds
-    |phi_m - exact| on the whole range.  Without an m >= 1 mode no tail is
-    needed and R is r_max.
+    The grid is the one `solve_modes` uses, up to the R of `criterion`, the
+    Convergent `march_criterion` report of (w, 2) that tau reads, with no
+    ODE solve and no search for R; a report of another warp object or n, or
+    with no certificate, is refused with NotConvergent.  All modes share
+    one tau, and each mode's limit_error is lambda times tau's error bound,
+    which bounds |phi_m - exact| on the whole range.
     """
-    if all(mode.m == 0 for mode in modes):
-        return solve_modes(w, 2, modes, r_max)
-    R, log_inner = _criterion.inner_tail(w, 2, r_max)
-    grid = np.geomspace(_DEFAULT_R0, R, _GRID_SIZE)
-    phi_on(w, grid, f"inside [{grid[0]:g}, {grid[-1]:g}]; the radial solve "
-                    "needs a smaller r_max")
-    tau = _ConformalTime(w, _DEFAULT_R0, R, log_inner)
+    _criterion.check_report(criterion, w, 2, "modes'", NotConvergent, certified=True)
+    grid = np.geomspace(_DEFAULT_R0, criterion.r_max, _GRID_SIZE)
+    tau = _ConformalTime(w, criterion)
     t, rho = tau(np.log(grid))
     profiles = []
     for mode in modes:
@@ -600,21 +607,21 @@ def normalize_profile(profile: RadialProfile,
 
 
 def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
-                 R: float) -> _criterion.TailCertificate:
+                 cert: _criterion.TailCertificate) -> _criterion.TailCertificate:
     """Certificate near the smallest radius whose tail delta for a mode of
     eigenvalue lambda_sq is below _TAIL_DELTA, from certificates alone.
 
-    R is kept if it passes, and refused if it fails clipped to a table's
-    hull.  Else log R doubles until a certificate passes, up to the top: the
-    last R with finite phi and phi', by bisection, which a table's
-    certificate clips to its hull.  The Illinois form of regula falsi on
-    g = log log1p(delta), linear in log R for power growth, then narrows
-    the bracket to _LOG_R_STEP, trying at least half that inside it.
+    It starts from `cert`, a criterion report's certificate, and keeps it if
+    it passes, with no certificate of its own.  Else log R doubles until a
+    certificate passes, up to the top: the last R with finite phi and phi',
+    by bisection, which a table's certificate clips to its hull.  The
+    Illinois form of regula falsi on g = log log1p(delta), linear in log R
+    for power growth, then narrows the bracket to _LOG_R_STEP, trying at
+    least half that inside it.
     """
     A = _riccati_bound(w, n, lambda_sq)
 
-    def certify(R):
-        cert = _criterion.tail_certificate(w, n, R)
+    def judge(cert):
         delta = _tail_delta(A, lambda_sq, cert)
         g = math.log(math.log1p(delta) / math.log1p(_TAIL_DELTA)) if delta else -math.inf
         return cert, delta, math.log(cert.r_max), g
@@ -629,11 +636,9 @@ def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
             f"(A*T_in + C*T_in + T_out) = {a_in:.3g} + {cross:.3g} + {outer:.3g}")
 
     s_out = math.log(np.finfo(float).max)
-    cert, delta, s_lo, g_lo = certify(R)
+    cert, delta, s_lo, g_lo = judge(cert)
     if delta < _TAIL_DELTA:
         return cert
-    if cert.r_max < R:
-        refuse(cert, delta, R)
     s_hi = s_lo
     while s_out - s_hi > _LOG_R_STEP:     # the top; off a table's hull w.eval raises
         s = 0.5 * (s_hi + s_out)
@@ -653,7 +658,7 @@ def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
                 s = s_hi - g_hi * (s_hi - s_lo) / (g_hi - g_lo)
             s = min(max(s, s_lo + 0.5 * _LOG_R_STEP), s_hi - 0.5 * _LOG_R_STEP)
         top, trial = s == s_hi, math.exp(s)
-        cert, delta, s, g = certify(trial)
+        cert, delta, s, g = judge(_criterion.tail_certificate(w, n, trial))
         if delta < _TAIL_DELTA:   # Illinois: an end kept twice has its g halved
             passed, s_hi, g_hi, g_lo = cert, s, g, g_lo * (0.5 if kept else 1.0)
         elif top:
@@ -740,12 +745,7 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace,
     [1, criterion.r_max], are refused.
     """
     lam2, w, n = profile.mode.lambda_sq, profile.warp, profile.n
-    if criterion._n != n:
-        raise DegenerateProfile(f"the criterion report is of n = {criterion._n}, "
-                                f"not of the profile's n = {n}")
-    if criterion._warp is not w:
-        raise DegenerateProfile(f"the criterion report is of {criterion._warp!r}, another "
-                                f"warp object than the profile's {w!r}")
+    _criterion.check_report(criterion, w, n, "profile's", DegenerateProfile)
     s_grid = trace.grid
     lo, hi = np.min(s_grid, initial=1.0), np.max(s_grid, initial=criterion.r_max)
     if lo < 1.0 or hi > criterion.r_max:

@@ -110,10 +110,10 @@ def test_criterion_5_fubini_and_implication():
                 assert transience_integral(w, n, tol=1e-6).verdict == CONVERGENT
 
 
-def test_criterion_6_extension_verification(hyperbolic_criterion):
+def test_criterion_6_extension_verification(hyperbolic, hyperbolic_criterion):
     with criterion_line(6, "extension verification battery"):
         start = time.monotonic()
-        w = Hyperbolic(1.0)
+        w = hyperbolic
         fn = lambda th: 0.5 + np.cos(th) - 0.25 * np.sin(2 * th)
         f = BoundaryData.from_function(2, 4, fn)
         e = ext.build_extension(w, 2, f, 4, tol=1e-8,

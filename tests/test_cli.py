@@ -412,10 +412,10 @@ def test_verify_traces_and_certifies_each_profile_once(tmp_path, monkeypatch):
     assert code == 0
     assert len(traces) == 4
     # the checks run on the extension's profiles: all five modes in one
-    # stacked solve, normalized with the one certificate at the criterion's
-    # r_max 60
+    # stacked solve, normalized with the certificate the criterion report
+    # holds at its r_max 60, and no other
     assert stack_radii == [60.0]
-    assert sorted(args[2] for args in certs) == [60.0]
+    assert sorted(args[2] for args in certs) == []
 
 
 def test_n2_verify_reads_tau_once_per_point_set(tmp_path, monkeypatch):
@@ -527,6 +527,51 @@ def test_n2_verify_makes_one_pass_of_triples_and_one_tau(tmp_path, monkeypatch):
     assert run(["verify", "--family", "hyperbolic", "--a", "1", "--n", "2",
                 "--modes", "4", "--out", str(tmp_path / "v")]) == 0
     assert passes == [(-1, -1)] and len(taus) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("metric, R", [(("hyperbolic", "--a", "1"), 60.0),
+                                       (("powerlog", "--c", "2"), 100.0)],
+                         ids=["hyperbolic", "powerlog"])
+def test_n2_extension_integrates_one_over_phi_once(tmp_path, monkeypatch, command,
+                                                   metric, R):
+    # tau reads the int phi^-1 column of the criterion's pass of triples
+    # over [1, R], and makes one short pass of its own over [1e-3, 1]: no
+    # other adaptive pass runs.  tau's own cumulative spanned [log 1e-3, log R]
+    passes = count_calls(monkeypatch, criterion, "adaptive_quad_log")
+    short = count_calls(monkeypatch, quadrature, "adaptive_quad_log")
+    assert run([command, "--family", *metric, "--n", "2", "--modes", "3",
+                "--out", str(tmp_path / "o")]) == 0
+    assert [(c[1][0], c[1][-1]) for c in passes] == [(1.0, R)]
+    assert [(c[1][0], c[1][-1]) for c in short] == [(1e-3, 1.0)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rmax", ["1e5", "1e30", "1e300"])
+@pytest.mark.parametrize("metric, exact", [
+    (("hyperbolic", "--a", "1"), lambda r, m: np.tanh(r / 2) ** m),
+    (("powergrowth", "--p", "2"), lambda r, m: np.exp(-m * np.arcsinh(1 / r))),
+    (("powerlog", "--c", "2"), None)], ids=["hyperbolic", "powergrowth", "powerlog"])
+def test_n2_extensions_reach_every_certified_radius(tmp_path, metric, exact, rmax):
+    # past the trace range the n = 2 modes read log phi alone, so they are
+    # built at every radius the criterion certifies, also where phi itself
+    # overflows (Hyperbolic(1) past r = 710): such a solve was refused with
+    # "phi(719.982) is not finite"
+    flags = ["--family", *metric, "--n", "2", "--modes", "3", "--rmax", rmax]
+    assert run(["solve", *flags, "--out", str(tmp_path / "s")]) == 0
+    assert json.loads((tmp_path / "s" / "summary.json").read_text())["r_max"] == float(rmax)
+    assert run(["verify", *flags, "--artifacts", str(tmp_path / "s"),
+                "--out", str(tmp_path / "v")]) == 0
+    assert json.loads((tmp_path / "v" / "verify.json").read_text())["all_passed"]
+    if exact is None:
+        return
+    bound = {p["m"]: p["limit_error"]
+             for p in json.loads((tmp_path / "s" / "profiles.json").read_text())}
+    for m in (1, 2, 3):
+        r, v = np.loadtxt(tmp_path / "s" / f"profile_m{m}.csv", delimiter=",",
+                          skiprows=1, usecols=(0, 1), unpack=True)
+        gap = np.max(np.abs(v - exact(r, m)))
+        assert gap <= bound[m] + 1e-14, (m, gap, bound[m])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

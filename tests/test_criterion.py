@@ -16,7 +16,7 @@ from conftest import count_calls, fubini_check, write_tabulated_csv
 from weakmodel.report import round12
 from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
                                  CriterionReport, _TailModel, _log_g,
-                                 inner_tail, march_criterion, tail_certificate,
+                                 march_criterion, tail_certificate,
                                  transience_integral)
 from weakmodel.errors import (InvalidTolerance, NotConvergent, OutOfDomain,
                               QuadratureFailure)
@@ -440,7 +440,8 @@ def test_trusted_table_ending_below_the_sandwich_is_refused(entry):
     call = {"march": lambda: march_criterion(w, 3),
             "transience": lambda: transience_integral(w, 3),
             "certificate": lambda: tail_certificate(w, 3, 30.0),
-            "suggest_rmax": lambda: suggest_rmax(w, 3, 2.0, 30.0)}[entry]
+            "suggest_rmax": lambda: suggest_rmax(w, 3, 2.0, tail_certificate(w, 3, 30.0))
+            }[entry]
     with pytest.raises(OutOfDomain, match=r"^tabulated hull ends at r = 60, "
                        r"below the tail sandwich start r = 260$"):
         call()
@@ -544,9 +545,9 @@ def test_refined_tails_match_recorded_values(args, log_cum, log_inner, double):
     assert_allclose(cert.log_cum, log_cum, rtol=1e-13)
     assert_allclose(cert.log_inner, log_inner, rtol=1e-13)
     assert_allclose(cert.double, double, rtol=1e-13)
-    R, inner = inner_tail(*args)
-    assert R == args[2]
-    assert_allclose(inner, log_inner, rtol=1e-13)
+    # the Convergent report at R holds the same certificate
+    report = march_criterion(*args[:2], r_max=args[2])
+    assert report.r_max == args[2] and report.certificate == cert
     if args[1] == 2:
         # (log tanh(15))^2 / 2 from 40-digit mpmath, which the triangle
         # bracket that the half square replaced also held
@@ -627,17 +628,15 @@ def test_power_tails_reach_every_radius(p):
             for R in (1e30, 1e100, 1e250):
                 (inner, double), t_tails = _best_seconds(
                     lambda: criterion._tail_brackets(n, model, R))
-                (R_in, inner_again), t_inner = _best_seconds(lambda: inner_tail(w, n, R))
                 cert, t_cert = _best_seconds(lambda: tail_certificate(w, n, R),
                                              repeats=1 if n == 2 else 3)
-                assert R_in == cert.r_max == R
-                assert inner_again == cert.log_inner == inner
+                assert cert.r_max == R and cert.log_inner == inner
                 lo, hi = inner
                 assert lo <= hi <= lo + 1e-14 * max(1.0, abs(lo)), (n, R, inner)
                 # the leading term R^-a / a, relative x = R^-2 <= 1e-60 below
                 assert_allclose(lo, -a * math.log(R) - math.log(a), rtol=1e-14, atol=1e-14)
                 assert double[0] <= double[1] and 0.0 <= cert.double[0] <= cert.double[1]
-                assert max(t_tails, t_inner) < 0.01, (n, R, t_tails, t_inner)
+                assert t_tails < 0.01, (n, R, t_tails)
                 assert n == 2 or t_cert < 0.01, (n, R, t_cert)
 
 
@@ -713,13 +712,33 @@ def test_powerlog_n2_inner_bracket_holds_the_exact_tail(c, R):
     # (v, v) missed it
     import mpmath as mp
     w = PowerLog(c)
-    R_in, (lo, hi) = inner_tail(w, 2, R)
-    assert R_in == R
+    cert = tail_certificate(w, 2, R)
+    lo, hi = cert.log_inner
+    assert cert.r_max == R
     with mp.workdps(40):
         exact = mp.log(mp.log(R) ** (1 - mp.mpf(c))
                        / (mp.mpf(w.match_constant) * (mp.mpf(c) - 1)))
     assert lo <= exact <= hi, (lo, hi, exact)
     assert hi - lo <= 1e-14 * max(1.0, abs(lo)), (lo, hi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("w", [Hyperbolic(1.0), PowerGrowth(2.0), PowerLog(3.0)], ids=repr)
+def test_convergent_report_holds_its_tail_certificate(monkeypatch, w, n):
+    # the report keeps the certificate at its R, field for field and bit
+    # for bit the one tail_certificate gives there, from the brackets and
+    # the pass of triples the value already used: one pass over [1, R] and
+    # each bracket once.  A transience report holds none
+    from weakmodel import criterion
+    quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
+    inner = count_calls(monkeypatch, criterion._TailModel, "log_inner_bracket")
+    double = count_calls(monkeypatch, criterion._TailModel, "log_double_bracket")
+    report = march_criterion(w, n)
+    assert report.verdict == CONVERGENT
+    assert len([c for c in quads if c[1][0] == 1.0]) == len(inner) == 1
+    assert len(double) == (n != 2)
+    assert report.certificate == tail_certificate(w, n, report.r_max)
+    assert transience_integral(w, n).certificate is None
 
 
 def test_tail_certificate_requires_convergence():
@@ -1034,8 +1053,9 @@ def test_exponential_growth_past_1e20_at_n4_and_up_is_refused(n):
 
 
 def test_every_pass_starts_at_the_power_log_splice(monkeypatch):
-    # phi is C^3 only at e and e^2: the criterion's pass, the certificate's
-    # C(1,R) and tau's cumulative in s = log r start with edges there
+    # phi is C^3 only at e and e^2: the criterion's passes, which give the
+    # certificate's C(1,R) and tau's panels over [1, R], start with edges
+    # there; tau's own pass stops at r = 1, below them
     from weakmodel import criterion, quadrature, radial
     from weakmodel.spectrum import eigen_round_sphere
     quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
@@ -1043,12 +1063,13 @@ def test_every_pass_starts_at_the_power_log_splice(monkeypatch):
     w = PowerLog(2.0)
     criterion.classify(w, 4, tol=1e-8)
     tail_certificate(w, 4, 100.0)
-    radial.conformal_modes(w, [eigen_round_sphere(2, 1)], r_max=100.0)
+    radial.conformal_modes(w, [eigen_round_sphere(2, 1)],
+                           march_criterion(w, 2, r_max=100.0))
     passes = [c[1] for c in quads if c[1][0] == 1.0]
-    assert len(passes) == 2
+    assert len(passes) == 3
     for edges in passes:
         assert {math.e, math.e ** 2} <= set(edges)
     (tau_edges,) = [c[1] for c in cums]
-    assert {1.0, 2.0} <= set(tau_edges)
+    assert tau_edges[0] == 1e-3 and tau_edges[-1] == 1.0
     assert PowerLog.breakpoints == (math.e, math.e ** 2)
     assert Hyperbolic(1.0).breakpoints == () == PowerGrowth(2.0).breakpoints

@@ -10,7 +10,8 @@ from conftest import count_calls
 from weakmodel import criterion
 from weakmodel.cli import _boundary_data
 from weakmodel import extension as ext
-from weakmodel.errors import NotSolvable, OutOfRange, UnsupportedSpectrum
+from weakmodel.errors import (NotConvergent, NotSolvable, OutOfRange,
+                              UnsupportedSpectrum)
 from weakmodel.oracle import laplace_beltrami_residual_fn
 from weakmodel.quadrature import LogCumulative
 from weakmodel.radial import normalize_profile, solve_modes, suggest_rmax
@@ -19,43 +20,45 @@ from weakmodel.spectrum import (BoundaryData, CoefficientTable, EigenMode,
                                 eigen_round_sphere, eigenfunction_eval,
                                 multiplicity, project_boundary,
                                 sphere_quadrature)
-from weakmodel.warp import Euclidean, Hyperbolic, PowerGrowth, PowerLog
+from weakmodel.warp import Euclidean, Hyperbolic, PowerGrowth, PowerLog, Tabulated
 
 
 @pytest.fixture(scope="module")
-def cos_extension(hyperbolic_criterion):
+def cos_extension(hyperbolic, hyperbolic_criterion):
     table = CoefficientTable(2)
     table.set(1, 0, math.sqrt(math.pi))      # f(theta) = cos(theta)
     f = BoundaryData.from_coefficients(table)
-    return ext.build_extension(Hyperbolic(1.0), 2, f, 4, tol=1e-8,
+    return ext.build_extension(hyperbolic, 2, f, 4, tol=1e-8,
                                criterion=hyperbolic_criterion)
 
 
 @pytest.fixture(scope="module")
-def band_extension(hyperbolic_criterion):
+def band_extension(hyperbolic, hyperbolic_criterion):
     fn = lambda th: 0.3 + np.cos(th) - 0.5 * np.sin(2 * th)
     f = BoundaryData.from_function(2, 4, fn)
-    e = ext.build_extension(Hyperbolic(1.0), 2, f, 4, tol=1e-8,
+    e = ext.build_extension(hyperbolic, 2, f, 4, tol=1e-8,
                             criterion=hyperbolic_criterion)
     return e, f, fn
 
 
 @pytest.mark.parametrize("w,M,radii", [
+    # the criterion report's certificate at 60 is tight: no other is made
     (Hyperbolic(1.0), 4, [60.0]),
-    # suggest_rmax starts at the criterion's radius: it certifies 100 and
-    # 1e4, then narrows to the root near 282.8; the mode's normalization
-    # reuses the certificate it returns
+    # suggest_rmax starts from the report's certificate at 100: it
+    # certifies 1e4, then narrows to the root near 282.8; the mode's
+    # normalization reuses the certificate it returns
     (PowerGrowth(2.0), 1, [100.0, 1e4, 282.8]),
     # the data stop at m = 1, so m = 1 picks the radius, not M = 3
     (PowerGrowth(2.0), 3, [100.0, 1e4, 282.8]),
 ])
 def test_one_certificate_per_radius(monkeypatch, w, M, radii):
-    # n = 3: the n = 2 modes are closed forms and need no certificate
+    # n = 3: the n = 2 modes are closed forms and need no certificate.  The
+    # first radius is the report's, whose certificate the report holds
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
     certs = count_calls(monkeypatch, criterion, "tail_certificate")
     e = ext.build_extension(w, 3, BoundaryData.from_coefficients(table), M)
-    tried = [args[2] for args in certs]
+    tried = [e.criterion.r_max] + [args[2] for args in certs]
     assert len(set(tried)) == len(tried) and e.r_max in tried
     assert tried[:len(radii) - 1] == pytest.approx(radii[:-1], rel=1e-15)
     assert radii[-1] <= e.r_max < radii[-1] * 1.002
@@ -63,6 +66,41 @@ def test_one_certificate_per_radius(monkeypatch, w, M, radii):
     # a mode above the data keeps its own, larger one
     assert e.numeric_slack == e.profiles[1].limit_error < ext._radial._TAIL_DELTA
     assert e.profiles[M].limit_error >= e.numeric_slack
+
+
+_SAMPLES = np.geomspace(1e-4, 30.0, 400)
+
+
+@pytest.mark.parametrize("entry", ["build_extension", "conformal_modes"])
+@pytest.mark.parametrize("kind, warp, report, message", [
+    ("another-n", Hyperbolic(1.0), lambda w: criterion.march_criterion(w, 3),
+     r"^the criterion report is of n = 3, not of the (extension|modes)'s? n = 2$"),
+    ("another-warp-object", Hyperbolic(1.0),
+     lambda w: criterion.march_criterion(Hyperbolic(1.0), 2),
+     r"^the criterion report is of Hyperbolic\(a=1\), another warp object than "
+     r"the (extension|modes)'s? Hyperbolic\(a=1\)$"),
+    ("transience", Hyperbolic(1.0), lambda w: criterion.transience_integral(w, 2),
+     r"^the Convergent criterion report holds no tail certificate"),
+    ("divergent", Euclidean(), lambda w: criterion.march_criterion(w, 2), r"Divergent"),
+    ("inconclusive", Tabulated(_SAMPLES, *Hyperbolic(1.0).eval(_SAMPLES)),
+     lambda w: criterion.march_criterion(w, 2), r"Inconclusive")],
+    ids=["another-n", "another-warp-object", "transience", "divergent", "inconclusive"])
+def test_extension_refuses_a_report_of_another_metric(entry, kind, warp, report, message):
+    # the n = 2 modes read the report's R, panels and inner tail, and an
+    # n = 3 search starts from its certificate: a report of another n or
+    # warp object would silently give wrong profiles, and one with no
+    # certificate has nothing to read.  Each is refused by name; a
+    # Divergent or Inconclusive one by build_extension as not solvable
+    rep = report(warp)
+    modes = [eigen_round_sphere(2, m) for m in range(3)]
+    call = {"build_extension": lambda: ext.build_extension(
+                warp, 2, BoundaryData.from_coefficients(CoefficientTable(2, {(1, 0): 1.0})),
+                2, criterion=rep),
+            "conformal_modes": lambda: ext._radial.conformal_modes(warp, modes, rep)}[entry]
+    error = (NotSolvable if entry == "build_extension" and kind in ("divergent", "inconclusive")
+             else NotConvergent)
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
@@ -171,7 +209,7 @@ def _assert_hyperbolic_modes_match(a, tol, ode_error):
     for n in (3, 4, 5):
         modes = [eigen_round_sphere(n, m) for m in range(1, 9)]
         cert = suggest_rmax(w, n, modes[-1].lambda_sq,
-                            criterion.march_criterion(w, n).r_max)
+                            criterion.march_criterion(w, n).certificate)
         for mode, raw in zip(modes, solve_modes(w, n, modes, r_max=cert.r_max,
                                                 tol=tol)):
             p = normalize_profile(raw, cert)
@@ -413,11 +451,11 @@ def test_summary_l2_curve_is_the_per_radius_distance_bit_for_bit(n):
         assert type(ext.l2_distance_to_boundary(e, r)) is float
 
 
-def test_constant_data_extends_constantly(hyperbolic_criterion):
+def test_constant_data_extends_constantly(hyperbolic, hyperbolic_criterion):
     table = CoefficientTable(2)
     table.set(0, 0, 2.5 * math.sqrt(2 * math.pi))   # f == 2.5
     f = BoundaryData.from_coefficients(table)
-    e = ext.build_extension(Hyperbolic(1.0), 2, f, 3,
+    e = ext.build_extension(hyperbolic, 2, f, 3,
                             criterion=hyperbolic_criterion)
     th = np.linspace(0, 2 * math.pi, 17)
     for r in (0.0, 0.5, 3.0, 20.0):
@@ -434,11 +472,11 @@ def test_cos_extension_matches_closed_form(cos_extension):
                         np.tanh(r / 2) * np.cos(th), atol=1e-5)
 
 
-def test_single_mode_extension(hyperbolic_criterion):
+def test_single_mode_extension(hyperbolic, hyperbolic_criterion):
     table = CoefficientTable(2)
     table.set(2, 0, 1.0)
     f = BoundaryData.from_coefficients(table)
-    e = ext.build_extension(Hyperbolic(1.0), 2, f, 4,
+    e = ext.build_extension(hyperbolic, 2, f, 4,
                             criterion=hyperbolic_criterion)
     th = np.linspace(0, 2 * math.pi, 30)
     prof = e.profiles[2]
@@ -492,10 +530,10 @@ def test_l2_distance_monotone_to_zero(band_extension):
     assert ext.l2_distance_to_boundary(e, 10.0) < ext.l2_distance_to_boundary(e, 1.0)
 
 
-def test_constant_distance_zero(hyperbolic_criterion):
+def test_constant_distance_zero(hyperbolic, hyperbolic_criterion):
     table = CoefficientTable(2)
     table.set(0, 0, 1.0)
-    e = ext.build_extension(Hyperbolic(1.0), 2,
+    e = ext.build_extension(hyperbolic, 2,
                             BoundaryData.from_coefficients(table), 2,
                             criterion=hyperbolic_criterion)
     assert ext.l2_distance_to_boundary(e, 4.0) == 0.0
@@ -517,7 +555,7 @@ def test_sup_distance(band_extension):
     # single-mode case has the closed form (1 - phi_1(r)) * max|f_{1,0}|
     table = CoefficientTable(2)
     table.set(1, 0, 1.0)
-    e1 = ext.build_extension(Hyperbolic(1.0), 2,
+    e1 = ext.build_extension(e.warp, 2,
                              BoundaryData.from_coefficients(table), 3,
                              criterion=e.criterion)
     r = 2.0
@@ -537,7 +575,7 @@ def test_maximum_principle(band_extension):
         assert lo <= vals.min() and vals.max() <= hi, f"r={r}"
 
 
-def test_linearity(hyperbolic_criterion):
+def test_linearity(hyperbolic, hyperbolic_criterion):
     tf = CoefficientTable(2, {(1, 0): 1.0, (2, 1): 0.5})
     tg = CoefficientTable(2, {(0, 0): 2.0, (1, 0): -0.7})
     alpha, beta = 1.25, -2.0
@@ -545,7 +583,7 @@ def test_linearity(hyperbolic_criterion):
     for (m, k) in set(tf.entries) | set(tg.entries):
         combo.set(m, k, alpha * tf.get(m, k) + beta * tg.get(m, k))
     build = lambda t: ext.build_extension(
-        Hyperbolic(1.0), 2, BoundaryData.from_coefficients(t), 4,
+        hyperbolic, 2, BoundaryData.from_coefficients(t), 4,
         criterion=hyperbolic_criterion)
     ef, eg, ec = build(tf), build(tg), build(combo)
     th = np.linspace(0, 2 * math.pi, 25)
@@ -562,7 +600,7 @@ def test_harmonicity_fd_residual(cos_extension):
         assert abs(res) < 1e-3
 
 
-def test_rotation_equivariance(hyperbolic_criterion):
+def test_rotation_equivariance(hyperbolic, hyperbolic_criterion):
     # rotating the data rotates the extension: coefficient identity for n=2
     rng = np.random.default_rng(3)
     table = CoefficientTable(2)
@@ -578,7 +616,7 @@ def test_rotation_equivariance(hyperbolic_criterion):
         rotated.set(m, 0, a * math.cos(m * theta0) - b * math.sin(m * theta0))
         rotated.set(m, 1, a * math.sin(m * theta0) + b * math.cos(m * theta0))
     build = lambda t: ext.build_extension(
-        Hyperbolic(1.0), 2, BoundaryData.from_coefficients(t), 5,
+        hyperbolic, 2, BoundaryData.from_coefficients(t), 5,
         criterion=hyperbolic_criterion)
     e0, e1 = build(table), build(rotated)
     th = np.linspace(0, 2 * math.pi, 37)
@@ -587,12 +625,12 @@ def test_rotation_equivariance(hyperbolic_criterion):
                         ext.evaluate(e0, r, th - theta0), atol=1e-10)
 
 
-def test_n3_polar_mode(hyperbolic_criterion):
+def test_n3_polar_mode(hyperbolic, hyperbolic_criterion):
     from weakmodel.criterion import march_criterion
-    rep3 = march_criterion(Hyperbolic(1.0), 3, tol=1e-8)
+    rep3 = march_criterion(hyperbolic, 3, tol=1e-8)
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
-    e = ext.build_extension(Hyperbolic(1.0), 3,
+    e = ext.build_extension(hyperbolic, 3,
                             BoundaryData.from_coefficients(table), 3,
                             criterion=rep3)
     colat = np.linspace(0.1, math.pi - 0.1, 20)
@@ -617,45 +655,45 @@ def _flat_table(top, bottom=0):
     return table
 
 
-def test_decay_warning(hyperbolic_criterion):
+def test_decay_warning(hyperbolic, hyperbolic_criterion):
     # flat spectrum up to M, sampled on the grid: the tail check must warn
     f = BoundaryData.from_function(
         2, 4, lambda th: sum(eigenfunction_eval(2, m, 0, th) for m in range(5)))
     with pytest.warns(UserWarning, match="not well resolved"):
-        ext.build_extension(Hyperbolic(1.0), 2, f, 4,
+        ext.build_extension(hyperbolic, 2, f, 4,
                             criterion=hyperbolic_criterion)
     # exact coefficients with modes above M lose energy to the projection
     f = BoundaryData.from_coefficients(_flat_table(6))
     with pytest.warns(UserWarning, match="not well resolved"):
-        ext.build_extension(Hyperbolic(1.0), 2, f, 4,
+        ext.build_extension(hyperbolic, 2, f, 4,
                             criterion=hyperbolic_criterion)
 
 
-def test_unresolved_samples_warn_with_their_dropped_energy(hyperbolic_criterion):
+def test_unresolved_samples_warn_with_their_dropped_energy(hyperbolic, hyperbolic_criterion):
     # cos(5 theta) on the n = 2, M = 4 grid projects to rounding noise: the
     # dropped share is of the samples' energy, not a ratio of that noise
     f = BoundaryData.from_function(2, 4, lambda th: np.cos(5 * th))
     with pytest.warns(UserWarning, match="modes >= 3 carry 1 of the energy"):
-        ext.build_extension(Hyperbolic(1.0), 2, f, 4,
+        ext.build_extension(hyperbolic, 2, f, 4,
                             criterion=hyperbolic_criterion)
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
-def test_band_limited_samples_do_not_warn(hyperbolic_criterion):
+def test_band_limited_samples_do_not_warn(hyperbolic, hyperbolic_criterion):
     # samples of modes below the top of the band drop nothing
     for n, M, fn in ((2, 4, lambda th: 1.0 + np.cos(th) - 0.5 * np.sin(2 * th)),
                      (3, 3, lambda colat, lon: np.cos(colat) + np.sin(colat) * np.cos(lon))):
         f = BoundaryData.from_function(n, M, fn)
         crit = hyperbolic_criterion if n == 2 else None
-        ext.build_extension(Hyperbolic(1.0), n, f, M, criterion=crit)
+        ext.build_extension(hyperbolic, n, f, M, criterion=crit)
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
-def test_exact_band_limited_coefficients_do_not_warn(hyperbolic_criterion):
+def test_exact_band_limited_coefficients_do_not_warn(hyperbolic, hyperbolic_criterion):
     # projecting coefficients with no mode above M is exact, so a top-heavy
     # band is resolved: the flat spectrum and the single:2:0 preset at M=2
     for table, M in ((_flat_table(4), 4), (_flat_table(2, bottom=2), 2)):
-        ext.build_extension(Hyperbolic(1.0), 2,
+        ext.build_extension(hyperbolic, 2,
                             BoundaryData.from_coefficients(table), M,
                             criterion=hyperbolic_criterion)
 
@@ -663,12 +701,12 @@ def test_exact_band_limited_coefficients_do_not_warn(hyperbolic_criterion):
 @pytest.mark.parametrize("preset,M,warns", [
     ("single:5:0", 1, True), ("single:1:0", 0, True),
     ("cos", 1, False), ("constant", 0, False)])
-def test_dropped_modes_warn_below_m2(hyperbolic_criterion, preset, M, warns):
+def test_dropped_modes_warn_below_m2(hyperbolic, hyperbolic_criterion, preset, M, warns):
     # below M = 2 there is no top band to read; input modes above M decide
     f = _boundary_data({"n": 2, "modes": M, "preset": preset})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ext.build_extension(Hyperbolic(1.0), 2, f, M,
+        ext.build_extension(hyperbolic, 2, f, M,
                             criterion=hyperbolic_criterion)
     hits = [w for w in caught if "not well resolved" in str(w.message)]
     assert bool(hits) == warns
@@ -704,7 +742,7 @@ class StretchedCircle(SphereSpectrum):
         return 1.0 / math.sqrt((4 if m == 0 else 2) * math.pi)
 
 
-def test_pluggable_spectrum(hyperbolic_criterion):
+def test_pluggable_spectrum(hyperbolic, hyperbolic_criterion):
     # the radial machinery only sees the spectral data, so solvability and
     # the extension work unchanged on a stretched circle
     spec = StretchedCircle()
@@ -716,7 +754,7 @@ def test_pluggable_spectrum(hyperbolic_criterion):
     assert abs(np.dot(quad.weights, f10 * f11)) < 1e-12
 
     table = CoefficientTable(2, {(1, 0): 1.0})
-    e = ext.build_extension(Hyperbolic(1.0), 2,
+    e = ext.build_extension(hyperbolic, 2,
                             BoundaryData.from_coefficients(table), 3,
                             criterion=hyperbolic_criterion, spectrum=spec)
     assert e.profiles[1].mode.lambda_sq == 0.25
@@ -727,13 +765,13 @@ def test_pluggable_spectrum(hyperbolic_criterion):
     assert ext.l2_distance_to_boundary(e, 14.0) < 1e-3
 
 
-def test_custom_spectrum_refuses_sampled_data(hyperbolic_criterion):
+def test_custom_spectrum_refuses_sampled_data(hyperbolic, hyperbolic_criterion):
     # samples are projected on the round-sphere basis; with another
     # spectrum that builds a wrong extension, so they are refused by name
     spec = StretchedCircle()
     f = BoundaryData.from_function(2, 3, lambda th: spec.eigenfunction(1, 0, th))
     with pytest.raises(UnsupportedSpectrum, match="StretchedCircle"):
-        ext.build_extension(Hyperbolic(1.0), 2, f, 3,
+        ext.build_extension(hyperbolic, 2, f, 3,
                             criterion=hyperbolic_criterion, spectrum=spec)
 
 

@@ -57,8 +57,9 @@ def test_tracer_instruments_and_restores_quadrature():
         # records K15 panel spans
         assert "quadrature.k15_panel" in {tracer.names[i] for i in tracer.name}
         # tau of an n = 2 extension is the one reader of log_between
-        radial.conformal_modes(Hyperbolic(1.0), [eigen_round_sphere(2, 1)],
-                               r_max=10.0)
+        w = Hyperbolic(1.0)
+        radial.conformal_modes(w, [eigen_round_sphere(2, 1)],
+                               criterion.march_criterion(w, 2, r_max=10.0))
     finally:
         patch.restore()
     spans = {tracer.names[i] for i in tracer.name}

@@ -78,13 +78,23 @@ def test_budget_exhaustion_raises():
                           rtol=1e-13, max_panels=8)
 
 
+def _cumulative(logf, *edges, rtol=1e-11):
+    """The LogCumulative of the panels of one pass over each of the
+    adjacent `edges`, in order."""
+    passes = [adaptive_quad_log(logf, e, rtol=rtol)[2] for e in edges]
+    return LogCumulative(logf, np.concatenate(passes).view(np.recarray))
+
+
+_NINE = np.linspace(1.0, 9.0, 9)
+
+
 def test_log_cumulative_consistency():
-    cum = LogCumulative(lambda x: np.sin(x) - 2.0 * x, 1.0, 9.0)
+    cum = _cumulative(lambda x: np.sin(x) - 2.0 * x, _NINE)
     # the suffix at each panel start is the log-sum of the panels from there on
     for k, a in enumerate(cum.panels.a):
         want = float(special.logsumexp(cum.panels.log_val[k:]))
         assert _close_to_scipy(cum.log_between(a), want), k
-    assert_allclose(cum.log_between(1.0), cum.log_total, rtol=1e-14)
+    assert_allclose(cum.log_between(1.0), logsumexp(cum.panels.log_val), rtol=1e-14)
     # agrees with a direct adaptive integral on a sub-interval
     direct, _, _ = adaptive_quad_log(lambda x: np.sin(x) - 2.0 * x, [2.5, 9.0])
     assert_allclose(cum.log_between(2.5), direct, atol=1e-9)
@@ -137,8 +147,8 @@ def _reference_log_between(cum, x):
 
     It sums in other orders, so it agrees with `log_between` to a few ulp.
     """
-    x = min(max(x, cum.lo), cum.hi)
-    if x == cum.hi:
+    x = min(max(x, cum.panels.a[0]), cum.panels.b[-1])
+    if x == cum.panels.b[-1]:
         return -math.inf
     i = int(np.searchsorted(cum.panels.a, x, side="right")) - 1
     a, b = cum.panels.a[i], cum.panels.b[i]
@@ -151,7 +161,7 @@ def _reference_log_between(cum, x):
 
 
 def test_batched_log_between_matches_scalar():
-    cum = LogCumulative(lambda x: np.sin(x) - 2.0 * x, 1.0, 9.0)
+    cum = _cumulative(lambda x: np.sin(x) - 2.0 * x, _NINE)
     starts = cum.panels.a
     xs = np.concatenate([starts, [1.0, 0.5, 9.0, 9.5, 12.0],
                          np.linspace(0.9, 9.3, 41)])
@@ -187,11 +197,13 @@ def test_batched_k15_panels_equal_scalar_panels():
 
 
 def test_log_cumulative_keeps_its_error_estimate():
-    cum = LogCumulative(lambda x: -x, 0.0, 5.0, rtol=1e-12)
+    # the summed estimates of its panels, here of two passes
+    cum = _cumulative(lambda x: -x, [0.0, 1.0], np.linspace(1.0, 5.0, 9), rtol=1e-12)
     exact = math.log(-math.expm1(-5.0))
-    assert cum.log_err <= cum.log_total + math.log(1e-12)
-    assert abs(math.exp(cum.log_total) - math.exp(exact)) <= math.exp(cum.log_err) + 1e-15
-    assert LogCumulative(lambda x: -x, 1.0, 1.0).log_err == -math.inf
+    log_total = cum.log_between(0.0)
+    assert cum.log_err == logsumexp(cum.panels.log_err)
+    assert cum.log_err <= log_total + math.log(1e-12)
+    assert abs(math.exp(log_total) - math.exp(exact)) <= math.exp(cum.log_err) + 1e-15
 
 
 def _counted(logf):
@@ -272,18 +284,15 @@ def test_non_finite_limits_are_refused(a, b):
     logf, calls = _counted(lambda x: -x)
     with pytest.raises(ValueError, match="finite"):
         adaptive_quad_log(logf, [a, b])
-    with pytest.raises(ValueError, match="finite"):
-        LogCumulative(logf, a, b)
     assert calls == []
     # an empty finite interval is still the empty result
     log_val, log_err, panels = adaptive_quad_log(logf, [1.0, 0.0])
     assert (log_val, log_err, len(panels)) == (-math.inf, -math.inf, 0)
-    assert LogCumulative(logf, 1.0, 1.0).log_total == -math.inf
 
 
 def test_log_between_row_blocks_equal_scalar_calls():
-    cum = LogCumulative(lambda x: np.log(2.0 + np.sin(8.0 * x)) - 0.1 * x,
-                        0.0, 40.0, rtol=1e-13)
+    cum = _cumulative(lambda x: np.log(2.0 + np.sin(8.0 * x)) - 0.1 * x,
+                      np.linspace(0.0, 40.0, 9), rtol=1e-13)
     assert len(cum.panels) > 100
     rng = np.random.default_rng(7)
     x = rng.uniform(-1.0, 41.0, 600)   # some clipped at each end
@@ -299,7 +308,7 @@ def test_log_between_row_blocks_equal_scalar_calls():
 
 
 def test_log_between_makes_one_call_of_logf():
-    cum = LogCumulative(lambda x: np.sin(x) - 2.0 * x, 1.0, 9.0)
+    cum = _cumulative(lambda x: np.sin(x) - 2.0 * x, _NINE)
     cum.logf, calls = _counted(cum.logf)
     assert cum.log_between(np.linspace(1.2, 8.8, 60).reshape(30, 2)).shape == (30, 2)
     assert len(calls) == 1 and calls[0] <= 15 * len(cum.panels) < 60 * 15
@@ -414,17 +423,18 @@ def test_log_prefix_within_its_pass_error_of_mpmath(n):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_log_between_within_its_error_of_mpmath():
-    # tau's integrand at phi = sinh in s = log r: the heads [x, b_i] read
-    # from panel i's own nodes keep int_x^hi within the pass's error estimate
+    # tau's integrand at phi = sinh, on tau's two sets of panels: 16 equal
+    # in log r over [1e-3, 1], then a criterion-like pass over [1, 30].  The
+    # heads [x, b_i] read from panel i's own nodes keep int_x^30 within the
+    # panels' summed error estimate
     import mpmath as mp
-    cum = LogCumulative(lambda s: s - np.log(np.sinh(np.exp(s))), math.log(1e-3),
-                        math.log(30.0), rtol=1e-12)
-    x = np.r_[cum.panels.a[1::4], np.random.default_rng(3).uniform(cum.lo, cum.hi, 12)]
+    cum = _cumulative(lambda t: -np.log(np.sinh(t)), np.geomspace(1e-3, 1.0, 17),
+                      np.geomspace(1.0, 30.0, 9), rtol=1e-12)
+    x = np.r_[cum.panels.a[1::4], np.random.default_rng(3).uniform(1e-3, 30.0, 12)]
     got = np.exp(cum.log_between(x))
     with mp.workdps(40):
         for u, v in zip(x, got):
-            exact = mp.quad(lambda s: mp.exp(s) / mp.sinh(mp.exp(s)),
-                            [mp.mpf(float(u)), mp.mpf(cum.hi)])
+            exact = mp.quad(lambda t: 1 / mp.sinh(t), [mp.mpf(float(u)), 30])
             assert abs(v - float(exact)) <= math.exp(cum.log_err), (u, v, exact)
 
 
@@ -433,9 +443,9 @@ def test_reads_on_a_panel_end_warn_of_nothing():
     # a head [x, b_i] at x = b_i, and a prefix just inside its panel, are
     # empty or tiny: the guarded series gives -inf or a finite log, never a
     # warning; the span's end reads -inf (heads) and a finite whole pass (prefix)
-    cum = LogCumulative(lambda x: np.sin(x) - 2.0 * x, 1.0, 9.0)
+    cum = _cumulative(lambda x: np.sin(x) - 2.0 * x, _NINE)
     ends = cum.panels.b
-    assert cum.log_between(cum.hi) == -math.inf
+    assert cum.log_between(9.0) == -math.inf
     assert np.isfinite(cum.log_between(np.nextafter(ends, 0.0))).all()
     assert np.isfinite(cum.log_between(ends[:-1])).all()
     _, _, panels = _euclidean_n3_pass()

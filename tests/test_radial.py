@@ -28,6 +28,16 @@ from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLawGrowth,
                             PowerLog, Tabulated, WarpingFunction)
 
 
+def _conformal(w, modes, r_max=30.0):
+    """`conformal_modes` of w, read off its criterion report at r_max."""
+    return conformal_modes(w, modes, march_criterion(w, 2, r_max=r_max))
+
+
+def _search_from(w, n, lam2, R):
+    """`suggest_rmax`'s search from the tail certificate at R."""
+    return suggest_rmax(w, n, lam2, tail_certificate(w, n, R))
+
+
 def test_indicial_exponent():
     for m in (1, 2, 3):
         assert_allclose(indicial_exponent(2, m * m), m, rtol=1e-15)
@@ -230,7 +240,7 @@ def test_shared_trace_arrays_keep_every_bit(w, n):
     # rows and the growth bound's exponent; each mode, read on a stack of
     # its own where no other mode shares anything, gives the same bits
     modes = [eigen_round_sphere(n, m) for m in range(1, 5)]
-    solve = ((lambda: conformal_modes(w, modes, 30.0)) if n == 2
+    solve = ((lambda: _conformal(w, modes)) if n == 2
              else (lambda: solve_modes(w, n, modes, r_max=30.0)))
     shared = solve()
     traces = [riccati_trace(p) for p in shared]
@@ -346,21 +356,22 @@ def test_normalize_errors():
 def test_suggest_rmax_enables_normalization():
     w = PowerGrowth(2.0)
     mode = eigen_round_sphere(2, 1)
-    cert = suggest_rmax(w, 2, mode.lambda_sq, 30.0)
+    cert = _search_from(w, 2, mode.lambda_sq, 30.0)
     p = normalize_profile(solve_radial(w, 2, mode, r_max=cert.r_max), cert)
     assert p.normalized and p.limit_error < 1e-4
 
 
 def test_suggest_rmax_solves_no_mode(monkeypatch):
     # the tail delta needs the metric and the certificates only: R = 30 is
-    # certified as given, then 900, then the search narrows to the root
-    # near 282.8, certifying each radius it tries once
+    # given with its certificate, then 900 is certified, then the search
+    # narrows to the root near 282.8, certifying each radius it tries once
     ivps = count_calls(monkeypatch, radial, "solve_ivp")
+    start = tail_certificate(PowerGrowth(2.0), 3, 30.0)
     certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
-    cert = suggest_rmax(PowerGrowth(2.0), 3, 2.0, 30.0)
+    cert = suggest_rmax(PowerGrowth(2.0), 3, 2.0, start)
     tried = [args[2] for args in certs]
-    assert tried[:2] == [30.0, pytest.approx(900.0, rel=1e-15)]
-    assert len(set(tried)) == len(tried) <= 6 and cert.r_max in tried
+    assert tried[:1] == [pytest.approx(900.0, rel=1e-15)]
+    assert len(set(tried)) == len(tried) <= 5 and cert.r_max in tried
     assert 282.8 < cert.r_max < 283.2
     assert ivps == []
 
@@ -372,28 +383,31 @@ def test_suggest_rmax_stops_at_the_end_of_tabulated_data(monkeypatch):
     grid = np.geomspace(1e-4, 60.0, 400)
     w = Tabulated(grid, *PowerGrowth(1.5).eval(grid),
                   growth=PowerLawGrowth(1.5, 1.0))
+    start = tail_certificate(w, 3, 30.0)
     certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
     with pytest.raises(TailNotTight,
                        match=r"^no r_max up to the end of the tabulated hull at "
                              r"59\.7 reaches .* at r_max = 59\.7,"):
-        suggest_rmax(w, 3, 2.0, 30.0)
+        suggest_rmax(w, 3, 2.0, start)
     tried = [args[2] for args in certs]
-    assert tried[0] == 30.0 and 59.7 < tried[1] <= 60.0 and len(tried) == 2
+    assert 59.7 < tried[0] <= 60.0 and len(tried) == 1
 
 
 def test_suggest_rmax_refuses_a_clipped_hull_at_once(monkeypatch):
     # R = 100 lies past the samples: its certificate is clipped to just
-    # inside the hull, and no larger R exists, so that one certificate
-    # gives the refusal
+    # inside the hull, and no larger R exists, so the search's one
+    # certificate, at the top, clipped to the same radius, gives the refusal
     grid = np.geomspace(1e-4, 60.0, 400)
     w = Tabulated(grid, *PowerGrowth(1.5).eval(grid),
                   growth=PowerLawGrowth(1.5, 1.0))
+    start = tail_certificate(w, 3, 100.0)
+    assert start.r_max == 60.0 * 0.995
     certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
     with pytest.raises(TailNotTight,
                        match=r"^no r_max up to the end of the tabulated hull at "
                              r"59\.7 reaches .* at r_max = 59\.7,"):
-        suggest_rmax(w, 3, 2.0, 100.0)
-    assert [args[2] for args in certs] == [100.0]
+        suggest_rmax(w, 3, 2.0, start)
+    assert len(certs) == 1 and 59.7 < certs[0][2] <= 60.0
 
 
 def _passes(w, n, lam2, R):
@@ -419,7 +433,7 @@ def test_no_certified_radius_grows(w, m, doubled):
     # one, which for these metrics is no more than the first passing
     # doubling of 30
     lam2 = m * (m + 1)
-    cert = suggest_rmax(w, 3, lam2, 30.0)
+    cert = _search_from(w, 3, lam2, 30.0)
     assert cert.r_max <= doubled
     assert radial._tail_delta(radial._riccati_bound(w, 3, lam2), lam2,
                               cert) < radial._TAIL_DELTA
@@ -434,7 +448,7 @@ def test_log_r_step_is_clipped_at_the_top(monkeypatch):
     certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        cert = suggest_rmax(w, 3, 2.0, 30.0)
+        cert = _search_from(w, 3, 2.0, 30.0)
     assert 1.25e107 < cert.r_max < 1.27e107
     tried = np.array([args[2] for args in certs])
     assert tried.max() < 1.35e154 and tried.max() > 1e150
@@ -449,7 +463,7 @@ def test_refusal_certifies_only_the_radius_it_prints(monkeypatch):
     w = PowerLog(1.0)
     certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
     with pytest.raises(TailNotTight) as info:
-        suggest_rmax(w, 3, 2.0, 30.0)
+        _search_from(w, 3, 2.0, 30.0)
     tried = [args[2] for args in certs]
     assert len(set(tried)) == len(tried) <= 10
     assert f"at r_max = {tried[-1]:g}," in str(info.value)
@@ -469,7 +483,7 @@ def test_refusals_beyond_double_range_are_quick(w, top):
         start = time.perf_counter()
         with pytest.raises(TailNotTight, match=rf"^no r_max below {top} reaches "
                                                r"tail delta 1\.25e-05; at r_max = "):
-            suggest_rmax(w, 3, 2.0, 30.0)
+            _search_from(w, 3, 2.0, 30.0)
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 0.1
 
@@ -652,7 +666,7 @@ def test_profile_csv_is_the_savetxt_bytes(tmp_path, tanh_profile, make):
 
 @pytest.mark.parametrize("n, solve", [
     (3, lambda modes: solve_modes(Hyperbolic(1.0), 3, modes)),
-    (2, lambda modes: conformal_modes(Hyperbolic(1.0), modes, 30.0))], ids=["n3", "n2"])
+    (2, lambda modes: _conformal(Hyperbolic(1.0), modes))], ids=["n3", "n2"])
 def test_one_solve_formats_its_r_column_once(tmp_path, n, solve):
     # the profiles of one solve, m = 0 included, share the memo in which the
     # r column is formatted once; each file keeps the savetxt bytes
@@ -762,7 +776,7 @@ def test_conformal_modes_of_power_growth_are_exact():
     # phi = r sqrt(1 + r^2) has tau = asinh(1/r), so the modes are
     # exp(-m asinh(1/r)), with no ODE and no search for R
     modes = [eigen_round_sphere(2, m) for m in range(6)]
-    for p in conformal_modes(PowerGrowth(2.0), modes, 30.0):
+    for p in _conformal(PowerGrowth(2.0), modes):
         m = p.mode.m
         assert p.normalized and p.limit_estimate == 1.0 and p.r_max == 30.0
         gap = np.max(np.abs(p.values - np.exp(-m * np.arcsinh(1.0 / p.grid))))
@@ -778,13 +792,13 @@ def test_conformal_modes_of_power_growth_are_exact():
 
 
 def test_conformal_modes_start_where_the_tail_bracket_holds():
-    # R is raised to the start of the sandwich, as for a tail certificate;
-    # with the constant mode alone no tail is needed and R is kept
+    # R is the report's, raised to the start of the sandwich as for a tail
+    # certificate; the constant mode alone needs no tail but keeps that R
     w = Hyperbolic(2.0)
-    one, = conformal_modes(w, [eigen_round_sphere(2, 1)], r_max=4.0)
+    one, = _conformal(w, [eigen_round_sphere(2, 1)], r_max=4.0)
     assert one.r_max == tail_certificate(w, 2, 4.0).r_max > 4.0
-    zero, = conformal_modes(w, [eigen_round_sphere(2, 0)], r_max=4.0)
-    assert zero.r_max == 4.0 and np.all(zero.values == 1.0)
+    zero, = _conformal(w, [eigen_round_sphere(2, 0)], r_max=4.0)
+    assert zero.r_max == one.r_max and np.all(zero.values == 1.0)
 
 
 @pytest.mark.parametrize("w", [Hyperbolic(1.0), PowerGrowth(2.0)],
@@ -793,7 +807,7 @@ def test_ode_solve_matches_closed_form_at_n2(w):
     # the two n = 2 paths cross-check: the raw ODE solve on the same grid is
     # exp(-lambda tau) times a constant
     modes = [eigen_round_sphere(2, m) for m in (1, 3)]
-    for closed in conformal_modes(w, modes, 30.0):
+    for closed in _conformal(w, modes):
         raw = solve_radial(w, 2, closed.mode, r_max=closed.r_max, tol=1e-10)
         assert raw.grid.tobytes() == closed.grid.tobytes()
         shape = raw.values / raw.values[-1]
@@ -812,17 +826,19 @@ def _neg_log_tanh(x):
     (Hyperbolic(0.5), lambda r: _neg_log_tanh(0.25 * r)),
     (Hyperbolic(1.0), lambda r: _neg_log_tanh(0.5 * r)),
     (Hyperbolic(2.0), lambda r: _neg_log_tanh(r)),
-    (PowerGrowth(2.0), lambda r: np.arcsinh(1.0 / r))])
-@pytest.mark.parametrize("r_max", [30.0, 100.0])
+    (PowerGrowth(2.0), lambda r: np.arcsinh(1.0 / r)),
+    (Hyperbolic(0.3), lambda r: _neg_log_tanh(0.15 * r))])
+@pytest.mark.parametrize("r_max", [30.0, 100.0, 1e3])
 def test_conformal_time_within_its_bound_of_the_closed_form(w, exact, r_max):
-    # tau = int_r^inf 1/phi, as conformal_modes builds it, on the solve's
-    # grid and at radii between its nodes; one call per point set equals
-    # one call per radius, bit for bit
-    R, log_inner = radial._criterion.inner_tail(w, 2, r_max)
+    # tau = int_r^inf 1/phi, as conformal_modes builds it from the report,
+    # on the solve's grid and at radii between its nodes; one call per
+    # point set equals one call per radius, bit for bit
+    report = march_criterion(w, 2, r_max=r_max)
+    R = report.r_max
     grid = np.geomspace(radial._DEFAULT_R0, R, radial._GRID_SIZE)
     off = np.exp(np.random.default_rng(11).uniform(math.log(grid[0]), math.log(R), 500))
     for r in (grid, off):
-        tau = radial._ConformalTime(w, radial._DEFAULT_R0, R, log_inner)
+        tau = radial._ConformalTime(w, report)
         t = tau(np.log(r))[0]
         assert np.all(np.abs(t - exact(r)) <= tau.error), (
             np.max(np.abs(t - exact(r))), tau.error)
