@@ -11,22 +11,27 @@ I_k = int h, A_k = int f and B_k = int f(x) int_{a_k}^x h, the inner
 partials at the nodes from their Legendre integration matrix (Greengard,
 "Spectral integration and two-point boundary value problems", SIAM
 J. Numer. Anal. 28, 1991); eI and eA are K15 - G7, eB is B less its form
-on the 7 Gauss nodes.  One integral of exp(logf) is A at q = (1, 0).
+on the 7 Gauss nodes.  A pass of one integral of exp(logf) (the power-log
+tails, tau's near pass, the Riccati bound) takes the kernel's value-only
+branch: A at q = (1, 0) with its errors, the same bits as the triples
+give, without h, the inner partials, I and B.  The kernel writes each
+panel as one row of a float array, its fields (`_PANEL`) in place: a, b,
+the logs, and the log integrands at the 15 nodes, which the panel keeps.
 
-`adaptive_quad_log` is the one adaptive loop, over panels of the kernel.
-With P_k = sum_{j<k} I_j the triangle int f(x) int^x h is
-sum (P_k A_k + B_k), and its panel error P_k eA_k + eI_k A_{>k} + eB_k
-carries the inner one.  Two readers take kept panels and run no pass:
-`LogCumulative` reads int_x^hi at any x off one integral's suffix sums
-(tau, off an n = 2 criterion report's int phi^-1 column after a short
-pass below it), and `log_prefix`, its twin for the triangle's panels, the
-three columns from the start to any x (the growth bound of
-`radial.lemma_bound_check`).  So every integral of a power of phi goes
-through `kronrod_panel_log`.  Both take a partial panel, [x, b_i] or
-[a_k, x], from the degree-14 interpolant through its whole panel's 15 K15
-values (`_partial_panels`), as Greengard's spectral integration reads a
-panel anywhere: phi is evaluated at the nodes of the panels that hold the
-points, at most 15 per panel, and at no new node per point.
+`adaptive_quad_log` is the one adaptive loop, over rows of the kernel; its
+panels are a record view of them.  With P_k = sum_{j<k} I_j the triangle
+int f(x) int^x h is sum (P_k A_k + B_k), and its panel error
+P_k eA_k + eI_k A_{>k} + eB_k carries the inner one.  Two readers take
+kept panels and run no pass: `LogCumulative` reads int_x^hi at any x off
+one integral's suffix sums (tau, off an n = 2 criterion report's
+int phi^-1 column after a short pass below it), and `log_prefix`, its twin
+for the triangle's panels, the three columns from the start to any x (the
+growth bound of `radial.lemma_bound_check`).  So every integral of a power
+of phi goes through `kronrod_panel_log`.  Both take a partial panel,
+[x, b_i] or [a_k, x], from the degree-14 interpolant through its whole
+panel's 15 K15 values (`_partial_panels`), as Greengard's spectral
+integration reads a panel anywhere, off the node values the panel kept:
+a read evaluates phi at no node.
 
 `legendre` gives the Legendre polynomials of the integration matrices,
 and `legendre_integrals` their integrals int_{-1}^x P_k, which the
@@ -129,89 +134,132 @@ def logsumexp(a):
 def _logsumexp_rows(a):
     """`logsumexp` of each row of a 2-D array."""
     m = a.max(axis=1)
+    if np.isfinite(m).all():   # each row summed from a C-contiguous copy
+        d = np.subtract(a, m[:, None], order="C")
+        return m + np.log(np.exp(d, out=d).sum(axis=1))
     out = m.copy()   # kept for rows that are all -inf or hold +inf or nan
     ok = np.isfinite(m)
     out[ok] += np.log(np.exp(a[ok] - m[ok, None]).sum(axis=1))
     return out
 
 
-def _with_rounding(log_val, log_est, size):
-    """(log error, log splittable error) of panels whose log integrand
-    reaches `size`: its rounding moves the value by nu = 4 eps (size + 1),
-    a floor on the K15-G7 estimate that no split lowers, so a panel at it
-    has nothing to split (-inf) unless nu >= 2^-20."""
-    nu = np.minimum(2.0 ** -50 * (size + 1.0), 1.0)
-    log_floor = log_val + np.log(nu)
-    with np.errstate(invalid="ignore"):   # -inf - -inf: nan, not splittable
-        fixable = (log_est > log_floor) | (nu >= 2.0 ** -20)
-    return np.logaddexp(log_est, log_floor), np.where(fixable, log_est, -math.inf)
+# The fields of a panel row, as `kronrod_panel_log` writes them: the logs
+# of one integral or of (I, A, B), their errors and splittable errors, and
+# the log integrands at the 15 nodes, of f or of f and h.
+_PANEL = {
+    1: np.dtype([("a", float), ("b", float), ("log_val", float), ("log_err", float),
+                 ("log_fix", float), ("log_node", float, (15,))]),
+    3: np.dtype([("a", float), ("b", float), ("log_val", float, (3,)),
+                 ("log_err", float, (3,)), ("log_fix", float, (3,)),
+                 ("log_node", float, (2, 15))]),
+}
 
 
-def _node_values(logf, q, a, b):
-    """(half widths, f, h, log max f, log max h) of the panels [a_i, b_i]
-    at their K15 nodes, from one call of logf: f = exp(q_out logf) and
-    h = exp(q_in logf), each row scaled by its maximum."""
+def kronrod_panel_log(logf, a, b, triangle=None):
+    """The K15 kernel: the rows of the panels [a_i, b_i] of arrays a and b,
+    from one call of logf, as a 2-D float array of the fields of `_PANEL`:
+    a, b, the log of int exp(logf), or with triangle = (q_out, q_in) of
+    (I, A, B) (module notes), the logs of their K15 - G7 errors with the
+    rounding floor of their integrands' size and of their splittable
+    errors, then the log integrands at the nodes, logf, or q_out logf and
+    q_in logf.  Every sum runs along its own row, so a panel's bits do not
+    depend on the others in the call."""
+    c = 3 if triangle else 1
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * _XK
     g = np.asarray(logf(x.ravel()), dtype=float).reshape(-1, len(_XK))
-    q_out, q_in = q
-    lf, lh = q_out * g, q_in * g if q_in else np.zeros_like(g)   # no 0 * -inf
-    mf, mh = lf.max(axis=1), lh.max(axis=1)
-    return half, np.exp(lf - mf[:, None]), np.exp(lh - mh[:, None]), mf, mh
-
-
-def kronrod_panel_log(logf, q_out, q_in, a, b):
-    """The K15 kernel: for the panels [a_i, b_i] of arrays a and b, a (k, 9)
-    array of the logs of (I, A, B) (module notes), of their errors and of
-    their splittable errors (`_with_rounding`), from one call of logf.
-    Every sum runs along its own row, so a panel's bits do not depend on
-    the others in the call."""
+    rows = np.empty((len(a), _PANEL[c].itemsize // 8))
+    rows[:, 0], rows[:, 1] = a, b
+    sums, logs = np.empty((2, len(a), 2 * c))   # K15 and K15 - G7 sums, then their logs
+    size = np.empty((len(a), c))
     with np.errstate(invalid="ignore", divide="ignore"):   # zero rows: -inf below
-        half, f, h, mf, mh = _node_values(logf, (q_out, q_in), a, b)
-        inner = np.einsum("kj,ij->ki", h, _S15)   # int_{-1}^{x_i} h, unscaled
-        inner7 = np.einsum("kj,ij->ki", h[:, 1::2], _S7)
-        b15 = np.einsum("kj,kj,j->k", f, inner, _WK)
-        sums = np.column_stack([
-            np.einsum("kj,j->k", h, _WK), np.einsum("kj,j->k", f, _WK), b15,
-            np.einsum("kj,j->k", h, _WK_G7), np.einsum("kj,j->k", f, _WK_G7),
-            b15 - np.einsum("kj,kj,j->k", f[:, 1::2], inner7, _WG7)])
-        log_half = np.log(half)[:, None]
-        scale = np.column_stack([mh, mf, mf + mh + log_half[:, 0]])
-        logs = log_half + np.tile(scale, 2) + np.log(np.abs(sums))
-        logs[~np.isfinite(mf + mh)] = -math.inf   # logf all -inf (or +inf or nan)
-    size = np.column_stack([np.abs(mh), np.abs(mf), np.abs(mf) + np.abs(mh)])
-    return np.column_stack([logs[:, :3], *_with_rounding(logs[:, :3], logs[:, 3:], size)])
+        log_half = np.log(half)
+        if c == 1:
+            rows[:, 5:] = g
+            mf = g.max(axis=1)
+            f = np.exp(g - mf[:, None])
+            sums[:, 0] = np.einsum("kj,j->k", f, _WK)
+            sums[:, 1] = np.einsum("kj,j->k", f, _WK_G7)
+            logs[:, 0] = logs[:, 1] = log_half + mf
+            size[:, 0] = np.abs(mf)
+            finite = np.isfinite(mf)
+        else:
+            q_out, q_in = triangle
+            lf, lh = rows[:, 11:26], rows[:, 26:]
+            np.multiply(q_out, g, out=lf)
+            if q_in:
+                np.multiply(q_in, g, out=lh)
+            else:
+                lh[:] = 0.0   # no 0 * -inf
+            mf, mh = lf.max(axis=1), lh.max(axis=1)
+            f, h = np.exp(lf - mf[:, None]), np.exp(lh - mh[:, None])
+            inner = np.einsum("kj,ij->ki", h, _S15)   # int_{-1}^{x_i} h, unscaled
+            inner7 = np.einsum("kj,ij->ki", h[:, 1::2], _S7)
+            sums[:, 2] = np.einsum("kj,kj,j->k", f, inner, _WK)
+            sums[:, 0] = np.einsum("kj,j->k", h, _WK)
+            sums[:, 1] = np.einsum("kj,j->k", f, _WK)
+            sums[:, 3] = np.einsum("kj,j->k", h, _WK_G7)
+            sums[:, 4] = np.einsum("kj,j->k", f, _WK_G7)
+            sums[:, 5] = sums[:, 2] - np.einsum("kj,kj,j->k", f[:, 1::2], inner7, _WG7)
+            logs[:, 0] = logs[:, 3] = log_half + mh
+            logs[:, 1] = logs[:, 4] = log_half + mf
+            logs[:, 2] = logs[:, 5] = log_half + (mf + mh + log_half)
+            size[:, 0], size[:, 1] = np.abs(mh), np.abs(mf)
+            size[:, 2] = size[:, 1] + size[:, 0]
+            finite = np.isfinite(mf + mh)
+        logs += np.log(np.abs(sums))
+        logs[~finite] = -math.inf   # logf all -inf (or +inf or nan)
+        # rounding moves a value by nu = 4 eps (size + 1), a floor on the
+        # K15-G7 estimate that no split lowers, so a panel at it has nothing
+        # to split (-inf) unless nu >= 2^-20
+        log_val, log_est = logs[:, :c], logs[:, c:]
+        nu = np.minimum(2.0 ** -50 * (size + 1.0), 1.0)
+        log_floor = log_val + np.log(nu)
+        rows[:, 2:2 + c] = log_val
+        np.logaddexp(log_est, log_floor, out=rows[:, 2 + c:2 + 2 * c])
+        rows[:, 2 + 2 * c:2 + 3 * c] = np.where((log_est > log_floor) | (nu >= 2.0 ** -20),
+                                                log_est, -math.inf)
+    return rows
 
 
-def _partial_panels(logf, panels, k, x, triangle=None):
-    """For points x in the panels k of `panels` (fields a and b), the logs of
-    the heads int_x^{b_k} exp(logf); with triangle = (q_out, q_in), the
-    logs of (I, A, B) (module notes) on [a_k, x] instead, a (3, len(x)) array.
+def _partial_panels(panels, k, x, prefix=False):
+    """For points x in the panels k of `panels`, the logs of the heads
+    int_x^{b_k} of their one integral; with `prefix`, of panel triples, the
+    logs of (I, A, B) (module notes) on [a_k, x] instead, a (3, len(x))
+    array.
 
-    logf is called once, on the K15 nodes of the distinct panels that hold
-    the points.  A partial panel integrates the degree-14 interpolant
-    through its panel's 15 values, the Legendre series `_TO_LEGENDRE @
-    values`, by `legendre_integrals` at x's place t in [-1, 1].  A head
-    reads the mirrored series sum (-1)^k c_k int_{-1}^{-t} P_k, so it is 0
-    at x = b_k exactly, as a prefix is at x = a_k; a slightly negative sum
-    is read as 0.  Each sum runs along a panel's own row or elementwise in
-    the points, so a point's bits do not depend on the others in the call.
+    No integrand is evaluated: each panel keeps its log integrands at its
+    K15 nodes (field log_node).  A partial panel integrates the degree-14
+    interpolant through its panel's 15 values, the Legendre series
+    `_TO_LEGENDRE @ values`, by `legendre_integrals` at x's place t in
+    [-1, 1].  A head reads the mirrored series sum (-1)^k c_k
+    int_{-1}^{-t} P_k, so it is 0 at x = b_k exactly, as a prefix is at
+    x = a_k; a slightly negative sum is read as 0.  Each sum runs along a
+    panel's own row or elementwise in the points, so a point's bits do not
+    depend on the others in the call.
     """
     held = np.zeros(len(panels), dtype=bool)
     held[k] = True
     j = np.cumsum(held)[k] - 1   # each point's place among the held panels
-    a, b = panels.a[held], panels.b[held]
+    a, b, nodes = panels.a[held], panels.b[held], panels.log_node[held]
+    lf = nodes[:, 0] if prefix else nodes
     with np.errstate(invalid="ignore", divide="ignore"):   # zero rows: -inf below
-        half, f, h, mf, mh = _node_values(logf, triangle or (1, 0), a, b)
+        half = 0.5 * (b - a)
         log_half = np.log(half)
-        if triangle:
+        mf = lf.max(axis=1)
+        f = np.exp(lf - mf[:, None])
+        if prefix:
+            mh = nodes[:, 1].max(axis=1)
+            h = np.exp(nodes[:, 1] - mh[:, None])
             values = np.concatenate([h, f, f * np.einsum("kj,ij->ki", h, _S15)])
             scale = log_half + np.array([mh, mf, mf + mh + log_half])
             t = (x - a[j]) / half[j] - 1.0
+            finite = np.isfinite(mf + mh)
         else:
             values, scale, t = f, (log_half + mf)[None], (b[j] - x) / half[j] - 1.0
+            finite = np.isfinite(mf)
         c = np.einsum("kj,ij->ki", values, _TO_LEGENDRE)
-        if not triangle:
+        if not prefix:
             c[:, 1::2] *= -1.0
         c = c.reshape(len(scale), len(a), len(_XK)).transpose(2, 0, 1)[:, :, j]
         terms = c * legendre_integrals(legendre(t, len(_XK) + 1))[:, None, :]
@@ -219,37 +267,41 @@ def _partial_panels(logf, panels, k, x, triangle=None):
         for term in terms[1:]:   # in order, elementwise
             sums += term
         logs = scale[:, j] + np.log(np.maximum(sums, 0.0))
-        logs[:, ~np.isfinite(mf + mh)[j]] = -math.inf   # logf all -inf (or +inf or nan)
-    return logs if triangle else logs[0]
+        logs[:, ~finite[j]] = -math.inf   # logf all -inf (or +inf or nan)
+    return logs if prefix else logs[0]
 
 
-def _before(log):
-    """The logs of the sums of the entries before each one, along axis 0."""
-    head = np.full((1,) + np.shape(log)[1:], -math.inf)
-    return np.concatenate([head, np.logaddexp.accumulate(log)[:-1]])
+def _before(log, out):
+    """Into `out`, the logs of the sums of the entries before each one,
+    along the last axis."""
+    out[..., 0] = -math.inf
+    np.logaddexp.accumulate(log[..., :-1], axis=-1, out=out[..., 1:])
+    return out
 
 
 def _triangle_columns(log_vals, log_errs):
     """Per panel, in order, the log values and log errors of the triangle,
-    int f and int h, from those of (I, A, B): two (k, 3) arrays."""
+    int f and int h, from the (k, 3) logs of (I, A, B): two (3, k) arrays."""
     (log_i, log_a, log_b), (log_ei, log_ea, log_eb) = log_vals.T, log_errs.T
-    log_p = _before(log_i)
-    log_after = np.r_[np.logaddexp.accumulate(log_a[::-1])[-2::-1], -math.inf]
-    tri = np.logaddexp(log_p + log_a, log_b)
-    tri_err = np.logaddexp(np.logaddexp(log_p + log_ea, log_ei + log_after), log_eb)
-    return (np.column_stack([tri, log_a, log_i]),
-            np.column_stack([tri_err, log_ea, log_ei]))
+    vals, errs = np.empty((2, 3, len(log_i)))
+    log_p, log_after = _before(log_i, np.empty(len(log_i))), np.empty(len(log_i))
+    log_after[-1], log_after[:-1] = -math.inf, np.logaddexp.accumulate(log_a[:0:-1])[::-1]
+    vals[0] = np.logaddexp(log_p + log_a, log_b)
+    errs[0] = np.logaddexp(np.logaddexp(log_p + log_ea, log_ei + log_after), log_eb)
+    vals[1], vals[2], errs[1], errs[2] = log_a, log_i, log_ea, log_ei
+    return vals, errs
 
 
 def adaptive_quad_log(logf, edges, rtol=1e-10, max_panels=2000, triangle=None):
     """Adaptive K15 of exp(logf) in log space, from the panels between `edges`.
 
     Returns (log value, log error, panels), panels a record array in order
-    with fields a, b, log_val, log_err and log_fix (the splittable error).
-    With triangle = (q_out, q_in) the panels are triples (module notes), and
-    the logs are arrays for the triangle, int f and int h.  Each round
-    splits into quarters, in one kernel call, the worst panel and every one
-    whose splittable error exceeds rtol/k of a column's total, until each
+    with fields a, b, log_val, log_err, log_fix (the splittable error) and
+    log_node (`kronrod_panel_log`), a view of the kernel's rows.  With
+    triangle = (q_out, q_in) the panels are triples (module notes), and the
+    logs are arrays for the triangle, int f and int h.  Each round splits
+    into quarters, in one kernel call, the worst panel and every one whose
+    splittable error exceeds rtol/k of a column's total, until each
     column's is within rtol of its total, a difference of logs: at a log
     total near -4e17 one ulp is 64.  It raises QuadratureFailure past
     max_panels or where a panel cannot be split.  Edges that do not
@@ -259,57 +311,57 @@ def adaptive_quad_log(logf, edges, rtol=1e-10, max_panels=2000, triangle=None):
     if not np.isfinite(edges[[0, -1]]).all():
         raise ValueError("integration limits must be finite, got "
                          f"[{edges[0]:g}, {edges[-1]:g}]")
-    q = triangle or (1, 0)
-    columns = _triangle_columns if triangle else lambda v, e: (v[:, 1:2], e[:, 1:2])
-    log_total = log_err = np.full(1 if triangle is None else 3, -math.inf)
-    a, b = (edges[:-1], edges[1:]) if edges[-1] > edges[0] else (edges[:0], edges[:0])
-    rows = kronrod_panel_log(logf, *q, a, b) if len(a) else np.empty((0, 9))
+    c = 3 if triangle else 1
+    val, err, fix = slice(2, 2 + c), slice(2 + c, 2 + 2 * c), slice(2 + 2 * c, 2 + 3 * c)
+    columns = _triangle_columns if triangle else lambda v, e: (v.T, e.T)
+    log_total = log_err = np.full(c, -math.inf)
+    if edges[-1] > edges[0]:
+        rows = kronrod_panel_log(logf, edges[:-1], edges[1:], triangle)
+    else:
+        rows = np.empty((0, _PANEL[c].itemsize // 8))
     where = f"log-space quadrature on [{edges[0]:g}, {edges[-1]:g}]"
-    while len(rows):
-        vals, fixable = columns(rows[:, :3], rows[:, 6:])
-        log_total = _logsumexp_rows(vals.T)
-        with np.errstate(invalid="ignore"):   # -inf - -inf: nan, counted as met
-            if not np.any(_logsumexp_rows(fixable.T) - log_total > math.log(rtol)):
+    with np.errstate(invalid="ignore"):   # -inf - -inf: nan, counted as met
+        while len(rows):
+            vals, fixable = columns(rows[:, val], rows[:, fix])
+            log_total = _logsumexp_rows(vals)
+            if not np.any(_logsumexp_rows(fixable) - log_total > math.log(rtol)):
                 break
+            if len(rows) >= max_panels:
+                raise QuadratureFailure(f"{where} exceeded {max_panels} panels")
             excess = np.where(fixable == -math.inf, -math.inf,
-                              fixable - log_total).max(axis=1)
-        if len(a) >= max_panels:
-            raise QuadratureFailure(f"{where} exceeded {max_panels} panels")
-        split = excess > math.log(rtol / len(a))
-        split[np.argmax(excess)] = True
-        lo, hi = a[split], b[split]
-        mid = 0.5 * (lo + hi)
-        cuts = np.column_stack([lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi])
-        flat = (np.diff(cuts, axis=1) <= 0.0).any(axis=1)
-        if flat.any():
-            raise QuadratureFailure(f"{where} cannot split the panel at {lo[flat][0]:g} "
-                                    "below rounding")
-        qa, qb = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-        order = np.argsort(np.r_[a[~split], qa], kind="stable")
-        a, b = np.r_[a[~split], qa][order], np.r_[b[~split], qb][order]
-        rows = np.concatenate([rows[~split], kronrod_panel_log(logf, *q, qa, qb)])[order]
+                              fixable - log_total[:, None]).max(axis=0)
+            split = excess > math.log(rtol / len(rows))
+            split[np.argmax(excess)] = True
+            lo, hi = rows[split, 0], rows[split, 1]
+            cuts = np.empty((len(lo), 5))
+            cuts[:, 0], cuts[:, 2], cuts[:, 4] = lo, 0.5 * (lo + hi), hi
+            cuts[:, 1], cuts[:, 3] = 0.5 * (lo + cuts[:, 2]), 0.5 * (cuts[:, 2] + hi)
+            flat = (cuts[:, 1:] <= cuts[:, :-1]).any(axis=1)
+            if flat.any():
+                raise QuadratureFailure(f"{where} cannot split the panel at "
+                                        f"{lo[flat][0]:g} below rounding")
+            rows = np.concatenate([rows[~split], kronrod_panel_log(
+                logf, cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), triangle)])
+            rows = rows[np.argsort(rows[:, 0], kind="stable")]
     if len(rows):
-        log_err = _logsumexp_rows(columns(rows[:, :3], rows[:, 3:6])[1].T)
-    logs, shape = (np.split(rows, 3, axis=1), (3,)) if triangle else (rows[:, 1::3].T, ())
-    panels = np.rec.fromarrays([a, b, *logs], dtype=[("a", float), ("b", float)] + [
-        (field, float, shape) for field in ("log_val", "log_err", "log_fix")])
+        log_err = _logsumexp_rows(columns(rows[:, val], rows[:, err])[1])
+    panels = rows.ravel().view(_PANEL[c], np.recarray)
     if triangle is None:
         return float(log_total[0]), float(log_err[0]), panels
     return log_total, log_err, panels
 
 
-def log_prefix(logf, triangle, panels, x):
+def log_prefix(panels, x):
     """The logs of the triangle, int f and int h from the first panel's start
-    to each x in the panels of `adaptive_quad_log(logf, ..., triangle)`: a
+    to each x in the panel triples of `adaptive_quad_log(..., triangle)`: a
     (3,) + x.shape array, -inf where there are no panels.
 
     It is the prefix twin of `LogCumulative.log_between`: the sums over the
     whole panels before x's own, with P_k = sum I_j for the triangle, plus
     the partial panels [a_k, x], read off the interpolants through their
-    panels' own nodes in one call of logf (`_partial_panels`).  An x on a
-    panel's start adds nothing of it; an x outside the panels' span raises
-    ValueError; one on the span's end reads the last panel whole, with its
-    own bits.
+    panels' own node values (`_partial_panels`).  An x on a panel's start
+    adds nothing of it; an x outside the panels' span raises ValueError;
+    one on the span's end reads the last panel whole, with its own bits.
     """
     xs = np.asarray(x, dtype=float)
     out = np.full((3,) + xs.shape, -math.inf)
@@ -320,8 +372,9 @@ def log_prefix(logf, triangle, panels, x):
             raise ValueError(f"x = {outside[0]:g} lies outside the panels' span "
                              f"[{panels.a[0]:g}, {panels.b[-1]:g}]")
         k = np.searchsorted(panels.a, flat, side="right") - 1
-        tri, whole_a, log_p = _before(_triangle_columns(panels.log_val, panels.log_err)[0])[k].T
-        part = _partial_panels(logf, panels, k, flat, triangle)
+        whole = _triangle_columns(panels.log_val, panels.log_err)[0]
+        tri, whole_a, log_p = _before(whole, np.empty_like(whole))[:, k]
+        part = _partial_panels(panels, k, flat, prefix=True)
         end = flat == panels.b[k]   # the span's end reads the last panel whole
         part[:, end] = panels.log_val[k[end]].T
         log_i, log_a, log_b = part
@@ -331,10 +384,10 @@ def log_prefix(logf, triangle, panels, x):
 
 
 class LogCumulative:
-    """The suffix reader of given panels of one integral of exp(logf), the
-    twin of `log_prefix`: int_x^hi, hi the last panel's end.
+    """The suffix reader of given panels of one integral, the twin of
+    `log_prefix`: int_x^hi, hi the last panel's end.
 
-    `panels` holds fields a, b, log_val and log_err, in order, as
+    `panels` holds fields a, b, log_val, log_err and log_node, in order, as
     `adaptive_quad_log` gives them, of one pass or of passes over adjacent
     spans.  `log_err` is the log of their summed error estimates.  The logs
     of the sums from each panel on are kept, so no (possibly overflowing)
@@ -342,8 +395,7 @@ class LogCumulative:
     because the benchmark's tracer wraps them by those names.
     """
 
-    def __init__(self, logf, panels):
-        self.logf = logf
+    def __init__(self, panels):
         self.panels = panels
         self.log_err = logsumexp(panels.log_err)
         self._after = np.r_[np.logaddexp.accumulate(panels.log_val[::-1])[::-1], -math.inf]
@@ -352,16 +404,16 @@ class LogCumulative:
         """log int_x^hi, with x clipped to the panels' span; -inf at hi.
 
         x may be an array; the result then has its shape.  The heads
-        [x, b_i] are read off the interpolants through the nodes of the
-        panels that hold the limits, in one call of logf
-        (`_partial_panels`), and each adds the sum of the panels after its
-        own.  An x on a panel's start reads that panel whole, with its own
-        bits, and at hi the head is 0 exactly.
+        [x, b_i] are read off the interpolants through the node values of
+        the panels that hold the limits (`_partial_panels`), and each adds
+        the sum of the panels after its own.  An x on a panel's start reads
+        that panel whole, with its own bits, and at hi the head is 0
+        exactly.
         """
         panels, shape = self.panels, np.shape(x)
         flat = np.clip(np.ravel(x).astype(float), panels.a[0], panels.b[-1])
         i = np.searchsorted(panels.a, flat, side="right") - 1
-        heads = _partial_panels(self.logf, panels, i, flat)
+        heads = _partial_panels(panels, i, flat)
         start = flat == panels.a[i]   # reads its panel whole
         heads[start] = panels.log_val[i[start]]
         out = np.logaddexp(heads, self._after[i + 1]).reshape(shape)

@@ -474,11 +474,13 @@ class _ConformalTime:
         inside = [x for x in w.breakpoints if edges[0] < x < 1.0 and x not in edges]
         near = _quadrature.adaptive_quad_log(logf, np.sort(np.r_[edges, inside]),
                                              rtol=_TAU_RTOL)[2]
-        far = criterion.panels   # triples (-1, -1): column 1 is int phi^-1
-        self.cum = _quadrature.LogCumulative(logf, np.rec.fromarrays(
-            [np.r_[near.a, far.a], np.r_[near.b, far.b],
-             np.r_[near.log_val, far.log_val[:, 1]], np.r_[near.log_err, far.log_err[:, 1]]],
-            names="a,b,log_val,log_err"))
+        far = criterion.panels   # triples (-1, -1): int phi^-1 is A, of f = phi^-1
+        one = {"a": far.a, "b": far.b, "log_val": far.log_val[:, 1],
+               "log_err": far.log_err[:, 1], "log_fix": far.log_fix[:, 1],
+               "log_node": far.log_node[:, 0]}
+        self.cum = _quadrature.LogCumulative(np.rec.fromarrays(
+            [np.concatenate([near[name], one[name]]) for name in near.dtype.names],
+            dtype=near.dtype))
         lo, hi = (math.exp(b) for b in criterion.certificate.log_inner)
         self.tail = 0.5 * (lo + hi)
         self.error = 0.5 * (hi - lo) + math.exp(self.cum.log_err)
@@ -488,7 +490,7 @@ class _ConformalTime:
         """(tau, r/phi) at s = log r."""
         def compute(s):
             r = np.exp(s)
-            return self.tail + np.exp(self.cum.log_between(r)), np.exp(s + self.cum.logf(r))
+            return self.tail + np.exp(self.cum.log_between(r)), np.exp(s - self.w.log_phi(r))
         return self.memo.get("tau", s, compute)
 
 
@@ -760,7 +762,7 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace,
 
     log_t, log_f, _ = profile._memo.get(
         ("exponent", w, n, criterion.panels.tobytes()), s_grid, lambda x:
-        _quadrature.log_prefix(w.log_phi, (1 - n, n - 3), criterion.panels, x))
+        _quadrature.log_prefix(criterion.panels, x))
     with np.errstate(over="ignore"):
         log_bound = math.log(trace.B) + lam2 * (trace.A * np.exp(log_f) + np.exp(log_t))
         bound = np.exp(np.minimum(log_bound, 700.0))

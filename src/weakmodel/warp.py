@@ -424,21 +424,31 @@ def _csv_number(path, line, row, key):
 
 def load_tabulated_csv(path, growth=None) -> Tabulated:
     """Read a tabulated family from CSV with the columns r, phi and dphi,
-    found by header name; any other columns are ignored.
+    found by header name; any other columns are ignored, and so are blank
+    lines.  A missing or non-finite cell is refused by file, line and name.
 
     The r column must be strictly increasing with r[0] <= 1e-3 so that
     radial solves can launch inside the hull.
     """
-    rows = []
+    keys, rows = ("r", "phi", "dphi"), []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = {"r", "phi", "dphi"}
-        if reader.fieldnames is None or expected - set(reader.fieldnames):
-            raise InvalidFamily(
-                f"{path}: expected CSV header r,phi,dphi, got {reader.fieldnames}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or set(keys) - set(header):
+            raise InvalidFamily(f"{path}: expected CSV header r,phi,dphi, got {header}")
+        place = {name: i for i, name in enumerate(header)}   # a name's last column
+        i, j, k = (place[key] for key in keys)
         for row in reader:
-            rows.append(tuple(_csv_number(path, reader.line_num, row, key)
-                              for key in ("r", "phi", "dphi")))
+            if not row:
+                continue
+            try:
+                values = float(row[i]), float(row[j]), float(row[k])
+            except (IndexError, ValueError):
+                values = (math.nan,)
+            if not math.isfinite(sum(values)):   # or finite cells whose sum overflows
+                named = dict(zip(header, row + [None] * (len(header) - len(row))))
+                values = tuple(_csv_number(path, reader.line_num, named, key) for key in keys)
+            rows.append(values)
     if not rows:
         raise InvalidFamily(f"{path}: no data rows")
     data = np.array(rows)

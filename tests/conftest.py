@@ -68,8 +68,7 @@ def fubini_check(w: WarpingFunction, n: int, R: float):
 
     def log_inner(t):
         return (1 - n) * w.log_phi(t)
-    cum = LogCumulative(log_inner, adaptive_quad_log(
-        log_inner, np.linspace(1.0, R, 9), rtol=1e-12)[2])
+    cum = LogCumulative(adaptive_quad_log(log_inner, np.linspace(1.0, R, 9), rtol=1e-12)[2])
 
     def log_rhs(ss):
         return (n - 3) * w.log_phi(ss) + cum.log_between(ss)

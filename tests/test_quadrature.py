@@ -7,12 +7,13 @@ from numpy.polynomial import legendre as legendre_series
 from numpy.testing import assert_allclose
 from scipy import special
 
-from weakmodel import quadrature
+import k15_reference as reference
+from weakmodel import criterion, quadrature
 from weakmodel.errors import QuadratureFailure
 from weakmodel.quadrature import (_WG, _WK, _XK, LogCumulative,
                                   _logsumexp_rows, adaptive_quad_log,
                                   kronrod_panel_log, log_prefix, logsumexp)
-from weakmodel.warp import PowerLog
+from weakmodel.warp import Euclidean, Hyperbolic, PowerGrowth, PowerLog, Tabulated
 
 
 # Linear-space adaptive K15: the reference the log-space routine is held to.
@@ -82,7 +83,7 @@ def _cumulative(logf, *edges, rtol=1e-11):
     """The LogCumulative of the panels of one pass over each of the
     adjacent `edges`, in order."""
     passes = [adaptive_quad_log(logf, e, rtol=rtol)[2] for e in edges]
-    return LogCumulative(logf, np.concatenate(passes).view(np.recarray))
+    return LogCumulative(np.concatenate(passes).view(np.recarray))
 
 
 _NINE = np.linspace(1.0, 9.0, 9)
@@ -139,7 +140,7 @@ def test_logsumexp_matches_scipy():
         assert _close_to_scipy(got, float(special.logsumexp(row))), row
 
 
-def _reference_log_between(cum, x):
+def _reference_log_between(logf, cum, x):
     """The per-limit algorithm: the head [x, b_i] of the interpolant through
     panel i's K15 values, its mirrored Legendre series integrated by numpy's
     `legint` and summed by `legval`, and scipy's logsumexp of it and the
@@ -153,7 +154,7 @@ def _reference_log_between(cum, x):
     i = int(np.searchsorted(cum.panels.a, x, side="right")) - 1
     a, b = cum.panels.a[i], cum.panels.b[i]
     half = 0.5 * (b - a)
-    g = cum.logf(0.5 * (a + b) + half * _XK)
+    g = logf(0.5 * (a + b) + half * _XK)
     c = quadrature._TO_LEGENDRE @ np.exp(g - g.max()) * (-1.0) ** np.arange(15)
     tail = legendre_series.legval((b - x) / half - 1.0, legendre_series.legint(c, lbnd=-1.0))
     head = math.log(half) + g.max() + math.log(tail)
@@ -161,7 +162,8 @@ def _reference_log_between(cum, x):
 
 
 def test_batched_log_between_matches_scalar():
-    cum = _cumulative(lambda x: np.sin(x) - 2.0 * x, _NINE)
+    logf = lambda x: np.sin(x) - 2.0 * x
+    cum = _cumulative(logf, _NINE)
     starts = cum.panels.a
     xs = np.concatenate([starts, [1.0, 0.5, 9.0, 9.5, 12.0],
                          np.linspace(0.9, 9.3, 41)])
@@ -169,7 +171,7 @@ def test_batched_log_between_matches_scalar():
     assert batched.shape == xs.shape
     for x, v in zip(xs, batched):
         assert v == cum.log_between(float(x)), x
-        assert _close_to_scipy(v, _reference_log_between(cum, x)), x
+        assert _close_to_scipy(v, _reference_log_between(logf, cum, x)), x
     # a limit on a panel's start reads that panel whole; at and past hi, -inf
     assert cum.log_between(starts).tobytes() == cum._after[:-1].tobytes()
     assert cum.log_between(9.0) == cum.log_between(12.0) == -math.inf
@@ -184,16 +186,22 @@ def test_batched_k15_panels_equal_scalar_panels():
                               np.where(x > 40.0, np.inf, np.sin(x) - 2.0 * x))
     a = np.concatenate([[0.0, 39.0, 1.5, 2.0, 3.0, 3.0], rng.uniform(2.0, 30.0, 40)])
     b = a + np.concatenate([[1.0, 2.0, 1.0, 1.0, 4.0, 1e-9], rng.uniform(1e-9, 5.0, 40)])
-    for q in ((1, 0), (-3, 1)):
-        rows = kronrod_panel_log(logf, *q, a, b)
-        assert rows.shape == (len(a), 9)
+    for q in (None, (1, 0), (-3, 1)):
+        rows = kronrod_panel_log(logf, a, b, q)
+        assert rows.shape == (len(a), 20 if q is None else 41)
         for k in range(len(a)):
-            one = kronrod_panel_log(logf, *q, a[k:k + 1], b[k:k + 1])
+            one = kronrod_panel_log(logf, a[k:k + 1], b[k:k + 1], q)
             assert one.tobytes() == rows[k:k + 1].tobytes(), (q, k)
-        assert (rows[:2] == -math.inf).all()
+        assert (rows[:, :2] == np.column_stack([a, b])).all()
+        logs = rows[:, 2:5] if q is None else rows[:, 2:11]
+        assert (logs[:2] == -math.inf).all()
         # [1.5, 2.5] holds zeros of the integrand at q = (1, 0), poles at (-3, 1)
-        assert np.isfinite(rows[2 if q[0] > 0 else 3:, 1]).all()
-        assert (rows[2, :3] == -math.inf).all() == (q[0] < 0)
+        assert np.isfinite(logs[2 if q is None or q[0] > 0 else 3:, 0 if q is None else 1]).all()
+        assert (logs[2, :3] == -math.inf).all() == (q is not None and q[0] < 0)
+    # the value-only rows are the int f columns of the rows at q = (1, 0)
+    value, triple = kronrod_panel_log(logf, a, b), kronrod_panel_log(logf, a, b, (1, 0))
+    assert value[:, 2:5].tobytes() == np.ascontiguousarray(triple[:, 3:11:3]).tobytes()
+    assert value[:, 5:].tobytes() == np.ascontiguousarray(triple[:, 11:26]).tobytes()
 
 
 def test_log_cumulative_keeps_its_error_estimate():
@@ -219,8 +227,8 @@ def _one_call_per_panel(monkeypatch):
     """Make the loop's kernel compute its panels one call each."""
     batched = quadrature.kronrod_panel_log
 
-    def single(logf, q_out, q_in, a, b):
-        return np.concatenate([batched(logf, q_out, q_in, a[k:k + 1], b[k:k + 1])
+    def single(logf, a, b, triangle=None):
+        return np.concatenate([batched(logf, a[k:k + 1], b[k:k + 1], triangle)
                                for k in range(len(a))])
     monkeypatch.setattr(quadrature, "kronrod_panel_log", single)
 
@@ -291,16 +299,15 @@ def test_non_finite_limits_are_refused(a, b):
 
 
 def test_log_between_row_blocks_equal_scalar_calls():
-    cum = _cumulative(lambda x: np.log(2.0 + np.sin(8.0 * x)) - 0.1 * x,
-                      np.linspace(0.0, 40.0, 9), rtol=1e-13)
+    logf, calls = _counted(lambda x: np.log(2.0 + np.sin(8.0 * x)) - 0.1 * x)
+    cum = _cumulative(logf, np.linspace(0.0, 40.0, 9), rtol=1e-13)
     assert len(cum.panels) > 100
     rng = np.random.default_rng(7)
     x = rng.uniform(-1.0, 41.0, 600)   # some clipped at each end
-    cum.logf, calls = _counted(cum.logf)
+    calls.clear()
     batched = cum.log_between(x)
-    # the 600 heads in one call, on the nodes of the panels that hold them
-    held = np.unique(np.searchsorted(cum.panels.a, np.clip(x, 0.0, 40.0), side="right") - 1)
-    assert calls == [len(held) * 15] and len(held) < 600
+    # the 600 heads in one read, off the node values of the panels that hold them
+    assert calls == []
     scalar = np.array([cum.log_between(float(u)) for u in x])
     assert batched.tobytes() == scalar.tobytes()
     inside = x < 40.0
@@ -308,10 +315,12 @@ def test_log_between_row_blocks_equal_scalar_calls():
 
 
 def test_log_between_makes_one_call_of_logf():
-    cum = _cumulative(lambda x: np.sin(x) - 2.0 * x, _NINE)
-    cum.logf, calls = _counted(cum.logf)
+    # no call at all: the heads are read off the log integrands each panel kept
+    logf, calls = _counted(lambda x: np.sin(x) - 2.0 * x)
+    cum = _cumulative(logf, _NINE)
+    calls.clear()
     assert cum.log_between(np.linspace(1.2, 8.8, 60).reshape(30, 2)).shape == (30, 2)
-    assert len(calls) == 1 and calls[0] <= 15 * len(cum.panels) < 60 * 15
+    assert calls == []
 
 
 def _euclidean_n3_pass(rtol=1e-12):
@@ -324,20 +333,22 @@ def _euclidean_n3_pass(rtol=1e-12):
 def test_log_prefix_reads_the_closed_form_at_any_radius():
     log_total, _, panels = _euclidean_n3_pass()
     x = np.r_[1.0, np.random.default_rng(3).uniform(1.0, 20.0, 200), 20.0]
-    tri, int_f, int_h = np.exp(log_prefix(np.log, (-2, 0), panels, x))
+    tri, int_f, int_h = np.exp(log_prefix(panels, x))
     # the closed form cancels near x = 1, where it is only good to an ulp of 1
     assert_allclose(tri, np.log(x) - 1.0 + 1.0 / x, rtol=1e-13, atol=1e-15)
     assert_allclose(int_f, 1.0 - 1.0 / x, rtol=1e-13, atol=0.0)
     assert_allclose(int_h, x - 1.0, rtol=1e-13, atol=0.0)
     # the span's end reads the whole pass, up to the order of its sums
-    assert_allclose(log_prefix(np.log, (-2, 0), panels, 20.0), log_total, rtol=1e-14)
+    assert_allclose(log_prefix(panels, 20.0), log_total, rtol=1e-14)
 
 
 def test_log_prefix_at_panel_starts_is_the_sum_before_them():
-    _, _, panels = _euclidean_n3_pass()
     logf, calls = _counted(np.log)
-    got = log_prefix(logf, (-2, 0), panels, panels.a)
-    assert calls == [len(panels) * 15]   # every partial panel in one call
+    _, _, panels = adaptive_quad_log(logf, np.geomspace(1.0, 20.0, 9), rtol=1e-12,
+                                     triangle=(-2, 0))
+    calls.clear()
+    got = log_prefix(panels, panels.a)
+    assert calls == []   # every partial panel off the nodes its pass kept
     log_i, log_a, log_b = panels.log_val.T
     log_p = np.r_[-math.inf, np.logaddexp.accumulate(log_i)[:-1]]
     for row, whole in zip(got, (np.logaddexp(log_p + log_a, log_b), log_a, log_i)):
@@ -352,8 +363,8 @@ def test_log_prefix_refuses_x_outside_the_span_and_keeps_its_ends():
     for x in (0.97, np.nextafter(1.0, 0.0), np.nextafter(20.0, 21.0), 21.0, math.nan):
         with pytest.raises(ValueError, match=rf"x = {x:g} lies outside the panels' "
                                              r"span \[1, 20\]"):
-            log_prefix(np.log, (-2, 0), panels, [1.5, x])
-    ends = log_prefix(np.log, (-2, 0), panels, [1.0, 20.0])
+            log_prefix(panels, [1.5, x])
+    ends = log_prefix(panels, [1.0, 20.0])
     assert (ends[:, 0] == -math.inf).all()
     # the span's end reads the last panel whole: the sums before it, then
     # that panel's own bits
@@ -367,16 +378,16 @@ def test_log_prefix_batched_equals_scalar_reads():
     _, _, panels = adaptive_quad_log(PowerLog(2.0).log_phi, np.geomspace(1.0, 40.3, 9),
                                      rtol=1e-12, triangle=(-3, 1))
     x = np.random.default_rng(11).uniform(1.0, 40.3, 60)
-    batched = log_prefix(PowerLog(2.0).log_phi, (-3, 1), panels, x.reshape(30, 2))
+    batched = log_prefix(panels, x.reshape(30, 2))
     assert batched.shape == (3, 30, 2) and np.isfinite(batched).all()
-    scalar = np.column_stack([log_prefix(PowerLog(2.0).log_phi, (-3, 1), panels, u) for u in x])
+    scalar = np.column_stack([log_prefix(panels, u) for u in x])
     assert batched.reshape(3, -1).tobytes() == scalar.tobytes()
     # nor do a point's bits depend on the other panels a batch reads
-    wider = log_prefix(PowerLog(2.0).log_phi, (-3, 1), panels, np.r_[x, panels.a, 40.3])
+    wider = log_prefix(panels, np.r_[x, panels.a, 40.3])
     assert wider[:, :60].tobytes() == scalar.tobytes()
     # no panels: every read is empty
     empty = adaptive_quad_log(np.log, [1.0, 1.0], triangle=(-2, 0))[2]
-    assert (log_prefix(np.log, (-2, 0), empty, [1.0, 1.0]) == -math.inf).all()
+    assert (log_prefix(empty, [1.0, 1.0]) == -math.inf).all()
 
 
 def test_legendre_integrals_match_numpys_legint():
@@ -415,7 +426,7 @@ def test_log_prefix_within_its_pass_error_of_mpmath(n):
     _, log_err, panels = adaptive_quad_log(
         logf, np.geomspace(1.0, 12.0, 9), rtol=1e-12, triangle=(1 - n, n - 3))
     x = np.r_[panels.a[1::3], np.random.default_rng(n).uniform(1.0, 12.0, 12), 12.0]
-    got = np.exp(log_prefix(logf, (1 - n, n - 3), panels, x))
+    got = np.exp(log_prefix(panels, x))
     for j, u in enumerate(x):
         exact = _mp_hyperbolic_columns(n, u)
         assert np.all(np.abs(got[:, j] - exact) <= np.exp(log_err)), (u, got[:, j], exact)
@@ -449,5 +460,71 @@ def test_reads_on_a_panel_end_warn_of_nothing():
     assert np.isfinite(cum.log_between(np.nextafter(ends, 0.0))).all()
     assert np.isfinite(cum.log_between(ends[:-1])).all()
     _, _, panels = _euclidean_n3_pass()
-    near = log_prefix(np.log, (-2, 0), panels, np.r_[np.nextafter(panels.a, 30.0), panels.b])
+    near = log_prefix(panels, np.r_[np.nextafter(panels.a, 30.0), panels.b])
     assert not np.isnan(near).any() and np.isfinite(near[:, -1]).all()
+
+
+# The bit-for-bit oracle: the kernel, the loop and the readers in their
+# earlier form (`k15_reference`), which stacked, tiled and split arrays and
+# called logf again for every read.
+
+def _same_fields(got, want):
+    return all(np.ascontiguousarray(got[name]).tobytes()
+               == np.ascontiguousarray(want[name]).tobytes()
+               for name in ("a", "b", "log_val", "log_err", "log_fix"))
+
+
+_TABLE_GRID = np.geomspace(1e-4, 30.0, 400)
+_ORACLE_WARPS = [Hyperbolic(1.0), Hyperbolic(0.3), PowerGrowth(2.0), PowerGrowth(1.3),
+                 PowerLog(2.0), PowerLog(1.2), Euclidean(),
+                 Tabulated(_TABLE_GRID, *Hyperbolic(1.0).eval(_TABLE_GRID))]
+
+
+@pytest.mark.parametrize("w", _ORACLE_WARPS, ids=repr)
+def test_passes_and_reads_keep_the_bits_of_their_earlier_form(w):
+    R = 20.0 if isinstance(w, Tabulated) else 100.0
+    for n in (2, 3, 4, 5):
+        q = (1 - n, n - 3)
+        for rtol in (1e-10, 1e-12):
+            got = adaptive_quad_log(w.log_phi, criterion._edges(w, R), rtol=rtol, triangle=q)
+            want = reference.adaptive_quad_log(w.log_phi, criterion._edges(w, R), rtol=rtol,
+                                               triangle=q)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+            assert _same_fields(got[2], want[2]), (n, rtol)
+            # the growth bound's reads, at panel starts, inside panels and at R
+            x = np.r_[want[2].a[1::3], np.random.default_rng(n).uniform(1.0, R, 40), R]
+            assert (log_prefix(got[2], x).tobytes()
+                    == reference.log_prefix(w.log_phi, q, want[2], x).tobytes()), (n, rtol)
+        # one integral of phi^(1-n), and its suffix reads: tau's at n = 2
+        logf = lambda t: (1 - n) * w.log_phi(t)
+        got = adaptive_quad_log(logf, np.geomspace(1e-3, 1.0, 17), rtol=1e-14)
+        want = reference.adaptive_quad_log(logf, np.geomspace(1e-3, 1.0, 17), rtol=1e-14)
+        assert got[:2] == want[:2] and _same_fields(got[2], want[2]), n
+        x = np.r_[want[2].a, np.random.default_rng(n).uniform(1e-3, 1.0, 40)]
+        assert (LogCumulative(got[2]).log_between(x).tobytes()
+                == reference.LogCumulative(logf, want[2]).log_between(x).tobytes()), n
+
+
+def test_kernel_rows_keep_the_bits_of_their_earlier_form():
+    # the rows of test_batched_k15_panels_equal_scalar_panels, zero and
+    # infinite ones included; the value-only rows at q = (1, 0)
+    rng = np.random.default_rng(5)
+    logf = lambda x: np.where(x < 2.0, -np.inf,
+                              np.where(x > 40.0, np.inf, np.sin(x) - 2.0 * x))
+    a = np.concatenate([[0.0, 39.0, 1.5, 2.0, 3.0, 3.0], rng.uniform(2.0, 30.0, 40)])
+    b = a + np.concatenate([[1.0, 2.0, 1.0, 1.0, 4.0, 1e-9], rng.uniform(1e-9, 5.0, 40)])
+    for q in ((1, 0), (-3, 1), (-2, 0)):
+        want = reference.kronrod_panel_log(logf, *q, a, b)
+        assert np.ascontiguousarray(kronrod_panel_log(logf, a, b, q)[:, 2:11]).tobytes() \
+            == want.tobytes(), q
+    value = kronrod_panel_log(logf, a, b)[:, 2:5]
+    want = reference.kronrod_panel_log(logf, 1, 0, a, b)
+    assert np.ascontiguousarray(value).tobytes() == np.ascontiguousarray(want[:, 1::3]).tobytes()
+    # and the loop over them, value only and in triples
+    for name, (logf, lo, hi, triangle) in sorted(_INTEGRANDS.items()):
+        for q in {None, triangle}:
+            got = adaptive_quad_log(logf, np.linspace(lo, hi, 4), rtol=1e-12, triangle=q)
+            want = reference.adaptive_quad_log(logf, np.linspace(lo, hi, 4), rtol=1e-12,
+                                               triangle=q)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert _same_fields(got[2], want[2]), (name, q)

@@ -228,8 +228,7 @@ def _trace_and_bound_alone(profile):
     residual = xp + np.exp(math.log(lam2) + 2 * np.log(x) - (n - 1) * log_phi) - source
     A = float(x[np.argmin(np.abs(s_grid - 1.0))])
     B = float(profile.interp(1.0))
-    log_t, log_f, _ = radial._quadrature.log_prefix(
-        w.log_phi, (1 - n, n - 3), criterion_at(profile).panels, s_grid)
+    log_t, log_f, _ = radial._quadrature.log_prefix(criterion_at(profile).panels, s_grid)
     return residual, np.exp(math.log(B) + lam2 * (A * np.exp(log_f) + np.exp(log_t)))
 
 

@@ -252,6 +252,24 @@ def test_columns_are_read_by_name(tmp_path):
         assert _same_bits(t._c, three._c)
 
 
+def test_columns_are_read_in_any_order_across_line_ends_and_blank_lines(tmp_path):
+    # CRLF line ends, the columns in another order beside one more, and a
+    # trailing blank line give the plain table's interpolant, bit for bit
+    w = Hyperbolic(1.0)
+    grid = np.geomspace(1e-4, 30.0, 400)
+    phi, dphi = w.eval(grid)
+    plain = load_tabulated_csv(write_tabulated_csv(tmp_path / "plain.csv", w, grid))
+    mixed = tmp_path / "mixed.csv"
+    with open(mixed, "w", newline="") as fh:
+        fh.write("dphi,r,extra,phi\r\n")
+        for r, p, d in zip(grid, phi, dphi):
+            fh.write(f"{d:.17g},{r:.17g},x,{p:.17g}\r\n")
+        fh.write("\r\n")
+    t = load_tabulated_csv(mixed)
+    assert _same_bits(t.grid, plain.grid)
+    assert _same_bits(t._c, plain._c)
+
+
 def test_a_cubic_log_phi_in_log_r_is_reproduced_to_rounding():
     # the interpolant is the cubic Hermite of log phi in s = log r through
     # the sampled slopes r phi'/phi, so a warp whose log phi is a cubic in s
