@@ -44,7 +44,7 @@ from .errors import (InvalidTolerance, NotConvergent, OutOfDomain,
 from .quadrature import adaptive_quad_log, logsumexp
 from .report import round12, round_up_3
 from .warp import (ExponentialGrowth, PowerLawGrowth, PowerLogGrowth,
-                   UnknownGrowth, WarpingFunction)
+                   UnknownGrowth, WarpingFunction, with_breakpoints)
 
 CONVERGENT = "Convergent"
 DIVERGENT = "Divergent"
@@ -398,12 +398,6 @@ class _TailModel:
                 + q2 * (log_khi if q2 >= 0 else log_klo))
         return lo_f + psi_bracket[0], hi_f + psi_bracket[1]
 
-    def log_inner_bracket(self, R):
-        return self._compose(1 - self.n, 0, self.log_psi_inner(R), R)
-
-    def log_double_bracket(self, R):
-        return self._compose(self.n - 3, 1 - self.n, self.log_psi_double(R), R)
-
 
 # ---------------------------------------------------------------------------
 # The finite part: one pass of panel triples over [1, R]
@@ -414,9 +408,8 @@ def _edges(w, R):
     (a K15 panel over many decades has no node near its left end, where a
     decaying integrand has its mass), and phi's breakpoints; R <= 1: none."""
     top = max(R, 1.0)
-    edges = np.geomspace(1.0, top, max(8, math.ceil(math.log10(top))) + 1)
-    inside = [x for x in w.breakpoints if 1.0 < x < R and x not in edges]
-    return np.sort(np.r_[edges, inside])
+    return with_breakpoints(
+        w, np.geomspace(1.0, top, max(8, math.ceil(math.log10(top))) + 1))
 
 
 def _shared_value(shared, key, compute):
@@ -490,16 +483,16 @@ def _tail_brackets(n, model, R, double=True, shared=None):
     inner bracket, which both integrals need at the one R of a `classify`
     call, is kept in `shared`.
     """
-    def tail(bracket):
-        lo, hi = bracket(R)
+    def tail(q1, q2, log_psi):
+        lo, hi = model._compose(q1, q2, log_psi(R), R)
         return lo - 4 * math.ulp(lo), hi + 4 * math.ulp(hi)
 
-    inner = _shared_value(shared, ("inner", R), lambda: tail(model.log_inner_bracket))
+    inner = _shared_value(shared, ("inner", R), lambda: tail(1 - n, 0, model.log_psi_inner))
     if not double:
         return inner, None
     if n == 2:
         return inner, tuple(2.0 * b - math.log(2.0) for b in inner)
-    return inner, tail(model.log_double_bracket)
+    return inner, tail(n - 3, 1 - n, model.log_psi_double)
 
 
 def _certify(w, n, tol, r_max, double, shared):

@@ -39,9 +39,10 @@ partial panels and the radial solve's collocation panels also read, with
 `_TO_LEGENDRE`, the Legendre coefficients of the interpolant through the
 15 nodes.
 
-`logsumexp` is the plain stable form max + log(sum(exp(a - max))) in numpy.
-It agrees with `scipy.special.logsumexp` to a few ulp, at a fraction of the
-per-call overhead on the short arrays this module sums.
+`_logsumexp_rows` is the plain stable form max + log(sum(exp(a - max))) in
+numpy, row by row, and `logsumexp` is its one row.  It agrees with
+`scipy.special.logsumexp` to a few ulp, at a fraction of the per-call
+overhead on the short arrays this module sums.
 """
 
 from __future__ import annotations
@@ -121,18 +122,14 @@ _TO_LEGENDRE[0] = 0.5 * _WK
 
 
 def logsumexp(a):
-    """log(sum(exp(a))) of a 1-D sequence; -inf if it is empty."""
+    """`_logsumexp_rows` of a 1-D sequence as its one row; -inf if it is empty."""
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return -math.inf
-    m = a.max()
-    if not math.isfinite(m):
-        return float(m)   # all -inf, or a +inf or nan term decides the sum
-    return float(m + np.log(np.exp(a - m).sum()))
+    return float(_logsumexp_rows(a[None])[0]) if a.size else -math.inf
 
 
 def _logsumexp_rows(a):
-    """`logsumexp` of each row of a 2-D array."""
+    """log(sum(exp(row))) of each row of a 2-D array; the max where it is not
+    finite (all -inf, or a +inf or nan term decides the sum)."""
     m = a.max(axis=1)
     if np.isfinite(m).all():   # each row summed from a C-contiguous copy
         d = np.subtract(a, m[:, None], order="C")

@@ -56,7 +56,7 @@ from .errors import (DegenerateProfile, MalformedArtifact, NonPositiveWarp,
                      TailNotTight)
 from .report import round_up_3, write_json_atomic
 from .spectrum import EigenMode
-from .warp import WarpingFunction, phi_on
+from .warp import WarpingFunction, phi_on, with_breakpoints
 
 _DEFAULT_R0 = 1e-3
 _GRID_SIZE = 800
@@ -116,7 +116,7 @@ class RadialProfile:
     limit_error: float
     normalized: bool
     r0: float
-    _dense: object = None      # s = log r -> (log raw phi_m, z); None at m = 0
+    _dense: object = None      # s = log r -> (log raw phi_m, z); None if constant
     _scale: float = 1.0        # divisor applied to the raw solution
     _memo: _Memo = field(default_factory=_Memo)   # shared by one solve's profiles
 
@@ -244,10 +244,8 @@ _NEWTON_RTOL = 1e-10     # converged: the error left is about its square
 
 class OdeResult(NamedTuple):
     t: np.ndarray                   # the panel edges in s, the span's start first
-    sol: PanelSolution | None       # None when the solve failed
+    sol: PanelSolution
     nfev: int                       # right-hand sides of the stack at one node
-    success: bool
-    message: str
 
 
 class PanelSolution:
@@ -339,8 +337,8 @@ def solve_ivp(w: WarpingFunction, n: int, lam2, s_span, y0, rtol: float) -> OdeR
     is 0.9 ratio^(-1/14) times this one, within [1/5, 3]; a Newton solve
     that does not converge or overflows is rejected with the cut 1/5, and
     without a warning.  Panel edges fall on the warp's breakpoints, the
-    first panel is at most 1 long, and only a panel below rounding ends
-    the solve unsuccessfully.  phi <= 0 at a node raises NonPositiveWarp.
+    first panel is at most 1 long, and a panel below rounding raises
+    StepSizeUnderflow.  phi <= 0 at a node raises NonPositiveWarp.
     `nfev` counts right-hand sides of the stack at one node: 15 per Newton
     iteration and per accepted panel.
     """
@@ -356,8 +354,8 @@ def solve_ivp(w: WarpingFunction, n: int, lam2, s_span, y0, rtol: float) -> OdeR
     while s < s_end:
         b = min(s + h, next(b for b in stops if b > s))
         if b - s < 10 * (np.nextafter(s, math.inf) - s):
-            return OdeResult(np.array(edges), None, nfev, False,
-                             f"the panel at s = {s:.17g} fell below rounding")
+            raise StepSizeUnderflow(f"radial integration failed: the panel at "
+                                    f"s = {s:.17g} fell below rounding")
         half = 0.5 * (b - s)
         r = np.exp(0.5 * (s + b) + half * _XK)
         phi, dphi = w.eval(r)
@@ -380,8 +378,7 @@ def solve_ivp(w: WarpingFunction, n: int, lam2, s_span, y0, rtol: float) -> OdeR
         coefficients.append(c)
         s, y = b, y_new
     return OdeResult(np.array(edges), PanelSolution(
-        np.array(edges), np.array(starts), np.array(coefficients)), nfev, True,
-        "the solver reached the end of the span")
+        np.array(edges), np.array(starts), np.array(coefficients)), nfev)
 
 
 def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
@@ -424,8 +421,6 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     sol = solve_ivp(w, n, [modes[i].lambda_sq for i in solved],
                     (math.log(r_launch), math.log(r_max)), y0,
                     rtol=min(max(tol * 1e-4, 1e-13), 1e-12))
-    if not sol.success:
-        raise StepSizeUnderflow(f"radial integration failed: {sol.message}")
 
     stack = sol.sol(np.log(grid))
     for j, (i, l) in enumerate(zip(solved, ls)):
@@ -470,10 +465,8 @@ class _ConformalTime:
 
         def logf(t):
             return -w.log_phi(t)
-        edges = np.geomspace(_DEFAULT_R0, 1.0, _NEAR_PANELS + 1)
-        inside = [x for x in w.breakpoints if edges[0] < x < 1.0 and x not in edges]
-        near = _quadrature.adaptive_quad_log(logf, np.sort(np.r_[edges, inside]),
-                                             rtol=_TAU_RTOL)[2]
+        near = _quadrature.adaptive_quad_log(logf, with_breakpoints(
+            w, np.geomspace(_DEFAULT_R0, 1.0, _NEAR_PANELS + 1)), rtol=_TAU_RTOL)[2]
         far = criterion.panels   # triples (-1, -1): int phi^-1 is A, of f = phi^-1
         one = {"a": far.a, "b": far.b, "log_val": far.log_val[:, 1],
                "log_err": far.log_err[:, 1], "log_fix": far.log_fix[:, 1],
@@ -510,7 +503,7 @@ def _conformal_rows(tau: _ConformalTime, lam: float):
 
 def conformal_modes(w: WarpingFunction, modes,
                     criterion: _criterion.CriterionReport) -> list[RadialProfile]:
-    """The normalized n = 2 profiles exp(-lambda tau) of every mode.
+    """The normalized n = 2 profiles exp(-lambda tau) of every mode, m = 0 too.
 
     The grid is the one `solve_modes` uses, up to the R of `criterion`, the
     Convergent `march_criterion` report of (w, 2) that tau reads, with no
@@ -525,9 +518,6 @@ def conformal_modes(w: WarpingFunction, modes,
     t, rho = tau(np.log(grid))
     profiles = []
     for mode in modes:
-        if mode.m == 0:
-            profiles.append(_constant_profile(w, 2, mode, grid, tau.memo))
-            continue
         lam = math.sqrt(mode.lambda_sq)
         values = np.exp(-lam * t)
         profiles.append(RadialProfile(

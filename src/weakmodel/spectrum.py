@@ -1,11 +1,11 @@
 """Spectral data of the round sphere S^{n-1} and boundary-data projection.
 
-Eigenvalues lambda_m^2 = m(m+n-2) are provided for every n >= 2;
-eigenfunction evaluation and quadrature are implemented for n = 2 (circle,
-Fourier basis) and n = 3 (sphere, real spherical harmonics).  Any other
-cross-section metric can be plugged in through the SphereSpectrum interface
-since the radial machinery only consumes (eigenvalue, multiplicity,
-eigenfunction, quadrature) tuples.
+Eigenvalues lambda_m^2 = m(m+n-2) and their multiplicities are provided
+for every n >= 2; eigenfunction evaluation and quadrature are implemented
+for n = 2 (circle, Fourier basis) and n = 3 (sphere, real spherical
+harmonics).  Any other cross-section metric can be plugged in through the
+SphereSpectrum interface since the radial machinery only consumes
+(eigenvalue, multiplicity, eigenfunction, quadrature) tuples.
 
 Index convention: within eigenvalue m, k = 0 is the zonal/cosine-leading
 eigenfunction; odd k are cos-type, even k > 0 are sin-type azimuthal orders.
@@ -28,7 +28,7 @@ from .errors import (GridTooCoarse, IndexOutOfRange, MalformedArtifact,
 class EigenMode:
     m: int
     lambda_sq: float
-    multiplicity: int | None  # None when unavailable (n not in {2, 3})
+    multiplicity: int
 
 
 def eigen_round_sphere(n: int, m: int) -> EigenMode:
@@ -37,22 +37,13 @@ def eigen_round_sphere(n: int, m: int) -> EigenMode:
         raise UnsupportedDimension(f"need n >= 2, got {n}")
     if m < 0:
         raise IndexOutOfRange(f"need m >= 0, got {m}")
-    lam2 = float(m * (m + n - 2))
-    if n == 2:
-        mult = 1 if m == 0 else 2
-    elif n == 3:
-        mult = 2 * m + 1
-    else:
-        mult = 1 if m == 0 else None
-    return EigenMode(m=m, lambda_sq=lam2, multiplicity=mult)
+    # the dimension of degree-m harmonics on S^{n-1} (Stein and Weiss, 1971, IV)
+    mult = math.comb(m + n - 1, n - 1) - math.comb(max(m + n - 3, 0), n - 1)
+    return EigenMode(m=m, lambda_sq=float(m * (m + n - 2)), multiplicity=mult)
 
 
 def multiplicity(n: int, m: int) -> int:
-    mode = eigen_round_sphere(n, m)
-    if mode.multiplicity is None:
-        raise UnsupportedDimension(
-            f"eigenfunction data only available for n in {{2, 3}}, got n={n}")
-    return mode.multiplicity
+    return eigen_round_sphere(n, m).multiplicity
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +82,9 @@ def eigenfunction_eval(n: int, m: int, k: int, omega):
     n=2: omega is an angle theta (scalar or array).
     n=3: omega is (colatitude, longitude), each scalar or array.
     """
+    if n not in (2, 3):
+        raise UnsupportedDimension(
+            f"eigenfunction data only available for n in {{2, 3}}, got n={n}")
     mult = multiplicity(n, m)
     if not 0 <= k < mult:
         raise IndexOutOfRange(f"k={k} outside 0..{mult - 1} for n={n}, m={m}")

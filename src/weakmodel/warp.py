@@ -90,6 +90,12 @@ class WarpingFunction:
                 "weak-model axioms")
 
 
+def with_breakpoints(w: WarpingFunction, edges):
+    """The sorted edges of a pass, with w's breakpoints inside their span added."""
+    inside = [x for x in w.breakpoints if edges[0] < x < edges[-1] and x not in edges]
+    return np.sort(np.r_[edges, inside])
+
+
 class Euclidean(WarpingFunction):
     """phi(r) = r."""
 

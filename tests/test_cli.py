@@ -394,6 +394,16 @@ def test_verify_full_suite(tmp_path, capsys):
     assert all(c["passed"] for c in rep["checks"])
 
 
+@pytest.mark.parametrize("n,slack", [(3, "1e-9"), (4, "1e-9 max(1, phi^(n-3))")])
+def test_verify_prints_the_riccati_slack_it_checks(tmp_path, n, slack):
+    # at n >= 4 the inequality allows rounding that grows with phi^(n-3)
+    assert run(["verify", "--family", "powergrowth", "--p", "0.8", "--n", str(n),
+                "--modes", "2", "--out", str(tmp_path / "v")]) == 0
+    rep = json.loads((tmp_path / "v" / "verify.json").read_text())
+    detail = {c["name"]: c["detail"] for c in rep["checks"]}["riccati_inequality"]
+    assert detail == f"x' <= phi^(n-3) + {slack} pointwise"
+
+
 def test_verify_traces_and_certifies_each_profile_once(tmp_path, monkeypatch):
     traces = count_calls(monkeypatch, radial, "riccati_trace")
     certs = count_calls(monkeypatch, criterion, "tail_certificate")

@@ -731,8 +731,8 @@ def test_convergent_report_holds_its_tail_certificate(monkeypatch, w, n):
     # each bracket once.  A transience report holds none
     from weakmodel import criterion
     quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
-    inner = count_calls(monkeypatch, criterion._TailModel, "log_inner_bracket")
-    double = count_calls(monkeypatch, criterion._TailModel, "log_double_bracket")
+    inner = count_calls(monkeypatch, criterion._TailModel, "log_psi_inner")
+    double = count_calls(monkeypatch, criterion._TailModel, "log_psi_double")
     report = march_criterion(w, n)
     assert report.verdict == CONVERGENT
     assert len([c for c in quads if c[1][0] == 1.0]) == len(inner) == 1
@@ -908,7 +908,7 @@ def test_n2_classify_integrates_once(monkeypatch, w):
     # Exponential and power tails make no quadrature, so C is the only one
     from weakmodel import criterion
     calls = count_calls(monkeypatch, criterion, "adaptive_quad_log")
-    tails = count_calls(monkeypatch, criterion._TailModel, "log_inner_bracket")
+    tails = count_calls(monkeypatch, criterion._TailModel, "log_psi_inner")
     march, trans = criterion.classify(w, 2, tol=1e-8)
     assert march.verdict == trans.verdict == CONVERGENT
     assert len(tails) == 1, tails
@@ -923,7 +923,7 @@ def test_classify_refines_each_inner_tail_once(monkeypatch, w):
     # no quadrature; power-log makes one per tail, on [0, 48] in v = log(t/R)
     # for its inner tail and its double tail alike, so its inner one is shared
     from weakmodel import criterion
-    tails = count_calls(monkeypatch, criterion._TailModel, "log_inner_bracket")
+    tails = count_calls(monkeypatch, criterion._TailModel, "log_psi_inner")
     quads = count_calls(monkeypatch, criterion, "adaptive_quad_log")
     criterion.classify(w, 3, tol=1e-8)
     inner_radii = [c[1] for c in tails]

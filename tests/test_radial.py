@@ -800,6 +800,19 @@ def test_conformal_modes_start_where_the_tail_bracket_holds():
     assert zero.r_max == one.r_max and np.all(zero.values == 1.0)
 
 
+def test_conformal_constant_mode_is_exp_of_zero_tau():
+    # m = 0 is exp(-0 tau), built like every mode: the bits and the record
+    # of the constant 1 that solve_modes gives on the same grid
+    w = Hyperbolic(1.0)
+    zero, = _conformal(w, [eigen_round_sphere(2, 0)])
+    const, = solve_modes(w, 2, [eigen_round_sphere(2, 0)], r_max=zero.r_max)
+    assert zero.grid.tobytes() == const.grid.tobytes()
+    assert zero.values.tobytes() == const.values.tobytes() == np.ones(800).tobytes()
+    assert zero.derivs.tobytes() == const.derivs.tobytes() == np.zeros(800).tobytes()
+    assert zero.metadata() == const.metadata()
+    assert zero.limit_error == 0.0 and zero.interp(0.5) == 1.0
+
+
 @pytest.mark.parametrize("w", [Hyperbolic(1.0), PowerGrowth(2.0)],
                          ids=["hyperbolic", "powergrowth"])
 def test_ode_solve_matches_closed_form_at_n2(w):

@@ -22,9 +22,27 @@ def test_eigenvalues_and_multiplicities():
     assert mode.lambda_sq == 6.0 and mode.multiplicity == 5
     mode = eigen_round_sphere(7, 0)
     assert mode.lambda_sq == 0.0 and mode.multiplicity == 1
-    assert eigen_round_sphere(7, 2).multiplicity is None
+    assert eigen_round_sphere(7, 2).multiplicity == 27
     assert eigen_round_sphere(2, 0).multiplicity == 1
     assert eigen_round_sphere(3, 5).multiplicity == 11
+
+
+def test_multiplicity_is_the_dimension_of_the_harmonics_at_every_n():
+    # C(m+n-1, n-1) - C(m+n-3, n-1), in the closed forms at n = 4 and 5
+    for m in range(9):
+        assert multiplicity(4, m) == (m + 1) ** 2
+        assert multiplicity(5, m) == (m + 1) * (m + 2) * (2 * m + 3) // 6
+    # at n = 2 and 3, the number of eigenfunctions eigenfunction_eval indexes
+    for n, omega in [(2, 0.3), (3, (0.3, 0.4))]:
+        for m in range(9):
+            for k in range(multiplicity(n, m)):
+                assert np.isfinite(eigenfunction_eval(n, m, k, omega))
+            with pytest.raises(IndexOutOfRange):
+                eigenfunction_eval(n, m, multiplicity(n, m), omega)
+    # eigenfunctions at other n are refused, whatever m
+    for m in (0, 1):
+        with pytest.raises(UnsupportedDimension, match=r"n in \{2, 3\}, got n=4"):
+            eigenfunction_eval(4, m, 0, 0.0)
 
 
 def test_eigenvalue_oracle_discrete_laplacian():
