@@ -34,11 +34,16 @@ class HarmonicExtension:
     truncation_error_bound: float
     criterion: _criterion.CriterionReport
     spectrum: SphereSpectrum = None
-    numeric_slack: float = 0.0
 
     @property
     def r_max(self):
         return min(p.r_max for p in self.profiles.values())
+
+    @property
+    def numeric_slack(self):
+        """The largest limit_error of the modes the data use."""
+        return max((self.profiles[m].limit_error for (m, _), c in self.coeffs.items()
+                    if c != 0.0), default=0.0)
 
 
 def _truncation_bound(f: BoundaryData, coeffs: CoefficientTable,
@@ -100,8 +105,7 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     alone, by `suggest_rmax`'s search in log R from the report's
     certificate, kept if its tail delta is tight (constant data keep R);
     every m <= M is then solved once, as one stack, at that radius, and
-    normalized with its own tail delta.  `numeric_slack` is the largest
-    limit_error of the modes the data use.
+    normalized with its own tail delta.
     """
     if spectrum is None:
         spectrum = RoundSphere(n)
@@ -141,12 +145,11 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
         raw = _radial.solve_modes(w, n, modes, r_max=cert.r_max, tol=tol)
         profiles = {m: _radial.normalize_profile(prof, cert)
                     for m, prof in enumerate(raw)}
-    slack = max((profiles[m].limit_error for m in used), default=0.0)
 
     return HarmonicExtension(
         warp=w, n=n, M=M, profiles=profiles, coeffs=coeffs,
         truncation_error_bound=_truncation_bound(f, coeffs, spectrum, M),
-        criterion=criterion, spectrum=spectrum, numeric_slack=slack)
+        criterion=criterion, spectrum=spectrum)
 
 
 def _angular_parts(ext: HarmonicExtension, omega):

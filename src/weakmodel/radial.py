@@ -108,21 +108,30 @@ class RadialProfile:
     mode: EigenMode
     n: int
     warp: WarpingFunction
-    indicial_l: float
     grid: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
-    limit_estimate: float      # math.inf when the mode is unbounded
     limit_error: float
     normalized: bool
-    r0: float
-    _dense: object = None      # s = log r -> (log raw phi_m, z); None if constant
+    _dense: object             # s = log r -> (log raw phi_m, z)
     _scale: float = 1.0        # divisor applied to the raw solution
     _memo: _Memo = field(default_factory=_Memo)   # shared by one solve's profiles
 
     @property
+    def r0(self):
+        return float(self.grid[0])
+
+    @property
     def r_max(self):
         return float(self.grid[-1])
+
+    @property
+    def indicial_l(self):
+        return indicial_exponent(self.n, self.mode.lambda_sq)
+
+    @property
+    def limit_estimate(self):   # math.inf while the profile is raw, unbounded
+        return 1.0 if self.normalized else math.inf
 
     def _solution(self, r, ds=False):
         """The dense rows (log raw phi_m, z) at r, or with `ds` their exact
@@ -141,9 +150,6 @@ class RadialProfile:
         scalar = r.ndim == 0
         r = np.atleast_1d(r).copy()
         out = np.empty_like(r)
-        if self.mode.m == 0:
-            out[:] = self.values[0]
-            return float(out[0]) if scalar else out
         below = r < self.r0
         inside = ~below
         if np.any(inside):
@@ -199,20 +205,21 @@ def load_profile_csv(path):
 def _cubic_beta(w: WarpingFunction) -> float:
     """beta3 of phi = r + beta3 r^3 + O(r^5), by a finite difference at 1e-2.
 
-    Recovered numerically so that tabulated data works too; 0 when the warp
-    cannot be evaluated there.
+    Recovered numerically so that tabulated data works too; 0 when r = 1e-2
+    lies off a table's hull.
     """
     h = 1e-2
     try:
         phi_h = float(w.eval(h)[0])
-    except Exception:
+    except OutOfDomain:
         return 0.0
     return (phi_h - h) / h ** 3
 
 
-def _launch_state(n, l, lam2, beta3, r_launch, rho0):
-    """(u, z) at r_launch from phi_m ~ r^l (1 + kappa2 r^2), with
-    rho0 = r_launch / phi(r_launch)."""
+def _launch_state(n, lam2, beta3, r_launch, rho0):
+    """(u, z) at r_launch from phi_m ~ r^l (1 + kappa2 r^2), l the indicial
+    exponent, with rho0 = r_launch / phi(r_launch)."""
+    l = indicial_exponent(n, lam2)
     kappa2 = -beta3 * (l * (n - 1) + lam2) / (2.0 * l + n)
     u0 = l * math.log(r_launch) + math.log1p(kappa2 * r_launch ** 2)
     w0 = (l + (l + 2) * kappa2 * r_launch ** 2) / (1.0 + kappa2 * r_launch ** 2)
@@ -221,12 +228,11 @@ def _launch_state(n, l, lam2, beta3, r_launch, rho0):
 
 def _constant_profile(w, n, mode, grid, memo):
     """The m = 0 profile: the constant 1, normalized and exact, with the
-    memo of the solve it belongs to."""
+    memo of the solve it belongs to.  Its dense rows are (log 1, z) = 0."""
     return RadialProfile(
-        mode=mode, n=n, warp=w, indicial_l=0.0, grid=grid,
-        values=np.ones_like(grid), derivs=np.zeros_like(grid),
-        limit_estimate=1.0, limit_error=0.0, normalized=True,
-        r0=float(grid[0]), _memo=memo)
+        mode=mode, n=n, warp=w, grid=grid, values=np.ones_like(grid),
+        derivs=np.zeros_like(grid), limit_error=0.0, normalized=True,
+        _dense=lambda s, ds=False: np.zeros((2,) + np.shape(s)), _memo=memo)
 
 
 def _mode_rows(memo, dense, j):
@@ -404,16 +410,15 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
     if not solved:
         return profiles
 
-    r_launch = r0 or _DEFAULT_R0
+    r_launch = float(grid[0])
     if r_max <= 1.0:
         raise ValueError(f"r_max must exceed 1, got {r_max}")
     rho = grid / phi_on(w, grid, f"inside [{grid[0]:g}, {grid[-1]:g}]; the "
                                  "radial solve needs a smaller r_max")
     beta3 = _cubic_beta(w)
     rho0 = r_launch / float(w.eval(r_launch)[0])
-    ls = [indicial_exponent(n, modes[i].lambda_sq) for i in solved]
-    y0 = [v for i, l in zip(solved, ls)
-          for v in _launch_state(n, l, modes[i].lambda_sq, beta3, r_launch, rho0)]
+    y0 = [v for i in solved
+          for v in _launch_state(n, modes[i].lambda_sq, beta3, r_launch, rho0)]
     # pure relative control on z, which stays positive and away from 0
     # (between l/lambda^2 and 1 at n = 3), so x = r phi^{n-3} z keeps the
     # relative accuracy the Riccati trace reads; the G7 estimate is so
@@ -423,15 +428,14 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
                     rtol=min(max(tol * 1e-4, 1e-13), 1e-12))
 
     stack = sol.sol(np.log(grid))
-    for j, (i, l) in enumerate(zip(solved, ls)):
+    for j, i in enumerate(solved):
         values = np.exp(stack[2 * j])
         wlog = modes[i].lambda_sq * rho * rho * stack[2 * j + 1]
         derivs = values * wlog / grid
         profiles[i] = RadialProfile(
-            mode=modes[i], n=n, warp=w, indicial_l=l, grid=grid, values=values,
-            derivs=derivs, limit_estimate=math.inf, limit_error=math.inf,
-            normalized=False, r0=float(grid[0]), _dense=_mode_rows(memo, sol.sol, j),
-            _memo=memo)
+            mode=modes[i], n=n, warp=w, grid=grid, values=values, derivs=derivs,
+            limit_error=math.inf, normalized=False,
+            _dense=_mode_rows(memo, sol.sol, j), _memo=memo)
     return profiles
 
 
@@ -521,10 +525,9 @@ def conformal_modes(w: WarpingFunction, modes,
         lam = math.sqrt(mode.lambda_sq)
         values = np.exp(-lam * t)
         profiles.append(RadialProfile(
-            mode=mode, n=2, warp=w, indicial_l=indicial_exponent(2, mode.lambda_sq),
-            grid=grid, values=values, derivs=lam * values * rho / grid,
-            limit_estimate=1.0, limit_error=lam * tau.error, normalized=True,
-            r0=float(grid[0]), _dense=_conformal_rows(tau, lam), _memo=tau.memo))
+            mode=mode, n=2, warp=w, grid=grid, values=values,
+            derivs=lam * values * rho / grid, limit_error=lam * tau.error,
+            normalized=True, _dense=_conformal_rows(tau, lam), _memo=tau.memo))
     return profiles
 
 
@@ -592,7 +595,6 @@ def normalize_profile(profile: RadialProfile,
         profile,
         values=profile.values / limit,
         derivs=profile.derivs / limit,
-        limit_estimate=1.0,
         limit_error=delta,
         normalized=True,
         _scale=profile._scale * limit)
@@ -744,11 +746,6 @@ def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace,
         raise DegenerateProfile(f"the growth bound starts at r = 1 and ends at the "
                                 f"criterion's r_max = {criterion.r_max:g}, and the "
                                 f"trace grid reaches r = {lo if lo < 1.0 else hi:g}")
-
-    if lam2 == 0:
-        bound = np.full_like(s_grid, trace.B)
-        ok = bool(np.all(profile.interp(s_grid) <= bound * (1 + 1e-8)))
-        return bound, ok
 
     log_t, log_f, _ = profile._memo.get(
         ("exponent", w, n, criterion.panels.tobytes()), s_grid, lambda x:

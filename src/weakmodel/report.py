@@ -1,4 +1,5 @@
-"""The report contract: 12 significant digits, bounds rounded up, atomic writes.
+"""The report contract: 12 significant digits, bounds rounded up, atomic
+writes; and the one reader of input CSVs, `read_csv_columns`.
 
 Every JSON file the package writes goes through `write_json_atomic`, so
 repeated runs are byte-identical and a reader never sees a half-written
@@ -7,11 +8,14 @@ file.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
 import tempfile
 from decimal import ROUND_CEILING, Decimal
+
+import numpy as np
 
 
 def round12(x):
@@ -55,3 +59,40 @@ def write_json_atomic(obj, path):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_csv_columns(path, names, error):
+    """The columns `names` of a CSV file, one row per data line, as floats.
+
+    Each column is found by its header name, a repeated name's last column;
+    other columns and blank lines are ignored.  A header without one of the
+    names, and a missing or non-finite cell, are refused with the exception
+    class `error`, naming the file and, for a cell, its line and column.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or set(names) - set(header):
+            raise error(f"{path}: expected CSV header {','.join(names)}, got {header}")
+        place = {name: i for i, name in enumerate(header)}
+        cols = [place[name] for name in names]
+        for row in reader:
+            if not row:
+                continue
+            try:
+                values = [float(row[i]) for i in cols]
+            except (IndexError, ValueError):
+                values = [math.nan]
+            if not math.isfinite(sum(values)):   # or finite cells whose sum overflows
+                for i, name in zip(cols, names):
+                    text = row[i] if i < len(row) else ""
+                    try:
+                        bad = not math.isfinite(float(text))
+                    except ValueError:
+                        bad = True
+                    if bad:
+                        what = f"{text!r}, not a finite number" if text else "missing"
+                        raise error(f"{path}, line {reader.line_num}: {name} is {what}")
+            rows.append(values)
+    return np.array(rows).reshape(len(rows), len(names))

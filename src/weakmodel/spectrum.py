@@ -13,7 +13,6 @@ eigenfunction; odd k are cos-type, even k > 0 are sin-type azimuthal orders.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ import numpy as np
 
 from .errors import (GridTooCoarse, IndexOutOfRange, MalformedArtifact,
                      UnsupportedDimension)
+from .report import read_csv_columns
 
 
 @dataclass(frozen=True)
@@ -33,17 +33,17 @@ class EigenMode:
 
 def eigen_round_sphere(n: int, m: int) -> EigenMode:
     """m-th eigenvalue data of the Laplacian on the round S^{n-1}."""
-    if n < 2:
-        raise UnsupportedDimension(f"need n >= 2, got {n}")
-    if m < 0:
-        raise IndexOutOfRange(f"need m >= 0, got {m}")
-    # the dimension of degree-m harmonics on S^{n-1} (Stein and Weiss, 1971, IV)
-    mult = math.comb(m + n - 1, n - 1) - math.comb(max(m + n - 3, 0), n - 1)
+    mult = multiplicity(n, m)
     return EigenMode(m=m, lambda_sq=float(m * (m + n - 2)), multiplicity=mult)
 
 
 def multiplicity(n: int, m: int) -> int:
-    return eigen_round_sphere(n, m).multiplicity
+    """The dimension of degree-m harmonics on S^{n-1} (Stein and Weiss, 1971, IV)."""
+    if n < 2:
+        raise UnsupportedDimension(f"need n >= 2, got {n}")
+    if m < 0:
+        raise IndexOutOfRange(f"need m >= 0, got {m}")
+    return math.comb(m + n - 1, n - 1) - math.comb(max(m + n - 3, 0), n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +164,15 @@ class CoefficientTable:
         return self.entries.get((m, k), 0.0)
 
     def set(self, m, k, c):
-        """c_{m,k} = c; a negative index (IndexOutOfRange) or a c that is
-        not finite (MalformedArtifact) is refused."""
+        """c_{m,k} = c; an index that is negative or past the multiplicity
+        N(n, m) (IndexOutOfRange), or a c that is not finite
+        (MalformedArtifact), is refused."""
         if m < 0 or k < 0:
             raise IndexOutOfRange(f"coefficient index (m, k) = ({m}, {k}) "
                                   "is negative")
+        if k >= multiplicity(self.n, m):
+            raise IndexOutOfRange(f"coefficient index (m, k) = ({m}, {k}) has k outside "
+                                  f"0..{multiplicity(self.n, m) - 1} for n={self.n}")
         c = float(c)
         if not math.isfinite(c):
             raise MalformedArtifact(f"coefficient c_{{{m},{k}}} is {c}, not "
@@ -196,13 +200,17 @@ class CoefficientTable:
     @classmethod
     def from_json_obj(cls, n, obj):
         """The table of a list of {"m", "k", "c"} records; an index that is
-        not a JSON integer is refused (MalformedArtifact)."""
+        not a JSON integer, or a c that is not a JSON number, is refused
+        (MalformedArtifact)."""
         table = cls(n)
         for rec in obj:
             for key in "mk":
                 if type(rec[key]) is not int:   # not 1.7, nor true, a bool
                     raise MalformedArtifact(f"coefficient index {key} = "
                                             f"{json.dumps(rec[key])} is not an integer")
+            if type(rec["c"]) not in (int, float):   # not "2.5", nor true
+                raise MalformedArtifact(f"coefficient c = {json.dumps(rec['c'])} "
+                                        "is not a number")
             table.set(rec["m"], rec["k"], float(rec["c"]))
         return table
 
@@ -213,13 +221,16 @@ class CoefficientTable:
 
 @dataclass
 class BoundaryData:
-    """Boundary data on S^{n-1}: grid samples and/or direct coefficients."""
+    """Boundary data on S^{n-1}: grid samples on their quadrature, or
+    direct coefficients."""
 
-    n: int
-    band_limit: int
     samples: np.ndarray | None = None
     coeffs: CoefficientTable | None = None
     quadrature: SphereQuadrature = field(default=None, repr=False)
+
+    @property
+    def n(self):
+        return self.coeffs.n if self.coeffs is not None else self.quadrature.n
 
     @classmethod
     def from_function(cls, n, M, fn):
@@ -228,8 +239,7 @@ class BoundaryData:
             samples = np.asarray(fn(quad.points), dtype=float)
         else:
             samples = np.asarray(fn(quad.points[:, 0], quad.points[:, 1]), dtype=float)
-        return cls(n=n, band_limit=M, samples=_finite(samples, quad),
-                   quadrature=quad)
+        return cls(samples=_finite(samples, quad), quadrature=quad)
 
     @classmethod
     def from_samples(cls, n, M, samples):
@@ -239,47 +249,28 @@ class BoundaryData:
             raise GridTooCoarse(
                 f"expected {len(quad.weights)} samples on the (n={n}, M={M}) "
                 f"grid, got {samples.shape}")
-        return cls(n=n, band_limit=M, samples=_finite(samples, quad),
-                   quadrature=quad)
+        return cls(samples=_finite(samples, quad), quadrature=quad)
 
     @classmethod
     def from_coefficients(cls, table: CoefficientTable):
-        return cls(n=table.n, band_limit=table.max_m(), coeffs=table)
+        return cls(coeffs=table)
 
     @classmethod
     def from_csv(cls, path, n, M):
-        """n=2 expects header theta,f; n=3 expects colat,lon,f.
+        """n=2 expects the columns theta,f; n=3 colat,lon,f, read and
+        refused by `report.read_csv_columns` (MalformedArtifact).
 
-        Sample locations must match the canonical quadrature grid for (n, M),
-        and an f that is not finite is refused by file and line.
+        Sample locations must match the canonical quadrature grid for (n, M).
         """
         quad = sphere_quadrature(n, M)
-        header = ("theta", "f") if n == 2 else ("colat", "lon", "f")
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(header) - set(reader.fieldnames):
-                raise MalformedArtifact(f"{path}: expected CSV header "
-                                        f"{','.join(header)}, got {reader.fieldnames}")
-            rows = [(reader.line_num, row) for row in reader]
-        try:
-            if n == 2:
-                pts = np.array([float(r["theta"]) for _, r in rows])
-            else:
-                pts = np.array([[float(r["colat"]), float(r["lon"])] for _, r in rows])
-            vals = np.array([float(r["f"]) for _, r in rows])
-        except (TypeError, ValueError) as exc:
-            raise MalformedArtifact(f"{path}: {exc}") from None
-        ref = quad.points
-        if pts.shape != ref.shape or not np.allclose(pts, ref, atol=1e-9):
+        data = read_csv_columns(path, ("theta", "f") if n == 2 else ("colat", "lon", "f"),
+                                MalformedArtifact)
+        pts = data[:, 0] if n == 2 else data[:, :2]
+        if pts.shape != quad.points.shape or not np.allclose(pts, quad.points, atol=1e-9):
             raise GridTooCoarse(
                 f"{path}: sample locations do not match the canonical "
                 f"(n={n}, M={M}) quadrature grid")
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            line, row = rows[int(np.argmax(bad))]
-            raise MalformedArtifact(f"{path}, line {line}: f is {row['f']!r}, "
-                                    "not a finite number")
-        return cls(n=n, band_limit=M, samples=vals, quadrature=quad)
+        return cls(samples=data[:, -1], quadrature=quad)
 
 
 def _finite(samples, quad: SphereQuadrature):
@@ -306,9 +297,9 @@ def project_boundary(data: BoundaryData, M: int) -> CoefficientTable:
             if m <= M:
                 table.set(m, k, c)
         return table
-    if M > data.band_limit:
+    if M > data.quadrature.band_limit:
         raise GridTooCoarse(
-            f"grid built for band limit {data.band_limit}; cannot project "
+            f"grid built for band limit {data.quadrature.band_limit}; cannot project "
             f"exactly up to M={M}")
     quad = data.quadrature
     wvals = quad.weights * data.samples
@@ -331,7 +322,7 @@ def load_coefficients_json(path, n):
         raise MalformedArtifact(f"{path}: a coefficient record has no {exc} key") from None
     except (IndexOutOfRange, MalformedArtifact) as exc:
         raise MalformedArtifact(f"{path}: {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # a c past float range
         raise MalformedArtifact(f"{path}: not a list of m, k, c records: {exc}") from None
 
 

@@ -11,13 +11,13 @@ of log phi in log r, whose slopes are the sampled r phi'/phi.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidFamily, NonPositiveWarp, OutOfDomain
+from .report import read_csv_columns
 
 _AXIOM_TOL = 1e-10
 
@@ -414,50 +414,16 @@ def phi_on(w: WarpingFunction, r, where: str):
     return phi
 
 
-def _csv_number(path, line, row, key):
-    """The finite number in column `key` of a CSV row, else InvalidFamily
-    naming the file and line."""
-    text = row[key]
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        what = "missing" if text in (None, "") else f"{text!r}, not a finite number"
-        raise InvalidFamily(f"{path}, line {line}: {key} is {what}")
-    return value
-
-
 def load_tabulated_csv(path, growth=None) -> Tabulated:
     """Read a tabulated family from CSV with the columns r, phi and dphi,
-    found by header name; any other columns are ignored, and so are blank
-    lines.  A missing or non-finite cell is refused by file, line and name.
+    read and refused by `report.read_csv_columns` (InvalidFamily).
 
     The r column must be strictly increasing with r[0] <= 1e-3 so that
     radial solves can launch inside the hull.
     """
-    keys, rows = ("r", "phi", "dphi"), []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or set(keys) - set(header):
-            raise InvalidFamily(f"{path}: expected CSV header r,phi,dphi, got {header}")
-        place = {name: i for i, name in enumerate(header)}   # a name's last column
-        i, j, k = (place[key] for key in keys)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                values = float(row[i]), float(row[j]), float(row[k])
-            except (IndexError, ValueError):
-                values = (math.nan,)
-            if not math.isfinite(sum(values)):   # or finite cells whose sum overflows
-                named = dict(zip(header, row + [None] * (len(header) - len(row))))
-                values = tuple(_csv_number(path, reader.line_num, named, key) for key in keys)
-            rows.append(values)
-    if not rows:
+    data = read_csv_columns(path, ("r", "phi", "dphi"), InvalidFamily)
+    if not len(data):
         raise InvalidFamily(f"{path}: no data rows")
-    data = np.array(rows)
     if data[0, 0] > 1e-3:
         raise InvalidFamily(
             f"{path}: first grid point {data[0, 0]:g} must be <= 1e-3")

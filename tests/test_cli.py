@@ -15,6 +15,7 @@ import pytest
 from conftest import count_calls, write_tabulated_csv
 from weakmodel import criterion, extension, quadrature, radial
 from weakmodel.cli import main
+from weakmodel.report import write_json_atomic
 from weakmodel.spectrum import sphere_quadrature
 from weakmodel.warp import Hyperbolic, PowerGrowth
 
@@ -193,13 +194,18 @@ def test_boundary_csv_sample_that_is_not_finite_is_refused_by_line(
     ('{"m": 1.7, "k": 0, "c": 1.0}', "coefficient index m = 1.7 is not an integer"),
     ('{"m": true, "k": 0, "c": 1.0}', "coefficient index m = true is not an integer"),
     ('{"m": 1, "k": 0.5, "c": 1.0}', "coefficient index k = 0.5 is not an integer"),
+    ('{"m": 1, "k": 3, "c": 1.0}',
+     "coefficient index (m, k) = (1, 3) has k outside 0..2 for n=3"),
+    ('{"m": 1, "k": 0, "c": true}', "coefficient c = true is not a number"),
+    ('{"m": 1, "k": 0, "c": "2.5"}', 'coefficient c = "2.5" is not a number'),
 ], ids=["nan", "inf", "negative_m", "negative_k", "fractional_m", "boolean_m",
-        "fractional_k"])
+        "fractional_k", "k_past_multiplicity", "boolean_c", "text_c"])
 def test_coefficient_record_that_is_not_finite_or_not_a_mode_is_refused_by_name(
         tmp_path, capsys, record, message):
     # unchecked, NaN and Infinity solved with exit 0 (Infinity with a
     # RuntimeWarning at n = 3), m = -1 ended in a KeyError traceback, and
-    # m = 1.7 or true was solved as mode 1
+    # m = 1.7 or true was solved as mode 1; k = 3 wrote the profiles before
+    # it failed, naming no file, and c = true or "2.5" was solved as 1 or 2.5
     coeffs = tmp_path / "coeffs.json"
     coeffs.write_text(f'[{{"m": 0, "k": 0, "c": 1.0}}, {record}]')
     with warnings.catch_warnings():
@@ -220,11 +226,15 @@ def test_coefficient_record_that_is_not_finite_or_not_a_mode_is_refused_by_name(
                  "with integers m, k >= 0"),
     ("constant:abc", "boundary preset 'constant:abc' is not of the form "
                      "constant[:v], with v a number"),
-], ids=["constant_nan", "single_negative", "single_short", "constant_text"])
+    ("single:1:5", "coefficient index (m, k) = (1, 5) has k outside 0..1 for n=2"),
+    ("nope", "unknown boundary preset 'nope'"),
+], ids=["constant_nan", "single_negative", "single_short", "constant_text",
+        "single_past_multiplicity", "unknown"])
 def test_malformed_preset_is_refused_by_name(tmp_path, capsys, preset, message):
     # unchecked, constant:nan solved to nan with exit 0, single:-1:0 ended in
     # a KeyError traceback, single:1 printed "not enough values to unpack" and
-    # constant:abc "could not convert string to float: 'abc'"
+    # constant:abc "could not convert string to float: 'abc'"; single:1:5
+    # wrote the profiles before it failed
     assert run(["solve", "--family", "hyperbolic", "--a", "1", "--n", "2",
                 "--modes", "4", "--preset", preset,
                 "--out", str(tmp_path / "s")]) == 1
@@ -665,6 +675,17 @@ def test_solve_and_verify_just_below_phi_overflow(tmp_path):
     assert rep["all_passed"] is True
 
 
+def test_a_failed_report_write_leaves_no_tmp_file(tmp_path):
+    # the rename onto a directory fails: the error is raised and the
+    # tmp file beside the target is removed
+    target = tmp_path / "report.json"
+    target.mkdir()
+    (target / "keep").write_text("")
+    with pytest.raises(OSError):
+        write_json_atomic({"a": 1.0}, target)
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
 def test_negative_band_limit_refused(tmp_path, capsys):
     for cmd in ("solve", "verify"):
         code = run([cmd, "--family", "hyperbolic", "--a", "1", "--n", "2",
@@ -685,7 +706,8 @@ def test_negative_band_limit_refused(tmp_path, capsys):
     ("modes", 2.0, "modes must be an integer, got 2.0"),
     ("modes", False, "modes must be an integer, got False"),
     ("a", "x", "a must be a number, got 'x'"),
-    ("preset", 5, "preset must be a string, got 5")])
+    ("preset", 5, "preset must be a string, got 5"),
+    ("n", 1, "dimension must be >= 2, got 1")])
 def test_config_values_of_the_wrong_type_are_refused(tmp_path, capsys, key, value,
                                                      message):
     # each value used to end in a TypeError or AttributeError traceback,

@@ -343,6 +343,12 @@ def test_invalid_tolerance():
 
 
 @pytest.mark.parametrize("classify", [march_criterion, transience_integral])
+def test_a_warp_that_is_not_a_warping_function_is_refused(classify):
+    with pytest.raises(TypeError, match="^expected a WarpingFunction, got <class 'str'>$"):
+        classify("hyperbolic", 2, tol=1e-8)
+
+
+@pytest.mark.parametrize("classify", [march_criterion, transience_integral])
 @pytest.mark.parametrize("n", [3.5, 3.0, "3"])
 def test_non_integer_dimension_is_refused(classify, n):
     # unchecked, n = 3.5 ran and march_criterion returned Convergent

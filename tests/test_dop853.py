@@ -144,6 +144,13 @@ def test_overflowing_newton_step_rejects_the_panel_without_warnings(z):
     assert 1 <= iterations <= radial._NEWTON_ITERATIONS
 
 
+@pytest.mark.parametrize("s_span", [(1.0, 1.0), (2.0, 1.0)])
+def test_a_span_that_does_not_run_forward_is_refused(s_span):
+    with pytest.raises(ValueError, match=re.escape(
+            f"the span must run forward, got {s_span}")):
+        radial.solve_ivp(Euclidean(), 3, [2.0], s_span, [0.0, 0.5], rtol=1e-12)
+
+
 def test_solve_modes_reports_a_failed_solve(monkeypatch):
     # the negated eigenvalue stands in for a solve that cannot finish
     solve_ivp = radial.solve_ivp

@@ -203,6 +203,21 @@ def test_non_finite_boundary_data_is_refused_fast(side):
     assert time.perf_counter() - t0 < 0.5
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: AnnulusGrid(0.0, 3.0, 96, 96), "^need 0 < r_a < r_b$"),
+    (lambda: AnnulusGrid(3.0, 0.5, 96, 96), "^need 0 < r_a < r_b$"),
+    (lambda: AnnulusGrid(0.5, 3.0, 15, 96), "^need at least 16 nodes per direction$"),
+    (lambda: laplace_beltrami_residual_fn(Hyperbolic(1.0), 2, lambda r, om: r, 1.5, 0.7,
+                                          h=0.1), "^grid step must satisfy h <= 0.05$"),
+    (lambda: solve_annulus_dirichlet(Hyperbolic(1.0), AnnulusGrid(0.5, 3.0, 96, 96),
+                                     np.ones(95), np.ones(96)),
+     "^boundary data must be sampled on grid.theta_nodes$"),
+], ids=["r_a_zero", "r_b_below_r_a", "coarse", "wide_step", "bc_shape"])
+def test_bad_grid_step_or_boundary_shape_is_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class _StubWarp(WarpingFunction):
     def __init__(self, phi):
         self.phi = phi

@@ -49,6 +49,8 @@ def test_indicial_exponent():
             l = indicial_exponent(n, lam2)
             assert abs(l * (l - 1) + (n - 1) * l - lam2) < 1e-12
             assert l >= 0
+    with pytest.raises(ValueError, match="^lambda\\^2 must be >= 0, got -1.0$"):
+        indicial_exponent(2, -1.0)
 
 
 def test_euclidean_mode_is_power():
@@ -129,6 +131,12 @@ def test_riccati_rejects_constant_mode():
     p = solve_radial(Euclidean(), 2, eigen_round_sphere(2, 0), r_max=10.0)
     with pytest.raises(DegenerateProfile):
         riccati_trace(p)
+    # and a mode whose z, so phi_m', turns negative
+    p = solve_radial(Euclidean(), 3, eigen_round_sphere(3, 1), r_max=10.0)
+    flipped = replace(p, _dense=lambda s, ds=False: p._dense(s, ds) * [[1.0], [-1.0]])
+    with pytest.raises(DegenerateProfile, match="^nonpositive phi_m or phi_m' in the "
+                                                "trace range$"):
+        riccati_trace(flipped)
 
 
 def _hyperbolic_n2_exponent(x, a=0.7):
@@ -424,6 +432,33 @@ _DOUBLED_RADII = [
     (PowerLog(5.0), 4, 480.0), (PowerLog(5.0), 8, 1920.0),
     (PowerLog(3.0), 1, 491520.0), (PowerLog(3.0), 2, 15728640.0),
 ]
+
+
+def test_tail_delta_past_double_range_is_inf():
+    # expm1 of lambda^2 (A T_in + C T_in + T_out) overflows: no radius of
+    # this certificate is tight, and no OverflowError escapes
+    cert = tail_certificate(PowerGrowth(1.5), 3, 2.0)
+    assert radial._tail_delta(1.0, 1e8, cert) == math.inf
+
+
+def test_launch_off_the_table_hull_and_other_warp_errors():
+    # the cubic term of phi is read at r = 1e-2: a table whose hull starts
+    # above it launches at first order, and any other error of the warp
+    # there is the solve's own, where it used to launch at first order too
+    mode = eigen_round_sphere(3, 1)
+    grid = np.geomspace(0.02, 30.0, 400)
+    table = Tabulated(grid, *Hyperbolic(1.0).eval(grid))
+    p = solve_radial(table, 3, mode, r_max=20.0, r0=0.05)
+    q = solve_radial(Hyperbolic(1.0), 3, mode, r_max=20.0, r0=0.05)
+    assert p.r0 == 0.05 and np.max(np.abs(p.values / q.values - 1.0)) < 1e-3
+
+    class Undefined(WarpingFunction):
+        def eval(self, r):
+            if np.any(np.asarray(r) == 1e-2):
+                raise ArithmeticError("phi is undefined at r = 0.01")
+            return Hyperbolic(1.0).eval(r)
+    with pytest.raises(ArithmeticError, match="^phi is undefined at r = 0.01$"):
+        solve_radial(Undefined(), 3, mode, r_max=20.0)
 
 
 @pytest.mark.parametrize("w,m,doubled", _DOUBLED_RADII)

@@ -12,7 +12,8 @@ from weakmodel.errors import (GridTooCoarse, IndexOutOfRange, MalformedArtifact,
 from weakmodel.spectrum import (BoundaryData, CoefficientTable,
                                 eigen_round_sphere, eigenfunction_eval,
                                 load_coefficients_json, multiplicity,
-                                project_boundary, sphere_quadrature)
+                                project_boundary, sphere_quadrature,
+                                sup_norm_bound)
 
 
 def test_eigenvalues_and_multiplicities():
@@ -155,6 +156,19 @@ def test_error_paths():
     f = BoundaryData.from_function(2, 3, np.cos)
     with pytest.raises(GridTooCoarse):
         project_boundary(f, 5)
+    with pytest.raises(UnsupportedDimension, match="^need n >= 2, got 1$"):
+        eigen_round_sphere(1, 0)
+    with pytest.raises(IndexOutOfRange, match="^need m >= 0, got -1$"):
+        eigen_round_sphere(2, -1)
+    with pytest.raises(GridTooCoarse, match="^band limit must be >= 0$"):
+        sphere_quadrature(2, -1)
+    with pytest.raises(UnsupportedDimension, match=r"n in \{2, 3\}, got 4$"):
+        sphere_quadrature(4, 2)
+    with pytest.raises(UnsupportedDimension, match="^n=4$"):
+        sup_norm_bound(4, 0)
+    with pytest.raises(GridTooCoarse, match=re.escape(
+            "expected 16 samples on the (n=2, M=3) grid, got (15,)")):
+        BoundaryData.from_samples(2, 3, np.ones(15))
 
 
 def test_boundary_csv_roundtrip(tmp_path):
@@ -199,6 +213,11 @@ def test_coefficient_table_refuses_negative_index_and_non_finite_value():
             table.set(1, 0, c)
     with pytest.raises(MalformedArtifact, match=re.escape("c_{0,0} is nan")):
         CoefficientTable(2, {(0, 0): math.nan})
+    for n, m, k, top in ((2, 0, 1, 0), (2, 3, 2, 1), (3, 2, 5, 4)):
+        with pytest.raises(IndexOutOfRange, match=re.escape(
+                f"coefficient index (m, k) = ({m}, {k}) has k outside 0..{top} "
+                f"for n={n}")):
+            CoefficientTable(n).set(m, k, 1.0)
     assert table.entries == {}
 
 
@@ -236,8 +255,10 @@ def test_coefficients_json_roundtrip(tmp_path):
 @pytest.mark.parametrize("text,message", [
     ('[{"k": 0, "c": 1.0}]', "a coefficient record has no 'm' key"),
     ('{"m": 0, "k": 0, "c": 1.0}', "not a list of m, k, c records"),
-    ('[{"m": 0, "k": 0, "c": "x"}]', "not a list of m, k, c records"),
-], ids=["no_m", "not_a_list", "text"])
+    ('[{"m": 0, "k": 0, "c": "x"}]', 'coefficient c = "x" is not a number'),
+    ('[{"m": 0, "k": 0, "c": 1' + "0" * 400 + '}]',
+     "not a list of m, k, c records: int too large to convert to float"),
+], ids=["no_m", "not_a_list", "text", "huge_c"])
 def test_malformed_coefficients_json_is_refused_by_name(tmp_path, text, message):
     path = tmp_path / "coeffs.json"
     path.write_text(text)
@@ -245,12 +266,16 @@ def test_malformed_coefficients_json_is_refused_by_name(tmp_path, text, message)
         load_coefficients_json(path, 2)
 
 
-@pytest.mark.parametrize("n,text", [
-    (2, "angle,f\n0.0,1.0\n"), (3, "theta,f\n0.0,1.0\n"),
-    (2, "theta,f\n0.0,1.0\n0.5\n"), (2, "theta,f\n0.0,abc\n"),
+@pytest.mark.parametrize("n,text,message", [
+    (2, "angle,f\n0.0,1.0\n", ": expected CSV header theta,f, got ['angle', 'f']"),
+    (3, "theta,f\n0.0,1.0\n", ": expected CSV header colat,lon,f, got ['theta', 'f']"),
+    (2, "theta,f\n0.0,1.0\n0.5\n", ", line 3: f is missing"),
+    (2, "theta,f\n0.0,abc\n", ", line 2: f is 'abc', not a finite number"),
 ], ids=["n2_header", "n3_header", "short_row", "text"])
-def test_malformed_boundary_csv_is_refused_by_name(tmp_path, n, text):
+def test_malformed_boundary_csv_is_refused_by_name(tmp_path, n, text, message):
+    # a short row was refused as "float() argument must be a string or a
+    # real number, not 'NoneType'", and a text cell by no line
     path = tmp_path / "bc.csv"
     path.write_text(text)
-    with pytest.raises(MalformedArtifact, match=f"^{path}: "):
+    with pytest.raises(MalformedArtifact, match=f"^{re.escape(str(path) + message)}$"):
         BoundaryData.from_csv(path, n, 2)

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 from conftest import write_tabulated_csv
 from weakmodel.errors import InvalidFamily, OutOfDomain
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLog,
-                            Tabulated, UnknownGrowth, load_tabulated_csv)
+                            Tabulated, UnknownGrowth, WarpingFunction,
+                            family_from_name, load_tabulated_csv)
 
 
 def taylor_sinh_cosh(x, terms=30):
@@ -150,12 +151,25 @@ def test_weak_model_axioms(closed_families):
         assert np.all(w.eval(r)[0] > 0)
 
 
+class _OffAxioms(WarpingFunction):
+    """phi = 1 + r: phi(0) = 1 breaks the weak-model axioms."""
+
+    def __init__(self):
+        self._check_axioms()
+
+    def eval(self, r):
+        return 1.0 + r, 1.0
+
+
 @pytest.mark.parametrize("bad", [
     lambda: Hyperbolic(0.0),
     lambda: Hyperbolic(-1.0),
     lambda: PowerGrowth(0.0),
     lambda: PowerGrowth(-2.0),
     lambda: PowerLog(-0.1),
+    lambda: family_from_name("power"),
+    lambda: family_from_name("powerlog"),
+    lambda: _OffAxioms(),
 ])
 def test_invalid_family_parameters(bad):
     with pytest.raises(InvalidFamily):
@@ -194,6 +208,17 @@ def test_tabulated_validation(tmp_path):
     # nonpositive phi
     with pytest.raises(InvalidFamily):
         Tabulated([0.1, 0.2, 0.3, 0.4], [1, -2, 3, 4], [1, 1, 1, 1])
+    with pytest.raises(InvalidFamily, match="^tabulated grid needs at least 4 nodes$"):
+        Tabulated([0.1, 0.2, 0.3], [1, 2, 3], [1, 1, 1])
+    with pytest.raises(InvalidFamily, match="^tabulated grid must be positive$"):
+        Tabulated([-0.1, 0.2, 0.3, 0.4], [1, 2, 3, 4], [1, 1, 1, 1])
+    with pytest.raises(InvalidFamily,
+                       match="^tabulated columns must share the grid shape$"):
+        Tabulated([0.1, 0.2, 0.3, 0.4], [1, 2, 3, 4], [1, 1, 1])
+    empty = tmp_path / "empty.csv"
+    empty.write_text("r,phi,dphi\n\n")
+    with pytest.raises(InvalidFamily, match=f"^{re.escape(str(empty))}: no data rows$"):
+        load_tabulated_csv(empty)
     # first node too large for the CSV contract
     path = write_tabulated_csv(tmp_path / "late.csv", Euclidean(),
                                np.linspace(0.5, 10, 30))
