@@ -19,13 +19,14 @@ n (`_finite`), which `classify` runs once for both reports with their
 inner tail.  At n = 2 the criterion is T^2/2, T the transience integral.
 
 Every tail bracket comes from `_TailModel` (`_tail_brackets`): exponential
-growth takes the sandwich at R, a closed-form power law sums the binomial
-series of its exact phi, power-log phi is exactly C*psi beyond e^2, and
-tabulated data with a trusted growth class take the sandwich.  Only
-power-log at n >= 3 integrates there: one certified 1-D quadrature in
-log(t/R) per tail, the double tail's inner integral being an incomplete
-beta.  That is one continued fraction, used on both sides of the Beta mean
-through I_y(p,q) = 1 - I_{1-y}(q,p), so the module needs numpy alone.
+growth takes the sandwich at R, `PowerGrowth` sums the binomial series of
+its exact phi, every other warp with a power-law growth class, custom or
+tabulated, takes the sandwich, and power-log phi is exactly C*psi beyond
+e^2.  Only power-log at n >= 3 integrates there: one certified 1-D
+quadrature in log(t/R) per tail, the double tail's inner integral being an
+incomplete beta.  That is one continued fraction, used on both sides of the
+Beta mean through I_y(p,q) = 1 - I_{1-y}(q,p), so the module needs numpy
+alone.
 
 All integrands are powers of phi, evaluated in log space so that large n
 or fast exponential growth cannot overflow or underflow the bookkeeping.
@@ -43,8 +44,8 @@ from .errors import (InvalidTolerance, NotConvergent, OutOfDomain,
                      QuadratureFailure)
 from .quadrature import adaptive_quad_log, logsumexp
 from .report import round12, round_up_3
-from .warp import (ExponentialGrowth, PowerLawGrowth, PowerLogGrowth,
-                   UnknownGrowth, WarpingFunction, with_breakpoints)
+from .warp import (ExponentialGrowth, PowerGrowth, PowerLawGrowth, PowerLogGrowth,
+                   Tabulated, UnknownGrowth, WarpingFunction, with_breakpoints)
 
 CONVERGENT = "Convergent"
 DIVERGENT = "Divergent"
@@ -163,14 +164,15 @@ def _log_g(p, q, y):
 # ---------------------------------------------------------------------------
 
 class _TailModel:
-    """Comparison data phi in [klo*psi, khi*psi] on [R0, inf).
+    """Comparison data phi in [klo*psi, khi*psi] on [R0, inf), from the
+    growth class of the warp w.
 
-    With `exact` (a closed form), power growth is phi = t^p (1 + t^-2)^((p-1)/2)
-    itself, whose tails are series with no sandwich (`_log_power_series`).
+    `exact` holds for `PowerGrowth` alone, whose phi is t^p (1 + t^-2)^((p-1)/2)
+    itself, so its tails are series with no sandwich (`_log_power_series`).
     """
 
-    def __init__(self, growth, n, exact=False):
-        self.growth = growth
+    def __init__(self, w, n):
+        growth = self.growth = w.growth_class
         self.n = n
         if isinstance(growth, ExponentialGrowth):
             self.kind = "exp"
@@ -180,7 +182,7 @@ class _TailModel:
             self.kind = "powerlog"
         else:
             raise NotConvergent(f"no tail model for growth {growth!r}")
-        self.exact = exact and self.kind == "power"
+        self.exact = type(w) is PowerGrowth
 
     # -- geometry -----------------------------------------------------------
 
@@ -452,8 +454,7 @@ def _check_args(w, n, tol, r_max):
 
 def _top_radius(w, default=math.inf):
     """The largest R the data allow: just inside a tabulated hull, else `default`."""
-    hull = getattr(w, "grid", None)
-    return float(hull[-1]) * 0.995 if hull is not None else default
+    return float(w.grid[-1]) * 0.995 if isinstance(w, Tabulated) else default
 
 
 def _radius(w, r_max, default):
@@ -465,9 +466,9 @@ def _radius(w, r_max, default):
 def _start_radius(w, model, R):
     """R raised above the sandwich start; tabulated data stay inside the
     samples, and a table whose samples end before that start is refused."""
-    start, hull = model.min_r0() * 1.3, getattr(w, "grid", None)
-    if hull is not None and hull[-1] < start:
-        raise OutOfDomain(f"tabulated hull ends at r = {hull[-1]:g}, below the "
+    start = model.min_r0() * 1.3
+    if isinstance(w, Tabulated) and w.grid[-1] < start:
+        raise OutOfDomain(f"tabulated hull ends at r = {w.grid[-1]:g}, below the "
                           f"tail sandwich start r = {start:g}")
     return max(min(R, _top_radius(w)), start)
 
@@ -477,8 +478,9 @@ def _tail_brackets(n, model, R, double=True, shared=None):
     every growth class, each log end widened by 4 ulp for its rounding.
 
     Exponential growth, phi = scale*e^{at}(1 - e^{-2at}), takes the sandwich
-    at R.  Closed power and power-log tails are exact, and tabulated data
-    with a trusted growth class take the sandwich at `model.r0(R)`.  At
+    at R.  `PowerGrowth` sums the series of its exact phi, every other
+    power-law growth class, of a custom warp or a table, takes the sandwich
+    at `model.r0(R)`, and power-log growth is exactly C*psi there.  At
     n = 2 the double tail is T_in^2/2.  It is None unless `double`; the
     inner bracket, which both integrals need at the one R of a `classify`
     call, is kept in `shared`.
@@ -511,10 +513,9 @@ def _certify(w, n, tol, r_max, double, shared):
     """
     _check_args(w, n, tol, r_max)
     shared = {} if shared is None else shared
-    growth = w.growth_class
-    if isinstance(growth, UnknownGrowth):
+    if isinstance(w.growth_class, UnknownGrowth):
         return _classify_unknown(w, n, double, r_max, shared)
-    model = _TailModel(growth, n, w.closed_form)
+    model = _TailModel(w, n)
     R = _start_radius(w, model, _radius(w, r_max, model.default_r_max()))
     r0 = model.r0(R)
 
@@ -597,7 +598,7 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
     """Certified tail brackets at R, raised to the tail sandwich's start, for
     a metric with convergent criterion: the certificate a Convergent
     `march_criterion` report at that R holds, bit for bit."""
-    model = _TailModel(w.growth_class, n, w.closed_form)
+    model = _TailModel(w, n)
     if model.inner_diverges() or model.double_diverges():
         raise NotConvergent("criterion integral diverges for this metric")
     return _certificate(w, n, model, _start_radius(w, model, float(R)))

@@ -123,17 +123,15 @@ def solve_annulus_dirichlet(w: WarpingFunction, grid: AnnulusGrid,
                             inner_bc, outer_bc, tol: float = 1e-10) -> np.ndarray:
     """Solve L u = 0 on the annulus with Dirichlet circles, n = 2.
 
-    inner_bc, outer_bc: finite values on grid.theta_nodes (arrays or
-    callables).  Returns u on the full (n_r, n_theta) grid: the direct
-    solution of the conservative symmetric-positive system, one Thomas
-    sweep over all Fourier columns at once; deterministic for fixed inputs.
+    inner_bc, outer_bc: arrays of finite values on grid.theta_nodes.
+    Returns u on the full (n_r, n_theta) grid: the direct solution of the
+    conservative symmetric-positive system, one Thomas sweep over all
+    Fourier columns at once; deterministic for fixed inputs.
     Raises SolverDivergence unless the true residual is within tol * ||b||.
     """
     thetas = grid.theta_nodes
-    bc_in = np.asarray(inner_bc(thetas) if callable(inner_bc) else inner_bc,
-                       dtype=float)
-    bc_out = np.asarray(outer_bc(thetas) if callable(outer_bc) else outer_bc,
-                        dtype=float)
+    bc_in = np.asarray(inner_bc, dtype=float)
+    bc_out = np.asarray(outer_bc, dtype=float)
     if bc_in.shape != thetas.shape or bc_out.shape != thetas.shape:
         raise ValueError("boundary data must be sampled on grid.theta_nodes")
     for name, bc in (("inner", bc_in), ("outer", bc_out)):

@@ -112,7 +112,6 @@ class RadialProfile:
     values: np.ndarray
     derivs: np.ndarray
     limit_error: float
-    normalized: bool
     _dense: object             # s = log r -> (log raw phi_m, z)
     _scale: float = 1.0        # divisor applied to the raw solution
     _memo: _Memo = field(default_factory=_Memo)   # shared by one solve's profiles
@@ -128,6 +127,10 @@ class RadialProfile:
     @property
     def indicial_l(self):
         return indicial_exponent(self.n, self.mode.lambda_sq)
+
+    @property
+    def normalized(self):       # a raw profile's limit_error is inf
+        return math.isfinite(self.limit_error)
 
     @property
     def limit_estimate(self):   # math.inf while the profile is raw, unbounded
@@ -231,7 +234,7 @@ def _constant_profile(w, n, mode, grid, memo):
     memo of the solve it belongs to.  Its dense rows are (log 1, z) = 0."""
     return RadialProfile(
         mode=mode, n=n, warp=w, grid=grid, values=np.ones_like(grid),
-        derivs=np.zeros_like(grid), limit_error=0.0, normalized=True,
+        derivs=np.zeros_like(grid), limit_error=0.0,
         _dense=lambda s, ds=False: np.zeros((2,) + np.shape(s)), _memo=memo)
 
 
@@ -434,8 +437,7 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
         derivs = values * wlog / grid
         profiles[i] = RadialProfile(
             mode=modes[i], n=n, warp=w, grid=grid, values=values, derivs=derivs,
-            limit_error=math.inf, normalized=False,
-            _dense=_mode_rows(memo, sol.sol, j), _memo=memo)
+            limit_error=math.inf, _dense=_mode_rows(memo, sol.sol, j), _memo=memo)
     return profiles
 
 
@@ -507,7 +509,8 @@ def _conformal_rows(tau: _ConformalTime, lam: float):
 
 def conformal_modes(w: WarpingFunction, modes,
                     criterion: _criterion.CriterionReport) -> list[RadialProfile]:
-    """The normalized n = 2 profiles exp(-lambda tau) of every mode, m = 0 too.
+    """The normalized n = 2 profiles exp(-lambda tau) of every mode; m = 0 is
+    the constant 1 of `solve_modes`, which reads no tau.
 
     The grid is the one `solve_modes` uses, up to the R of `criterion`, the
     Convergent `march_criterion` report of (w, 2) that tau reads, with no
@@ -522,12 +525,15 @@ def conformal_modes(w: WarpingFunction, modes,
     t, rho = tau(np.log(grid))
     profiles = []
     for mode in modes:
+        if mode.m == 0:
+            profiles.append(_constant_profile(w, 2, mode, grid, tau.memo))
+            continue
         lam = math.sqrt(mode.lambda_sq)
         values = np.exp(-lam * t)
         profiles.append(RadialProfile(
             mode=mode, n=2, warp=w, grid=grid, values=values,
             derivs=lam * values * rho / grid, limit_error=lam * tau.error,
-            normalized=True, _dense=_conformal_rows(tau, lam), _memo=tau.memo))
+            _dense=_conformal_rows(tau, lam), _memo=tau.memo))
     return profiles
 
 
@@ -580,7 +586,8 @@ def normalize_profile(profile: RadialProfile,
     becomes the profile's limit_error.  At n >= 3 that bounds the tail
     normalization only, not the ODE solve's own error.  Whether delta is
     small enough is the caller's choice of R (`suggest_rmax`).  Raises
-    TailNotTight when the certificate starts at another radius.
+    TailNotTight when the certificate starts at another radius, or when
+    delta is not finite and so pins no limit.
     """
     if profile.mode.m == 0:
         return profile
@@ -590,13 +597,16 @@ def normalize_profile(profile: RadialProfile,
             f"profile's r_max = {profile.r_max:g}; solve to the certified radius")
     lam2 = profile.mode.lambda_sq
     delta = _tail_delta(_riccati_bound(profile.warp, profile.n, lam2), lam2, cert)
+    if not math.isfinite(delta):
+        raise TailNotTight(
+            f"tail delta at r_max = {cert.r_max:g} is {delta:g} and pins no limit; "
+            "solve to the radius suggest_rmax certifies")
     limit = profile.values[-1] * (1.0 + delta)
     return replace(
         profile,
         values=profile.values / limit,
         derivs=profile.derivs / limit,
         limit_error=delta,
-        normalized=True,
         _scale=profile._scale * limit)
 
 
@@ -611,8 +621,11 @@ def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
     by bisection, which a table's certificate clips to its hull.  The
     Illinois form of regula falsi on g = log log1p(delta), linear in log R
     for power growth, then narrows the bracket to _LOG_R_STEP, trying at
-    least half that inside it.
+    least half that inside it.  At lambda^2 = 0 the delta is 0 at every R,
+    so `cert` is kept.
     """
+    if lambda_sq == 0:
+        return cert
     A = _riccati_bound(w, n, lambda_sq)
 
     def judge(cert):

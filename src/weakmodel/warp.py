@@ -69,9 +69,16 @@ class UnknownGrowth:
 class WarpingFunction:
     """Base class.  Subclasses implement eval(r) -> (phi, dphi).  A pass over
     a range that holds `breakpoints`, where phi is less smooth, starts with
-    panel edges there."""
+    panel edges there.
 
-    closed_form = True
+    A `growth_class` other than UnknownGrowth is a promise about phi on
+    every [r0, inf) with r0 past its start (max(5, 10/rate), 20 and 8):
+    exponential growth lies within [1 - e^(-2 rate r0), 1] of scale*psi, a
+    power law within (1 + r0^-2)^(+-|exponent - 1|/2) of it, and power-log
+    is scale*psi exactly.  The criterion certifies tails from that promise
+    alone; only `PowerGrowth`, whose phi it knows, gets exact power tails.
+    """
+
     growth_class = UnknownGrowth()
     breakpoints = ()
 
@@ -330,8 +337,6 @@ class Tabulated(WarpingFunction):
     sampled phi' at the nodes.  Growth defaults to Unknown, for which the
     criterion module certifies no tail and reports Inconclusive.
     """
-
-    closed_form = False
 
     def __init__(self, grid, phi, dphi, growth=None):
         grid = np.asarray(grid, dtype=float)

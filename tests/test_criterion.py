@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import sys
@@ -21,7 +22,8 @@ from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
 from weakmodel.errors import (InvalidTolerance, NotConvergent, OutOfDomain,
                               QuadratureFailure)
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLawGrowth,
-                            PowerLog, PowerLogGrowth, Tabulated, load_tabulated_csv)
+                            PowerLog, PowerLogGrowth, Tabulated, WarpingFunction,
+                            load_tabulated_csv)
 
 
 def march_verdict_truth(w, n):
@@ -141,8 +143,7 @@ def test_powerlog_n3_double_tail_against_mpmath(c, t0):
     with mp.workdps(20):
         integral = mp.quad(f, [0] + [2 ** j / k for j in range(7)] + [mp.inf])
         ref = float((1 - 2 * c) * mp.log(t0) - mp.log(2 * c - 1) + mp.log(integral))
-    _assert_within(_TailModel(PowerLogGrowth(c, 1.0), 3).log_psi_double(
-        math.exp(t0)), ref)
+    _assert_within(_TailModel(PowerLog(c), 3).log_psi_double(math.exp(t0)), ref)
 
 
 @pytest.mark.parametrize("t0", [math.log(10.4), 700.0])
@@ -166,8 +167,7 @@ def test_powerlog_double_tail_against_binomial_j(c, n, t0):
         # beyond v = 40 the integrand is below e^-80 of its start
         integral = mp.quad(f, [0, 1 / k, 4 / k, 16 / k, 40])
         ref = float((1 - 2 * c) * mp.log(t0m) - mp.log(p) + mp.log(integral))
-    _assert_within(_TailModel(PowerLogGrowth(c, 1.0), n).log_psi_double(
-        math.exp(t0)), ref)
+    _assert_within(_TailModel(PowerLog(c), n).log_psi_double(math.exp(t0)), ref)
 
 
 @pytest.mark.parametrize("c,n,value,bound", [
@@ -510,7 +510,7 @@ def test_finite_part_evaluates_phi_once_per_node_vector(monkeypatch, w, part):
         F, F_err, _, _ = criterion._finite(w, 3, 30.0, True)
         assert F > 0 and F_err < 1e-9 * F
     else:
-        model = _TailModel(w.growth_class, 3, exact=True)
+        model = _TailModel(w, 3)
         _, (lo, hi) = criterion._tail_brackets(3, model, 100.0)
         assert lo <= hi < lo + 1e-9
         assert (per_vector, log_phi_calls) == ([], [])
@@ -577,7 +577,7 @@ def test_exponential_tail_brackets_hold_the_closed_forms(a, R, n):
     import mpmath as mp
     from weakmodel import criterion
     w = Hyperbolic(a)
-    model = _TailModel(w.growth_class, n)
+    model = _TailModel(w, n)
     inner, double = criterion._tail_brackets(n, model, R)
     with mp.workdps(40):
         x = mp.exp(-mp.mpf(a) * R)
@@ -629,7 +629,7 @@ def test_power_tails_reach_every_radius(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for n in range(2, 7):
-            model = _TailModel(w.growth_class, n, exact=True)
+            model = _TailModel(w, n)
             a = p * (n - 1) - 1
             for R in (1e30, 1e100, 1e250):
                 (inner, double), t_tails = _best_seconds(
@@ -646,24 +646,75 @@ def test_power_tails_reach_every_radius(p):
                 assert n == 2 or t_cert < 0.01, (n, R, t_cert)
 
 
+class _ScaledPower(WarpingFunction):
+    """phi = r sqrt(1 + 4r^2) ~ 2r^2, a custom warp whose growth class is
+    PowerLawGrowth(2, 2).  At n = 2 its T = int_1^inf dt/(t sqrt(1 + 4t^2))
+    is asinh(1/2), so the criterion is asinh(1/2)^2/2."""
+
+    growth_class = PowerLawGrowth(2.0, 2.0)
+
+    def eval(self, r):
+        r = np.asarray(r, dtype=float)
+        q = np.sqrt(1.0 + 4.0 * r * r)
+        return r * q, q + 4.0 * r * r / q
+
+
+class _PowerGrowthSubclass(PowerGrowth):
+    """A subclass, which may change phi: no longer known to be the series'."""
+
+
 def test_closed_power_laws_are_the_series_phi():
-    # the exact power tails sum the series of phi = t^p (1 + t^-2)^((p-1)/2):
-    # every closed-form family with power-law growth must be that phi
-    from weakmodel.warp import WarpingFunction, family_from_name
-    families = [family_from_name("euclidean"), family_from_name("hyperbolic", a=1.0),
-                family_from_name("powerlog", c=1.2)] + [
-        family_from_name("powergrowth", p=p) for p in (0.5, 1.01, 1.5, 3.7, 10.0)]
-    closed = {cls for cls in WarpingFunction.__subclasses__()
-              if cls.closed_form and cls.__module__ == "weakmodel.warp"}
-    assert {type(w) for w in families} == closed
+    # the exact power tails sum the series of phi = t^p (1 + t^-2)^((p-1)/2),
+    # which only PowerGrowth is known to be: every other warp, Euclidean,
+    # tables and custom warps with a power-law growth class among them,
+    # takes the sandwich of its growth class
+    from weakmodel.warp import family_from_name
+    powers = [family_from_name("powergrowth", p=p) for p in (0.5, 1.01, 1.5, 3.7, 10.0)]
+    grid = np.geomspace(1e-4, 3000.0, 400)
+    others = [family_from_name("euclidean"), family_from_name("hyperbolic", a=1.0),
+              family_from_name("powerlog", c=1.2),
+              Tabulated(grid, *PowerGrowth(1.5).eval(grid), growth=PowerLawGrowth(1.5, 1.0)),
+              _ScaledPower(), _PowerGrowthSubclass(2.0)]
+    for n in (2, 3, 4):
+        assert all(_TailModel(w, n).exact for w in powers)
+        assert not any(_TailModel(w, n).exact for w in others)
     t = np.geomspace(20.0, 1e6, 400)
-    power = [w for w in families if isinstance(w.growth_class, PowerLawGrowth)]
-    assert {type(w) for w in power} == {Euclidean, PowerGrowth}
-    for w in power:
+    for w in [Euclidean()] + powers:
         p = w.growth_class.exponent
         assert w.growth_class.scale == 1.0
         assert_allclose(w.log_phi(t), p * np.log(t) + (p - 1) / 2 * np.log1p(t ** -2.0),
                         rtol=1e-15, atol=0.0, err_msg=repr(w))
+
+
+@pytest.mark.parametrize("r_max", [None, 1e4])
+def test_custom_power_law_warp_is_certified_by_its_sandwich(r_max):
+    # PowerGrowth's exact series at scale 1 is not this phi's: it would
+    # print 0.118200898512 with a bound of 2e-15, 2.4e-3 off.  The sandwich
+    # at R/3 is wide at the default R = 100, so that report is refused with
+    # its budget, and at R = 1e4 the bound holds the value
+    exact = math.asinh(0.5) ** 2 / 2
+    if r_max is None:
+        with pytest.raises(QuadratureFailure, match=r"r_max=100: .*cross term 1\.07e-06"):
+            march_criterion(_ScaledPower(), 2)
+        return
+    rep = march_criterion(_ScaledPower(), 2, r_max=r_max)
+    assert rep.verdict == CONVERGENT and rep.error_bound < 1e-8
+    assert abs(rep.value - exact) <= rep.error_bound, (rep.value, exact)
+
+
+class _GriddedHyperbolic(Hyperbolic):
+    grid = np.linspace(0.0, 1.0, 5)   # an attribute, not a table's samples
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_grid_attribute_does_not_make_a_table(n):
+    # only a Tabulated warp has a hull that bounds R
+    from weakmodel.criterion import classify
+    ours = classify(_GriddedHyperbolic(1.0), n)
+    theirs = classify(Hyperbolic(1.0), n)
+    assert [json.dumps(r.to_json_dict()) for r in ours] == [
+        json.dumps(r.to_json_dict()) for r in theirs]
+    assert [r.value.hex() for r in ours] == [r.value.hex() for r in theirs]
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
@@ -699,7 +750,7 @@ def test_euclidean_tails_are_exact(n):
     # transience integral int_1^inf t^-2 is 1
     import mpmath as mp
     from weakmodel import criterion
-    model = _TailModel(Euclidean().growth_class, n, exact=True)
+    model = _TailModel(Euclidean(), n)
     for R in (30.0, 1e3, 1e30, 1e250):
         (lo, hi), _ = criterion._tail_brackets(n, model, R, double=False)
         with mp.workdps(40):

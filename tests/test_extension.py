@@ -296,6 +296,23 @@ def test_evaluate_makes_one_tau_evaluation(monkeypatch):
     assert len(calls) == 2
 
 
+def test_constant_data_read_no_tau(monkeypatch, hyperbolic, hyperbolic_criterion):
+    # m = 0 alone: the constant profile, whose values are 1 at every r,
+    # reads no tau at the new point sets it is evaluated at
+    table = CoefficientTable(2)
+    table.set(0, 0, 2.5 * math.sqrt(2 * math.pi))   # f == 2.5
+    e = ext.build_extension(hyperbolic, 2, BoundaryData.from_coefficients(table), 3,
+                            criterion=hyperbolic_criterion)
+    calls = count_calls(monkeypatch, LogCumulative, "log_between")
+    th = np.linspace(0, 2 * math.pi, 17)
+    u = ext.evaluate(e, np.array([0.0, 0.5, 3.0, 20.0]), th)
+    assert_allclose(u, 2.5, rtol=1e-12)
+    assert e.profiles[0].metadata() == {"m": 0, "lambda_sq": 0.0, "l": 0.0,
+                                        "limit_estimate": 1.0, "limit_error": 0.0,
+                                        "normalized": True}
+    assert calls == []
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_batched_evaluate_rows_equal_scalar_calls(n):
     # n = 2: conformal modes sharing one tau; n = 3: the dense output of

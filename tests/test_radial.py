@@ -360,6 +360,24 @@ def test_normalize_errors():
     assert p.normalized and p.limit_error >= radial._TAIL_DELTA
 
 
+def test_normalize_refuses_a_delta_past_double_range():
+    # PowerLog(0.51) converges so slowly that at R = 100 the growth bound's
+    # exponent for m = 4 overflows: delta is inf and pins no limit, and
+    # dividing by it would give a profile of zeros
+    w = PowerLog(0.51)
+    p = solve_radial(w, 3, eigen_round_sphere(3, 4), r_max=100.0)
+    with pytest.raises(TailNotTight, match=r"^tail delta at r_max = 100 is inf "):
+        normalize_profile(p, tail_certificate(w, 3, 100.0))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_suggest_rmax_keeps_the_certificate_at_lambda_zero(n):
+    # with lambda^2 = 0 the tail delta is 0 at every R
+    w = Hyperbolic(1.0)
+    cert = tail_certificate(w, n, 30.0)
+    assert suggest_rmax(w, n, 0.0, cert) is cert
+
+
 def test_suggest_rmax_enables_normalization():
     w = PowerGrowth(2.0)
     mode = eigen_round_sphere(2, 1)
@@ -836,8 +854,8 @@ def test_conformal_modes_start_where_the_tail_bracket_holds():
 
 
 def test_conformal_constant_mode_is_exp_of_zero_tau():
-    # m = 0 is exp(-0 tau), built like every mode: the bits and the record
-    # of the constant 1 that solve_modes gives on the same grid
+    # m = 0 is exp(-0 tau) = 1, which both solvers build as one constant
+    # profile: the bits and the record solve_modes gives on the same grid
     w = Hyperbolic(1.0)
     zero, = _conformal(w, [eigen_round_sphere(2, 0)])
     const, = solve_modes(w, 2, [eigen_round_sphere(2, 0)], r_max=zero.r_max)

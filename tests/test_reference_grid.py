@@ -96,7 +96,7 @@ _FAMILIES = ([Euclidean()] + [Hyperbolic(a) for a in (0.1, 1.0, 2.0)]
 
 
 def _default_r(w, n):
-    model = criterion._TailModel(w.growth_class, n)
+    model = criterion._TailModel(w, n)
     return criterion._start_radius(w, model, model.default_r_max())
 
 
