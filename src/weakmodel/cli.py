@@ -18,7 +18,6 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -246,18 +245,20 @@ def cmd_verify(args) -> int:
             w, n, [eigen_round_sphere(n, m) for m in range(M + 1)],
             r_max=report.r_max, tol=cfg["tol"])))
 
-    # artifacts: the (grid, values) samples of each profile_m*.csv
-    loaded = None
-    if getattr(args, "artifacts", None):
-        loaded = {m: _radial.load_profile_csv(
-            os.path.join(args.artifacts, f"profile_m{m}.csv"))
-            for m in range(M + 1)}
+    # the (grid, values) samples the bound and monotone checks read: each
+    # profile_m*.csv with --artifacts, else each profile's own, the rows
+    # solve writes
+    artifacts = getattr(args, "artifacts", None)
+    samples = {m: _radial.load_profile_csv(os.path.join(artifacts, f"profile_m{m}.csv"))
+               if artifacts else (profiles[m].grid, profiles[m].values)
+               for m in range(M + 1)}
 
     # Riccati residual + inequality (m >= 1), inside the criterion's panels
-    s_grid = np.linspace(1.0, min(report.r_max, 20.0), 481)
-    traces = {m: _radial.riccati_trace(profiles[m], s_grid) for m in range(1, M + 1)}
+    top = min(report.r_max, 20.0)
+    s_grid = np.linspace(1.0, top, 481)
+    traces = [_radial.riccati_trace(profiles[m], s_grid) for m in range(1, M + 1)]
     worst_res, ineq_ok, res_ok = 0.0, True, True
-    for tr in traces.values():
+    for tr in traces:
         worst_res = max(worst_res, float(np.max(np.abs(tr.residual))))
         res_ok &= tr.residual_ok
         ineq_ok &= tr.inequality_ok
@@ -266,26 +267,20 @@ def cmd_verify(args) -> int:
     checks.append(_check("riccati_inequality", ineq_ok, "x' <= phi^(n-3) + 1e-9 " + (
         "max(1, phi^(n-3)) pointwise" if n >= 4 else "pointwise")))
 
-    # growth bound on trace grids; artifacts at their own nodes, since
-    # interpolating them pierces the bound where it touches phi_m at s = 1
+    # growth bound at the samples' own nodes inside [1, top], since
+    # interpolating them pierces the bound where it touches phi_m at r = 1
     bound_ok = True
-    for m, tr in traces.items():
-        if loaded:
-            grid, values = loaded[m]
-            inside = (grid >= tr.grid[0]) & (grid <= tr.grid[-1])
-            ref, _ = _radial.lemma_bound_check(
-                profiles[m], dataclasses.replace(tr, grid=grid[inside]), report)
-            bound_ok &= bool(np.all(values[inside] <= ref * (1 + 1e-8)))
-        else:
-            _, okm = _radial.lemma_bound_check(profiles[m], tr, report)
-            bound_ok &= okm
+    for m in range(1, M + 1):
+        grid, values = samples[m]
+        inside = (grid >= 1.0) & (grid <= top)
+        bound, _ = _radial.lemma_bound_check(profiles[m], report, grid[inside])
+        bound_ok &= bool(np.all(values[inside] <= bound * (1 + 1e-8)))
     checks.append(_check("lemma_bound", bound_ok,
                          "phi_m below the certified growth bound"))
 
     # monotonicity / nonnegativity
     mono = True
-    for m in range(M + 1):
-        values = loaded[m][1] if loaded else profiles[m].values
+    for _, values in samples.values():
         mono &= bool(np.all(np.diff(values) >= -1e-12) and np.all(values >= 0))
     checks.append(_check("monotone_nonnegative", mono,
                          "profiles nondecreasing and >= 0"))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidTolerance, NotConvergent, OutOfDomain,
+from .errors import (InvalidFamily, InvalidTolerance, NotConvergent, OutOfDomain,
                      QuadratureFailure)
 from .quadrature import adaptive_quad_log, logsumexp
 from .report import round12, round_up_3
@@ -212,6 +212,15 @@ class _TailModel:
             return ls, ls
         slack = abs(g.exponent - 1.0) / 2.0 * math.log1p(r0 ** -2)
         return ls - slack, ls + slack
+
+    def log_psi(self, R):
+        """log psi(R): rate*R, exponent*log R, or log R + c log log R."""
+        g = self.growth
+        if self.kind == "exp":
+            return g.rate * R
+        if self.kind == "power":
+            return g.exponent * math.log(R)
+        return math.log(R) + g.log_exponent * math.log(math.log(R))
 
     # -- convergence decisions (structural, from psi alone) ------------------
 
@@ -465,12 +474,27 @@ def _radius(w, r_max, default):
 
 def _start_radius(w, model, R):
     """R raised above the sandwich start; tabulated data stay inside the
-    samples, and a table whose samples end before that start is refused."""
+    samples, and a table whose samples end before that start is refused.
+    Every other warp must keep its growth class's promise at that R: a
+    log phi(R) - log psi(R) outside `model.log_sandwich(model.r0(R))`, by
+    more than 16 ulp of the logs involved, is refused with InvalidFamily."""
     start = model.min_r0() * 1.3
-    if isinstance(w, Tabulated) and w.grid[-1] < start:
-        raise OutOfDomain(f"tabulated hull ends at r = {w.grid[-1]:g}, below the "
-                          f"tail sandwich start r = {start:g}")
-    return max(min(R, _top_radius(w)), start)
+    if isinstance(w, Tabulated):
+        if w.grid[-1] < start:
+            raise OutOfDomain(f"tabulated hull ends at r = {w.grid[-1]:g}, below the "
+                              f"tail sandwich start r = {start:g}")
+        return max(min(R, _top_radius(w)), start)
+    R = max(R, start)
+    log_phi, log_psi = float(w.log_phi(R)), model.log_psi(R)
+    r0 = model.r0(R)
+    lo, hi = model.log_sandwich(r0)
+    pad = 16 * math.ulp(abs(log_phi) + abs(log_psi) + abs(lo) + abs(hi))
+    if not lo - pad <= log_phi - log_psi <= hi + pad:
+        raise InvalidFamily(
+            f"{w!r} breaks its growth class {model.growth!r}: at r = {R:g}, "
+            f"log phi - log psi = {log_phi - log_psi:.6g} lies outside "
+            f"[{lo:.6g}, {hi:.6g}], the class's sandwich from r0 = {r0:g}")
+    return R
 
 
 def _tail_brackets(n, model, R, double=True, shared=None):
@@ -512,7 +536,6 @@ def _certify(w, n, tol, r_max, double, shared):
     `classify` call.
     """
     _check_args(w, n, tol, r_max)
-    shared = {} if shared is None else shared
     if isinstance(w.growth_class, UnknownGrowth):
         return _classify_unknown(w, n, double, r_max, shared)
     model = _TailModel(w, n)
@@ -526,9 +549,9 @@ def _certify(w, n, tol, r_max, double, shared):
             tail_evidence=model.divergence_evidence(r0, double), r_max=R, panels=panels,
             _warp=w, _n=n)
 
-    cert = _certificate(w, n, model, R, shared) if double else None
-    (in_lo, in_hi), _ = _tail_brackets(n, model, R, False, shared)
+    (in_lo, in_hi), dbl = _tail_brackets(n, model, R, double, shared)
     F, F_err, (log_c, log_ec), panels = _finite(w, n, R, double, shared)
+    cert = _certificate(n, R, log_c, (in_lo, in_hi), dbl) if double else None
     if double:   # (C - e_C, C + e_C) * T_in
         cross_lo = max(math.exp(log_c + in_lo) - math.exp(log_ec + in_lo), 0.0)
         cross_hi = math.exp(log_c + in_hi) + math.exp(log_ec + in_hi)
@@ -584,14 +607,12 @@ def classify(w: WarpingFunction, n: int, tol: float = 1e-8,
             transience_integral(w, n, tol, r_max, _shared=shared))
 
 
-def _certificate(w, n, model, R, shared=None):
-    """The tail certificate at R: the brackets of `_tail_brackets`, with
-    C(1,R) exactly R - 1 at n = 3, else from the pass of `_finite`, each
-    taken from `shared` where the caller holds them already."""
-    inner, dbl = _tail_brackets(n, model, R, shared=shared)
-    log_cum = math.log(R - 1.0) if n == 3 else _finite(w, n, R, True, shared)[2][0]
-    return TailCertificate(r_max=R, log_cum=log_cum, log_inner=inner,
-                           double=(math.exp(dbl[0]), math.exp(dbl[1])))
+def _certificate(n, R, log_cum, inner, dbl):
+    """The tail certificate at R of the brackets (inner, dbl) of
+    `_tail_brackets` and log_cum, the log C(1,R) of the pass of `_finite`,
+    which at n = 3 is exactly log(R - 1) and not read (None)."""
+    return TailCertificate(r_max=R, log_cum=math.log(R - 1.0) if n == 3 else log_cum,
+                           log_inner=inner, double=(math.exp(dbl[0]), math.exp(dbl[1])))
 
 
 def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
@@ -601,7 +622,9 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
     model = _TailModel(w, n)
     if model.inner_diverges() or model.double_diverges():
         raise NotConvergent("criterion integral diverges for this metric")
-    return _certificate(w, n, model, _start_radius(w, model, float(R)))
+    R = _start_radius(w, model, float(R))
+    log_cum = None if n == 3 else _finite(w, n, R, True)[2][0]
+    return _certificate(n, R, log_cum, *_tail_brackets(n, model, R))
 
 
 def check_report(report, w, n, whose, error, certified=False):

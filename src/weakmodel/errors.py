@@ -50,7 +50,7 @@ class DegenerateProfile(WeakModelError, ValueError):
 
 
 class TailNotTight(WeakModelError, RuntimeError):
-    """Normalization tail error stayed above threshold after regrowing r_max."""
+    """No radius gives a tail certificate that pins a profile's limit."""
 
 
 class NotConvergent(WeakModelError, ValueError):
@@ -71,7 +71,7 @@ class OutOfRange(WeakModelError, ValueError):
 
 
 class SolverDivergence(WeakModelError, RuntimeError):
-    """Iterative linear solver failed to reach the requested residual."""
+    """The annulus solve left a residual above its tolerance."""
 
 
 class BoundaryPoint(WeakModelError, ValueError):

@@ -684,8 +684,6 @@ def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
 class RiccatiTrace:
     grid: np.ndarray
     x: np.ndarray
-    A: float                  # x(1)
-    B: float                  # phi_m(1)
     residual: np.ndarray      # x' + (lambda^2/phi^{n-1}) x^2 - phi^{n-3}
     residual_ok: bool
     inequality_ok: bool       # x' <= phi^{n-3} + 1e-9 (max(1, phi^{n-3}) at n >= 4)
@@ -729,45 +727,46 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
     # x' reaches phi^{n-3} up to its rounding, which at n >= 4 grows with phi
     slack = 1e-9 * (np.maximum(1.0, source) if n >= 4 else 1.0)
     inequality_ok = bool(np.all(xp <= source + slack))
-    one = np.array([1.0])     # A and B at r = 1 itself, wherever the grid starts
-    log_phi_one = profile._memo.get(("log_phi", w), one, w.log_phi)
-    A = float(profile._solution(one)[1][0] * np.exp((n - 3) * log_phi_one)[0])
-    B = float(profile.interp(1.0))
-    return RiccatiTrace(grid=s_grid, x=x, A=A, B=B, residual=residual,
+    return RiccatiTrace(grid=s_grid, x=x, residual=residual,
                         residual_ok=residual_ok, inequality_ok=inequality_ok)
 
 
-def lemma_bound_check(profile: RadialProfile, trace: RiccatiTrace,
-                      criterion: _criterion.CriterionReport):
-    """Verify phi_m(s) <= B exp(int_1^s lambda^2/phi^{n-1} (A + int_1^t phi^{n-3})).
+def lemma_bound_check(profile: RadialProfile, report: _criterion.CriterionReport, r):
+    """Verify phi_m(r) <= B exp(int_1^r lambda^2/phi^{n-1} (A + int_1^t phi^{n-3}))
+    at the radii r, with A = x(1) and B = phi_m(1) read off the profile at
+    r = 1 itself.
 
-    Returns (bound curve on trace.grid, satisfied flag).  The exponent is
-    lambda^2 (A F + T), with F = int_1^s phi^{1-n} and the triangle
-    T = int_1^s phi^{1-n}(t) int_1^t phi^{n-3}: the integrals of March's
-    criterion, read at each radius off the panel triples of `criterion`, the
-    report of (warp, n), by `quadrature.log_prefix`.  So the bound uses only
-    the warping function and no pass of its own, independent of the ODE
-    solver.  The profiles of one solve share F and T per point set and
-    report.  A report of another warp or n, and a trace grid outside
-    [1, criterion.r_max], are refused.
+    Returns (bound at r, satisfied flag).  The exponent is lambda^2 (A F + T),
+    with F = int_1^r phi^{1-n} and the triangle
+    T = int_1^r phi^{1-n}(t) int_1^t phi^{n-3}: the integrals of March's
+    criterion, read at each radius off the panel triples of `report`, the
+    criterion report of (warp, n), by `quadrature.log_prefix`.  So the bound
+    uses only the warping function and no pass of its own, independent of
+    the ODE solver.  The profiles of one solve share F and T per point set
+    and report.  A report of another warp or n, and radii outside
+    [1, report.r_max], are refused.
     """
     lam2, w, n = profile.mode.lambda_sq, profile.warp, profile.n
-    _criterion.check_report(criterion, w, n, "profile's", DegenerateProfile)
-    s_grid = trace.grid
-    lo, hi = np.min(s_grid, initial=1.0), np.max(s_grid, initial=criterion.r_max)
-    if lo < 1.0 or hi > criterion.r_max:
+    _criterion.check_report(report, w, n, "profile's", DegenerateProfile)
+    r = np.asarray(r, dtype=float)
+    lo, hi = np.min(r, initial=1.0), np.max(r, initial=report.r_max)
+    if lo < 1.0 or hi > report.r_max:
         raise DegenerateProfile(f"the growth bound starts at r = 1 and ends at the "
-                                f"criterion's r_max = {criterion.r_max:g}, and the "
-                                f"trace grid reaches r = {lo if lo < 1.0 else hi:g}")
+                                f"criterion's r_max = {report.r_max:g}, and the "
+                                f"radii reach r = {lo if lo < 1.0 else hi:g}")
 
+    one = np.array([1.0])
+    log_phi_one = profile._memo.get(("log_phi", w), one, w.log_phi)
+    A = float(profile._solution(one)[1][0] * np.exp((n - 3) * log_phi_one)[0])
+    B = float(profile.interp(1.0))
     log_t, log_f, _ = profile._memo.get(
-        ("exponent", w, n, criterion.panels.tobytes()), s_grid, lambda x:
-        _quadrature.log_prefix(criterion.panels, x))
+        ("exponent", w, n, report.panels.tobytes()), r, lambda x:
+        _quadrature.log_prefix(report.panels, x))
     with np.errstate(over="ignore"):
-        log_bound = math.log(trace.B) + lam2 * (trace.A * np.exp(log_f) + np.exp(log_t))
+        log_bound = math.log(B) + lam2 * (A * np.exp(log_f) + np.exp(log_t))
         bound = np.exp(np.minimum(log_bound, 700.0))
         bound[log_bound > 700.0] = math.inf
-    log_vals = profile._log_raw(s_grid) - math.log(profile._scale)
+    log_vals = profile._log_raw(r) - math.log(profile._scale)
     satisfied = bool(np.all(log_vals <= log_bound + math.log1p(1e-8)))
     return bound, satisfied
 

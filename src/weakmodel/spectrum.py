@@ -46,6 +46,13 @@ def multiplicity(n: int, m: int) -> int:
     return math.comb(m + n - 1, n - 1) - math.comb(max(m + n - 3, 0), n - 1)
 
 
+def _check_dimension(n: int):
+    """Refuse an n whose round-sphere basis is not built in."""
+    if n not in (2, 3):
+        raise UnsupportedDimension(
+            f"the round sphere's basis is built for n in {{2, 3}}, got n={n}")
+
+
 # ---------------------------------------------------------------------------
 # Eigenfunction evaluation
 # ---------------------------------------------------------------------------
@@ -82,9 +89,7 @@ def eigenfunction_eval(n: int, m: int, k: int, omega):
     n=2: omega is an angle theta (scalar or array).
     n=3: omega is (colatitude, longitude), each scalar or array.
     """
-    if n not in (2, 3):
-        raise UnsupportedDimension(
-            f"eigenfunction data only available for n in {{2, 3}}, got n={n}")
+    _check_dimension(n)
     mult = multiplicity(n, m)
     if not 0 <= k < mult:
         raise IndexOutOfRange(f"k={k} outside 0..{mult - 1} for n={n}, m={m}")
@@ -129,22 +134,21 @@ class SphereQuadrature:
 def sphere_quadrature(n: int, M: int) -> SphereQuadrature:
     if M < 0:
         raise GridTooCoarse("band limit must be >= 0")
+    _check_dimension(n)
     if n == 2:
         N = max(4 * (M + 1), 8)
         theta = 2 * math.pi * np.arange(N) / N
         wts = np.full(N, 2 * math.pi / N)
         return SphereQuadrature(n=2, band_limit=M, points=theta, weights=wts)
-    if n == 3:
-        L = M + 2                       # Gauss-Legendre colatitude nodes
-        nlon = max(2 * M + 4, 8)        # uniform longitudes
-        xs, wx = np.polynomial.legendre.leggauss(L)
-        colat = np.arccos(xs)
-        lon = 2 * math.pi * np.arange(nlon) / nlon
-        cc, ll = np.meshgrid(colat, lon, indexing="ij")
-        ww = np.outer(wx, np.full(nlon, 2 * math.pi / nlon))
-        pts = np.column_stack([cc.ravel(), ll.ravel()])
-        return SphereQuadrature(n=3, band_limit=M, points=pts, weights=ww.ravel())
-    raise UnsupportedDimension(f"quadrature grids available for n in {{2, 3}}, got {n}")
+    L = M + 2                       # Gauss-Legendre colatitude nodes
+    nlon = max(2 * M + 4, 8)        # uniform longitudes
+    xs, wx = np.polynomial.legendre.leggauss(L)
+    colat = np.arccos(xs)
+    lon = 2 * math.pi * np.arange(nlon) / nlon
+    cc, ll = np.meshgrid(colat, lon, indexing="ij")
+    ww = np.outer(wx, np.full(nlon, 2 * math.pi / nlon))
+    pts = np.column_stack([cc.ravel(), ll.ravel()])
+    return SphereQuadrature(n=3, band_limit=M, points=pts, weights=ww.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +332,10 @@ def load_coefficients_json(path, n):
 
 def sup_norm_bound(n: int, m: int) -> float:
     """Upper bound for max |f_{m,k}| over the sphere."""
+    _check_dimension(n)
     if n == 2:
         return 1.0 / math.sqrt(2 * math.pi) if m == 0 else 1.0 / math.sqrt(math.pi)
-    if n == 3:
-        return math.sqrt((2 * m + 1) / (4 * math.pi))
-    raise UnsupportedDimension(f"n={n}")
+    return math.sqrt((2 * m + 1) / (4 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +371,7 @@ class RoundSphere(SphereSpectrum):
     and sup-norm bounds are built in for n in {2, 3}."""
 
     def __init__(self, n: int):
-        if n not in (2, 3):
-            raise UnsupportedDimension(
-                f"extensions on the round sphere support n in {{2, 3}}, got n={n}")
+        _check_dimension(n)
         super().__init__(n)
 
     def mode(self, m):

@@ -76,7 +76,8 @@ class WarpingFunction:
     exponential growth lies within [1 - e^(-2 rate r0), 1] of scale*psi, a
     power law within (1 + r0^-2)^(+-|exponent - 1|/2) of it, and power-log
     is scale*psi exactly.  The criterion certifies tails from that promise
-    alone; only `PowerGrowth`, whose phi it knows, gets exact power tails.
+    alone, refusing a warp other than a table that breaks it at the radius
+    certified; only `PowerGrowth`, whose phi it knows, gets exact power tails.
     """
 
     growth_class = UnknownGrowth()

@@ -93,7 +93,7 @@ def test_criterion_4_lemma_suite():
                     assert np.all(np.abs(tr.residual) < 1e-6 * (1.0 + src)), \
                         f"{w!r} n={n} m={m}: residual"
                     assert tr.inequality_ok, f"{w!r} n={n} m={m}: inequality"
-                    _, ok = radial.lemma_bound_check(p, tr, criterion_at(p))
+                    _, ok = radial.lemma_bound_check(p, criterion_at(p), s_grid)
                     assert ok, f"{w!r} n={n} m={m}: bound"
 
 

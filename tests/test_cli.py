@@ -503,8 +503,8 @@ def _count_triple_passes(monkeypatch):
 def test_n3_verify_evaluates_the_stack_and_the_exponent_once(tmp_path, monkeypatch):
     # every mode slices one evaluation of the stacked dense output per point
     # set, and the criterion's pass of panel triples is the only one: the
-    # growth bound reads its exponent from the report's panels, on the trace
-    # grid and with --artifacts on the solve's own grid
+    # growth bound reads its exponent from the report's panels, at the
+    # solve's own grid nodes, held in memory or read from its artifacts
     calls, reads = [], []
     dense = radial.PanelSolution.__call__
     prefix = quadrature.log_prefix
@@ -523,8 +523,9 @@ def test_n3_verify_evaluates_the_stack_and_the_exponent_once(tmp_path, monkeypat
     flags = ["--family", "hyperbolic", "--a", "1", "--n", "3", "--modes", "4"]
     assert run(["verify", *flags, "--out", str(tmp_path / "v")]) == 0
     # the solve's grid, the trace grid with and without the derivative,
-    # r = 1, and the radii of the maximum principle and the FD stencils
-    assert len(calls) == len(set(calls)) == 6
+    # r = 1, the solve's grid inside [1, 20] that the growth bound reads,
+    # and the radii of the maximum principle and the FD stencils
+    assert len(calls) == len(set(calls)) == 7
     assert passes == [(-2, 0)] and len(reads) == 1
     assert run(["solve", *flags, "--out", str(tmp_path / "s")]) == 0
     passes.clear()
@@ -532,6 +533,34 @@ def test_n3_verify_evaluates_the_stack_and_the_exponent_once(tmp_path, monkeypat
     assert run(["verify", *flags, "--artifacts", str(tmp_path / "s"),
                 "--out", str(tmp_path / "va")]) == 0
     assert passes == [(-2, 0)] and len(reads) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_bounds_the_same_nodes_with_and_without_artifacts(tmp_path, monkeypatch, n):
+    # the growth bound reads the rows solve writes: held in memory, or read
+    # back from its profile CSVs, the same nodes of [1, 20] to the CSV's 15
+    # digits, so an untampered solve verifies to the same report either way
+    reads = []
+    check = radial.lemma_bound_check
+
+    def spy(profile, report, r):
+        reads.append(np.asarray(r, dtype=float))
+        return check(profile, report, r)
+
+    monkeypatch.setattr(radial, "lemma_bound_check", spy)
+    flags = ["--family", "hyperbolic", "--a", "1", "--n", str(n), "--modes", "4"]
+    assert run(["solve", *flags, "--out", str(tmp_path / "s")]) == 0
+    assert run(["verify", *flags, "--out", str(tmp_path / "v")]) == 0
+    own = reads[:]
+    reads.clear()
+    assert run(["verify", *flags, "--artifacts", str(tmp_path / "s"),
+                "--out", str(tmp_path / "va")]) == 0
+    assert len(own) == len(reads) == 4
+    for mine, loaded in zip(own, reads):
+        assert mine[0] >= 1.0 and mine[-1] <= 20.0 and mine.shape == loaded.shape
+        np.testing.assert_allclose(mine, loaded, rtol=1e-14, atol=0.0)
+    assert ((tmp_path / "v" / "verify.json").read_bytes()
+            == (tmp_path / "va" / "verify.json").read_bytes())
 
 
 def test_n2_verify_makes_one_pass_of_triples_and_one_tau(tmp_path, monkeypatch):
@@ -625,9 +654,9 @@ def test_table_growth_bound_reads_the_inconclusive_report(tmp_path, monkeypatch,
     reads = []
     check = radial.lemma_bound_check
 
-    def spy(profile, trace, report):
-        bound, ok = check(profile, trace, report)
-        reads.append((profile, trace, report, bound))
+    def spy(profile, report, r):
+        bound, ok = check(profile, report, r)
+        reads.append((profile, report, r, bound))
         return bound, ok
 
     monkeypatch.setattr(radial, "lemma_bound_check", spy)
@@ -635,14 +664,14 @@ def test_table_growth_bound_reads_the_inconclusive_report(tmp_path, monkeypatch,
     assert run(["verify", "--warp-csv", str(path), "--n", str(n), "--modes", "4",
                 "--out", str(tmp_path / "v")]) == 0
     assert len(reads) == 4
-    for profile, trace, report, bound in reads:
+    for profile, report, r, bound in reads:
         assert report.verdict == criterion.INCONCLUSIVE
         t, q = profile.warp, (1 - n, n - 3)
         _, _, panels = quadrature.adaptive_quad_log(
-            t.log_phi, np.geomspace(1.0, trace.grid[-1], 9), rtol=1e-12, triangle=q)
-        log_t, log_f, _ = quadrature.log_prefix(panels, trace.grid)
-        fresh = trace.B * np.exp(profile.mode.lambda_sq * (trace.A * np.exp(log_f)
-                                                           + np.exp(log_t)))
+            t.log_phi, np.geomspace(1.0, r[-1], 9), rtol=1e-12, triangle=q)
+        log_t, log_f, _ = quadrature.log_prefix(panels, r)
+        A, B = radial.riccati_trace(profile, [1.0]).x[0], profile.interp(1.0)
+        fresh = B * np.exp(profile.mode.lambda_sq * (A * np.exp(log_f) + np.exp(log_t)))
         np.testing.assert_allclose(bound, fresh, rtol=1e-12, atol=0.0)
 
 

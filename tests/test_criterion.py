@@ -16,11 +16,11 @@ from scipy.integrate import quad
 from conftest import count_calls, fubini_check, write_tabulated_csv
 from weakmodel.report import round12
 from weakmodel.criterion import (CONVERGENT, DIVERGENT, INCONCLUSIVE,
-                                 CriterionReport, _TailModel, _log_g,
-                                 march_criterion, tail_certificate,
+                                 CriterionReport, _start_radius, _TailModel, _log_g,
+                                 classify, march_criterion, tail_certificate,
                                  transience_integral)
-from weakmodel.errors import (InvalidTolerance, NotConvergent, OutOfDomain,
-                              QuadratureFailure)
+from weakmodel.errors import (InvalidFamily, InvalidTolerance, NotConvergent,
+                              OutOfDomain, QuadratureFailure)
 from weakmodel.warp import (Euclidean, Hyperbolic, PowerGrowth, PowerLawGrowth,
                             PowerLog, PowerLogGrowth, Tabulated, WarpingFunction,
                             load_tabulated_csv)
@@ -700,6 +700,41 @@ def test_custom_power_law_warp_is_certified_by_its_sandwich(r_max):
     rep = march_criterion(_ScaledPower(), 2, r_max=r_max)
     assert rep.verdict == CONVERGENT and rep.error_bound < 1e-8
     assert abs(rep.value - exact) <= rep.error_bound, (rep.value, exact)
+
+
+class _MisscaledPower(_ScaledPower):
+    """The same phi ~ 2r^2, declaring PowerLawGrowth(2, 1): the wrong scale."""
+
+    growth_class = PowerLawGrowth(2.0, 1.0)
+
+
+@pytest.mark.parametrize("r_max", [None, 1e4])
+def test_a_warp_that_breaks_its_growth_class_is_refused(r_max):
+    # the sandwich of PowerLawGrowth(2, 1) holds log phi - 2 log r within
+    # +-4.5e-4 at R = 100, and this phi sits log 2 above it: once certified
+    # at r_max 1e4 with a bound of 2.2e-12, 2.4e-5 off asinh(1/2)^2/2
+    w = _MisscaledPower()
+    message = (r"breaks its growth class PowerLawGrowth\(exponent=2\.0, scale=1\.0\): "
+               r"at r = (100|10000), log phi - log psi = 0\.6931")
+    for call in (lambda: march_criterion(w, 2, r_max=r_max),
+                 lambda: classify(w, 3, r_max=r_max),
+                 lambda: tail_certificate(w, 2, r_max or 100.0)):
+        with pytest.raises(InvalidFamily, match=message):
+            call()
+
+
+@pytest.mark.parametrize("w", [
+    Euclidean(), Hyperbolic(0.05), Hyperbolic(1.0), Hyperbolic(7.0), PowerGrowth(0.8),
+    PowerGrowth(1.05), PowerGrowth(3.7), PowerLog(0.0), PowerLog(0.6), PowerLog(5.0)],
+    ids=repr)
+def test_closed_warps_keep_their_growth_class_at_every_radius(w):
+    # the growth-class guard allows 16 ulp of the logs: where log phi is
+    # near 1e250 (exponential growth at R = 1e250) or phi's correction to
+    # psi underflows, no closed warp is refused
+    for n in (2, 3, 6):
+        model = _TailModel(w, n)
+        for R in (10.0, 100.0, 1e3, 1e7, 1e30, 1e100, 1e250):
+            assert _start_radius(w, model, R) >= R
 
 
 class _GriddedHyperbolic(Hyperbolic):

@@ -115,8 +115,8 @@ def test_riccati_trace_euclidean():
     tr = riccati_trace(p)
     assert np.max(np.abs(tr.x - 1.0)) < 1e-8
     assert tr.residual_ok and tr.inequality_ok
-    assert_allclose(tr.A, 1.0, atol=1e-9)
-    assert_allclose(tr.B, 1.0, atol=1e-9)
+    assert_allclose(riccati_trace(p, [1.0]).x[0], 1.0, atol=1e-9)   # A = x(1)
+    assert_allclose(p.interp(1.0), 1.0, atol=1e-9)                  # B = phi_m(1)
 
 
 def test_riccati_trace_hyperbolic(tanh_profile):
@@ -124,7 +124,7 @@ def test_riccati_trace_hyperbolic(tanh_profile):
     tr = riccati_trace(tanh_profile)
     assert np.max(np.abs(tr.x - 1.0)) < 1e-6
     assert tr.residual_ok and tr.inequality_ok
-    assert_allclose(tr.B, math.tanh(0.5), atol=1e-6)
+    assert_allclose(tanh_profile.interp(1.0), math.tanh(0.5), atol=1e-6)
 
 
 def test_riccati_rejects_constant_mode():
@@ -155,31 +155,26 @@ _EXPONENTS = {
 
 def test_lemma_bound_euclidean_closed_form():
     # bound = B exp(lambda^2 (A F + T)), read on the trace grid and, as
-    # verify --artifacts reads it, on the solve's own grid inside [1, 20]
+    # verify reads it, on the solve's own grid inside [1, 20]
     for case, (w, n, exponent) in _EXPONENTS.items():
         p = solve_radial(w, n, eigen_round_sphere(n, 1), r_max=25.0)
-        tr = riccati_trace(p)
-        own = p.grid[(p.grid >= 1.0) & (p.grid <= tr.grid[-1])]
-        for trace in (tr, replace(tr, grid=own)):
-            bound, ok = lemma_bound_check(p, trace, criterion_at(p))
+        A, B = riccati_trace(p, [1.0]).x[0], p.interp(1.0)
+        trace_grid = np.linspace(1.0, 20.0, 481)
+        own = p.grid[(p.grid >= 1.0) & (p.grid <= 20.0)]
+        for r in (trace_grid, own):
+            bound, ok = lemma_bound_check(p, criterion_at(p), r)
             assert ok, case
-            F, T = exponent(trace.grid)
-            expect = tr.B * np.exp(p.mode.lambda_sq * (tr.A * F + T))
+            F, T = exponent(r)
+            expect = B * np.exp(p.mode.lambda_sq * (A * F + T))
             assert_allclose(bound, expect, rtol=1e-12, err_msg=case)
-            assert np.all(p.interp(trace.grid) <= bound * (1 + 1e-8)), case
+            assert np.all(p.interp(r) <= bound * (1 + 1e-8)), case
 
 
 def test_lemma_bound_zero_mode():
+    # the constant mode has A = 0, B = 1 and lambda^2 = 0, which kills the
+    # exponent: the bound is 1, and the constant 1 lies on it
     p = solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 0), r_max=21.0)
-    trace_like = riccati_trace(
-        solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 1),
-                     r_max=21.0))
-    # reuse grid/B but lambda^2 = 0 kills the exponent: bound == B
-    from weakmodel.radial import RiccatiTrace
-    tr0 = RiccatiTrace(grid=trace_like.grid, x=trace_like.x * 0, A=0.0, B=1.0,
-                       residual=trace_like.residual * 0, residual_ok=True,
-                       inequality_ok=True)
-    bound, ok = lemma_bound_check(p, tr0, criterion_at(p))
+    bound, ok = lemma_bound_check(p, criterion_at(p), np.linspace(1.0, 20.0, 481))
     assert ok and np.all(bound == 1.0)
 
 
@@ -193,7 +188,7 @@ def test_lemma_suite(w, n):
         tr = riccati_trace(p)
         assert tr.residual_ok, f"m={m}"
         assert tr.inequality_ok, f"m={m}"
-        _, ok = lemma_bound_check(p, tr, criterion_at(p))
+        _, ok = lemma_bound_check(p, criterion_at(p), tr.grid)
         assert ok, f"m={m}"
 
 
@@ -252,7 +247,7 @@ def test_shared_trace_arrays_keep_every_bit(w, n):
     shared = solve()
     traces = [riccati_trace(p) for p in shared]
     report = criterion_at(shared[0])
-    bounds = [lemma_bound_check(p, tr, report)[0] for p, tr in zip(shared, traces)]
+    bounds = [lemma_bound_check(p, report, tr.grid)[0] for p, tr in zip(shared, traces)]
     for j in range(len(modes)):
         residual, bound = _trace_and_bound_alone(solve()[j])
         assert traces[j].residual.tobytes() == residual.tobytes()
@@ -318,13 +313,13 @@ def test_riccati_reconstruction_cross_check(tanh_profile):
         phi = math.sinh(s)
         return [phi ** (n - 3) - lam2 * y[0] ** 2 / phi ** (n - 1)]
 
-    sol = solve_ivp(rhs, (1.0, 20.0), [tr.A], method="DOP853", rtol=1e-11,
+    sol = solve_ivp(rhs, (1.0, 20.0), [tr.x[0]], method="DOP853", rtol=1e-11,
                     atol=1e-12, dense_output=True)
     s = np.linspace(1.0, 20.0, 2001)
     x = sol.sol(s)[0]
     integrand = lam2 * x / np.sinh(s) ** (n - 1)
     H = cumulative_simpson(integrand, x=s, initial=0.0)
-    rebuilt = tr.B * np.exp(H)
+    rebuilt = tanh_profile.interp(1.0) * np.exp(H)
     direct = tanh_profile.interp(s)
     assert np.max(np.abs(rebuilt / direct - 1.0)) < 1e-5
 
@@ -576,7 +571,7 @@ def test_every_raw_profile_lies_below_the_growth_bound(w, n, ms, r_max):
     report = None
     for p in solve_modes(w, n, modes, r_max=r_max):
         report = report or criterion_at(p)
-        _, ok = lemma_bound_check(p, riccati_trace(p), report)
+        _, ok = lemma_bound_check(p, report, riccati_trace(p).grid)
         assert ok, f"{w!r} n={n} m={p.mode.m} r_max={r_max}"
 
 
@@ -605,20 +600,21 @@ def test_riccati_trace_stays_inside_solved_range():
 @pytest.mark.parametrize("w,n", [(Hyperbolic(1.0), 3), (PowerGrowth(2.0), 3),
                                  (Hyperbolic(1.0), 2)])
 def test_growth_bound_starts_at_one(w, n):
-    # A = x(1) and B = phi_m(1) are read at r = 1 itself, wherever the trace
-    # grid starts; a grid below r = 1, where the bound does not start, is
-    # refused by name rather than failed (or read backwards)
+    # A = x(1) and B = phi_m(1) are read at r = 1 itself, wherever the radii
+    # start, bit for bit as riccati_trace and interp read them there; radii
+    # below r = 1, where the bound does not start, are refused by name
+    # rather than failed (or read backwards)
     p = solve_radial(w, n, eigen_round_sphere(n, 1), r_max=25.0)
-    at_one = riccati_trace(p, s_grid=[1.0, 1.5, 3.0])
-    assert at_one.A == at_one.x[0]
-    for grid in ([0.97, 1.5, 3.0], [1.03, 1.5, 3.0]):
-        tr = riccati_trace(p, s_grid=grid)
-        assert (tr.A, tr.B) == (at_one.A, at_one.B)
-    low = riccati_trace(p, s_grid=[0.97, 1.03, 1.1, 1.5, 3.0])
+    A, B = riccati_trace(p, s_grid=[1.0]).x[0], p.interp(1.0)
     report = criterion_at(p)
+    for r in ([1.0, 1.5, 3.0], [1.03, 1.5, 3.0]):
+        bound, ok = lemma_bound_check(p, report, r)
+        log_t, log_f, _ = radial._quadrature.log_prefix(report.panels, np.array(r))
+        expect = np.exp(math.log(B) + p.mode.lambda_sq * (A * np.exp(log_f) + np.exp(log_t)))
+        assert ok and bound.tobytes() == expect.tobytes()
     with pytest.raises(DegenerateProfile, match="starts at r = 1.*r = 0.97"):
-        lemma_bound_check(p, low, report)
-    assert lemma_bound_check(p, replace(low, grid=low.grid[1:]), report)[1]
+        lemma_bound_check(p, report, [0.97, 1.03, 1.1, 1.5, 3.0])
+    assert lemma_bound_check(p, report, [1.03, 1.1, 1.5, 3.0])[1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -631,9 +627,8 @@ def test_growth_bound_stays_inside_the_criterion_radius():
     report = march_criterion(w, 3, r_max=10.0)
     assert report.r_max == 13.0
     with pytest.raises(DegenerateProfile, match="ends at the criterion's r_max = 13.*r = 20"):
-        lemma_bound_check(p, riccati_trace(p), report)
-    inside = riccati_trace(p, s_grid=np.linspace(1.0, 13.0, 200))
-    assert lemma_bound_check(p, inside, report)[1]
+        lemma_bound_check(p, report, riccati_trace(p).grid)
+    assert lemma_bound_check(p, report, np.linspace(1.0, 13.0, 200))[1]
 
 
 @pytest.mark.parametrize("report, message", [
@@ -650,10 +645,10 @@ def test_growth_bound_refuses_a_report_of_another_metric(report, message):
     # another warp object, whose repr may not tell the two apart
     w = Hyperbolic(1.0)
     p = solve_radial(w, 3, eigen_round_sphere(3, 2), r_max=25.0)
-    tr = riccati_trace(p)
-    assert lemma_bound_check(p, tr, criterion_at(p))[1]
+    r = riccati_trace(p).grid
+    assert lemma_bound_check(p, criterion_at(p), r)[1]
     with pytest.raises(DegenerateProfile, match="the criterion report is " + message):
-        lemma_bound_check(p, tr, report(w))
+        lemma_bound_check(p, report(w), r)
 
 
 def test_nonpositive_warp_detected():

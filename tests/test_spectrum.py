@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import sphere_laplacian_s2
 from weakmodel.errors import (GridTooCoarse, IndexOutOfRange, MalformedArtifact,
                               UnsupportedDimension)
-from weakmodel.spectrum import (BoundaryData, CoefficientTable,
+from weakmodel.spectrum import (BoundaryData, CoefficientTable, RoundSphere,
                                 eigen_round_sphere, eigenfunction_eval,
                                 load_coefficients_json, multiplicity,
                                 project_boundary, sphere_quadrature,
@@ -162,10 +162,12 @@ def test_error_paths():
         eigen_round_sphere(2, -1)
     with pytest.raises(GridTooCoarse, match="^band limit must be >= 0$"):
         sphere_quadrature(2, -1)
-    with pytest.raises(UnsupportedDimension, match=r"n in \{2, 3\}, got 4$"):
-        sphere_quadrature(4, 2)
-    with pytest.raises(UnsupportedDimension, match="^n=4$"):
-        sup_norm_bound(4, 0)
+    # one refusal of the dimension, by the round sphere's basis and n
+    for refused in (lambda: sphere_quadrature(4, 2), lambda: sup_norm_bound(4, 0),
+                    lambda: eigenfunction_eval(4, 1, 0, 0.0), lambda: RoundSphere(4)):
+        with pytest.raises(UnsupportedDimension, match=r"^the round sphere's basis is "
+                                                       r"built for n in \{2, 3\}, got n=4$"):
+            refused()
     with pytest.raises(GridTooCoarse, match=re.escape(
             "expected 16 samples on the (n=2, M=3) grid, got (15,)")):
         BoundaryData.from_samples(2, 3, np.ones(15))
