@@ -175,16 +175,14 @@ def _solve_artifacts(ext, out):
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    w = _build_warp(cfg)
     n, M = cfg["n"], cfg["modes"]
-    report = _criterion.march_criterion(w, n, tol=cfg["tol"],
+    report = _criterion.march_criterion(_build_warp(cfg), n, tol=cfg["tol"],
                                         r_max=cfg.get("rmax"))
     if report.verdict != _criterion.CONVERGENT:
         print(f"not solvable: criterion verdict {report.verdict}",
               file=sys.stderr)
         return 2
-    ext = _extension.build_extension(w, n, _boundary_data(cfg), M,
-                                     tol=cfg["tol"], criterion=report)
+    ext = _extension.build_extension(_boundary_data(cfg), M, report, tol=cfg["tol"])
     _solve_artifacts(ext, cfg["out"])
     print(f"solved: M={ext.M}, r_max={ext.r_max:g}, "
           f"truncation bound {round_up_3(ext.truncation_error_bound):.3g}")
@@ -213,7 +211,7 @@ def _stencil_values(ext, pts, h):
     moved by +-h in each angle.  One `evaluate` call gives u at all their
     radii and angles, each value that of the call at that point alone."""
     radii = sorted({x for r, _ in pts for x in (r - h, r, r + h)})
-    if ext.n == 2:
+    if ext.criterion.n == 2:
         angles = [a for _, om in pts for a in (om, om + h, om - h)]
         values = _extension.evaluate(ext, radii, np.array(angles))
     else:
@@ -237,8 +235,7 @@ def cmd_verify(args) -> int:
     # profiles: the extension solve builds, at the same tol, when it
     # exists; raw solves to the criterion's radius otherwise
     if convergent:
-        ext = _extension.build_extension(w, n, _boundary_data(cfg), M,
-                                         tol=cfg["tol"], criterion=report)
+        ext = _extension.build_extension(_boundary_data(cfg), M, report, tol=cfg["tol"])
         profiles = ext.profiles
     else:
         profiles = dict(enumerate(_radial.solve_modes(
@@ -273,7 +270,7 @@ def cmd_verify(args) -> int:
     for m in range(1, M + 1):
         grid, values = samples[m]
         inside = (grid >= 1.0) & (grid <= top)
-        bound, _ = _radial.lemma_bound_check(profiles[m], report, grid[inside])
+        bound = _radial.lemma_bound_check(profiles[m], report, grid[inside])
         bound_ok &= bool(np.all(values[inside] <= bound * (1 + 1e-8)))
     checks.append(_check("lemma_bound", bound_ok,
                          "phi_m below the certified growth bound"))

@@ -70,8 +70,8 @@ class CriterionReport:
     # the warp and n they integrate
     panels: np.recarray | None = field(default=None, repr=False, compare=False)
     certificate: TailCertificate | None = field(default=None, repr=False, compare=False)
-    _warp: WarpingFunction | None = field(default=None, repr=False, compare=False)
-    _n: int | None = field(default=None, repr=False, compare=False)
+    warp: WarpingFunction | None = field(default=None, repr=False, compare=False)
+    n: int | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self):
         """The report as printed: the value at 12 digits, so the bound, rounded
@@ -547,7 +547,7 @@ def _certify(w, n, tol, r_max, double, shared):
         return CriterionReport(
             verdict=DIVERGENT, value=F, error_bound=F_err,
             tail_evidence=model.divergence_evidence(r0, double), r_max=R, panels=panels,
-            _warp=w, _n=n)
+            warp=w, n=n)
 
     (in_lo, in_hi), dbl = _tail_brackets(n, model, R, double, shared)
     F, F_err, (log_c, log_ec), panels = _finite(w, n, R, double, shared)
@@ -567,7 +567,7 @@ def _certify(w, n, tol, r_max, double, shared):
         return CriterionReport(
             verdict=CONVERGENT, value=value, error_bound=err,
             tail_evidence=model.convergence_evidence(r0, double), r_max=R, panels=panels,
-            certificate=cert, _warp=w, _n=n)
+            certificate=cert, warp=w, n=n)
     # the rounding is taken on the value's certified lower end, which bounds
     # the value at every R: past tol, no radius can help
     floor = 1e-14 * (F + cross_lo + tout_lo)
@@ -627,19 +627,23 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
     return _certificate(n, R, log_cum, *_tail_brackets(n, model, R))
 
 
-def check_report(report, w, n, whose, error, certified=False):
+def check_report(report, w, n, whose, error):
     """Refuse by name, with the exception class `error`, a report of another
     n or warp object than (w, n), the `whose` metric, as it integrates
-    another phi; with `certified`, one with no tail certificate too."""
-    if report._n != n:
-        raise error(f"the criterion report is of n = {report._n}, "
+    another phi."""
+    if report.n != n:
+        raise error(f"the criterion report is of n = {report.n}, "
                     f"not of the {whose} n = {n}")
-    if report._warp is not w:
-        raise error(f"the criterion report is of {report._warp!r}, another warp object "
+    if report.warp is not w:
+        raise error(f"the criterion report is of {report.warp!r}, another warp object "
                     f"than the {whose} {w!r}")
-    if certified and report.certificate is None:
-        raise error(f"the {report.verdict} criterion report holds no tail certificate; "
-                    "only a Convergent march_criterion report does")
+
+
+def check_certified(report):
+    """Refuse with NotConvergent a report with no tail certificate."""
+    if report.certificate is None:
+        raise NotConvergent(f"the {report.verdict} criterion report holds no tail "
+                            "certificate; only a Convergent march_criterion report does")
 
 
 # ---------------------------------------------------------------------------
@@ -666,4 +670,4 @@ def _classify_unknown(w, n, double, r_max, shared):
                       f"is a lower bound (positive integrand), quadrature "
                       f"error {F_err:.3g}; no tail beyond {beyond} = "
                       f"{R:.6g} is certified", r_max=R, panels=panels,
-        _warp=w, _n=n)
+        warp=w, n=n)

@@ -16,24 +16,24 @@ import numpy as np
 
 from . import criterion as _criterion
 from . import radial as _radial
-from .errors import NotConvergent, NotSolvable, OutOfRange, UnsupportedSpectrum
+from .errors import NotSolvable, OutOfRange, UnsupportedDimension, UnsupportedSpectrum
 from .spectrum import (BoundaryData, CoefficientTable, RoundSphere,
                        SphereSpectrum, project_boundary)
-from .warp import WarpingFunction
 
 _TAIL_ENERGY_FRACTION = 1e-6
 
 
 @dataclass
 class HarmonicExtension:
-    warp: WarpingFunction
-    n: int
-    M: int
-    profiles: dict            # m -> RadialProfile, all normalized
+    profiles: dict            # m -> RadialProfile for m = 0..M, all normalized
     coeffs: CoefficientTable
     truncation_error_bound: float
-    criterion: _criterion.CriterionReport
+    criterion: _criterion.CriterionReport   # of the metric (warp, n)
     spectrum: SphereSpectrum = None
+
+    @property
+    def M(self):
+        return max(self.profiles)
 
     @property
     def r_max(self):
@@ -78,10 +78,8 @@ def _truncation_bound(f: BoundaryData, coeffs: CoefficientTable,
     return max(floor + a2 * rho / (1.0 - rho), residual)
 
 
-def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
-                    tol: float = 1e-8,
-                    criterion: _criterion.CriterionReport | None = None,
-                    spectrum: SphereSpectrum | None = None
+def build_extension(f: BoundaryData, M: int, criterion: _criterion.CriterionReport,
+                    tol: float = 1e-8, spectrum: SphereSpectrum | None = None
                     ) -> HarmonicExtension:
     """Assemble the harmonic extension of f truncated at degree M.
 
@@ -89,37 +87,40 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     supplied through the SphereSpectrum interface, with data given by
     coefficients: sampled data are projected on the round-sphere basis, so
     they are refused with any other spectrum.  The round sphere refuses n
-    outside {2, 3} before any solve.  Construction warns when the top of
-    the band (at M >= 2), with any input mode above it, carries more than
-    _TAIL_ENERGY_FRACTION of the boundary energy; at M < 2 only input modes
-    above M count.  Exact coefficients with no mode above M need no warning,
-    as their projection drops nothing.  For sampled data the energy is
-    sum_j w_j f_j^2 on the grid, and the tail is that less what the
-    projection puts below the top of the band, so modes the grid cannot
-    resolve count as dropped.  The Convergent `criterion` report of (w, n)
-    gives R, panels and tail certificate (pass `march_criterion(w, n,
-    r_max=...)` to choose R); one of another warp object or n, or with no
-    certificate, is refused with NotConvergent.  At n = 2 the modes are the
-    closed forms exp(-lambda tau) at R, tau read off the report.  At n >= 3
-    the highest mode the data use picks the radius first, from the metric
-    alone, by `suggest_rmax`'s search in log R from the report's
-    certificate, kept if its tail delta is tight (constant data keep R);
-    every m <= M is then solved once, as one stack, at that radius, and
-    normalized with its own tail delta.
+    outside {2, 3}, and data of another n are refused, before any solve.
+    Construction warns when the top of the band (at M >= 2), with any input
+    mode above it, carries more than _TAIL_ENERGY_FRACTION of the boundary
+    energy; at M < 2 only input modes above M count.  Exact coefficients
+    with no mode above M need no warning, as their projection drops
+    nothing.  For sampled data the energy is sum_j w_j f_j^2 on the grid,
+    and the tail is that less what the projection puts below the top of the
+    band, so modes the grid cannot resolve count as dropped.  The
+    Convergent `criterion` report of (w, n) gives w, n, R, panels and tail
+    certificate (pass `march_criterion(w, n, r_max=...)` to choose R); a
+    Divergent or Inconclusive one is refused with NotSolvable, one with no
+    certificate with NotConvergent.  At n = 2 the modes are the closed forms
+    exp(-lambda tau) at R, tau read off the report.  At n >= 3 the highest
+    mode the data use picks the radius first, from the metric alone, by
+    `suggest_rmax`'s search in log R from the report's certificate, kept if
+    its tail delta is tight (constant data keep R); every m <= M is then
+    solved once, as one stack, at that radius, and normalized with its own
+    tail delta.
     """
+    w, n = criterion.warp, criterion.n
     if spectrum is None:
         spectrum = RoundSphere(n)
+    if f.n != n:
+        raise UnsupportedDimension(f"the boundary data are of n = {f.n}, "
+                                   f"not of the metric's n = {n}")
     if f.coeffs is None and not isinstance(spectrum, RoundSphere):
         raise UnsupportedSpectrum(
             f"sampled boundary data are projected on the round-sphere basis; "
             f"give coefficients to use {type(spectrum).__name__}")
-    if criterion is None:
-        criterion = _criterion.march_criterion(w, n, tol=max(tol, 1e-10))
     if criterion.verdict != _criterion.CONVERGENT:
         raise NotSolvable(
             f"Dirichlet problem at infinity not solvable: criterion verdict "
             f"is {criterion.verdict}")
-    _criterion.check_report(criterion, w, n, "extension's", NotConvergent, certified=True)
+    _criterion.check_certified(criterion)
     coeffs = project_boundary(f, M)
 
     exact = f.coeffs is not None and f.coeffs.max_m() <= M
@@ -138,7 +139,7 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
     modes = [spectrum.mode(m) for m in range(M + 1)]
     used = {m for (m, _), c in coeffs.items() if c != 0.0}
     if n == 2:
-        profiles = dict(enumerate(_radial.conformal_modes(w, modes, criterion)))
+        profiles = dict(enumerate(_radial.conformal_modes(modes, criterion)))
     else:   # constant data, with lambda^2 = 0, keep the report's certificate
         cert = _radial.suggest_rmax(
             w, n, modes[max(used, default=0)].lambda_sq, criterion.certificate)
@@ -147,7 +148,7 @@ def build_extension(w: WarpingFunction, n: int, f: BoundaryData, M: int,
                     for m, prof in enumerate(raw)}
 
     return HarmonicExtension(
-        warp=w, n=n, M=M, profiles=profiles, coeffs=coeffs,
+        profiles=profiles, coeffs=coeffs,
         truncation_error_bound=_truncation_bound(f, coeffs, spectrum, M),
         criterion=criterion, spectrum=spectrum)
 
@@ -175,7 +176,7 @@ def evaluate(ext: HarmonicExtension, r, omega):
     if outside.size:
         raise OutOfRange(f"r = {outside[0]:g} outside [0, {ext.r_max:g}]")
     parts = _angular_parts(ext, omega)
-    shape = np.shape(omega if ext.n == 2 else omega[0])
+    shape = np.shape(omega if ext.criterion.n == 2 else omega[0])
     out = np.zeros(r.shape + shape)
     for m, ang in parts.items():
         radial = np.reshape(ext.profiles[m].interp(r), r.shape + (1,) * len(shape))
@@ -218,7 +219,7 @@ def dump_evaluation_csv(ext: HarmonicExtension, path, r_values):
     it with its r and its values.
     """
     quad = ext.spectrum.quadrature(ext.M)
-    header = "r,theta,u" if ext.n == 2 else "r,colat,lon,u"
+    header = "r,theta,u" if ext.criterion.n == 2 else "r,colat,lon,u"
     angles = [",".join(f"{a:.12g}" for a in p)
               for p in quad.points.reshape(len(quad.weights), -1)]
     template = "".join([f"%s,{a},%.12g\r\n" for a in angles])
@@ -236,7 +237,7 @@ def summary_json(ext: HarmonicExtension, r_values) -> dict:
     r_values = np.asarray(r_values, dtype=float)
     return {
         "M": ext.M,
-        "n": ext.n,
+        "n": ext.criterion.n,
         "truncation_error_bound": ext.truncation_error_bound,
         "r_max": ext.r_max,
         "l2_curve": [[r, d] for r, d in zip(

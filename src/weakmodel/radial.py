@@ -141,10 +141,6 @@ class RadialProfile:
         derivatives in s = log r."""
         return self._dense(np.log(r), ds)
 
-    def _log_raw(self, r):
-        """log of the unnormalized phi_m at r (r >= r0, within range)."""
-        return self._solution(r)[0]
-
     def interp(self, r):
         """phi_m(r) for 0 <= r <= r_max (vectorized)."""
         r = np.asarray(r, dtype=float)
@@ -156,7 +152,7 @@ class RadialProfile:
         below = r < self.r0
         inside = ~below
         if np.any(inside):
-            out[inside] = np.exp(self._log_raw(r[inside])) / self._scale
+            out[inside] = np.exp(self._solution(r[inside])[0]) / self._scale
         if np.any(below):
             # Frobenius launch behaviour phi_m ~ r^l below the launch point
             v0 = self.values[0]
@@ -507,19 +503,22 @@ def _conformal_rows(tau: _ConformalTime, lam: float):
     return dense
 
 
-def conformal_modes(w: WarpingFunction, modes,
-                    criterion: _criterion.CriterionReport) -> list[RadialProfile]:
+def conformal_modes(modes, criterion: _criterion.CriterionReport) -> list[RadialProfile]:
     """The normalized n = 2 profiles exp(-lambda tau) of every mode; m = 0 is
     the constant 1 of `solve_modes`, which reads no tau.
 
     The grid is the one `solve_modes` uses, up to the R of `criterion`, the
-    Convergent `march_criterion` report of (w, 2) that tau reads, with no
-    ODE solve and no search for R; a report of another warp object or n, or
+    Convergent `march_criterion` report of an n = 2 metric, whose warp tau
+    reads, with no ODE solve and no search for R; a report of another n, or
     with no certificate, is refused with NotConvergent.  All modes share
     one tau, and each mode's limit_error is lambda times tau's error bound,
     which bounds |phi_m - exact| on the whole range.
     """
-    _criterion.check_report(criterion, w, 2, "modes'", NotConvergent, certified=True)
+    if criterion.n != 2:
+        raise NotConvergent(f"the criterion report is of n = {criterion.n}, "
+                            "not of the modes' n = 2")
+    _criterion.check_certified(criterion)
+    w = criterion.warp
     grid = np.geomspace(_DEFAULT_R0, criterion.r_max, _GRID_SIZE)
     tau = _ConformalTime(w, criterion)
     t, rho = tau(np.log(grid))
@@ -732,13 +731,12 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
 
 
 def lemma_bound_check(profile: RadialProfile, report: _criterion.CriterionReport, r):
-    """Verify phi_m(r) <= B exp(int_1^r lambda^2/phi^{n-1} (A + int_1^t phi^{n-3}))
-    at the radii r, with A = x(1) and B = phi_m(1) read off the profile at
-    r = 1 itself.
+    """The growth bound phi_m(r) <= B exp(int_1^r lambda^2/phi^{n-1} (A +
+    int_1^t phi^{n-3})) at the radii r, with A = x(1) and B = phi_m(1) read
+    off the profile at r = 1 itself; the caller compares its samples with it.
 
-    Returns (bound at r, satisfied flag).  The exponent is lambda^2 (A F + T),
-    with F = int_1^r phi^{1-n} and the triangle
-    T = int_1^r phi^{1-n}(t) int_1^t phi^{n-3}: the integrals of March's
+    The exponent is lambda^2 (A F + T), with F = int_1^r phi^{1-n} and the
+    triangle T = int_1^r phi^{1-n}(t) int_1^t phi^{n-3}: the integrals of March's
     criterion, read at each radius off the panel triples of `report`, the
     criterion report of (warp, n), by `quadrature.log_prefix`.  So the bound
     uses only the warping function and no pass of its own, independent of
@@ -766,9 +764,7 @@ def lemma_bound_check(profile: RadialProfile, report: _criterion.CriterionReport
         log_bound = math.log(B) + lam2 * (A * np.exp(log_f) + np.exp(log_t))
         bound = np.exp(np.minimum(log_bound, 700.0))
         bound[log_bound > 700.0] = math.inf
-    log_vals = profile._log_raw(r) - math.log(profile._scale)
-    satisfied = bool(np.all(log_vals <= log_bound + math.log1p(1e-8)))
-    return bound, satisfied
+    return bound
 
 
 def export_metadata_json(profiles, path):

@@ -1155,8 +1155,7 @@ def test_every_pass_starts_at_the_power_log_splice(monkeypatch):
     w = PowerLog(2.0)
     criterion.classify(w, 4, tol=1e-8)
     tail_certificate(w, 4, 100.0)
-    radial.conformal_modes(w, [eigen_round_sphere(2, 1)],
-                           march_criterion(w, 2, r_max=100.0))
+    radial.conformal_modes([eigen_round_sphere(2, 1)], march_criterion(w, 2, r_max=100.0))
     passes = [c[1] for c in quads if c[1][0] == 1.0]
     assert len(passes) == 3
     for edges in passes:

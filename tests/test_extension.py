@@ -11,7 +11,7 @@ from weakmodel import criterion
 from weakmodel.cli import _boundary_data
 from weakmodel import extension as ext
 from weakmodel.errors import (NotConvergent, NotSolvable, OutOfRange,
-                              UnsupportedSpectrum)
+                              UnsupportedDimension, UnsupportedSpectrum)
 from weakmodel.oracle import laplace_beltrami_residual_fn
 from weakmodel.quadrature import LogCumulative
 from weakmodel.radial import normalize_profile, solve_modes, suggest_rmax
@@ -24,20 +24,18 @@ from weakmodel.warp import Euclidean, Hyperbolic, PowerGrowth, PowerLog, Tabulat
 
 
 @pytest.fixture(scope="module")
-def cos_extension(hyperbolic, hyperbolic_criterion):
+def cos_extension(hyperbolic_criterion):
     table = CoefficientTable(2)
     table.set(1, 0, math.sqrt(math.pi))      # f(theta) = cos(theta)
     f = BoundaryData.from_coefficients(table)
-    return ext.build_extension(hyperbolic, 2, f, 4, tol=1e-8,
-                               criterion=hyperbolic_criterion)
+    return ext.build_extension(f, 4, hyperbolic_criterion, tol=1e-8)
 
 
 @pytest.fixture(scope="module")
-def band_extension(hyperbolic, hyperbolic_criterion):
+def band_extension(hyperbolic_criterion):
     fn = lambda th: 0.3 + np.cos(th) - 0.5 * np.sin(2 * th)
     f = BoundaryData.from_function(2, 4, fn)
-    e = ext.build_extension(hyperbolic, 2, f, 4, tol=1e-8,
-                            criterion=hyperbolic_criterion)
+    e = ext.build_extension(f, 4, hyperbolic_criterion, tol=1e-8)
     return e, f, fn
 
 
@@ -57,7 +55,8 @@ def test_one_certificate_per_radius(monkeypatch, w, M, radii):
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
     certs = count_calls(monkeypatch, criterion, "tail_certificate")
-    e = ext.build_extension(w, 3, BoundaryData.from_coefficients(table), M)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), M,
+                            criterion.march_criterion(w, 3))
     tried = [e.criterion.r_max] + [args[2] for args in certs]
     assert len(set(tried)) == len(tried) and e.r_max in tried
     assert tried[:len(radii) - 1] == pytest.approx(radii[:-1], rel=1e-15)
@@ -71,36 +70,63 @@ def test_one_certificate_per_radius(monkeypatch, w, M, radii):
 _SAMPLES = np.geomspace(1e-4, 30.0, 400)
 
 
-@pytest.mark.parametrize("entry", ["build_extension", "conformal_modes"])
-@pytest.mark.parametrize("kind, warp, report, message", [
-    ("another-n", Hyperbolic(1.0), lambda w: criterion.march_criterion(w, 3),
-     r"^the criterion report is of n = 3, not of the (extension|modes)'s? n = 2$"),
-    ("another-warp-object", Hyperbolic(1.0),
-     lambda w: criterion.march_criterion(Hyperbolic(1.0), 2),
-     r"^the criterion report is of Hyperbolic\(a=1\), another warp object than "
-     r"the (extension|modes)'s? Hyperbolic\(a=1\)$"),
-    ("transience", Hyperbolic(1.0), lambda w: criterion.transience_integral(w, 2),
+_REFUSALS = [
+    ("another-n", lambda: criterion.march_criterion(Hyperbolic(1.0), 3),
+     r"^the criterion report is of n = 3, not of the modes' n = 2$"),
+    ("transience", lambda: criterion.transience_integral(Hyperbolic(1.0), 2),
      r"^the Convergent criterion report holds no tail certificate"),
-    ("divergent", Euclidean(), lambda w: criterion.march_criterion(w, 2), r"Divergent"),
-    ("inconclusive", Tabulated(_SAMPLES, *Hyperbolic(1.0).eval(_SAMPLES)),
-     lambda w: criterion.march_criterion(w, 2), r"Inconclusive")],
-    ids=["another-n", "another-warp-object", "transience", "divergent", "inconclusive"])
-def test_extension_refuses_a_report_of_another_metric(entry, kind, warp, report, message):
+    ("divergent", lambda: criterion.march_criterion(Euclidean(), 2), r"Divergent"),
+    ("inconclusive", lambda: criterion.march_criterion(
+        Tabulated(_SAMPLES, *Hyperbolic(1.0).eval(_SAMPLES)), 2), r"Inconclusive")]
+
+
+@pytest.mark.parametrize("kind, report, message, entry", [
+    pytest.param(*case, entry, id=f"{case[0]}-{entry}") for case in _REFUSALS
+    for entry in ("build_extension", "conformal_modes")
+    if case[0] != "another-n" or entry == "conformal_modes"])
+def test_extension_refuses_a_report_of_another_metric(kind, report, message, entry):
     # the n = 2 modes read the report's R, panels and inner tail, and an
-    # n = 3 search starts from its certificate: a report of another n or
-    # warp object would silently give wrong profiles, and one with no
-    # certificate has nothing to read.  Each is refused by name; a
-    # Divergent or Inconclusive one by build_extension as not solvable
-    rep = report(warp)
+    # n = 3 search starts from its certificate: the n = 2 modes of an n = 3
+    # report would silently be wrong, and a report with no certificate has
+    # nothing to read.  Each is refused by name; a Divergent or
+    # Inconclusive one by build_extension as not solvable
+    rep = report()
     modes = [eigen_round_sphere(2, m) for m in range(3)]
     call = {"build_extension": lambda: ext.build_extension(
-                warp, 2, BoundaryData.from_coefficients(CoefficientTable(2, {(1, 0): 1.0})),
-                2, criterion=rep),
-            "conformal_modes": lambda: ext._radial.conformal_modes(warp, modes, rep)}[entry]
+                BoundaryData.from_coefficients(CoefficientTable(2, {(1, 0): 1.0})), 2, rep),
+            "conformal_modes": lambda: ext._radial.conformal_modes(modes, rep)}[entry]
     error = (NotSolvable if entry == "build_extension" and kind in ("divergent", "inconclusive")
              else NotConvergent)
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("data", ["coefficients", "samples"])
+@pytest.mark.parametrize("n, other", [(2, 3), (3, 2)])
+def test_extension_refuses_data_of_another_n(n, other, data):
+    # the data's sphere must be the metric's: n = 3 coefficients read as
+    # n = 2 ones gave the harmonic (1, 1) of S^2 for the circle's sin,
+    # and the other way round evaluate failed on a k the circle lacks
+    w = Hyperbolic(1.0)
+    f = (BoundaryData.from_coefficients(CoefficientTable(other, {(1, 1): 1.0}))
+         if data == "coefficients" else
+         BoundaryData.from_function(other, 2, lambda *omega: np.cos(omega[0])))
+    with pytest.raises(UnsupportedDimension, match=rf"^the boundary data are of n = {other}, "
+                                                   rf"not of the metric's n = {n}$"):
+        ext.build_extension(f, 2, criterion.march_criterion(w, n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_extension_reads_its_metric_off_the_report(n):
+    # the report is the one handle on (w, n): the extension keeps it, and
+    # its M is the top of its profiles, m = 0..M
+    w = Hyperbolic(1.0)
+    report = criterion.march_criterion(w, n)
+    e = ext.build_extension(BoundaryData.from_coefficients(CoefficientTable(n, {(1, 0): 1.0})),
+                            2, report)
+    assert e.criterion is report and e.criterion.warp is w and e.criterion.n == n
+    assert e.M == 2 and sorted(e.profiles) == [0, 1, 2]
+    assert all(p.warp is w and p.n == n for p in e.profiles.values())
 
 
 def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
@@ -115,8 +141,8 @@ def test_n3_extension_solves_once_at_the_certified_radius(monkeypatch):
                         lambda *a: events.append("certify") or certify(*a))
     monkeypatch.setattr(ext._radial, "solve_modes",
                         lambda *a, **k: events.append(k["r_max"]) or solve(*a, **k))
-    e = ext.build_extension(PowerGrowth(2.0), 3,
-                            BoundaryData.from_coefficients(table), 1)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 1,
+                            criterion.march_criterion(PowerGrowth(2.0), 3))
     assert events == ["certify", e.r_max]
     assert 282.8 < e.r_max < 283.2 and e.profiles[1].normalized
 
@@ -130,8 +156,9 @@ def test_powerlog_extension_builds_without_warnings():
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
     table.set(4, 0, 1.0)
-    e = ext.build_extension(PowerLog(5.0), 3, BoundaryData.from_coefficients(table),
-                            4, tol=1e-10)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 4,
+                            criterion.march_criterion(PowerLog(5.0), 3, tol=1e-10),
+                            tol=1e-10)
     assert 386.6 < e.r_max < 387.2
     assert all(p.normalized for p in e.profiles.values())
 
@@ -146,7 +173,7 @@ def test_sampled_truncation_bound_covers_the_node_residual(n, fn, residual):
     f = BoundaryData.from_function(n, 4, fn)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        e = ext.build_extension(Hyperbolic(1.0), n, f, 4)
+        e = ext.build_extension(f, 4, criterion.march_criterion(Hyperbolic(1.0), n))
     f_M = ext.boundary_value(e, f.quadrature.unpack())
     rho = float(np.max(np.abs(f.samples - f_M)))
     assert rho == pytest.approx(residual, rel=1e-3)
@@ -191,8 +218,9 @@ def _n3_first_mode(a):
 def _n3_first_profile(a, tol):
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
-    e = ext.build_extension(Hyperbolic(a), 3,
-                            BoundaryData.from_coefficients(table), 1, tol=tol)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 1,
+                            criterion.march_criterion(Hyperbolic(a), 3, tol=tol),
+                            tol=tol)
     return e.profiles[1]
 
 
@@ -250,8 +278,8 @@ def test_user_rmax_below_certificate_start_is_honest():
     table = CoefficientTable(2)
     table.set(1, 0, 1.0)
     w = Hyperbolic(2.0)
-    e = ext.build_extension(w, 2, BoundaryData.from_coefficients(table), 2,
-                            criterion=criterion.march_criterion(w, 2, r_max=4.0))
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 2,
+                            criterion.march_criterion(w, 2, r_max=4.0))
     assert e.r_max == e.criterion.r_max > 4.0
     for m in (1, 2):
         p = e.profiles[m]
@@ -267,8 +295,9 @@ def test_stacked_modes_within_their_limit_error(a, tol):
     table = CoefficientTable(2)
     for m in range(6):
         table.set(m, 0, 1.0)
-    e = ext.build_extension(Hyperbolic(a), 2,
-                            BoundaryData.from_coefficients(table), 5, tol=tol)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 5,
+                            criterion.march_criterion(Hyperbolic(a), 2, tol=tol),
+                            tol=tol)
     for m, p in e.profiles.items():
         gap = np.max(np.abs(p.values - np.tanh(a * p.grid / 2) ** m))
         assert gap <= 1e-11 and gap <= p.limit_error + 1e-15, (m, gap, p.limit_error)
@@ -282,8 +311,8 @@ def test_evaluate_makes_one_tau_evaluation(monkeypatch):
     table = CoefficientTable(2)
     for m in range(5):
         table.set(m, 0, 1.0)
-    e = ext.build_extension(Hyperbolic(1.0), 2,
-                            BoundaryData.from_coefficients(table), 4)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 4,
+                            criterion.march_criterion(Hyperbolic(1.0), 2))
     calls = count_calls(monkeypatch, LogCumulative, "log_between")
     th = np.linspace(0, 2 * math.pi, 9)
     u = ext.evaluate(e, 2.5, th)
@@ -296,13 +325,12 @@ def test_evaluate_makes_one_tau_evaluation(monkeypatch):
     assert len(calls) == 2
 
 
-def test_constant_data_read_no_tau(monkeypatch, hyperbolic, hyperbolic_criterion):
+def test_constant_data_read_no_tau(monkeypatch, hyperbolic_criterion):
     # m = 0 alone: the constant profile, whose values are 1 at every r,
     # reads no tau at the new point sets it is evaluated at
     table = CoefficientTable(2)
     table.set(0, 0, 2.5 * math.sqrt(2 * math.pi))   # f == 2.5
-    e = ext.build_extension(hyperbolic, 2, BoundaryData.from_coefficients(table), 3,
-                            criterion=hyperbolic_criterion)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 3, hyperbolic_criterion)
     calls = count_calls(monkeypatch, LogCumulative, "log_between")
     th = np.linspace(0, 2 * math.pi, 17)
     u = ext.evaluate(e, np.array([0.0, 0.5, 3.0, 20.0]), th)
@@ -320,8 +348,8 @@ def test_batched_evaluate_rows_equal_scalar_calls(n):
     table = CoefficientTable(n)
     for m in range(4):
         table.set(m, 0, 1.0 / (m + 1))
-    e = ext.build_extension(Hyperbolic(1.0), n,
-                            BoundaryData.from_coefficients(table), 3)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 3,
+                            criterion.march_criterion(Hyperbolic(1.0), n))
     radii = np.array([0.0, 1e-4, 0.37, 2.5, 11.0, e.r_max])
     if n == 2:
         omegas = [np.linspace(0, 2 * math.pi, 13), 0.7]
@@ -339,16 +367,16 @@ def test_batched_evaluate_rows_equal_scalar_calls(n):
 def test_all_profiles_share_one_radius():
     table = CoefficientTable(2)
     table.set(1, 0, 1.0)
-    e = ext.build_extension(Hyperbolic(0.1), 2,
-                            BoundaryData.from_coefficients(table), 3)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 3,
+                            criterion.march_criterion(Hyperbolic(0.1), 2))
     assert len({p.r_max for p in e.profiles.values()}) == 1
 
 
 def _csv_writer_reference(e, path, r_values):
-    quad = sphere_quadrature(e.n, e.M)
+    quad = sphere_quadrature(e.criterion.n, e.M)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if e.n == 2:
+        if e.criterion.n == 2:
             writer.writerow(["r", "theta", "u"])
             thetas = quad.points
             for r in r_values:
@@ -368,8 +396,8 @@ def _extension_of(n):
     table.set(0, 0, 0.5)
     table.set(1, 0, 1.0)
     table.set(2, 1, -0.3)
-    return ext.build_extension(Hyperbolic(1.0), n,
-                               BoundaryData.from_coefficients(table), 2)
+    return ext.build_extension(BoundaryData.from_coefficients(table), 2,
+                               criterion.march_criterion(Hyperbolic(1.0), n))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -390,7 +418,7 @@ _ODD_VALUES = np.array([-0.0, 1e-300, -2.5e-17, 1e20, 123456789012.345, 0.1,
 @pytest.mark.parametrize("n", [2, 3])
 def test_evaluation_csv_matches_csv_writer_on_odd_values(tmp_path, monkeypatch, n):
     def odd(e, r, omega):
-        row = np.resize(_ODD_VALUES, np.size(omega if e.n == 2 else omega[0]))
+        row = np.resize(_ODD_VALUES, np.size(omega if e.criterion.n == 2 else omega[0]))
         return np.multiply.outer(1.0 + np.asarray(r, dtype=float), row)
 
     monkeypatch.setattr(ext, "evaluate", odd)
@@ -410,8 +438,8 @@ def test_evaluation_csv_rows_determine_the_extension(tmp_path, n):
     # 12 significant digits, so each value carries a relative rounding of
     # up to 5e-12, which the projection weighs by w_i |f_mk(x_i)|
     M = 4
-    e = ext.build_extension(Hyperbolic(1.0), n,
-                            _boundary_data({"n": n, "modes": M, "preset": "band4"}), M)
+    e = ext.build_extension(_boundary_data({"n": n, "modes": M, "preset": "band4"}), M,
+                            criterion.march_criterion(Hyperbolic(1.0), n))
     r_values = np.linspace(0.1, 12.0, 4)
     ext.dump_evaluation_csv(e, tmp_path / "eval.csv", r_values)
     lines = (tmp_path / "eval.csv").read_text().splitlines()[1:]
@@ -435,7 +463,7 @@ def test_evaluation_csv_rows_determine_the_extension(tmp_path, n):
 def test_exact_coefficients_drop_nothing_from_the_truncation_bound(n, M):
     # band4 has modes 0..4: at M >= 4 nothing is dropped, so no tail is fitted
     f = _boundary_data({"n": n, "modes": M, "preset": "band4"})
-    e = ext.build_extension(Hyperbolic(1.0), n, f, M)
+    e = ext.build_extension(f, M, criterion.march_criterion(Hyperbolic(1.0), n))
     assert e.truncation_error_bound < 1e-12
 
 
@@ -456,8 +484,8 @@ def test_summary_l2_curve_is_the_per_radius_distance_bit_for_bit(n):
     for m, c in enumerate((0.5, 1.0, -0.7, 0.4, 0.3)):
         table.set(m, 0, c)
     table.set(2, 1, -0.3)
-    e = ext.build_extension(Hyperbolic(0.8), n,
-                            BoundaryData.from_coefficients(table), 4)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 4,
+                            criterion.march_criterion(Hyperbolic(0.8), n))
     r_line = np.linspace(0.1, min(e.r_max, 20.0), 40)
     radii = np.concatenate([[0.0, 1e-4], r_line, [e.r_max]])
     curve = ext.summary_json(e, radii)["l2_curve"]
@@ -468,12 +496,11 @@ def test_summary_l2_curve_is_the_per_radius_distance_bit_for_bit(n):
         assert type(ext.l2_distance_to_boundary(e, r)) is float
 
 
-def test_constant_data_extends_constantly(hyperbolic, hyperbolic_criterion):
+def test_constant_data_extends_constantly(hyperbolic_criterion):
     table = CoefficientTable(2)
     table.set(0, 0, 2.5 * math.sqrt(2 * math.pi))   # f == 2.5
     f = BoundaryData.from_coefficients(table)
-    e = ext.build_extension(hyperbolic, 2, f, 3,
-                            criterion=hyperbolic_criterion)
+    e = ext.build_extension(f, 3, hyperbolic_criterion)
     th = np.linspace(0, 2 * math.pi, 17)
     for r in (0.0, 0.5, 3.0, 20.0):
         assert_allclose(ext.evaluate(e, r, th), 2.5, rtol=1e-12)
@@ -489,12 +516,11 @@ def test_cos_extension_matches_closed_form(cos_extension):
                         np.tanh(r / 2) * np.cos(th), atol=1e-5)
 
 
-def test_single_mode_extension(hyperbolic, hyperbolic_criterion):
+def test_single_mode_extension(hyperbolic_criterion):
     table = CoefficientTable(2)
     table.set(2, 0, 1.0)
     f = BoundaryData.from_coefficients(table)
-    e = ext.build_extension(hyperbolic, 2, f, 4,
-                            criterion=hyperbolic_criterion)
+    e = ext.build_extension(f, 4, hyperbolic_criterion)
     th = np.linspace(0, 2 * math.pi, 30)
     prof = e.profiles[2]
     assert_allclose(ext.evaluate(e, 3.0, th),
@@ -516,7 +542,7 @@ def test_not_solvable_guard():
     table.set(1, 0, 1.0)
     f = BoundaryData.from_coefficients(table)
     with pytest.raises(NotSolvable):
-        ext.build_extension(Euclidean(), 2, f, 3)
+        ext.build_extension(f, 3, criterion.march_criterion(Euclidean(), 2))
 
 
 def test_out_of_range_refused(cos_extension):
@@ -547,12 +573,10 @@ def test_l2_distance_monotone_to_zero(band_extension):
     assert ext.l2_distance_to_boundary(e, 10.0) < ext.l2_distance_to_boundary(e, 1.0)
 
 
-def test_constant_distance_zero(hyperbolic, hyperbolic_criterion):
+def test_constant_distance_zero(hyperbolic_criterion):
     table = CoefficientTable(2)
     table.set(0, 0, 1.0)
-    e = ext.build_extension(hyperbolic, 2,
-                            BoundaryData.from_coefficients(table), 2,
-                            criterion=hyperbolic_criterion)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 2, hyperbolic_criterion)
     assert ext.l2_distance_to_boundary(e, 4.0) == 0.0
     assert _sup_distance(e, 4.0) < 1e-12
 
@@ -572,9 +596,7 @@ def test_sup_distance(band_extension):
     # single-mode case has the closed form (1 - phi_1(r)) * max|f_{1,0}|
     table = CoefficientTable(2)
     table.set(1, 0, 1.0)
-    e1 = ext.build_extension(e.warp, 2,
-                             BoundaryData.from_coefficients(table), 3,
-                             criterion=e.criterion)
+    e1 = ext.build_extension(BoundaryData.from_coefficients(table), 3, e.criterion)
     r = 2.0
     expect = (1.0 - e1.profiles[1].interp(r)) / math.sqrt(math.pi)
     assert_allclose(_sup_distance(e1, r), expect, rtol=1e-8)
@@ -592,16 +614,15 @@ def test_maximum_principle(band_extension):
         assert lo <= vals.min() and vals.max() <= hi, f"r={r}"
 
 
-def test_linearity(hyperbolic, hyperbolic_criterion):
+def test_linearity(hyperbolic_criterion):
     tf = CoefficientTable(2, {(1, 0): 1.0, (2, 1): 0.5})
     tg = CoefficientTable(2, {(0, 0): 2.0, (1, 0): -0.7})
     alpha, beta = 1.25, -2.0
     combo = CoefficientTable(2)
     for (m, k) in set(tf.entries) | set(tg.entries):
         combo.set(m, k, alpha * tf.get(m, k) + beta * tg.get(m, k))
-    build = lambda t: ext.build_extension(
-        hyperbolic, 2, BoundaryData.from_coefficients(t), 4,
-        criterion=hyperbolic_criterion)
+    build = lambda t: ext.build_extension(BoundaryData.from_coefficients(t), 4,
+                                          hyperbolic_criterion)
     ef, eg, ec = build(tf), build(tg), build(combo)
     th = np.linspace(0, 2 * math.pi, 25)
     for r in (0.3, 2.0, 9.0):
@@ -617,7 +638,7 @@ def test_harmonicity_fd_residual(cos_extension):
         assert abs(res) < 1e-3
 
 
-def test_rotation_equivariance(hyperbolic, hyperbolic_criterion):
+def test_rotation_equivariance(hyperbolic_criterion):
     # rotating the data rotates the extension: coefficient identity for n=2
     rng = np.random.default_rng(3)
     table = CoefficientTable(2)
@@ -632,9 +653,8 @@ def test_rotation_equivariance(hyperbolic, hyperbolic_criterion):
         # f(theta - theta0): cos/sin pair rotates by angle m*theta0
         rotated.set(m, 0, a * math.cos(m * theta0) - b * math.sin(m * theta0))
         rotated.set(m, 1, a * math.sin(m * theta0) + b * math.cos(m * theta0))
-    build = lambda t: ext.build_extension(
-        hyperbolic, 2, BoundaryData.from_coefficients(t), 5,
-        criterion=hyperbolic_criterion)
+    build = lambda t: ext.build_extension(BoundaryData.from_coefficients(t), 5,
+                                          hyperbolic_criterion)
     e0, e1 = build(table), build(rotated)
     th = np.linspace(0, 2 * math.pi, 37)
     for r in (0.7, 3.0, 12.0):
@@ -642,14 +662,12 @@ def test_rotation_equivariance(hyperbolic, hyperbolic_criterion):
                         ext.evaluate(e0, r, th - theta0), atol=1e-10)
 
 
-def test_n3_polar_mode(hyperbolic, hyperbolic_criterion):
+def test_n3_polar_mode(hyperbolic):
     from weakmodel.criterion import march_criterion
     rep3 = march_criterion(hyperbolic, 3, tol=1e-8)
     table = CoefficientTable(3)
     table.set(1, 0, 1.0)
-    e = ext.build_extension(hyperbolic, 3,
-                            BoundaryData.from_coefficients(table), 3,
-                            criterion=rep3)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 3, rep3)
     colat = np.linspace(0.1, math.pi - 0.1, 20)
     lon = np.zeros_like(colat)
     vals = ext.evaluate(e, 2.0, (colat, lon))
@@ -672,27 +690,24 @@ def _flat_table(top, bottom=0):
     return table
 
 
-def test_decay_warning(hyperbolic, hyperbolic_criterion):
+def test_decay_warning(hyperbolic_criterion):
     # flat spectrum up to M, sampled on the grid: the tail check must warn
     f = BoundaryData.from_function(
         2, 4, lambda th: sum(eigenfunction_eval(2, m, 0, th) for m in range(5)))
     with pytest.warns(UserWarning, match="not well resolved"):
-        ext.build_extension(hyperbolic, 2, f, 4,
-                            criterion=hyperbolic_criterion)
+        ext.build_extension(f, 4, hyperbolic_criterion)
     # exact coefficients with modes above M lose energy to the projection
     f = BoundaryData.from_coefficients(_flat_table(6))
     with pytest.warns(UserWarning, match="not well resolved"):
-        ext.build_extension(hyperbolic, 2, f, 4,
-                            criterion=hyperbolic_criterion)
+        ext.build_extension(f, 4, hyperbolic_criterion)
 
 
-def test_unresolved_samples_warn_with_their_dropped_energy(hyperbolic, hyperbolic_criterion):
+def test_unresolved_samples_warn_with_their_dropped_energy(hyperbolic_criterion):
     # cos(5 theta) on the n = 2, M = 4 grid projects to rounding noise: the
     # dropped share is of the samples' energy, not a ratio of that noise
     f = BoundaryData.from_function(2, 4, lambda th: np.cos(5 * th))
     with pytest.warns(UserWarning, match="modes >= 3 carry 1 of the energy"):
-        ext.build_extension(hyperbolic, 2, f, 4,
-                            criterion=hyperbolic_criterion)
+        ext.build_extension(f, 4, hyperbolic_criterion)
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
@@ -701,30 +716,27 @@ def test_band_limited_samples_do_not_warn(hyperbolic, hyperbolic_criterion):
     for n, M, fn in ((2, 4, lambda th: 1.0 + np.cos(th) - 0.5 * np.sin(2 * th)),
                      (3, 3, lambda colat, lon: np.cos(colat) + np.sin(colat) * np.cos(lon))):
         f = BoundaryData.from_function(n, M, fn)
-        crit = hyperbolic_criterion if n == 2 else None
-        ext.build_extension(hyperbolic, n, f, M, criterion=crit)
+        crit = hyperbolic_criterion if n == 2 else criterion.march_criterion(hyperbolic, 3)
+        ext.build_extension(f, M, crit)
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
-def test_exact_band_limited_coefficients_do_not_warn(hyperbolic, hyperbolic_criterion):
+def test_exact_band_limited_coefficients_do_not_warn(hyperbolic_criterion):
     # projecting coefficients with no mode above M is exact, so a top-heavy
     # band is resolved: the flat spectrum and the single:2:0 preset at M=2
     for table, M in ((_flat_table(4), 4), (_flat_table(2, bottom=2), 2)):
-        ext.build_extension(hyperbolic, 2,
-                            BoundaryData.from_coefficients(table), M,
-                            criterion=hyperbolic_criterion)
+        ext.build_extension(BoundaryData.from_coefficients(table), M, hyperbolic_criterion)
 
 
 @pytest.mark.parametrize("preset,M,warns", [
     ("single:5:0", 1, True), ("single:1:0", 0, True),
     ("cos", 1, False), ("constant", 0, False)])
-def test_dropped_modes_warn_below_m2(hyperbolic, hyperbolic_criterion, preset, M, warns):
+def test_dropped_modes_warn_below_m2(hyperbolic_criterion, preset, M, warns):
     # below M = 2 there is no top band to read; input modes above M decide
     f = _boundary_data({"n": 2, "modes": M, "preset": preset})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ext.build_extension(hyperbolic, 2, f, M,
-                            criterion=hyperbolic_criterion)
+        ext.build_extension(f, M, hyperbolic_criterion)
     hits = [w for w in caught if "not well resolved" in str(w.message)]
     assert bool(hits) == warns
     if warns:
@@ -759,7 +771,7 @@ class StretchedCircle(SphereSpectrum):
         return 1.0 / math.sqrt((4 if m == 0 else 2) * math.pi)
 
 
-def test_pluggable_spectrum(hyperbolic, hyperbolic_criterion):
+def test_pluggable_spectrum(hyperbolic_criterion):
     # the radial machinery only sees the spectral data, so solvability and
     # the extension work unchanged on a stretched circle
     spec = StretchedCircle()
@@ -771,9 +783,8 @@ def test_pluggable_spectrum(hyperbolic, hyperbolic_criterion):
     assert abs(np.dot(quad.weights, f10 * f11)) < 1e-12
 
     table = CoefficientTable(2, {(1, 0): 1.0})
-    e = ext.build_extension(hyperbolic, 2,
-                            BoundaryData.from_coefficients(table), 3,
-                            criterion=hyperbolic_criterion, spectrum=spec)
+    e = ext.build_extension(BoundaryData.from_coefficients(table), 3, hyperbolic_criterion,
+                            spectrum=spec)
     assert e.profiles[1].mode.lambda_sq == 0.25
     th = np.linspace(0, 4 * math.pi, 33)
     vals = ext.evaluate(e, 2.0, th)
@@ -782,14 +793,13 @@ def test_pluggable_spectrum(hyperbolic, hyperbolic_criterion):
     assert ext.l2_distance_to_boundary(e, 14.0) < 1e-3
 
 
-def test_custom_spectrum_refuses_sampled_data(hyperbolic, hyperbolic_criterion):
+def test_custom_spectrum_refuses_sampled_data(hyperbolic_criterion):
     # samples are projected on the round-sphere basis; with another
     # spectrum that builds a wrong extension, so they are refused by name
     spec = StretchedCircle()
     f = BoundaryData.from_function(2, 3, lambda th: spec.eigenfunction(1, 0, th))
     with pytest.raises(UnsupportedSpectrum, match="StretchedCircle"):
-        ext.build_extension(hyperbolic, 2, f, 3,
-                            criterion=hyperbolic_criterion, spectrum=spec)
+        ext.build_extension(f, 3, hyperbolic_criterion, spectrum=spec)
 
 
 def test_exports(tmp_path, cos_extension):
