@@ -11,6 +11,8 @@ solve 0 ok, 2 not solvable; verify 0 all pass; sweep 0 ok; a usage error
 exits 1 and --help 0.  Each command takes only the flags it reads.
 The parser is built once per process, at import, so `main` may be called
 many times in one process; each call only parses its argv and dispatches.
+classify and sweep load only the criterion's modules; solve and verify
+also import radial, spectrum, extension and oracle, in their functions.
 All reports use 12-significant-digit numbers and atomic writes so repeated
 runs are byte-identical.
 """
@@ -26,13 +28,8 @@ import sys
 import numpy as np
 
 from . import criterion as _criterion
-from . import extension as _extension
-from . import oracle as _oracle
-from . import radial as _radial
 from .errors import WeakModelError
 from .report import round_up_3, write_json_atomic
-from .spectrum import (BoundaryData, CoefficientTable, eigen_round_sphere,
-                       load_coefficients_json, sphere_quadrature)
 from .warp import family_from_name, load_tabulated_csv
 
 
@@ -91,7 +88,8 @@ def _load_config(args):
     return cfg
 
 
-def _boundary_data(cfg) -> BoundaryData:
+def _boundary_data(cfg):
+    from .spectrum import BoundaryData, CoefficientTable, load_coefficients_json
     n, M = cfg["n"], cfg["modes"]
     if cfg.get("bc_csv"):
         return BoundaryData.from_csv(cfg["bc_csv"], n, M)
@@ -158,6 +156,8 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _solve_artifacts(ext, out):
+    from . import extension as _extension
+    from . import radial as _radial
     os.makedirs(out, exist_ok=True)
     r_line = np.linspace(0.1, min(ext.r_max, 20.0), 40)
     for m, prof in sorted(ext.profiles.items()):
@@ -174,6 +174,10 @@ def _solve_artifacts(ext, out):
 
 
 def cmd_solve(args) -> int:
+    # verify's oracle too, so that after a process's first solve a verify
+    # loads no module
+    from . import extension as _extension
+    from . import oracle  # noqa: F401
     cfg = _load_config(args)
     n, M = cfg["n"], cfg["modes"]
     report = _criterion.march_criterion(_build_warp(cfg), n, tol=cfg["tol"],
@@ -210,6 +214,7 @@ def _stencil_values(ext, pts, h):
     at pts, with step h: (r, omega) with r in {r - h, r, r + h}, omega
     moved by +-h in each angle.  One `evaluate` call gives u at all their
     radii and angles, each value that of the call at that point alone."""
+    from . import extension as _extension
     radii = sorted({x for r, _ in pts for x in (r - h, r, r + h)})
     if ext.criterion.n == 2:
         angles = [a for _, om in pts for a in (om, om + h, om - h)]
@@ -224,6 +229,10 @@ def _stencil_values(ext, pts, h):
 
 
 def cmd_verify(args) -> int:
+    from . import extension as _extension
+    from . import oracle as _oracle
+    from . import radial as _radial
+    from .spectrum import eigen_round_sphere, sphere_quadrature
     cfg = _load_config(args)
     w = _build_warp(cfg)
     n, M = cfg["n"], cfg["modes"]

@@ -453,8 +453,9 @@ class _ConformalTime:
     """tau(r) = int_r^inf 1/phi of a convergent n = 2 metric, and r/phi.
 
     tau is one LogCumulative of 1/phi over [r0, R]: a pass of _NEAR_PANELS
-    panels equal in log r over [r0, 1], then the int phi^-1 column of the
-    criterion report's pass over [1, R], so [1, R] is integrated once per
+    panels equal in log r over [r0, 1] of the criterion report's warp, then
+    the int phi^-1 column of the report's pass over [1, R], so the near and
+    far panels integrate one phi, and [1, R] is integrated once per
     metric, plus the midpoint of the report's inner tail bracket at R.
     `error` bounds |tau - exact| by the bracket's half-width plus the
     panels' error estimates.  tau and r/phi read log phi alone, so they hold
@@ -462,8 +463,8 @@ class _ConformalTime:
     per point set, in `memo`, which the modes of one extension share.
     """
 
-    def __init__(self, w: WarpingFunction, criterion):
-        self.w = w
+    def __init__(self, criterion):
+        self.w = w = criterion.warp
 
         def logf(t):
             return -w.log_phi(t)
@@ -520,7 +521,7 @@ def conformal_modes(modes, criterion: _criterion.CriterionReport) -> list[Radial
     _criterion.check_certified(criterion)
     w = criterion.warp
     grid = np.geomspace(_DEFAULT_R0, criterion.r_max, _GRID_SIZE)
-    tau = _ConformalTime(w, criterion)
+    tau = _ConformalTime(criterion)
     t, rho = tau(np.log(grid))
     profiles = []
     for mode in modes:
@@ -757,6 +758,9 @@ def lemma_bound_check(profile: RadialProfile, report: _criterion.CriterionReport
     log_phi_one = profile._memo.get(("log_phi", w), one, w.log_phi)
     A = float(profile._solution(one)[1][0] * np.exp((n - 3) * log_phi_one)[0])
     B = float(profile.interp(1.0))
+    if not (math.isfinite(B) and B > 0):
+        raise DegenerateProfile(f"the growth bound needs phi_m(1) > 0 and finite, "
+                                f"and mode m = {profile.mode.m} has phi_m(1) = {B:g}")
     log_t, log_f, _ = profile._memo.get(
         ("exponent", w, n, report.panels.tobytes()), r, lambda x:
         _quadrature.log_prefix(report.panels, x))

@@ -86,6 +86,43 @@ def test_commands_load_only_the_scipy_they_need(tmp_path):
     assert json.loads((tmp_path / "s3" / "profiles.json").read_text())[1]["normalized"]
 
 
+_LOADED_PACKAGE = """
+import json, sys
+import weakmodel.cli as cli
+out, steps = sys.argv[1], []
+for step in sys.argv[2:]:
+    family = [] if step == "sweep" else ["--family", "hyperbolic", "--a", "1"]
+    code = cli.main([step, *family, "--out", out + "/" + step])
+    steps.append([step, code, sorted(k for k in sys.modules if k.startswith("weakmodel"))])
+print(json.dumps(steps))
+"""
+
+_CRITERION_MODULES = ["weakmodel", "weakmodel.cli", "weakmodel.criterion",
+                      "weakmodel.errors", "weakmodel.quadrature",
+                      "weakmodel.report", "weakmodel.warp"]
+
+
+@pytest.mark.parametrize("commands", [["classify", "sweep", "solve"], ["verify"]])
+def test_commands_load_only_the_modules_they_run(tmp_path, commands):
+    # a fresh process: classify and sweep decide the criterion alone, and
+    # load none of radial, spectrum, extension and oracle; solve and verify
+    # load all four, so that after a first solve no later command imports
+    src = Path(main.__code__.co_filename).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PACKAGE, str(tmp_path),
+                           *commands], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert [step for step, _, _ in steps] == commands
+    for step, code, modules in steps:
+        assert code == 0, step
+        expected = (_CRITERION_MODULES if step in ("classify", "sweep") else sorted(
+            _CRITERION_MODULES + [f"weakmodel.{name}" for name in (
+                "extension", "oracle", "radial", "spectrum")]))
+        assert modules == expected, step
+
+
 @pytest.mark.parametrize("command,family,rmax", [
     ("classify", ["hyperbolic", "--a", "1"], "nan"),
     ("classify", ["powergrowth", "--p", "2", "--n", "3"], "inf"),

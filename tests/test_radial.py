@@ -622,6 +622,23 @@ def test_growth_bound_starts_at_one(w, n):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("degrade, shown", [
+    (lambda p: replace(p, _scale=-p._scale, values=-p.values, derivs=-p.derivs),
+     r"-0\.88\d*"),
+    (lambda p: replace(p, _scale=math.inf), "0"),
+    (lambda p: replace(p, _scale=math.nan), "nan")], ids=["negated", "zero", "nan"])
+def test_growth_bound_refuses_a_mode_not_positive_at_one(degrade, shown):
+    # the bound starts from log B, B = phi_m(1): a mode that is not positive
+    # and finite there has no bound, and is refused by its value and m
+    # rather than failed in math.log or carried as nan
+    p = solve_radial(Hyperbolic(1.0), 3, eigen_round_sphere(3, 1), r_max=25.0)
+    report = criterion_at(p)
+    with pytest.raises(DegenerateProfile, match=r"needs phi_m\(1\) > 0 and finite, "
+                       rf"and mode m = 1 has phi_m\(1\) = {shown}$"):
+        lemma_bound_check(degrade(p), report, [1.0, 1.5, 3.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_growth_bound_stays_inside_the_criterion_radius():
     # the bound is read from the report's panels over [1, r_max]: --rmax 10
     # gives Hyperbolic(1) the radius 13, the sandwich's start, and a trace
@@ -902,7 +919,7 @@ def test_conformal_time_within_its_bound_of_the_closed_form(w, exact, r_max):
     grid = np.geomspace(radial._DEFAULT_R0, R, radial._GRID_SIZE)
     off = np.exp(np.random.default_rng(11).uniform(math.log(grid[0]), math.log(R), 500))
     for r in (grid, off):
-        tau = radial._ConformalTime(w, report)
+        tau = radial._ConformalTime(report)
         t = tau(np.log(r))[0]
         assert np.all(np.abs(t - exact(r)) <= tau.error), (
             np.max(np.abs(t - exact(r))), tau.error)
