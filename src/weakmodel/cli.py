@@ -248,8 +248,7 @@ def cmd_verify(args) -> int:
         profiles = ext.profiles
     else:
         profiles = dict(enumerate(_radial.solve_modes(
-            w, n, [eigen_round_sphere(n, m) for m in range(M + 1)],
-            r_max=report.r_max, tol=cfg["tol"])))
+            report, [eigen_round_sphere(n, m) for m in range(M + 1)], tol=cfg["tol"])))
 
     # the (grid, values) samples the bound and monotone checks read: each
     # profile_m*.csv with --artifacts, else each profile's own, the rows
@@ -279,7 +278,7 @@ def cmd_verify(args) -> int:
     for m in range(1, M + 1):
         grid, values = samples[m]
         inside = (grid >= 1.0) & (grid <= top)
-        bound = _radial.lemma_bound_check(profiles[m], report, grid[inside])
+        bound = _radial.lemma_bound_check(profiles[m], grid[inside])
         bound_ok &= bool(np.all(values[inside] <= bound * (1 + 1e-8)))
     checks.append(_check("lemma_bound", bound_ok,
                          "phi_m below the certified growth bound"))

@@ -627,18 +627,6 @@ def tail_certificate(w: WarpingFunction, n: int, R: float) -> TailCertificate:
     return _certificate(n, R, log_cum, *_tail_brackets(n, model, R))
 
 
-def check_report(report, w, n, whose, error):
-    """Refuse by name, with the exception class `error`, a report of another
-    n or warp object than (w, n), the `whose` metric, as it integrates
-    another phi."""
-    if report.n != n:
-        raise error(f"the criterion report is of n = {report.n}, "
-                    f"not of the {whose} n = {n}")
-    if report.warp is not w:
-        raise error(f"the criterion report is of {report.warp!r}, another warp object "
-                    f"than the {whose} {w!r}")
-
-
 def check_certified(report):
     """Refuse with NotConvergent a report with no tail certificate."""
     if report.certificate is None:

@@ -106,7 +106,7 @@ def build_extension(f: BoundaryData, M: int, criterion: _criterion.CriterionRepo
     solved once, as one stack, at that radius, and normalized with its own
     tail delta.
     """
-    w, n = criterion.warp, criterion.n
+    n = criterion.n
     if spectrum is None:
         spectrum = RoundSphere(n)
     if f.n != n:
@@ -141,9 +141,8 @@ def build_extension(f: BoundaryData, M: int, criterion: _criterion.CriterionRepo
     if n == 2:
         profiles = dict(enumerate(_radial.conformal_modes(modes, criterion)))
     else:   # constant data, with lambda^2 = 0, keep the report's certificate
-        cert = _radial.suggest_rmax(
-            w, n, modes[max(used, default=0)].lambda_sq, criterion.certificate)
-        raw = _radial.solve_modes(w, n, modes, r_max=cert.r_max, tol=tol)
+        cert = _radial.suggest_rmax(criterion, modes[max(used, default=0)].lambda_sq)
+        raw = _radial.solve_modes(criterion, modes, r_max=cert.r_max, tol=tol)
         profiles = {m: _radial.normalize_profile(prof, cert)
                     for m, prof in enumerate(raw)}
 

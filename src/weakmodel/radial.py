@@ -76,7 +76,7 @@ def indicial_exponent(n: int, lambda_sq: float) -> float:
 
 class _Memo:
     """Arrays computed once per point set, shared by the profiles of one
-    solve (one warp, one n, one stacked or conformal solution).
+    solve (one criterion report, one stacked or conformal solution).
 
     `get(tag, x, compute)` returns compute(x) for the points x, computing
     it only the first time the tag meets points of that shape and those
@@ -106,8 +106,7 @@ class _Memo:
 @dataclass
 class RadialProfile:
     mode: EigenMode
-    n: int
-    warp: WarpingFunction
+    report: _criterion.CriterionReport   # the criterion report of the metric solved
     grid: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
@@ -115,6 +114,14 @@ class RadialProfile:
     _dense: object             # s = log r -> (log raw phi_m, z)
     _scale: float = 1.0        # divisor applied to the raw solution
     _memo: _Memo = field(default_factory=_Memo)   # shared by one solve's profiles
+
+    @property
+    def warp(self):
+        return self.report.warp
+
+    @property
+    def n(self):
+        return self.report.n
 
     @property
     def r0(self):
@@ -225,11 +232,11 @@ def _launch_state(n, lam2, beta3, r_launch, rho0):
     return u0, w0 / (lam2 * rho0 * rho0)
 
 
-def _constant_profile(w, n, mode, grid, memo):
+def _constant_profile(report, mode, grid, memo):
     """The m = 0 profile: the constant 1, normalized and exact, with the
     memo of the solve it belongs to.  Its dense rows are (log 1, z) = 0."""
     return RadialProfile(
-        mode=mode, n=n, warp=w, grid=grid, values=np.ones_like(grid),
+        mode=mode, report=report, grid=grid, values=np.ones_like(grid),
         derivs=np.zeros_like(grid), limit_error=0.0,
         _dense=lambda s, ds=False: np.zeros((2,) + np.shape(s)), _memo=memo)
 
@@ -386,32 +393,35 @@ def solve_ivp(w: WarpingFunction, n: int, lam2, s_span, y0, rtol: float) -> OdeR
         np.array(edges), np.array(starts), np.array(coefficients)), nfev)
 
 
-def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
+def solve_modes(report: _criterion.CriterionReport, modes, r_max: float | None = None,
                 tol: float = 1e-10, r0: float | None = None,
                 grid_size: int = _GRID_SIZE) -> list[RadialProfile]:
-    """Solve the radial mode equation of every mode on one [r0, r_max].
+    """Solve the radial mode equation of every mode on one [r0, r_max] of
+    the metric of `report`, a criterion report, r_max > 1 its R unless given.
 
-    Returns the raw profiles in the order of `modes`.  An m = 0 mode
-    short-circuits to the constant 1.  All other modes are integrated as one
-    system whose state stacks their (u, z) pairs, by `solve_ivp`'s panel
-    collocation: the modes share its panels, and the warp is evaluated once
-    per panel attempt, at its 15 nodes, for the whole stack, at
-    rtol = tol * 1e-4 clipped to [1e-13, 1e-12].  Each profile reads its
-    rows of the stack's dense output.  They are returned unnormalized with
-    an unbounded limit estimate, and `normalize_profile` rescales a
-    convergent one to limit 1.
+    Returns the raw profiles, which keep `report`, in the order of `modes`.
+    An m = 0 mode short-circuits to the constant 1.  All other modes are
+    integrated as one system whose state stacks their (u, z) pairs, by
+    `solve_ivp`'s panel collocation: the modes share its panels, and the
+    warp is evaluated once per panel attempt, at its 15 nodes, for the whole
+    stack, at rtol = tol * 1e-4 clipped to [1e-13, 1e-12].  Each profile
+    reads its rows of the stack's dense output.  They are returned
+    unnormalized with an unbounded limit estimate, and `normalize_profile`
+    rescales a convergent one to limit 1.
     """
+    w, n = report.warp, report.n
+    r_max = report.r_max if r_max is None else r_max
+    if r_max <= 1.0:
+        raise ValueError(f"r_max must exceed 1, got {r_max}")
     grid = np.geomspace(r0 or _DEFAULT_R0, r_max, grid_size)
     memo = _Memo()
-    profiles = [_constant_profile(w, n, mode, grid, memo) if mode.m == 0 else None
+    profiles = [_constant_profile(report, mode, grid, memo) if mode.m == 0 else None
                 for mode in modes]
     solved = [i for i, mode in enumerate(modes) if mode.m != 0]
     if not solved:
         return profiles
 
     r_launch = float(grid[0])
-    if r_max <= 1.0:
-        raise ValueError(f"r_max must exceed 1, got {r_max}")
     rho = grid / phi_on(w, grid, f"inside [{grid[0]:g}, {grid[-1]:g}]; the "
                                  "radial solve needs a smaller r_max")
     beta3 = _cubic_beta(w)
@@ -432,7 +442,7 @@ def solve_modes(w: WarpingFunction, n: int, modes, r_max: float = 30.0,
         wlog = modes[i].lambda_sq * rho * rho * stack[2 * j + 1]
         derivs = values * wlog / grid
         profiles[i] = RadialProfile(
-            mode=modes[i], n=n, warp=w, grid=grid, values=values, derivs=derivs,
+            mode=modes[i], report=report, grid=grid, values=values, derivs=derivs,
             limit_error=math.inf, _dense=_mode_rows(memo, sol.sol, j), _memo=memo)
     return profiles
 
@@ -441,8 +451,9 @@ def solve_radial(w: WarpingFunction, n: int, mode: EigenMode,
                  r_max: float = 30.0, tol: float = 1e-10,
                  r0: float | None = None,
                  grid_size: int = _GRID_SIZE) -> RadialProfile:
-    """The raw profile of one mode: `solve_modes` of a one-mode stack."""
-    return solve_modes(w, n, [mode], r_max, tol, r0, grid_size)[0]
+    """`solve_modes` of one mode, on the criterion report of (w, n) at r_max."""
+    return solve_modes(_criterion.march_criterion(w, n, r_max=r_max), [mode],
+                       r_max, tol, r0, grid_size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +530,18 @@ def conformal_modes(modes, criterion: _criterion.CriterionReport) -> list[Radial
         raise NotConvergent(f"the criterion report is of n = {criterion.n}, "
                             "not of the modes' n = 2")
     _criterion.check_certified(criterion)
-    w = criterion.warp
     grid = np.geomspace(_DEFAULT_R0, criterion.r_max, _GRID_SIZE)
     tau = _ConformalTime(criterion)
     t, rho = tau(np.log(grid))
     profiles = []
     for mode in modes:
         if mode.m == 0:
-            profiles.append(_constant_profile(w, 2, mode, grid, tau.memo))
+            profiles.append(_constant_profile(criterion, mode, grid, tau.memo))
             continue
         lam = math.sqrt(mode.lambda_sq)
         values = np.exp(-lam * t)
         profiles.append(RadialProfile(
-            mode=mode, n=2, warp=w, grid=grid, values=values,
+            mode=mode, report=criterion, grid=grid, values=values,
             derivs=lam * values * rho / grid, limit_error=lam * tau.error,
             _dense=_conformal_rows(tau, lam), _memo=tau.memo))
     return profiles
@@ -610,20 +620,22 @@ def normalize_profile(profile: RadialProfile,
         _scale=profile._scale * limit)
 
 
-def suggest_rmax(w: WarpingFunction, n: int, lambda_sq: float,
-                 cert: _criterion.TailCertificate) -> _criterion.TailCertificate:
+def suggest_rmax(report: _criterion.CriterionReport,
+                 lambda_sq: float) -> _criterion.TailCertificate:
     """Certificate near the smallest radius whose tail delta for a mode of
     eigenvalue lambda_sq is below _TAIL_DELTA, from certificates alone.
 
-    It starts from `cert`, a criterion report's certificate, and keeps it if
-    it passes, with no certificate of its own.  Else log R doubles until a
-    certificate passes, up to the top: the last R with finite phi and phi',
-    by bisection, which a table's certificate clips to its hull.  The
-    Illinois form of regula falsi on g = log log1p(delta), linear in log R
-    for power growth, then narrows the bracket to _LOG_R_STEP, trying at
-    least half that inside it.  At lambda^2 = 0 the delta is 0 at every R,
-    so `cert` is kept.
+    It starts from the certificate of `report`, a Convergent criterion
+    report, and keeps it if it passes, with no certificate of its own.
+    Else log R doubles until a certificate passes, up to the top: the last
+    R with finite phi and phi', by bisection, which a table's certificate
+    clips to its hull.  The Illinois form of regula falsi on
+    g = log log1p(delta), linear in log R for power growth, then narrows
+    the bracket to _LOG_R_STEP, trying at least half that inside it.  At
+    lambda^2 = 0 the delta is 0 at every R, so the report's is kept.
     """
+    _criterion.check_certified(report)
+    w, n, cert = report.warp, report.n, report.certificate
     if lambda_sq == 0:
         return cert
     A = _riccati_bound(w, n, lambda_sq)
@@ -699,9 +711,7 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
     own defect.  phi, phi' and log phi on s_grid come from the memo the
     profiles of one solve share, so each point set reads the warp once.
     """
-    w = profile.warp
-    n = profile.n
-    lam2 = profile.mode.lambda_sq
+    w, n, lam2 = profile.warp, profile.n, profile.mode.lambda_sq
     if lam2 <= 0:
         raise DegenerateProfile("Riccati trace needs lambda^2 > 0 (m >= 1)")
     if s_grid is None:
@@ -712,7 +722,7 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
 
     z = profile._solution(s_grid)[1]
     dz = profile._solution(s_grid, ds=True)[1]
-    log_phi, phi, dphi = profile._memo.get(("warp", w), s_grid, lambda r: (
+    log_phi, phi, dphi = profile._memo.get("warp", s_grid, lambda r: (
         np.asarray(w.log_phi(r), dtype=float), *w.eval(r)))
     source = np.exp((n - 3) * log_phi)
     x = s_grid * z * source
@@ -731,22 +741,21 @@ def riccati_trace(profile: RadialProfile, s_grid=None) -> RiccatiTrace:
                         residual_ok=residual_ok, inequality_ok=inequality_ok)
 
 
-def lemma_bound_check(profile: RadialProfile, report: _criterion.CriterionReport, r):
+def lemma_bound_check(profile: RadialProfile, r):
     """The growth bound phi_m(r) <= B exp(int_1^r lambda^2/phi^{n-1} (A +
     int_1^t phi^{n-3})) at the radii r, with A = x(1) and B = phi_m(1) read
     off the profile at r = 1 itself; the caller compares its samples with it.
 
     The exponent is lambda^2 (A F + T), with F = int_1^r phi^{1-n} and the
     triangle T = int_1^r phi^{1-n}(t) int_1^t phi^{n-3}: the integrals of March's
-    criterion, read at each radius off the panel triples of `report`, the
-    criterion report of (warp, n), by `quadrature.log_prefix`.  So the bound
-    uses only the warping function and no pass of its own, independent of
-    the ODE solver.  The profiles of one solve share F and T per point set
-    and report.  A report of another warp or n, and radii outside
-    [1, report.r_max], are refused.
+    criterion, read at each radius off the panel triples of the profile's
+    own criterion report, by `quadrature.log_prefix`.  So the bound uses
+    only the warping function and no pass of its own, independent of the
+    ODE solver.  The profiles of one solve share F and T per point set.
+    Radii outside [1, report.r_max] are refused.
     """
-    lam2, w, n = profile.mode.lambda_sq, profile.warp, profile.n
-    _criterion.check_report(report, w, n, "profile's", DegenerateProfile)
+    report = profile.report
+    lam2, w, n = profile.mode.lambda_sq, report.warp, report.n
     r = np.asarray(r, dtype=float)
     lo, hi = np.min(r, initial=1.0), np.max(r, initial=report.r_max)
     if lo < 1.0 or hi > report.r_max:
@@ -755,15 +764,14 @@ def lemma_bound_check(profile: RadialProfile, report: _criterion.CriterionReport
                                 f"radii reach r = {lo if lo < 1.0 else hi:g}")
 
     one = np.array([1.0])
-    log_phi_one = profile._memo.get(("log_phi", w), one, w.log_phi)
+    log_phi_one = profile._memo.get("log_phi", one, w.log_phi)
     A = float(profile._solution(one)[1][0] * np.exp((n - 3) * log_phi_one)[0])
     B = float(profile.interp(1.0))
     if not (math.isfinite(B) and B > 0):
         raise DegenerateProfile(f"the growth bound needs phi_m(1) > 0 and finite, "
                                 f"and mode m = {profile.mode.m} has phi_m(1) = {B:g}")
     log_t, log_f, _ = profile._memo.get(
-        ("exponent", w, n, report.panels.tobytes()), r, lambda x:
-        _quadrature.log_prefix(report.panels, x))
+        "exponent", r, lambda x: _quadrature.log_prefix(report.panels, x))
     with np.errstate(over="ignore"):
         log_bound = math.log(B) + lam2 * (A * np.exp(log_f) + np.exp(log_t))
         bound = np.exp(np.minimum(log_bound, 700.0))

@@ -87,8 +87,10 @@ class WarpingFunction:
         raise NotImplementedError
 
     def log_phi(self, r):
-        """log phi(r), overridable for families where phi overflows."""
-        return np.log(self.eval(r)[0])
+        """log phi(r), overridable where phi overflows; phi read by `phi_on`."""
+        r = np.asarray(r, dtype=float)
+        out = np.log(phi_on(self, np.atleast_1d(r), "in log phi"))
+        return out[0] if r.ndim == 0 else out
 
     def _check_axioms(self):
         phi0, dphi0 = self.eval(0.0)

@@ -42,13 +42,6 @@ def normalized(profile):
         profile, tail_certificate(profile.warp, profile.n, profile.r_max))
 
 
-def criterion_at(profile):
-    """The criterion report at a profile's r_max (raised to the tail
-    sandwich's start), whose panels give `lemma_bound_check` its exponent."""
-    from weakmodel.criterion import march_criterion
-    return march_criterion(profile.warp, profile.n, r_max=profile.r_max)
-
-
 @pytest.fixture(scope="session")
 def tanh_profile():
     """Normalized m=1 profile for Hyperbolic(1), n=2; exact value tanh(r/2)."""

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import criterion_at, fubini_check, normalized
+from conftest import fubini_check, normalized
 from weakmodel import extension as ext
 from weakmodel import oracle, radial
 from weakmodel.criterion import (CONVERGENT, DIVERGENT, march_criterion,
@@ -93,7 +93,7 @@ def test_criterion_4_lemma_suite():
                     assert np.all(np.abs(tr.residual) < 1e-6 * (1.0 + src)), \
                         f"{w!r} n={n} m={m}: residual"
                     assert tr.inequality_ok, f"{w!r} n={n} m={m}: inequality"
-                    bound = radial.lemma_bound_check(p, criterion_at(p), s_grid)
+                    bound = radial.lemma_bound_check(p, s_grid)
                     assert np.all(p.interp(s_grid) <= bound * (1 + 1e-8)), \
                         f"{w!r} n={n} m={m}: bound"
 

@@ -581,9 +581,9 @@ def test_verify_bounds_the_same_nodes_with_and_without_artifacts(tmp_path, monke
     reads = []
     check = radial.lemma_bound_check
 
-    def spy(profile, report, r):
+    def spy(profile, r):
         reads.append(np.asarray(r, dtype=float))
-        return check(profile, report, r)
+        return check(profile, r)
 
     monkeypatch.setattr(radial, "lemma_bound_check", spy)
     flags = ["--family", "hyperbolic", "--a", "1", "--n", str(n), "--modes", "4"]
@@ -692,9 +692,9 @@ def test_table_growth_bound_reads_the_inconclusive_report(tmp_path, monkeypatch,
     reads = []
     check = radial.lemma_bound_check
 
-    def spy(profile, report, r):
-        bound = check(profile, report, r)
-        reads.append((profile, report, r, bound))
+    def spy(profile, r):
+        bound = check(profile, r)
+        reads.append((profile, r, bound))
         return bound
 
     monkeypatch.setattr(radial, "lemma_bound_check", spy)
@@ -702,8 +702,8 @@ def test_table_growth_bound_reads_the_inconclusive_report(tmp_path, monkeypatch,
     assert run(["verify", "--warp-csv", str(path), "--n", str(n), "--modes", "4",
                 "--out", str(tmp_path / "v")]) == 0
     assert len(reads) == 4
-    for profile, report, r, bound in reads:
-        assert report.verdict == criterion.INCONCLUSIVE
+    for profile, r, bound in reads:
+        assert profile.report.verdict == criterion.INCONCLUSIVE
         t, q = profile.warp, (1 - n, n - 3)
         _, _, panels = quadrature.adaptive_quad_log(
             t.log_phi, np.geomspace(1.0, r[-1], 9), rtol=1e-12, triangle=q)
@@ -1077,15 +1077,16 @@ def test_solve_works_at_the_radius_classify_certifies(tmp_path, flags, r_max):
 
 def test_verify_solves_raw_modes_to_the_criterion_radius(tmp_path, monkeypatch):
     # a Divergent metric has no extension: its raw modes are solved to the
-    # radius of the report that found it Divergent
+    # radius of the report that found it Divergent, which they carry
     marches = count_calls(monkeypatch, criterion, "march_criterion")
     solve_modes = radial.solve_modes
-    radii = []
+    solved = []
 
     def counted(*args, **kwargs):
-        radii.append(inspect.signature(solve_modes).bind(*args, **kwargs)
-                     .arguments["r_max"])
-        return solve_modes(*args, **kwargs)
+        profiles = solve_modes(*args, **kwargs)
+        solved.append((inspect.signature(solve_modes).bind(*args, **kwargs)
+                       .arguments, profiles))
+        return profiles
 
     monkeypatch.setattr(radial, "solve_modes", counted)
     code = run(["verify", "--family", "powergrowth", "--p", "0.8", "--n", "3",
@@ -1094,7 +1095,12 @@ def test_verify_solves_raw_modes_to_the_criterion_radius(tmp_path, monkeypatch):
     rep = json.loads((tmp_path / "v" / "verify.json").read_text())
     assert rep["criterion"] == "Divergent" and rep["all_passed"] is True
     assert len(marches) == 1
-    assert radii == [criterion.march_criterion(*marches[0]).r_max] == [100.0]
+    [(arguments, profiles)] = solved
+    report = arguments["report"]
+    assert "r_max" not in arguments and report.verdict == "Divergent"
+    assert all(p.report is report for p in profiles)
+    assert {p.r_max for p in profiles} == {report.r_max} == {
+        criterion.march_criterion(*marches[0]).r_max} == {100.0}
 
 
 @pytest.mark.parametrize("rmax", ["1", "0.5"])
@@ -1163,6 +1169,28 @@ def test_verify_detects_tampered_profile(tmp_path):
     rep = json.loads((tmp_path / "v" / "verify.json").read_text())
     failed = {c["name"] for c in rep["checks"] if c["passed"] is False}
     assert "lemma_bound" in failed
+
+
+@pytest.mark.parametrize("n, fails", [(2, ["fd_residual", "annulus_cross_check"]),
+                                      (3, ["fd_residual"])])
+def test_profiles_of_another_metric_fail_verify_by_name(tmp_path, monkeypatch, capsys,
+                                                        n, fails):
+    # profiles carry the report they were solved under, so the extension of
+    # Hyperbolic(1.2) meets the checks as it is: each profile's own Riccati
+    # trace and growth bound hold, and the Laplacian of Hyperbolic(1) does not
+    build = extension.build_extension
+    monkeypatch.setattr(extension, "build_extension", lambda f, M, report, **kwargs: build(
+        f, M, criterion.march_criterion(Hyperbolic(1.2), report.n), **kwargs))
+    code = run(["verify", "--family", "hyperbolic", "--a", "1", "--n", str(n),
+                "--modes", "4", "--out", str(tmp_path / "v")])
+    assert code == 1
+    printed = capsys.readouterr().out
+    for name in fails:
+        assert f"  [FAIL] {name}: " in printed
+    rep = json.loads((tmp_path / "v" / "verify.json").read_text())
+    passed = {c["name"] for c in rep["checks"] if c["passed"]}
+    assert {"riccati_residual", "riccati_inequality", "lemma_bound",
+            "monotone_nonnegative", "maximum_principle"} <= passed
 
 
 def test_sweep_deterministic(tmp_path):

@@ -446,7 +446,7 @@ def test_trusted_table_ending_below_the_sandwich_is_refused(entry):
     call = {"march": lambda: march_criterion(w, 3),
             "transience": lambda: transience_integral(w, 3),
             "certificate": lambda: tail_certificate(w, 3, 30.0),
-            "suggest_rmax": lambda: suggest_rmax(w, 3, 2.0, tail_certificate(w, 3, 30.0))
+            "suggest_rmax": lambda: suggest_rmax(march_criterion(w, 3, r_max=30.0), 2.0)
             }[entry]
     with pytest.raises(OutOfDomain, match=r"^tabulated hull ends at r = 60, "
                        r"below the tail sandwich start r = 260$"):

@@ -12,12 +12,14 @@ blow-up that ends the solve by name without a warning.
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import dop853_reference
 from weakmodel import radial
+from weakmodel.criterion import march_criterion
 from weakmodel.errors import StepSizeUnderflow
 from weakmodel.quadrature import _XK
 from weakmodel.spectrum import EigenMode, eigen_round_sphere
@@ -50,7 +52,7 @@ def _recorded_solve(monkeypatch, w, n, M, r_max, **kwargs):
         return sol
 
     monkeypatch.setattr(radial, "solve_ivp", recorded)
-    radial.solve_modes(w, n, _modes(n, M), r_max=r_max, **kwargs)
+    radial.solve_modes(march_criterion(w, n, r_max=r_max), _modes(n, M), r_max, **kwargs)
     [call] = calls
     return call
 
@@ -160,7 +162,8 @@ def test_solve_modes_reports_a_failed_solve(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(StepSizeUnderflow,
                            match=r"^radial integration failed: the panel at s = "):
-            radial.solve_modes(Euclidean(), 3, [eigen_round_sphere(3, 1)])
+            radial.solve_modes(march_criterion(Euclidean(), 3, r_max=30.0),
+                               [eigen_round_sphere(3, 1)])
 
 
 class _CountedWarp:
@@ -189,7 +192,8 @@ def test_mode_stack_evaluates_the_warp_once_per_step_attempt(monkeypatch, w, n, 
 
     solve_ivp = radial.solve_ivp
     monkeypatch.setattr(radial, "solve_ivp", recorded)
-    radial.solve_modes(counted, n, _modes(n, M), r_max=r_max)
+    report = replace(march_criterion(w, n, r_max=r_max), warp=counted)
+    radial.solve_modes(report, _modes(n, M), r_max)
     [(calls, sol)] = during
     # each call reads the 15 nodes of one attempt, and no attempt repeats
     assert all(r.shape == (len(_XK),) for r in calls)

@@ -82,7 +82,7 @@ _REFUSALS = [
 
 @pytest.mark.parametrize("kind, report, message, entry", [
     pytest.param(*case, entry, id=f"{case[0]}-{entry}") for case in _REFUSALS
-    for entry in ("build_extension", "conformal_modes")
+    for entry in ("build_extension", "conformal_modes", "suggest_rmax")
     if case[0] != "another-n" or entry == "conformal_modes"])
 def test_extension_refuses_a_report_of_another_metric(kind, report, message, entry):
     # the n = 2 modes read the report's R, panels and inner tail, and an
@@ -94,7 +94,8 @@ def test_extension_refuses_a_report_of_another_metric(kind, report, message, ent
     modes = [eigen_round_sphere(2, m) for m in range(3)]
     call = {"build_extension": lambda: ext.build_extension(
                 BoundaryData.from_coefficients(CoefficientTable(2, {(1, 0): 1.0})), 2, rep),
-            "conformal_modes": lambda: ext._radial.conformal_modes(modes, rep)}[entry]
+            "conformal_modes": lambda: ext._radial.conformal_modes(modes, rep),
+            "suggest_rmax": lambda: ext._radial.suggest_rmax(rep, 2.0)}[entry]
     error = (NotSolvable if entry == "build_extension" and kind in ("divergent", "inconclusive")
              else NotConvergent)
     with pytest.raises(error, match=message):
@@ -236,9 +237,9 @@ def _assert_hyperbolic_modes_match(a, tol, ode_error):
     w = Hyperbolic(a)
     for n in (3, 4, 5):
         modes = [eigen_round_sphere(n, m) for m in range(1, 9)]
-        cert = suggest_rmax(w, n, modes[-1].lambda_sq,
-                            criterion.march_criterion(w, n).certificate)
-        for mode, raw in zip(modes, solve_modes(w, n, modes, r_max=cert.r_max,
+        report = criterion.march_criterion(w, n)
+        cert = suggest_rmax(report, modes[-1].lambda_sq)
+        for mode, raw in zip(modes, solve_modes(report, modes, r_max=cert.r_max,
                                                 tol=tol)):
             p = normalize_profile(raw, cert)
             _assert_profile_matches(p, _hyperbolic_mode(a, n, mode.m),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from weakmodel.criterion import tail_certificate
+from weakmodel.criterion import march_criterion
 from weakmodel.errors import TailNotTight
 from weakmodel.radial import suggest_rmax
 from weakmodel.warp import PowerLog
@@ -31,5 +31,5 @@ def _load_checks(monkeypatch):
 def test_tail_not_tight_refusal_is_a_known_defect(monkeypatch):
     checks = _load_checks(monkeypatch)
     with pytest.raises(TailNotTight) as exc:
-        suggest_rmax(PowerLog(1.0), 3, 2.0, tail_certificate(PowerLog(1.0), 3, 30.0))
+        suggest_rmax(march_criterion(PowerLog(1.0), 3, r_max=30.0), 2.0)
     assert checks._TAIL_NOT_TIGHT.search("error: " + str(exc.value))

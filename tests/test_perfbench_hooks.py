@@ -26,15 +26,14 @@ def test_tracer_instruments_and_restores_the_package():
     hooks = ((radial, "solve_radial"), (radial, "solve_ivp"),
              (radial, "export_metadata_json"), (cli, "write_json_atomic"))
     originals = [getattr(module, name) for module, name in hooks]
+    report = criterion.march_criterion(Hyperbolic(1.0), 2, r_max=10.0)
     tracer = tracing.Tracer()
     patch = tracing.instrument(tracer)
     try:
         assert all(getattr(module, name) is not fn
                    for (module, name), fn in zip(hooks, originals))
         # a stacked solve is one counted ODE solve
-        radial.solve_modes(Hyperbolic(1.0), 2,
-                           [eigen_round_sphere(2, m) for m in (1, 2)],
-                           r_max=10.0)
+        radial.solve_modes(report, [eigen_round_sphere(2, m) for m in (1, 2)], 10.0)
         assert tracer.counts["radial.ode_solves"] == 1
         assert tracer.counts["radial.ode_steps"] > 0
     finally:

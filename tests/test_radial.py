@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import cumulative_simpson, quad, solve_ivp
 
-from conftest import count_calls, criterion_at, dop853_reference, normalized
+from conftest import count_calls, dop853_reference, normalized
 from weakmodel import radial
 from weakmodel.criterion import march_criterion, tail_certificate
 from weakmodel.errors import (DegenerateProfile, MalformedArtifact,
@@ -33,14 +33,14 @@ def _conformal(w, modes, r_max=30.0):
     return conformal_modes(modes, march_criterion(w, 2, r_max=r_max))
 
 
-def _below_bound(p, report, r):
+def _below_bound(p, r):
     """phi_m lies below its growth bound at the radii r, by verify's rule."""
-    return bool(np.all(p.interp(r) <= lemma_bound_check(p, report, r) * (1 + 1e-8)))
+    return bool(np.all(p.interp(r) <= lemma_bound_check(p, r) * (1 + 1e-8)))
 
 
 def _search_from(w, n, lam2, R):
-    """`suggest_rmax`'s search from the tail certificate at R."""
-    return suggest_rmax(w, n, lam2, tail_certificate(w, n, R))
+    """`suggest_rmax`'s search from the criterion report at R."""
+    return suggest_rmax(march_criterion(w, n, r_max=R), lam2)
 
 
 def test_indicial_exponent():
@@ -167,7 +167,7 @@ def test_lemma_bound_euclidean_closed_form():
         trace_grid = np.linspace(1.0, 20.0, 481)
         own = p.grid[(p.grid >= 1.0) & (p.grid <= 20.0)]
         for r in (trace_grid, own):
-            bound = lemma_bound_check(p, criterion_at(p), r)
+            bound = lemma_bound_check(p, r)
             F, T = exponent(r)
             expect = B * np.exp(p.mode.lambda_sq * (A * F + T))
             assert_allclose(bound, expect, rtol=1e-12, err_msg=case)
@@ -179,8 +179,8 @@ def test_lemma_bound_zero_mode():
     # exponent: the bound is 1, and the constant 1 lies on it
     p = solve_radial(Hyperbolic(1.0), 2, eigen_round_sphere(2, 0), r_max=21.0)
     r = np.linspace(1.0, 20.0, 481)
-    assert np.all(lemma_bound_check(p, criterion_at(p), r) == 1.0)
-    assert _below_bound(p, criterion_at(p), r)
+    assert np.all(lemma_bound_check(p, r) == 1.0)
+    assert _below_bound(p, r)
 
 
 @pytest.mark.parametrize("w,n", [
@@ -193,7 +193,7 @@ def test_lemma_suite(w, n):
         tr = riccati_trace(p)
         assert tr.residual_ok, f"m={m}"
         assert tr.inequality_ok, f"m={m}"
-        assert _below_bound(p, criterion_at(p), tr.grid), f"m={m}"
+        assert _below_bound(p, tr.grid), f"m={m}"
 
 
 @pytest.mark.parametrize("m", [1, 4, 8])
@@ -222,8 +222,8 @@ def test_wrong_eigenvalue_in_the_solver_fails_the_residual(monkeypatch, n):
 def _trace_and_bound_alone(profile):
     """riccati_trace's residual and lemma_bound_check's bound, each array
     computed for this one profile: the warp read on the trace grid, the
-    panel triples of a criterion report of its own, and the profile's own
-    dense rows."""
+    panel triples of its own criterion report, and the profile's own dense
+    rows."""
     w, n, lam2 = profile.warp, profile.n, profile.mode.lambda_sq
     s_grid = np.linspace(1.0, min(profile.r_max, 20.0), 481)
     z, dz = profile._dense(np.log(s_grid))[1], profile._dense(np.log(s_grid), True)[1]
@@ -235,7 +235,7 @@ def _trace_and_bound_alone(profile):
     residual = xp + np.exp(math.log(lam2) + 2 * np.log(x) - (n - 1) * log_phi) - source
     A = float(x[np.argmin(np.abs(s_grid - 1.0))])
     B = float(profile.interp(1.0))
-    log_t, log_f, _ = radial._quadrature.log_prefix(criterion_at(profile).panels, s_grid)
+    log_t, log_f, _ = radial._quadrature.log_prefix(profile.report.panels, s_grid)
     return residual, np.exp(math.log(B) + lam2 * (A * np.exp(log_f) + np.exp(log_t)))
 
 
@@ -247,11 +247,10 @@ def test_shared_trace_arrays_keep_every_bit(w, n):
     # its own where no other mode shares anything, gives the same bits
     modes = [eigen_round_sphere(n, m) for m in range(1, 5)]
     solve = ((lambda: _conformal(w, modes)) if n == 2
-             else (lambda: solve_modes(w, n, modes, r_max=30.0)))
+             else (lambda: solve_modes(march_criterion(w, n, r_max=30.0), modes, 30.0)))
     shared = solve()
     traces = [riccati_trace(p) for p in shared]
-    report = criterion_at(shared[0])
-    bounds = [lemma_bound_check(p, report, tr.grid) for p, tr in zip(shared, traces)]
+    bounds = [lemma_bound_check(p, tr.grid) for p, tr in zip(shared, traces)]
     for j in range(len(modes)):
         residual, bound = _trace_and_bound_alone(solve()[j])
         assert traces[j].residual.tobytes() == residual.tobytes()
@@ -372,9 +371,8 @@ def test_normalize_refuses_a_delta_past_double_range():
 @pytest.mark.parametrize("n", [2, 3])
 def test_suggest_rmax_keeps_the_certificate_at_lambda_zero(n):
     # with lambda^2 = 0 the tail delta is 0 at every R
-    w = Hyperbolic(1.0)
-    cert = tail_certificate(w, n, 30.0)
-    assert suggest_rmax(w, n, 0.0, cert) is cert
+    report = march_criterion(Hyperbolic(1.0), n, r_max=30.0)
+    assert suggest_rmax(report, 0.0) is report.certificate
 
 
 def test_suggest_rmax_enables_normalization():
@@ -387,12 +385,13 @@ def test_suggest_rmax_enables_normalization():
 
 def test_suggest_rmax_solves_no_mode(monkeypatch):
     # the tail delta needs the metric and the certificates only: R = 30 is
-    # given with its certificate, then 900 is certified, then the search
-    # narrows to the root near 282.8, certifying each radius it tries once
+    # given with its report's certificate, then 900 is certified, then the
+    # search narrows to the root near 282.8, certifying each radius it
+    # tries once
     ivps = count_calls(monkeypatch, radial, "solve_ivp")
-    start = tail_certificate(PowerGrowth(2.0), 3, 30.0)
+    start = march_criterion(PowerGrowth(2.0), 3, r_max=30.0)
     certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
-    cert = suggest_rmax(PowerGrowth(2.0), 3, 2.0, start)
+    cert = suggest_rmax(start, 2.0)
     tried = [args[2] for args in certs]
     assert tried[:1] == [pytest.approx(900.0, rel=1e-15)]
     assert len(set(tried)) == len(tried) <= 5 and cert.r_max in tried
@@ -403,16 +402,17 @@ def test_suggest_rmax_solves_no_mode(monkeypatch):
 def test_suggest_rmax_stops_at_the_end_of_tabulated_data(monkeypatch):
     # a trusted power law sampled to r = 60: log R doubles from log 30 past
     # the samples, so the search tries the top instead, which the
-    # certificate clips to just inside the hull; the refusal names the hull
+    # certificate clips to just inside the hull; the refusal names the hull.
+    # The report at R = 30 bounds its value to 4.1e-5, so its tol is 1e-4
     grid = np.geomspace(1e-4, 60.0, 400)
     w = Tabulated(grid, *PowerGrowth(1.5).eval(grid),
                   growth=PowerLawGrowth(1.5, 1.0))
-    start = tail_certificate(w, 3, 30.0)
+    start = march_criterion(w, 3, tol=1e-4, r_max=30.0)
     certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
     with pytest.raises(TailNotTight,
                        match=r"^no r_max up to the end of the tabulated hull at "
                              r"59\.7 reaches .* at r_max = 59\.7,"):
-        suggest_rmax(w, 3, 2.0, start)
+        suggest_rmax(start, 2.0)
     tried = [args[2] for args in certs]
     assert 59.7 < tried[0] <= 60.0 and len(tried) == 1
 
@@ -420,17 +420,18 @@ def test_suggest_rmax_stops_at_the_end_of_tabulated_data(monkeypatch):
 def test_suggest_rmax_refuses_a_clipped_hull_at_once(monkeypatch):
     # R = 100 lies past the samples: its certificate is clipped to just
     # inside the hull, and no larger R exists, so the search's one
-    # certificate, at the top, clipped to the same radius, gives the refusal
+    # certificate, at the top, clipped to the same radius, gives the
+    # refusal.  The report there bounds its value to 2.1e-5, so its tol is 1e-4
     grid = np.geomspace(1e-4, 60.0, 400)
     w = Tabulated(grid, *PowerGrowth(1.5).eval(grid),
                   growth=PowerLawGrowth(1.5, 1.0))
-    start = tail_certificate(w, 3, 100.0)
-    assert start.r_max == 60.0 * 0.995
+    start = march_criterion(w, 3, tol=1e-4, r_max=100.0)
+    assert start.certificate.r_max == 60.0 * 0.995
     certs = count_calls(monkeypatch, radial._criterion, "tail_certificate")
     with pytest.raises(TailNotTight,
                        match=r"^no r_max up to the end of the tabulated hull at "
                              r"59\.7 reaches .* at r_max = 59\.7,"):
-        suggest_rmax(w, 3, 2.0, start)
+        suggest_rmax(start, 2.0)
     assert len(certs) == 1 and 59.7 < certs[0][2] <= 60.0
 
 
@@ -572,10 +573,8 @@ def test_every_raw_profile_lies_below_the_growth_bound(w, n, ms, r_max):
     # the lemma's bound holds for every mode of every metric, convergent or
     # not, on the raw profiles as solved
     modes = [eigen_round_sphere(n, m) for m in sorted(ms)]
-    report = None
-    for p in solve_modes(w, n, modes, r_max=r_max):
-        report = report or criterion_at(p)
-        assert _below_bound(p, report, riccati_trace(p).grid), (
+    for p in solve_modes(march_criterion(w, n, r_max=r_max), modes, r_max):
+        assert _below_bound(p, riccati_trace(p).grid), (
             f"{w!r} n={n} m={p.mode.m} r_max={r_max}")
 
 
@@ -610,15 +609,14 @@ def test_growth_bound_starts_at_one(w, n):
     # rather than failed (or read backwards)
     p = solve_radial(w, n, eigen_round_sphere(n, 1), r_max=25.0)
     A, B = riccati_trace(p, s_grid=[1.0]).x[0], p.interp(1.0)
-    report = criterion_at(p)
     for r in ([1.0, 1.5, 3.0], [1.03, 1.5, 3.0]):
-        bound = lemma_bound_check(p, report, r)
-        log_t, log_f, _ = radial._quadrature.log_prefix(report.panels, np.array(r))
+        bound = lemma_bound_check(p, r)
+        log_t, log_f, _ = radial._quadrature.log_prefix(p.report.panels, np.array(r))
         expect = np.exp(math.log(B) + p.mode.lambda_sq * (A * np.exp(log_f) + np.exp(log_t)))
-        assert _below_bound(p, report, r) and bound.tobytes() == expect.tobytes()
+        assert _below_bound(p, r) and bound.tobytes() == expect.tobytes()
     with pytest.raises(DegenerateProfile, match="starts at r = 1.*r = 0.97"):
-        lemma_bound_check(p, report, [0.97, 1.03, 1.1, 1.5, 3.0])
-    assert _below_bound(p, report, [1.03, 1.1, 1.5, 3.0])
+        lemma_bound_check(p, [0.97, 1.03, 1.1, 1.5, 3.0])
+    assert _below_bound(p, [1.03, 1.1, 1.5, 3.0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -632,56 +630,54 @@ def test_growth_bound_refuses_a_mode_not_positive_at_one(degrade, shown):
     # and finite there has no bound, and is refused by its value and m
     # rather than failed in math.log or carried as nan
     p = solve_radial(Hyperbolic(1.0), 3, eigen_round_sphere(3, 1), r_max=25.0)
-    report = criterion_at(p)
     with pytest.raises(DegenerateProfile, match=r"needs phi_m\(1\) > 0 and finite, "
                        rf"and mode m = 1 has phi_m\(1\) = {shown}$"):
-        lemma_bound_check(degrade(p), report, [1.0, 1.5, 3.0])
+        lemma_bound_check(degrade(p), [1.0, 1.5, 3.0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_growth_bound_stays_inside_the_criterion_radius():
     # the bound is read from the report's panels over [1, r_max]: --rmax 10
     # gives Hyperbolic(1) the radius 13, the sandwich's start, and a trace
-    # grid past it is refused by name rather than read off the panels
-    w = Hyperbolic(1.0)
-    p = solve_radial(w, 3, eigen_round_sphere(3, 1), r_max=25.0)
-    report = march_criterion(w, 3, r_max=10.0)
+    # grid past it, on a profile solved to 25 under that report, is refused
+    # by name rather than read off the panels
+    report = march_criterion(Hyperbolic(1.0), 3, r_max=10.0)
     assert report.r_max == 13.0
+    p, = solve_modes(report, [eigen_round_sphere(3, 1)], 25.0)
     with pytest.raises(DegenerateProfile, match="ends at the criterion's r_max = 13.*r = 20"):
-        lemma_bound_check(p, report, riccati_trace(p).grid)
-    assert _below_bound(p, report, np.linspace(1.0, 13.0, 200))
+        lemma_bound_check(p, riccati_trace(p).grid)
+    assert _below_bound(p, np.linspace(1.0, 13.0, 200))
 
 
-@pytest.mark.parametrize("report, message", [
-    (lambda w: march_criterion(w, 2, r_max=25.0), r"of n = 2, not of the profile's n = 3"),
-    (lambda w: march_criterion(Hyperbolic(2.0), 3, r_max=25.0),
-     r"of Hyperbolic\(a=2\), another warp object than the profile's Hyperbolic\(a=1\)"),
-    (lambda w: march_criterion(Hyperbolic(1.0), 3, r_max=25.0),
-     r"of Hyperbolic\(a=1\), another warp object than the profile's Hyperbolic\(a=1\)")],
-    ids=["another-n", "another-warp", "another-warp-object"])
-def test_growth_bound_refuses_a_report_of_another_metric(report, message):
-    # the exponent is read off the report's panels, which integrate one warp
-    # at one n: an n = 2 report would give this n = 3 mode a bound up to
-    # 5.8 times too large, and it is refused by name, as is a report of
-    # another warp object, whose repr may not tell the two apart
-    w = Hyperbolic(1.0)
-    p = solve_radial(w, 3, eigen_round_sphere(3, 2), r_max=25.0)
-    r = riccati_trace(p).grid
-    assert _below_bound(p, criterion_at(p), r)
-    with pytest.raises(DegenerateProfile, match="the criterion report is " + message):
-        lemma_bound_check(p, report(w), r)
+class Collapsing(WarpingFunction):
+    """phi = r (1 - r/4), which reaches 0 at r = 4 and is negative past it."""
+    growth_class = Euclidean().growth_class
+
+    def eval(self, r):
+        r = np.asarray(r, dtype=float)
+        return 1.0 * r * (1.0 - r / 4.0), np.ones_like(r)
 
 
 def test_nonpositive_warp_detected():
-    class Collapsing(WarpingFunction):
-        growth_class = Euclidean().growth_class
-
-        def eval(self, r):
-            r = np.asarray(r, dtype=float)
-            return 1.0 * r * (1.0 - r / 4.0), np.ones_like(r)
-
     with pytest.raises(NonPositiveWarp):
         solve_radial(Collapsing(), 2, eigen_round_sphere(2, 1), r_max=10.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3])
+def test_criterion_refuses_a_warp_reaching_zero_by_name(n):
+    # the base log phi reads phi through phi_on, so a custom warp with
+    # phi <= 0 is refused where it is read, not logged into a nan
+    with pytest.raises(NonPositiveWarp, match=r"^phi\(26\) <= 0 in log phi$"):
+        march_criterion(Collapsing(), n, r_max=10.0)
+
+
+@pytest.mark.parametrize("ms", [(0,), (0, 1)], ids=["m0", "m0-m1"])
+def test_solve_modes_refuses_r_max_at_most_one(ms):
+    # the growth bound starts at r = 1, whatever the modes
+    report = march_criterion(Hyperbolic(1.0), 3)
+    with pytest.raises(ValueError, match=r"^r_max must exceed 1, got 0\.5$"):
+        solve_modes(report, [eigen_round_sphere(3, m) for m in ms], r_max=0.5)
 
 
 def test_profile_csv_roundtrip(tmp_path, tanh_profile):
@@ -721,9 +717,9 @@ def _odd_profile(profile):
 
 @pytest.mark.parametrize("make", [
     lambda p: p,
-    lambda p: solve_modes(Hyperbolic(1.0), 3, [eigen_round_sphere(3, m)
-                                               for m in (0, 2)])[1],
-    lambda p: solve_modes(Hyperbolic(1.0), 3, [eigen_round_sphere(3, 0)])[0],
+    lambda p: solve_modes(march_criterion(Hyperbolic(1.0), 3),
+                          [eigen_round_sphere(3, m) for m in (0, 2)])[1],
+    lambda p: solve_modes(march_criterion(Hyperbolic(1.0), 3), [eigen_round_sphere(3, 0)])[0],
     _odd_profile])
 def test_profile_csv_is_the_savetxt_bytes(tmp_path, tanh_profile, make):
     profile = make(tanh_profile)
@@ -733,7 +729,7 @@ def test_profile_csv_is_the_savetxt_bytes(tmp_path, tanh_profile, make):
 
 
 @pytest.mark.parametrize("n, solve", [
-    (3, lambda modes: solve_modes(Hyperbolic(1.0), 3, modes)),
+    (3, lambda modes: solve_modes(march_criterion(Hyperbolic(1.0), 3), modes)),
     (2, lambda modes: _conformal(Hyperbolic(1.0), modes))], ids=["n3", "n2"])
 def test_one_solve_formats_its_r_column_once(tmp_path, n, solve):
     # the profiles of one solve, m = 0 included, share the memo in which the
@@ -748,8 +744,9 @@ def test_one_solve_formats_its_r_column_once(tmp_path, n, solve):
 
 
 def test_warp_reaching_zero_inside_the_span_fails_by_name():
-    # phi is r on the solve's grid, so the grid check passes, and 0 at
-    # every other radius above 2, where the first stage there stops the solve
+    # phi is r on the solve's grid and 0 at every other radius above 2; the
+    # criterion refuses it first, so the collocation is called directly, and
+    # its per-node check stops the solve at the first panel above 2
     grid = np.geomspace(1e-3, 10.0, 800)
 
     class ZeroOffGrid(WarpingFunction):
@@ -763,8 +760,10 @@ def test_warp_reaching_zero_inside_the_span_fails_by_name():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonPositiveWarp, match=r"phi\(.*\) = 0 <= 0"):
-            solve_modes(ZeroOffGrid(), 3, [eigen_round_sphere(3, m)
-                                           for m in (1, 2)], r_max=10.0)
+            lam2 = [eigen_round_sphere(3, m).lambda_sq for m in (1, 2)]
+            y0 = [v for l2 in lam2 for v in radial._launch_state(3, l2, 0.0, 1e-3, 1.0)]
+            radial.solve_ivp(ZeroOffGrid(), 3, lam2, (math.log(1e-3), math.log(10.0)),
+                             y0, rtol=1e-12)
 
 
 def _single_mode_reference(w, n, mode, r_max):
@@ -797,7 +796,7 @@ def _single_mode_reference(w, n, mode, r_max):
 def test_one_mode_stack_is_the_single_mode_solve(w, n, m, tol):
     mode = eigen_round_sphere(n, m)
     values, derivs, dense = _single_mode_reference(w, n, mode, 30.0)
-    p = solve_modes(w, n, [mode], r_max=30.0, tol=tol)[0]
+    p = solve_modes(march_criterion(w, n, r_max=30.0), [mode], 30.0, tol=tol)[0]
     q = solve_radial(w, n, mode, r_max=30.0, tol=tol)
     assert p.values.tobytes() == q.values.tobytes()
     assert p.derivs.tobytes() == q.derivs.tobytes()
@@ -810,7 +809,7 @@ def test_one_mode_stack_is_the_single_mode_solve(w, n, m, tol):
 def test_stack_keeps_mode_order_and_agrees_per_mode():
     w, n = PowerGrowth(2.0), 3
     modes = [eigen_round_sphere(n, m) for m in (2, 0, 4, 1)]
-    stack = solve_modes(w, n, modes, r_max=40.0)
+    stack = solve_modes(march_criterion(w, n, r_max=40.0), modes, 40.0)
     assert [p.mode for p in stack] == modes
     assert np.all(stack[1].values == 1.0) and stack[1].normalized
     r = np.geomspace(2e-3, 40.0, 60)
@@ -872,9 +871,9 @@ def test_conformal_modes_start_where_the_tail_bracket_holds():
 def test_conformal_constant_mode_is_exp_of_zero_tau():
     # m = 0 is exp(-0 tau) = 1, which both solvers build as one constant
     # profile: the bits and the record solve_modes gives on the same grid
-    w = Hyperbolic(1.0)
-    zero, = _conformal(w, [eigen_round_sphere(2, 0)])
-    const, = solve_modes(w, 2, [eigen_round_sphere(2, 0)], r_max=zero.r_max)
+    report = march_criterion(Hyperbolic(1.0), 2, r_max=30.0)
+    zero, = conformal_modes([eigen_round_sphere(2, 0)], report)
+    const, = solve_modes(report, [eigen_round_sphere(2, 0)])
     assert zero.grid.tobytes() == const.grid.tobytes()
     assert zero.values.tobytes() == const.values.tobytes() == np.ones(800).tobytes()
     assert zero.derivs.tobytes() == const.derivs.tobytes() == np.zeros(800).tobytes()
